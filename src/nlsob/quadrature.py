@@ -15,8 +15,11 @@ Two pair engines share one Estimate type:
   The pair integral reduces to (r, s, theta) with surface factor
   ``|S^{N-1}| |S^{N-2}| r^{N-1} s^{N-1} sin(theta)^{N-2}``; the theta
   integral is evaluated via the substitution t = |x-y|^2, which turns it
-  into a 1D integral on [(r-s)^2, (r+s)^2] handled by graded panels, so
-  the near-diagonal kernel blowup costs no accuracy.
+  into a 1D integral on [(r-s)^2, (r+s)^2].  At N = 3 that integral has a
+  closed form; other N use graded panels, so the near-diagonal kernel
+  blowup costs no accuracy.  On monotone profiles the indicator path
+  solves for every r-node's admissible s-range at once and integrates
+  all (r, s) nodes in one array pass.
 
 Both report rigorous tail bounds for the truncated regions where the
 field metadata permits one.
@@ -154,13 +157,16 @@ def _gl_rule(order: int):
 
 
 def panel_nodes(panels: np.ndarray, order: int):
-    """Gauss-Legendre nodes/weights on a union of panels given by breakpoints."""
+    """Gauss-Legendre nodes/weights on a union of panels given by breakpoints.
+
+    A 2-D ``panels`` holds one breakpoint row per union and gives one row
+    of nodes/weights each.
+    """
     xi, wi = _gl_rule(order)
-    a = panels[:-1][:, None]
-    width = np.diff(panels)[:, None]
-    nodes = (a + width * xi[None, :]).ravel()
-    weights = (width * wi[None, :]).ravel()
-    return nodes, weights
+    a = panels[..., :-1, None]
+    width = np.diff(panels, axis=-1)[..., None]
+    shape = panels.shape[:-1] + (-1,)
+    return (a + width * xi).reshape(shape), (width * wi).reshape(shape)
 
 
 def uniform_panels(a: float, b: float, n: int, splits: Sequence[float] = ()) -> np.ndarray:
@@ -377,6 +383,9 @@ def _xi_rule(order: int):
     return panel_nodes(bps, order)
 
 
+_KERNEL_BLOCK = 1 << 16  # elements per graded-rule temporary in theta_reduced_kernel
+
+
 def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6,
                          d_window: Optional[tuple] = None) -> np.ndarray:
     """Integral over theta in [0, pi] of sin(theta)^{n-2} / d^{n+p},
@@ -384,7 +393,13 @@ def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6,
     d in [d_window[0], d_window[1]].
 
     Uses t = d^2:  T = (2 r s)^{-(n-2)} * int ((t-a)(b-t))^{(n-3)/2} t^{-(n+p)/2} dt
-    over [a, b] = [(r-s)^2, (r+s)^2].
+    over [a, b] = [(r-s)^2, (r+s)^2], clipped to the window as [lo, hi].
+    At n = 3 the integrand is the pure power t^{-(3+p)/2}, evaluated in
+    closed form as (2 r s)^{-1} lo^{-k} (1 - (hi/lo)^{-k}) / k with
+    k = (1+p)/2, written with log1p/expm1 so that it keeps full relative
+    accuracy both near the diagonal and for r s << (r-s)^2; it is +inf
+    on the diagonal r = s (unless the window excludes d = 0).  Other n
+    use the graded ``order``-point rule, applied to blocks of pairs.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -394,32 +409,44 @@ def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6,
     sf = s.ravel()
     a = (rf - sf) ** 2
     b = (rf + sf) ** 2
-    lo, hi = a.copy(), b.copy()
-    if d_window is not None:
-        lo = np.maximum(lo, d_window[0] ** 2)
-        hi = np.minimum(hi, d_window[1] ** 2)
     rs = rf * sf
+    lo, hi = a, b
+    width = 4.0 * rs  # b - a without the cancellation of the subtraction
+    if d_window is not None:
+        lo = np.maximum(a, d_window[0] ** 2)
+        hi = np.minimum(b, d_window[1] ** 2)
+        width = np.where((lo > a) | (hi < b), hi - lo, width)
     ok = (hi > lo) & (rs > 0)
     out = np.zeros_like(rf)
-    if np.any(ok):
+    if n == 3:
+        k = 0.5 * (1.0 + p)
+        lo_k, w_k, rs_k = lo[ok], width[ok], rs[ok]
+        with np.errstate(divide="ignore"):
+            out[ok] = (lo_k ** -k * -np.expm1(-k * np.log1p(w_k / lo_k))
+                       / (2.0 * k * rs_k))
+    else:
         xi, w = _xi_rule(order)
-        t = lo[ok, None] + (hi[ok] - lo[ok])[:, None] * xi[None, :]
         e = (n - 3) / 2.0
-        ta = np.maximum(t - a[ok, None], 0.0)
-        bt = np.maximum(b[ok, None] - t, 0.0)
-        if e == 0.0:
-            poly = np.ones_like(t)
-        else:
-            poly = (ta * bt) ** e
-        integ = poly * t ** (-(n + p) / 2.0)
-        vals = (integ @ w) * (hi[ok] - lo[ok])
-        out[ok] = vals * (2.0 * rs[ok]) ** (-(n - 2.0))
+        rows = np.flatnonzero(ok)
+        # blocks of rows keep each (rows x nodes) temporary near 0.5 MB
+        step = max(1, _KERNEL_BLOCK // xi.size)
+        for i in range(0, rows.size, step):
+            j = rows[i:i + step]
+            t = lo[j, None] + (hi[j] - lo[j])[:, None] * xi[None, :]
+            ta = np.maximum(t - a[j, None], 0.0)
+            bt = np.maximum(b[j, None] - t, 0.0)
+            integ = (ta * bt) ** e * t ** (-(n + p) / 2.0)
+            vals = (integ @ w) * (hi[j] - lo[j])
+            out[j] = vals * (2.0 * rs[j]) ** (-(n - 2.0))
     return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # level crossings for exact indicator geometry
 # ---------------------------------------------------------------------------
+
+_XTOL, _RTOL = 1e-14, 1e-15  # tolerance of every level-crossing solve
+
 
 def _scalarize(g):
     return lambda x: float(g(np.array([x]))[0])
@@ -446,10 +473,46 @@ def _level_crossings(g, level: float, lo: float, hi: float,
     gs = _scalarize(g)
     f = lambda x: gs(x) - level
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(brentq(f, xs[i], xs[i + 1], xtol=1e-14, rtol=1e-15))
+        roots.append(brentq(f, xs[i], xs[i + 1], xtol=_XTOL, rtol=_RTOL))
     for i in np.nonzero(vals == 0.0)[0]:
         roots.append(float(xs[i]))
     return sorted(roots)
+
+
+def _decreasing_roots(g, dg, level: np.ndarray, lo: np.ndarray,
+                      hi: float) -> np.ndarray:
+    """Solve g(s) = level[i] on [lo[i], hi] for every i at once.
+
+    Each bracket must hold a single crossing, g(lo[i]) > level[i] > g(hi).
+    Safeguarded Newton on ``dg`` as in ``rtsafe``: a bisection step
+    replaces any Newton step that leaves the bracket or is not under half
+    the step before last, and every step when ``dg`` is None.  An entry
+    stops once its step is within the ``brentq`` tolerance of
+    ``_level_crossings``.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.full_like(lo, hi)
+    x = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    done = np.zeros(lo.shape, dtype=bool)
+    for _ in range(200):
+        f = g(x) - level
+        lo = np.where(f > 0.0, x, lo)
+        hi = np.where(f < 0.0, x, hi)
+        x_new = 0.5 * (lo + hi)
+        if dg is not None:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                newton = x - f / dg(x)
+            # x is an end of the bracket; a Newton step rounding to 0 is converged
+            use = ((newton >= lo) & (newton <= hi)
+                   & (np.abs(newton - x) <= 0.5 * step_old))
+            x_new = np.where(use, newton, x_new)
+        x_new = np.where(done | (f == 0.0), x, x_new)
+        step_old, step, x = step, np.abs(x_new - x), x_new
+        done |= step <= _XTOL + _RTOL * np.abs(x)
+        if done.all():
+            return x
+    raise RuntimeError("level-crossing solve did not converge")
 
 
 def _excess_intervals(g, a_val: float, delta: float, lo: float, hi: float,
@@ -483,9 +546,8 @@ class RadialWeight:
     ``pair_fn(a, b)`` maps profile values (a, b) = (g(r), g(s)) to the
     nonnegative numerator weight.  ``threshold`` marks the exact
     indicator structure |a - b| > threshold, which lets the engine carve
-    the admissible s-intervals exactly; ``zero_sep`` is a radius in
-    |r - s| below which the weight vanishes identically (threshold /
-    Lipschitz).  ``d_window`` hard-restricts the pair distance.
+    the admissible s-intervals exactly.  ``d_window`` hard-restricts the
+    pair distance.
     ``numerator`` scales the rigorous tail bound.
 
     For smooth symmetric weights (envelope functionals) set
@@ -497,7 +559,6 @@ class RadialWeight:
 
     pair_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     threshold: Optional[float] = None
-    zero_sep: float = 0.0
     d_window: Optional[tuple] = None
     numerator: float = 1.0
     symmetric_far: bool = False
@@ -534,27 +595,35 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
     probe_pts = _probe_grid(0.0, s_max, bulk)
 
     if profile.monotone_decreasing:
-        # unordered pairs: 2 * { r < s, g(r) - g(s) > delta }
+        # unordered pairs: 2 * { r < s, g(r) - g(s) > delta }, all r-nodes
+        # in one array pass over a shared graded s-panel template
         tops = _level_crossings(g, delta, 0.0, s_max, probe_pts)
         if not tops:
             return 0.0
-        r_top = tops[-1]
-        gs = _scalarize(g)
-        r_panels = uniform_panels(0.0, r_top, spec.n_r, splits=knots)
+        r_panels = uniform_panels(0.0, tops[-1], spec.n_r, splits=knots)
         r_nodes, r_w = panel_nodes(r_panels, order_r)
-        total = 0.0
-        for rn, rw in zip(r_nodes, r_w):
-            target = gs(rn) - delta
-            if gs(s_max) >= target:
-                continue  # admissible s lies beyond s_max; covered by tail bound
-            s2 = brentq(lambda s: gs(s) - target, rn, s_max, xtol=1e-14, rtol=1e-15)
-            panels = _s_branch_panels(s2, s_max, spec.n_s, knots)
-            sn, sw = panel_nodes(panels, order_s)
-            t_vals = theta_reduced_kernel(rn, sn, dim, kernel_p, order=order_t,
-                                          d_window=weight.d_window)
-            w_vals = weight.pair_fn(np.full_like(sn, gs(rn)), g(sn))
-            total += rw * rn ** (dim - 1) * float(np.sum(sw * w_vals * t_vals * sn ** (dim - 1)))
-        return 2.0 * _pair_prefactor(dim) * total
+        g_r = g(r_nodes)
+        target = g_r - delta
+        # where g(s_max) >= target the admissible s lie beyond s_max,
+        # which the tail bound covers
+        keep = _scalarize(g)(s_max) < target
+        if not keep.any():
+            return 0.0
+        rn, rw, a_val = r_nodes[keep], r_w[keep], g_r[keep]
+        s2 = _decreasing_roots(g, profile.dg, target[keep], rn, s_max)
+        template = graded_panels(0.0, 1.0, spec.n_s, toward="both")
+        bps = s2[:, None] + (s_max - s2)[:, None] * template[None, :]
+        inner = knots[(knots > s2.min()) & (knots < s_max)]
+        if inner.size:
+            # knots outside a row's [s2, s_max] give zero-width panels
+            bps = np.sort(np.concatenate(
+                [bps, np.clip(inner[None, :], s2[:, None], s_max)], axis=1), axis=1)
+        sn, sw = panel_nodes(bps, order_s)
+        t_vals = theta_reduced_kernel(rn[:, None], sn, dim, kernel_p, order=order_t,
+                                      d_window=weight.d_window)
+        w_vals = weight.pair_fn(np.broadcast_to(a_val[:, None], sn.shape), g(sn))
+        per_r = np.sum(sw * w_vals * t_vals * sn ** (dim - 1), axis=1)
+        return 2.0 * _pair_prefactor(dim) * float(np.sum(rw * rn ** (dim - 1) * per_r))
 
     # generic path: r over [0, r_half], exact intervals in s over [0, s_max];
     # the region {r > r_half, s <= r_half} equals by symmetry the portion of
@@ -625,9 +694,12 @@ def _radial_tensor_value(profile: RadialProfile1D, kernel_p: float,
         sn, sw = panel_nodes(panels, order_s)
         t_vals = theta_reduced_kernel(rn, sn, dim, kernel_p, order=order_t,
                                       d_window=weight.d_window)
-        contrib = (rw * rn ** (dim - 1)
-                   * sw * weight.pair_fn(np.full_like(sn, a_val), g(sn))
-                   * t_vals * sn ** (dim - 1))
+        w_vals = weight.pair_fn(np.full_like(sn, a_val), g(sn))
+        # a pair of weight exactly 0 contributes 0, also where an s-node
+        # falls on rn and the N = 3 kernel is +inf
+        with np.errstate(invalid="ignore"):
+            pair = np.where(w_vals == 0.0, 0.0, w_vals * t_vals)
+        contrib = rw * rn ** (dim - 1) * sw * pair * sn ** (dim - 1)
         total += float(np.sum(contrib))
         if weight.symmetric_far:
             extra += float(np.sum(contrib[sn > r_hi]))

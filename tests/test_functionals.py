@@ -143,6 +143,17 @@ class TestEnvelopes:
         assert env.fn(np.array([2.0]))[0] == 2.0 ** 3 * env.fn(np.array([1.0]))[0]
         env.validate()  # power laws satisfy it with equality
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0, 5.0])
+    def test_power_law_validates(self, q):
+        # F(ts) and t^q F(s) reach 16^q on the grid; rounding is no violation
+        MonotoneEnvelope.power_law(q).validate()
+
+    def test_subhomogeneity_violation_still_raises(self):
+        bad = MonotoneEnvelope(fn=lambda t: np.asarray(t, float) ** 2,
+                               beta=1.0, name="square-beta-1", small_t_power=2.0)
+        with pytest.raises(PreconditionError):
+            bad.validate()
+
 
 class TestMagnetic:
     def test_zero_potential_reduces_bitwise(self, gauss3, engine_mc_small):
