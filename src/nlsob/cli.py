@@ -2,7 +2,7 @@
 
 Subcommands: eval | check | sweep | constants | qn.  Runs are seeded and
 bit-reproducible: the same (config, seed) produces byte-identical output
-files at any worker count (set WORKERS to parallelize chunks).
+files.
 
 Exit codes: 0 ok; 2 config error; 3 divergence flags present in eval
 (rows are still written); 4 an inequality check failed.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -391,10 +392,14 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
                 for d in deltas:
                     emit(check_diamagnetic(cu, potential, d, engine))
         elif check == "magnetic_lsi":
-            for u in fields:
-                cu = ComplexField(u, phase)
-                for d in deltas:
-                    emit(check_magnetic_lsi(cu, potential, d, engine))
+            # the constant is an output: every report is checked at the
+            # family constant, as in the free-constant branch
+            reps = [check_magnetic_lsi(ComplexField(u, phase), potential, d, engine)
+                    for u in fields for d in deltas]
+            family = max((r.admissible_constant for r in reps if not r.degenerate
+                          and math.isfinite(r.admissible_constant)), default=None)
+            for rep in reps:
+                emit(rep, constant=None if rep.degenerate else family)
 
     csv_path, json_path = _out_paths(cfg, out_dir, "check")
     _write_csv(csv_path, header, rows)

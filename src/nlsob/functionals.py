@@ -226,54 +226,24 @@ def _radial_corner_const(dim: int) -> float:
     return sphere_surface(dim) * sphere_surface(dim - 1)
 
 
-class _PairWorkload:
-    """Everything the engines need for one pair functional."""
-
-    def __init__(self, dim, x_radius, numerator, kernel_p, inner_cutoff,
-                 integrands, rank_fn, extra_tail=0.0):
-        self.dim = dim
-        self.x_radius = x_radius
-        self.numerator = numerator
-        self.kernel_p = kernel_p
-        self.inner_cutoff = inner_cutoff
-        self.integrands = integrands
-        self.rank_fn = rank_fn
-        self.extra_tail = extra_tail
-
-    def context(self, inner_cutoff=None, wrap=None):
-        integrands = self.integrands
-        if wrap is not None:
-            integrands = tuple(wrap(f) for f in integrands)
-        return PairContext(
-            dim=self.dim,
-            x_center=np.zeros(self.dim),
-            x_radius=self.x_radius,
-            kernel_p=self.kernel_p,
-            numerator=self.numerator,
-            integrands=integrands,
-            inner_cutoff=self.inner_cutoff if inner_cutoff is None else inner_cutoff,
-            symmetric=True,
-            rank_fn=self.rank_fn,
-            extra_tail=self.extra_tail,
-        )
+def _cut_at(ctx: PairContext, c: float) -> PairContext:
+    """``ctx`` restricted to pairs with |y - x| >= c."""
+    wrap = lambda f: (lambda x, y, rho, vx, vy: f(x, y, rho, vx, vy) * (rho >= c))
+    return replace(ctx, inner_cutoff=c, integrands=tuple(wrap(f) for f in ctx.integrands))
 
 
-def _probe_divergence(workload: _PairWorkload, spec: McSpec):
+def _probe_divergence(ctx: PairContext, spec: McSpec):
     """Cutoff-halving probe for fields without a Lipschitz bound.
 
     Runs reduced-size estimates truncated at cutoffs c, c/2, c/4; growth
     by >= 1.8 at both halvings flags divergence and the partial estimate
     at the smallest cutoff is returned.
     """
-    c0 = 0.05 * max(workload.x_radius, 1e-6)
+    c0 = 0.05 * max(ctx.x_radius, 1e-6)
     n_chunks = max(8, (spec.n_samples // spec.chunk_size) // 4)
     probe_spec = replace(spec, n_samples=n_chunks * spec.chunk_size)
-    vals = []
-    for c in (c0, c0 / 2.0, c0 / 4.0):
-        wrap = lambda f, c=c: (lambda x, y, rho: f(x, y, rho) * (rho >= c))
-        est = mc_pair_integrate_many(workload.context(inner_cutoff=c, wrap=wrap),
-                                     probe_spec)[0]
-        vals.append(est)
+    vals = [mc_pair_integrate_many(_cut_at(ctx, c), probe_spec)[0]
+            for c in (c0, c0 / 2.0, c0 / 4.0)]
     v0, v1, v2 = (e.value for e in vals)
     grow1 = v1 >= 1.8 * v0 > 0.0
     grow2 = v2 >= 1.8 * v1 > 0.0
@@ -364,15 +334,14 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
     # Monte Carlo path
     np_exp = -(dim + p)
 
-    def integrand(x, y, rho):
-        du = np.abs(u.evaluate(y) - u.evaluate(x))
+    def integrand(x, y, rho, vx, vy):
+        du = np.abs(vy - vx)
         if envelope is None:
             w = np.where(du > delta, numerator, 0.0)
         else:
             w = envelope.fn(du)
         return w * rho ** np_exp
 
-    rank_fn = lambda pts: np.abs(u.evaluate(pts))
     if zero_below > 0:
         x_radius = u.decay_radius(zero_below / 2.0)
         extra_tail = 0.0
@@ -398,20 +367,19 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
             cutoff = 0.0  # jump field: the halving probe decides convergence
             extra_tail = 0.0
 
-    workload = _PairWorkload(dim, x_radius, h_tail_scale, p, cutoff,
-                             (integrand,), rank_fn, extra_tail)
+    ctx = PairContext(dim, np.zeros(dim), x_radius, p, h_tail_scale, (integrand,),
+                      inner_cutoff=cutoff, symmetric=True, values=u.evaluate,
+                      extra_tail=extra_tail)
     spec = engine.mc
     if not math.isfinite(lip):
-        hit = _probe_divergence(workload, spec)
+        hit = _probe_divergence(ctx, spec)
         if hit is not None:
             return hit
         # convergent despite no Lipschitz bound: keep the smallest probe cutoff;
         # the mass below it is not quantified by any envelope we hold
-        c_small = 0.05 * max(x_radius, 1e-6) / 4.0
-        wrap = lambda f: (lambda x, y, rho: f(x, y, rho) * (rho >= c_small))
-        return mc_pair_integrate_many(
-            workload.context(inner_cutoff=c_small, wrap=wrap), spec)[0]
-    return mc_pair_integrate_many(workload.context(), spec)[0]
+        return mc_pair_integrate_many(_cut_at(ctx, 0.05 * max(x_radius, 1e-6) / 4.0),
+                                      spec)[0]
+    return mc_pair_integrate_many(ctx, spec)[0]
 
 
 def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
@@ -440,36 +408,34 @@ def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
 # magnetic functional
 # ---------------------------------------------------------------------------
 
-def _magnetic_workload(u: ComplexField, A: VectorPotential, delta: float,
-                       engine: EngineSpec):
+def _magnetic_context(u: ComplexField, A: VectorPotential, delta: float,
+                      engine: EngineSpec) -> PairContext:
     dim = u.dim
     numerator = _int_pow(delta, 2.0)
     mod = u.modulus
     lip = mod.lipschitz_bound
     x_radius = mod.decay_radius(delta / 2.0)
 
-    def mag_integrand(x, y, rho):
+    def mag_integrand(x, y, rho, mx, my):
         phi = np.einsum("ij,ij->i", x - y, A.evaluate(0.5 * (x + y)))
-        dpsi = np.abs(np.exp(1j * phi) * u.evaluate(y) - u.evaluate(x))
+        # u = |u| exp(i phase), rebuilt from the modulus as ComplexField.evaluate does
+        uy = my * np.exp(1j * u.phase(y))
+        ux = mx * np.exp(1j * u.phase(x))
+        dpsi = np.abs(np.exp(1j * phi) * uy - ux)
         return np.where(dpsi > delta, numerator, 0.0) * rho ** (-(dim + 2.0))
 
-    def mod_integrand(x, y, rho):
-        du = np.abs(np.abs(mod.evaluate(y)) - np.abs(mod.evaluate(x)))
+    def mod_integrand(x, y, rho, mx, my):
+        du = np.abs(np.abs(my) - np.abs(mx))
         return np.where(du > delta, numerator, 0.0) * rho ** (-(dim + 2.0))
 
-    rank_fn = lambda pts: np.abs(mod.evaluate(pts))
-    if math.isfinite(lip):
-        # |Psi(x,y) - Psi(x,x)| <= (L + sup|u| sup|A|) |x - y| on the sampled region
-        probe = PairContext(dim, np.zeros(dim), x_radius, 2.0, numerator,
-                            (mag_integrand,), symmetric=True, rank_fn=rank_fn)
-        h_max, _ = quad._derive_h_max(probe, engine.mc)
-        reach = x_radius + 0.5 * h_max
-        lip_a = lip + mod.sup_bound * A.local_bound(reach)
-        cutoff = delta / lip_a if lip_a > 0 else 0.0
-    else:
-        cutoff = 0.0
-    return _PairWorkload(dim, x_radius, numerator, 2.0, cutoff,
-                         (mag_integrand, mod_integrand), rank_fn)
+    ctx = PairContext(dim, np.zeros(dim), x_radius, 2.0, numerator,
+                      (mag_integrand, mod_integrand), symmetric=True,
+                      values=mod.evaluate)
+    # |Psi(x,y) - Psi(x,x)| <= (L + sup|u| sup|A|) |x - y| on the sampled region
+    h_max, _ = quad._derive_h_max(ctx, engine.mc)
+    reach = x_radius + 0.5 * h_max
+    lip_a = lip + mod.sup_bound * A.local_bound(reach)
+    return replace(ctx, inner_cutoff=delta / lip_a if lip_a > 0 else 0.0)
 
 
 def i_delta_magnetic(u: ComplexField, A: VectorPotential, k: KernelSpec,
@@ -493,10 +459,9 @@ def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
     if delta >= 2.0 * u.modulus.sup_bound:
         z = Estimate(0.0, 0.0, 0, 0.0, "closed_form")
         return z, z
-    workload = _magnetic_workload(u, A, delta, engine)
     if not math.isfinite(u.modulus.lipschitz_bound):
         raise PreconditionError("magnetic functional needs a Lipschitz modulus")
-    ests = mc_pair_integrate_many(workload.context(), engine.mc)
+    ests = mc_pair_integrate_many(_magnetic_context(u, A, delta, engine), engine.mc)
     return ests[0], ests[1]
 
 
@@ -676,16 +641,11 @@ def _gauss_expectation(field, fn_pts: Callable[[np.ndarray], np.ndarray],
                                         n_panels=96, order=8)
     sp = spec if spec is not None else _GAUSS_MC_SPEC
     sigma = 1.0 / math.sqrt(2.0 * math.pi)
-    n_chunks = sp.n_samples // sp.chunk_size
-
-    def one_chunk(c):
+    triples = []
+    for c in range(sp.n_samples // sp.chunk_size):
         rng = np.random.default_rng([sp.master_seed, c])
-        x = sigma * rng.standard_normal((sp.chunk_size, n))
-        z = fn_pts(x)
-        return float(z.sum()), float((z * z).sum())
-
-    results = quad._run_chunks(one_chunk, n_chunks)
-    triples = [(s, q, sp.chunk_size) for s, q in results]
+        z = fn_pts(sigma * rng.standard_normal((sp.chunk_size, n)))
+        triples.append((float(z.sum()), float((z * z).sum()), sp.chunk_size))
     value, _, _ = quad._reduce_triples(triples, 1.0)
     return value
 

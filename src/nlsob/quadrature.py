@@ -7,9 +7,11 @@ Two pair engines share one Estimate type:
   envelope; the offset h = y - x is drawn log-uniformly in radius
   (density proportional to ``|h|^-N``) inside radial strata, matching the
   kernel's scale invariance.  Randomness is keyed per (master_seed,
-  chunk, stratum), and per-chunk partials are reduced in ascending chunk
-  order, so results are bit-identical regardless of worker count and of
-  any inner cutoff inside the integrand's exact-zero region.
+  chunk, stratum); each chunk is one array pass that evaluates the field
+  once at x and once at y, and partial sums are reduced stratum by
+  stratum, then chunk by chunk, in ascending order.  Chunks run serially,
+  so a result is bit-identical for a given McSpec, and also under any
+  inner cutoff inside the integrand's exact-zero region.
 
 * ``radial_pair_integrate``: deterministic quadrature for radial fields.
   The pair integral reduces to (r, s, theta) with surface factor
@@ -28,8 +30,6 @@ field metadata permits one.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -98,7 +98,7 @@ class McSpec:
 
     ``chunk_size`` must divide ``n_samples`` and be divisible by
     ``radial_strata`` so per-stratum allocation is identical in every
-    chunk; this is what makes worker count irrelevant to the result.
+    chunk.
     ``h_max`` and ``x_radius``, normally derived from field metadata,
     can be pinned explicitly for common-random-number pairing.
     """
@@ -202,22 +202,6 @@ def graded_panels(a: float, b: float, depth: int, toward: str = "both") -> np.nd
 # chunked Monte Carlo scaffolding
 # ---------------------------------------------------------------------------
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_chunks(chunk_fn: Callable[[int], tuple], n_chunks: int):
-    """Evaluate chunks (possibly concurrently) and return results by index."""
-    w = _workers()
-    if w <= 1 or n_chunks == 1:
-        return [chunk_fn(c) for c in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=min(w, n_chunks)) as pool:
-        return list(pool.map(chunk_fn, range(n_chunks)))
-
-
 def _reduce_triples(triples, scale: float):
     """Ordered reduction of per-chunk (sum, sumsq, count) into value/stderr/ess.
 
@@ -252,6 +236,14 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / norms[:, None]
 
 
+def _ordered_sum(row_sums: np.ndarray) -> float:
+    """Left-to-right sum, the order in which strata were drawn."""
+    total = 0.0
+    for v in row_sums.tolist():
+        total += v
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo pair engine
 # ---------------------------------------------------------------------------
@@ -260,14 +252,16 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 class PairContext:
     """Geometry and workload description for the MC pair engine.
 
-    ``integrands`` are maps (x_pts, y_pts, |y-x|) -> nonnegative values;
-    they include the kernel.  ``numerator`` and ``kernel_p`` describe the
-    kernel's decay (numerator / |h|^{N+p}) and are used only to derive
-    the outer truncation radius and its rigorous tail bound.  When
-    ``symmetric`` is set the integrand must be symmetric under swapping
-    x and y, and ``rank_fn`` (typically |u|) must satisfy: the integrand
-    vanishes whenever rank(x) <= numerator-specific floor; the engine
-    then restricts to the half-domain rank(x) >= rank(y) and doubles.
+    ``integrands`` are maps (x_pts, y_pts, |y-x|, v(x), v(y)) ->
+    nonnegative values; they include the kernel.  ``values`` is the field
+    map v they read, evaluated by the engine once at x and once at y per
+    chunk (without it the integrands get None).  ``numerator`` and
+    ``kernel_p`` describe the kernel's decay (numerator / |h|^{N+p}) and
+    are used only to derive the outer truncation radius and its rigorous
+    tail bound.  When ``symmetric`` is set the integrand must be symmetric
+    under swapping x and y and vanish wherever |v(x)| is below the
+    numerator-specific floor; the engine then restricts to the half-domain
+    |v(x)| >= |v(y)| and doubles.
     """
 
     dim: int
@@ -278,7 +272,7 @@ class PairContext:
     integrands: tuple
     inner_cutoff: float = 0.0
     symmetric: bool = False
-    rank_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    values: Optional[Callable[[np.ndarray], np.ndarray]] = None
     extra_tail: float = 0.0
 
 
@@ -300,7 +294,10 @@ def mc_pair_integrate_many(ctx: PairContext, spec: McSpec):
     """Stratified MC estimates for several integrands on one sample stream.
 
     Sharing the stream makes pointwise integrand orderings carry over to
-    the estimates exactly (common random numbers).
+    the estimates exactly (common random numbers).  Each chunk is one
+    array pass: the per-stratum draws are concatenated, the field and
+    every integrand are evaluated once on the whole chunk, and the sums
+    are taken stratum by stratum in ascending order.
     """
     n = ctx.dim
     rx = spec.x_radius if spec.x_radius is not None else ctx.x_radius
@@ -313,43 +310,40 @@ def mc_pair_integrate_many(ctx: PairContext, spec: McSpec):
     edges = np.geomspace(h_max * 1e-9, h_max, k_strata + 1)
     log_widths = np.log(edges[1:] / edges[:-1])
     active = np.nonzero(edges[1:] > ctx.inner_cutoff)[0]
+    if active.size == 0:
+        return [Estimate(0.0, 0.0, 0, tail_bound, "mc") for _ in ctx.integrands]
     m = spec.chunk_size // k_strata
-    n_chunks = spec.n_samples // spec.chunk_size
     vol = ball_volume(n, rx)
     omega = sphere_surface(n)
-    n_int = len(ctx.integrands)
-
-    def one_chunk(c: int):
-        s_acc = np.zeros(n_int)
-        q_acc = np.zeros(n_int)
+    # per-sample stratum geometry, in the order the strata are drawn
+    k_of = np.repeat(active, m)
+    lo = edges[k_of]
+    lw = log_widths[k_of]
+    weight = vol * (lw * omega)
+    triples = [[] for _ in ctx.integrands]
+    for c in range(spec.n_samples // spec.chunk_size):
+        draws = []
         for k in active:
             rng = np.random.default_rng([spec.master_seed, c, int(k)])
-            xdir = rng.standard_normal((m, n))
-            xu = rng.random(m)
-            hdir = rng.standard_normal((m, n))
-            hu = rng.random(m)
-            x = ctx.x_center + rx * (xu ** (1.0 / n))[:, None] * _unit_rows(xdir)
-            rho = edges[k] * np.exp(log_widths[k] * hu)
-            y = x + rho[:, None] * _unit_rows(hdir)
-            base = vol * (log_widths[k] * omega) * rho ** n
-            if ctx.symmetric:
-                rk_x = ctx.rank_fn(x)
-                rk_y = ctx.rank_fn(y)
-                base = base * np.where(rk_x >= rk_y, 2.0, 0.0)
-            for i, f in enumerate(ctx.integrands):
-                zeta = f(x, y, rho) * base
-                s_acc[i] += float(zeta.sum())
-                q_acc[i] += float((zeta * zeta).sum())
-        return s_acc, q_acc
-
-    results = _run_chunks(one_chunk, n_chunks)
-    out = []
-    for i in range(n_int):
-        triples = [(results[c][0][i], results[c][1][i], spec.chunk_size)
-                   for c in range(n_chunks)]
-        value, stderr, ess = _reduce_triples(triples, float(k_strata))
-        out.append(Estimate(value, stderr, ess, tail_bound, "mc"))
-    return out
+            draws.append((rng.standard_normal((m, n)), rng.random(m),
+                          rng.standard_normal((m, n)), rng.random(m)))
+        xdir, xu, hdir, hu = (np.concatenate(d) for d in zip(*draws))
+        x = ctx.x_center + rx * (xu ** (1.0 / n))[:, None] * _unit_rows(xdir)
+        rho = lo * np.exp(lw * hu)
+        y = x + rho[:, None] * _unit_rows(hdir)
+        base = weight * rho ** n
+        vx = vy = None
+        if ctx.values is not None:
+            vx = ctx.values(x)
+            vy = ctx.values(y)
+        if ctx.symmetric:
+            base = base * np.where(np.abs(vx) >= np.abs(vy), 2.0, 0.0)
+        for f, out in zip(ctx.integrands, triples):
+            zeta = (f(x, y, rho, vx, vy) * base).reshape(active.size, m)
+            out.append((_ordered_sum(zeta.sum(axis=1)),
+                        _ordered_sum((zeta * zeta).sum(axis=1)), spec.chunk_size))
+    return [Estimate(*_reduce_triples(t, float(k_strata)), tail_bound, "mc")
+            for t in triples]
 
 
 def mc_pair_integrate(ctx: PairContext, spec: McSpec) -> Estimate:
@@ -791,8 +785,9 @@ def mc_volume_value(fn_pts: Callable[[np.ndarray], np.ndarray], dim: int,
     """Plain importance-sampled volume integral with a Gaussian mixture proposal."""
     comps = [(np.asarray(c, dtype=float), float(s)) for c, s in components]
     k = len(comps)
-    n_chunks = spec.n_samples // spec.chunk_size
     m = spec.chunk_size
+    centers = np.stack([c for c, _ in comps])
+    sigmas = np.array([s for _, s in comps])
     norms = np.array([(2.0 * math.pi * s * s) ** (dim / 2.0) for _, s in comps])
 
     def density(x):
@@ -802,18 +797,14 @@ def mc_volume_value(fn_pts: Callable[[np.ndarray], np.ndarray], dim: int,
             q += np.exp(-0.5 * d2 / (s * s)) / z
         return q / k
 
-    def one_chunk(ci: int):
+    triples = []
+    for ci in range(spec.n_samples // m):
         rng = np.random.default_rng([spec.master_seed, ci])
         pick = rng.integers(0, k, size=m)
         z = rng.standard_normal((m, dim))
-        centers = np.stack([comps[i][0] for i in pick])
-        sigmas = np.array([comps[i][1] for i in pick])
-        x = centers + sigmas[:, None] * z
+        x = centers[pick] + sigmas[pick][:, None] * z
         zeta = fn_pts(x) / density(x)
-        return float(zeta.sum()), float((zeta * zeta).sum())
-
-    results = _run_chunks(one_chunk, n_chunks)
-    triples = [(s, q, m) for s, q in results]
+        triples.append((float(zeta.sum()), float((zeta * zeta).sum()), m))
     value, stderr, ess = _reduce_triples(triples, 1.0)
     return Estimate(value, stderr, ess, 0.0, "mc")
 

@@ -156,6 +156,28 @@ class TestCheck:
         rows = read_rows(tmp_path / "out.csv")
         assert all(float(r["deficit"]) >= 0.0 for r in rows)
 
+    def test_magnetic_lsi_uses_family_constant(self, tmp_path):
+        cfg = base_config(
+            fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                    {"shape": "sum", "dim": 3, "terms": [
+                        {"shape": "gaussian", "dim": 3, "rate": 1.0},
+                        {"shape": "gaussian", "dim": 3, "rate": 2.0,
+                         "center": [0.8, 0.0, 0.0]}]}],
+            checks=["magnetic_lsi"],
+            potential={"kind": "linear_b",
+                       "matrix": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                  [0.0, 0.0, 0.0]]})
+        rc = cli.main(["check", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        rows = read_rows(tmp_path / "out.csv")
+        assert len(rows) == 2 * 2  # fields x deltas
+        assert all(r["inequality_id"] == "magnetic_lsi" for r in rows)
+        constants = {r["constant"] for r in rows}
+        assert len(constants) == 1 and math.isfinite(float(constants.pop()))
+        assert all(float(r["deficit"]) >= -float(r["stat_margin"]) - 1e-9
+                   for r in rows)
+
     def test_euclidean_optimum_within_tolerance(self, tmp_path):
         rate = math.pi / 2.0
         amp = (2.0 * rate / math.pi) ** 0.75  # unit L2 mass

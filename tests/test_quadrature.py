@@ -39,7 +39,7 @@ def shell_exact_oracle():
     return (4.0 * math.pi / 3.0) * 4.0 * math.pi * radial
 
 
-def shell_integrand(x, y, rho):
+def shell_integrand(x, y, rho, vx, vy):
     inside = np.linalg.norm(x, axis=1) <= 1.0
     window = (rho >= 1.0) & (rho <= 2.0)
     return np.where(inside & window, rho ** -5.0, 0.0)
@@ -288,7 +288,7 @@ class TestMonotonePath:
 class TestMcEngine:
     def test_zero_integrand(self):
         ctx = replace(shell_context(),
-                      integrands=(lambda x, y, rho: np.zeros(len(x)),))
+                      integrands=(lambda x, y, rho, vx, vy: np.zeros(len(x)),))
         est = mc_pair_integrate(ctx, McSpec(master_seed=1, n_samples=9600,
                                             chunk_size=4800))
         assert est.value == 0.0 and est.stderr == 0.0
@@ -338,16 +338,15 @@ class TestMcEngine:
         delta = 0.2
         cut = delta / g.lipschitz_bound
 
-        def integrand(x, y, rho):
-            du = np.abs(g.evaluate(y) - g.evaluate(x))
+        def integrand(x, y, rho, vx, vy):
+            du = np.abs(vy - vx)
             return np.where(du > delta, delta * delta, 0.0) * rho ** -5.0
 
         def run(c):
             ctx = PairContext(dim=3, x_center=np.zeros(3),
                               x_radius=g.decay_radius(delta / 2.0), kernel_p=2.0,
                               numerator=delta * delta, integrands=(integrand,),
-                              inner_cutoff=c, symmetric=True,
-                              rank_fn=lambda p: np.abs(g.evaluate(p)))
+                              inner_cutoff=c, symmetric=True, values=g.evaluate)
             return mc_pair_integrate(ctx, McSpec(master_seed=11, n_samples=48000,
                                                  chunk_size=4800, h_max=40.0))
 
@@ -361,15 +360,15 @@ class TestMcEngine:
         g = nl.GaussianField(3, 1.0)
         delta = 0.2
 
-        def integrand(x, y, rho):
-            du = np.abs(g.evaluate(y) - g.evaluate(x))
+        def integrand(x, y, rho, vx, vy):
+            du = np.abs(vy - vx)
             return np.where(du > delta, delta * delta, 0.0) * rho ** -5.0
 
         ctx = PairContext(dim=3, x_center=np.zeros(3),
                           x_radius=g.decay_radius(delta / 2.0), kernel_p=2.0,
                           numerator=delta * delta, integrands=(integrand,),
                           inner_cutoff=delta / g.lipschitz_bound, symmetric=True,
-                          rank_fn=lambda p: np.abs(g.evaluate(p)))
+                          values=g.evaluate)
         a = mc_pair_integrate(ctx, spec_h)
         b = mc_pair_integrate(ctx, spec_2h)
         assert abs(b.value - a.value) <= a.tail_bound + 3.0 * math.hypot(a.stderr, b.stderr)
@@ -386,14 +385,127 @@ class TestMcEngine:
         # pointwise-dominated integrands give ordered estimates exactly
         f1 = shell_integrand
 
-        def f2(x, y, rho):
-            return 0.5 * f1(x, y, rho)
+        def f2(x, y, rho, vx, vy):
+            return 0.5 * f1(x, y, rho, vx, vy)
 
         ests = mc_pair_integrate_many(
             replace(shell_context(), integrands=(f1, f2)),
             McSpec(master_seed=9, n_samples=48000, chunk_size=4800, h_max=4.0))
         assert ests[1].value <= ests[0].value
         assert ests[1].value == 0.5 * ests[0].value  # exact halving, shared samples
+
+
+class TestPinnedBits:
+    """MC estimates pinned to the last bit, recorded before the engines
+    were batched per chunk (numpy 2.4, x86-64).  The reproducibility
+    contract promises these bits for a given McSpec; a different numpy
+    build can move them through its exp/log kernels."""
+
+    ENGINE = nl.default_engine(7, mode="mc", n_samples=48000)
+    TWO_GAUSS = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
+                                   nl.GaussianField(3, 2.0, 0.5, (0.8, 0.0, 0.0))])
+
+    @staticmethod
+    def bits(est):
+        return est.value.hex(), est.stderr.hex(), est.n_effective
+
+    def test_i_delta_two_gaussians(self):
+        est = nl.i_delta(self.TWO_GAUSS, nl.KernelSpec(0.2), self.ENGINE)
+        assert self.bits(est) == ("0x1.04d34ded115abp+3", "0x1.18bb2c33e8c88p-1", 205)
+
+    def test_magnetic_paired_linear_b(self):
+        u = nl.ComplexField(self.TWO_GAUSS, nl.LinearPhase(0.3, (0.5, -0.2, 0.1)))
+        A = nl.LinearBPotential([[0.0, 0.7, 0.0], [-0.7, 0.0, 0.2], [0.0, -0.2, 0.0]])
+        mag, mod = nl.i_delta_magnetic_paired(u, A, nl.KernelSpec(0.15), self.ENGINE)
+        assert self.bits(mag) == ("0x1.3e6c9734fc966p+3", "0x1.52f615f2b5e7dp-1", 228)
+        assert self.bits(mod) == ("0x1.1133357ffd2c5p+3", "0x1.137450f42d09bp-1", 208)
+
+    def test_l2_norm_sq_volume_mc(self):
+        from nlsob.functionals import l2_norm_sq_estimate
+        f = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
+                               nl.SmoothBumpField(3, 1.5, 0.8, (0.7, 0.0, 0.0))])
+        est = l2_norm_sq_estimate(f)
+        assert est.method == "mc"
+        assert self.bits(est) == ("0x1.dadf4336a6c43p+1", "0x1.ef8ddcd4391ecp-8", 88581)
+
+    def test_gauss_expectation_mc(self):
+        from nlsob.functionals import _gauss_expectation
+        f = self.TWO_GAUSS
+        val = _gauss_expectation(f, lambda pts: f.evaluate(pts) ** 2,
+                                 McSpec(master_seed=19, n_samples=48000))
+        assert val.hex() == "0x1.274e990583744p-2"
+
+    def test_divergence_probe_indicator(self):
+        est = nl.i_delta_p(nl.IndicatorField(3, 1.0), nl.KernelSpec(0.5, 2.0), self.ENGINE)
+        assert self.bits(est) == ("0x1.37ea9f2c68dc4p+10", "0x1.88752be5593a9p+7", 54)
+        assert not est.diverged
+
+    def test_two_field_evaluations_per_sample(self):
+        class Counting(nl.FiniteSumField):
+            points = 0
+
+            def evaluate(self, x):
+                Counting.points += len(x)
+                return super().evaluate(x)
+
+        f = Counting(self.TWO_GAUSS.terms)
+        delta, h_max, spec = 0.2, 8.0, McSpec(master_seed=3, n_samples=48000, h_max=8.0)
+        nl.i_delta(f, nl.KernelSpec(delta), nl.EngineSpec(mc=spec, mode="mc"))
+        edges = np.geomspace(h_max * 1e-9, h_max, spec.radial_strata + 1)
+        active = np.count_nonzero(edges[1:] > delta / f.lipschitz_bound)
+        drawn = spec.n_samples * active // spec.radial_strata
+        assert 0 < drawn < spec.n_samples
+        assert Counting.points == 2 * drawn
+
+
+def per_stratum_reference(ctx, spec):
+    """The MC pair engine as a loop over chunks and strata, one field
+    evaluation and one partial sum per stratum: the batched engine must
+    reproduce its value and stderr bit for bit."""
+    from nlsob.quadrature import _derive_h_max, _reduce_triples, _unit_rows
+    n, rx = ctx.dim, ctx.x_radius
+    h_max, _ = _derive_h_max(ctx, spec)
+    k_strata = spec.radial_strata
+    edges = np.geomspace(h_max * 1e-9, h_max, k_strata + 1)
+    log_widths = np.log(edges[1:] / edges[:-1])
+    m = spec.chunk_size // k_strata
+    vol, omega = ball_volume(n, rx), sphere_surface(n)
+    triples = []
+    for c in range(spec.n_samples // spec.chunk_size):
+        s_acc = q_acc = 0.0
+        for k in np.nonzero(edges[1:] > ctx.inner_cutoff)[0]:
+            rng = np.random.default_rng([spec.master_seed, c, int(k)])
+            xdir, xu = rng.standard_normal((m, n)), rng.random(m)
+            hdir, hu = rng.standard_normal((m, n)), rng.random(m)
+            x = ctx.x_center + rx * (xu ** (1.0 / n))[:, None] * _unit_rows(xdir)
+            rho = edges[k] * np.exp(log_widths[k] * hu)
+            y = x + rho[:, None] * _unit_rows(hdir)
+            base = vol * (log_widths[k] * omega) * rho ** n
+            vx, vy = ctx.values(x), ctx.values(y)
+            base = base * np.where(np.abs(vx) >= np.abs(vy), 2.0, 0.0)
+            zeta = ctx.integrands[0](x, y, rho, vx, vy) * base
+            s_acc += float(zeta.sum())
+            q_acc += float((zeta * zeta).sum())
+        triples.append((s_acc, q_acc, spec.chunk_size))
+    return _reduce_triples(triples, float(k_strata))[:2]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 21])
+def test_batched_chunk_matches_per_stratum_loop(seed):
+    g = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
+                           nl.GaussianField(3, 2.0, 0.5, (0.8, 0.0, 0.0))])
+    delta = 0.2
+
+    def integrand(x, y, rho, vx, vy):
+        return np.where(np.abs(vy - vx) > delta, delta * delta, 0.0) * rho ** -5.0
+
+    ctx = PairContext(dim=3, x_center=np.zeros(3), x_radius=g.decay_radius(delta / 2.0),
+                      kernel_p=2.0, numerator=delta * delta, integrands=(integrand,),
+                      inner_cutoff=delta / g.lipschitz_bound, symmetric=True,
+                      values=g.evaluate)
+    spec = McSpec(master_seed=seed, n_samples=14400, chunk_size=4800)
+    est = mc_pair_integrate(ctx, spec)
+    assert (est.value, est.stderr) == per_stratum_reference(ctx, spec)
 
 
 class TestSpecsValidation:
