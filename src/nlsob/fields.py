@@ -4,7 +4,8 @@ Each field knows how to evaluate itself and its gradient at arbitrary
 points, and carries a sound Lipschitz bound plus a decay envelope
 ``eps -> R(eps)`` with ``|u(x)| <= eps`` whenever ``|x| >= R(eps)``.
 The integration engines rely on this metadata for exact (not heuristic)
-domain truncations, so the bounds must hold everywhere.
+domain truncations, so the bounds must hold everywhere.  Fields with
+jumps list their jump spheres, from which divergence is decided exactly.
 
 Closed-form L2 norms and Dirichlet energies are provided where they
 exist (Gaussians and sums of Gaussians, indicators); other shapes fall
@@ -70,7 +71,7 @@ def _as_points(x, dim: int) -> np.ndarray:
     return pts
 
 
-def unit_ball_volume(n: int, radius: float = 1.0) -> float:
+def ball_volume(n: int, radius: float = 1.0) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * radius ** n
 
 
@@ -142,6 +143,10 @@ class ScalarField:
     def radial_profile(self) -> Optional[RadialProfile1D]:
         """Radial profile about self.center, or None for non-radial fields."""
         return None
+
+    def jumps(self) -> tuple:
+        """(jump spheres as (center, radius, height), Lipschitz bound of u minus its jumps)."""
+        return (), self.lipschitz_bound
 
     # -- transforms ------------------------------------------------------
     def dilate(self, lam: float) -> "ScalarField":
@@ -393,6 +398,9 @@ class IndicatorField(ScalarField):
     def lipschitz_bound(self) -> float:
         return math.inf
 
+    def jumps(self) -> tuple:
+        return ((self.center_point, self.radius, self.amplitude),) if self.amplitude else (), 0.0
+
     @property
     def sup_bound(self) -> float:
         return abs(self.amplitude)
@@ -601,6 +609,17 @@ class FiniteSumField(ScalarField):
     @property
     def lipschitz_bound(self) -> float:
         return float(sum(t.lipschitz_bound for t in self.terms))
+
+    def jumps(self) -> tuple:
+        """Terms jumping across one sphere add their heights, in term order
+        as ``evaluate`` does; a sphere whose heights cancel is dropped."""
+        heights, lip_s = {}, 0.0
+        for t in self.terms:
+            spheres, lip = t.jumps()
+            lip_s += lip
+            for c, r, h in spheres:
+                heights[c, r] = heights.get((c, r), 0.0) + h
+        return tuple((c, r, h) for (c, r), h in heights.items() if h != 0.0), lip_s
 
     @property
     def sup_bound(self) -> float:
@@ -950,7 +969,7 @@ def l2_norm_sq(f: ScalarField, method: str = "auto"):
         if terms is not None:
             return float(sum(_gauss_pair_l2(a, b) for a in terms for b in terms))
         if isinstance(f, IndicatorField):
-            return f.amplitude ** 2 * unit_ball_volume(f.dim, f.radius)
+            return f.amplitude ** 2 * ball_volume(f.dim, f.radius)
         if method == "closed_form":
             raise UnsupportedOperationError(f"no closed-form L2 norm for {type(f).__name__}")
     from . import quadrature  # deferred: quadrature imports this module
@@ -990,9 +1009,6 @@ def transform(f: ScalarField, dilate: float = 1.0, amplify: float = 1.0,
     if translate is not None:
         out = out.translate(translate)
     return out
-
-
-_SHAPES = {}
 
 
 def field_from_dict(d: dict) -> ScalarField:

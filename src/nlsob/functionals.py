@@ -3,9 +3,11 @@
 The pair functionals all share one dispatch: radial fields with a finite
 Lipschitz bound go to the deterministic radial engine, everything else
 to the stratified MC engine.  Fields with jump discontinuities (infinite
-Lipschitz bound) are first probed for divergence by halving the inner
-cutoff; growth by a factor >= 1.8 twice marks the integral as divergent
-and the cutoff-limited partial estimate is returned with diverged=True.
+Lipschitz bound) are decided exactly from their jump spheres, see
+``_jump_free_radius``: with J the largest jump, delta < J gives value inf,
+method "exact", diverged=True without sampling; delta > J on disjoint or
+nested spheres gives one exactly truncated MC run; anything else raises
+UnsupportedOperationError.
 
 Conventions: 0 * log 0 = 0 throughout; the Gauss measure is
 exp(-pi |x|^2) dx, a probability measure.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -214,42 +217,37 @@ def _envelope_tail_power(field: ScalarField, q: float, eps0: float) -> float:
     return float(np.trapezoid(integrand, ts))
 
 
-def _threshold_weight_fn(delta: float, numerator: float):
-    def w(a, b):
-        return np.where(np.abs(a - b) > delta, numerator, 0.0)
-    return w
+def _jump_free_radius(u: ScalarField, level: float, weight) -> Optional[float]:
+    """Decide a pair functional of a field with jumps from its jump spheres.
 
-
-def _radial_corner_const(dim: int) -> float:
-    """Surface prefactor times the angular-kernel constant entering the
-    crude far-diagonal remainder bound for smooth envelopes."""
-    return sphere_surface(dim) * sphere_surface(dim - 1)
-
-
-def _cut_at(ctx: PairContext, c: float) -> PairContext:
-    """``ctx`` restricted to pairs with |y - x| >= c."""
-    wrap = lambda f: (lambda x, y, rho, vx, vy: f(x, y, rho, vx, vy) * (rho >= c))
-    return replace(ctx, inner_cutoff=c, integrands=tuple(wrap(f) for f in ctx.integrands))
-
-
-def _probe_divergence(ctx: PairContext, spec: McSpec):
-    """Cutoff-halving probe for fields without a Lipschitz bound.
-
-    Runs reduced-size estimates truncated at cutoffs c, c/2, c/4; growth
-    by >= 1.8 at both halvings flags divergence and the partial estimate
-    at the smallest cutoff is returned.
+    ``weight`` maps |u(x) - u(y)| to the numerator and vanishes on
+    [0, level].  Pairs straddling a jump J at distance rho have
+    |u(x) - u(y)| -> J, so a weight positive below J makes the integral
+    infinite (int rho^{-p} d rho): None.  Otherwise returns rho0 > 0 below
+    which pairs contribute exactly 0: rho0 is at most the smallest gap
+    between spheres, so a closer pair crosses at most one and
+    |u(x) - u(y)| <= J + L_s rho < level (L_s from ``u.jumps()``).
+    Raises UnsupportedOperationError where neither holds provably.
     """
-    c0 = 0.05 * max(ctx.x_radius, 1e-6)
-    n_chunks = max(8, (spec.n_samples // spec.chunk_size) // 4)
-    probe_spec = replace(spec, n_samples=n_chunks * spec.chunk_size)
-    vals = [mc_pair_integrate_many(_cut_at(ctx, c), probe_spec)[0]
-            for c in (c0, c0 / 2.0, c0 / 4.0)]
-    v0, v1, v2 = (e.value for e in vals)
-    grow1 = v1 >= 1.8 * v0 > 0.0
-    grow2 = v2 >= 1.8 * v1 > 0.0
-    if grow1 and grow2:
-        return replace(vals[2], diverged=True)
-    return None
+    spheres, lip_s = u.jumps()
+    if not spheres:
+        raise UnsupportedOperationError(f"{type(u).__name__} has no Lipschitz bound and no jumps")
+    jump = max(abs(h) for _, _, h in spheres)
+    if level < jump:
+        mid = 0.5 * (level + jump)
+        if float(weight(np.array([mid]))[0]) > 0.0:
+            return None
+        raise UnsupportedOperationError(
+            f"the numerator vanishes at {mid}, below the jump {jump}: convergence is undecided")
+    rho0 = (level - jump) / lip_s if lip_s > 0.0 else math.inf
+    for (c1, r1, _), (c2, r2, _) in combinations(spheres, 2):
+        d = math.dist(c1, c2)
+        rho0 = min(rho0, max(d - r1 - r2, abs(r1 - r2) - d))  # > 0 iff disjoint or nested
+    if rho0 <= 0.0:
+        raise UnsupportedOperationError(
+            f"threshold {level} equals the jump of a field whose jump-free part "
+            "varies, or jump spheres cross or touch: convergence is undecided")
+    return rho0
 
 
 def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
@@ -269,10 +267,12 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
         numerator = _int_pow(delta, p)
         tail_scale = numerator
         zero_below = delta
+        num_fn = lambda du: np.where(du > delta, numerator, 0.0)
     else:
-        numerator = 1.0
         tail_scale = envelope.sup_value  # inf for power laws: handled below
         zero_below = envelope.zero_below
+        num_fn = envelope.fn
+    pair_fn = lambda a, b: num_fn(np.abs(a - b))
 
     # exact shortcuts: a constant field has |u(x)-u(y)| = 0, and if the
     # oscillation 2 sup|u| cannot exceed the threshold the set is empty
@@ -282,22 +282,15 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
         return Estimate(0.0, 0.0, 0, 0.0, "closed_form")
 
     prof = u.radial_profile()
-    use_radial = (engine.mode == "radial"
-                  or (engine.mode == "auto" and prof is not None
-                      and math.isfinite(lip)))
     if engine.mode == "radial":
         if prof is None:
             raise PreconditionError("radial engine requires a radial field")
         if not math.isfinite(lip):
             raise PreconditionError("radial engine requires a finite Lipschitz bound")
 
-    if use_radial and prof is not None and math.isfinite(lip):
+    if engine.mode != "mc" and prof is not None and math.isfinite(lip):
         rspec = engine.radial
         if zero_below > 0:
-            if envelope is None:
-                pair_fn = _threshold_weight_fn(delta, numerator)
-            else:
-                pair_fn = lambda a, b: envelope.fn(np.abs(a - b))
             if rspec.r_max <= 0:
                 r_half = prof.decay_radius(zero_below / 2.0)
                 mass = (2.0 * ball_volume(dim, r_half) * sphere_surface(dim)
@@ -323,10 +316,9 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
             r_range = min(r_range, s_range)
         # residuals: pairs beyond s_range, plus the far near-diagonal corner
         far_tail = 2.0 * far_mass * max(s_range - r_range, 1e-12) ** (-p)
-        corner = (4.0 * _radial_corner_const(dim) * lip ** p
+        corner = (4.0 * quad._pair_prefactor(dim) * lip ** p
                   * (2.0 * eps_x) ** (q - p) * (s_range - r_range) / p)
-        weight = RadialWeight(pair_fn=lambda a, b: envelope.fn(np.abs(a - b)),
-                              symmetric_far=True, r_range=r_range,
+        weight = RadialWeight(pair_fn=pair_fn, symmetric_far=True, r_range=r_range,
                               s_range=s_range, tail_hint=far_tail + corner)
         return radial_pair_integrate(prof, p, weight,
                                      replace(rspec, r_max=s_range), dim)
@@ -334,52 +326,45 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
     # Monte Carlo path
     np_exp = -(dim + p)
 
+    if not math.isfinite(lip):
+        rho0 = _jump_free_radius(u, zero_below, num_fn)
+        if rho0 is None:
+            return Estimate(math.inf, method="exact", diverged=True)
+
     def integrand(x, y, rho, vx, vy):
-        du = np.abs(vy - vx)
-        if envelope is None:
-            w = np.where(du > delta, numerator, 0.0)
-        else:
-            w = envelope.fn(du)
-        return w * rho ** np_exp
+        return num_fn(np.abs(vy - vx)) * rho ** np_exp
 
     if zero_below > 0:
         x_radius = u.decay_radius(zero_below / 2.0)
         extra_tail = 0.0
-        cutoff = zero_below / lip if (lip > 0 and math.isfinite(lip)) else 0.0
+        if math.isfinite(lip):
+            cutoff = zero_below / lip
+        else:
+            # pairs closer than rho0 contribute 0, so this truncation is exact
+            cutoff = min(0.05 * max(x_radius, 1e-6) / 4.0, rho0)
         h_tail_scale = tail_scale
     else:
+        # lip is finite: without a zero region the weight is positive below
+        # every jump, so a field with jumps was decided above
         sup = u.sup_bound
         eps_x = 1e-5 * max(sup, 1e-12)
         x_radius = u.decay_radius(eps_x)
         q = envelope.small_t_power
         # |h|-tail: F(|du|) <= F(2 sup |u|) out there
         h_tail_scale = float(np.asarray(envelope.fn(np.array([2.0 * sup]))).ravel()[0])
-        if math.isfinite(lip):
-            cutoff = 1e-4 * max(x_radius, 1e-6)
-            # excluded inner region, bounded through the L2 modulus of continuity
-            energy = dirichlet_energy(u)
-            inner_excl = (lip ** (q - 2.0) * energy * sphere_surface(dim)
-                          * cutoff ** (q - p) / (q - p))
-            outer_x = (2.0 ** q * _envelope_tail_power(u, q, eps_x)
-                       * sphere_surface(dim) * cutoff ** (-p) / p)
-            extra_tail = inner_excl + outer_x
-        else:
-            cutoff = 0.0  # jump field: the halving probe decides convergence
-            extra_tail = 0.0
+        cutoff = 1e-4 * max(x_radius, 1e-6)
+        # excluded inner region, bounded through the L2 modulus of continuity
+        energy = dirichlet_energy(u)
+        inner_excl = (lip ** (q - 2.0) * energy * sphere_surface(dim)
+                      * cutoff ** (q - p) / (q - p))
+        outer_x = (2.0 ** q * _envelope_tail_power(u, q, eps_x)
+                   * sphere_surface(dim) * cutoff ** (-p) / p)
+        extra_tail = inner_excl + outer_x
 
     ctx = PairContext(dim, np.zeros(dim), x_radius, p, h_tail_scale, (integrand,),
                       inner_cutoff=cutoff, symmetric=True, values=u.evaluate,
                       extra_tail=extra_tail)
-    spec = engine.mc
-    if not math.isfinite(lip):
-        hit = _probe_divergence(ctx, spec)
-        if hit is not None:
-            return hit
-        # convergent despite no Lipschitz bound: keep the smallest probe cutoff;
-        # the mass below it is not quantified by any envelope we hold
-        return mc_pair_integrate_many(_cut_at(ctx, 0.05 * max(x_radius, 1e-6) / 4.0),
-                                      spec)[0]
-    return mc_pair_integrate_many(ctx, spec)[0]
+    return mc_pair_integrate_many(ctx, engine.mc)[0]
 
 
 def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
@@ -515,8 +500,10 @@ def restricted_power_integral(u: ScalarField, q: float, level: float,
                 quad.uniform_panels(e1, e2, 24, splits=prof.knots), 8)
             total += float(np.sum(w * np.abs(g(nodes)) ** q * nodes ** (u.dim - 1)))
         return Estimate(sphere_surface(u.dim) * total, method="radial")
-    fn = lambda pts: np.where(np.abs(u.evaluate(pts)) > level,
-                              np.abs(u.evaluate(pts)) ** q, 0.0)
+    def fn(pts):
+        a = np.abs(u.evaluate(pts))
+        return np.where(a > level, a ** q, 0.0)
+
     return quad.volume_integrate(fn, u)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DivergentIntegralError, PreconditionError
-from .fields import RadialProfile1D, ScalarField
+from .fields import RadialProfile1D, ScalarField, ball_volume
 
 __all__ = [
     "Estimate",
@@ -58,10 +58,6 @@ __all__ = [
 def sphere_surface(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1} in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def ball_volume(n: int, radius: float = 1.0) -> float:
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * radius ** n
 
 
 # ---------------------------------------------------------------------------

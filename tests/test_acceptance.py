@@ -233,7 +233,11 @@ def test_criterion_8_limit_study():
 
 def test_criterion_9_upper_bound_and_divergence():
     """Gradient-domination ratio is finite and grid-stable for smooth fields;
-    the jump field is flagged divergent by the cutoff-halving probe."""
+    the jump field is divergent: its jump of 1 exceeds delta, so
+    I_delta = inf, decided from its jump sphere without sampling (method
+    "exact").  delta > J would be finite, and delta == J with a varying
+    jump-free part or crossing spheres at delta >= J would raise
+    UnsupportedOperationError."""
     t0 = time.time()
     deltas = [1.0 * 2.0 ** (-k) for k in range(8)]  # down to 0.0078
     for f in (nl.GaussianField(3, 1.0), nl.SmoothBumpField(3, 2.0)):
@@ -241,7 +245,7 @@ def test_criterion_9_upper_bound_and_divergence():
         assert math.isfinite(rep.sup_ratio)
         assert rep.relative_change < 0.05
     est = i_delta(nl.IndicatorField(3, 1.0), KernelSpec(0.5), ENGINE)
-    assert est.diverged
+    assert est.diverged and est.value == math.inf
     announce(9, "upper-bound stability on smooth fields; indicator diverges", t0)
 
 

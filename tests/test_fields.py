@@ -119,6 +119,23 @@ class TestMetadata:
     def test_indicator_lipschitz_infinite(self, indicator3):
         assert math.isinf(indicator3.lipschitz_bound)
 
+    def test_jumps(self, gauss3):
+        assert gauss3.jumps() == ((), gauss3.lipschitz_bound)
+        ind = nl.IndicatorField(3, 1.5, -0.7, (0.1, 0.0, 0.0))
+        assert ind.jumps() == ((((0.1, 0.0, 0.0), 1.5, -0.7),), 0.0)
+        assert nl.IndicatorField(3, 1.0, 0.0).jumps() == ((), 0.0)
+
+    def test_sum_merges_shared_spheres(self, gauss3):
+        # heights on one sphere add up; a sphere whose heights cancel is dropped
+        f = nl.FiniteSumField([
+            nl.IndicatorField(3, 1.0, 0.25), gauss3,
+            nl.FiniteSumField([nl.IndicatorField(3, 1.0, 0.5),
+                               nl.IndicatorField(3, 2.0, 1.0)]),
+            nl.IndicatorField(3, 2.0, -1.0), nl.IndicatorField(3, 3.0, 0.3)])
+        zero = (0.0, 0.0, 0.0)
+        assert f.jumps() == (((zero, 1.0, 0.75), (zero, 3.0, 0.3)), gauss3.lipschitz_bound)
+        assert math.isinf(f.lipschitz_bound)
+
     def test_constant_has_no_envelope(self):
         with pytest.raises(UnsupportedOperationError):
             nl.ConstantField(3, 1.0).decay_radius(0.5)

@@ -59,12 +59,80 @@ class TestIDelta:
     def test_indicator_diverges(self, engine, indicator3):
         est = i_delta(indicator3, KernelSpec(0.5), engine)
         assert est.diverged
-        assert est.value > 0.0  # cutoff-limited partial estimate
+        assert est.value == math.inf and est.method == "exact"
 
     def test_p2_matches_i_delta_bitwise(self, gauss3, engine_mc_small):
         a = i_delta(gauss3, KernelSpec(0.1), engine_mc_small)
         b = i_delta_p(gauss3, KernelSpec(0.1, p=2.0), engine_mc_small)
         assert a.value == b.value
+
+
+class CountingIndicator(nl.IndicatorField):
+    points = 0
+
+    def evaluate(self, x):
+        CountingIndicator.points += len(x)
+        return super().evaluate(x)
+
+
+class TestJumpVerdicts:
+    """Divergence of jump fields, decided from their jump spheres."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+    def test_indicator_diverges_at_every_seed(self, p, seed):
+        CountingIndicator.points = 0
+        est = i_delta_p(CountingIndicator(3, 1.0), KernelSpec(0.5, p),
+                        default_engine(seed, mode="mc"))
+        assert est.diverged and est.value == math.inf
+        assert CountingIndicator.points == 0
+
+    def test_power_envelope_diverges(self, engine):
+        CountingIndicator.points = 0
+        est = f_functional(CountingIndicator(3, 1.0), MonotoneEnvelope.power_law(3.0),
+                           2.0, engine)
+        assert est.diverged and est.value == math.inf
+        assert CountingIndicator.points == 0
+
+    def test_threshold_envelope_follows_delta(self):
+        f = nl.FiniteSumField([nl.IndicatorField(3, 1.0), nl.GaussianField(3, 1.0)])
+        small = default_engine(3, n_samples=4800)
+        assert f_functional(f, MonotoneEnvelope.threshold(0.5), 2.0, small).diverged
+        est = f_functional(f, MonotoneEnvelope.threshold(1.25), 2.0, small)
+        assert not est.diverged and 0.0 < est.value < math.inf
+
+    def test_crossing_spheres_diverge_below_the_jump(self, engine):
+        f = nl.FiniteSumField([nl.IndicatorField(3, 1.0),
+                               nl.IndicatorField(3, 1.0, 0.5, (1.0, 0.0, 0.0))])
+        assert i_delta(f, KernelSpec(0.9), engine).diverged
+
+    def test_crossing_spheres_unsupported_above_the_jump(self, engine):
+        # opposite jumps meet on the crossing circle: |u(x) - u(y)| reaches 2
+        f = nl.FiniteSumField([nl.IndicatorField(3, 1.0),
+                               nl.IndicatorField(3, 1.0, -1.0, (1.0, 0.0, 0.0))])
+        with pytest.raises(UnsupportedOperationError):
+            i_delta(f, KernelSpec(1.5), engine)
+
+    def test_touching_spheres_unsupported(self, engine):
+        f = nl.FiniteSumField([nl.IndicatorField(3, 1.0),
+                               nl.IndicatorField(3, 1.0, -1.0, (2.0, 0.0, 0.0))])
+        with pytest.raises(UnsupportedOperationError):
+            i_delta(f, KernelSpec(1.5), engine)
+
+    def test_delta_at_the_jump(self, engine):
+        # a pure jump never exceeds its own height; a varying part may
+        assert i_delta(nl.IndicatorField(3, 1.0), KernelSpec(1.0),
+                       default_engine(3, n_samples=4800)).value == 0.0
+        f = nl.FiniteSumField([nl.IndicatorField(3, 1.0), nl.GaussianField(3, 1.0)])
+        with pytest.raises(UnsupportedOperationError):
+            i_delta(f, KernelSpec(1.0), engine)
+
+    def test_no_lipschitz_bound_and_no_jumps_unsupported(self, engine):
+        # spheres whose heights cancel leave no jump to decide from
+        f = nl.FiniteSumField([nl.IndicatorField(3, 1.0), nl.IndicatorField(3, 1.0, -1.0),
+                               nl.GaussianField(3, 1.0)])
+        with pytest.raises(UnsupportedOperationError):
+            i_delta(f, KernelSpec(0.5), engine)
 
 
 class TestExactLaws:

@@ -1,0 +1,94 @@
+"""Property tests on randomly drawn jump fields: a Gaussian plus one to
+three disjoint or nested indicator balls."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import nlsob as nl  # noqa: E402
+from nlsob import functionals  # noqa: E402
+
+
+class Counting(nl.FiniteSumField):
+    points = 0
+
+    def evaluate(self, x):
+        Counting.points += len(x)
+        return super().evaluate(x)
+
+
+@st.composite
+def jump_cases(draw):
+    """(field, jump spheres as (center, radius, height), smallest gap
+    between two spheres, delta, p); delta is never a jump height."""
+    k = draw(st.integers(1, 3))
+    radii = [draw(st.floats(0.3, 1.2))]
+    gaps = [draw(st.floats(0.01, 0.8)) for _ in range(k - 1)]
+    if draw(st.booleans()):  # nested, each ball shifted inside the next
+        centers = [(draw(st.floats(-0.3, 0.3)), 0.0, 0.0)]
+        for g in gaps:
+            shift = draw(st.floats(0.0, 0.5))
+            radii.append(radii[-1] + g + shift)
+            centers.append((centers[-1][0] + shift, 0.0, 0.0))
+    else:  # disjoint along the first axis
+        radii += [draw(st.floats(0.3, 1.2)) for _ in gaps]
+        xs = [0.0]
+        for i, g in enumerate(gaps):
+            xs.append(xs[-1] + radii[i] + g + radii[i + 1])
+        centers = [(x, 0.0, 0.0) for x in xs]
+    heights = [draw(st.floats(0.2, 1.5)) * draw(st.sampled_from([1.0, -1.0]))
+               for _ in range(k)]
+    gauss = nl.GaussianField(3, draw(st.floats(0.5, 2.0)), draw(st.floats(0.1, 1.2)),
+                             tuple(draw(st.floats(-0.5, 0.5)) for _ in range(3)))
+    field = Counting([gauss] + [nl.IndicatorField(3, r, h, c)
+                                for c, r, h in zip(centers, radii, heights)])
+    jump = max(abs(h) for h in heights)
+    # just above the jump, rho0 = (delta - J) / L_s falls below the MC's own cutoff
+    factor = draw(st.one_of(st.floats(0.1, 0.98), st.floats(1.001, 1.05),
+                            st.floats(1.05, 3.0)))
+    return (field, gauss, list(zip(centers, radii, heights)), min(gaps, default=math.inf),
+            factor * jump, draw(st.floats(1.0, 3.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=jump_cases(), seed=st.integers(0, 2 ** 31 - 1))
+def test_verdict_is_delta_below_jump(case, seed):
+    u, gauss, spheres, gap, delta, p = case
+    jump = max(abs(h) for _, _, h in spheres)
+    cutoffs = []
+    run = functionals.mc_pair_integrate_many
+
+    def recording(ctx, spec):
+        cutoffs.append(ctx.inner_cutoff)
+        return run(ctx, spec)
+
+    Counting.points = 0
+    with mock.patch.object(functionals, "mc_pair_integrate_many", recording):
+        est = nl.i_delta_p(u, nl.KernelSpec(delta, p),
+                           nl.default_engine(seed, mode="mc", n_samples=4800))
+    assert est.diverged == (delta < jump)
+    if delta < jump:
+        assert est.value == math.inf and Counting.points == 0 and not cutoffs
+        return
+    assert 0.0 <= est.value < math.inf
+    rho0 = min((delta - jump) / gauss.lipschitz_bound, gap)
+    # the gap is the drawn one; the rounded centers may move it by ulps
+    assert all(0.0 < c <= rho0 * (1.0 + 1e-12) for c in cutoffs)
+
+    # the truncation is exact: pairs closer than rho0 across a sphere stay
+    # within delta of each other
+    rng = np.random.default_rng(seed)
+    m = 2000
+    for c, r, _ in spheres:
+        d = rng.standard_normal((m, 3))
+        x = np.asarray(c) + r * (1.0 + rng.uniform(-0.05, 0.05, (m, 1))) * \
+            d / np.linalg.norm(d, axis=1, keepdims=True)
+        h = rng.standard_normal((m, 3))
+        rho = rng.uniform(0.0, min(rho0, 1.0), (m, 1))
+        y = x + rho * h / np.linalg.norm(h, axis=1, keepdims=True)
+        assert np.all(np.abs(u.evaluate(y) - u.evaluate(x)) <= delta)

@@ -396,8 +396,8 @@ class TestMcEngine:
 
 
 class TestPinnedBits:
-    """MC estimates pinned to the last bit, recorded before the engines
-    were batched per chunk (numpy 2.4, x86-64).  The reproducibility
+    """MC estimates pinned to the last bit, each recorded before the change
+    that could have moved it (numpy 2.4, x86-64).  The reproducibility
     contract promises these bits for a given McSpec; a different numpy
     build can move them through its exp/log kernels."""
 
@@ -435,10 +435,21 @@ class TestPinnedBits:
                                  McSpec(master_seed=19, n_samples=48000))
         assert val.hex() == "0x1.274e990583744p-2"
 
-    def test_divergence_probe_indicator(self):
-        est = nl.i_delta_p(nl.IndicatorField(3, 1.0), nl.KernelSpec(0.5, 2.0), self.ENGINE)
-        assert self.bits(est) == ("0x1.37ea9f2c68dc4p+10", "0x1.88752be5593a9p+7", 54)
+    def test_convergent_jump_field(self):
+        # jump 1 at delta 1.25: pairs closer than 0.25 / L_s contribute 0, and
+        # the run truncated below that keeps the bits of the earlier probe
+        f = nl.FiniteSumField([nl.IndicatorField(3, 1.0),
+                               nl.GaussianField(3, 1.0, 1.0, (0.3, 0.0, 0.0))])
+        est = nl.i_delta_p(f, nl.KernelSpec(1.25, 2.0), self.ENGINE)
+        assert self.bits(est) == ("0x1.31a905388ba30p+7", "0x1.f735b1b7eb788p+1", 442)
         assert not est.diverged
+
+    def test_restricted_power_integral_mc(self):
+        from nlsob.functionals import restricted_power_integral
+        above = restricted_power_integral(self.TWO_GAUSS, 3.0, 0.3, "above")
+        below = restricted_power_integral(self.TWO_GAUSS, 3.0, 0.3, "below")
+        assert self.bits(above) == ("0x1.1ad546216efcbp-1", "0x1.169ad08980ddbp-10", 128199)
+        assert self.bits(below) == ("0x1.ea7e4b7e3b140p-5", "0x1.5b90c3b3383d3p-10", 128199)
 
     def test_two_field_evaluations_per_sample(self):
         class Counting(nl.FiniteSumField):
@@ -456,6 +467,21 @@ class TestPinnedBits:
         drawn = spec.n_samples * active // spec.radial_strata
         assert 0 < drawn < spec.n_samples
         assert Counting.points == 2 * drawn
+
+    def test_one_field_evaluation_per_volume_sample(self):
+        from nlsob.functionals import restricted_power_integral
+        from nlsob.quadrature import _DEFAULT_VOLUME_SPEC
+
+        class Counting(nl.FiniteSumField):
+            points = 0
+
+            def evaluate(self, x):
+                Counting.points += len(x)
+                return super().evaluate(x)
+
+        est = restricted_power_integral(Counting(self.TWO_GAUSS.terms), 3.0, 0.3)
+        assert est.method == "mc"
+        assert Counting.points == _DEFAULT_VOLUME_SPEC.n_samples
 
 
 def per_stratum_reference(ctx, spec):
