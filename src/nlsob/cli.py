@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -84,9 +85,8 @@ _TOP_KEYS = {"dim", "seed", "fields", "kernel", "engine", "functionals", "checks
 _KERNEL_KEYS = {"delta", "deltas", "p", "envelope"}
 _ENVELOPE_KEYS = {"kind", "q", "delta", "p"}
 _ENGINE_KEYS = {"mode", "mc", "radial"}
-_MC_KEYS = {"n_samples", "chunk_size", "outer_radius_eps", "radial_strata",
-            "h_max", "x_radius"}
-_RADIAL_KEYS = {"n_r", "n_s", "n_theta", "r_max"}
+_MC_KEYS = {f.name for f in dataclasses.fields(McSpec)} - {"master_seed"}  # seed comes from $.seed
+_RADIAL_KEYS = {f.name for f in dataclasses.fields(RadialSpec)}
 _OUTPUT_KEYS = {"csv", "json"}
 _POTENTIAL_KEYS = {"kind", "vector", "matrix"}
 _PHASE_KEYS = {"kind", "offset", "wave"}
@@ -238,18 +238,19 @@ def _write_csv(path: str, header: List[str], rows: List[dict]):
 
 
 def _write_json(path: str, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON: NaN and Infinity become null, and a row's status or a
+    # report's degenerate flag carries the verdict
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    _atomic_write(path, json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _out_paths(cfg: dict, out_dir: Optional[str], command: str):
+def _write_outputs(cfg: dict, out_dir: Optional[str], command: str, header: List[str],
+                   rows: List[dict], payload: dict):
+    """The CSV always, the JSON payload where the config names a path."""
     out = cfg.get("output", {})
-    csv_path = out.get("csv", f"{command}.csv")
-    json_path = out.get("json")
-    if out_dir:
-        csv_path = os.path.join(out_dir, csv_path)
-        if json_path:
-            json_path = os.path.join(out_dir, json_path)
-    return csv_path, json_path
+    _write_csv(os.path.join(out_dir or "", out.get("csv", f"{command}.csv")), header, rows)
+    if out.get("json"):
+        _write_json(os.path.join(out_dir or "", out["json"]), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +326,7 @@ def cmd_eval(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
             except Exception as exc:  # noqa: BLE001 - per-row status
                 push(fi, fh, name, None, exc)
 
-    csv_path, json_path = _out_paths(cfg, out_dir, "eval")
-    _write_csv(csv_path, header, rows)
-    if json_path:
-        _write_json(json_path, {"rows": rows})
+    _write_outputs(cfg, out_dir, "eval", header, rows, {"rows": rows})
     return 3 if any_diverged else 0
 
 
@@ -401,10 +399,7 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
             for rep in reps:
                 emit(rep, constant=None if rep.degenerate else family)
 
-    csv_path, json_path = _out_paths(cfg, out_dir, "check")
-    _write_csv(csv_path, header, rows)
-    if json_path:
-        _write_json(json_path, {"reports": details})
+    _write_outputs(cfg, out_dir, "check", header, rows, {"reports": details})
     return 4 if violated else 0
 
 
@@ -427,10 +422,7 @@ def cmd_sweep(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
                         "extrapolated_limit": sw.extrapolated_limit,
                         "extrapolation_error": sw.extrapolation_error,
                         "fitted_exponent": sw.fitted_exponent})
-    csv_path, json_path = _out_paths(cfg, out_dir, "sweep")
-    _write_csv(csv_path, header, rows)
-    if json_path:
-        _write_json(json_path, {"sweeps": summary})
+    _write_outputs(cfg, out_dir, "sweep", header, rows, {"sweeps": summary})
     return 0
 
 
@@ -464,10 +456,7 @@ def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
                         "held_ok": sw.held_ok, "n_train": len(sw.train_idx),
                         "n_held": len(sw.held_idx),
                         "excluded": [list(e) for e in sw.excluded]})
-    csv_path, json_path = _out_paths(cfg, out_dir, "constants")
-    _write_csv(csv_path, header, rows)
-    if json_path:
-        _write_json(json_path, {"families": summary})
+    _write_outputs(cfg, out_dir, "constants", header, rows, {"families": summary})
     return 0
 
 
@@ -483,11 +472,8 @@ def cmd_qn(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     rows = [{"dim": est.dim, "estimate": est.value, "error": est.error,
              "candidate": est.analytic_candidate,
              "candidate_label": est.candidate_label, "consistent": est.consistent}]
-    csv_path, json_path = _out_paths(cfg, out_dir, "qn")
-    _write_csv(csv_path, header, rows)
-    if json_path:
-        _write_json(json_path, {"estimate": rows[0],
-                                "per_field": [list(p) for p in est.per_field]})
+    _write_outputs(cfg, out_dir, "qn", header, rows,
+                   {"estimate": rows[0], "per_field": [list(p) for p in est.per_field]})
     return 0
 
 

@@ -7,9 +7,14 @@ The integration engines rely on this metadata for exact (not heuristic)
 domain truncations, so the bounds must hold everywhere.  Fields with
 jumps list their jump spheres, from which divergence is decided exactly.
 
-Closed-form L2 norms and Dirichlet energies are provided where they
-exist (Gaussians and sums of Gaussians, indicators); other shapes fall
-back to deterministic radial quadrature.
+The radial shapes (Gaussian, smooth bump, ball indicator, piecewise-cubic
+profile) derive from ``RadialShapeField``, which turns each shape's
+profile g(r) into evaluation, gradients, the decay envelope and
+``radial_profile()``.  Every shape owns its closed forms (L2 norm,
+Dirichlet energy, Lp and log-moments, entropy, Gauss-measure log-Sobolev
+sides) as ``*_closed_form`` methods, None where it has none, so callers
+ask the field and fall back to quadrature; it also owns its Monte Carlo
+proposal (``proposal_components``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     DivergentIntegralError,
     UnsupportedOperationError,
+    ZeroFieldError,
 )
 
 __all__ = [
@@ -136,10 +142,6 @@ class ScalarField:
         except UnsupportedOperationError:
             return False
 
-    @property
-    def is_radial(self) -> bool:
-        return self.radial_profile() is not None
-
     def radial_profile(self) -> Optional[RadialProfile1D]:
         """Radial profile about self.center, or None for non-radial fields."""
         return None
@@ -147,6 +149,48 @@ class ScalarField:
     def jumps(self) -> tuple:
         """(jump spheres as (center, radius, height), Lipschitz bound of u minus its jumps)."""
         return (), self.lipschitz_bound
+
+    # -- closed forms and MC proposals -----------------------------------
+    def gaussian_terms(self) -> Optional[list]:
+        """The Gaussians whose sum is u, or None."""
+        return None
+
+    def l2_norm_sq_closed_form(self) -> Optional[float]:
+        """Integral of u^2; raises DivergentIntegralError where it is infinite."""
+        terms = self.gaussian_terms()
+        if terms is None:
+            return None
+        return float(sum(_gauss_pair_l2(a, b) for a in terms for b in terms))
+
+    def dirichlet_closed_form(self) -> Optional[float]:
+        """Integral of |grad u|^2; raises DivergentIntegralError where it is infinite."""
+        terms = self.gaussian_terms()
+        if terms is None:
+            return None
+        return float(sum(_gauss_pair_dirichlet(a, b) for a in terms for b in terms))
+
+    def lp_power_closed_form(self, q: float) -> Optional[float]:
+        """Integral of |u|^q."""
+        return None
+
+    def log_moment_closed_form(self, p: float) -> Optional[float]:
+        """Integral of |u|^p log |u|^p, with 0 log 0 = 0."""
+        return None
+
+    def entropy_l2_closed_form(self) -> Optional[float]:
+        """Entropy of the density u^2 / ||u||^2."""
+        return None
+
+    def gauss_lsi_closed_form(self) -> Optional[tuple]:
+        """(lhs, rhs) of the Gauss-measure log-Sobolev inequality; raises
+        ZeroFieldError for the zero field."""
+        return None
+
+    def proposal_components(self) -> list:
+        """(center, sigma) of each Gaussian in the MC proposal of volume
+        integrals, adapted to the field's bumps; a unit Gaussian at the
+        origin where the shape knows no better."""
+        return [(np.zeros(self.dim), 1.0)]
 
     # -- transforms ------------------------------------------------------
     def dilate(self, lam: float) -> "ScalarField":
@@ -165,8 +209,96 @@ class ScalarField:
         return f"{type(self).__name__}({self.to_dict()})"
 
 
+class RadialShapeField(ScalarField):
+    """u(x) = g(|x - center|) for a one-dimensional profile g.
+
+    A shape keeps its parameters and its profile ``_g`` and ``_dg`` (None
+    where u jumps), and calls ``_init_shape`` once when built.  Where g
+    does not vanish beyond ``support``, the shape overrides ``_reach``.
+    """
+
+    center_point: tuple
+    _dg = None
+
+    def _init_shape(self, center, *, sup: float, lip: float, knots: np.ndarray,
+                    monotone: bool, support: float = math.inf) -> None:
+        c = tuple(float(v) for v in np.ravel(center)) or (0.0,) * self.dim
+        if len(c) != self.dim:
+            raise DimensionMismatchError("center has wrong dimension")
+        for name, value in (("center_point", c), ("_sup", sup), ("_lip", lip),
+                            ("_knots", knots), ("_monotone", monotone),
+                            ("_support", support)):
+            object.__setattr__(self, name, value)
+
+    def _reach(self, eps: float) -> float:
+        """Radius beyond which |g| <= eps, for eps below sup |g|."""
+        return self._support
+
+    @property
+    def center(self) -> np.ndarray:
+        return np.array(self.center_point)
+
+    def evaluate(self, x) -> np.ndarray:
+        pts = _as_points(x, self.dim)
+        return self._g(np.linalg.norm(pts - self.center, axis=1))
+
+    def gradient(self, x) -> np.ndarray:
+        if self._dg is None:
+            raise UnsupportedOperationError(f"{type(self).__name__} is not differentiable")
+        pts = _as_points(x, self.dim)
+        d = pts - self.center
+        r = np.linalg.norm(d, axis=1)
+        dg = self._dg(r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(r > 0, dg / np.where(r > 0, r, 1.0), 0.0)
+        return scale[:, None] * d
+
+    @property
+    def differentiable(self) -> bool:
+        return self._dg is not None
+
+    @property
+    def lipschitz_bound(self) -> float:
+        return self._lip
+
+    @property
+    def sup_bound(self) -> float:
+        return self._sup
+
+    def _profile_decay(self, eps: float) -> float:
+        return 0.0 if self._sup <= eps else self._reach(eps)
+
+    def decay_radius(self, eps: float) -> float:
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        if self._sup <= eps:
+            return 0.0
+        return float(np.linalg.norm(self.center)) + self._reach(eps)
+
+    def radial_profile(self) -> RadialProfile1D:
+        return RadialProfile1D(
+            g=self._g, dg=self._dg,
+            lipschitz=self._lip,
+            sup=self._sup,
+            knots=self._knots.copy(),
+            decay_radius=self._profile_decay,
+            monotone_decreasing=self._monotone,
+            support_radius=self._support,
+        )
+
+    def proposal_components(self) -> list:
+        return [(self.center, self._support / 1.5)]
+
+    def amplify(self, t: float) -> "RadialShapeField":
+        return replace(self, amplitude=t * self.amplitude)
+
+    def translate(self, v) -> "RadialShapeField":
+        v = np.asarray(v, dtype=float)
+        return replace(self, center_point=tuple(np.array(self.center_point) + v))
+
+
 @dataclass(frozen=True)
-class GaussianField(ScalarField):
+class GaussianField(RadialShapeField):
     """amp * exp(-rate * |x - center|^2)."""
 
     dim: int
@@ -178,15 +310,12 @@ class GaussianField(ScalarField):
         check_dimension(self.dim)
         if self.rate <= 0:
             raise ValueError("Gaussian rate must be positive")
-        c = tuple(float(v) for v in (self.center_point or (0.0,) * self.dim))
-        if len(c) != self.dim:
-            raise DimensionMismatchError("center has wrong dimension")
-        object.__setattr__(self, "center_point", c)
+        # sup |g'| = |amp| sqrt(2 rate / e), attained at r = 1/sqrt(2 rate)
+        self._init_shape(self.center_point, sup=abs(self.amplitude),
+                         lip=abs(self.amplitude) * math.sqrt(2.0 * self.rate / math.e),
+                         knots=np.array([]), monotone=self.amplitude > 0)
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array(self.center_point)
-
+    # evaluated in r^2 form, not through the profile: pinned MC bits depend on it
     def evaluate(self, x) -> np.ndarray:
         pts = _as_points(x, self.dim)
         r2 = np.sum((pts - self.center) ** 2, axis=1)
@@ -198,46 +327,51 @@ class GaussianField(ScalarField):
         vals = self.amplitude * np.exp(-self.rate * np.sum(d * d, axis=1))
         return -2.0 * self.rate * vals[:, None] * d
 
-    @property
-    def lipschitz_bound(self) -> float:
-        # sup |g'| = |amp| sqrt(2 rate / e), attained at r = 1/sqrt(2 rate)
-        return abs(self.amplitude) * math.sqrt(2.0 * self.rate / math.e)
+    def _g(self, r):
+        return self.amplitude * np.exp(-self.rate * np.asarray(r, dtype=float) ** 2)
 
-    @property
-    def sup_bound(self) -> float:
-        return abs(self.amplitude)
+    def _dg(self, r):
+        r = np.asarray(r, dtype=float)
+        return -2.0 * self.rate * self.amplitude * r * np.exp(-self.rate * r * r)
 
-    def decay_radius(self, eps: float) -> float:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if abs(self.amplitude) <= eps:
+    def _reach(self, eps: float) -> float:
+        return math.sqrt(math.log(abs(self.amplitude) / eps) / self.rate)
+
+    def gaussian_terms(self) -> list:
+        return [self]
+
+    def lp_power_closed_form(self, q: float) -> float:
+        return abs(self.amplitude) ** q * (math.pi / (q * self.rate)) ** (self.dim / 2.0)
+
+    def log_moment_closed_form(self, p: float) -> float:
+        if self.amplitude == 0.0:
             return 0.0
-        r = math.sqrt(math.log(abs(self.amplitude) / eps) / self.rate)
-        return float(np.linalg.norm(self.center)) + r
+        return self.lp_power_closed_form(p) * (p * math.log(abs(self.amplitude)) - self.dim / 2.0)
 
-    def radial_profile(self) -> RadialProfile1D:
-        amp, a = self.amplitude, self.rate
+    def entropy_l2_closed_form(self) -> Optional[float]:
+        if self.amplitude == 0.0:
+            return None
+        n, a = self.dim, self.rate
+        return -n / 2.0 - (n / 2.0) * math.log(math.pi / (2.0 * a))
 
-        def g(r):
-            return amp * np.exp(-a * np.asarray(r, dtype=float) ** 2)
+    def gauss_lsi_closed_form(self) -> tuple:
+        if self.amplitude == 0.0:
+            raise ZeroFieldError("zero field")
+        # (m0, m2) = (int u^2 dG, int |x - c|^2 u^2 dG)
+        n, a = self.dim, self.rate
+        v = self.center
+        beta = 2.0 * a + math.pi
+        v2 = float(v @ v)
+        m0 = self.amplitude ** 2 * math.exp(-(2.0 * a * math.pi / beta) * v2) \
+            * (math.pi / beta) ** (n / 2.0)
+        m2 = m0 * (n / (2.0 * beta) + (math.pi / beta) ** 2 * v2)
+        ilog = math.log(self.amplitude ** 2) * m0 - 2.0 * self.rate * m2
+        lhs = ilog - m0 * math.log(m0)
+        rhs = (4.0 * self.rate ** 2 / math.pi) * m2
+        return lhs, rhs
 
-        def dg(r):
-            r = np.asarray(r, dtype=float)
-            return -2.0 * a * amp * r * np.exp(-a * r * r)
-
-        def decay(eps):
-            if abs(amp) <= eps:
-                return 0.0
-            return math.sqrt(math.log(abs(amp) / eps) / a)
-
-        return RadialProfile1D(
-            g=g, dg=dg,
-            lipschitz=self.lipschitz_bound,
-            sup=abs(amp),
-            knots=np.array([]),
-            decay_radius=decay,
-            monotone_decreasing=amp > 0,
-        )
+    def proposal_components(self) -> list:
+        return [(self.center, 0.5 / math.sqrt(self.rate))]
 
     def dilate(self, lam: float) -> "GaussianField":
         if lam <= 0:
@@ -245,21 +379,13 @@ class GaussianField(ScalarField):
         return GaussianField(self.dim, self.rate / lam ** 2, self.amplitude,
                              tuple(lam * c for c in self.center_point))
 
-    def amplify(self, t: float) -> "GaussianField":
-        return GaussianField(self.dim, self.rate, t * self.amplitude, self.center_point)
-
-    def translate(self, v) -> "GaussianField":
-        v = np.asarray(v, dtype=float)
-        return GaussianField(self.dim, self.rate, self.amplitude,
-                             tuple(np.array(self.center_point) + v))
-
     def to_dict(self) -> dict:
         return {"shape": "gaussian", "dim": self.dim, "rate": self.rate,
                 "amplitude": self.amplitude, "center": list(self.center_point)}
 
 
 @dataclass(frozen=True)
-class SmoothBumpField(ScalarField):
+class SmoothBumpField(RadialShapeField):
     """Compactly supported C-infinity bump:
     amp * exp(1 - R^2 / (R^2 - r^2)) on r < R, zero outside."""
 
@@ -272,16 +398,14 @@ class SmoothBumpField(ScalarField):
         check_dimension(self.dim)
         if self.radius <= 0:
             raise ValueError("bump radius must be positive")
-        c = tuple(float(v) for v in (self.center_point or (0.0,) * self.dim))
-        if len(c) != self.dim:
-            raise DimensionMismatchError("center has wrong dimension")
-        object.__setattr__(self, "center_point", c)
+        # no elementary closed form; dense deterministic grid with margin
+        r = np.linspace(0.0, self.radius * (1.0 - 1e-9), 20001)
+        self._init_shape(self.center_point, sup=abs(self.amplitude),
+                         lip=float(np.max(np.abs(self._dg(r)))) * 1.02,
+                         knots=np.array([self.radius]), monotone=self.amplitude > 0,
+                         support=self.radius)
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array(self.center_point)
-
-    def _profile_vals(self, r: np.ndarray) -> np.ndarray:
+    def _g(self, r: np.ndarray) -> np.ndarray:
         R = self.radius
         out = np.zeros_like(r, dtype=float)
         inside = r < R
@@ -289,7 +413,7 @@ class SmoothBumpField(ScalarField):
         out[inside] = self.amplitude * np.exp(1.0 - R * R / (R * R - ri * ri))
         return out
 
-    def _profile_dvals(self, r: np.ndarray) -> np.ndarray:
+    def _dg(self, r: np.ndarray) -> np.ndarray:
         R = self.radius
         out = np.zeros_like(r, dtype=float)
         inside = r < R
@@ -298,62 +422,11 @@ class SmoothBumpField(ScalarField):
         out[inside] = self.amplitude * np.exp(1.0 - R * R / den) * (-2.0 * ri * R * R / den ** 2)
         return out
 
-    def evaluate(self, x) -> np.ndarray:
-        pts = _as_points(x, self.dim)
-        r = np.linalg.norm(pts - self.center, axis=1)
-        return self._profile_vals(r)
-
-    def gradient(self, x) -> np.ndarray:
-        pts = _as_points(x, self.dim)
-        d = pts - self.center
-        r = np.linalg.norm(d, axis=1)
-        dg = self._profile_dvals(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0, dg / np.where(r > 0, r, 1.0), 0.0)
-        return scale[:, None] * d
-
-    @property
-    def lipschitz_bound(self) -> float:
-        # no elementary closed form; dense deterministic grid with margin
-        r = np.linspace(0.0, self.radius * (1.0 - 1e-9), 20001)
-        return float(np.max(np.abs(self._profile_dvals(r)))) * 1.02
-
-    @property
-    def sup_bound(self) -> float:
-        return abs(self.amplitude)
-
-    def decay_radius(self, eps: float) -> float:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if abs(self.amplitude) <= eps:
-            return 0.0
-        return float(np.linalg.norm(self.center)) + self.radius
-
-    def radial_profile(self) -> RadialProfile1D:
-        return RadialProfile1D(
-            g=self._profile_vals,
-            dg=self._profile_dvals,
-            lipschitz=self.lipschitz_bound,
-            sup=abs(self.amplitude),
-            knots=np.array([self.radius]),
-            decay_radius=lambda eps: 0.0 if abs(self.amplitude) <= eps else self.radius,
-            monotone_decreasing=self.amplitude > 0,
-            support_radius=self.radius,
-        )
-
     def dilate(self, lam: float) -> "SmoothBumpField":
         if lam <= 0:
             raise ValueError("dilation factor must be positive")
         return SmoothBumpField(self.dim, lam * self.radius, self.amplitude,
                                tuple(lam * c for c in self.center_point))
-
-    def amplify(self, t: float) -> "SmoothBumpField":
-        return SmoothBumpField(self.dim, self.radius, t * self.amplitude, self.center_point)
-
-    def translate(self, v) -> "SmoothBumpField":
-        v = np.asarray(v, dtype=float)
-        return SmoothBumpField(self.dim, self.radius, self.amplitude,
-                               tuple(np.array(self.center_point) + v))
 
     def to_dict(self) -> dict:
         return {"shape": "bump", "dim": self.dim, "radius": self.radius,
@@ -361,7 +434,7 @@ class SmoothBumpField(ScalarField):
 
 
 @dataclass(frozen=True)
-class IndicatorField(ScalarField):
+class IndicatorField(RadialShapeField):
     """amp * 1{|x - center| <= radius}; the canonical divergent input."""
 
     dim: int
@@ -373,57 +446,31 @@ class IndicatorField(ScalarField):
         check_dimension(self.dim)
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
-        c = tuple(float(v) for v in (self.center_point or (0.0,) * self.dim))
-        if len(c) != self.dim:
-            raise DimensionMismatchError("center has wrong dimension")
-        object.__setattr__(self, "center_point", c)
+        self._init_shape(self.center_point, sup=abs(self.amplitude), lip=math.inf,
+                         knots=np.array([self.radius]), monotone=False,
+                         support=self.radius)
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array(self.center_point)
-
-    def evaluate(self, x) -> np.ndarray:
-        pts = _as_points(x, self.dim)
-        r = np.linalg.norm(pts - self.center, axis=1)
-        return np.where(r <= self.radius, self.amplitude, 0.0)
-
-    def gradient(self, x) -> np.ndarray:
-        raise UnsupportedOperationError("indicator field is not differentiable")
-
-    @property
-    def differentiable(self) -> bool:
-        return False
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return math.inf
+    def _g(self, r):
+        return np.where(np.asarray(r, dtype=float) <= self.radius, self.amplitude, 0.0)
 
     def jumps(self) -> tuple:
         return ((self.center_point, self.radius, self.amplitude),) if self.amplitude else (), 0.0
 
-    @property
-    def sup_bound(self) -> float:
-        return abs(self.amplitude)
+    def l2_norm_sq_closed_form(self) -> float:
+        return self.lp_power_closed_form(2)
 
-    def decay_radius(self, eps: float) -> float:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if abs(self.amplitude) <= eps:
+    def lp_power_closed_form(self, q: float) -> float:
+        return abs(self.amplitude) ** q * ball_volume(self.dim, self.radius)
+
+    def log_moment_closed_form(self, p: float) -> float:
+        if self.amplitude == 0.0:
             return 0.0
-        return float(np.linalg.norm(self.center)) + self.radius
+        return self.lp_power_closed_form(p) * p * math.log(abs(self.amplitude))
 
-    def radial_profile(self) -> RadialProfile1D:
-        amp, R = self.amplitude, self.radius
-        return RadialProfile1D(
-            g=lambda r: np.where(np.asarray(r, dtype=float) <= R, amp, 0.0),
-            dg=None,
-            lipschitz=math.inf,
-            sup=abs(amp),
-            knots=np.array([R]),
-            decay_radius=lambda eps: 0.0 if abs(amp) <= eps else R,
-            monotone_decreasing=False,
-            support_radius=R,
-        )
+    def entropy_l2_closed_form(self) -> Optional[float]:
+        if self.amplitude == 0.0:
+            return None
+        return -math.log(ball_volume(self.dim, self.radius))
 
     def dilate(self, lam: float) -> "IndicatorField":
         if lam <= 0:
@@ -431,20 +478,12 @@ class IndicatorField(ScalarField):
         return IndicatorField(self.dim, lam * self.radius, self.amplitude,
                               tuple(lam * c for c in self.center_point))
 
-    def amplify(self, t: float) -> "IndicatorField":
-        return IndicatorField(self.dim, self.radius, t * self.amplitude, self.center_point)
-
-    def translate(self, v) -> "IndicatorField":
-        v = np.asarray(v, dtype=float)
-        return IndicatorField(self.dim, self.radius, self.amplitude,
-                              tuple(np.array(self.center_point) + v))
-
     def to_dict(self) -> dict:
         return {"shape": "indicator", "dim": self.dim, "radius": self.radius,
                 "amplitude": self.amplitude, "center": list(self.center_point)}
 
 
-class RadialProfileField(ScalarField):
+class RadialProfileField(RadialShapeField):
     """Radial field from a clamped piecewise-cubic profile with zero tails.
 
     The profile interpolates (knots, values) with g'(0) = 0 and
@@ -463,116 +502,62 @@ class RadialProfileField(ScalarField):
             raise ValueError("first knot must be r = 0")
         if values[-1] != 0.0:
             raise ValueError("last profile value must be 0 (compact support)")
-        self._knots = knots
         self._values = values
-        center = np.asarray(center, dtype=float)
-        self._center = np.zeros(dim) if center.size == 0 else center
-        if self._center.size != dim:
-            raise DimensionMismatchError("center has wrong dimension")
         self._spline = CubicSpline(knots, values, bc_type=((1, 0.0), (1, 0.0)))
         self._dspline = self._spline.derivative()
-        self._lip, self._sup, self._monotone = self._exact_extrema()
+        lip, sup, monotone = self._exact_extrema(knots)
+        self._init_shape(center, sup=sup, lip=lip, knots=knots, monotone=monotone,
+                         support=float(knots[-1]))
 
-    def _exact_extrema(self):
-        """Exact sup|g| and sup|g'| from the piecewise-polynomial structure."""
-        cand_r = list(self._knots)
-        for i in range(len(self._knots) - 1):
-            a, b = self._knots[i], self._knots[i + 1]
+    def _exact_extrema(self, knots: np.ndarray):
+        """Exact sup|g| and sup|g'| from the piecewise-polynomial structure:
+        extrema of g sit at breakpoints or roots of the quadratic g', those
+        of g' at breakpoints or the root of the linear g''."""
+        cand_r, cand_d = list(knots), list(knots)
+        for i in range(len(knots) - 1):
+            a, b = knots[i], knots[i + 1]
             coef = self._spline.c[:, i]  # cubic coeffs in (r - a), highest first
-            # extrema of g: roots of the quadratic g' on the piece
-            dcoef = np.array([3 * coef[0], 2 * coef[1], coef[2]])
-            for rt in np.roots(dcoef):
+            for rt in np.roots(np.array([3 * coef[0], 2 * coef[1], coef[2]])):
                 if np.isreal(rt) and 0 <= rt.real <= b - a:
                     cand_r.append(a + rt.real)
-        cand_r = np.unique(np.clip(np.asarray(cand_r, dtype=float), 0.0, self._knots[-1]))
-        sup = float(np.max(np.abs(self._spline(cand_r))))
-        # extrema of g': roots of g'' (linear on each piece) plus breakpoints
-        cand_d = list(self._knots)
-        for i in range(len(self._knots) - 1):
-            a, b = self._knots[i], self._knots[i + 1]
-            coef = self._spline.c[:, i]
-            # g'' = 6 a3 s + 2 a2 = 0
-            if coef[0] != 0:
+            if coef[0] != 0:  # g'' = 6 a3 s + 2 a2 = 0
                 s = -2 * coef[1] / (6 * coef[0])
                 if 0 <= s <= b - a:
                     cand_d.append(a + s)
+        cand_r = np.unique(np.clip(np.asarray(cand_r, dtype=float), 0.0, knots[-1]))
+        sup = float(np.max(np.abs(self._spline(cand_r))))
         cand_d = np.unique(np.asarray(cand_d, dtype=float))
         lip = float(np.max(np.abs(self._dspline(cand_d))))
         dvals = self._dspline(np.unique(np.concatenate([cand_d, cand_r])))
         monotone = bool(np.all(dvals <= 1e-14)) and bool(np.all(self._values >= 0))
         return lip, sup, monotone
 
-    @property
-    def center(self) -> np.ndarray:
-        return self._center.copy()
-
-    def _profile_vals(self, r) -> np.ndarray:
+    def _g(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         out = np.where(r <= self._knots[-1], self._spline(np.minimum(r, self._knots[-1])), 0.0)
         return out
 
-    def _profile_dvals(self, r) -> np.ndarray:
+    def _dg(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         return np.where(r <= self._knots[-1], self._dspline(np.minimum(r, self._knots[-1])), 0.0)
-
-    def evaluate(self, x) -> np.ndarray:
-        pts = _as_points(x, self.dim)
-        r = np.linalg.norm(pts - self._center, axis=1)
-        return self._profile_vals(r)
-
-    def gradient(self, x) -> np.ndarray:
-        pts = _as_points(x, self.dim)
-        d = pts - self._center
-        r = np.linalg.norm(d, axis=1)
-        dg = self._profile_dvals(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0, dg / np.where(r > 0, r, 1.0), 0.0)
-        return scale[:, None] * d
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return self._lip
-
-    @property
-    def sup_bound(self) -> float:
-        return self._sup
-
-    def decay_radius(self, eps: float) -> float:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if self._sup <= eps:
-            return 0.0
-        return float(np.linalg.norm(self._center)) + float(self._knots[-1])
-
-    def radial_profile(self) -> RadialProfile1D:
-        return RadialProfile1D(
-            g=self._profile_vals,
-            dg=self._profile_dvals,
-            lipschitz=self._lip,
-            sup=self._sup,
-            knots=self._knots.copy(),
-            decay_radius=lambda eps: 0.0 if self._sup <= eps else float(self._knots[-1]),
-            monotone_decreasing=self._monotone,
-            support_radius=float(self._knots[-1]),
-        )
 
     def dilate(self, lam: float) -> "RadialProfileField":
         if lam <= 0:
             raise ValueError("dilation factor must be positive")
-        return RadialProfileField(self.dim, lam * self._knots, self._values, lam * self._center)
+        return RadialProfileField(self.dim, lam * self._knots, self._values, lam * self.center)
 
     def amplify(self, t: float) -> "RadialProfileField":
-        return RadialProfileField(self.dim, self._knots, t * self._values, self._center)
+        return RadialProfileField(self.dim, self._knots, t * self._values, self.center)
 
     def translate(self, v) -> "RadialProfileField":
         return RadialProfileField(self.dim, self._knots, self._values,
-                                  self._center + np.asarray(v, dtype=float))
+                                  self.center + np.asarray(v, dtype=float))
 
     def to_dict(self) -> dict:
         return {"shape": "radial_profile", "dim": self.dim,
                 "knots": [float(v) for v in self._knots],
                 "values": [float(v) for v in self._values],
-                "center": [float(v) for v in self._center]}
+                "center": [float(v) for v in self.center_point]}
 
 
 class FiniteSumField(ScalarField):
@@ -642,20 +627,14 @@ class FiniteSumField(ScalarField):
             return None
         k = len(profs)
 
-        def g(r):
-            r = np.asarray(r, dtype=float)
-            return sum(p.g(r) for p in profs)
+        def summed(fns):
+            return lambda r: sum(f(np.asarray(r, dtype=float)) for f in fns)
 
         dgs = [p.dg for p in profs]
-        dg = None
-        if all(d is not None for d in dgs):
-            def dg(r):  # noqa: F811
-                r = np.asarray(r, dtype=float)
-                return sum(d(r) for d in dgs)
-
-        knots = np.unique(np.concatenate([p.knots for p in profs])) if profs else np.array([])
+        knots = np.unique(np.concatenate([p.knots for p in profs]))
         return RadialProfile1D(
-            g=g, dg=dg,
+            g=summed([p.g for p in profs]),
+            dg=summed(dgs) if all(d is not None for d in dgs) else None,
             lipschitz=float(sum(p.lipschitz for p in profs)),
             sup=float(sum(p.sup for p in profs)),
             knots=knots,
@@ -663,6 +642,18 @@ class FiniteSumField(ScalarField):
             monotone_decreasing=all(p.monotone_decreasing for p in profs),
             support_radius=max(p.support_radius for p in profs),
         )
+
+    def gaussian_terms(self) -> Optional[list]:
+        out = []
+        for t in self.terms:
+            sub = t.gaussian_terms()
+            if sub is None:
+                return None
+            out.extend(sub)
+        return out
+
+    def proposal_components(self) -> list:
+        return [c for t in self.terms for c in t.proposal_components()]
 
     def dilate(self, lam: float) -> "FiniteSumField":
         return FiniteSumField([t.dilate(lam) for t in self.terms])
@@ -720,6 +711,17 @@ class ConstantField(ScalarField):
             monotone_decreasing=False,
         )
 
+    def l2_norm_sq_closed_form(self) -> float:
+        if self.value == 0.0:
+            return 0.0
+        raise DivergentIntegralError("nonzero constant field is not square integrable")
+
+    def dirichlet_closed_form(self) -> float:
+        return 0.0
+
+    def gauss_lsi_closed_form(self) -> tuple:
+        return 0.0, 0.0
+
     def dilate(self, lam: float) -> "ConstantField":
         return self
 
@@ -763,6 +765,25 @@ class ExponentialField(ScalarField):
     @property
     def sup_bound(self) -> float:
         return math.inf if any(self.rate_vector) else abs(self.amplitude)
+
+    def l2_norm_sq_closed_form(self) -> None:
+        if any(self.rate_vector):
+            raise DivergentIntegralError("exponential field is not square integrable")
+        return None
+
+    def dirichlet_closed_form(self) -> None:
+        if any(self.rate_vector):
+            raise DivergentIntegralError("exponential field has divergent Dirichlet energy")
+        return None
+
+    def gauss_lsi_closed_form(self) -> tuple:
+        if self.amplitude == 0.0:
+            raise ZeroFieldError("zero field")
+        c2 = float(np.dot(self.rate_vector, self.rate_vector))
+        m0 = self.amplitude ** 2 * math.exp(c2 / math.pi)
+        lhs = (c2 / math.pi) * m0
+        rhs = (c2 / math.pi) * m0
+        return lhs, rhs
 
     def dilate(self, lam: float) -> "ExponentialField":
         return ExponentialField(self.dim, tuple(c / lam for c in self.rate_vector),
@@ -926,50 +947,28 @@ def _gauss_pair_l2(t1: GaussianField, t2: GaussianField) -> float:
 
 def _gauss_pair_dirichlet(t1: GaussianField, t2: GaussianField) -> float:
     """Closed-form integral of grad t1 . grad t2 over R^N."""
-    n = t1.dim
     a1, a2 = t1.rate, t2.rate
     beta = a1 + a2
     dc = np.array(t1.center_point) - np.array(t2.center_point)
     d2 = float(dc @ dc)
-    gamma = a1 * a2 / beta
-    base = t1.amplitude * t2.amplitude * (math.pi / beta) ** (n / 2.0) * math.exp(-gamma * d2)
-    return 4.0 * a1 * a2 * base * (n / (2.0 * beta) - (a1 * a2 / beta ** 2) * d2)
-
-
-def _gaussian_terms(f: ScalarField):
-    if isinstance(f, GaussianField):
-        return [f]
-    if isinstance(f, FiniteSumField):
-        out = []
-        for t in f.terms:
-            sub = _gaussian_terms(t)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    return None
+    return (4.0 * a1 * a2 * _gauss_pair_l2(t1, t2)
+            * (t1.dim / (2.0 * beta) - (a1 * a2 / beta ** 2) * d2))
 
 
 def l2_norm_sq(f: ScalarField, method: str = "auto"):
     """Integral of u^2 over R^N.
 
     method: 'auto' prefers closed forms, 'closed_form' requires one,
-    'quadrature' forces the deterministic radial engine.
+    'quadrature' forces the deterministic radial engine.  A field without
+    a decay envelope has no quadrature, so its closed form, or its
+    divergence, stands under every method.
     """
     if method not in ("auto", "closed_form", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if isinstance(f, ConstantField):
-        if f.value == 0.0:
-            return 0.0
-        raise DivergentIntegralError("nonzero constant field is not square integrable")
-    if isinstance(f, ExponentialField) and any(f.rate_vector):
-        raise DivergentIntegralError("exponential field is not square integrable")
-    if method != "quadrature":
-        terms = _gaussian_terms(f)
-        if terms is not None:
-            return float(sum(_gauss_pair_l2(a, b) for a in terms for b in terms))
-        if isinstance(f, IndicatorField):
-            return f.amplitude ** 2 * ball_volume(f.dim, f.radius)
+    if method != "quadrature" or not f.decays:
+        val = f.l2_norm_sq_closed_form()
+        if val is not None:
+            return val
         if method == "closed_form":
             raise UnsupportedOperationError(f"no closed-form L2 norm for {type(f).__name__}")
     from . import quadrature  # deferred: quadrature imports this module
@@ -978,19 +977,15 @@ def l2_norm_sq(f: ScalarField, method: str = "auto"):
 
 
 def dirichlet_energy(f: ScalarField, method: str = "auto"):
-    """Integral of |grad u|^2 over R^N."""
+    """Integral of |grad u|^2 over R^N; ``method`` as in ``l2_norm_sq``."""
     if method not in ("auto", "closed_form", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if not f.differentiable:
         raise UnsupportedOperationError("Dirichlet energy is infinite for jump fields")
-    if isinstance(f, ConstantField):
-        return 0.0
-    if isinstance(f, ExponentialField) and any(f.rate_vector):
-        raise DivergentIntegralError("exponential field has divergent Dirichlet energy")
-    if method != "quadrature":
-        terms = _gaussian_terms(f)
-        if terms is not None:
-            return float(sum(_gauss_pair_dirichlet(a, b) for a in terms for b in terms))
+    if method != "quadrature" or not f.decays:
+        val = f.dirichlet_closed_form()
+        if val is not None:
+            return val
         if method == "closed_form":
             raise UnsupportedOperationError(f"no closed-form energy for {type(f).__name__}")
     from . import quadrature

@@ -32,9 +32,6 @@ from .errors import (
 from .fields import (
     ComplexField,
     ConstantField,
-    ExponentialField,
-    GaussianField,
-    IndicatorField,
     ScalarField,
     VectorPotential,
     l2_norm_sq,
@@ -460,12 +457,10 @@ def _real_part(u: Union[ScalarField, ComplexField]) -> ScalarField:
 
 def lp_power_integral(u: ScalarField, q: float, method: str = "auto") -> Estimate:
     """Integral of |u|^q over R^N (closed form where available)."""
-    if isinstance(u, GaussianField) and method != "quadrature":
-        val = abs(u.amplitude) ** q * (math.pi / (q * u.rate)) ** (u.dim / 2.0)
-        return Estimate(val, method="closed_form")
-    if isinstance(u, IndicatorField) and method != "quadrature":
-        val = abs(u.amplitude) ** q * ball_volume(u.dim, u.radius)
-        return Estimate(val, method="closed_form")
+    if method != "quadrature":
+        val = u.lp_power_closed_form(q)
+        if val is not None:
+            return Estimate(val, method="closed_form")
     if method == "closed_form":
         raise UnsupportedOperationError(f"no closed form for {type(u).__name__}")
     return quad.lebesgue_volume_integral(u, lambda v: np.abs(v) ** q, power_hint=q)
@@ -511,19 +506,10 @@ def log_moment_lp_estimate(u: Union[ScalarField, ComplexField], p: float,
                            method: str = "auto") -> Estimate:
     """Integral of |u|^p log |u|^p, with 0 log 0 = 0."""
     f = _real_part(u)
-    if isinstance(f, GaussianField) and method != "quadrature":
-        if f.amplitude == 0.0:
-            return Estimate(0.0, method="closed_form")
-        amp = abs(f.amplitude)
-        val = amp ** p * (math.pi / (p * f.rate)) ** (f.dim / 2.0) \
-            * (p * math.log(amp) - f.dim / 2.0)
-        return Estimate(val, method="closed_form")
-    if isinstance(f, IndicatorField) and method != "quadrature":
-        amp = abs(f.amplitude)
-        if amp == 0.0:
-            return Estimate(0.0, method="closed_form")
-        val = amp ** p * ball_volume(f.dim, f.radius) * p * math.log(amp)
-        return Estimate(val, method="closed_form")
+    if method != "quadrature":
+        val = f.log_moment_closed_form(p)
+        if val is not None:
+            return Estimate(val, method="closed_form")
     if method == "closed_form":
         raise UnsupportedOperationError(f"no closed form for {type(f).__name__}")
     return quad.lebesgue_volume_integral(f, lambda v: xlogx(np.abs(v) ** p),
@@ -537,12 +523,10 @@ def log_moment_lp(u, p: float, method: str = "auto") -> float:
 def l2_norm_sq_estimate(u: Union[ScalarField, ComplexField],
                         method: str = "auto") -> Estimate:
     f = _real_part(u)
-    terms_closed = method != "quadrature"
-    try:
-        if terms_closed:
-            return Estimate(l2_norm_sq(f, method="closed_form"), method="closed_form")
-    except UnsupportedOperationError:
-        pass
+    if method != "quadrature":
+        val = f.l2_norm_sq_closed_form()
+        if val is not None:
+            return Estimate(val, method="closed_form")
     return quad.lebesgue_volume_integral(f, lambda v: v * v, power_hint=2.0)
 
 
@@ -554,13 +538,9 @@ def entropy_l2_estimate(u: Union[ScalarField, ComplexField],
     if nsq.value <= 0.0:
         raise ZeroFieldError("entropy undefined for the zero field")
     if method != "quadrature":
-        if isinstance(f, GaussianField) and f.amplitude != 0.0:
-            n, a = f.dim, f.rate
-            return Estimate(-n / 2.0 - (n / 2.0) * math.log(math.pi / (2.0 * a)),
-                            method="closed_form")
-        if isinstance(f, IndicatorField) and f.amplitude != 0.0:
-            return Estimate(-math.log(ball_volume(f.dim, f.radius)),
-                            method="closed_form")
+        val = f.entropy_l2_closed_form()
+        if val is not None:
+            return Estimate(val, method="closed_form")
     m = nsq.value
     est = quad.lebesgue_volume_integral(f, lambda v: xlogx(v * v / m), power_hint=2.0)
     return est
@@ -586,8 +566,8 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
     n = f.dim
     vals = lambda pts: (f.evaluate(pts) ** 2 if square else f.evaluate(pts))
     if mu == "lebesgue":
-        if isinstance(f, ConstantField) and f.value != 0.0:
-            raise DivergentIntegralError("constant f has infinite Lebesgue mass")
+        # a field without decay, such as a nonzero constant, has infinite
+        # mass: the volume integrals below raise DivergentIntegralError
         base = _real_part(f)
         mass = (l2_norm_sq_estimate(base).value if square
                 else quad.lebesgue_volume_integral(base, lambda v: v, power_hint=1.0).value)
@@ -637,42 +617,14 @@ def _gauss_expectation(field, fn_pts: Callable[[np.ndarray], np.ndarray],
     return value
 
 
-def _gauss_moments_gaussian(f: GaussianField):
-    """(m0, m2) = (int u^2 dG, int |x - c|^2 u^2 dG) in closed form."""
-    n, a = f.dim, f.rate
-    v = f.center
-    beta = 2.0 * a + math.pi
-    v2 = float(v @ v)
-    m0 = f.amplitude ** 2 * math.exp(-(2.0 * a * math.pi / beta) * v2) \
-        * (math.pi / beta) ** (n / 2.0)
-    m2 = m0 * (n / (2.0 * beta) + (math.pi / beta) ** 2 * v2)
-    return m0, m2
-
-
 def gauss_lsi_sides(u: ScalarField) -> tuple:
     """(lhs, rhs) of the Gauss-measure logarithmic Sobolev inequality,
     with lhs = int u^2 log(u^2 / ||u||^2_G) dG and rhs = (1/pi) int |grad u|^2 dG."""
     if not u.differentiable:
         raise UnsupportedOperationError("both sides need a differentiable field")
-    n = u.dim
-    if isinstance(u, ConstantField):
-        return 0.0, 0.0
-    if isinstance(u, GaussianField):
-        if u.amplitude == 0.0:
-            raise ZeroFieldError("zero field")
-        m0, m2 = _gauss_moments_gaussian(u)
-        ilog = math.log(u.amplitude ** 2) * m0 - 2.0 * u.rate * m2
-        lhs = ilog - m0 * math.log(m0)
-        rhs = (4.0 * u.rate ** 2 / math.pi) * m2
-        return lhs, rhs
-    if isinstance(u, ExponentialField):
-        if u.amplitude == 0.0:
-            raise ZeroFieldError("zero field")
-        c2 = float(np.dot(u.rate_vector, u.rate_vector))
-        m0 = u.amplitude ** 2 * math.exp(c2 / math.pi)
-        lhs = (c2 / math.pi) * m0
-        rhs = (c2 / math.pi) * m0
-        return lhs, rhs
+    sides = u.gauss_lsi_closed_form()
+    if sides is not None:
+        return sides
     m0 = _gauss_expectation(u, lambda pts: u.evaluate(pts) ** 2)
     if m0 <= 0:
         raise ZeroFieldError("zero field")

@@ -113,6 +113,15 @@ def _prov(u, delta=None, engine: Optional[EngineSpec] = None, **extra) -> dict:
     return d
 
 
+_VACUOUS = "nonlocal term diverges; inequality vacuous"
+
+
+def _vacuous(inequality_id: str, inputs: dict, notes: str = _VACUOUS) -> InequalityReport:
+    return InequalityReport(inequality_id, lhs=0.0, rhs=math.inf, deficit=math.inf,
+                            admissible_constant=0.0, inputs=inputs, degenerate=True,
+                            notes=notes)
+
+
 def _require_sobolev_dim(n: int, p: float = 2.0):
     if p == 2.0 and n < 3:
         raise PreconditionError("checkers need dimension N >= 3")
@@ -137,10 +146,7 @@ def check_nonlocal_sobolev(u: ScalarField, delta: float, lam: float,
     inputs = _prov(u, delta, engine, llambda=lam)
     i_est = i_delta(u, KernelSpec(delta), engine)
     if i_est.diverged:
-        return InequalityReport("nonlocal_sobolev", lhs=0.0, rhs=math.inf,
-                                deficit=math.inf, admissible_constant=0.0,
-                                inputs=inputs, degenerate=True,
-                                notes="nonlocal term diverges; inequality vacuous")
+        return _vacuous("nonlocal_sobolev", inputs)
     lhs_est = restricted_power_integral(u, q, lam * delta, "above")
     lhs = lhs_est.value
     amp = i_est.value ** pw
@@ -160,24 +166,27 @@ def check_nonlocal_sobolev(u: ScalarField, delta: float, lam: float,
 
 
 def _log_sobolev_core(inequality_id: str, n: int, ent: Estimate, l2: Estimate,
-                      nl_est: Estimate, delta: float, inputs: dict) -> InequalityReport:
+                      nl_est: Estimate, mass_coef: float, norm_term: float, inputs: dict,
+                      diverged_note: str = _VACUOUS) -> InequalityReport:
+    """ent + mass_coef log ||u||^2 against (N/2) log(C (norm_term + nl_est)),
+    with the smallest admissible constant C."""
     if nl_est.diverged:
-        return InequalityReport(inequality_id, lhs=0.0, rhs=math.inf,
-                                deficit=math.inf, admissible_constant=0.0,
-                                inputs=inputs, degenerate=True,
-                                notes="nonlocal term diverges; inequality vacuous")
+        return _vacuous(inequality_id, inputs, diverged_note)
     m = l2.value
-    lhs = ent.value + (n / 2.0) * math.log(m)
-    dterm = delta ** (4.0 / n) * m ** ((n - 2.0) / n)
-    denom = dterm + nl_est.value
+    lhs = ent.value + mass_coef * math.log(m)
+    denom = norm_term + nl_est.value
     admissible = math.exp((2.0 / n) * lhs) / denom
     builder = lambda c: (n / 2.0) * math.log(c * denom)
     # first-order margin on the deficit at fixed constant
-    s_lhs = math.hypot(ent.stderr, (n / 2.0) * l2.stderr / max(m, 1e-300))
+    s_lhs = math.hypot(ent.stderr, mass_coef * l2.stderr / max(m, 1e-300))
     s_rhs = (n / 2.0) * nl_est.stderr / max(denom, 1e-300)
     margin = 3.0 * math.hypot(s_lhs, s_rhs)
     return InequalityReport(inequality_id, lhs=lhs, admissible_constant=admissible,
                             stat_margin=margin, inputs=inputs, rhs_builder=builder)
+
+
+def _delta_term(n: int, delta: float, m: float) -> float:
+    return delta ** (4.0 / n) * m ** ((n - 2.0) / n)
 
 
 def check_logsobolev_main(u: ScalarField, delta: float,
@@ -188,8 +197,8 @@ def check_logsobolev_main(u: ScalarField, delta: float,
     ent = entropy_l2_estimate(u)
     l2 = l2_norm_sq_estimate(u)
     nl = i_delta(u, KernelSpec(delta), engine)
-    return _log_sobolev_core("logsobolev_main", n, ent, l2, nl, delta,
-                             _prov(u, delta, engine))
+    return _log_sobolev_core("logsobolev_main", n, ent, l2, nl, n / 2.0,
+                             _delta_term(n, delta, l2.value), _prov(u, delta, engine))
 
 
 def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float,
@@ -201,7 +210,8 @@ def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float,
     l2 = l2_norm_sq_estimate(u)
     mag, _ = i_delta_magnetic_paired(u, A, KernelSpec(delta), engine)
     inputs = _prov(u.modulus, delta, engine, potential=A.to_dict())
-    return _log_sobolev_core("magnetic_lsi", n, ent, l2, mag, delta, inputs)
+    return _log_sobolev_core("magnetic_lsi", n, ent, l2, mag, n / 2.0,
+                             _delta_term(n, delta, l2.value), inputs)
 
 
 def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope,
@@ -213,22 +223,11 @@ def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope,
     ent = entropy_l2_estimate(u)
     l2 = l2_norm_sq_estimate(u)
     ff = f_functional(u, envelope, 2.0, engine)
-    inputs = _prov(u, None, engine, envelope=envelope.to_dict())
-    if ff.diverged:
-        return InequalityReport("envelope_lsi", lhs=0.0, rhs=math.inf, deficit=math.inf,
-                                admissible_constant=0.0, inputs=inputs,
-                                degenerate=True, notes="envelope functional diverges")
     beta = envelope.beta
-    m = l2.value
-    lhs = ent.value + (n * beta / 4.0) * math.log(m)
-    denom = m ** (beta / 2.0) + ff.value
-    admissible = math.exp((2.0 / n) * lhs) / denom
-    builder = lambda c: (n / 2.0) * math.log(c * denom)
-    s_lhs = math.hypot(ent.stderr, (n * beta / 4.0) * l2.stderr / max(m, 1e-300))
-    s_rhs = (n / 2.0) * ff.stderr / max(denom, 1e-300)
-    margin = 3.0 * math.hypot(s_lhs, s_rhs)
-    return InequalityReport("envelope_lsi", lhs=lhs, admissible_constant=admissible,
-                            stat_margin=margin, inputs=inputs, rhs_builder=builder)
+    return _log_sobolev_core("envelope_lsi", n, ent, l2, ff, n * beta / 4.0,
+                             l2.value ** (beta / 2.0),
+                             _prov(u, None, engine, envelope=envelope.to_dict()),
+                             diverged_note="envelope functional diverges")
 
 
 def check_diamagnetic(u: ComplexField, A: VectorPotential, delta: float,
@@ -342,9 +341,6 @@ class FamilySweep:
     family_constant: float
     held_ok: bool
     excluded: List[tuple]             # (instance index, reason)
-
-    def held_deficits(self) -> List[float]:
-        return [self.reports[i].deficit_at(self.family_constant) for i in self.held_idx]
 
 
 _SWEEPABLE = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")

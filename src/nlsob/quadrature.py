@@ -30,7 +30,7 @@ field metadata permits one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DivergentIntegralError, PreconditionError
-from .fields import RadialProfile1D, ScalarField, ball_volume
+from .fields import RadialProfile1D, ball_volume
 
 __all__ = [
     "Estimate",
@@ -82,10 +82,7 @@ class Estimate:
     discrepancy: float = 0.0
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr,
-                "n_effective": self.n_effective, "tail_bound": self.tail_bound,
-                "method": self.method, "diverged": self.diverged,
-                "discrepancy": self.discrepancy}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -118,10 +115,7 @@ class McSpec:
             raise PreconditionError("outer_radius_eps must be positive")
 
     def to_dict(self) -> dict:
-        return {"master_seed": self.master_seed, "n_samples": self.n_samples,
-                "chunk_size": self.chunk_size, "outer_radius_eps": self.outer_radius_eps,
-                "radial_strata": self.radial_strata, "h_max": self.h_max,
-                "x_radius": self.x_radius}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -138,8 +132,7 @@ class RadialSpec:
             raise PreconditionError("all grid sizes must be positive")
 
     def to_dict(self) -> dict:
-        return {"n_r": self.n_r, "n_s": self.n_s, "n_theta": self.n_theta,
-                "r_max": self.r_max}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +158,14 @@ def panel_nodes(panels: np.ndarray, order: int):
     return (a + width * xi).reshape(shape), (width * wi).reshape(shape)
 
 
+def _split_at(pts: np.ndarray, knots: Sequence[float], a: float, b: float) -> np.ndarray:
+    """Sorted breakpoints ``pts`` plus the knots strictly inside (a, b)."""
+    inner = np.asarray([k for k in knots if a < k < b], dtype=float)
+    return np.unique(np.concatenate([pts, inner]))
+
+
 def uniform_panels(a: float, b: float, n: int, splits: Sequence[float] = ()) -> np.ndarray:
-    pts = np.linspace(a, b, n + 1)
-    extra = [s for s in splits if a < s < b]
-    return np.unique(np.concatenate([pts, np.asarray(extra, dtype=float)]))
+    return _split_at(np.linspace(a, b, n + 1), splits, a, b)
 
 
 def graded_panels(a: float, b: float, depth: int, toward: str = "both") -> np.ndarray:
@@ -561,14 +558,6 @@ def _pair_prefactor(n: int) -> float:
     return sphere_surface(n) * sphere_surface(n - 1)
 
 
-def _s_branch_panels(e1: float, e2: float, depth: int, knots) -> np.ndarray:
-    pts = graded_panels(e1, e2, depth=depth, toward="both")
-    inner = [k for k in knots if e1 < k < e2]
-    if inner:
-        pts = np.unique(np.concatenate([pts, np.asarray(inner, dtype=float)]))
-    return pts
-
-
 def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
                             weight: RadialWeight, spec: RadialSpec, dim: int,
                             order_r: int, order_s: int, order_t: int) -> float:
@@ -626,7 +615,7 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
     for rn, rw in zip(r_nodes, r_w):
         a_val = gs(rn)
         for e1, e2 in _excess_intervals(g, a_val, delta, 0.0, s_max, probe_pts):
-            panels = _s_branch_panels(e1, e2, spec.n_s, knots)
+            panels = _split_at(graded_panels(e1, e2, spec.n_s), knots, e1, e2)
             sn, sw = panel_nodes(panels, order_s)
             t_vals = theta_reduced_kernel(rn, sn, dim, kernel_p, order=order_t,
                                           d_window=weight.d_window)
@@ -650,10 +639,12 @@ def _s_panels_around(rn: float, lo: float, hi: float, depth: int, knots,
                                  depth=depth, toward="left"))
     if near_hi < hi:
         bps.append(graded_panels(near_hi, hi, depth=max(depth, 24), toward="left"))
-    inner = [k for k in knots if lo < k < hi]
-    if inner:
-        bps.append(np.asarray(inner, dtype=float))
-    return np.unique(np.concatenate(bps))
+    pts = _split_at(np.concatenate(bps), knots, lo, hi)
+    if lo < rn < hi:
+        # a breakpoint within rounding of rn (the base grid's midpoint when
+        # near_hi = 2 rn) leaves a panel so narrow that its nodes land on rn
+        pts = pts[(np.abs(pts - rn) > 64.0 * np.spacing(rn)) | (pts == rn)]
+    return pts
 
 
 def _radial_tensor_value(profile: RadialProfile1D, kernel_p: float,
@@ -685,8 +676,7 @@ def _radial_tensor_value(profile: RadialProfile1D, kernel_p: float,
         t_vals = theta_reduced_kernel(rn, sn, dim, kernel_p, order=order_t,
                                       d_window=weight.d_window)
         w_vals = weight.pair_fn(np.full_like(sn, a_val), g(sn))
-        # a pair of weight exactly 0 contributes 0, also where an s-node
-        # falls on rn and the N = 3 kernel is +inf
+        # a pair of weight exactly 0 contributes 0, even where the kernel is +inf
         with np.errstate(invalid="ignore"):
             pair = np.where(w_vals == 0.0, 0.0, w_vals * t_vals)
         contrib = rw * rn ** (dim - 1) * sw * pair * sn ** (dim - 1)
@@ -708,15 +698,13 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
         raise PreconditionError("radial reduction needs dimension >= 2")
     if spec.r_max <= 0:
         raise PreconditionError("RadialSpec.r_max must be set for the radial engine")
+    half_spec = replace(spec, n_r=max(4, spec.n_r // 2), n_s=max(6, spec.n_s - 4))
 
     if weight.threshold is not None:
         if not math.isfinite(profile.lipschitz):
             raise PreconditionError("indicator path needs a finite Lipschitz bound")
-        run = lambda o_r, o_s, o_t, nr, ns: _radial_indicator_value(
-            profile, kernel_p, weight,
-            replace(spec, n_r=nr, n_s=ns), dim, o_r, o_s, o_t)
-        full = run(6, 6, 6, spec.n_r, spec.n_s)
-        half = run(4, 4, 4, max(4, spec.n_r // 2), max(6, spec.n_s - 4))
+        full = _radial_indicator_value(profile, kernel_p, weight, spec, dim, 6, 6, 6)
+        half = _radial_indicator_value(profile, kernel_p, weight, half_spec, dim, 4, 4, 4)
         # rigorous bound on the mass beyond s_max
         delta = weight.threshold
         r_half = min(profile.decay_radius(delta / 2.0), spec.r_max)
@@ -729,7 +717,6 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
                         2.0 * abs(full - half))
 
     full = _radial_tensor_value(profile, kernel_p, weight, spec, dim, 6, 6, 6)
-    half_spec = replace(spec, n_r=max(4, spec.n_r // 2), n_s=max(6, spec.n_s - 4))
     half = _radial_tensor_value(profile, kernel_p, weight, half_spec, dim, 4, 4, 4)
     if weight.symmetric_far:
         tail = weight.tail_hint
@@ -753,27 +740,6 @@ def radial_volume_value(fn_r: Callable[[np.ndarray], np.ndarray], dim: int,
     panels = uniform_panels(0.0, r_max, n_panels, splits=knots)
     nodes, w = panel_nodes(panels, order)
     return sphere_surface(dim) * float(np.sum(w * fn_r(nodes) * nodes ** (dim - 1)))
-
-
-def _proposal_components(field: ScalarField):
-    """Gaussian mixture adapted to the field's bumps, for MC proposals."""
-    from .fields import (FiniteSumField, GaussianField, IndicatorField,
-                         RadialProfileField, SmoothBumpField)
-
-    if isinstance(field, FiniteSumField):
-        comps = []
-        for t in field.terms:
-            comps.extend(_proposal_components(t))
-        return comps
-    if isinstance(field, GaussianField):
-        return [(field.center, 0.5 / math.sqrt(field.rate))]
-    if isinstance(field, (SmoothBumpField, IndicatorField)):
-        return [(field.center, field.radius / 1.5)]
-    if isinstance(field, RadialProfileField):
-        prof = field.radial_profile()
-        return [(field.center, prof.support_radius / 1.5)]
-    # fallback: unit Gaussian at the origin
-    return [(np.zeros(field.dim), 1.0)]
 
 
 def mc_volume_value(fn_pts: Callable[[np.ndarray], np.ndarray], dim: int,
@@ -810,7 +776,7 @@ _DEFAULT_VOLUME_SPEC = McSpec(master_seed=1812051820, n_samples=192000,
 
 
 def volume_integrate(integrand: Callable[[np.ndarray], np.ndarray],
-                     field: ScalarField, spec: Optional[McSpec] = None,
+                     field, spec: Optional[McSpec] = None,
                      tail_eps: float = 1e-9) -> Estimate:
     """Integral over R^N of ``integrand(points)``.
 
@@ -828,6 +794,8 @@ def volume_integrate(integrand: Callable[[np.ndarray], np.ndarray],
             r_max = prof.support_radius
         else:
             r_max = prof.decay_radius(tail_eps * max(prof.sup, 1.0))
+            if not math.isfinite(r_max):
+                raise DivergentIntegralError("field does not decay below the tail tolerance")
         center = field.center
         e1 = np.zeros(field.dim)
         e1[0] = 1.0
@@ -839,10 +807,10 @@ def volume_integrate(integrand: Callable[[np.ndarray], np.ndarray],
         val = radial_volume_value(fn_r, field.dim, max(r_max, 1e-12), knots=prof.knots)
         return Estimate(val, 0.0, 0, 0.0, "radial")
     sp = spec if spec is not None else _DEFAULT_VOLUME_SPEC
-    return mc_volume_value(integrand, field.dim, _proposal_components(field), sp)
+    return mc_volume_value(integrand, field.dim, field.proposal_components(), sp)
 
 
-def lebesgue_volume_integral(field: ScalarField, fn_of_u, power_hint: float = 2.0,
+def lebesgue_volume_integral(field, fn_of_u, power_hint: float = 2.0,
                              spec: Optional[McSpec] = None) -> Estimate:
     """Integral of fn(u(x)) dx, using the field's own evaluations."""
     eps = (1e-14) ** (1.0 / power_hint) * max(getattr(field, "sup_bound", 1.0), 1.0)
@@ -850,7 +818,7 @@ def lebesgue_volume_integral(field: ScalarField, fn_of_u, power_hint: float = 2.
                             spec=spec, tail_eps=min(eps, 1e-6))
 
 
-def dirichlet_quadrature(field: ScalarField, spec: Optional[McSpec] = None) -> Estimate:
+def dirichlet_quadrature(field, spec: Optional[McSpec] = None) -> Estimate:
     """Quadrature fallback for the Dirichlet energy."""
     prof = field.radial_profile()
     if prof is not None and prof.dg is not None:
@@ -859,8 +827,4 @@ def dirichlet_quadrature(field: ScalarField, spec: Optional[McSpec] = None) -> E
         val = radial_volume_value(lambda r: prof.dg(r) ** 2, field.dim,
                                   max(r_max, 1e-12), knots=prof.knots)
         return Estimate(val, 0.0, 0, 0.0, "radial")
-    if not field.decays:
-        raise DivergentIntegralError("cannot truncate a non-decaying field")
-    sp = spec if spec is not None else _DEFAULT_VOLUME_SPEC
-    fn = lambda pts: np.sum(field.gradient(pts) ** 2, axis=1)
-    return mc_volume_value(fn, field.dim, _proposal_components(field), sp)
+    return volume_integrate(lambda pts: np.sum(field.gradient(pts) ** 2, axis=1), field, spec)

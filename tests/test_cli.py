@@ -37,6 +37,14 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def read_strict_json(path):
+    """Parse as strict JSON: NaN and Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=reject)
+
+
 class TestConfigValidation:
     def test_unknown_top_key_rejected(self, tmp_path):
         cfg = base_config(bogus=1)
@@ -133,6 +141,8 @@ class TestEval:
         rows = read_rows(tmp_path / "out.csv")  # rows still written
         assert rows[0]["status"] == "diverged"
         assert float(rows[0]["value"]) > 0.0
+        row = read_strict_json(tmp_path / "out.json")["rows"][0]
+        assert row["status"] == "diverged" and row["value"] is None
 
 
 class TestCheck:
@@ -142,6 +152,18 @@ class TestCheck:
                        "--out-dir", str(tmp_path)])
         assert rc == 0
         assert read_rows(tmp_path / "out.csv") == []
+
+    def test_divergent_report_is_strict_json(self, tmp_path):
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                                  {"shape": "indicator", "dim": 3, "radius": 1.0}],
+                          checks=["logsobolev_main"], kernel={"deltas": [0.5]})
+        rc = cli.main(["check", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        reports = read_strict_json(tmp_path / "out.json")["reports"]
+        diverged = [r for r in reports if r["degenerate"]]
+        assert len(diverged) == 1
+        assert diverged[0]["rhs"] is None and diverged[0]["deficit"] is None
 
     def test_diamagnetic_suite_passes(self, tmp_path):
         cfg = base_config(

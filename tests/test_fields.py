@@ -275,3 +275,164 @@ class TestSerialization:
         from nlsob.fields import descriptor_hash
         assert descriptor_hash(gauss3) == descriptor_hash(nl.GaussianField(3, 1.0))
         assert descriptor_hash(gauss3) != descriptor_hash(nl.GaussianField(3, 2.0))
+
+
+class TestPinnedLiterals:
+    """Descriptor hashes and value bits recorded before the fields were
+    reorganised around one radial-shape base: benchmark op ids and the
+    CSV ``field_hash`` column hash ``to_dict()``, and every formula was
+    moved verbatim, so none of these may change."""
+
+    C = (0.1, 0.2, -0.3)
+    SHAPES = {
+        "gaussian": nl.GaussianField(3, 1.3, 0.7, (0.2, -0.1, 0.3)),
+        "bump": nl.SmoothBumpField(3, 1.7, -0.8, (0.5, 0.0, -0.25)),
+        "indicator": nl.IndicatorField(3, 1.1, 0.9, (0.0, 0.4, 0.0)),
+        "radial_profile": nl.RadialProfileField(3, [0.0, 0.6, 1.2, 2.0],
+                                                [1.0, 0.7, 0.25, 0.0], C),
+        "sum": nl.FiniteSumField([nl.GaussianField(3, 2.0, 0.5, C),
+                                  nl.SmoothBumpField(3, 1.5, 0.8, C)]),
+        "constant": nl.ConstantField(3, 0.25),
+        "exponential": nl.ExponentialField(3, (0.3, -0.2, 0.1), 1.5),
+    }
+    OFFSETS = np.array([[0.2, -0.1, 0.15], [-0.3, 0.5, 0.2], [0.6, 0.45, -0.5],
+                        [-0.9, -0.7, 0.55], [1.4, 1.1, -0.8]])
+    HASHES = {
+        "gaussian": "7df3a767c6dc",
+        "bump": "11870d482e44",
+        "indicator": "eb3079f4d913",
+        "radial_profile": "f395c39fa015",
+        "sum": "a9d97bc8487f",
+        "constant": "d674e49ed5ad",
+        "exponential": "6fa77ee0c253",
+        "mc": "506eb107eb2e",
+        "radial": "e10f2b800312",
+        "kernel": "95a823c6d348",
+    }
+    BITS = {
+        "gaussian": {
+            "evaluate": [
+                "0x1.4629ee326692fp-1", "0x1.b560a96e76450p-2", "0x1.f28b8b332256ap-3",
+                "0x1.6509a31099216p-4", "0x1.43faba33d690bp-8",
+            ],
+            "gradient": [
+                "-0x1.5335d901377a2p-2", "0x1.5335d901377a2p-3", "-0x1.fcd0c581d3370p-3",
+                "0x1.55278e658535dp-2", "-0x1.1c4ba15499acep-1", "-0x1.c6df68875c47dp-3",
+                "-0x1.84dd7bef908b5p-2", "-0x1.23a61cf3ac686p-2", "0x1.440de747a31ebp-2",
+                "0x1.a1bbea4e4cc33p-3", "0x1.44e77d5958261p-3", "-0x1.fe90574341607p-4",
+                "-0x1.26d23dec9cdabp-6", "-0x1.cf4a614f3fa0ep-7", "0x1.50f046c5458c4p-7",
+            ],
+            "g": [
+                "0x1.4629ee326692ep-1", "0x1.b560a96e76450p-2", "0x1.f28b8b332256bp-3",
+                "0x1.6509a31099213p-4", "0x1.43faba33d6910p-8",
+            ],
+            "dg": [
+                "-0x1.c8ad07c229890p-2", "-0x1.5e80c11a0b1bcp-1", "-0x1.24193e5ef874bp-1",
+                "-0x1.25c866679dabfp-2", "-0x1.9b0c759200c7dp-6",
+            ],
+            "lipschitz": "0x1.5e8402bb92030p-1",
+        },
+        "bump": {
+            "evaluate": [
+                "-0x1.8f31d1f2413bap-1", "-0x1.600e02e641fb9p-1", "-0x1.1504db9479934p-1",
+                "-0x1.d7ec374b65c48p-3", "0x0.0p+0",
+            ],
+            "gradient": [
+                "0x1.d10e2b15c1fc5p-4", "-0x1.d10e2b15c1fc7p-5", "0x1.5ccaa050517d5p-4",
+                "-0x1.8396df2d8d89cp-3", "0x1.42fdb9fb4b482p-2", "0x1.026494c909068p-3",
+                "0x1.bd2e507c99014p-2", "0x1.4de2bc5d72c0ep-2", "-0x1.72fbedbd2a2bap-2",
+                "-0x1.723e303772308p-1", "-0x1.1ff77ad5ca978p-1", "0x1.c484e59919c99p-2",
+                "0x0.0p+0", "0x0.0p+0", "-0x0.0p+0",
+            ],
+            "g": [
+                "-0x1.8f31d1f2413b8p-1", "-0x1.600e02e641fb9p-1", "-0x1.1504db9479934p-1",
+                "-0x1.d7ec374b65c48p-3", "0x0.0p+0",
+            ],
+            "dg": [
+                "0x1.390cca271fafap-3", "0x1.8e35cf5f1b928p-2", "0x1.4e668a258930ap-1",
+                "0x1.046225fa453a9p+0", "0x0.0p+0",
+            ],
+            "lipschitz": "0x1.0ab187c007ba7p+0",
+        },
+        "indicator": {
+            "evaluate": [
+                "0x1.ccccccccccccdp-1", "0x1.ccccccccccccdp-1", "0x1.ccccccccccccdp-1",
+                "0x0.0p+0", "0x0.0p+0",
+            ],
+            "gradient": None,
+            "g": [
+                "0x1.ccccccccccccdp-1", "0x1.ccccccccccccdp-1", "0x1.ccccccccccccdp-1",
+                "0x0.0p+0", "0x0.0p+0",
+            ],
+            "dg": None,
+            "lipschitz": "inf",
+        },
+        "radial_profile": {
+            "evaluate": [
+                "0x1.d9a5c8951de54p-1", "0x1.5fcc8907fc242p-1", "0x1.d8d69a8641d51p-2",
+                "0x1.afab7f218e924p-3", "0x1.e03c981a28078p-11",
+            ],
+            "gradient": [
+                "-0x1.85e01a5924decp-2", "0x1.85e01a5924debp-3", "-0x1.246813c2dba70p-2",
+                "0x1.8797fdde826f5p-2", "-0x1.4653fe396cb21p-1", "-0x1.050ffe9456f4fp-2",
+                "-0x1.07c5b61e46129p-1", "-0x1.8ba8912d691bep-2", "0x1.b79eda3274c9ap-2",
+                "0x1.9f1d0ff189342p-2", "0x1.42ddb71131d33p-2", "-0x1.fb5c68d1e0951p-3",
+                "-0x1.bf9110fa92637p-6", "-0x1.5fa8d67bbc29ap-6", "0x1.ff8137f9cbdf7p-7",
+            ],
+            "g": [
+                "0x1.d9a5c8951de54p-1", "0x1.5fcc8907fc242p-1", "0x1.d8d69a8641d51p-2",
+                "0x1.afab7f218e924p-3", "0x1.e03c981a28078p-11",
+            ],
+            "dg": [
+                "-0x1.067162aa9c01ep-1", "-0x1.92530546b260bp-1", "-0x1.8c44c195daf57p-1",
+                "-0x1.23f09abc9f3c4p-1", "-0x1.3801659ac94aep-5",
+            ],
+            "lipschitz": "0x1.97fffffffffffp-1",
+        },
+        "sum": {
+            "evaluate": [
+                "0x1.34d0f88043c22p+0", "0x1.c6001d7e4852ap-1", "0x1.1b28bae397b76p-1",
+                "0x1.66e064d402ac6p-4", "0x1.012f68f9c0f66p-12",
+            ],
+            "gradient": [
+                "-0x1.f8b74f08d0ceep-2", "0x1.f8b74f08d0cecp-3", "-0x1.7a897b469c9b1p-2",
+                "0x1.10b7985192db8p-1", "-0x1.c68753329f6dcp-1", "-0x1.6b9f75c21924cp-2",
+                "-0x1.a918db0388f52p-1", "-0x1.3ed2a442a6b7ep-1", "0x1.623f612d9ccc4p-1",
+                "0x1.726bb2e20d138p-1", "0x1.201ae076edb9cp-1", "-0x1.c4bc854d2c6d2p-2",
+                "-0x1.680f2c90daf28p-10", "-0x1.1ae759df87757p-10", "0x1.9b7f0e5c67f0ap-11",
+            ],
+            "g": [
+                "0x1.34d0f88043c22p+0", "0x1.c6001d7e4852ap-1", "0x1.1b28bae397b76p-1",
+                "0x1.66e064d402ac5p-4", "0x1.012f68f9c0f6ap-12",
+            ],
+            "dg": [
+                "-0x1.53bf54db728dep-1", "-0x1.1830b48a4ad10p+0", "-0x1.3f507fd2040cdp+0",
+                "-0x1.048227a00efc2p+0", "-0x1.f60166c888528p-10",
+            ],
+            "lipschitz": "0x1.c98642ce301d3p+0",
+        },
+    }
+
+    def test_descriptor_hashes(self):
+        from nlsob.fields import descriptor_hash
+        from nlsob.functionals import KernelSpec, MonotoneEnvelope
+        from nlsob.quadrature import McSpec, RadialSpec
+        objs = dict(self.SHAPES, mc=McSpec(master_seed=7), radial=RadialSpec(),
+                    kernel=KernelSpec(0.25, 1.5, MonotoneEnvelope.power_law(3.0)))
+        assert {k: descriptor_hash(v) for k, v in objs.items()} == self.HASHES
+
+    @pytest.mark.parametrize("name", ["gaussian", "bump", "indicator", "radial_profile", "sum"])
+    def test_value_bits(self, name):
+        f = self.SHAPES[name]
+        pts = f.center + self.OFFSETS
+        prof = f.radial_profile()
+        r = np.linalg.norm(self.OFFSETS, axis=1)
+        hexes = lambda a: [float(v).hex() for v in np.ravel(a)]
+        got = {
+            "evaluate": hexes(f.evaluate(pts)),
+            "gradient": hexes(f.gradient(pts)) if f.differentiable else None,
+            "g": hexes(prof.g(r)),
+            "dg": hexes(prof.dg(r)) if prof.dg is not None else None,
+            "lipschitz": float(f.lipschitz_bound).hex(),
+        }
+        assert got == self.BITS[name]

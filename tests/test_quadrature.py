@@ -194,27 +194,44 @@ class TestRadialEngine:
                                        replace(spec, n_r=96, n_s=36), 3)
         assert abs(double.value - est.value) < est.discrepancy
 
-    def test_zero_weight_on_diagonal_pair(self, monkeypatch):
-        # the graded s-panels around an r-node end in a one-ulp panel whose
-        # Gauss nodes round onto r itself, where the N = 3 kernel is +inf;
-        # the weight F(0) = 0 there must contribute 0, not nan
+    @staticmethod
+    def watch_kernel(monkeypatch):
+        """Per theta-kernel call: (pairs with s == r, infinite values)."""
         import nlsob.quadrature as quad
         kernel = quad.theta_reduced_kernel
-        diagonal = []
+        calls = []
 
         def watched(r, s, *args, **kwargs):
             out = kernel(r, s, *args, **kwargs)
-            diagonal.append(int(np.sum(np.isinf(out))))
+            rr, ss = np.broadcast_arrays(r, s)
+            calls.append((int(np.sum(rr == ss)), int(np.sum(np.isinf(out)))))
             return out
 
         monkeypatch.setattr(quad, "theta_reduced_kernel", watched)
+        return calls
+
+    def test_zero_weight_on_diagonal_pair(self, monkeypatch):
+        # with the base grid's midpoint at r, the s-panels around an r-node
+        # used to end in a one-ulp panel whose Gauss nodes rounded onto r,
+        # where the N = 3 kernel is +inf; no s-node may land there now
+        calls = self.watch_kernel(monkeypatch)
         prof = nl.GaussianField(3, 1.0).radial_profile()
         w = RadialWeight(pair_fn=lambda a, b: np.abs(a - b) ** 3,
                          symmetric_far=True, r_range=5.0, s_range=40.0)
         est = radial_pair_integrate(prof, 2.0, w, RadialSpec(n_r=8, n_s=30, r_max=40.0), 3)
-        assert sum(diagonal) > 0
+        assert calls and sum(c[1] for c in calls) == 0
         assert math.isfinite(est.value) and est.value > 0.0
         assert math.isfinite(est.discrepancy)
+
+    def test_no_s_node_on_its_r_node(self, monkeypatch):
+        # 113 of 214078 kernel pairs had s == r here before the s-panels
+        # dropped breakpoints within 64 ulp of r; the value then was
+        # 18.66634624751141, and it may move only within the discrepancy
+        calls = self.watch_kernel(monkeypatch)
+        est = nl.f_functional(nl.GaussianField(3, 1.0), nl.MonotoneEnvelope.power_law(3.0),
+                              2.0, nl.default_engine(1))
+        assert len(calls) > 0 and sum(c[0] for c in calls) == 0
+        assert abs(est.value - 18.66634624751141) <= est.discrepancy
 
     def test_dim_one_unsupported(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
