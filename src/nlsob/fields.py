@@ -88,6 +88,9 @@ class RadialProfile1D:
     ``lipschitz`` bounds |g'| on [0, inf); ``decay_radius(eps)`` is relative
     to the field's own center.  ``knots`` lists radii where g is less smooth
     (support edges, spline breakpoints) so quadrature panels can align there.
+    ``flat_radius(eps)`` is the radius beyond which g stays within eps of
+    its limit at infinity, so that g' vanishes there; left out, g tends
+    to 0 and it is ``decay_radius``.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -98,6 +101,11 @@ class RadialProfile1D:
     decay_radius: Callable[[float], float]
     monotone_decreasing: bool
     support_radius: float = math.inf
+    flat_radius: Optional[Callable[[float], float]] = None
+
+    def __post_init__(self):
+        if self.flat_radius is None:
+            object.__setattr__(self, "flat_radius", self.decay_radius)
 
 
 class ScalarField:
@@ -136,8 +144,10 @@ class ScalarField:
 
     @property
     def decays(self) -> bool:
+        """Whether u tends to 0 at infinity: probed at the smallest normal
+        eps, so that a small nonzero constant does not pass."""
         try:
-            self.decay_radius(1e-3)
+            self.decay_radius(float(np.finfo(float).tiny))
             return True
         except UnsupportedOperationError:
             return False
@@ -641,6 +651,7 @@ class FiniteSumField(ScalarField):
             decay_radius=lambda eps: max(p.decay_radius(eps / k) for p in profs),
             monotone_decreasing=all(p.monotone_decreasing for p in profs),
             support_radius=max(p.support_radius for p in profs),
+            flat_radius=lambda eps: max(p.flat_radius(eps / k) for p in profs),
         )
 
     def gaussian_terms(self) -> Optional[list]:
@@ -709,6 +720,7 @@ class ConstantField(ScalarField):
             lipschitz=0.0, sup=abs(v), knots=np.array([]),
             decay_radius=lambda eps: 0.0 if abs(v) <= eps else math.inf,
             monotone_decreasing=False,
+            flat_radius=lambda eps: 0.0,
         )
 
     def l2_norm_sq_closed_form(self) -> float:

@@ -17,9 +17,10 @@ Two pair engines share one Estimate type:
   The pair integral reduces to (r, s, theta) with surface factor
   ``|S^{N-1}| |S^{N-2}| r^{N-1} s^{N-1} sin(theta)^{N-2}``; the theta
   integral is evaluated via the substitution t = |x-y|^2, which turns it
-  into a 1D integral on [(r-s)^2, (r+s)^2].  At N = 3 that integral has a
-  closed form; other N use graded panels, so the near-diagonal kernel
-  blowup costs no accuracy.  On monotone profiles the indicator path
+  into a 1D integral on [(r-s)^2, (r+s)^2].  At N = 3, and wherever
+  (N+p)/2 is an integer of at least N-1, that integral has a closed form;
+  other N use a rule graded in log t, which resolves each pair's
+  near-diagonal layer.  On monotone profiles the indicator path
   solves for every r-node's admissible s-range at once and integrates
   all (r, s) nodes in one array pass.
 
@@ -352,22 +353,45 @@ def mc_pair_integrate(ctx: PairContext, spec: McSpec) -> Estimate:
 
 @lru_cache(maxsize=32)
 def _xi_rule(order: int):
-    """Nodes/weights on [0, 1], geometrically graded toward both endpoints.
+    """Nodes, their distances to 1 and weights on [0, 1] for the graded
+    theta rule in xi = log(t/lo) / log(hi/lo).
 
-    The reduced theta integral in t = |x-y|^2 concentrates at its lower
-    endpoint when r is close to s, and for even N the integrand carries
-    half-power factors vanishing at both endpoints; two-sided grading
-    down to 1e-16 resolves any layer the outer quadrature can produce.
+    In xi the t^{-(n+p)/2} layer at the lower endpoint, at whatever
+    depth the pair puts it, becomes an exponential decay at a rate near
+    (1+p)/2 log(hi/lo), which sixteen uniform panels resolve; for even N
+    the integrand also carries half-power factors at both endpoints,
+    which grading down to 1e-16 resolves.  The upper half mirrors the
+    lower one, so no node's distance to 1 rounds to 0.
     """
     ratio = math.sqrt(10.0)
-    lo = [0.0]
+    half = [0.0]
     v = 1e-16
     while v < 0.5:
-        lo.append(v)
+        half.append(v)
         v *= ratio
-    hi = [1.0 - b for b in lo if 1.0 - b > 0.5]
-    bps = np.unique(np.asarray(lo + hi + [0.5, 1.0]))
-    return panel_nodes(bps, order)
+    x, w = panel_nodes(np.unique(np.concatenate([half, np.linspace(0.0, 0.5, 9)])), order)
+    return (np.concatenate([x, 1.0 - x[::-1]]), np.concatenate([1.0 - x, x[::-1]]),
+            np.concatenate([w, w[::-1]]))
+
+
+def _terminating_kernel(r: np.ndarray, s: np.ndarray, n: int, nu: int) -> np.ndarray:
+    """beta_N (A/D)^{nu-n+1} D^{-nu} P(z) of ``theta_reduced_kernel``; 0 where r s = 0."""
+    a = 0.5 * (n - nu)
+    b = a - 0.5
+    degree = int(-a) if a == int(a) else int(-b)  # where P = 2F1(a, b; n/2; z) stops
+    sq = r * r + s * s
+    dd = np.abs((r - s) * (r + s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = sphere_surface(n) / sphere_surface(n - 1) * dd ** -float(nu)
+        if nu > n - 1:
+            out *= (sq / dd) ** (nu - n + 1)
+        if degree:
+            z = (2.0 * r * s / sq) ** 2
+            poly = 1.0
+            for k in reversed(range(degree)):
+                poly = 1.0 + (a + k) * (b + k) / ((0.5 * n + k) * (k + 1)) * z * poly
+            out *= poly
+    return np.where(r * s > 0.0, out, 0.0)
 
 
 _KERNEL_BLOCK = 1 << 16  # elements per graded-rule temporary in theta_reduced_kernel
@@ -377,19 +401,33 @@ def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6,
                          d_window: Optional[tuple] = None) -> np.ndarray:
     """Integral over theta in [0, pi] of sin(theta)^{n-2} / d^{n+p},
     with d^2 = r^2 + s^2 - 2 r s cos(theta), optionally restricted to
-    d in [d_window[0], d_window[1]].
+    d in [d_window[0], d_window[1]].  It is +inf on the diagonal r = s
+    unless the window excludes d = 0.
 
-    Uses t = d^2:  T = (2 r s)^{-(n-2)} * int ((t-a)(b-t))^{(n-3)/2} t^{-(n+p)/2} dt
-    over [a, b] = [(r-s)^2, (r+s)^2], clipped to the window as [lo, hi].
-    At n = 3 the integrand is the pure power t^{-(3+p)/2}, evaluated in
-    closed form as (2 r s)^{-1} lo^{-k} (1 - (hi/lo)^{-k}) / k with
-    k = (1+p)/2, written with log1p/expm1 so that it keeps full relative
-    accuracy both near the diagonal and for r s << (r-s)^2; it is +inf
-    on the diagonal r = s (unless the window excludes d = 0).  Other n
-    use the graded ``order``-point rule, applied to blocks of pairs.
+    Uses t = d^2:  T = (2 r s)^{-(n-2)} * int ((t-a)(b-t))^{(n-3)/2} t^{-nu} dt
+    over [a, b] = [(r-s)^2, (r+s)^2], clipped to the window as [lo, hi],
+    with nu = (n+p)/2.  Three evaluations, none of which cancels:
+
+    * n = 3: the integrand is the pure power t^{-nu}, in closed form
+      (2 r s)^{-1} lo^{-k} (1 - (hi/lo)^{-k}) / k with k = (1+p)/2,
+      written with log1p/expm1 for any window.
+    * no window, integer nu >= n-1: T = beta_N A^{-nu} 2F1(nu/2, (nu+1)/2;
+      n/2; z) with A = r^2+s^2, z = (2rs/A)^2 and beta_N = B(1/2, (n-1)/2).
+      Euler's transformation (DLMF 15.8.1) turns it into
+      beta_N (A/D)^{nu-n+1} D^{-nu} P(z), D = |(r-s)(r+s)|, where P is a
+      terminating 2F1 with positive coefficients (P = 1 at n = 4, p = 2,
+      so T = pi / (2 D^3)).
+    * otherwise the graded ``order``-point rule in xi = log(t/lo) /
+      log(hi/lo), applied to blocks of pairs.  Against the exact values,
+      for r s / (r-s)^2 from 1e-10 up to |r-s|/r = 1e-15, it is good to
+      3e-8 relative at order 6 and 1e-10 at order 8 for n >= 4 (2e-7 and
+      1e-8 at n = 2, whose endpoint factors are inverse square roots).
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
+    nu = 0.5 * (n + p)
+    if n != 3 and d_window is None and nu == int(nu) and nu >= n - 1:
+        return _terminating_kernel(r, s, n, int(nu))
     r, s = np.broadcast_arrays(r, s)
     shape = r.shape
     rf = r.ravel()
@@ -412,19 +450,30 @@ def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6,
             out[ok] = (lo_k ** -k * -np.expm1(-k * np.log1p(w_k / lo_k))
                        / (2.0 * k * rs_k))
     else:
-        xi, w = _xi_rule(order)
+        xi, xc, w = _xi_rule(order)
         e = (n - 3) / 2.0
-        rows = np.flatnonzero(ok)
+        out[ok & (lo == 0.0)] = math.inf
+        rows = np.flatnonzero(ok & (lo > 0.0))
+        ell = np.log1p(width / np.where(lo > 0.0, lo, 1.0))  # log(hi / lo)
         # blocks of rows keep each (rows x nodes) temporary near 0.5 MB
         step = max(1, _KERNEL_BLOCK // xi.size)
         for i in range(0, rows.size, step):
             j = rows[i:i + step]
-            t = lo[j, None] + (hi[j] - lo[j])[:, None] * xi[None, :]
-            ta = np.maximum(t - a[j, None], 0.0)
-            bt = np.maximum(b[j, None] - t, 0.0)
-            integ = (ta * bt) ** e * t ** (-(n + p) / 2.0)
-            vals = (integ @ w) * (hi[j] - lo[j])
-            out[j] = vals * (2.0 * rs[j]) ** (-(n - 2.0))
+            # in place: each fresh temporary of this size costs page faults
+            x = ell[j, None] * xi
+            integ = np.expm1(x)
+            integ *= lo[j, None]
+            integ += (lo[j] - a[j])[:, None]  # t - a
+            bt = np.multiply(-ell[j, None], xc)
+            np.expm1(bt, out=bt)
+            bt *= -hi[j, None]
+            bt += (b[j] - hi[j])[:, None]  # b - t
+            integ *= bt
+            integ **= e
+            # t^{-nu} dt = lo^{1-nu} exp((1-nu) x) log(hi/lo) dxi
+            x *= 1.0 - nu
+            integ *= np.exp(x, out=x)
+            out[j] = (integ @ w) * ell[j] * lo[j] ** (1.0 - nu) * (2.0 * rs[j]) ** (2.0 - n)
     return out.reshape(shape)
 
 
@@ -667,11 +716,13 @@ def _radial_tensor_value(profile: RadialProfile1D, kernel_p: float,
         s_hi = r_hi
     r_panels = uniform_panels(0.0, r_hi, spec.n_r, splits=knots)
     r_nodes, r_w = panel_nodes(r_panels, order_r)
+    # the doubling of s > r_hi is a jump of the s-integrand: a panel edge
+    s_knots = np.append(knots, r_hi) if weight.symmetric_far else knots
     total = 0.0
     extra = 0.0
     for rn, rw in zip(r_nodes, r_w):
         a_val = float(g(np.array([rn]))[0])
-        panels = _s_panels_around(rn, 0.0, s_hi, spec.n_s, knots)
+        panels = _s_panels_around(rn, 0.0, s_hi, spec.n_s, s_knots)
         sn, sw = panel_nodes(panels, order_s)
         t_vals = theta_reduced_kernel(rn, sn, dim, kernel_p, order=order_t,
                                       d_window=weight.d_window)
@@ -822,8 +873,9 @@ def dirichlet_quadrature(field, spec: Optional[McSpec] = None) -> Estimate:
     """Quadrature fallback for the Dirichlet energy."""
     prof = field.radial_profile()
     if prof is not None and prof.dg is not None:
+        # g' vanishes where g has settled, which need not be where g decays
         r_max = (prof.support_radius if prof.support_radius < math.inf
-                 else prof.decay_radius(1e-8 * max(prof.sup, 1.0)))
+                 else prof.flat_radius(1e-8 * max(prof.sup, 1.0)))
         val = radial_volume_value(lambda r: prof.dg(r) ** 2, field.dim,
                                   max(r_max, 1e-12), knots=prof.knots)
         return Estimate(val, 0.0, 0, 0.0, "radial")

@@ -196,6 +196,23 @@ class TestNorms:
         ref = 4.0 * math.pi * np.trapezoid(dg ** 2 * r ** 2, r)
         assert rel_err(closed_style, ref) < 1e-5
 
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_dirichlet_gaussian_plus_constant(self, method):
+        # g never decays but g' does; the radial grid used to run to r = inf (nan)
+        f = nl.FiniteSumField([nl.GaussianField(3, 1.0), nl.ConstantField(3, 1.0)])
+        assert rel_err(nl.dirichlet_energy(f, method=method),
+                       3.0 * (math.pi / 2.0) ** 1.5) < 1e-12
+
+    def test_small_constant_does_not_decay(self):
+        # one probe at eps = 1e-3 used to call a constant of size 1e-4 decaying
+        c = nl.ConstantField(3, 1e-4)
+        assert not c.decays
+        assert not nl.FiniteSumField([nl.GaussianField(3, 1.0), c]).decays
+        assert nl.ConstantField(3, 0.0).decays
+        assert nl.dirichlet_energy(c, method="quadrature") == 0.0
+        with pytest.raises(DivergentIntegralError):
+            nl.l2_norm_sq(c, method="quadrature")
+
 
 class TestTransforms:
     def test_identity(self, gauss3):

@@ -5,6 +5,7 @@ import math
 import os
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -74,16 +75,74 @@ class TestThetaKernel:
             0.0, math.pi, points=pts, limit=500, epsabs=0.0, epsrel=1e-13)
         return val
 
-    # N != 3 keeps the graded rule; the N = 5 points near and far from the
+    # N != 3 with a non-terminating series ((N+p)/2 not an integer, or below
+    # N - 1) keeps the graded rule; the points near and far from the
     # diagonal check its order convergence
-    @pytest.mark.parametrize("r,s,n,p", [(0.8, 2.2, 4, 2.0), (1.1, 1.3, 4, 3.0),
+    @pytest.mark.parametrize("r,s,n,p", [(0.8, 2.2, 4, 3.0), (1.1, 1.3, 4, 3.0),
                                          (0.5, 3.0, 5, 2.0), (1.0, 1.7, 5, 2.0),
-                                         (1.0, 1.0001, 5, 2.0), (0.3, 4.0, 5, 3.0),
+                                         (1.0, 1.0001, 5, 2.0), (0.3, 4.0, 6, 2.0),
                                          (2.0, 2.1, 5, 2.0)])
     def test_matches_direct_quadrature(self, r, s, n, p):
         ref = self.theta_direct(r, s, n, p)
         assert rel_err(float(theta_reduced_kernel(r, s, n, p, order=6)), ref) < 1e-6
         assert rel_err(float(theta_reduced_kernel(r, s, n, p, order=8)), ref) < 1e-8
+
+    @staticmethod
+    def theta_hyp2f1(r, s, n, p):
+        """beta_N A^{-nu} 2F1(nu/2, (nu+1)/2; N/2; (B/A)^2) at 50 digits,
+        with A = r^2 + s^2, B = 2 r s and nu = (N+p)/2."""
+        with mpmath.workdps(50):
+            r, s = mpmath.mpf(r), mpmath.mpf(s)
+            big, nu = r * r + s * s, mpmath.mpf(n + p) / 2
+            val = (mpmath.beta(0.5, mpmath.mpf(n - 1) / 2) * big ** -nu
+                   * mpmath.hyp2f1(nu / 2, (nu + 1) / 2, mpmath.mpf(n) / 2,
+                                   (2 * r * s / big) ** 2))
+            return float(val)
+
+    @staticmethod
+    def q_grid():
+        """(r, s) with r s / (r - s)^2 in [1e-10, 1e10], on both sides of r."""
+        pairs = []
+        for q in np.logspace(-10.0, 10.0, 11):
+            lo = 2 * q / ((2 * q + 1) + math.sqrt(4 * q + 1))  # the root s/r < 1
+            for r in (0.37, 1.0, 5.3):
+                pairs += [(r, r * lo), (r, r / lo)]
+        return pairs
+
+    # (N, p) with integer nu = (N+p)/2 >= N - 1: the terminating series
+    TERMINATING = [(2, 2.0), (2, 6.0), (4, 2.0), (4, 4.0), (4, 6.0), (5, 3.0), (6, 4.0)]
+
+    @pytest.mark.parametrize("n,p", TERMINATING)
+    def test_terminating_series_against_hyp2f1(self, n, p):
+        for r, s in self.q_grid():
+            got = float(theta_reduced_kernel(r, s, n, p))
+            assert rel_err(got, self.theta_hyp2f1(r, s, n, p)) <= 1e-13, (r, s)
+
+    @pytest.mark.parametrize("n,p", TERMINATING)
+    def test_terminating_series_symmetric_and_infinite_on_diagonal(self, n, p):
+        r = np.array([0.3, 1.0, 2.5, 7.0])
+        s = np.array([[0.9], [1.0 + 1e-9], [40.0]])
+        assert np.array_equal(theta_reduced_kernel(r, s, n, p),
+                              theta_reduced_kernel(s, r, n, p))
+        assert theta_reduced_kernel(1.3, 1.3, n, p) == math.inf
+
+    @pytest.mark.parametrize("n,p", TERMINATING)
+    @pytest.mark.parametrize("r,s", [(0.8, 2.2), (1.1, 1.3), (1.0, 1.7), (0.5, 3.0)])
+    def test_terminating_series_matches_graded_rule(self, r, s, n, p):
+        # a window that clips nothing sends the call through the graded rule
+        graded = float(theta_reduced_kernel(r, s, n, p, order=8, d_window=(0.0, math.inf)))
+        assert rel_err(float(theta_reduced_kernel(r, s, n, p)), graded) < 1e-8
+
+    # the graded rule used to resolve the t^{-nu} layer only down to 1e-16
+    # of [lo, hi] and lost every digit for |r - s| / r below about 1e-8
+    @pytest.mark.parametrize("n,p", [(4, 3.0), (5, 2.0), (4, 1.5), (6, 3.0)])
+    @pytest.mark.parametrize("gap", [1e-8, 1e-10])
+    def test_graded_rule_next_to_diagonal(self, n, p, gap):
+        for r in (0.37, 1.0, 5.3):
+            ref = self.theta_hyp2f1(r, r * (1.0 + gap), n, p)
+            for order, tol in ((6, 1e-6), (8, 1e-8)):
+                got = float(theta_reduced_kernel(r, r * (1.0 + gap), n, p, order=order))
+                assert rel_err(got, ref) < tol, (r, order)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_graded_rule_blocked_array_matches_pointwise(self, n):
@@ -225,13 +284,26 @@ class TestRadialEngine:
 
     def test_no_s_node_on_its_r_node(self, monkeypatch):
         # 113 of 214078 kernel pairs had s == r here before the s-panels
-        # dropped breakpoints within 64 ulp of r; the value then was
-        # 18.66634624751141, and it may move only within the discrepancy
+        # dropped breakpoints within 64 ulp of r.  The reference is the
+        # same functional on the 192/40 and 288/60 grids, which agree to
+        # 2e-14; the default-grid value must lie within its own discrepancy
         calls = self.watch_kernel(monkeypatch)
         est = nl.f_functional(nl.GaussianField(3, 1.0), nl.MonotoneEnvelope.power_law(3.0),
                               2.0, nl.default_engine(1))
         assert len(calls) > 0 and sum(c[0] for c in calls) == 0
-        assert abs(est.value - 18.66634624751141) <= est.discrepancy
+        assert abs(est.value - 18.6672173995969) <= est.discrepancy
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_symmetric_far_coarse_value_within_its_discrepancy(self, dim):
+        # the s > r_range doubling is a jump of the s-integrand; before the
+        # s-panels broke there, the N = 4 value at 12/16 was off the 48/30
+        # one by 5.6e-3 against a discrepancy of 2.4e-3
+        env = nl.MonotoneEnvelope.power_law(3.0)
+        field = nl.GaussianField(dim, 1.0)
+        coarse = nl.f_functional(field, env, 2.0, replace(
+            nl.default_engine(1), radial=RadialSpec(n_r=12, n_s=16)))
+        fine = nl.f_functional(field, env, 2.0, nl.default_engine(1))
+        assert abs(coarse.value - fine.value) <= coarse.discrepancy
 
     def test_dim_one_unsupported(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
