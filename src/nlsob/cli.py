@@ -70,20 +70,22 @@ _FUNCTIONALS = ("l2_norm_sq", "dirichlet_energy", "entropy_l2", "log_moment_lp",
 # config schema
 # ---------------------------------------------------------------------------
 
+# shape -> (keys field_from_dict cannot do without, optional keys)
 _SHAPE_KEYS = {
-    "gaussian": {"shape", "dim", "rate", "amplitude", "center"},
-    "bump": {"shape", "dim", "radius", "amplitude", "center"},
-    "indicator": {"shape", "dim", "radius", "amplitude", "center"},
-    "radial_profile": {"shape", "dim", "knots", "values", "center"},
-    "sum": {"shape", "dim", "terms"},
-    "constant": {"shape", "dim", "value"},
-    "exponential": {"shape", "dim", "rate_vector", "amplitude"},
+    "gaussian": ({"dim", "rate"}, {"amplitude", "center"}),
+    "bump": ({"dim", "radius"}, {"amplitude", "center"}),
+    "indicator": ({"dim", "radius"}, {"amplitude", "center"}),
+    "radial_profile": ({"dim", "knots", "values"}, {"center"}),
+    "sum": ({"terms"}, {"dim"}),
+    "constant": ({"dim"}, {"value"}),
+    "exponential": ({"dim", "rate_vector"}, {"amplitude"}),
 }
 
 _TOP_KEYS = {"dim", "seed", "fields", "kernel", "engine", "functionals", "checks",
              "lambda", "omega", "a_values", "potential", "phase", "output"}
 _KERNEL_KEYS = {"delta", "deltas", "p", "envelope"}
 _ENVELOPE_KEYS = {"kind", "q", "delta", "p"}
+_ENVELOPE_REQUIRED = {"power": {"q"}, "threshold": {"delta"}}
 _ENGINE_KEYS = {"mode", "mc", "radial"}
 _MC_KEYS = {f.name for f in dataclasses.fields(McSpec)} - {"master_seed"}  # seed comes from $.seed
 _RADIAL_KEYS = {f.name for f in dataclasses.fields(RadialSpec)}
@@ -101,13 +103,21 @@ def _check_keys(obj: dict, allowed: set, path: str, strict: bool):
         print(f"warning: {msg}", file=sys.stderr)
 
 
+def _check_required(obj: dict, required: set, path: str):
+    missing = required - set(obj)
+    if missing:
+        raise ConfigError(f"missing key(s) {sorted(missing)} at {path}")
+
+
 def _check_field_dict(d: dict, path: str, strict: bool):
     if not isinstance(d, dict) or "shape" not in d:
         raise ConfigError(f"{path}: field descriptor must be an object with 'shape'")
     shape = d["shape"]
     if shape not in _SHAPE_KEYS:
         raise ConfigError(f"{path}: unknown shape {shape!r}")
-    _check_keys(d, _SHAPE_KEYS[shape], path, strict)
+    required, optional = _SHAPE_KEYS[shape]
+    _check_keys(d, {"shape"} | required | optional, path, strict)
+    _check_required(d, required, path)
     if shape == "sum":
         for i, t in enumerate(d.get("terms", [])):
             _check_field_dict(t, f"{path}.terms[{i}]", strict)
@@ -133,8 +143,9 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     env = kern.get("envelope")
     if env is not None:
         _check_keys(env, _ENVELOPE_KEYS, "$.kernel.envelope", strict)
-        if env.get("kind") not in ("power", "threshold"):
+        if env.get("kind") not in _ENVELOPE_REQUIRED:
             raise ConfigError("$.kernel.envelope.kind must be 'power' or 'threshold'")
+        _check_required(env, _ENVELOPE_REQUIRED[env["kind"]], "$.kernel.envelope")
     eng = cfg.get("engine", {})
     _check_keys(eng, _ENGINE_KEYS, "$.engine", strict)
     _check_keys(eng.get("mc", {}), _MC_KEYS, "$.engine.mc", strict)

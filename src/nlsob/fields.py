@@ -539,7 +539,8 @@ class RadialProfileField(RadialShapeField):
         cand_d = np.unique(np.asarray(cand_d, dtype=float))
         lip = float(np.max(np.abs(self._dspline(cand_d))))
         dvals = self._dspline(np.unique(np.concatenate([cand_d, cand_r])))
-        monotone = bool(np.all(dvals <= 1e-14)) and bool(np.all(self._values >= 0))
+        # relative to the profile's own slope scale, so that amplify() keeps the flag
+        monotone = bool(np.all(dvals <= 1e-14 * lip)) and bool(np.all(self._values >= 0))
         return lip, sup, monotone
 
     def _g(self, r) -> np.ndarray:

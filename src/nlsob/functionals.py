@@ -288,13 +288,6 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
     if engine.mode != "mc" and prof is not None and math.isfinite(lip):
         rspec = engine.radial
         if zero_below > 0:
-            if rspec.r_max <= 0:
-                r_half = prof.decay_radius(zero_below / 2.0)
-                mass = (2.0 * ball_volume(dim, r_half) * sphere_surface(dim)
-                        * tail_scale / p)
-                atol = max(1e-6, 1e-5 * mass)
-                rspec = replace(rspec, r_max=max(4.0 * r_half + 1.0,
-                                                 (mass / atol) ** (1.0 / p)))
             weight = RadialWeight(pair_fn=pair_fn, threshold=zero_below,
                                   numerator=tail_scale)
             return radial_pair_integrate(prof, p, weight, rspec, dim)
@@ -315,8 +308,7 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
         far_tail = 2.0 * far_mass * max(s_range - r_range, 1e-12) ** (-p)
         corner = (4.0 * quad._pair_prefactor(dim) * lip ** p
                   * (2.0 * eps_x) ** (q - p) * (s_range - r_range) / p)
-        weight = RadialWeight(pair_fn=pair_fn, symmetric_far=True, r_range=r_range,
-                              s_range=s_range, tail_hint=far_tail + corner)
+        weight = RadialWeight(pair_fn=pair_fn, r_range=r_range, tail_hint=far_tail + corner)
         return radial_pair_integrate(prof, p, weight,
                                      replace(rspec, r_max=s_range), dim)
 

@@ -20,9 +20,10 @@ Two pair engines share one Estimate type:
   into a 1D integral on [(r-s)^2, (r+s)^2].  At N = 3, and wherever
   (N+p)/2 is an integer of at least N-1, that integral has a closed form;
   other N use a rule graded in log t, which resolves each pair's
-  near-diagonal layer.  On monotone profiles the indicator path
-  solves for every r-node's admissible s-range at once and integrates
-  all (r, s) nodes in one array pass.
+  near-diagonal layer.  All three radial paths (monotone indicator,
+  generic indicator carving, smooth tensor weight) lay out one row of
+  s-panels per r-node, or per (r-node, admissible s-interval), and
+  integrate all rows in one array pass.
 
 Both report rigorous tail bounds for the truncated regions where the
 field metadata permits one.
@@ -394,31 +395,29 @@ def _terminating_kernel(r: np.ndarray, s: np.ndarray, n: int, nu: int) -> np.nda
     return np.where(r * s > 0.0, out, 0.0)
 
 
-_KERNEL_BLOCK = 1 << 16  # elements per graded-rule temporary in theta_reduced_kernel
+_KERNEL_BLOCK = 1 << 16  # elements per temporary in _graded_kernel
 
 
-def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6,
-                         d_window: Optional[tuple] = None) -> np.ndarray:
+def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6) -> np.ndarray:
     """Integral over theta in [0, pi] of sin(theta)^{n-2} / d^{n+p},
-    with d^2 = r^2 + s^2 - 2 r s cos(theta), optionally restricted to
-    d in [d_window[0], d_window[1]].  It is +inf on the diagonal r = s
-    unless the window excludes d = 0.
+    with d^2 = r^2 + s^2 - 2 r s cos(theta); +inf on the diagonal r = s
+    and 0 where r s = 0.
 
     Uses t = d^2:  T = (2 r s)^{-(n-2)} * int ((t-a)(b-t))^{(n-3)/2} t^{-nu} dt
-    over [a, b] = [(r-s)^2, (r+s)^2], clipped to the window as [lo, hi],
-    with nu = (n+p)/2.  Three evaluations, none of which cancels:
+    over [a, b] = [(r-s)^2, (r+s)^2], with nu = (n+p)/2.  Three
+    evaluations, none of which cancels:
 
     * n = 3: the integrand is the pure power t^{-nu}, in closed form
-      (2 r s)^{-1} lo^{-k} (1 - (hi/lo)^{-k}) / k with k = (1+p)/2,
-      written with log1p/expm1 for any window.
-    * no window, integer nu >= n-1: T = beta_N A^{-nu} 2F1(nu/2, (nu+1)/2;
-      n/2; z) with A = r^2+s^2, z = (2rs/A)^2 and beta_N = B(1/2, (n-1)/2).
+      a^{-k} (1 - (b/a)^{-k}) / (2 k r s) with k = (1+p)/2, written with
+      log1p/expm1 and b - a = 4 r s.
+    * integer nu >= n-1: T = beta_N A^{-nu} 2F1(nu/2, (nu+1)/2; n/2; z)
+      with A = r^2+s^2, z = (2rs/A)^2 and beta_N = B(1/2, (n-1)/2).
       Euler's transformation (DLMF 15.8.1) turns it into
       beta_N (A/D)^{nu-n+1} D^{-nu} P(z), D = |(r-s)(r+s)|, where P is a
       terminating 2F1 with positive coefficients (P = 1 at n = 4, p = 2,
       so T = pi / (2 D^3)).
-    * otherwise the graded ``order``-point rule in xi = log(t/lo) /
-      log(hi/lo), applied to blocks of pairs.  Against the exact values,
+    * otherwise the graded ``order``-point rule in xi = log(t/a) /
+      log(b/a), applied to blocks of pairs.  Against the exact values,
       for r s / (r-s)^2 from 1e-10 up to |r-s|/r = 1e-15, it is good to
       3e-8 relative at order 6 and 1e-10 at order 8 for n >= 4 (2e-7 and
       1e-8 at n = 2, whose endpoint factors are inverse square roots).
@@ -426,8 +425,21 @@ def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6,
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     nu = 0.5 * (n + p)
-    if n != 3 and d_window is None and nu == int(nu) and nu >= n - 1:
+    if n == 3:
+        k = 0.5 * (1.0 + p)
+        a = (r - s) ** 2
+        rs = r * s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = a ** -k * -np.expm1(-k * np.log1p(4.0 * rs / a)) / (2.0 * k * rs)
+        return np.where(rs > 0.0, out, 0.0)
+    if nu == int(nu) and nu >= n - 1:
         return _terminating_kernel(r, s, n, int(nu))
+    return _graded_kernel(r, s, n, p, order)
+
+
+def _graded_kernel(r: np.ndarray, s: np.ndarray, n: int, p: float, order: int) -> np.ndarray:
+    """The graded ``order``-point rule of ``theta_reduced_kernel``, for any n and p."""
+    nu = 0.5 * (n + p)
     r, s = np.broadcast_arrays(r, s)
     shape = r.shape
     rf = r.ravel()
@@ -435,45 +447,30 @@ def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6,
     a = (rf - sf) ** 2
     b = (rf + sf) ** 2
     rs = rf * sf
-    lo, hi = a, b
-    width = 4.0 * rs  # b - a without the cancellation of the subtraction
-    if d_window is not None:
-        lo = np.maximum(a, d_window[0] ** 2)
-        hi = np.minimum(b, d_window[1] ** 2)
-        width = np.where((lo > a) | (hi < b), hi - lo, width)
-    ok = (hi > lo) & (rs > 0)
     out = np.zeros_like(rf)
-    if n == 3:
-        k = 0.5 * (1.0 + p)
-        lo_k, w_k, rs_k = lo[ok], width[ok], rs[ok]
-        with np.errstate(divide="ignore"):
-            out[ok] = (lo_k ** -k * -np.expm1(-k * np.log1p(w_k / lo_k))
-                       / (2.0 * k * rs_k))
-    else:
-        xi, xc, w = _xi_rule(order)
-        e = (n - 3) / 2.0
-        out[ok & (lo == 0.0)] = math.inf
-        rows = np.flatnonzero(ok & (lo > 0.0))
-        ell = np.log1p(width / np.where(lo > 0.0, lo, 1.0))  # log(hi / lo)
-        # blocks of rows keep each (rows x nodes) temporary near 0.5 MB
-        step = max(1, _KERNEL_BLOCK // xi.size)
-        for i in range(0, rows.size, step):
-            j = rows[i:i + step]
-            # in place: each fresh temporary of this size costs page faults
-            x = ell[j, None] * xi
-            integ = np.expm1(x)
-            integ *= lo[j, None]
-            integ += (lo[j] - a[j])[:, None]  # t - a
-            bt = np.multiply(-ell[j, None], xc)
-            np.expm1(bt, out=bt)
-            bt *= -hi[j, None]
-            bt += (b[j] - hi[j])[:, None]  # b - t
-            integ *= bt
-            integ **= e
-            # t^{-nu} dt = lo^{1-nu} exp((1-nu) x) log(hi/lo) dxi
-            x *= 1.0 - nu
-            integ *= np.exp(x, out=x)
-            out[j] = (integ @ w) * ell[j] * lo[j] ** (1.0 - nu) * (2.0 * rs[j]) ** (2.0 - n)
+    xi, xc, w = _xi_rule(order)
+    e = (n - 3) / 2.0
+    ok = (b > a) & (rs > 0.0)  # b = a when r s is below the rounding of r^2 + s^2
+    out[ok & (a == 0.0)] = math.inf
+    rows = np.flatnonzero(ok & (a > 0.0))
+    ell = np.log1p(4.0 * rs / np.where(a > 0.0, a, 1.0))  # log(b / a), as b - a = 4 r s
+    # blocks of rows keep each (rows x nodes) temporary near 0.5 MB
+    step = max(1, _KERNEL_BLOCK // xi.size)
+    for i in range(0, rows.size, step):
+        j = rows[i:i + step]
+        # in place: each fresh temporary of this size costs page faults
+        x = ell[j, None] * xi
+        integ = np.expm1(x)
+        integ *= a[j, None]  # t - a
+        bt = np.multiply(-ell[j, None], xc)
+        np.expm1(bt, out=bt)
+        bt *= -b[j, None]  # b - t
+        integ *= bt
+        integ **= e
+        # t^{-nu} dt = a^{1-nu} exp((1-nu) x) log(b/a) dxi
+        x *= 1.0 - nu
+        integ *= np.exp(x, out=x)
+        out[j] = (integ @ w) * ell[j] * a[j] ** (1.0 - nu) * (2.0 * rs[j]) ** (2.0 - n)
     return out.reshape(shape)
 
 
@@ -488,11 +485,10 @@ def _scalarize(g):
     return lambda x: float(g(np.array([x]))[0])
 
 
-def _probe_grid(lo: float, hi: float, bulk: Optional[float] = None,
-                n_dense: int = 2048) -> np.ndarray:
+def _probe_grid(lo: float, hi: float, bulk: float, n_dense: int = 2048) -> np.ndarray:
     """Bracketing grid: dense where the profile has structure, geometric
     beyond (profiles are monotone out there, so sparse brackets suffice)."""
-    if bulk is None or bulk >= hi:
+    if bulk >= hi:
         return np.linspace(lo, hi, n_dense)
     dense = np.linspace(lo, bulk, n_dense)
     far = np.geomspace(max(bulk, 1e-12), hi, 128)
@@ -582,24 +578,20 @@ class RadialWeight:
     ``pair_fn(a, b)`` maps profile values (a, b) = (g(r), g(s)) to the
     nonnegative numerator weight.  ``threshold`` marks the exact
     indicator structure |a - b| > threshold, which lets the engine carve
-    the admissible s-intervals exactly.  ``d_window`` hard-restricts the
-    pair distance.
-    ``numerator`` scales the rigorous tail bound.
+    the admissible s-intervals exactly; ``numerator`` bounds the weight
+    there and scales the rigorous tail bound.
 
-    For smooth symmetric weights (envelope functionals) set
-    ``symmetric_far``: the engine then integrates r over [0, r_range]
-    and s out to [0, s_range] with ``s_range >> r_range``, doubling the
-    s > r_range portion by symmetry; ``tail_hint`` is the caller's bound
-    on everything beyond that geometry.
+    A weight without a threshold must be symmetric in (a, b): the engine
+    integrates r over [0, r_range] and s over [0, spec.r_max], with
+    ``r_range`` (spec.r_max when None) well inside spec.r_max, and adds
+    the s > r_range portion once more by symmetry; ``tail_hint`` is the
+    caller's bound on everything beyond that geometry.
     """
 
     pair_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     threshold: Optional[float] = None
-    d_window: Optional[tuple] = None
     numerator: float = 1.0
-    symmetric_far: bool = False
     r_range: Optional[float] = None
-    s_range: Optional[float] = None
     tail_hint: float = 0.0
 
 
@@ -607,10 +599,41 @@ def _pair_prefactor(n: int) -> float:
     return sphere_surface(n) * sphere_surface(n - 1)
 
 
+def _mapped_panels(lo: np.ndarray, hi: np.ndarray, template: np.ndarray,
+                   knots: np.ndarray) -> np.ndarray:
+    """One breakpoint row per [lo[i], hi[i]]: ``template`` on [0, 1] mapped
+    onto the row, plus the profile knots clipped into it (a knot outside a
+    row's range gives a zero-width panel)."""
+    bps = lo[:, None] + (hi - lo)[:, None] * template[None, :]
+    inner = knots[(knots > lo.min()) & (knots < hi.max())]
+    if inner.size:
+        bps = np.sort(np.concatenate(
+            [bps, np.clip(inner[None, :], lo[:, None], hi[:, None])], axis=1), axis=1)
+    return bps
+
+
+def _integrate_rows(rn: np.ndarray, rw: np.ndarray, g_r: np.ndarray, bps: np.ndarray,
+                    g, weight: RadialWeight, kernel_p: float, dim: int,
+                    order: int, far: float):
+    """Sum over rows (r-node rn[i], r-weight rw[i], g(rn[i]), s-breakpoints
+    bps[i]) of the r-weighted s-integral of numerator x theta-kernel, in
+    one array pass.  Returns the total and its s > ``far`` part."""
+    sn, sw = panel_nodes(bps, order)
+    t_vals = theta_reduced_kernel(rn[:, None], sn, dim, kernel_p, order=order)
+    w_vals = weight.pair_fn(np.broadcast_to(g_r[:, None], sn.shape), g(sn))
+    # a pair of weight exactly 0 contributes 0, even where the kernel is +inf
+    with np.errstate(invalid="ignore"):
+        f = np.where(w_vals == 0.0, 0.0, sw * w_vals * t_vals) * sn ** (dim - 1)
+    scale = rw * rn ** (dim - 1)
+    return (float(np.sum(scale * np.sum(f, axis=1))),
+            float(np.sum(scale * np.sum(np.where(sn > far, f, 0.0), axis=1))))
+
+
 def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
                             weight: RadialWeight, spec: RadialSpec, dim: int,
-                            order_r: int, order_s: int, order_t: int) -> float:
-    """Indicator path: the admissible s-set is carved exactly per r node."""
+                            order: int) -> float:
+    """Indicator path: the admissible s-set of every r-node is carved
+    exactly, and the graded s-panel template is mapped onto each piece."""
     g = profile.g
     delta = weight.threshold
     s_max = spec.r_max
@@ -621,15 +644,15 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
     knots = profile.knots
     bulk = min(profile.decay_radius(1e-4 * delta), s_max)
     probe_pts = _probe_grid(0.0, s_max, bulk)
+    template = graded_panels(0.0, 1.0, spec.n_s, toward="both")
 
     if profile.monotone_decreasing:
-        # unordered pairs: 2 * { r < s, g(r) - g(s) > delta }, all r-nodes
-        # in one array pass over a shared graded s-panel template
+        # unordered pairs: 2 * { r < s, g(r) - g(s) > delta }, one row per r-node
         tops = _level_crossings(g, delta, 0.0, s_max, probe_pts)
         if not tops:
             return 0.0
         r_panels = uniform_panels(0.0, tops[-1], spec.n_r, splits=knots)
-        r_nodes, r_w = panel_nodes(r_panels, order_r)
+        r_nodes, r_w = panel_nodes(r_panels, order)
         g_r = g(r_nodes)
         target = g_r - delta
         # where g(s_max) >= target the admissible s lie beyond s_max,
@@ -637,41 +660,28 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
         keep = _scalarize(g)(s_max) < target
         if not keep.any():
             return 0.0
-        rn, rw, a_val = r_nodes[keep], r_w[keep], g_r[keep]
+        rn = r_nodes[keep]
         s2 = _decreasing_roots(g, profile.dg, target[keep], rn, s_max)
-        template = graded_panels(0.0, 1.0, spec.n_s, toward="both")
-        bps = s2[:, None] + (s_max - s2)[:, None] * template[None, :]
-        inner = knots[(knots > s2.min()) & (knots < s_max)]
-        if inner.size:
-            # knots outside a row's [s2, s_max] give zero-width panels
-            bps = np.sort(np.concatenate(
-                [bps, np.clip(inner[None, :], s2[:, None], s_max)], axis=1), axis=1)
-        sn, sw = panel_nodes(bps, order_s)
-        t_vals = theta_reduced_kernel(rn[:, None], sn, dim, kernel_p, order=order_t,
-                                      d_window=weight.d_window)
-        w_vals = weight.pair_fn(np.broadcast_to(a_val[:, None], sn.shape), g(sn))
-        per_r = np.sum(sw * w_vals * t_vals * sn ** (dim - 1), axis=1)
-        return 2.0 * _pair_prefactor(dim) * float(np.sum(rw * rn ** (dim - 1) * per_r))
+        bps = _mapped_panels(s2, np.full_like(s2, s_max), template, knots)
+        total, _ = _integrate_rows(rn, r_w[keep], g_r[keep], bps, g, weight, kernel_p,
+                                   dim, order, s_max)
+        return 2.0 * _pair_prefactor(dim) * total
 
-    # generic path: r over [0, r_half], exact intervals in s over [0, s_max];
-    # the region {r > r_half, s <= r_half} equals by symmetry the portion of
-    # the main integral with s > r_half, which is added once more.
-    gs = _scalarize(g)
+    # generic path: r over [0, r_half], one row per (r-node, excess interval)
+    # in s over [0, s_max]; the region {r > r_half, s <= r_half} equals by
+    # symmetry the portion of the main integral with s > r_half, which is
+    # added once more.
     r_panels = uniform_panels(0.0, r_half, spec.n_r, splits=knots)
-    r_nodes, r_w = panel_nodes(r_panels, order_r)
-    total = 0.0
-    extra = 0.0
-    for rn, rw in zip(r_nodes, r_w):
-        a_val = gs(rn)
-        for e1, e2 in _excess_intervals(g, a_val, delta, 0.0, s_max, probe_pts):
-            panels = _split_at(graded_panels(e1, e2, spec.n_s), knots, e1, e2)
-            sn, sw = panel_nodes(panels, order_s)
-            t_vals = theta_reduced_kernel(rn, sn, dim, kernel_p, order=order_t,
-                                          d_window=weight.d_window)
-            w_vals = weight.pair_fn(np.full_like(sn, a_val), g(sn))
-            contrib = rw * rn ** (dim - 1) * (sw * w_vals * t_vals * sn ** (dim - 1))
-            total += float(np.sum(contrib))
-            extra += float(np.sum(contrib[sn > r_half]))
+    r_nodes, r_w = panel_nodes(r_panels, order)
+    g_r = g(r_nodes)
+    rows = [(i, e1, e2) for i, a_val in enumerate(g_r.tolist())
+            for e1, e2 in _excess_intervals(g, a_val, delta, 0.0, s_max, probe_pts)]
+    if not rows:
+        return 0.0
+    idx, lo, hi = (np.array(c) for c in zip(*rows))
+    bps = _mapped_panels(lo, hi, template, knots)
+    total, extra = _integrate_rows(r_nodes[idx], r_w[idx], g_r[idx], bps, g, weight,
+                                   kernel_p, dim, order, r_half)
     return _pair_prefactor(dim) * (total + extra)
 
 
@@ -698,42 +708,21 @@ def _s_panels_around(rn: float, lo: float, hi: float, depth: int, knots,
 
 def _radial_tensor_value(profile: RadialProfile1D, kernel_p: float,
                          weight: RadialWeight, spec: RadialSpec, dim: int,
-                         order_r: int, order_s: int, order_t: int,
-                         r_max: Optional[float] = None) -> float:
-    """Tensor path for smooth weights and raw distance windows.
-
-    With ``weight.symmetric_far`` the r range is [0, r_range] and the
-    s > r_range portion is added twice (symmetry of the integrand);
-    otherwise both variables run over [0, r_max].
-    """
+                         order: int) -> float:
+    """Tensor path for smooth symmetric weights: r over [0, r_range], s over
+    [0, spec.r_max] with the s > r_range portion added twice, one row of
+    s-panels per r-node (padded with zero-width panels to a common length)."""
     g = profile.g
-    knots = profile.knots
-    if weight.symmetric_far:
-        r_hi = weight.r_range if weight.r_range is not None else spec.r_max
-        s_hi = weight.s_range if weight.s_range is not None else spec.r_max
-    else:
-        r_hi = r_max if r_max is not None else spec.r_max
-        s_hi = r_hi
-    r_panels = uniform_panels(0.0, r_hi, spec.n_r, splits=knots)
-    r_nodes, r_w = panel_nodes(r_panels, order_r)
+    r_hi = weight.r_range if weight.r_range is not None else spec.r_max
+    r_panels = uniform_panels(0.0, r_hi, spec.n_r, splits=profile.knots)
+    r_nodes, r_w = panel_nodes(r_panels, order)
     # the doubling of s > r_hi is a jump of the s-integrand: a panel edge
-    s_knots = np.append(knots, r_hi) if weight.symmetric_far else knots
-    total = 0.0
-    extra = 0.0
-    for rn, rw in zip(r_nodes, r_w):
-        a_val = float(g(np.array([rn]))[0])
-        panels = _s_panels_around(rn, 0.0, s_hi, spec.n_s, s_knots)
-        sn, sw = panel_nodes(panels, order_s)
-        t_vals = theta_reduced_kernel(rn, sn, dim, kernel_p, order=order_t,
-                                      d_window=weight.d_window)
-        w_vals = weight.pair_fn(np.full_like(sn, a_val), g(sn))
-        # a pair of weight exactly 0 contributes 0, even where the kernel is +inf
-        with np.errstate(invalid="ignore"):
-            pair = np.where(w_vals == 0.0, 0.0, w_vals * t_vals)
-        contrib = rw * rn ** (dim - 1) * sw * pair * sn ** (dim - 1)
-        total += float(np.sum(contrib))
-        if weight.symmetric_far:
-            extra += float(np.sum(contrib[sn > r_hi]))
+    s_knots = np.append(profile.knots, r_hi)
+    rows = [_s_panels_around(rn, 0.0, spec.r_max, spec.n_s, s_knots) for rn in r_nodes]
+    width = max(row.size for row in rows)
+    bps = np.stack([np.pad(row, (0, width - row.size), mode="edge") for row in rows])
+    total, extra = _integrate_rows(r_nodes, r_w, g(r_nodes), bps, g, weight, kernel_p,
+                                   dim, order, r_hi)
     return _pair_prefactor(dim) * (total + extra)
 
 
@@ -743,40 +732,43 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
     """Deterministic pair integral for a radial field.
 
     Runs the quadrature at the requested and at halved resolution and
-    reports the difference as ``discrepancy``.  stderr is always 0.
+    reports the difference as ``discrepancy``.  stderr is always 0.  With
+    a threshold, ``spec.r_max`` = 0 is derived from the profile's decay;
+    a smooth weight needs it set.
     """
     if dim < 2:
         raise PreconditionError("radial reduction needs dimension >= 2")
-    if spec.r_max <= 0:
-        raise PreconditionError("RadialSpec.r_max must be set for the radial engine")
-    half_spec = replace(spec, n_r=max(4, spec.n_r // 2), n_s=max(6, spec.n_s - 4))
-
     if weight.threshold is not None:
         if not math.isfinite(profile.lipschitz):
             raise PreconditionError("indicator path needs a finite Lipschitz bound")
-        full = _radial_indicator_value(profile, kernel_p, weight, spec, dim, 6, 6, 6)
-        half = _radial_indicator_value(profile, kernel_p, weight, half_spec, dim, 4, 4, 4)
+        r_half = profile.decay_radius(weight.threshold / 2.0)
+
+        def far_mass(r_in: float, gap: float) -> float:
+            """Bound on the pairs with |x| < r_in, |x - y| > gap."""
+            return (2.0 * ball_volume(dim, r_in) * sphere_surface(dim)
+                    * weight.numerator * gap ** (-kernel_p) / kernel_p)
+
+        if spec.r_max <= 0:
+            mass = far_mass(r_half, 1.0)
+            atol = max(1e-6, 1e-5 * mass)
+            spec = replace(spec, r_max=max(4.0 * r_half + 1.0,
+                                           (mass / atol) ** (1.0 / kernel_p)))
         # rigorous bound on the mass beyond s_max
-        delta = weight.threshold
-        r_half = min(profile.decay_radius(delta / 2.0), spec.r_max)
+        r_half = min(r_half, spec.r_max)
         gap = spec.r_max - r_half
         if gap <= 0.25 * spec.r_max:
             raise PreconditionError("r_max leaves no room beyond the field's bulk")
-        tail = (2.0 * ball_volume(dim, r_half) * sphere_surface(dim)
-                * weight.numerator * gap ** (-kernel_p) / kernel_p)
-        return Estimate(full, 0.0, 0, tail, "radial", False,
-                        2.0 * abs(full - half))
-
-    full = _radial_tensor_value(profile, kernel_p, weight, spec, dim, 6, 6, 6)
-    half = _radial_tensor_value(profile, kernel_p, weight, half_spec, dim, 4, 4, 4)
-    if weight.symmetric_far:
-        tail = weight.tail_hint
-    elif profile.support_radius <= spec.r_max:
-        tail = 0.0  # compact support: truncation is exact
+        tail = far_mass(r_half, gap)
+        value = _radial_indicator_value
+    elif spec.r_max <= 0:
+        raise PreconditionError("RadialSpec.r_max must be set for a smooth weight")
     else:
-        wider = _radial_tensor_value(profile, kernel_p, weight, half_spec,
-                                     dim, 4, 4, 4, r_max=1.3 * spec.r_max)
-        tail = abs(wider - half)
+        tail = weight.tail_hint
+        value = _radial_tensor_value
+    half_spec = replace(spec, n_r=max(4, spec.n_r // 2), n_s=max(6, spec.n_s - 4))
+    # one Gauss order for r-panels, s-panels and the graded theta rule
+    full = value(profile, kernel_p, weight, spec, dim, 6)
+    half = value(profile, kernel_p, weight, half_spec, dim, 4)
     return Estimate(full, 0.0, 0, tail, "radial", False, 2.0 * abs(full - half))
 
 

@@ -73,6 +73,17 @@ class TestConfigValidation:
                        "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    def test_missing_required_keys_rejected(self, tmp_path):
+        # each used to reach the builders and crash with a KeyError (exit 1)
+        no_rate = base_config(functionals=["l2_norm_sq"])
+        del no_rate["fields"][0]["rate"]
+        no_q = base_config(functionals=["f_functional"], kernel={"envelope": {"kind": "power"}})
+        for cfg in (no_rate, no_q):
+            rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+            assert rc == 2
+            assert not (tmp_path / "out.csv").exists()
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not valid")

@@ -142,6 +142,11 @@ class TestMetadata:
 
     def test_profile_monotone_flag(self, profile3):
         assert profile3.radial_profile().monotone_decreasing
+        assert profile3.amplify(1e-15).radial_profile().monotone_decreasing
+        # the flag must not depend on the amplitude: a ring stays non-monotone
+        ring = nl.RadialProfileField(4, [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0])
+        for t in (1.0, 1e-15):
+            assert not ring.amplify(t).radial_profile().monotone_decreasing
 
 
 class TestNorms:

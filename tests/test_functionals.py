@@ -146,6 +146,17 @@ class TestExactLaws:
             b = i_delta_p(gauss3, KernelSpec(delta / t, p=p), eng)
             assert a.value == t ** p * b.value
 
+    def test_amplitude_law_radial_ring(self):
+        # I_{t delta}(t u) = t^2 I_delta(u) on the generic radial path at a
+        # tiny amplitude, on a pinned grid so both sides share their r_max
+        ring = nl.RadialProfileField(4, [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0])
+        eng = replace(default_engine(1), radial=nl.RadialSpec(n_r=12, n_s=16, r_max=8.0))
+        t = 1e-15
+        for delta in (0.2, 0.1):
+            a = i_delta(ring.amplify(t), KernelSpec(t * delta), eng)
+            b = i_delta(ring, KernelSpec(delta), eng)
+            assert rel_err(a.value, t * t * b.value) <= 1e-13
+
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_dilation_law_radial(self, gauss3, engine, lam):
         delta = 0.1
