@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DimensionMismatchError,
@@ -493,6 +492,92 @@ class IndicatorField(RadialShapeField):
                 "amplitude": self.amplitude, "center": list(self.center_point)}
 
 
+class ClampedSpline:
+    """Piecewise cubic on the breakpoints ``x``; ``c[:, i]`` holds its
+    coefficients on [x[i], x[i+1]] in powers of (r - x[i]), highest first.
+
+    ``clamped(x, y)`` is the interpolating spline with zero end slopes (de
+    Boor, *A Practical Guide to Splines*, ch. IV).  Construction and
+    evaluation repeat ``scipy.interpolate.CubicSpline(x, y, bc_type=((1, 0),
+    (1, 0)))`` step for step, so every coefficient and value is the same
+    double: the knot slopes come from the tridiagonal solve of LAPACK's
+    ``dgtsv``, row interchanges included, and a value is the power sum of
+    ``PPoly``.  Outside [x[0], x[-1]] the end pieces extend.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x = x
+        self.c = c
+
+    @classmethod
+    def clamped(cls, x: np.ndarray, y: np.ndarray) -> "ClampedSpline":
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # equations for the knot slopes: end rows s = 0, interior rows
+        # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs
+        diag = np.ones_like(x)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper = np.zeros_like(dx)
+        upper[1:] = dx[:-1]
+        lower = np.zeros_like(dx)
+        lower[:-1] = dx[1:]
+        rhs = np.zeros_like(x)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()))
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        return cls(x, np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])))
+
+    def derivative(self) -> "ClampedSpline":
+        k = self.c.shape[0] - 1
+        return ClampedSpline(self.x, self.c[:-1] * np.arange(k, 0, -1, dtype=float)[:, None])
+
+    def __call__(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        s = r - self.x[i]
+        out = 0.0 + self.c[-1, i]
+        z = s
+        for k in range(self.c.shape[0] - 2, -1, -1):
+            out = out + self.c[k, i] * z
+            if k:
+                z = z * s
+        return out
+
+
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solution of the tridiagonal system with sub-, main and super-diagonal
+    ``dl``, ``d``, ``du`` and right side ``b`` (lists, overwritten), by
+    Gaussian elimination with partial pivoting in the order of LAPACK's
+    ``dgtsv`` for one right side."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular tridiagonal system")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    b[-1] = b[-1] / d[-1]
+    if n > 1:
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 class RadialProfileField(RadialShapeField):
     """Radial field from a clamped piecewise-cubic profile with zero tails.
 
@@ -513,7 +598,7 @@ class RadialProfileField(RadialShapeField):
         if values[-1] != 0.0:
             raise ValueError("last profile value must be 0 (compact support)")
         self._values = values
-        self._spline = CubicSpline(knots, values, bc_type=((1, 0.0), (1, 0.0)))
+        self._spline = ClampedSpline.clamped(knots, values)
         self._dspline = self._spline.derivative()
         lip, sup, monotone = self._exact_extrema(knots)
         self._init_shape(center, sup=sup, lip=lip, knots=knots, monotone=monotone,

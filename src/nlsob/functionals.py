@@ -481,8 +481,9 @@ def restricted_power_integral(u: ScalarField, q: float, level: float,
         r_hi = prof.decay_radius(level)  # superlevel set sits inside this radius
         g = prof.g
         absg = lambda r: np.abs(g(np.asarray(r, dtype=float)))
+        xs = np.linspace(0.0, max(r_hi, 1e-12), 2048)
         total = 0.0
-        for e1, e2 in quad._excess_intervals(absg, 0.0, level, 0.0, max(r_hi, 1e-12)):
+        for _, e1, e2 in zip(*quad._excess_intervals(absg, np.zeros(1), level, xs, absg(xs))):
             nodes, w = quad.panel_nodes(
                 quad.uniform_panels(e1, e2, 24, splits=prof.knots), 8)
             total += float(np.sum(w * np.abs(g(nodes)) ** q * nodes ** (u.dim - 1)))

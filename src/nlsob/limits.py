@@ -188,9 +188,9 @@ def check_upper_bound(u: ScalarField, deltas: Sequence[float],
 
     base = ratios_for(deltas)
     sup0 = max(base)
-    mids = [math.sqrt(a * b) for a, b in zip(deltas, deltas[1:])]
-    refined = sorted(set(deltas) | set(mids), reverse=True)
-    sup1 = max(ratios_for(refined))
+    # the refined grid is the base grid plus its midpoints; only those are new
+    mids = {math.sqrt(a * b) for a, b in zip(deltas, deltas[1:])} - set(deltas)
+    sup1 = max([sup0] + ratios_for(sorted(mids, reverse=True)))
     rel = abs(sup1 - sup0) / max(sup0, 1e-300)
     return UpperBoundReport(deltas, base, sup0, sup1, rel, rel < stability_tol)
 

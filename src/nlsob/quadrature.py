@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DivergentIntegralError, PreconditionError
 from .fields import RadialProfile1D, ball_volume
@@ -481,8 +480,79 @@ def _graded_kernel(r: np.ndarray, s: np.ndarray, n: int, p: float, order: int) -
 _XTOL, _RTOL = 1e-14, 1e-15  # tolerance of every level-crossing solve
 
 
-def _scalarize(g):
-    return lambda x: float(g(np.array([x]))[0])
+def _finite_values(fx: np.ndarray) -> np.ndarray:
+    if np.isnan(fx).any():
+        raise ValueError("function value is NaN; the root solve cannot continue")
+    return fx
+
+
+def brentq(f, xa, xb, xtol: float, rtol: float) -> np.ndarray:
+    """Roots of f in the brackets [xa[k], xb[k]], all solved at once.
+
+    ``f(x, k)`` returns, elementwise, the function of bracket k[j] at
+    x[j]; each call passes only the brackets still running.  Every
+    bracket takes the Brent-Dekker steps (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4) in the arithmetic of
+    scipy's ``brentq.c``: inverse quadratic or secant steps, bisection
+    when they are not short enough, and an end within
+    (xtol + rtol |x|) / 2 of the root.  So each root is, to the bit, the
+    one ``scipy.optimize.brentq`` returns for that bracket alone.  Raises
+    ValueError on a NaN value or a bracket whose ends have the same sign,
+    RuntimeError when a bracket needs more than scipy's 100 steps.
+    """
+    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
+    m = xpre.size
+    k = np.arange(m)
+    fx = _finite_values(f(np.concatenate([xpre, xcur]), np.concatenate([k, k])))
+    fpre, fcur = fx[:m], fx[m:]
+    roots = np.where(fpre == 0.0, xpre, xcur)
+    run = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(run & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    k, xpre, xcur, fpre, fcur = k[run], xpre[run], xcur[run], fpre[run], fcur[run]
+    xblk, fblk, spre, scur = (np.zeros_like(xpre) for _ in range(4))
+    for _ in range(100):
+        if not k.size:
+            return roots
+        new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(new, xpre, xblk)
+        fblk = np.where(new, fpre, fblk)
+        step = xcur - xpre
+        spre = np.where(new, step, spre)
+        scur = np.where(new, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        # the root lies between xcur and xblk, and xcur has the smaller |f|
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[k[done]] = xcur[done]
+            run = ~done
+            k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[run] for v in (k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                 delta, sbis))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, secant, quadratic)
+        cap = 3 * np.abs(sbis) - delta
+        cap = np.where(np.abs(spre) < cap, np.abs(spre), cap)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < cap))
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = _finite_values(f(xcur, k))
+    if k.size:
+        raise RuntimeError(f"brentq: {k.size} brackets did not converge in 100 steps")
+    return roots
 
 
 def _probe_grid(lo: float, hi: float, bulk: float, n_dense: int = 2048) -> np.ndarray:
@@ -495,35 +565,34 @@ def _probe_grid(lo: float, hi: float, bulk: float, n_dense: int = 2048) -> np.nd
     return np.unique(np.concatenate([dense, far, [hi]]))
 
 
-def _level_crossings(g, level: float, lo: float, hi: float,
-                     probe_pts: Optional[np.ndarray] = None):
-    """All roots of g(s) = level on [lo, hi], found by dense bracketing."""
-    xs = probe_pts if probe_pts is not None else np.linspace(lo, hi, 2048)
-    vals = g(xs) - level
-    sign = np.sign(vals)
-    roots = []
-    gs = _scalarize(g)
-    f = lambda x: gs(x) - level
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(brentq(f, xs[i], xs[i + 1], xtol=_XTOL, rtol=_RTOL))
-    for i in np.nonzero(vals == 0.0)[0]:
-        roots.append(float(xs[i]))
-    return sorted(roots)
+def _level_crossings(g, levels: np.ndarray, xs: np.ndarray, vals: np.ndarray):
+    """All roots of g(s) = levels[i] on the grid ``xs`` (``vals`` = g(xs)),
+    for every i at once: one bracket per grid cell where g - levels[i]
+    changes sign, all solved in one ``brentq`` call, plus the grid points
+    where it is 0.  Returns (i, root) arrays, by i and then by root."""
+    above = vals > levels[:, None]
+    below = vals < levels[:, None]
+    i, j = np.nonzero((above[:, :-1] & below[:, 1:]) | (below[:, :-1] & above[:, 1:]))
+    roots = (brentq(lambda x, k: g(x) - levels[i[k]], xs[j], xs[j + 1], _XTOL, _RTOL)
+             if j.size else xs[j])
+    iz, jz = np.nonzero(vals == levels[:, None])
+    i, roots = np.concatenate([i, iz]), np.concatenate([roots, xs[jz]])
+    order = np.lexsort((roots, i))
+    return i[order], roots[order]
 
 
 def _decreasing_roots(g, dg, level: np.ndarray, lo: np.ndarray,
-                      hi: float) -> np.ndarray:
-    """Solve g(s) = level[i] on [lo[i], hi] for every i at once.
+                      hi: np.ndarray) -> np.ndarray:
+    """Solve g(s) = level[i] on [lo[i], hi[i]] for every i at once.
 
-    Each bracket must hold a single crossing, g(lo[i]) > level[i] > g(hi).
+    Each bracket must hold a single crossing, g(lo[i]) > level[i] >= g(hi[i]).
     Safeguarded Newton on ``dg`` as in ``rtsafe``: a bisection step
     replaces any Newton step that leaves the bracket or is not under half
     the step before last, and every step when ``dg`` is None.  An entry
     stops once its step is within the ``brentq`` tolerance of
     ``_level_crossings``.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.full_like(lo, hi)
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     x = 0.5 * (lo + hi)
     step = step_old = hi - lo
     done = np.zeros(lo.shape, dtype=bool)
@@ -547,24 +616,42 @@ def _decreasing_roots(g, dg, level: np.ndarray, lo: np.ndarray,
     raise RuntimeError("level-crossing solve did not converge")
 
 
-def _excess_intervals(g, a_val: float, delta: float, lo: float, hi: float,
-                      probe_pts: Optional[np.ndarray] = None):
-    """Maximal intervals of {s in [lo, hi]: |g(s) - a_val| > delta}."""
-    cuts = ([lo] + _level_crossings(g, a_val + delta, lo, hi, probe_pts)
-            + _level_crossings(g, a_val - delta, lo, hi, probe_pts) + [hi])
-    cuts = sorted(set(cuts))
-    gs = _scalarize(g)
-    intervals = []
-    for e1, e2 in zip(cuts[:-1], cuts[1:]):
-        if e2 - e1 <= 0:
-            continue
-        mid = 0.5 * (e1 + e2)
-        if abs(gs(mid) - a_val) > delta:
-            if intervals and abs(intervals[-1][1] - e1) < 1e-14 * max(1.0, hi):
-                intervals[-1] = (intervals[-1][0], e2)
-            else:
-                intervals.append((e1, e2))
-    return intervals
+def _decreasing_crossings(g, dg, levels: np.ndarray, xs: np.ndarray,
+                          vals: np.ndarray) -> np.ndarray:
+    """The s with g(s) = levels[i] for a decreasing g, given on the grid
+    ``xs`` by ``vals`` = g(xs) with vals[0] > levels[i] >= vals[-1]: the
+    first grid value at or below a level ends the one cell that brackets
+    its crossing."""
+    j = np.searchsorted(-vals, -levels)
+    return _decreasing_roots(g, dg, levels, xs[j - 1], xs[j])
+
+
+def _excess_intervals(g, a_vals: np.ndarray, delta: float, xs: np.ndarray,
+                      vals: np.ndarray):
+    """Maximal intervals of {s in [xs[0], xs[-1]]: |g(s) - a_vals[i]| > delta}
+    for every i at once, cut at the crossings of a_vals[i] +- delta found on
+    the grid ``xs`` (``vals`` = g(xs)).  Returns (i, start, end) arrays, by
+    i and then by start."""
+    m = a_vals.size
+    i, roots = _level_crossings(g, np.concatenate([a_vals + delta, a_vals - delta]),
+                                xs, vals)
+    rows = np.concatenate([np.arange(m), i % m, np.arange(m)])
+    cuts = np.concatenate([np.full(m, xs[0]), roots, np.full(m, xs[-1])])
+    order = np.lexsort((cuts, rows))
+    rows, cuts = rows[order], cuts[order]
+    # the pieces between consecutive distinct cuts of a row, kept where the
+    # profile at the midpoint is more than delta away
+    piece = (rows[1:] == rows[:-1]) & (cuts[1:] > cuts[:-1])
+    row, e1, e2 = rows[:-1][piece], cuts[:-1][piece], cuts[1:][piece]
+    keep = np.abs(g(0.5 * (e1 + e2)) - a_vals[row]) > delta
+    row, e1, e2 = row[keep], e1[keep], e2[keep]
+    # a piece starting within rounding of the row's last kept end extends it
+    start = np.ones(row.size, dtype=bool)
+    start[1:] = (row[1:] != row[:-1]) | (np.abs(e2[:-1] - e1[1:])
+                                         >= 1e-14 * max(1.0, xs[-1]))
+    first = np.flatnonzero(start)
+    last = np.append(first[1:], row.size) - 1
+    return row[first], e1[first], e2[last]
 
 
 # ---------------------------------------------------------------------------
@@ -629,59 +716,67 @@ def _integrate_rows(rn: np.ndarray, rw: np.ndarray, g_r: np.ndarray, bps: np.nda
             float(np.sum(scale * np.sum(np.where(sn > far, f, 0.0), axis=1))))
 
 
+def _carving_grid(profile: RadialProfile1D, delta: float, s_max: float):
+    """What the indicator path computes once for both resolutions: the
+    probe grid on [0, s_max], the profile on it, and the reach of the
+    r-integral, 0 when no pair is admissible.  A decreasing profile's
+    r-integral ends at the last crossing of delta; otherwise it ends
+    where g has decayed below delta / 2."""
+    r_half = profile.decay_radius(delta / 2.0)
+    if r_half <= 0.0:
+        return None, None, 0.0
+    bulk = min(profile.decay_radius(1e-4 * delta), s_max)
+    xs = _probe_grid(0.0, s_max, bulk)
+    vals = profile.g(xs)
+    if not profile.monotone_decreasing:
+        return xs, vals, min(r_half, s_max)
+    if not vals[0] > delta >= vals[-1]:
+        return xs, vals, 0.0
+    top = _decreasing_crossings(profile.g, profile.dg, np.array([delta]), xs, vals)
+    return xs, vals, float(top[0])
+
+
 def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
                             weight: RadialWeight, spec: RadialSpec, dim: int,
-                            order: int) -> float:
+                            order: int, grid) -> float:
     """Indicator path: the admissible s-set of every r-node is carved
-    exactly, and the graded s-panel template is mapped onto each piece."""
+    exactly, and the graded s-panel template is mapped onto each piece.
+    ``grid`` is ``_carving_grid(profile, weight.threshold, spec.r_max)``."""
+    xs, vals, r_top = grid
+    if r_top <= 0.0:
+        return 0.0
     g = profile.g
     delta = weight.threshold
     s_max = spec.r_max
-    r_half = profile.decay_radius(delta / 2.0)
-    if r_half <= 0.0:
-        return 0.0
-    r_half = min(r_half, s_max)
     knots = profile.knots
-    bulk = min(profile.decay_radius(1e-4 * delta), s_max)
-    probe_pts = _probe_grid(0.0, s_max, bulk)
     template = graded_panels(0.0, 1.0, spec.n_s, toward="both")
+    r_nodes, r_w = panel_nodes(uniform_panels(0.0, r_top, spec.n_r, splits=knots), order)
+    g_r = g(r_nodes)
 
     if profile.monotone_decreasing:
         # unordered pairs: 2 * { r < s, g(r) - g(s) > delta }, one row per r-node
-        tops = _level_crossings(g, delta, 0.0, s_max, probe_pts)
-        if not tops:
-            return 0.0
-        r_panels = uniform_panels(0.0, tops[-1], spec.n_r, splits=knots)
-        r_nodes, r_w = panel_nodes(r_panels, order)
-        g_r = g(r_nodes)
         target = g_r - delta
         # where g(s_max) >= target the admissible s lie beyond s_max,
         # which the tail bound covers
-        keep = _scalarize(g)(s_max) < target
+        keep = vals[-1] < target
         if not keep.any():
             return 0.0
-        rn = r_nodes[keep]
-        s2 = _decreasing_roots(g, profile.dg, target[keep], rn, s_max)
+        s2 = _decreasing_crossings(g, profile.dg, target[keep], xs, vals)
         bps = _mapped_panels(s2, np.full_like(s2, s_max), template, knots)
-        total, _ = _integrate_rows(rn, r_w[keep], g_r[keep], bps, g, weight, kernel_p,
-                                   dim, order, s_max)
+        total, _ = _integrate_rows(r_nodes[keep], r_w[keep], g_r[keep], bps, g, weight,
+                                   kernel_p, dim, order, s_max)
         return 2.0 * _pair_prefactor(dim) * total
 
-    # generic path: r over [0, r_half], one row per (r-node, excess interval)
-    # in s over [0, s_max]; the region {r > r_half, s <= r_half} equals by
-    # symmetry the portion of the main integral with s > r_half, which is
+    # generic path: r over [0, r_top], one row per (r-node, excess interval)
+    # in s over [0, s_max]; the region {r > r_top, s <= r_top} equals by
+    # symmetry the portion of the main integral with s > r_top, which is
     # added once more.
-    r_panels = uniform_panels(0.0, r_half, spec.n_r, splits=knots)
-    r_nodes, r_w = panel_nodes(r_panels, order)
-    g_r = g(r_nodes)
-    rows = [(i, e1, e2) for i, a_val in enumerate(g_r.tolist())
-            for e1, e2 in _excess_intervals(g, a_val, delta, 0.0, s_max, probe_pts)]
-    if not rows:
+    idx, lo, hi = _excess_intervals(g, g_r, delta, xs, vals)
+    if not idx.size:
         return 0.0
-    idx, lo, hi = (np.array(c) for c in zip(*rows))
     bps = _mapped_panels(lo, hi, template, knots)
     total, extra = _integrate_rows(r_nodes[idx], r_w[idx], g_r[idx], bps, g, weight,
-                                   kernel_p, dim, order, r_half)
+                                   kernel_p, dim, order, r_top)
     return _pair_prefactor(dim) * (total + extra)
 
 
@@ -759,7 +854,8 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
         if gap <= 0.25 * spec.r_max:
             raise PreconditionError("r_max leaves no room beyond the field's bulk")
         tail = far_mass(r_half, gap)
-        value = _radial_indicator_value
+        value = partial(_radial_indicator_value,
+                        grid=_carving_grid(profile, weight.threshold, spec.r_max))
     elif spec.r_max <= 0:
         raise PreconditionError("RadialSpec.r_max must be set for a smooth weight")
     else:

@@ -292,3 +292,15 @@ class TestQn:
         row = read_rows(tmp_path / "out.csv")[0]
         assert rel_err(float(row["estimate"]), 2.0 * math.pi / 3.0) < 0.02
         assert "derived" in row["candidate_label"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only reference; the package and its CLI run without it
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nlsob, nlsob.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

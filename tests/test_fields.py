@@ -458,3 +458,46 @@ class TestPinnedLiterals:
             "lipschitz": float(f.lipschitz_bound).hex(),
         }
         assert got == self.BITS[name]
+
+
+class TestClampedSplineOracle:
+    """The in-package clamped spline against scipy's ``CubicSpline`` with
+    zero end slopes, which it repeats operation for operation: equal to
+    the bit in the coefficients, the values and the derivative."""
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_random_knot_sets(self):
+        from scipy.interpolate import CubicSpline
+        from nlsob.fields import ClampedSpline
+        rng = np.random.default_rng(20240611)
+        interchanges = 0
+        for _ in range(400):
+            n = int(rng.integers(3, 13))
+            # spacings up to 3: a second spacing above 1 makes the first
+            # elimination step of the tridiagonal solve interchange rows
+            dx = rng.uniform(0.01, 3.0, n - 1)
+            x = np.concatenate([[0.0], np.cumsum(dx)])
+            y = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+            interchanges += dx[1] > 1.0
+            ref = CubicSpline(x, y, bc_type=((1, 0.0), (1, 0.0)))
+            got = ClampedSpline.clamped(x, y)
+            r = np.concatenate([x, rng.uniform(-0.5, x[-1] + 0.5, 64)])
+            assert self.same_bits(got.c, ref.c)
+            assert self.same_bits(got(r), ref(r))
+            assert self.same_bits(got.derivative().c, ref.derivative().c)
+            assert self.same_bits(got.derivative()(r), ref.derivative()(r))
+            assert self.same_bits(got(x[1]), ref(x[1]))
+        assert interchanges > 100
+
+    def test_profile_field_keeps_scipy_bits(self):
+        from scipy.interpolate import CubicSpline
+        knots, values = [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0]
+        prof = nl.RadialProfileField(3, knots, values).radial_profile()
+        ref = CubicSpline(knots, values, bc_type=((1, 0.0), (1, 0.0)))
+        r = np.linspace(0.0, 2.0, 101)
+        assert self.same_bits(prof.g(r), ref(r))
+        assert self.same_bits(prof.dg(r), ref.derivative()(r))

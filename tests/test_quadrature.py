@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 import nlsob as nl
 from nlsob.errors import PreconditionError
 from nlsob.quadrature import (
+    _carving_grid,
     _decreasing_roots,
     _graded_kernel,
     _radial_indicator_value,
@@ -22,6 +23,7 @@ from nlsob.quadrature import (
     RadialSpec,
     RadialWeight,
     ball_volume,
+    brentq as batched_brentq,
     mc_pair_integrate,
     mc_pair_integrate_many,
     radial_pair_integrate,
@@ -283,6 +285,20 @@ class TestRadialEngine:
         assert rel_err(coarse.value, pinned) <= 1e-12
         assert abs(coarse.value - fine.value) <= coarse.discrepancy
 
+    def test_generic_carving_bits(self):
+        # bits recorded with scipy's brentq solving one bracket at a time;
+        # the batched solve takes the same steps, so no bit may move
+        from nlsob.functionals import restricted_power_integral
+        ring = nl.RadialProfileField(4, [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0])
+        engine = replace(nl.default_engine(1), radial=RadialSpec(n_r=12, n_s=16))
+        for delta, value, disc in ((0.2, "0x1.5908db62b790cp+7", "0x1.0e87ee288fa00p+2"),
+                                   (0.05, "0x1.64d5d045343b9p+7", "0x1.0e5b5ccd74600p-1")):
+            est = nl.i_delta(ring, nl.KernelSpec(delta), engine)
+            assert (est.value.hex(), est.discrepancy.hex()) == (value, disc)
+        ring3 = nl.RadialProfileField(3, [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0])
+        est = restricted_power_integral(ring3, 3.0, 0.3, "above")
+        assert (est.method, est.value.hex()) == ("radial", "0x1.e244fe0699b94p+2")
+
     def test_dim_one_unsupported(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
         w = RadialWeight(pair_fn=lambda a, b: a)
@@ -349,7 +365,78 @@ class TestMonotonePath:
         prof = _monotone_profiles()["gauss"]
         w = RadialWeight(pair_fn=lambda a, b: np.ones_like(a), threshold=0.6)
         spec = RadialSpec(n_r=4, n_s=6, r_max=0.9)
-        assert _radial_indicator_value(prof, 2.0, w, spec, 3, 6) == 0.0
+        grid = _carving_grid(prof, 0.6, spec.r_max)
+        assert _radial_indicator_value(prof, 2.0, w, spec, 3, 6, grid) == 0.0
+
+
+class TestBrentOracle:
+    """The batched ``brentq`` against ``scipy.optimize.brentq``: on a
+    mixed batch, every root equals to the bit the one scipy finds for that
+    bracket alone."""
+
+    @staticmethod
+    def family(x, kind, c):
+        """Elementwise f(x) of bracket kind ``kind`` and parameter ``c``."""
+        with np.errstate(all="ignore"):
+            return np.select(
+                [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+                [np.cos(x) - c, x ** 3 - c, np.exp(x) - c, x * x - c,
+                 np.tanh(40.0 * (x - c))],
+                x - c)
+
+    def batch(self, rng, m):
+        kind = rng.integers(0, 6, m)
+        c = rng.uniform(0.1, 0.9, m)
+        a = np.zeros(m)
+        b = np.full(m, 3.0)
+        c[kind == 2] += 1.0  # exp(x) = c within [0, 3]
+        sq = kind == 3
+        b[sq] = np.sqrt(c[sq])
+        c[sq] = b[sq] * b[sq]  # root on the bracket's end
+        flip = rng.random(m) < 0.3
+        a[flip], b[flip] = b[flip], a[flip].copy()
+        return kind, c, a, b
+
+    @pytest.mark.parametrize("xtol,rtol", [(1e-14, 1e-15), (2e-12, 4 * np.finfo(float).eps)])
+    def test_mixed_batch_bitwise(self, xtol, rtol):
+        rng = np.random.default_rng(11)
+        kind, c, a, b = self.batch(rng, 300)
+        calls = []
+
+        def f(x, k):
+            calls.append(k.size)
+            return self.family(x, kind[k], c[k])
+
+        got = batched_brentq(f, a, b, xtol, rtol)
+        for i in range(kind.size):
+            ref = brentq(lambda t: float(self.family(np.array([t]), kind[i:i + 1],
+                                                     c[i:i + 1])[0]),
+                         a[i], b[i], xtol=xtol, rtol=rtol)
+            assert got[i].hex() == ref.hex()
+        assert calls[0] == 2 * kind.size and calls[-1] < kind.size  # finished brackets drop out
+
+    def test_no_sign_change(self):
+        f = lambda x, k: x * x + 1.0
+        with pytest.raises(ValueError):
+            brentq(lambda t: t * t + 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            batched_brentq(f, np.array([-1.0, 0.0]), np.array([1.0, 1.0]), 1e-14, 1e-15)
+
+    def test_nan_value(self):
+        f = lambda x, k: np.where(x > 0.5, np.nan, x - 0.25)
+        with pytest.raises(ValueError):
+            brentq(lambda t: float(f(np.array([t]), None)[0]), 0.0, 1.0)
+        with pytest.raises(ValueError):
+            batched_brentq(f, np.zeros(1), np.ones(1), 1e-14, 1e-15)
+
+    def test_no_convergence(self):
+        # at a triple root the interpolation steps shrink only slowly, and
+        # Brent's method needs more than its 100 steps to the tolerance
+        f = lambda x, k: (x - 0.3) ** 3
+        with pytest.raises(RuntimeError):
+            brentq(lambda t: (t - 0.3) ** 3, 0.0, 1.0, xtol=1e-14, rtol=1e-15)
+        with pytest.raises(RuntimeError):
+            batched_brentq(f, np.zeros(2), np.ones(2), 1e-14, 1e-15)
 
 
 class TestMcEngine:
