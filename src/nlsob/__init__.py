@@ -16,10 +16,8 @@ from .fields import (
     VectorPotential,
     ZeroPotential,
     ConstantPotential,
-    dirichlet_energy,
     field_from_dict,
     grad,
-    l2_norm_sq,
     transform,
 )
 from .functionals import (
@@ -28,6 +26,7 @@ from .functionals import (
     KernelSpec,
     MonotoneEnvelope,
     default_engine,
+    dirichlet_energy,
     ent_mu,
     entropy_l2,
     f_functional,
@@ -38,6 +37,7 @@ from .functionals import (
     i_delta_p,
     j_delta_energy,
     j_energy,
+    l2_norm_sq,
     log_moment_lp,
 )
 from .inequalities import (

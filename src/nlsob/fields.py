@@ -12,9 +12,10 @@ profile) derive from ``RadialShapeField``, which turns each shape's
 profile g(r) into evaluation, gradients, the decay envelope and
 ``radial_profile()``.  Every shape owns its closed forms (L2 norm,
 Dirichlet energy, Lp and log-moments, entropy, Gauss-measure log-Sobolev
-sides) as ``*_closed_form`` methods, None where it has none, so callers
-ask the field and fall back to quadrature; it also owns its Monte Carlo
-proposal (``proposal_components``).
+sides) as ``*_closed_form`` methods, None where it has none; it also owns
+its Monte Carlo proposal (``proposal_components``).  This module holds
+metadata and closed forms only: ``functionals`` decides between a closed
+form and quadrature.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ __all__ = [
     "RadialProfile1D",
     "eval",
     "grad",
-    "l2_norm_sq",
-    "dirichlet_energy",
     "transform",
     "field_from_dict",
     "descriptor_hash",
@@ -1051,44 +1050,6 @@ def _gauss_pair_dirichlet(t1: GaussianField, t2: GaussianField) -> float:
     d2 = float(dc @ dc)
     return (4.0 * a1 * a2 * _gauss_pair_l2(t1, t2)
             * (t1.dim / (2.0 * beta) - (a1 * a2 / beta ** 2) * d2))
-
-
-def l2_norm_sq(f: ScalarField, method: str = "auto"):
-    """Integral of u^2 over R^N.
-
-    method: 'auto' prefers closed forms, 'closed_form' requires one,
-    'quadrature' forces the deterministic radial engine.  A field without
-    a decay envelope has no quadrature, so its closed form, or its
-    divergence, stands under every method.
-    """
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "quadrature" or not f.decays:
-        val = f.l2_norm_sq_closed_form()
-        if val is not None:
-            return val
-        if method == "closed_form":
-            raise UnsupportedOperationError(f"no closed-form L2 norm for {type(f).__name__}")
-    from . import quadrature  # deferred: quadrature imports this module
-
-    return quadrature.lebesgue_volume_integral(f, lambda v: v * v, power_hint=2.0).value
-
-
-def dirichlet_energy(f: ScalarField, method: str = "auto"):
-    """Integral of |grad u|^2 over R^N; ``method`` as in ``l2_norm_sq``."""
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if not f.differentiable:
-        raise UnsupportedOperationError("Dirichlet energy is infinite for jump fields")
-    if method != "quadrature" or not f.decays:
-        val = f.dirichlet_closed_form()
-        if val is not None:
-            return val
-        if method == "closed_form":
-            raise UnsupportedOperationError(f"no closed-form energy for {type(f).__name__}")
-    from . import quadrature
-
-    return quadrature.dirichlet_quadrature(f).value
 
 
 def transform(f: ScalarField, dilate: float = 1.0, amplify: float = 1.0,

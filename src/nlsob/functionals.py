@@ -34,8 +34,6 @@ from .fields import (
     ConstantField,
     ScalarField,
     VectorPotential,
-    l2_norm_sq,
-    dirichlet_energy,
 )
 from .quadrature import (
     Estimate,
@@ -60,6 +58,10 @@ __all__ = [
     "f_functional",
     "i_delta_magnetic",
     "i_delta_magnetic_paired",
+    "l2_norm_sq",
+    "l2_norm_sq_estimate",
+    "dirichlet_energy",
+    "dirichlet_energy_estimate",
     "entropy_l2",
     "entropy_l2_estimate",
     "ent_mu",
@@ -328,9 +330,13 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
         extra_tail = 0.0
         if math.isfinite(lip):
             cutoff = zero_below / lip
-        else:
+        elif math.isfinite(rho0):
             # pairs closer than rho0 contribute 0, so this truncation is exact
-            cutoff = min(0.05 * max(x_radius, 1e-6) / 4.0, rho0)
+            cutoff = rho0
+        else:
+            # one sphere and no Lipschitz part: any cutoff is exact, and a
+            # finite one leaves active strata and a finite h_max
+            cutoff = 0.05 * max(x_radius, 1e-6) / 4.0
         h_tail_scale = tail_scale
     else:
         # lip is finite: without a zero region the weight is positive below
@@ -440,22 +446,39 @@ def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
 
 
 # ---------------------------------------------------------------------------
-# entropies, log-moments, Lp integrals
+# volume quantities: L2 mass, Dirichlet energy, Lp, log-moments, entropy
 # ---------------------------------------------------------------------------
 
 def _real_part(u: Union[ScalarField, ComplexField]) -> ScalarField:
     return u.modulus if isinstance(u, ComplexField) else u
 
 
-def lp_power_integral(u: ScalarField, q: float, method: str = "auto") -> Estimate:
-    """Integral of |u|^q over R^N (closed form where available)."""
-    if method != "quadrature":
-        val = u.lp_power_closed_form(q)
+def _closed_form_or_quadrature(f: ScalarField, closed_form: Callable[[], Optional[float]],
+                               quadrature: Callable[[], Estimate], method: str) -> Estimate:
+    """The one rule of every volume quantity.
+
+    method: 'auto' prefers the field's closed form, 'closed_form' requires
+    one, 'quadrature' integrates.  A field without a decay envelope has no
+    quadrature, so its closed form, or its divergence, stands under every
+    method.
+    """
+    if method not in ("auto", "closed_form", "quadrature"):
+        raise PreconditionError(f"unknown method {method!r}")
+    if method != "quadrature" or not f.decays:
+        val = closed_form()
         if val is not None:
             return Estimate(val, method="closed_form")
-    if method == "closed_form":
-        raise UnsupportedOperationError(f"no closed form for {type(u).__name__}")
-    return quad.lebesgue_volume_integral(u, lambda v: np.abs(v) ** q, power_hint=q)
+        if method == "closed_form":
+            raise UnsupportedOperationError(f"no closed form for {type(f).__name__}")
+    return quadrature()
+
+
+def lp_power_integral(u: ScalarField, q: float, method: str = "auto") -> Estimate:
+    """Integral of |u|^q over R^N."""
+    return _closed_form_or_quadrature(
+        u, lambda: u.lp_power_closed_form(q),
+        lambda: quad.lebesgue_volume_integral(u, lambda v: np.abs(v) ** q, power_hint=q),
+        method)
 
 
 def restricted_power_integral(u: ScalarField, q: float, level: float,
@@ -499,14 +522,11 @@ def log_moment_lp_estimate(u: Union[ScalarField, ComplexField], p: float,
                            method: str = "auto") -> Estimate:
     """Integral of |u|^p log |u|^p, with 0 log 0 = 0."""
     f = _real_part(u)
-    if method != "quadrature":
-        val = f.log_moment_closed_form(p)
-        if val is not None:
-            return Estimate(val, method="closed_form")
-    if method == "closed_form":
-        raise UnsupportedOperationError(f"no closed form for {type(f).__name__}")
-    return quad.lebesgue_volume_integral(f, lambda v: xlogx(np.abs(v) ** p),
-                                         power_hint=p)
+    return _closed_form_or_quadrature(
+        f, lambda: f.log_moment_closed_form(p),
+        lambda: quad.lebesgue_volume_integral(f, lambda v: xlogx(np.abs(v) ** p),
+                                              power_hint=p),
+        method)
 
 
 def log_moment_lp(u, p: float, method: str = "auto") -> float:
@@ -515,12 +535,27 @@ def log_moment_lp(u, p: float, method: str = "auto") -> float:
 
 def l2_norm_sq_estimate(u: Union[ScalarField, ComplexField],
                         method: str = "auto") -> Estimate:
+    """Integral of |u|^2 over R^N."""
     f = _real_part(u)
-    if method != "quadrature":
-        val = f.l2_norm_sq_closed_form()
-        if val is not None:
-            return Estimate(val, method="closed_form")
-    return quad.lebesgue_volume_integral(f, lambda v: v * v, power_hint=2.0)
+    return _closed_form_or_quadrature(
+        f, f.l2_norm_sq_closed_form,
+        lambda: quad.lebesgue_volume_integral(f, lambda v: v * v, power_hint=2.0), method)
+
+
+def l2_norm_sq(u, method: str = "auto") -> float:
+    return l2_norm_sq_estimate(u, method).value
+
+
+def dirichlet_energy_estimate(u: ScalarField, method: str = "auto") -> Estimate:
+    """Integral of |grad u|^2 over R^N."""
+    if not u.differentiable:
+        raise UnsupportedOperationError("Dirichlet energy is infinite for jump fields")
+    return _closed_form_or_quadrature(u, u.dirichlet_closed_form,
+                                      lambda: quad.dirichlet_quadrature(u), method)
+
+
+def dirichlet_energy(u: ScalarField, method: str = "auto") -> float:
+    return dirichlet_energy_estimate(u, method).value
 
 
 def entropy_l2_estimate(u: Union[ScalarField, ComplexField],
@@ -530,13 +565,11 @@ def entropy_l2_estimate(u: Union[ScalarField, ComplexField],
     nsq = l2_norm_sq_estimate(f, method="auto" if method == "quadrature" else method)
     if nsq.value <= 0.0:
         raise ZeroFieldError("entropy undefined for the zero field")
-    if method != "quadrature":
-        val = f.entropy_l2_closed_form()
-        if val is not None:
-            return Estimate(val, method="closed_form")
     m = nsq.value
-    est = quad.lebesgue_volume_integral(f, lambda v: xlogx(v * v / m), power_hint=2.0)
-    return est
+    return _closed_form_or_quadrature(
+        f, f.entropy_l2_closed_form,
+        lambda: quad.lebesgue_volume_integral(f, lambda v: xlogx(v * v / m), power_hint=2.0),
+        method)
 
 
 def entropy_l2(u, method: str = "auto") -> float:
@@ -597,17 +630,13 @@ def _gauss_expectation(field, fn_pts: Callable[[np.ndarray], np.ndarray],
         e1 = np.zeros(n)
         e1[0] = 1.0
         fn_r = lambda r: fn_pts(r[:, None] * e1[None, :]) * np.exp(-math.pi * r * r)
-        return quad.radial_volume_value(fn_r, n, r_max, knots=prof.knots,
-                                        n_panels=96, order=8)
+        return quad.radial_volume_value(fn_r, n, r_max, knots=prof.knots, n_panels=96)
     sp = spec if spec is not None else _GAUSS_MC_SPEC
-    sigma = 1.0 / math.sqrt(2.0 * math.pi)
-    triples = []
-    for c in range(sp.n_samples // sp.chunk_size):
-        rng = np.random.default_rng([sp.master_seed, c])
-        z = fn_pts(sigma * rng.standard_normal((sp.chunk_size, n)))
-        triples.append((float(z.sum()), float((z * z).sum()), sp.chunk_size))
-    value, _, _ = quad._reduce_triples(triples, 1.0)
-    return value
+    # the proposal is the Gauss measure itself: a centred normal of
+    # variance 1 / (2 pi) per coordinate
+    weighted = lambda pts: fn_pts(pts) * np.exp(-math.pi * np.sum(pts * pts, axis=1))
+    return quad.mc_volume_value(weighted, n, [(np.zeros(n), 1.0 / math.sqrt(2.0 * math.pi))],
+                                sp).value
 
 
 def gauss_lsi_sides(u: ScalarField) -> tuple:

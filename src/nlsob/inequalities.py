@@ -24,6 +24,7 @@ from .functionals import (
     EngineSpec,
     KernelSpec,
     MonotoneEnvelope,
+    dirichlet_energy,
     entropy_l2_estimate,
     f_functional,
     gauss_lsi_sides,
@@ -34,7 +35,6 @@ from .functionals import (
     lp_power_integral,
     restricted_power_integral,
 )
-from .fields import dirichlet_energy
 from .quadrature import Estimate
 
 __all__ = [
@@ -51,9 +51,11 @@ __all__ = [
     "jensen_gap",
     "jensen_gap_p",
     "sweep_family",
+    "FREE_CONSTANT_CHECKS",
 ]
 
 _FP_SLACK = 1e-9
+_HOLDOUT_FRACTION = 0.2
 
 
 @dataclass
@@ -343,13 +345,13 @@ class FamilySweep:
     excluded: List[tuple]             # (instance index, reason)
 
 
-_SWEEPABLE = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
+# the checkers whose constant is an output, which sweep_family can fit
+FREE_CONSTANT_CHECKS = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
 
 
 def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
                  inequality_id: str, engine: EngineSpec, *, seed: int = 0,
-                 lam: float = 1.0, envelope: Optional[MonotoneEnvelope] = None,
-                 holdout_fraction: float = 0.2) -> FamilySweep:
+                 lam: float = 1.0, envelope: Optional[MonotoneEnvelope] = None) -> FamilySweep:
     """Run one free-constant checker over fields x deltas; the family
     constant is the supremum of the per-instance admissible constants,
     re-validated end to end on a deterministic 20% held-out subset.
@@ -357,7 +359,7 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
     The split is deterministic in ``seed``.  Diverged instances are
     excluded from the constant and reported.
     """
-    if inequality_id not in _SWEEPABLE:
+    if inequality_id not in FREE_CONSTANT_CHECKS:
         raise PreconditionError(f"{inequality_id!r} has no free constant to sweep")
     if not fields:
         raise PreconditionError("empty field family")
@@ -382,14 +384,12 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
         raise PreconditionError("every instance was degenerate")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(usable))
-    n_held = max(1, int(math.ceil(holdout_fraction * len(usable)))) if len(usable) > 1 else 0
+    n_held = max(1, int(math.ceil(_HOLDOUT_FRACTION * len(usable)))) if len(usable) > 1 else 0
     held_idx = sorted(usable[perm[i]] for i in range(n_held))
     train_idx = sorted(set(usable) - set(held_idx))
     if not train_idx:  # single usable instance: train on it, nothing held out
         train_idx, held_idx = held_idx, []
     family_constant = max(reports[i].admissible_constant for i in usable)
-    held_ok = all(
-        reports[i].deficit_at(family_constant) >= -max(reports[i].stat_margin, _FP_SLACK)
-        for i in held_idx)
+    held_ok = all(reports[i].holds(family_constant) for i in held_idx)
     return FamilySweep(inequality_id, instances, reports, train_idx, held_idx,
                        family_constant, held_ok, excluded)

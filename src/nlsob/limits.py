@@ -24,8 +24,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergentIntegralError, PreconditionError
-from .fields import ScalarField, dirichlet_energy, l2_norm_sq
-from .functionals import EngineSpec, KernelSpec, i_delta
+from .fields import ScalarField
+from .functionals import EngineSpec, KernelSpec, dirichlet_energy, i_delta, l2_norm_sq
 from .quadrature import Estimate, sphere_surface
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
     "check_upper_bound",
     "recover_classical_lsi",
 ]
+
+_STABILITY_TOL = 0.05  # grid-doubling change of the sup ratio that still counts as stable
 
 
 def gradient_limit_constant(dim: int) -> float:
@@ -168,7 +170,7 @@ class UpperBoundReport:
 
 
 def check_upper_bound(u: ScalarField, deltas: Sequence[float],
-                      engine: EngineSpec, stability_tol: float = 0.05) -> UpperBoundReport:
+                      engine: EngineSpec) -> UpperBoundReport:
     """Empirical lower bound on the constant in the gradient-domination
     bound: sup over the grid of I_delta / Dirichlet, with a grid-doubling
     stability check."""
@@ -192,7 +194,7 @@ def check_upper_bound(u: ScalarField, deltas: Sequence[float],
     mids = {math.sqrt(a * b) for a, b in zip(deltas, deltas[1:])} - set(deltas)
     sup1 = max([sup0] + ratios_for(sorted(mids, reverse=True)))
     rel = abs(sup1 - sup0) / max(sup0, 1e-300)
-    return UpperBoundReport(deltas, base, sup0, sup1, rel, rel < stability_tol)
+    return UpperBoundReport(deltas, base, sup0, sup1, rel, rel < _STABILITY_TOL)
 
 
 @dataclass

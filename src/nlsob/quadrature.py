@@ -478,6 +478,7 @@ def _graded_kernel(r: np.ndarray, s: np.ndarray, n: int, p: float, order: int) -
 # ---------------------------------------------------------------------------
 
 _XTOL, _RTOL = 1e-14, 1e-15  # tolerance of every level-crossing solve
+_PROBE_POINTS = 2048  # dense part of the bracketing grid
 
 
 def _finite_values(fx: np.ndarray) -> np.ndarray:
@@ -555,12 +556,12 @@ def brentq(f, xa, xb, xtol: float, rtol: float) -> np.ndarray:
     return roots
 
 
-def _probe_grid(lo: float, hi: float, bulk: float, n_dense: int = 2048) -> np.ndarray:
+def _probe_grid(lo: float, hi: float, bulk: float) -> np.ndarray:
     """Bracketing grid: dense where the profile has structure, geometric
     beyond (profiles are monotone out there, so sparse brackets suffice)."""
+    dense = np.linspace(lo, min(bulk, hi), _PROBE_POINTS)
     if bulk >= hi:
-        return np.linspace(lo, hi, n_dense)
-    dense = np.linspace(lo, bulk, n_dense)
+        return dense
     far = np.geomspace(max(bulk, 1e-12), hi, 128)
     return np.unique(np.concatenate([dense, far, [hi]]))
 
@@ -780,12 +781,14 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
     return _pair_prefactor(dim) * (total + extra)
 
 
-def _s_panels_around(rn: float, lo: float, hi: float, depth: int, knots,
-                     base: int = 12) -> np.ndarray:
+_S_BASE_PANELS = 12  # coarse s-panels of a tensor row before grading
+
+
+def _s_panels_around(rn: float, lo: float, hi: float, depth: int, knots) -> np.ndarray:
     """Panels on [lo, hi]: coarse base grid, graded refinement at s = rn,
     graded coverage of the far tail, split at profile knots."""
     near_hi = min(hi, max(2.0 * rn, rn + 1.0))
-    bps = [np.linspace(lo, near_hi, base + 1)]
+    bps = [np.linspace(lo, near_hi, _S_BASE_PANELS + 1)]
     if lo < rn < hi:
         bps.append(graded_panels(max(lo, rn - 0.5 * (near_hi - lo)), rn,
                                  depth=depth, toward="right"))
@@ -874,10 +877,11 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
 
 def radial_volume_value(fn_r: Callable[[np.ndarray], np.ndarray], dim: int,
                         r_max: float, knots: Sequence[float] = (),
-                        n_panels: int = 64, order: int = 8) -> float:
-    """Deterministic integral over R^N of a radial integrand fn(|x|)."""
+                        n_panels: int = 64) -> float:
+    """Deterministic integral over R^N of a radial integrand fn(|x|), by
+    8-point Gauss rules on ``n_panels`` panels."""
     panels = uniform_panels(0.0, r_max, n_panels, splits=knots)
-    nodes, w = panel_nodes(panels, order)
+    nodes, w = panel_nodes(panels, 8)
     return sphere_surface(dim) * float(np.sum(w * fn_r(nodes) * nodes ** (dim - 1)))
 
 

@@ -11,11 +11,14 @@ from nlsob.errors import (DivergentIntegralError, PreconditionError,
                           UnsupportedOperationError, ZeroFieldError)
 from nlsob.functionals import (
     EnergyParams,
+    dirichlet_energy,
+    dirichlet_energy_estimate,
     KernelSpec,
     MonotoneEnvelope,
     default_engine,
     ent_mu,
     entropy_l2,
+    entropy_l2_estimate,
     f_functional,
     gauss_lsi_sides,
     i_delta,
@@ -23,7 +26,10 @@ from nlsob.functionals import (
     i_delta_p,
     j_delta_energy,
     j_energy,
+    l2_norm_sq,
+    l2_norm_sq_estimate,
     log_moment_lp,
+    log_moment_lp_estimate,
     lp_power_integral,
     restricted_power_integral,
 )
@@ -304,6 +310,56 @@ class TestEntropy:
         for f in (bump3, profile3):
             vol = ball_volume(3, f.radial_profile().support_radius)
             assert entropy_l2(f) >= -math.log(vol) - 1e-9
+
+
+# (Estimate path, float function or None) of every volume quantity
+VOLUME_QUANTITIES = {
+    "l2_norm_sq": (l2_norm_sq_estimate, l2_norm_sq),
+    "dirichlet_energy": (dirichlet_energy_estimate, dirichlet_energy),
+    "lp_power_integral": (lambda u, m: lp_power_integral(u, 3.0, m), None),
+    "log_moment_lp": (lambda u, m: log_moment_lp_estimate(u, 2.0, m),
+                      lambda u, m: log_moment_lp(u, 2.0, m)),
+    "entropy_l2": (entropy_l2_estimate, entropy_l2),
+}
+
+
+def _outcome(fn, u, method):
+    """What ``fn(u, method)`` returns, or the type of what it raises."""
+    try:
+        return fn(u, method)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc)
+
+
+class TestVolumeRule:
+    """One closed-form-or-quadrature rule for every volume quantity."""
+
+    GAUSS = nl.GaussianField(3, 1.0, 0.8)
+    NO_CLOSED_FORM = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
+                                        nl.SmoothBumpField(3, 1.5, 0.8, (0.7, 0.0, 0.0))])
+    NON_DECAYING = nl.ConstantField(3, 1.0)
+
+    @pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature"])
+    @pytest.mark.parametrize("name", sorted(VOLUME_QUANTITIES))
+    def test_rule(self, name, method):
+        estimate, as_float = VOLUME_QUANTITIES[name]
+        for u in (self.GAUSS, self.NO_CLOSED_FORM, self.NON_DECAYING):
+            got = _outcome(estimate, u, method)
+            if as_float is not None:
+                value = _outcome(as_float, u, method)
+                assert value == (got if isinstance(got, type) else got.value)  # bit for bit
+            if u is self.NON_DECAYING:
+                # no quadrature exists: the closed form or its divergence stands
+                if method == "quadrature":
+                    auto = _outcome(estimate, u, "auto")
+                    assert got == auto if isinstance(got, type) else got.value == auto.value
+            elif u is self.NO_CLOSED_FORM and method == "closed_form":
+                assert got is UnsupportedOperationError
+            else:
+                closed = u is self.GAUSS and method != "quadrature"
+                assert (got.method == "closed_form") == closed
+        with pytest.raises(PreconditionError):  # a misspelt method is not 'auto'
+            estimate(self.GAUSS, method.upper())
 
 
 class TestEntMu:
