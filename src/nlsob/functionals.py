@@ -34,6 +34,7 @@ from .fields import (
     ConstantField,
     ScalarField,
     VectorPotential,
+    row_sq_norms,
 )
 from .quadrature import (
     Estimate,
@@ -559,10 +560,13 @@ def dirichlet_energy(u: ScalarField, method: str = "auto") -> float:
 
 
 def entropy_l2_estimate(u: Union[ScalarField, ComplexField],
-                        method: str = "auto") -> Estimate:
-    """Entropy of the normalized density u^2 / ||u||^2 (scale invariant)."""
+                        method: str = "auto", *, l2: Optional[Estimate] = None) -> Estimate:
+    """Entropy of the normalized density u^2 / ||u||^2 (scale invariant).
+    ``l2``, when given, is the caller's ``l2_norm_sq_estimate(u)`` and
+    serves as the normalising mass."""
     f = _real_part(u)
-    nsq = l2_norm_sq_estimate(f, method="auto" if method == "quadrature" else method)
+    nsq = l2 if l2 is not None else l2_norm_sq_estimate(
+        f, method="auto" if method == "quadrature" else method)
     if nsq.value <= 0.0:
         raise ZeroFieldError("entropy undefined for the zero field")
     m = nsq.value
@@ -634,7 +638,7 @@ def _gauss_expectation(field, fn_pts: Callable[[np.ndarray], np.ndarray],
     sp = spec if spec is not None else _GAUSS_MC_SPEC
     # the proposal is the Gauss measure itself: a centred normal of
     # variance 1 / (2 pi) per coordinate
-    weighted = lambda pts: fn_pts(pts) * np.exp(-math.pi * np.sum(pts * pts, axis=1))
+    weighted = lambda pts: fn_pts(pts) * np.exp(-math.pi * row_sq_norms(pts))
     return quad.mc_volume_value(weighted, n, [(np.zeros(n), 1.0 / math.sqrt(2.0 * math.pi))],
                                 sp).value
 
@@ -651,7 +655,7 @@ def gauss_lsi_sides(u: ScalarField) -> tuple:
     if m0 <= 0:
         raise ZeroFieldError("zero field")
     lhs = _gauss_expectation(u, lambda pts: _u2log(u, pts, m0))
-    rhs = _gauss_expectation(u, lambda pts: np.sum(u.gradient(pts) ** 2, axis=1)) / math.pi
+    rhs = _gauss_expectation(u, lambda pts: row_sq_norms(u.gradient(pts))) / math.pi
     return lhs, rhs
 
 

@@ -196,8 +196,8 @@ def check_logsobolev_main(u: ScalarField, delta: float,
     """Entropy bounded by (N/2) log of the nonlocal term plus a delta term."""
     n = u.dim
     _require_sobolev_dim(n)
-    ent = entropy_l2_estimate(u)
     l2 = l2_norm_sq_estimate(u)
+    ent = entropy_l2_estimate(u, l2=l2)
     nl = i_delta(u, KernelSpec(delta), engine)
     return _log_sobolev_core("logsobolev_main", n, ent, l2, nl, n / 2.0,
                              _delta_term(n, delta, l2.value), _prov(u, delta, engine))
@@ -208,8 +208,8 @@ def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float,
     """Magnetic variant: |u| in the entropy, covariant difference on the right."""
     n = u.dim
     _require_sobolev_dim(n)
-    ent = entropy_l2_estimate(u)
     l2 = l2_norm_sq_estimate(u)
+    ent = entropy_l2_estimate(u, l2=l2)
     mag, _ = i_delta_magnetic_paired(u, A, KernelSpec(delta), engine)
     inputs = _prov(u.modulus, delta, engine, potential=A.to_dict())
     return _log_sobolev_core("magnetic_lsi", n, ent, l2, mag, n / 2.0,
@@ -222,8 +222,8 @@ def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope,
     n = u.dim
     _require_sobolev_dim(n)
     envelope.validate()
-    ent = entropy_l2_estimate(u)
     l2 = l2_norm_sq_estimate(u)
+    ent = entropy_l2_estimate(u, l2=l2)
     ff = f_functional(u, envelope, 2.0, engine)
     beta = envelope.beta
     return _log_sobolev_core("envelope_lsi", n, ent, l2, ff, n * beta / 4.0,
@@ -258,7 +258,7 @@ def check_euclidean_family(u: ScalarField, a: float) -> InequalityReport:
         raise PreconditionError("parameter a must be positive")
     n = u.dim
     l2 = l2_norm_sq_estimate(u)
-    ent = entropy_l2_estimate(u)
+    ent = entropy_l2_estimate(u, l2=l2)
     energy = dirichlet_energy(u)
     lhs = l2.value * ent.value + n * (1.0 + math.log(a)) * l2.value
     rhs = (a * a / math.pi) * energy

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DivergentIntegralError, PreconditionError
-from .fields import RadialProfile1D, ball_volume
+from .fields import RadialProfile1D, ball_volume, row_sq_norms
 
 __all__ = [
     "Estimate",
@@ -225,7 +225,7 @@ def _reduce_triples(triples, scale: float):
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=1)
+    norms = np.sqrt(row_sq_norms(v))
     norms = np.where(norms > 0, norms, 1.0)
     return v / norms[:, None]
 
@@ -898,8 +898,7 @@ def mc_volume_value(fn_pts: Callable[[np.ndarray], np.ndarray], dim: int,
     def density(x):
         q = np.zeros(x.shape[0])
         for (c, s), z in zip(comps, norms):
-            d2 = np.sum((x - c) ** 2, axis=1)
-            q += np.exp(-0.5 * d2 / (s * s)) / z
+            q += np.exp(-0.5 * row_sq_norms(x - c) / (s * s)) / z
         return q / k
 
     triples = []
@@ -971,4 +970,4 @@ def dirichlet_quadrature(field, spec: Optional[McSpec] = None) -> Estimate:
         val = radial_volume_value(lambda r: prof.dg(r) ** 2, field.dim,
                                   max(r_max, 1e-12), knots=prof.knots)
         return Estimate(val, 0.0, 0, 0.0, "radial")
-    return volume_integrate(lambda pts: np.sum(field.gradient(pts) ** 2, axis=1), field, spec)
+    return volume_integrate(lambda pts: row_sq_norms(field.gradient(pts)), field, spec)

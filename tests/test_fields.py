@@ -8,7 +8,7 @@ import pytest
 import nlsob as nl
 from nlsob.errors import (DimensionMismatchError, DivergentIntegralError,
                           UnsupportedOperationError)
-from nlsob.fields import eval as feval
+from nlsob.fields import eval as feval, row_sq_norms
 
 from conftest import rel_err
 
@@ -46,6 +46,15 @@ class TestEvaluation:
         a = gauss3.evaluate(pts)
         b = gauss3.evaluate(pts)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("m", [1, 5, 4800])
+    def test_row_sq_norms_bitwise(self, n, m):
+        # n runs across numpy's switch to a pairwise axis-1 sum at 8 columns
+        v = np.random.default_rng(100 * n + m).standard_normal((m, n)) * 3.7
+        s = row_sq_norms(v)
+        assert s.tobytes() == np.sum(v * v, axis=1).tobytes()
+        assert np.sqrt(s).tobytes() == np.linalg.norm(v, axis=1).tobytes()
 
 
 class TestGradient:

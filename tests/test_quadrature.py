@@ -661,6 +661,34 @@ class TestPinnedBits:
         assert Counting.points == _DEFAULT_VOLUME_SPEC.n_samples
 
 
+class TestOneL2PerInstance:
+    """A caller's L² estimate, passed to the entropy, replaces the entropy's
+    own L² pass without moving a bit."""
+
+    # the Gaussian+bump sum of TestPinnedBits.test_l2_norm_sq_volume_mc
+    FIELD = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
+                               nl.SmoothBumpField(3, 1.5, 0.8, (0.7, 0.0, 0.0))])
+
+    def test_entropy_with_given_l2_bitwise(self):
+        from nlsob.functionals import entropy_l2_estimate, l2_norm_sq_estimate
+        a = entropy_l2_estimate(self.FIELD, l2=l2_norm_sq_estimate(self.FIELD))
+        b = entropy_l2_estimate(self.FIELD)
+        assert a.method == "mc"
+        assert (a.value.hex(), a.stderr.hex()) == (b.value.hex(), b.stderr.hex())
+
+    def test_logsobolev_main_makes_two_volume_passes(self):
+        from unittest import mock
+
+        from nlsob import quadrature
+        from nlsob.inequalities import check_logsobolev_main
+        engine = nl.default_engine(7, mode="mc", n_samples=4800)
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            check_logsobolev_main(self.FIELD, 0.2, engine)
+        # one for the L² mass, one for the entropy
+        assert spy.call_count == 2
+
+
 def per_stratum_reference(ctx, spec):
     """The MC pair engine as a loop over chunks and strata, one field
     evaluation and one partial sum per stratum: the batched engine must
