@@ -130,8 +130,9 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     _check_keys(cfg, _TOP_KEYS, "$", strict)
     if "dim" not in cfg or not isinstance(cfg["dim"], int) or cfg["dim"] < 1:
         raise ConfigError("config needs an integer dim >= 1")
-    if "seed" not in cfg or not isinstance(cfg["seed"], int):
-        raise ConfigError("config needs an integer seed")
+    seed = cfg.get("seed")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("config needs an integer seed >= 0")
     if not isinstance(cfg.get("fields"), list) or not cfg["fields"]:
         raise ConfigError("config needs a nonempty 'fields' list")
     for i, d in enumerate(cfg["fields"]):

@@ -89,6 +89,15 @@ def row_sq_norms(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def sorted_unique(a) -> np.ndarray:
+    """``np.unique(a)`` for finite ``a``, without the ``numpy.ma`` import
+    of the first ``np.unique`` call."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.shape, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def ball_volume(n: int, radius: float = 1.0) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * radius ** n
 
@@ -632,11 +641,11 @@ class RadialProfileField(RadialShapeField):
                 s = -2 * coef[1] / (6 * coef[0])
                 if 0 <= s <= b - a:
                     cand_d.append(a + s)
-        cand_r = np.unique(np.clip(np.asarray(cand_r, dtype=float), 0.0, knots[-1]))
+        cand_r = sorted_unique(np.clip(np.asarray(cand_r, dtype=float), 0.0, knots[-1]))
         sup = float(np.max(np.abs(self._spline(cand_r))))
-        cand_d = np.unique(np.asarray(cand_d, dtype=float))
+        cand_d = sorted_unique(np.asarray(cand_d, dtype=float))
         lip = float(np.max(np.abs(self._dspline(cand_d))))
-        dvals = self._dspline(np.unique(np.concatenate([cand_d, cand_r])))
+        dvals = self._dspline(sorted_unique(np.concatenate([cand_d, cand_r])))
         # relative to the profile's own slope scale, so that amplify() keeps the flag
         monotone = bool(np.all(dvals <= 1e-14 * lip)) and bool(np.all(self._values >= 0))
         return lip, sup, monotone
@@ -740,7 +749,7 @@ class FiniteSumField(ScalarField):
             return lambda r: sum(f(np.asarray(r, dtype=float)) for f in fns)
 
         dgs = [p.dg for p in profs]
-        knots = np.unique(np.concatenate([p.knots for p in profs]))
+        knots = sorted_unique(np.concatenate([p.knots for p in profs]))
         return RadialProfile1D(
             g=summed([p.g for p in profs]),
             dg=summed(dgs) if all(d is not None for d in dgs) else None,

@@ -620,9 +620,11 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
 _GAUSS_MC_SPEC = McSpec(master_seed=271828182, n_samples=384000, chunk_size=4800)
 
 
-def _gauss_expectation(field, fn_pts: Callable[[np.ndarray], np.ndarray],
-                       spec: Optional[McSpec] = None) -> float:
-    """Integral of fn against the probability measure e^{-pi |x|^2} dx."""
+def _gauss_expectation(field, fn_pts, spec: Optional[McSpec] = None):
+    """Integral of fn against the probability measure e^{-pi |x|^2} dx.  A
+    tuple of fns gives a list of integrals, all on the same nodes or the
+    same Monte Carlo samples."""
+    fns = fn_pts if isinstance(fn_pts, tuple) else (fn_pts,)
     n = field.dim
     prof = field.radial_profile()
     if prof is not None and not np.any(field.center):
@@ -631,39 +633,37 @@ def _gauss_expectation(field, fn_pts: Callable[[np.ndarray], np.ndarray],
             r_max = max(r_max, field.decay_radius(1e-9 * max(field.sup_bound, 1.0)))
         except (UnsupportedOperationError, OverflowError):
             pass
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        fn_r = lambda r: fn_pts(r[:, None] * e1[None, :]) * np.exp(-math.pi * r * r)
-        return quad.radial_volume_value(fn_r, n, r_max, knots=prof.knots, n_panels=96)
-    sp = spec if spec is not None else _GAUSS_MC_SPEC
-    # the proposal is the Gauss measure itself: a centred normal of
-    # variance 1 / (2 pi) per coordinate
-    weighted = lambda pts: fn_pts(pts) * np.exp(-math.pi * row_sq_norms(pts))
-    return quad.mc_volume_value(weighted, n, [(np.zeros(n), 1.0 / math.sqrt(2.0 * math.pi))],
-                                sp).value
+        e1 = np.eye(n)[0]
+        vals = [quad.radial_volume_value(
+            lambda r, f=f: f(r[:, None] * e1[None, :]) * np.exp(-math.pi * r * r),
+            n, r_max, knots=prof.knots, n_panels=96) for f in fns]
+    else:
+        sp = spec if spec is not None else _GAUSS_MC_SPEC
+        # the proposal is the Gauss measure itself: a centred normal of
+        # variance 1 / (2 pi) per coordinate
+        weighted = tuple(lambda pts, f=f: f(pts) * np.exp(-math.pi * row_sq_norms(pts))
+                         for f in fns)
+        vals = [e.value for e in quad.mc_volume_value(
+            weighted, n, [(np.zeros(n), 1.0 / math.sqrt(2.0 * math.pi))], sp)]
+    return vals if isinstance(fn_pts, tuple) else vals[0]
 
 
 def gauss_lsi_sides(u: ScalarField) -> tuple:
     """(lhs, rhs) of the Gauss-measure logarithmic Sobolev inequality,
-    with lhs = int u^2 log(u^2 / ||u||^2_G) dG and rhs = (1/pi) int |grad u|^2 dG."""
+    with lhs = int u^2 log(u^2 / m0) dG = int u^2 log u^2 dG - m0 log m0,
+    m0 = ||u||^2_G, and rhs = (1/pi) int |grad u|^2 dG, all three integrals
+    on one set of samples."""
     if not u.differentiable:
         raise UnsupportedOperationError("both sides need a differentiable field")
     sides = u.gauss_lsi_closed_form()
     if sides is not None:
         return sides
-    m0 = _gauss_expectation(u, lambda pts: u.evaluate(pts) ** 2)
+    m0, ulogu, grad = _gauss_expectation(u, (lambda pts: u.evaluate(pts) ** 2,
+                                             lambda pts: xlogx(u.evaluate(pts) ** 2),
+                                             lambda pts: row_sq_norms(u.gradient(pts))))
     if m0 <= 0:
         raise ZeroFieldError("zero field")
-    lhs = _gauss_expectation(u, lambda pts: _u2log(u, pts, m0))
-    rhs = _gauss_expectation(u, lambda pts: row_sq_norms(u.gradient(pts))) / math.pi
-    return lhs, rhs
-
-
-def _u2log(u: ScalarField, pts: np.ndarray, m0: float) -> np.ndarray:
-    """u^2 log(u^2 / m0) with the 0 log 0 convention."""
-    v2 = u.evaluate(pts) ** 2
-    return np.where(v2 > 0,
-                    v2 * (np.log(np.where(v2 > 0, v2, 1.0)) - math.log(m0)), 0.0)
+    return ulogu - m0 * math.log(m0), grad / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ Two pair engines share one Estimate type:
   envelope; the offset h = y - x is drawn log-uniformly in radius
   (density proportional to ``|h|^-N``) inside radial strata, matching the
   kernel's scale invariance.  Randomness is keyed per (master_seed,
-  chunk, stratum); each chunk is one array pass that evaluates the field
-  once at x and once at y, and partial sums are reduced stratum by
-  stratum, then chunk by chunk, in ascending order.  Chunks run serially,
-  so a result is bit-identical for a given McSpec, and also under any
-  inner cutoff inside the integrand's exact-zero region.
+  chunk, stratum): the stream of ``SeedSequence([master_seed, c, k])`` ->
+  PCG64, whose states ``_pcg64_states`` derives itself (NEP 19 fixes them
+  across numpy versions; ``test_stream_states_match_default_rng`` checks
+  them).  Each chunk is one array pass that evaluates the field once at x
+  and once at y, and partial sums are reduced stratum by stratum, then
+  chunk by chunk, in ascending order.  Chunks run serially, so a result
+  is bit-identical for a given McSpec, and also under any inner cutoff
+  inside the integrand's exact-zero region.
 
 * ``radial_pair_integrate``: deterministic quadrature for radial fields.
   The pair integral reduces to (r, s, theta) with surface factor
@@ -39,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DivergentIntegralError, PreconditionError
-from .fields import RadialProfile1D, ball_volume, row_sq_norms
+from .fields import RadialProfile1D, ball_volume, row_sq_norms, sorted_unique
 
 __all__ = [
     "Estimate",
@@ -106,6 +109,9 @@ class McSpec:
     x_radius: Optional[float] = None
 
     def __post_init__(self):
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise PreconditionError("master_seed must be a nonnegative integer")
         if self.n_samples < self.chunk_size:
             raise PreconditionError("n_samples must be >= chunk_size")
         if self.n_samples % self.chunk_size != 0:
@@ -162,7 +168,7 @@ def panel_nodes(panels: np.ndarray, order: int):
 def _split_at(pts: np.ndarray, knots: Sequence[float], a: float, b: float) -> np.ndarray:
     """Sorted breakpoints ``pts`` plus the knots strictly inside (a, b)."""
     inner = np.asarray([k for k in knots if a < k < b], dtype=float)
-    return np.unique(np.concatenate([pts, inner]))
+    return sorted_unique(np.concatenate([pts, inner]))
 
 
 def uniform_panels(a: float, b: float, n: int, splits: Sequence[float] = ()) -> np.ndarray:
@@ -189,7 +195,7 @@ def graded_panels(a: float, b: float, depth: int, toward: str = "both") -> np.nd
     else:
         pts.append(left[left < a + 0.5 * span])
         pts.append(right[right > a + 0.5 * span])
-    return np.unique(np.concatenate(pts))
+    return sorted_unique(np.concatenate(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +242,47 @@ def _ordered_sum(row_sums: np.ndarray) -> float:
     for v in row_sums.tolist():
         total += v
     return total
+
+
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _pcg64_states(master_seed: int, keys: np.ndarray):
+    """The PCG64 ``state`` of ``np.random.default_rng([master_seed, *key])``
+    for each row of the integer array ``keys`` (entries below 2**32), all
+    hashed in one array pass: SeedSequence's mixing and ``generate_state``
+    (numpy's bit_generator.pyx, fixed by NEP 19), then PCG64's
+    ``pcg_setseq_128_srandom_r`` (O'Neill 2014)."""
+    keys = np.asarray(keys, dtype=np.uint32).reshape(len(keys), -1)
+    seed = int(master_seed)  # 0 is one word, as in numpy's _int_to_uint32_array
+    entropy = [np.full(len(keys), seed >> b & _M32, dtype=np.uint32)
+               for b in range(0, max(seed.bit_length(), 1), 32)] + list(keys.T)
+    hc, mult = 0x43B0D7E5, 0x931E8875  # SeedSequence's INIT_A and MULT_A
+
+    def hashmix(v):
+        nonlocal hc
+        v, hc = v ^ hc, hc * mult & _M32
+        v = v * hc
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = 0xCA01F9DD * x - 0x4973F715 * y
+        return v ^ (v >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * entropy[0]) for i in range(4)]
+    for src in range(max(4, len(entropy))):  # the pool's own words, then the rest
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src] if src < 4 else entropy[src]))
+    hc, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, np.uint64) hashes with these
+    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1).astype("<u4")
+    for row in words.view("<u8"):  # little-endian word pairs, one key at a time
+        init_hi, init_lo, seq_hi, seq_lo = row.tolist()
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+        state = ((inc + (init_hi << 64 | init_lo)) * 0x2360ED051FC65DA44385DF649FCCF645
+                 + inc) & _M128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +336,9 @@ def mc_pair_integrate_many(ctx: PairContext, spec: McSpec):
 
     Sharing the stream makes pointwise integrand orderings carry over to
     the estimates exactly (common random numbers).  Each chunk is one
-    array pass: the per-stratum draws are concatenated, the field and
-    every integrand are evaluated once on the whole chunk, and the sums
-    are taken stratum by stratum in ascending order.
+    array pass: the strata draw into consecutive rows of one buffer, the
+    field and every integrand are evaluated once on the whole chunk, and
+    the sums are taken stratum by stratum in ascending order.
     """
     n = ctx.dim
     rx = spec.x_radius if spec.x_radius is not None else ctx.x_radius
@@ -315,13 +362,21 @@ def mc_pair_integrate_many(ctx: PairContext, spec: McSpec):
     lw = log_widths[k_of]
     weight = vol * (lw * omega)
     triples = [[] for _ in ctx.integrands]
-    for c in range(spec.n_samples // spec.chunk_size):
-        draws = []
-        for k in active:
-            rng = np.random.default_rng([spec.master_seed, c, int(k)])
-            draws.append((rng.standard_normal((m, n)), rng.random(m),
-                          rng.standard_normal((m, n)), rng.random(m)))
-        xdir, xu, hdir, hu = (np.concatenate(d) for d in zip(*draws))
+    n_chunks = spec.n_samples // spec.chunk_size
+    states = _pcg64_states(spec.master_seed, np.column_stack(
+        [np.repeat(np.arange(n_chunks), active.size), np.tile(active, n_chunks)]))
+    rng = np.random.Generator(np.random.PCG64(0))
+    xdir, hdir = np.empty((2, active.size * m, n))
+    xu, hu = np.empty((2, active.size * m))
+    for c in range(n_chunks):
+        for i in range(active.size):
+            # the stream of default_rng([master_seed, c, active[i]])
+            rng.bit_generator.state = next(states)
+            rows = slice(i * m, (i + 1) * m)
+            rng.standard_normal(out=xdir[rows])
+            rng.random(out=xu[rows])
+            rng.standard_normal(out=hdir[rows])
+            rng.random(out=hu[rows])
         x = ctx.x_center + rx * (xu ** (1.0 / n))[:, None] * _unit_rows(xdir)
         rho = lo * np.exp(lw * hu)
         y = x + rho[:, None] * _unit_rows(hdir)
@@ -369,7 +424,7 @@ def _xi_rule(order: int):
     while v < 0.5:
         half.append(v)
         v *= ratio
-    x, w = panel_nodes(np.unique(np.concatenate([half, np.linspace(0.0, 0.5, 9)])), order)
+    x, w = panel_nodes(sorted_unique(np.concatenate([half, np.linspace(0.0, 0.5, 9)])), order)
     return (np.concatenate([x, 1.0 - x[::-1]]), np.concatenate([1.0 - x, x[::-1]]),
             np.concatenate([w, w[::-1]]))
 
@@ -563,7 +618,7 @@ def _probe_grid(lo: float, hi: float, bulk: float) -> np.ndarray:
     if bulk >= hi:
         return dense
     far = np.geomspace(max(bulk, 1e-12), hi, 128)
-    return np.unique(np.concatenate([dense, far, [hi]]))
+    return sorted_unique(np.concatenate([dense, far, [hi]]))
 
 
 def _level_crossings(g, levels: np.ndarray, xs: np.ndarray, vals: np.ndarray):
@@ -885,32 +940,32 @@ def radial_volume_value(fn_r: Callable[[np.ndarray], np.ndarray], dim: int,
     return sphere_surface(dim) * float(np.sum(w * fn_r(nodes) * nodes ** (dim - 1)))
 
 
-def mc_volume_value(fn_pts: Callable[[np.ndarray], np.ndarray], dim: int,
-                    components, spec: McSpec) -> Estimate:
-    """Plain importance-sampled volume integral with a Gaussian mixture proposal."""
+def mc_volume_value(fns: tuple, dim: int, components, spec: McSpec) -> list:
+    """Plain importance-sampled volume integrals with a Gaussian mixture
+    proposal, one per integrand, all on one sample stream and one proposal
+    density per chunk."""
     comps = [(np.asarray(c, dtype=float), float(s)) for c, s in components]
     k = len(comps)
     m = spec.chunk_size
     centers = np.stack([c for c, _ in comps])
     sigmas = np.array([s for _, s in comps])
     norms = np.array([(2.0 * math.pi * s * s) ** (dim / 2.0) for _, s in comps])
-
-    def density(x):
-        q = np.zeros(x.shape[0])
-        for (c, s), z in zip(comps, norms):
-            q += np.exp(-0.5 * row_sq_norms(x - c) / (s * s)) / z
-        return q / k
-
-    triples = []
-    for ci in range(spec.n_samples // m):
-        rng = np.random.default_rng([spec.master_seed, ci])
+    triples = [[] for _ in fns]
+    rng = np.random.Generator(np.random.PCG64(0))
+    z = np.empty((m, dim))
+    for state in _pcg64_states(spec.master_seed, np.arange(spec.n_samples // m)):
+        rng.bit_generator.state = state  # the stream of default_rng([master_seed, chunk])
         pick = rng.integers(0, k, size=m)
-        z = rng.standard_normal((m, dim))
+        rng.standard_normal(out=z)
         x = centers[pick] + sigmas[pick][:, None] * z
-        zeta = fn_pts(x) / density(x)
-        triples.append((float(zeta.sum()), float((zeta * zeta).sum()), m))
-    value, stderr, ess = _reduce_triples(triples, 1.0)
-    return Estimate(value, stderr, ess, 0.0, "mc")
+        q = np.zeros(m)  # the proposal density
+        for (c, s), nc in zip(comps, norms):
+            q += np.exp(-0.5 * row_sq_norms(x - c) / (s * s)) / nc
+        q /= k
+        for f, out in zip(fns, triples):
+            zeta = f(x) / q
+            out.append((float(zeta.sum()), float((zeta * zeta).sum()), m))
+    return [Estimate(*_reduce_triples(t, 1.0), 0.0, "mc") for t in triples]
 
 
 _DEFAULT_VOLUME_SPEC = McSpec(master_seed=1812051820, n_samples=192000,
@@ -938,18 +993,12 @@ def volume_integrate(integrand: Callable[[np.ndarray], np.ndarray],
             r_max = prof.decay_radius(tail_eps * max(prof.sup, 1.0))
             if not math.isfinite(r_max):
                 raise DivergentIntegralError("field does not decay below the tail tolerance")
-        center = field.center
-        e1 = np.zeros(field.dim)
-        e1[0] = 1.0
-
-        def fn_r(r):
-            pts = center[None, :] + r[:, None] * e1[None, :]
-            return integrand(pts)
-
+        center, e1 = field.center, np.eye(field.dim)[0]
+        fn_r = lambda r: integrand(center[None, :] + r[:, None] * e1[None, :])
         val = radial_volume_value(fn_r, field.dim, max(r_max, 1e-12), knots=prof.knots)
         return Estimate(val, 0.0, 0, 0.0, "radial")
     sp = spec if spec is not None else _DEFAULT_VOLUME_SPEC
-    return mc_volume_value(integrand, field.dim, field.proposal_components(), sp)
+    return mc_volume_value((integrand,), field.dim, field.proposal_components(), sp)[0]
 
 
 def lebesgue_volume_integral(field, fn_of_u, power_hint: float = 2.0,

@@ -84,6 +84,28 @@ class TestConfigValidation:
             assert rc == 2
             assert not (tmp_path / "out.csv").exists()
 
+    def test_bad_seed_rejected(self, tmp_path, capsys):
+        # a boolean passes isinstance(seed, int); a negative seed used to
+        # reach numpy's SeedSequence and end in a traceback (exit 1)
+        cfg = base_config(functionals=["i_delta"])
+        cfg["fields"] = [{"shape": "sum", "terms": [  # non-radial: the MC engine
+            {"shape": "gaussian", "dim": 3, "rate": 1.0},
+            {"shape": "gaussian", "dim": 3, "rate": 2.0, "center": [0.8, 0.0, 0.0]}]}]
+        for seed in (True, -1, 1.5):
+            cfg["seed"] = seed
+            rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+            assert rc == 2
+            assert "seed" in capsys.readouterr().err
+            assert not (tmp_path / "out.csv").exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path):
+        cfg = base_config(functionals=["i_delta"])
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path), "--seed", "-3"])
+        assert rc == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not valid")
@@ -304,3 +326,22 @@ def test_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_radial_profile_eval_imports_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which the study would pay
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    cfg = base_config(dim=4, functionals=["i_delta"], kernel={"delta": 0.2},
+                      engine={"radial": {"n_r": 12, "n_s": 16}},
+                      fields=[{"shape": "radial_profile", "dim": 4,
+                               "knots": [0.0, 0.5, 1.0, 1.5, 2.0],
+                               "values": [0.2, 0.7, 1.0, 0.4, 0.0]}])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nlsob.cli; rc = nlsob.cli.main(sys.argv[1:]); "
+         "print(rc, 'numpy.ma' in sys.modules)",
+         "eval", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+    assert len(read_rows(tmp_path / "out.csv")) == 1

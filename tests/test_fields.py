@@ -8,7 +8,7 @@ import pytest
 import nlsob as nl
 from nlsob.errors import (DimensionMismatchError, DivergentIntegralError,
                           UnsupportedOperationError)
-from nlsob.fields import eval as feval, row_sq_norms
+from nlsob.fields import eval as feval, row_sq_norms, sorted_unique
 
 from conftest import rel_err
 
@@ -55,6 +55,15 @@ class TestEvaluation:
         s = row_sq_norms(v)
         assert s.tobytes() == np.sum(v * v, axis=1).tobytes()
         assert np.sqrt(s).tobytes() == np.linalg.norm(v, axis=1).tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 17, 1000])
+    def test_sorted_unique_matches_np_unique(self, m):
+        rng = np.random.default_rng(m)
+        # few distinct values, so most draws repeat; with shape (m,) and (m, 2)
+        for a in (rng.choice(rng.standard_normal(max(m // 3, 1)), m),
+                  np.round(rng.uniform(-2.0, 2.0, (m, 2)), 1), np.zeros((m, 0))):
+            got = sorted_unique(a)
+            assert got.dtype == a.dtype and got.tobytes() == np.unique(a).tobytes()
 
 
 class TestGradient:

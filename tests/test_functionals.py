@@ -461,6 +461,37 @@ class TestGaussMeasure:
         with pytest.raises(UnsupportedOperationError):
             gauss_lsi_sides(indicator3)
 
+    def test_one_sample_stream(self):
+        # m0, int u^2 log u^2 dG and rhs share one MC stream: m0 and rhs keep
+        # the bits of their own passes, and lhs = int u^2 log u^2 dG - m0 log m0
+        # equals int u^2 log(u^2 / m0) dG up to rounding
+        from unittest import mock
+
+        from nlsob import quadrature
+        from nlsob.fields import row_sq_norms
+        from nlsob.functionals import _GAUSS_MC_SPEC, _gauss_expectation, xlogx
+        u = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
+                               nl.GaussianField(3, 2.0, 0.5, (0.8, 0.0, 0.0))])
+        assert u.gauss_lsi_closed_form() is None and u.radial_profile() is None
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            lhs, rhs = gauss_lsi_sides(u)
+        assert [c.args[3].n_samples for c in spy.call_args_list] == [_GAUSS_MC_SPEC.n_samples]
+        # each quantity in a pass of its own, on the same samples
+        m0 = _gauss_expectation(u, lambda pts: u.evaluate(pts) ** 2)
+        grad = _gauss_expectation(u, lambda pts: row_sq_norms(u.gradient(pts)))
+        ulogu = _gauss_expectation(u, lambda pts: xlogx(u.evaluate(pts) ** 2))
+
+        def u2log(pts):
+            v2 = u.evaluate(pts) ** 2
+            return np.where(v2 > 0, v2 * (np.log(np.where(v2 > 0, v2, 1.0)) - math.log(m0)), 0.0)
+
+        assert rhs == grad / math.pi
+        assert lhs == ulogu - m0 * math.log(m0)
+        three_pass = _gauss_expectation(u, u2log)
+        assert abs(lhs - three_pass) <= 1e-12 * (abs(ulogu) + abs(m0 * math.log(m0)))
+        assert rhs >= lhs
+
 
 class TestEnergies:
     def test_omega_minus_one_drops_mass_term(self, gauss3):

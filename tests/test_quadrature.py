@@ -2,12 +2,12 @@
 stderr calibration, tail soundness."""
 
 import math
-import os
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 
@@ -17,6 +17,7 @@ from nlsob.quadrature import (
     _carving_grid,
     _decreasing_roots,
     _graded_kernel,
+    _pcg64_states,
     _radial_indicator_value,
     McSpec,
     PairContext,
@@ -26,6 +27,7 @@ from nlsob.quadrature import (
     brentq as batched_brentq,
     mc_pair_integrate,
     mc_pair_integrate_many,
+    mc_volume_value,
     radial_pair_integrate,
     sphere_surface,
     theta_reduced_kernel,
@@ -470,20 +472,36 @@ class TestMcEngine:
         b = mc_pair_integrate(shell_context(), spec)
         assert (a.value, a.stderr, a.n_effective) == (b.value, b.stderr, b.n_effective)
 
-    def test_worker_count_invariance(self):
-        spec = McSpec(master_seed=5, n_samples=48000, chunk_size=4800, h_max=4.0)
-        old = os.environ.get("WORKERS")
-        try:
-            os.environ["WORKERS"] = "1"
-            a = mc_pair_integrate(shell_context(), spec)
-            os.environ["WORKERS"] = "7"
-            b = mc_pair_integrate(shell_context(), spec)
-        finally:
-            if old is None:
-                os.environ.pop("WORKERS", None)
-            else:
-                os.environ["WORKERS"] = old
-        assert (a.value, a.stderr) == (b.value, b.stderr)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2 ** 32), st.integers(0, 2 ** 70),
+                          st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64])),
+           keys=st.integers(1, 2).flatmap(lambda width: st.lists(
+               st.lists(st.integers(0, 2 ** 32 - 1), min_size=width, max_size=width),
+               min_size=1, max_size=4)))
+    def test_stream_states_match_default_rng(self, seed, keys):
+        # the engines seed their generator from these states; the oracle
+        # is numpy's own SeedSequence -> PCG64 seeding of the same key
+        got = list(_pcg64_states(seed, np.array(keys, dtype=np.int64)))
+        assert got == [np.random.default_rng([seed, *key]).bit_generator.state
+                       for key in keys]
+
+    def test_engines_build_no_seed_sequence(self, monkeypatch):
+        # every stream is set by state; the one PCG64(0) each engine call
+        # makes is seeded inside numpy, which these names do not see
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.random, "default_rng", counted(np.random.default_rng))
+        monkeypatch.setattr(np.random, "SeedSequence", counted(np.random.SeedSequence))
+        spec = McSpec(master_seed=5, n_samples=9600, chunk_size=4800, h_max=4.0)
+        mc_pair_integrate_many(shell_context(), spec)
+        mc_volume_value((lambda pts: np.ones(len(pts)),), 3, [(np.zeros(3), 1.0)], spec)
+        assert calls == []
 
     def test_exact_zero_cutoff_invariance(self):
         # a Lipschitz workload: any inner_cutoff in [0, delta/L] is bitwise
@@ -751,6 +769,11 @@ class TestSpecsValidation:
     def test_radial_sizes_positive(self):
         with pytest.raises(PreconditionError):
             RadialSpec(n_r=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "7", None])
+    def test_master_seed_nonnegative_integer(self, seed):
+        with pytest.raises(PreconditionError):
+            McSpec(master_seed=seed)
 
 
 class TestVolume:
