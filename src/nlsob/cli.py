@@ -18,16 +18,16 @@ import math
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 from typing import List, Optional
 
 from .errors import ConfigError, PreconditionError
 from .fields import (
+    FIELD_SHAPES,
     ComplexField,
     ConstantPotential,
     LinearBPotential,
     LinearPhase,
-    ScalarField,
-    VectorPotential,
     ZeroPotential,
     descriptor_hash,
     field_from_dict,
@@ -37,15 +37,15 @@ from .functionals import (
     EngineSpec,
     KernelSpec,
     MonotoneEnvelope,
-    dirichlet_energy,
-    entropy_l2,
+    dirichlet_energy_estimate,
+    entropy_l2_estimate,
     f_functional,
     i_delta,
     i_delta_p,
     j_delta_energy,
     j_energy,
-    l2_norm_sq,
-    log_moment_lp,
+    l2_norm_sq_estimate,
+    log_moment_lp_estimate,
 )
 from .inequalities import (
     FREE_CONSTANT_CHECKS,
@@ -60,32 +60,66 @@ from .inequalities import (
 from .limits import delta_sweep, estimate_qn
 from .quadrature import Estimate, McSpec, RadialSpec
 
-_EXPLICIT_CHECKS = ("gauss_lsi", "euclidean_family", "jensen", "small_set_bound",
-                    "diamagnetic", "magnetic_lsi")
-_FUNCTIONALS = ("l2_norm_sq", "dirichlet_energy", "entropy_l2", "log_moment_lp",
-                "i_delta", "i_delta_p", "f_functional", "j_energy", "j_delta_energy")
+# Each name a config may use is defined once, in one of the tables below;
+# a table's keys are both the validation set and the dispatch.  The
+# entries are lambdas, so they look the library functions up at call
+# time and reach a rebinding of this module's names.
+
+# functional -> (one row per delta, evaluation on (field, delta, built config))
+_EVAL = {
+    "l2_norm_sq": (False, lambda u, d, b: l2_norm_sq_estimate(u)),
+    "dirichlet_energy": (False, lambda u, d, b: dirichlet_energy_estimate(u)),
+    "entropy_l2": (False, lambda u, d, b: entropy_l2_estimate(u)),
+    "log_moment_lp": (False, lambda u, d, b: log_moment_lp_estimate(u, b.p)),
+    "j_energy": (False, lambda u, d, b: j_energy(u, EnergyParams(b.omega))),
+    "f_functional": (False, lambda u, d, b: f_functional(u, b.envelope, b.p, b.engine)),
+    "i_delta": (True, lambda u, d, b: i_delta(u, KernelSpec(d), b.engine)),
+    "i_delta_p": (True, lambda u, d, b: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
+    "j_delta_energy": (True, lambda u, d, b: j_delta_energy(u, EnergyParams(b.omega),
+                                                            KernelSpec(d), b.engine)),
+}
+_DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
+
+# check -> its reports on the built config; the checks with a free
+# constant (inequalities.FREE_CONSTANT_CHECKS) run through sweep_family
+_CHECKS = {
+    "gauss_lsi": lambda b: [check_gauss_lsi(u) for u in b.fields],
+    "euclidean_family": lambda b: [check_euclidean_family(u, a)
+                                   for u in b.fields for a in b.a_values],
+    "jensen": lambda b: [check_jensen(u) for u in b.fields],
+    "small_set_bound": lambda b: [check_small_set_bound(u, d, b.lam)
+                                  for u in b.fields for d in b.deltas],
+    "diamagnetic": lambda b: _magnetic_reports(check_diamagnetic, b),
+    "magnetic_lsi": lambda b: _magnetic_reports(check_magnetic_lsi, b),
+}
+
+
+def _magnetic_reports(check, b) -> list:
+    return [check(ComplexField(u, b.phase), b.potential, d, b.engine)
+            for u in b.fields for d in b.deltas]
+
+
+# kind -> (keys the builder cannot do without, builder)
+_ENVELOPES = {
+    "power": ({"q"}, lambda env: MonotoneEnvelope.power_law(float(env["q"]))),
+    "threshold": ({"delta"}, lambda env: MonotoneEnvelope.threshold(float(env["delta"]),
+                                                                    float(env.get("p", 2.0)))),
+}
+_POTENTIALS = {
+    "zero": (set(), lambda pot, dim: ZeroPotential(dim)),
+    "constant": ({"vector"}, lambda pot, dim: ConstantPotential(tuple(pot["vector"]))),
+    "linear_b": ({"matrix"}, lambda pot, dim: LinearBPotential(pot["matrix"])),
+}
 
 
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
 
-# shape -> (keys field_from_dict cannot do without, optional keys)
-_SHAPE_KEYS = {
-    "gaussian": ({"dim", "rate"}, {"amplitude", "center"}),
-    "bump": ({"dim", "radius"}, {"amplitude", "center"}),
-    "indicator": ({"dim", "radius"}, {"amplitude", "center"}),
-    "radial_profile": ({"dim", "knots", "values"}, {"center"}),
-    "sum": ({"terms"}, {"dim"}),
-    "constant": ({"dim"}, {"value"}),
-    "exponential": ({"dim", "rate_vector"}, {"amplitude"}),
-}
-
 _TOP_KEYS = {"dim", "seed", "fields", "kernel", "engine", "functionals", "checks",
              "lambda", "omega", "a_values", "potential", "phase", "output"}
 _KERNEL_KEYS = {"delta", "deltas", "p", "envelope"}
 _ENVELOPE_KEYS = {"kind", "q", "delta", "p"}
-_ENVELOPE_REQUIRED = {"power": {"q"}, "threshold": {"delta"}}
 _ENGINE_KEYS = {"mode", "mc", "radial"}
 _MC_KEYS = {f.name for f in dataclasses.fields(McSpec)} - {"master_seed"}  # seed comes from $.seed
 _RADIAL_KEYS = {f.name for f in dataclasses.fields(RadialSpec)}
@@ -109,16 +143,23 @@ def _check_required(obj: dict, required: set, path: str):
         raise ConfigError(f"missing key(s) {sorted(missing)} at {path}")
 
 
+def _check_kind(obj: dict, table: dict, path: str):
+    """``obj["kind"]`` names an entry of ``table`` and ``obj`` has the
+    entry's required keys."""
+    if obj.get("kind") not in table:
+        raise ConfigError(f"{path}.kind must be {' | '.join(table)}")
+    _check_required(obj, table[obj["kind"]][0], path)
+
+
 def _check_field_dict(d: dict, path: str, strict: bool):
     if not isinstance(d, dict) or "shape" not in d:
         raise ConfigError(f"{path}: field descriptor must be an object with 'shape'")
-    shape = d["shape"]
-    if shape not in _SHAPE_KEYS:
-        raise ConfigError(f"{path}: unknown shape {shape!r}")
-    required, optional = _SHAPE_KEYS[shape]
+    if d["shape"] not in FIELD_SHAPES:
+        raise ConfigError(f"{path}: unknown shape {d['shape']!r}")
+    _, required, optional = FIELD_SHAPES[d["shape"]]
     _check_keys(d, {"shape"} | required | optional, path, strict)
     _check_required(d, required, path)
-    if shape == "sum":
+    if d["shape"] == "sum":
         for i, t in enumerate(d.get("terms", [])):
             _check_field_dict(t, f"{path}.terms[{i}]", strict)
 
@@ -144,9 +185,7 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     env = kern.get("envelope")
     if env is not None:
         _check_keys(env, _ENVELOPE_KEYS, "$.kernel.envelope", strict)
-        if env.get("kind") not in _ENVELOPE_REQUIRED:
-            raise ConfigError("$.kernel.envelope.kind must be 'power' or 'threshold'")
-        _check_required(env, _ENVELOPE_REQUIRED[env["kind"]], "$.kernel.envelope")
+        _check_kind(env, _ENVELOPES, "$.kernel.envelope")
     eng = cfg.get("engine", {})
     _check_keys(eng, _ENGINE_KEYS, "$.engine", strict)
     _check_keys(eng.get("mc", {}), _MC_KEYS, "$.engine.mc", strict)
@@ -154,70 +193,44 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     if eng.get("mode", "auto") not in ("auto", "mc", "radial"):
         raise ConfigError("$.engine.mode must be auto | mc | radial")
     for name in cfg.get("functionals", []):
-        if name not in _FUNCTIONALS:
+        if name not in _EVAL:
             raise ConfigError(f"unknown functional {name!r}")
+    if "f_functional" in cfg.get("functionals", []) and env is None:
+        raise ConfigError("f_functional needs kernel.envelope")
     for name in cfg.get("checks", []):
-        if name not in FREE_CONSTANT_CHECKS + _EXPLICIT_CHECKS:
+        if name not in FREE_CONSTANT_CHECKS and name not in _CHECKS:
             raise ConfigError(f"unknown check {name!r}")
     if "potential" in cfg:
         _check_keys(cfg["potential"], _POTENTIAL_KEYS, "$.potential", strict)
+        _check_kind(cfg["potential"], _POTENTIALS, "$.potential")
     if "phase" in cfg:
         _check_keys(cfg["phase"], _PHASE_KEYS, "$.phase", strict)
     _check_keys(cfg.get("output", {}), _OUTPUT_KEYS, "$.output", strict)
     return cfg
 
 
-# ---------------------------------------------------------------------------
-# config -> objects
-# ---------------------------------------------------------------------------
-
-def _build_fields(cfg: dict) -> List[ScalarField]:
+def _build(cfg: dict, seed: int) -> SimpleNamespace:
+    """The objects of a validated config, built once per command."""
     fields = [field_from_dict(d) for d in cfg["fields"]]
-    for f in fields:
-        if f.dim != cfg["dim"]:
-            raise ConfigError("field dimension disagrees with config dim")
-    return fields
-
-
-def _build_deltas(cfg: dict) -> List[float]:
-    kern = cfg.get("kernel", {})
-    if "deltas" in kern:
-        return [float(d) for d in kern["deltas"]]
-    return [float(kern.get("delta", 0.1))]
-
-
-def _build_envelope(cfg: dict) -> Optional[MonotoneEnvelope]:
-    env = cfg.get("kernel", {}).get("envelope")
-    if env is None:
-        return None
-    if env["kind"] == "power":
-        return MonotoneEnvelope.power_law(float(env["q"]))
-    return MonotoneEnvelope.threshold(float(env["delta"]), float(env.get("p", 2.0)))
-
-
-def _build_engine(cfg: dict, seed: int) -> EngineSpec:
-    eng = cfg.get("engine", {})
-    mc = McSpec(master_seed=seed, **eng.get("mc", {}))
-    radial = RadialSpec(**eng.get("radial", {}))
-    return EngineSpec(mc=mc, radial=radial, mode=eng.get("mode", "auto"))
-
-
-def _build_potential(cfg: dict, dim: int) -> VectorPotential:
-    pot = cfg.get("potential")
-    if pot is None or pot.get("kind") == "zero":
-        return ZeroPotential(dim)
-    if pot["kind"] == "constant":
-        return ConstantPotential(tuple(pot["vector"]))
-    if pot["kind"] == "linear_b":
-        return LinearBPotential(pot["matrix"])
-    raise ConfigError(f"unknown potential kind {pot.get('kind')!r}")
-
-
-def _build_phase(cfg: dict) -> LinearPhase:
-    ph = cfg.get("phase")
-    if ph is None:
-        return LinearPhase()
-    return LinearPhase(float(ph.get("offset", 0.0)), tuple(ph.get("wave", ())))
+    if any(f.dim != cfg["dim"] for f in fields):
+        raise ConfigError("field dimension disagrees with config dim")
+    kern, eng = cfg.get("kernel", {}), cfg.get("engine", {})
+    env = kern.get("envelope")
+    pot = cfg.get("potential", {"kind": "zero"})
+    phase = cfg.get("phase", {})
+    return SimpleNamespace(
+        fields=fields,
+        deltas=[float(d) for d in kern.get("deltas", [kern.get("delta", 0.1)])],
+        engine=EngineSpec(mc=McSpec(master_seed=seed, **eng.get("mc", {})),
+                          radial=RadialSpec(**eng.get("radial", {})),
+                          mode=eng.get("mode", "auto")),
+        envelope=None if env is None else _ENVELOPES[env["kind"]][1](env),
+        p=float(kern.get("p", 2.0)),
+        omega=float(cfg.get("omega", 0.0)),
+        lam=float(cfg.get("lambda", 1.0)),
+        a_values=[float(a) for a in cfg.get("a_values", [1.0])],
+        potential=_POTENTIALS[pot["kind"]][1](pot, cfg["dim"]),
+        phase=LinearPhase(float(phase.get("offset", 0.0)), tuple(phase.get("wave", ()))))
 
 
 # ---------------------------------------------------------------------------
@@ -269,160 +282,88 @@ def _write_outputs(cfg: dict, out_dir: Optional[str], command: str, header: List
 # commands
 # ---------------------------------------------------------------------------
 
+def _eval_row(fi: int, fh: str, name: str, delta, outcome) -> dict:
+    row = {"field_index": fi, "field_hash": fh, "functional": name,
+           "delta": "" if delta is None else delta, "value": "",
+           "stderr": "", "tail_bound": "", "method": "", "status": "ok",
+           "n_effective": ""}
+    if isinstance(outcome, Exception):
+        row["status"] = f"error:{type(outcome).__name__}"
+    elif isinstance(outcome, Estimate):
+        row.update(value=outcome.value, stderr=outcome.stderr,
+                   tail_bound=outcome.tail_bound, method=outcome.method,
+                   n_effective=outcome.n_effective)
+        if outcome.diverged:
+            row["status"] = "diverged"
+    else:
+        # an energy combines several estimates and claims no error of its own
+        row.update(value=float(outcome), method="derived")
+    return row
+
+
 def cmd_eval(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
-    fields = _build_fields(cfg)
-    deltas = _build_deltas(cfg)
-    engine = _build_engine(cfg, seed)
-    envelope = _build_envelope(cfg)
-    kern_p = float(cfg.get("kernel", {}).get("p", 2.0))
-    omega = float(cfg.get("omega", 0.0))
-    names = cfg.get("functionals") or ["l2_norm_sq", "dirichlet_energy",
-                                       "entropy_l2", "i_delta"]
+    b = _build(cfg, seed)
     header = ["field_index", "field_hash", "functional", "delta", "value",
               "stderr", "tail_bound", "method", "status", "n_effective"]
     rows = []
-    any_diverged = False
-
-    def push(fi, fh, name, delta, outcome):
-        nonlocal any_diverged
-        row = {"field_index": fi, "field_hash": fh, "functional": name,
-               "delta": "" if delta is None else delta, "value": "",
-               "stderr": "", "tail_bound": "", "method": "", "status": "ok",
-               "n_effective": ""}
-        if isinstance(outcome, Exception):
-            row["status"] = f"error:{type(outcome).__name__}"
-        else:
-            est = outcome if isinstance(outcome, Estimate) else Estimate(float(outcome))
-            row.update(value=est.value, stderr=est.stderr, tail_bound=est.tail_bound,
-                       method=est.method, n_effective=est.n_effective)
-            if est.diverged:
-                row["status"] = "diverged"
-                any_diverged = True
-        rows.append(row)
-
-    for fi, u in enumerate(fields):
+    for fi, u in enumerate(b.fields):
         fh = descriptor_hash(u)
-        for name in names:
-            try:
-                if name == "l2_norm_sq":
-                    push(fi, fh, name, None, l2_norm_sq(u))
-                elif name == "dirichlet_energy":
-                    push(fi, fh, name, None, dirichlet_energy(u))
-                elif name == "entropy_l2":
-                    push(fi, fh, name, None, entropy_l2(u))
-                elif name == "log_moment_lp":
-                    push(fi, fh, name, None, log_moment_lp(u, kern_p))
-                elif name == "j_energy":
-                    push(fi, fh, name, None, j_energy(u, EnergyParams(omega)))
-                elif name == "f_functional":
-                    if envelope is None:
-                        raise ConfigError("f_functional needs kernel.envelope")
-                    push(fi, fh, name, None, f_functional(u, envelope, kern_p, engine))
-                elif name in ("i_delta", "i_delta_p", "j_delta_energy"):
-                    for d in deltas:
-                        try:
-                            if name == "i_delta":
-                                out = i_delta(u, KernelSpec(d), engine)
-                            elif name == "i_delta_p":
-                                out = i_delta_p(u, KernelSpec(d, p=kern_p), engine)
-                            else:
-                                out = j_delta_energy(u, EnergyParams(omega),
-                                                     KernelSpec(d), engine)
-                            push(fi, fh, name, d, out)
-                        except Exception as exc:  # noqa: BLE001 - per-row status
-                            push(fi, fh, name, d, exc)
-                else:
-                    raise ConfigError(f"unhandled functional {name}")
-            except ConfigError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - per-row status
-                push(fi, fh, name, None, exc)
+        for name in cfg.get("functionals") or _DEFAULT_FUNCTIONALS:
+            per_delta, evaluate = _EVAL[name]
+            for d in b.deltas if per_delta else [None]:
+                try:
+                    outcome = evaluate(u, d, b)
+                except Exception as exc:  # noqa: BLE001 - per-row status
+                    outcome = exc
+                rows.append(_eval_row(fi, fh, name, d, outcome))
 
     _write_outputs(cfg, out_dir, "eval", header, rows, {"rows": rows})
-    return 3 if any_diverged else 0
+    return 3 if any(r["status"] == "diverged" for r in rows) else 0
 
 
 def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
-    fields = _build_fields(cfg)
-    deltas = _build_deltas(cfg)
-    engine = _build_engine(cfg, seed)
-    envelope = _build_envelope(cfg)
-    lam = float(cfg.get("lambda", 1.0))
-    a_values = [float(a) for a in cfg.get("a_values", [1.0])]
-    potential = _build_potential(cfg, cfg["dim"])
-    phase = _build_phase(cfg)
-    checks = cfg.get("checks", [])
+    b = _build(cfg, seed)
     header = ["inequality_id", "field_hash", "delta", "lhs", "rhs", "deficit",
               "constant", "stat_margin", "degenerate"]
     rows, details = [], []
     violated = False
-
-    def emit(report, constant=None):
-        nonlocal violated
-        row = report.csv_row()
-        if constant is not None and report.rhs_builder is not None:
-            row["deficit"] = report.deficit_at(constant)
-            row["rhs"] = report.rhs_builder(constant)
-            row["constant"] = constant
-            ok = report.holds(constant)
-        else:
-            ok = report.degenerate or report.holds()
-        if not ok:
-            violated = True
-        rows.append(row)
-        details.append(report.detail())
-
-    for check in checks:
+    for check in cfg.get("checks", []):
         if check in FREE_CONSTANT_CHECKS:
-            sw = sweep_family(fields, deltas, check, engine, seed=seed, lam=lam,
-                              envelope=envelope)
-            for rep in sw.reports:
-                if rep.degenerate:
-                    emit(rep)
-                else:
-                    emit(rep, constant=sw.family_constant)
-        elif check == "gauss_lsi":
-            for u in fields:
-                emit(check_gauss_lsi(u))
-        elif check == "euclidean_family":
-            for u in fields:
-                for a in a_values:
-                    emit(check_euclidean_family(u, a))
-        elif check == "jensen":
-            for u in fields:
-                emit(check_jensen(u))
-        elif check == "small_set_bound":
-            for u in fields:
-                for d in deltas:
-                    emit(check_small_set_bound(u, d, lam))
-        elif check == "diamagnetic":
-            for u in fields:
-                cu = ComplexField(u, phase)
-                for d in deltas:
-                    emit(check_diamagnetic(cu, potential, d, engine))
-        elif check == "magnetic_lsi":
+            sw = sweep_family(b.fields, b.deltas, check, b.engine, seed=seed, lam=b.lam,
+                              envelope=b.envelope)
+            reports, family = sw.reports, sw.family_constant
+        else:
+            reports, family = _CHECKS[check](b), None
+        if check == "magnetic_lsi":
             # the constant is an output: every report is checked at the
             # family constant, as in the free-constant branch
-            reps = [check_magnetic_lsi(ComplexField(u, phase), potential, d, engine)
-                    for u in fields for d in deltas]
-            family = max((r.admissible_constant for r in reps if not r.degenerate
+            family = max((r.admissible_constant for r in reports if not r.degenerate
                           and math.isfinite(r.admissible_constant)), default=None)
-            for rep in reps:
-                emit(rep, constant=None if rep.degenerate else family)
+        for report in reports:
+            row = report.csv_row()
+            constant = None if report.degenerate else family
+            if constant is not None and report.rhs_builder is not None:
+                row["deficit"] = report.deficit_at(constant)
+                row["rhs"] = report.rhs_builder(constant)
+                row["constant"] = constant
+                ok = report.holds(constant)
+            else:
+                ok = report.degenerate or report.holds()
+            violated = violated or not ok
+            rows.append(row)
+            details.append(report.detail())
 
     _write_outputs(cfg, out_dir, "check", header, rows, {"reports": details})
     return 4 if violated else 0
 
 
 def cmd_sweep(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
-    fields = _build_fields(cfg)
-    deltas = sorted(_build_deltas(cfg), reverse=True)
-    engine = _build_engine(cfg, seed)
+    b = _build(cfg, seed)
     header = ["field_index", "field_hash", "delta", "value", "stderr", "ratio",
               "tail_bound"]
     rows, summary = [], []
-    for fi, u in enumerate(fields):
-        sw = delta_sweep(u, deltas, engine)
+    for fi, u in enumerate(b.fields):
+        sw = delta_sweep(u, sorted(b.deltas, reverse=True), b.engine)
         fh = descriptor_hash(u)
         for d, est, ratio in zip(sw.deltas, sw.estimates, sw.ratios):
             rows.append({"field_index": fi, "field_hash": fh, "delta": d,
@@ -438,24 +379,23 @@ def cmd_sweep(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
 
 
 def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
-    fields = _build_fields(cfg)
-    deltas = _build_deltas(cfg)
-    engine = _build_engine(cfg, seed)
-    envelope = _build_envelope(cfg)
-    lam = float(cfg.get("lambda", 1.0))
-    checks = [c for c in cfg.get("checks", []) if c in FREE_CONSTANT_CHECKS]
-    if not checks:
-        raise ConfigError("constants command needs at least one free-constant check")
+    checks = cfg.get("checks", [])
+    fixed = [c for c in checks if c not in FREE_CONSTANT_CHECKS]
+    if fixed or not checks:
+        raise ConfigError("constants command needs checks with a free constant "
+                          f"(FREE_CONSTANT_CHECKS: {', '.join(FREE_CONSTANT_CHECKS)}); "
+                          f"got {checks}")
+    b = _build(cfg, seed)
     header = ["inequality_id", "field_hash", "delta", "constant", "family_constant",
               "held_out", "held_ok"]
     rows, summary = [], []
     for check in checks:
-        sw = sweep_family(fields, deltas, check, engine, seed=seed, lam=lam,
-                          envelope=envelope)
+        sw = sweep_family(b.fields, b.deltas, check, b.engine, seed=seed, lam=b.lam,
+                          envelope=b.envelope)
         for idx, ((fi, d), rep) in enumerate(zip(sw.instances, sw.reports)):
             rows.append({
                 "inequality_id": check,
-                "field_hash": descriptor_hash(fields[fi]),
+                "field_hash": descriptor_hash(b.fields[fi]),
                 "delta": d,
                 "constant": ("" if rep.admissible_constant is None
                              else rep.admissible_constant),
@@ -472,12 +412,11 @@ def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
 
 
 def cmd_qn(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
-    fields = _build_fields(cfg)
-    engine = _build_engine(cfg, seed)
-    deltas = sorted(_build_deltas(cfg), reverse=True)
+    b = _build(cfg, seed)
+    deltas = sorted(b.deltas, reverse=True)
     if len(deltas) < 3:
         deltas = [0.2 * 2.0 ** (-k) for k in range(6)]
-    est = estimate_qn(cfg["dim"], fields, engine, deltas)
+    est = estimate_qn(cfg["dim"], b.fields, b.engine, deltas)
     header = ["dim", "estimate", "error", "candidate", "candidate_label",
               "consistent"]
     rows = [{"dim": est.dim, "estimate": est.value, "error": est.error,

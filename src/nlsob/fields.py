@@ -1088,27 +1088,35 @@ def transform(f: ScalarField, dilate: float = 1.0, amplify: float = 1.0,
     return out
 
 
+def _radial_shape(cls, size_key: str) -> tuple:
+    return (lambda d: cls(d["dim"], d[size_key], d.get("amplitude", 1.0),
+                          tuple(d.get("center", ()))),
+            {"dim", size_key}, {"amplitude", "center"})
+
+
+# shape -> (builder, keys the builder cannot do without, optional keys);
+# field_from_dict builds from it and the CLI validates configs against it
+FIELD_SHAPES = {
+    "gaussian": _radial_shape(GaussianField, "rate"),
+    "bump": _radial_shape(SmoothBumpField, "radius"),
+    "indicator": _radial_shape(IndicatorField, "radius"),
+    "radial_profile": (lambda d: RadialProfileField(d["dim"], d["knots"], d["values"],
+                                                    d.get("center", ())),
+                       {"dim", "knots", "values"}, {"center"}),
+    "sum": (lambda d: FiniteSumField([field_from_dict(t) for t in d["terms"]]),
+            {"terms"}, {"dim"}),
+    "constant": (lambda d: ConstantField(d["dim"], d.get("value", 1.0)), {"dim"}, {"value"}),
+    "exponential": (lambda d: ExponentialField(d["dim"], tuple(d["rate_vector"]),
+                                               d.get("amplitude", 1.0)),
+                    {"dim", "rate_vector"}, {"amplitude"}),
+}
+
+
 def field_from_dict(d: dict) -> ScalarField:
     """Rebuild a field from its JSON descriptor."""
-    kind = d.get("shape")
-    if kind == "gaussian":
-        return GaussianField(d["dim"], d["rate"], d.get("amplitude", 1.0),
-                             tuple(d.get("center", ())))
-    if kind == "bump":
-        return SmoothBumpField(d["dim"], d["radius"], d.get("amplitude", 1.0),
-                               tuple(d.get("center", ())))
-    if kind == "indicator":
-        return IndicatorField(d["dim"], d["radius"], d.get("amplitude", 1.0),
-                              tuple(d.get("center", ())))
-    if kind == "radial_profile":
-        return RadialProfileField(d["dim"], d["knots"], d["values"], d.get("center", ()))
-    if kind == "sum":
-        return FiniteSumField([field_from_dict(t) for t in d["terms"]])
-    if kind == "constant":
-        return ConstantField(d["dim"], d.get("value", 1.0))
-    if kind == "exponential":
-        return ExponentialField(d["dim"], tuple(d["rate_vector"]), d.get("amplitude", 1.0))
-    raise ValueError(f"unknown field shape {kind!r}")
+    if d.get("shape") not in FIELD_SHAPES:
+        raise ValueError(f"unknown field shape {d.get('shape')!r}")
+    return FIELD_SHAPES[d["shape"]][0](d)
 
 
 def descriptor_hash(obj) -> str:

@@ -5,7 +5,12 @@ import json
 import math
 import os
 
+import pytest
+
 import nlsob.cli as cli
+import nlsob.functionals as fn
+from nlsob.errors import ConfigError
+from nlsob.fields import field_from_dict
 
 from conftest import rel_err
 
@@ -106,6 +111,17 @@ class TestConfigValidation:
         assert rc == 2
         assert not (tmp_path / "out.csv").exists()
 
+    def test_config_errors_raised_before_computation(self):
+        # both used to pass validation: the first failed only after the
+        # rows before it were computed, the second only when check built
+        # the potential
+        no_envelope = base_config(functionals=["l2_norm_sq", "f_functional"])
+        bad_potential = base_config(checks=["diamagnetic"],
+                                    potential={"kind": "quadratic"})
+        for cfg, needle in ((no_envelope, "envelope"), (bad_potential, "potential")):
+            with pytest.raises(ConfigError, match=needle):
+                cli.validate_config(cfg)
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not valid")
@@ -136,23 +152,35 @@ class TestEval:
         assert (tmp_path / "a" / "out.csv").read_bytes() == \
             (tmp_path / "b" / "out.csv").read_bytes()
 
-    def test_worker_count_byte_identical(self, tmp_path):
-        cfg = base_config(functionals=["i_delta"],
-                          engine={"mode": "mc", "mc": {"n_samples": 48000}})
-        path = write_config(tmp_path, cfg)
-        old = os.environ.get("WORKERS")
-        try:
-            os.environ["WORKERS"] = "1"
-            cli.main(["eval", "--config", path, "--out-dir", str(tmp_path / "w1")])
-            os.environ["WORKERS"] = "8"
-            cli.main(["eval", "--config", path, "--out-dir", str(tmp_path / "w8")])
-        finally:
-            if old is None:
-                os.environ.pop("WORKERS", None)
-            else:
-                os.environ["WORKERS"] = old
-        assert (tmp_path / "w1" / "out.csv").read_bytes() == \
-            (tmp_path / "w8" / "out.csv").read_bytes()
+    def test_volume_rows_carry_estimator_error(self, tmp_path):
+        # a non-radial sum has no closed forms: its volume rows are Monte
+        # Carlo estimates and must say so, with their own stderr
+        desc = {"shape": "sum", "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.3, 0.0, 0.0]},
+            {"shape": "bump", "dim": 3, "radius": 1.5, "amplitude": 0.8,
+             "center": [-0.3, 0.0, 0.0]}]}
+        cfg = base_config(fields=[desc], functionals=[
+            "l2_norm_sq", "dirichlet_energy", "entropy_l2", "log_moment_lp", "j_energy"])
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        rows = {r["functional"]: r for r in read_rows(tmp_path / "out.csv")}
+        u = field_from_dict(desc)
+        expect = {"l2_norm_sq": fn.l2_norm_sq_estimate(u),
+                  "dirichlet_energy": fn.dirichlet_energy_estimate(u),
+                  "entropy_l2": fn.entropy_l2_estimate(u),
+                  "log_moment_lp": fn.log_moment_lp_estimate(u, 2.0)}
+        for name, est in expect.items():
+            row = rows[name]
+            assert est.method == row["method"] == "mc", name
+            assert float(row["value"]) == est.value, name
+            assert float(row["stderr"]) == est.stderr > 0.0, name
+            assert float(row["tail_bound"]) == est.tail_bound, name
+            assert int(row["n_effective"]) == est.n_effective, name
+        energy = rows["j_energy"]
+        assert energy["method"] == "derived"
+        assert energy["stderr"] == energy["tail_bound"] == energy["n_effective"] == ""
+        assert math.isfinite(float(energy["value"]))
 
     def test_seed_override_changes_mc_output(self, tmp_path):
         cfg = base_config(functionals=["i_delta"],
@@ -295,11 +323,18 @@ class TestSweepAndConstants:
         assert len(rows) == 1
         assert rows[0]["constant"] == rows[0]["family_constant"]
 
-    def test_constants_needs_free_constant_check(self, tmp_path):
-        cfg = base_config(checks=["gauss_lsi"])
-        rc = cli.main(["constants", "--config", write_config(tmp_path, cfg),
-                       "--out-dir", str(tmp_path)])
-        assert rc == 2
+    def test_constants_needs_free_constant_check(self, tmp_path, capsys):
+        # gauss_lsi has no free constant; next to one that has, it used to
+        # be dropped silently
+        for checks in (["gauss_lsi"], ["logsobolev_main", "gauss_lsi"]):
+            cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0}],
+                              kernel={"deltas": [0.1]}, checks=checks)
+            rc = cli.main(["constants", "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "FREE_CONSTANT_CHECKS" in err and "gauss_lsi" in err
+            assert not (tmp_path / "out.csv").exists()
 
 
 class TestQn:
