@@ -51,6 +51,7 @@ from .inequalities import (
     check_nonlocal_sobolev,
     check_small_set_bound,
     check_envelope_lsi,
+    family_constant,
     jensen_gap,
     jensen_gap_p,
     sweep_family,

@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -49,12 +48,14 @@ from .functionals import (
 )
 from .inequalities import (
     FREE_CONSTANT_CHECKS,
+    FREE_CONSTANT_REPORTS,
     check_diamagnetic,
     check_euclidean_family,
     check_gauss_lsi,
     check_jensen,
     check_magnetic_lsi,
     check_small_set_bound,
+    family_constant,
     sweep_family,
 )
 from .limits import delta_sweep, estimate_qn
@@ -80,8 +81,8 @@ _EVAL = {
 }
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
 
-# check -> its reports on the built config; the checks with a free
-# constant (inequalities.FREE_CONSTANT_CHECKS) run through sweep_family
+# check -> its reports on the built config, field-major and delta-minor;
+# the checks with a free constant come from inequalities.FREE_CONSTANT_REPORTS
 _CHECKS = {
     "gauss_lsi": lambda b: [check_gauss_lsi(u) for u in b.fields],
     "euclidean_family": lambda b: [check_euclidean_family(u, a)
@@ -91,6 +92,9 @@ _CHECKS = {
                                   for u in b.fields for d in b.deltas],
     "diamagnetic": lambda b: _magnetic_reports(check_diamagnetic, b),
     "magnetic_lsi": lambda b: _magnetic_reports(check_magnetic_lsi, b),
+    **{name: lambda b, report=report: [report(u, d, b.lam, b.envelope, b.engine)
+                                       for u in b.fields for d in b.deltas]
+       for name, report in FREE_CONSTANT_REPORTS.items()},
 }
 
 
@@ -198,7 +202,7 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     if "f_functional" in cfg.get("functionals", []) and env is None:
         raise ConfigError("f_functional needs kernel.envelope")
     for name in cfg.get("checks", []):
-        if name not in FREE_CONSTANT_CHECKS and name not in _CHECKS:
+        if name not in _CHECKS:
             raise ConfigError(f"unknown check {name!r}")
     if "potential" in cfg:
         _check_keys(cfg["potential"], _POTENTIAL_KEYS, "$.potential", strict)
@@ -210,27 +214,31 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
 
 
 def _build(cfg: dict, seed: int) -> SimpleNamespace:
-    """The objects of a validated config, built once per command."""
-    fields = [field_from_dict(d) for d in cfg["fields"]]
-    if any(f.dim != cfg["dim"] for f in fields):
-        raise ConfigError("field dimension disagrees with config dim")
+    """The objects of a validated config, built once per command; a value
+    their constructors reject is a config error."""
     kern, eng = cfg.get("kernel", {}), cfg.get("engine", {})
     env = kern.get("envelope")
     pot = cfg.get("potential", {"kind": "zero"})
     phase = cfg.get("phase", {})
-    return SimpleNamespace(
-        fields=fields,
-        deltas=[float(d) for d in kern.get("deltas", [kern.get("delta", 0.1)])],
-        engine=EngineSpec(mc=McSpec(master_seed=seed, **eng.get("mc", {})),
-                          radial=RadialSpec(**eng.get("radial", {})),
-                          mode=eng.get("mode", "auto")),
-        envelope=None if env is None else _ENVELOPES[env["kind"]][1](env),
-        p=float(kern.get("p", 2.0)),
-        omega=float(cfg.get("omega", 0.0)),
-        lam=float(cfg.get("lambda", 1.0)),
-        a_values=[float(a) for a in cfg.get("a_values", [1.0])],
-        potential=_POTENTIALS[pot["kind"]][1](pot, cfg["dim"]),
-        phase=LinearPhase(float(phase.get("offset", 0.0)), tuple(phase.get("wave", ()))))
+    try:
+        b = SimpleNamespace(
+            fields=[field_from_dict(d) for d in cfg["fields"]],
+            deltas=[float(d) for d in kern.get("deltas", [kern.get("delta", 0.1)])],
+            engine=EngineSpec(mc=McSpec(master_seed=seed, **eng.get("mc", {})),
+                              radial=RadialSpec(**eng.get("radial", {})),
+                              mode=eng.get("mode", "auto")),
+            envelope=None if env is None else _ENVELOPES[env["kind"]][1](env),
+            p=float(kern.get("p", 2.0)),
+            omega=float(cfg.get("omega", 0.0)),
+            lam=float(cfg.get("lambda", 1.0)),
+            a_values=[float(a) for a in cfg.get("a_values", [1.0])],
+            potential=_POTENTIALS[pot["kind"]][1](pot, cfg["dim"]),
+            phase=LinearPhase(float(phase.get("offset", 0.0)), tuple(phase.get("wave", ()))))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if any(f.dim != cfg["dim"] for f in b.fields):
+        raise ConfigError("field dimension disagrees with config dim")
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +336,15 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     rows, details = [], []
     violated = False
     for check in cfg.get("checks", []):
-        if check in FREE_CONSTANT_CHECKS:
-            sw = sweep_family(b.fields, b.deltas, check, b.engine, seed=seed, lam=b.lam,
-                              envelope=b.envelope)
-            reports, family = sw.reports, sw.family_constant
-        else:
-            reports, family = _CHECKS[check](b), None
-        if check == "magnetic_lsi":
-            # the constant is an output: every report is checked at the
-            # family constant, as in the free-constant branch
-            family = max((r.admissible_constant for r in reports if not r.degenerate
-                          and math.isfinite(r.admissible_constant)), default=None)
+        reports = _CHECKS[check](b)
+        family = family_constant(reports)
         for report in reports:
             row = report.csv_row()
-            constant = None if report.degenerate else family
-            if constant is not None and report.rhs_builder is not None:
-                row["deficit"] = report.deficit_at(constant)
-                row["rhs"] = report.rhs_builder(constant)
-                row["constant"] = constant
-                ok = report.holds(constant)
+            if family is not None and report.rhs_builder is not None and not report.degenerate:
+                row["deficit"] = report.deficit_at(family)
+                row["rhs"] = report.rhs_builder(family)
+                row["constant"] = family
+                ok = report.holds(family)
             else:
                 ok = report.degenerate or report.holds()
             violated = violated or not ok
@@ -397,8 +395,7 @@ def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
                 "inequality_id": check,
                 "field_hash": descriptor_hash(b.fields[fi]),
                 "delta": d,
-                "constant": ("" if rep.admissible_constant is None
-                             else rep.admissible_constant),
+                "constant": rep.admissible_constant,
                 "family_constant": sw.family_constant,
                 "held_out": idx in sw.held_idx,
                 "held_ok": sw.held_ok,

@@ -202,7 +202,7 @@ class ScalarField:
 
     def lp_power_closed_form(self, q: float) -> Optional[float]:
         """Integral of |u|^q."""
-        return None
+        return self.l2_norm_sq_closed_form() if q == 2 else None
 
     def log_moment_closed_form(self, p: float) -> Optional[float]:
         """Integral of |u|^p log |u|^p, with 0 log 0 = 0."""

@@ -594,23 +594,22 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
             raise PreconditionError("dim required for a bare constant")
         f = ConstantField(dim, float(f))
     n = f.dim
-    vals = lambda pts: (f.evaluate(pts) ** 2 if square else f.evaluate(pts))
+    if mu == "lebesgue" and square:
+        l2 = l2_norm_sq_estimate(f)
+        return entropy_l2_estimate(f, l2=l2).value + (n / 2.0) * math.log(l2.value)
     if mu == "lebesgue":
         # a field without decay, such as a nonzero constant, has infinite
         # mass: the volume integrals below raise DivergentIntegralError
         base = _real_part(f)
-        mass = (l2_norm_sq_estimate(base).value if square
-                else quad.lebesgue_volume_integral(base, lambda v: v, power_hint=1.0).value)
-        if mass <= 0:
-            raise ZeroFieldError("||f||_{1,mu} must be positive")
-        ent = quad.lebesgue_volume_integral(base, lambda v: xlogx(
-            (v * v if square else v) / mass), power_hint=2.0 if square else 1.0).value
-        return ent + (n / 2.0) * math.log(mass)
-    mass = _gauss_expectation(f, vals)
+        mass = quad.lebesgue_volume_integral(base, lambda v: v, power_hint=1.0).value
+        flogf = quad.lebesgue_volume_integral(base, xlogx, power_hint=1.0).value
+    else:
+        vals = lambda pts: (f.evaluate(pts) ** 2 if square else f.evaluate(pts))
+        mass, flogf = _gauss_expectation(f, (vals, lambda pts: xlogx(vals(pts))))
     if mass <= 0:
         raise ZeroFieldError("||f||_{1,mu} must be positive")
-    ent = _gauss_expectation(f, lambda pts: xlogx(vals(pts) / mass))
-    return ent + (n / 2.0) * math.log(mass)
+    # int (f/m) log(f/m) = int f log f / m - log m
+    return flogf / mass - math.log(mass) + (n / 2.0) * math.log(mass)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Unspecified constants are treated as outputs, never as assumed inputs:
 each checker reports the smallest constant making its instance true, and
-``sweep_family`` aggregates the per-instance constants into a family
-supremum, re-validated on a deterministic held-out split.
+``family_constant`` takes the family supremum of the per-instance
+constants; ``sweep_family`` re-validates it on a deterministic held-out
+split.
 
 Tolerance policy: inequalities involving Monte Carlo estimates are
 asserted up to ``stat_margin`` (3x the combined standard errors,
@@ -51,7 +52,9 @@ __all__ = [
     "jensen_gap",
     "jensen_gap_p",
     "sweep_family",
+    "family_constant",
     "FREE_CONSTANT_CHECKS",
+    "FREE_CONSTANT_REPORTS",
 ]
 
 _FP_SLACK = 1e-9
@@ -167,16 +170,23 @@ def check_nonlocal_sobolev(u: ScalarField, delta: float, lam: float,
                             degenerate=not math.isfinite(admissible))
 
 
-def _log_sobolev_core(inequality_id: str, n: int, ent: Estimate, l2: Estimate,
-                      nl_est: Estimate, mass_coef: float, norm_term: float, inputs: dict,
-                      diverged_note: str = _VACUOUS) -> InequalityReport:
-    """ent + mass_coef log ||u||^2 against (N/2) log(C (norm_term + nl_est)),
-    with the smallest admissible constant C."""
+def _log_sobolev(inequality_id: str, u, nonlocal_term: Callable[[], Estimate], beta: float,
+                 norm_term: Callable[[float], float], inputs: dict,
+                 diverged_note: str = _VACUOUS) -> InequalityReport:
+    """ent + (N beta/4) log ||u||^2 against (N/2) log(C (norm_term(||u||^2)
+    + nonlocal_term())), with the smallest admissible constant C.  The
+    entropy and L2 mass are those of |u|, estimated before the nonlocal term."""
+    n = u.dim
+    _require_sobolev_dim(n)
+    l2 = l2_norm_sq_estimate(u)
+    ent = entropy_l2_estimate(u, l2=l2)
+    nl_est = nonlocal_term()
     if nl_est.diverged:
         return _vacuous(inequality_id, inputs, diverged_note)
     m = l2.value
+    mass_coef = n * beta / 4.0
     lhs = ent.value + mass_coef * math.log(m)
-    denom = norm_term + nl_est.value
+    denom = norm_term(m) + nl_est.value
     admissible = math.exp((2.0 / n) * lhs) / denom
     builder = lambda c: (n / 2.0) * math.log(c * denom)
     # first-order margin on the deficit at fixed constant
@@ -194,42 +204,28 @@ def _delta_term(n: int, delta: float, m: float) -> float:
 def check_logsobolev_main(u: ScalarField, delta: float,
                           engine: EngineSpec) -> InequalityReport:
     """Entropy bounded by (N/2) log of the nonlocal term plus a delta term."""
-    n = u.dim
-    _require_sobolev_dim(n)
-    l2 = l2_norm_sq_estimate(u)
-    ent = entropy_l2_estimate(u, l2=l2)
-    nl = i_delta(u, KernelSpec(delta), engine)
-    return _log_sobolev_core("logsobolev_main", n, ent, l2, nl, n / 2.0,
-                             _delta_term(n, delta, l2.value), _prov(u, delta, engine))
+    return _log_sobolev("logsobolev_main", u, lambda: i_delta(u, KernelSpec(delta), engine),
+                        2.0, lambda m: _delta_term(u.dim, delta, m), _prov(u, delta, engine))
 
 
 def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float,
                        engine: EngineSpec) -> InequalityReport:
     """Magnetic variant: |u| in the entropy, covariant difference on the right."""
-    n = u.dim
-    _require_sobolev_dim(n)
-    l2 = l2_norm_sq_estimate(u)
-    ent = entropy_l2_estimate(u, l2=l2)
-    mag, _ = i_delta_magnetic_paired(u, A, KernelSpec(delta), engine)
-    inputs = _prov(u.modulus, delta, engine, potential=A.to_dict())
-    return _log_sobolev_core("magnetic_lsi", n, ent, l2, mag, n / 2.0,
-                             _delta_term(n, delta, l2.value), inputs)
+    return _log_sobolev("magnetic_lsi", u,
+                        lambda: i_delta_magnetic_paired(u, A, KernelSpec(delta), engine)[0],
+                        2.0, lambda m: _delta_term(u.dim, delta, m),
+                        _prov(u.modulus, delta, engine, potential=A.to_dict()))
 
 
 def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope,
                    engine: EngineSpec) -> InequalityReport:
     """Envelope-functional version with the ||u||^beta normalization."""
-    n = u.dim
-    _require_sobolev_dim(n)
     envelope.validate()
-    l2 = l2_norm_sq_estimate(u)
-    ent = entropy_l2_estimate(u, l2=l2)
-    ff = f_functional(u, envelope, 2.0, engine)
     beta = envelope.beta
-    return _log_sobolev_core("envelope_lsi", n, ent, l2, ff, n * beta / 4.0,
-                             l2.value ** (beta / 2.0),
-                             _prov(u, None, engine, envelope=envelope.to_dict()),
-                             diverged_note="envelope functional diverges")
+    return _log_sobolev("envelope_lsi", u, lambda: f_functional(u, envelope, 2.0, engine),
+                        beta, lambda m: m ** (beta / 2.0),
+                        _prov(u, None, engine, envelope=envelope.to_dict()),
+                        diverged_note="envelope functional diverges")
 
 
 def check_diamagnetic(u: ComplexField, A: VectorPotential, delta: float,
@@ -291,17 +287,7 @@ def check_small_set_bound(u: ScalarField, delta: float, lam: float) -> Inequalit
 def jensen_gap(u: ScalarField) -> float:
     """log of the critical integral minus 2/(N-2) times the log-moment,
     for the unit-L2 normalization; nonnegative by Jensen."""
-    n = u.dim
-    _require_sobolev_dim(n)
-    l2 = l2_norm_sq_estimate(u)
-    if l2.value <= 0:
-        raise PreconditionError("zero field")
-    v = u.amplify(1.0 / math.sqrt(l2.value))
-    q = 2.0 * n / (n - 2.0)
-    crit = lp_power_integral(v, q)
-    if crit.value <= 0:
-        raise PreconditionError("critical integral vanished")
-    return math.log(crit.value) - (2.0 / (n - 2.0)) * log_moment_lp_estimate(v, 2.0).value
+    return jensen_gap_p(u, 2.0)
 
 
 def jensen_gap_p(u: ScalarField, p: float) -> float:
@@ -345,8 +331,23 @@ class FamilySweep:
     excluded: List[tuple]             # (instance index, reason)
 
 
-# the checkers whose constant is an output, which sweep_family can fit
-FREE_CONSTANT_CHECKS = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
+# the checkers whose constant is an output: each maps (field, delta,
+# lambda, envelope or None, engine) to its report.  The entries are
+# lambdas, so they look the checkers up at call time.
+FREE_CONSTANT_REPORTS = {
+    "logsobolev_main": lambda u, d, lam, env, engine: check_logsobolev_main(u, d, engine),
+    "nonlocal_sobolev": lambda u, d, lam, env, engine: check_nonlocal_sobolev(u, d, lam, engine),
+    "envelope_lsi": lambda u, d, lam, env, engine: check_envelope_lsi(
+        u, env if env is not None else MonotoneEnvelope.threshold(d), engine),
+}
+FREE_CONSTANT_CHECKS = tuple(FREE_CONSTANT_REPORTS)
+
+
+def family_constant(reports: Sequence[InequalityReport]) -> Optional[float]:
+    """The largest admissible constant over the non-degenerate reports
+    with a free constant, or None if there are none."""
+    return max((r.admissible_constant for r in reports
+                if not r.degenerate and r.rhs_builder is not None), default=None)
 
 
 def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
@@ -359,27 +360,15 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
     The split is deterministic in ``seed``.  Diverged instances are
     excluded from the constant and reported.
     """
-    if inequality_id not in FREE_CONSTANT_CHECKS:
+    if inequality_id not in FREE_CONSTANT_REPORTS:
         raise PreconditionError(f"{inequality_id!r} has no free constant to sweep")
     if not fields:
         raise PreconditionError("empty field family")
+    report = FREE_CONSTANT_REPORTS[inequality_id]
     instances = [(fi, d) for fi in range(len(fields)) for d in deltas]
-    reports: List[InequalityReport] = []
-    excluded = []
-    for idx, (fi, d) in enumerate(instances):
-        u = fields[fi]
-        if inequality_id == "logsobolev_main":
-            rep = check_logsobolev_main(u, d, engine)
-        elif inequality_id == "nonlocal_sobolev":
-            rep = check_nonlocal_sobolev(u, d, lam, engine)
-        else:
-            env = envelope if envelope is not None else MonotoneEnvelope.threshold(d)
-            rep = check_envelope_lsi(u, env, engine)
-        reports.append(rep)
-        if rep.degenerate:
-            excluded.append((idx, rep.notes or "degenerate"))
-    usable = [i for i in range(len(instances))
-              if not reports[i].degenerate]
+    reports = [report(fields[fi], d, lam, envelope, engine) for fi, d in instances]
+    excluded = [(i, r.notes or "degenerate") for i, r in enumerate(reports) if r.degenerate]
+    usable = [i for i, r in enumerate(reports) if not r.degenerate]
     if not usable:
         raise PreconditionError("every instance was degenerate")
     rng = np.random.default_rng(seed)
@@ -387,9 +376,7 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
     n_held = max(1, int(math.ceil(_HOLDOUT_FRACTION * len(usable)))) if len(usable) > 1 else 0
     held_idx = sorted(usable[perm[i]] for i in range(n_held))
     train_idx = sorted(set(usable) - set(held_idx))
-    if not train_idx:  # single usable instance: train on it, nothing held out
-        train_idx, held_idx = held_idx, []
-    family_constant = max(reports[i].admissible_constant for i in usable)
-    held_ok = all(reports[i].holds(family_constant) for i in held_idx)
+    family = family_constant(reports)
+    held_ok = all(reports[i].holds(family) for i in held_idx)
     return FamilySweep(inequality_id, instances, reports, train_idx, held_idx,
-                       family_constant, held_ok, excluded)
+                       family, held_ok, excluded)

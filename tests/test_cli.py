@@ -122,6 +122,24 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=needle):
                 cli.validate_config(cfg)
 
+    def test_bad_value_is_config_error(self, tmp_path, capsys):
+        # a value a field or potential constructor rejects used to end in a
+        # ValueError traceback (exit 1)
+        negative_rate = ("eval", base_config(
+            functionals=["l2_norm_sq"],
+            fields=[{"shape": "gaussian", "dim": 3, "rate": -1.0}]))
+        symmetric_b = ("check", base_config(
+            checks=["diamagnetic"],
+            potential={"kind": "linear_b",
+                       "matrix": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}))
+        for command, cfg in (negative_rate, symmetric_b):
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "Traceback" not in err
+            assert not (tmp_path / "out.csv").exists()
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not valid")
@@ -226,6 +244,19 @@ class TestCheck:
         assert len(diverged) == 1
         assert diverged[0]["rhs"] is None and diverged[0]["deficit"] is None
 
+    def test_all_vacuous_check_writes_degenerate_rows(self, tmp_path):
+        # delta below the indicator's jump: the nonlocal term diverges, so
+        # every instance is vacuous; check reports them, constants has
+        # nothing to fit
+        cfg = base_config(fields=[{"shape": "indicator", "dim": 3, "radius": 1.0}],
+                          checks=["logsobolev_main"], kernel={"deltas": [0.5, 0.25]})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "out.csv")
+        assert len(rows) == 2 and all(r["degenerate"] == "True" for r in rows)
+        rc = cli.main(["constants", "--config", path, "--out-dir", str(tmp_path / "fit")])
+        assert rc == 2
+
     def test_diamagnetic_suite_passes(self, tmp_path):
         cfg = base_config(
             fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0}],
@@ -287,6 +318,18 @@ class TestCheck:
         assert len(constants) == 1  # one family constant across instances
         assert all(float(r["deficit"]) >= -float(r["stat_margin"]) - 1e-9
                    for r in rows)
+
+    def test_check_rows_carry_constants_family_constant(self, tmp_path):
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                                  {"shape": "gaussian", "dim": 3, "rate": 2.0}],
+                          checks=["logsobolev_main"])
+        path = write_config(tmp_path, cfg)
+        for command in ("check", "constants"):
+            assert cli.main([command, "--config", path,
+                             "--out-dir", str(tmp_path / command)]) == 0
+        family = {r["family_constant"] for r in read_rows(tmp_path / "constants" / "out.csv")}
+        checked = {r["constant"] for r in read_rows(tmp_path / "check" / "out.csv")}
+        assert len(family) == 1 and checked == family
 
     def test_violated_inequality_exit_code(self, tmp_path, monkeypatch):
         from nlsob.inequalities import InequalityReport

@@ -384,6 +384,27 @@ class TestEntMu:
         with pytest.raises(PreconditionError):
             ent_mu(gauss3, "haar")
 
+    def test_lebesgue_square_is_entropy_l2(self, gauss3):
+        # the closed-form entropy of u^2 / ||u||^2, not a second quadrature
+        assert ent_mu(gauss3, "lebesgue", square=True) == (
+            entropy_l2(gauss3) + 1.5 * math.log(l2_norm_sq(gauss3)))
+
+    def test_gauss_one_sample_pass(self):
+        # the mass and int f log f dG come from one Monte Carlo pass
+        from unittest import mock
+
+        from nlsob import quadrature
+        from nlsob.functionals import _GAUSS_MC_SPEC, _gauss_expectation, xlogx
+        u = nl.GaussianField(3, 1.0, 1.0, (0.5, 0.0, 0.0))
+        assert np.any(u.center)  # off centre: the Monte Carlo branch
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            got = ent_mu(u, "gauss")
+        assert [c.args[3].n_samples for c in spy.call_args_list] == [_GAUSS_MC_SPEC.n_samples]
+        mass = _gauss_expectation(u, u.evaluate)
+        two_pass = _gauss_expectation(u, lambda pts: xlogx(u.evaluate(pts) / mass))
+        assert rel_err(got, two_pass + 1.5 * math.log(mass)) < 1e-12
+
 
 class TestLogMoment:
     def test_p2_matches_u2logu2(self, gauss3):
@@ -426,6 +447,13 @@ class TestRestrictedIntegrals:
 
     def test_level_above_sup(self, gauss3):
         assert restricted_power_integral(gauss3, 6.0, 2.0, "above").value == 0.0
+
+    def test_q2_is_l2_norm_sq(self):
+        # at q = 2 a sum of Gaussians keeps the closed form of its L2 mass
+        u = nl.FiniteSumField([nl.GaussianField(3, 1.0),
+                               nl.GaussianField(3, 2.0, 0.5, (0.8, 0.0, 0.0))])
+        got, l2 = lp_power_integral(u, 2.0), l2_norm_sq_estimate(u)
+        assert got.method == l2.method == "closed_form" and got.value == l2.value
 
 
 class TestGaussMeasure:
