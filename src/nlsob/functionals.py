@@ -329,15 +329,8 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
     if zero_below > 0:
         x_radius = u.decay_radius(zero_below / 2.0)
         extra_tail = 0.0
-        if math.isfinite(lip):
-            cutoff = zero_below / lip
-        elif math.isfinite(rho0):
-            # pairs closer than rho0 contribute 0, so this truncation is exact
-            cutoff = rho0
-        else:
-            # one sphere and no Lipschitz part: any cutoff is exact, and a
-            # finite one leaves active strata and a finite h_max
-            cutoff = 0.05 * max(x_radius, 1e-6) / 4.0
+        # exact: pairs closer than rho0 (inf for one sphere with L_s = 0) add 0
+        cutoff = zero_below / lip if math.isfinite(lip) else rho0
         h_tail_scale = tail_scale
     else:
         # lip is finite: without a zero region the weight is positive below
@@ -601,8 +594,8 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
         # a field without decay, such as a nonzero constant, has infinite
         # mass: the volume integrals below raise DivergentIntegralError
         base = _real_part(f)
-        mass = quad.lebesgue_volume_integral(base, lambda v: v, power_hint=1.0).value
-        flogf = quad.lebesgue_volume_integral(base, xlogx, power_hint=1.0).value
+        mass, flogf = (e.value for e in quad.lebesgue_volume_integral(
+            base, (lambda v: v, xlogx), power_hint=1.0))
     else:
         vals = lambda pts: (f.evaluate(pts) ** 2 if square else f.evaluate(pts))
         mass, flogf = _gauss_expectation(f, (vals, lambda pts: xlogx(vals(pts))))

@@ -133,6 +133,26 @@ class TestJumpVerdicts:
         with pytest.raises(UnsupportedOperationError):
             i_delta(f, KernelSpec(1.0), engine)
 
+    # the outer tail bound of the old run, which drew a whole plan of zeros
+    PARENT_TAILS = {
+        (1.0, 1.2): "0x1.4f8b588e368f1p-17", (1.0, 2.0): "0x1.4f8b588e368f2p-17",
+        (1.0, 3.0): "0x1.4f8b588e368f7p-17", (1.25, 1.2): "0x1.4f8b588e368f0p-17",
+        (1.25, 2.0): "0x1.4f8b588e368f1p-17", (1.25, 3.0): "0x1.4f8b588e368f7p-17",
+        (1.5, 1.2): "0x1.4f8b588e368f0p-17", (1.5, 2.0): "0x1.4f8b588e368f1p-17",
+        (1.5, 3.0): "0x1.4f8b588e368f6p-17",
+    }
+
+    @pytest.mark.parametrize("delta, p", sorted(PARENT_TAILS))
+    def test_single_jump_at_or_above_delta_draws_nothing(self, delta, p):
+        # one sphere, no Lipschitz part: no pair exceeds delta >= J, so
+        # the run has no stratum to draw and keeps its tail bound's bits
+        CountingIndicator.points = 0
+        est = i_delta_p(CountingIndicator(3, 1.0), KernelSpec(delta, p),
+                        default_engine(3, mode="mc", n_samples=4800))
+        assert CountingIndicator.points == 0
+        assert (est.value, est.stderr, est.n_effective, est.method) == (0.0, 0.0, 0, "mc")
+        assert est.tail_bound.hex() == self.PARENT_TAILS[delta, p]
+
     def test_no_lipschitz_bound_and_no_jumps_unsupported(self, engine):
         # spheres whose heights cancel leave no jump to decide from
         f = nl.FiniteSumField([nl.IndicatorField(3, 1.0), nl.IndicatorField(3, 1.0, -1.0),
@@ -404,6 +424,21 @@ class TestEntMu:
         mass = _gauss_expectation(u, u.evaluate)
         two_pass = _gauss_expectation(u, lambda pts: xlogx(u.evaluate(pts) / mass))
         assert rel_err(got, two_pass + 1.5 * math.log(mass)) < 1e-12
+
+
+    def test_lebesgue_one_sample_pass(self):
+        # the mass and int f log f come from one Monte Carlo pass, with
+        # the bits of two separate volume integrals
+        from unittest import mock
+
+        from nlsob import quadrature
+        u = nl.FiniteSumField([nl.GaussianField(3, 1.0, 1.0, (0.3, 0, 0)),
+                               nl.GaussianField(3, 1.6, 0.65, (-0.3, 0.2, 0))])
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            got = ent_mu(u)
+        assert [len(c.args[0]) for c in spy.call_args_list] == [2]
+        assert got.hex() == "-0x1.1aaf3d17e90a0p-3"
 
 
 class TestLogMoment:

@@ -466,6 +466,24 @@ class TestMcEngine:
             hits += abs(est.value - SHELL_EXACT) <= 3.0 * est.stderr
         assert hits >= 297
 
+    def test_infinite_cutoff_keeps_h_max_and_tail(self):
+        from nlsob.quadrature import _derive_h_max
+        spec = McSpec(master_seed=1, n_samples=4800, chunk_size=4800)
+        ctx = replace(shell_context(), inner_cutoff=0.0)
+        assert (_derive_h_max(replace(ctx, inner_cutoff=math.inf), spec)
+                == _derive_h_max(ctx, spec))
+
+    def test_infinite_cutoff_draws_nothing(self):
+        from nlsob.quadrature import _derive_h_max
+
+        def never(x, y, rho, vx, vy):
+            raise AssertionError("no pair may be drawn")
+        spec = McSpec(master_seed=1, n_samples=4800, chunk_size=4800)
+        ctx = replace(shell_context(), inner_cutoff=0.0, integrands=(never,))
+        _, tail = _derive_h_max(ctx, spec)
+        est = mc_pair_integrate(replace(ctx, inner_cutoff=math.inf), spec)
+        assert est == nl.Estimate(0.0, 0.0, 0, tail, "mc") and tail > 0.0
+
     def test_bitwise_reproducible(self):
         spec = McSpec(master_seed=33, n_samples=48000, chunk_size=4800, h_max=4.0)
         a = mc_pair_integrate(shell_context(), spec)
@@ -803,6 +821,22 @@ class TestVolume:
         est = volume_integrate(lambda pts: f.evaluate(pts) ** 2, f)
         assert est.method == "mc"
         assert abs(est.value - nl.l2_norm_sq(f)) <= 4.0 * est.stderr
+
+    def test_tuple_keeps_the_bits_of_single_calls(self):
+        from nlsob.functionals import xlogx
+        from nlsob.quadrature import lebesgue_volume_integral
+        f = nl.FiniteSumField([nl.GaussianField(3, 1.0, 1.0, (0.3, 0.0, 0.0)),
+                               nl.GaussianField(3, 1.6, 0.65, (-0.3, 0.2, 0.0))])
+        fns = (lambda v: v, xlogx)
+        both = lebesgue_volume_integral(f, fns, power_hint=1.0)
+        single = [lebesgue_volume_integral(f, fn, power_hint=1.0) for fn in fns]
+        assert both == single
+        assert [e.value.hex() for e in both] == ["0x1.d5d12f4b110b8p+2",
+                                                 "-0x1.0a90960c8fdc5p+3"]
+
+    def test_tuple_on_the_radial_path(self, gauss3):
+        fns = (lambda pts: gauss3.evaluate(pts), lambda pts: gauss3.evaluate(pts) ** 2)
+        assert volume_integrate(fns, gauss3) == [volume_integrate(fn, gauss3) for fn in fns]
 
 
 class TestGeometryHelpers:
