@@ -428,6 +428,11 @@ _COMMANDS = {"eval": cmd_eval, "check": cmd_check, "sweep": cmd_sweep,
              "constants": cmd_constants, "qn": cmd_qn}
 
 
+def _no_constant(name: str):
+    # json reads NaN, Infinity and -Infinity, which no config value may be
+    raise ValueError(f"{name} is not a finite number")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlsob",
@@ -445,8 +450,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh, parse_constant=_no_constant)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

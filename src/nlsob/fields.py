@@ -256,6 +256,8 @@ class RadialShapeField(ScalarField):
         c = tuple(float(v) for v in np.ravel(center)) or (0.0,) * self.dim
         if len(c) != self.dim:
             raise DimensionMismatchError("center has wrong dimension")
+        if not sup < math.inf:
+            raise ValueError("profile amplitude must be finite")
         for name, value in (("center_point", c), ("_sup", sup), ("_lip", lip),
                             ("_knots", knots), ("_monotone", monotone),
                             ("_support", support)):
@@ -339,8 +341,8 @@ class GaussianField(RadialShapeField):
 
     def __post_init__(self):
         check_dimension(self.dim)
-        if self.rate <= 0:
-            raise ValueError("Gaussian rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("Gaussian rate must be positive and finite")
         # sup |g'| = |amp| sqrt(2 rate / e), attained at r = 1/sqrt(2 rate)
         self._init_shape(self.center_point, sup=abs(self.amplitude),
                          lip=abs(self.amplitude) * math.sqrt(2.0 * self.rate / math.e),
@@ -427,8 +429,8 @@ class SmoothBumpField(RadialShapeField):
 
     def __post_init__(self):
         check_dimension(self.dim)
-        if self.radius <= 0:
-            raise ValueError("bump radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("bump radius must be positive and finite")
         # no elementary closed form; dense deterministic grid with margin
         r = np.linspace(0.0, self.radius * (1.0 - 1e-9), 20001)
         self._init_shape(self.center_point, sup=abs(self.amplitude),
@@ -475,8 +477,8 @@ class IndicatorField(RadialShapeField):
 
     def __post_init__(self):
         check_dimension(self.dim)
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
         self._init_shape(self.center_point, sup=abs(self.amplitude), lip=math.inf,
                          knots=np.array([self.radius]), monotone=False,
                          support=self.radius)
@@ -613,8 +615,10 @@ class RadialProfileField(RadialShapeField):
         self.dim = check_dimension(dim)
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
-        if knots.ndim != 1 or knots.size < 3 or np.any(np.diff(knots) <= 0):
+        if knots.ndim != 1 or knots.size < 3 or not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing with >= 3 entries")
+        if not (knots[-1] < math.inf and np.all(np.abs(values) < math.inf)):
+            raise ValueError("knots and values must be finite")
         if knots[0] != 0.0:
             raise ValueError("first knot must be r = 0")
         if values[-1] != 0.0:

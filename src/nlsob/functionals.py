@@ -102,13 +102,15 @@ class MonotoneEnvelope:
 
     @staticmethod
     def power_law(q: float) -> "MonotoneEnvelope":
-        if q < 1:
-            raise PreconditionError("power-law envelope needs q >= 1")
+        if not 1 <= q < math.inf:
+            raise PreconditionError("power-law envelope needs a finite q >= 1")
         return MonotoneEnvelope(fn=lambda t: np.asarray(t, dtype=float) ** q,
                                 beta=q, name=f"power:{q}", small_t_power=q)
 
     @staticmethod
     def threshold(delta: float, p: float = 2.0) -> "MonotoneEnvelope":
+        if not 0 < delta < math.inf:
+            raise PreconditionError("threshold envelope needs a positive finite delta")
         num = _int_pow(delta, p)
         return MonotoneEnvelope(
             fn=lambda t: np.where(np.asarray(t, dtype=float) > delta, num, 0.0),
@@ -150,10 +152,10 @@ class KernelSpec:
     envelope: Optional[MonotoneEnvelope] = None
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise PreconditionError("delta must be positive")
-        if self.p < 1:
-            raise PreconditionError("kernel exponent p must be >= 1")
+        if not 0 < self.delta < math.inf:
+            raise PreconditionError("delta must be positive and finite")
+        if not 1 <= self.p < math.inf:
+            raise PreconditionError("kernel exponent p must be finite and >= 1")
 
     def to_dict(self) -> dict:
         return {"delta": self.delta, "p": self.p,
@@ -496,11 +498,13 @@ def restricted_power_integral(u: ScalarField, q: float, level: float,
     prof = u.radial_profile()
     if prof is not None:
         r_hi = prof.decay_radius(level)  # superlevel set sits inside this radius
-        g = prof.g
+        g, dg = prof.g, prof.dg
         absg = lambda r: np.abs(g(np.asarray(r, dtype=float)))
+        absdg = None if dg is None else (lambda r: np.sign(g(r)) * dg(r))
         xs = np.linspace(0.0, max(r_hi, 1e-12), 2048)
         total = 0.0
-        for _, e1, e2 in zip(*quad._excess_intervals(absg, np.zeros(1), level, xs, absg(xs))):
+        for _, e1, e2 in zip(*quad._excess_intervals(absg, absdg, np.zeros(1), level, xs,
+                                                     absg(xs))):
             nodes, w = quad.panel_nodes(
                 quad.uniform_panels(e1, e2, 24, splits=prof.knots), 8)
             total += float(np.sum(w * np.abs(g(nodes)) ** q * nodes ** (u.dim - 1)))

@@ -26,7 +26,8 @@ Two pair engines share one Estimate type:
   near-diagonal layer.  All three radial paths (monotone indicator,
   generic indicator carving, smooth tensor weight) lay out one row of
   s-panels per r-node, or per (r-node, admissible s-interval), and
-  integrate all rows in one array pass.
+  integrate all rows in one array pass.  The indicator paths cut the
+  s-sets at level crossings, all solved by one safeguarded Newton.
 
 Both report rigorous tail bounds for the truncated regions where the
 field metadata permits one.
@@ -118,8 +119,8 @@ class McSpec:
             raise PreconditionError("chunk_size must divide n_samples")
         if self.chunk_size % self.radial_strata != 0:
             raise PreconditionError("radial_strata must divide chunk_size")
-        if self.outer_radius_eps <= 0:
-            raise PreconditionError("outer_radius_eps must be positive")
+        if not 0 < self.outer_radius_eps < math.inf:
+            raise PreconditionError("outer_radius_eps must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,6 +138,8 @@ class RadialSpec:
     def __post_init__(self):
         if min(self.n_r, self.n_s, self.n_theta) <= 0:
             raise PreconditionError("all grid sizes must be positive")
+        if not 0 <= self.r_max < math.inf:
+            raise PreconditionError("r_max must be finite and >= 0 (0: derived)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -539,81 +542,6 @@ _XTOL, _RTOL = 1e-14, 1e-15  # tolerance of every level-crossing solve
 _PROBE_POINTS = 2048  # dense part of the bracketing grid
 
 
-def _finite_values(fx: np.ndarray) -> np.ndarray:
-    if np.isnan(fx).any():
-        raise ValueError("function value is NaN; the root solve cannot continue")
-    return fx
-
-
-def brentq(f, xa, xb, xtol: float, rtol: float) -> np.ndarray:
-    """Roots of f in the brackets [xa[k], xb[k]], all solved at once.
-
-    ``f(x, k)`` returns, elementwise, the function of bracket k[j] at
-    x[j]; each call passes only the brackets still running.  Every
-    bracket takes the Brent-Dekker steps (Brent 1973, *Algorithms for
-    Minimization without Derivatives*, ch. 4) in the arithmetic of
-    scipy's ``brentq.c``: inverse quadratic or secant steps, bisection
-    when they are not short enough, and an end within
-    (xtol + rtol |x|) / 2 of the root.  So each root is, to the bit, the
-    one ``scipy.optimize.brentq`` returns for that bracket alone.  Raises
-    ValueError on a NaN value or a bracket whose ends have the same sign,
-    RuntimeError when a bracket needs more than scipy's 100 steps.
-    """
-    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
-    m = xpre.size
-    k = np.arange(m)
-    fx = _finite_values(f(np.concatenate([xpre, xcur]), np.concatenate([k, k])))
-    fpre, fcur = fx[:m], fx[m:]
-    roots = np.where(fpre == 0.0, xpre, xcur)
-    run = (fpre != 0.0) & (fcur != 0.0)
-    if np.any(run & (np.signbit(fpre) == np.signbit(fcur))):
-        raise ValueError("f(a) and f(b) must have different signs")
-    k, xpre, xcur, fpre, fcur = k[run], xpre[run], xcur[run], fpre[run], fcur[run]
-    xblk, fblk, spre, scur = (np.zeros_like(xpre) for _ in range(4))
-    for _ in range(100):
-        if not k.size:
-            return roots
-        new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk = np.where(new, xpre, xblk)
-        fblk = np.where(new, fpre, fblk)
-        step = xcur - xpre
-        spre = np.where(new, step, spre)
-        scur = np.where(new, step, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        # the root lies between xcur and xblk, and xcur has the smaller |f|
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            roots[k[done]] = xcur[done]
-            run = ~done
-            k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                v[run] for v in (k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
-                                 delta, sbis))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, secant, quadratic)
-        cap = 3 * np.abs(sbis) - delta
-        cap = np.where(np.abs(spre) < cap, np.abs(spre), cap)
-        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                 & (2 * np.abs(stry) < cap))
-        spre = np.where(short, scur, sbis)
-        scur = np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = _finite_values(f(xcur, k))
-    if k.size:
-        raise RuntimeError(f"brentq: {k.size} brackets did not converge in 100 steps")
-    return roots
-
-
 def _probe_grid(lo: float, hi: float, bulk: float) -> np.ndarray:
     """Bracketing grid: dense where the profile has structure, geometric
     beyond (profiles are monotone out there, so sparse brackets suffice)."""
@@ -624,39 +552,40 @@ def _probe_grid(lo: float, hi: float, bulk: float) -> np.ndarray:
     return sorted_unique(np.concatenate([dense, far, [hi]]))
 
 
-def _level_crossings(g, levels: np.ndarray, xs: np.ndarray, vals: np.ndarray):
+def _level_crossings(g, dg, levels: np.ndarray, xs: np.ndarray, vals: np.ndarray):
     """All roots of g(s) = levels[i] on the grid ``xs`` (``vals`` = g(xs)),
-    for every i at once: one bracket per grid cell where g - levels[i]
-    changes sign, all solved in one ``brentq`` call, plus the grid points
-    where it is 0.  Returns (i, root) arrays, by i and then by root."""
+    for every i at once: the grid cells where g - levels[i] changes sign,
+    solved by ``_crossing_roots`` on ``dg`` = g' (or None), plus the grid
+    points where it is 0.  Returns (i, root) arrays, by i and then by root."""
     above = vals > levels[:, None]
     below = vals < levels[:, None]
     i, j = np.nonzero((above[:, :-1] & below[:, 1:]) | (below[:, :-1] & above[:, 1:]))
-    roots = (brentq(lambda x, k: g(x) - levels[i[k]], xs[j], xs[j + 1], _XTOL, _RTOL)
-             if j.size else xs[j])
+    lo, hi = np.where(above[i, j], xs[np.stack([j, j + 1])], xs[np.stack([j + 1, j])])
+    roots = _crossing_roots(g, dg, levels[i], lo, hi) if j.size else xs[j]
     iz, jz = np.nonzero(vals == levels[:, None])
     i, roots = np.concatenate([i, iz]), np.concatenate([roots, xs[jz]])
     order = np.lexsort((roots, i))
     return i[order], roots[order]
 
 
-def _decreasing_roots(g, dg, level: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray) -> np.ndarray:
-    """Solve g(s) = level[i] on [lo[i], hi[i]] for every i at once.
+def _crossing_roots(g, dg, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Solve g(s) = level[i] between lo[i] and hi[i] for every i at once.
 
-    Each bracket must hold a single crossing, g(lo[i]) > level[i] >= g(hi[i]).
-    Safeguarded Newton on ``dg`` as in ``rtsafe``: a bisection step
-    replaces any Newton step that leaves the bracket or is not under half
-    the step before last, and every step when ``dg`` is None.  An entry
-    stops once its step is within the ``brentq`` tolerance of
-    ``_level_crossings``.
+    Each bracket must hold a single crossing, g(lo[i]) > level[i] >= g(hi[i]),
+    with lo[i] on either side of hi[i].  Safeguarded Newton on ``dg`` as in
+    ``rtsafe`` (*Numerical Recipes* 9.4): a bisection step replaces any
+    Newton step that leaves the bracket or is not under half the step
+    before last, and every step when ``dg`` is None.  An entry stops once
+    its step is within _XTOL + _RTOL |s|; a NaN value raises ValueError.
     """
     lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     x = 0.5 * (lo + hi)
-    step = step_old = hi - lo
+    step = step_old = np.abs(hi - lo)
     done = np.zeros(lo.shape, dtype=bool)
     for _ in range(200):
         f = g(x) - level
+        if np.isnan(f).any():
+            raise ValueError("function value is NaN; the root solve cannot continue")
         lo = np.where(f > 0.0, x, lo)
         hi = np.where(f < 0.0, x, hi)
         x_new = 0.5 * (lo + hi)
@@ -664,7 +593,7 @@ def _decreasing_roots(g, dg, level: np.ndarray, lo: np.ndarray,
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 newton = x - f / dg(x)
             # x is an end of the bracket; a Newton step rounding to 0 is converged
-            use = ((newton >= lo) & (newton <= hi)
+            use = ((newton >= np.minimum(lo, hi)) & (newton <= np.maximum(lo, hi))
                    & (np.abs(newton - x) <= 0.5 * step_old))
             x_new = np.where(use, newton, x_new)
         x_new = np.where(done | (f == 0.0), x, x_new)
@@ -675,6 +604,11 @@ def _decreasing_roots(g, dg, level: np.ndarray, lo: np.ndarray,
     raise RuntimeError("level-crossing solve did not converge")
 
 
+# bench/tracer.py, run by CI's three traced studies, hooks the solver by this
+# name; ROADMAP item 1 repoints the tracer and drops the alias
+brentq = _crossing_roots
+
+
 def _decreasing_crossings(g, dg, levels: np.ndarray, xs: np.ndarray,
                           vals: np.ndarray) -> np.ndarray:
     """The s with g(s) = levels[i] for a decreasing g, given on the grid
@@ -682,17 +616,17 @@ def _decreasing_crossings(g, dg, levels: np.ndarray, xs: np.ndarray,
     first grid value at or below a level ends the one cell that brackets
     its crossing."""
     j = np.searchsorted(-vals, -levels)
-    return _decreasing_roots(g, dg, levels, xs[j - 1], xs[j])
+    return _crossing_roots(g, dg, levels, xs[j - 1], xs[j])
 
 
-def _excess_intervals(g, a_vals: np.ndarray, delta: float, xs: np.ndarray,
+def _excess_intervals(g, dg, a_vals: np.ndarray, delta: float, xs: np.ndarray,
                       vals: np.ndarray):
     """Maximal intervals of {s in [xs[0], xs[-1]]: |g(s) - a_vals[i]| > delta}
     for every i at once, cut at the crossings of a_vals[i] +- delta found on
-    the grid ``xs`` (``vals`` = g(xs)).  Returns (i, start, end) arrays, by
-    i and then by start."""
+    the grid ``xs`` (``vals`` = g(xs), ``dg`` = g' or None).  Returns
+    (i, start, end) arrays, by i and then by start."""
     m = a_vals.size
-    i, roots = _level_crossings(g, np.concatenate([a_vals + delta, a_vals - delta]),
+    i, roots = _level_crossings(g, dg, np.concatenate([a_vals + delta, a_vals - delta]),
                                 xs, vals)
     rows = np.concatenate([np.arange(m), i % m, np.arange(m)])
     cuts = np.concatenate([np.full(m, xs[0]), roots, np.full(m, xs[-1])])
@@ -709,7 +643,7 @@ def _excess_intervals(g, a_vals: np.ndarray, delta: float, xs: np.ndarray,
     start[1:] = (row[1:] != row[:-1]) | (np.abs(e2[:-1] - e1[1:])
                                          >= 1e-14 * max(1.0, xs[-1]))
     first = np.flatnonzero(start)
-    last = np.append(first[1:], row.size) - 1
+    last = np.append(first[1:], row.size)[:first.size] - 1  # none when no piece is kept
     return row[first], e1[first], e2[last]
 
 
@@ -830,7 +764,7 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
     # in s over [0, s_max]; the region {r > r_top, s <= r_top} equals by
     # symmetry the portion of the main integral with s > r_top, which is
     # added once more.
-    idx, lo, hi = _excess_intervals(g, g_r, delta, xs, vals)
+    idx, lo, hi = _excess_intervals(g, profile.dg, g_r, delta, xs, vals)
     if not idx.size:
         return 0.0
     bps = _mapped_panels(lo, hi, template, knots)

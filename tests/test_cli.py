@@ -140,6 +140,24 @@ class TestConfigValidation:
             assert err.startswith("config error: ") and "Traceback" not in err
             assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "check", "sweep", "constants", "qn"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command):
+        # a NaN delta used to end check in an AttributeError traceback
+        # (exit 1), and a NaN rate in an eval row value=nan, status=ok
+        nan_delta = base_config(checks=["logsobolev_main"], kernel={"deltas": [math.nan]})
+        nan_rate = base_config(checks=["logsobolev_main"],
+                               fields=[{"shape": "gaussian", "dim": 3, "rate": math.nan}])
+        inf_eps = base_config(checks=["logsobolev_main"],
+                              engine={"mc": {"outer_radius_eps": math.inf}})
+        for cfg in (nan_delta, nan_rate, inf_eps):
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "Traceback" not in err
+            assert not any(p.suffix in (".csv", ".json") and p.name != "cfg.json"
+                           for p in tmp_path.iterdir())
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not valid")

@@ -109,6 +109,28 @@ class TestGradient:
 
 
 class TestMetadata:
+    @pytest.mark.parametrize("make", [
+        lambda: nl.GaussianField(3, math.nan),
+        lambda: nl.GaussianField(3, math.inf),
+        lambda: nl.GaussianField(3, 1.0, math.nan),
+        lambda: nl.GaussianField(3, 1.0, -math.inf),
+        lambda: nl.SmoothBumpField(3, math.nan),
+        lambda: nl.SmoothBumpField(3, 1.0, math.nan),
+        lambda: nl.IndicatorField(3, math.inf),
+        lambda: nl.IndicatorField(3, 1.0, math.nan),
+        lambda: nl.RadialProfileField(3, [0.0, math.nan, 2.0], [1.0, 0.5, 0.0]),
+        lambda: nl.RadialProfileField(3, [0.0, 1.0, math.inf], [1.0, 0.5, 0.0]),
+        lambda: nl.RadialProfileField(3, [0.0, 1.0, 2.0], [math.nan, 0.5, 0.0]),
+        lambda: nl.RadialProfileField(3, [0.0, 1.0, 2.0], [1.0, math.inf, 0.0]),
+    ], ids=["gauss-rate-nan", "gauss-rate-inf", "gauss-amp-nan", "gauss-amp-inf",
+            "bump-radius-nan", "bump-amp-nan", "ball-radius-inf", "ball-amp-nan",
+            "knot-nan", "knot-inf", "value-nan", "value-inf"])
+    def test_non_finite_parameters_rejected(self, make):
+        # each used to build a field whose sup, Lipschitz bound or profile
+        # is NaN or infinite
+        with pytest.raises(ValueError):
+            make()
+
     @pytest.mark.parametrize("shape_idx", range(7))
     def test_decay_radius_sound(self, shape_idx, rng):
         f = all_shapes()[shape_idx]

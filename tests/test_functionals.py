@@ -208,6 +208,26 @@ class TestExactLaws:
 
 
 class TestEnvelopes:
+    @pytest.mark.parametrize("make", [
+        lambda: KernelSpec(math.nan),
+        lambda: KernelSpec(math.inf),
+        lambda: KernelSpec(0.0),
+        lambda: KernelSpec(0.1, p=math.nan),
+        lambda: KernelSpec(0.1, p=math.inf),
+        lambda: KernelSpec(0.1, p=0.5),
+        lambda: MonotoneEnvelope.power_law(math.nan),
+        lambda: MonotoneEnvelope.power_law(math.inf),
+        lambda: MonotoneEnvelope.power_law(0.5),
+        lambda: MonotoneEnvelope.threshold(math.nan),
+        lambda: MonotoneEnvelope.threshold(-0.1),
+    ], ids=["delta-nan", "delta-inf", "delta-0", "p-nan", "p-inf", "p-half", "q-nan",
+            "q-inf", "q-half", "threshold-nan", "threshold-negative"])
+    def test_invalid_parameters_rejected(self, make):
+        # a NaN delta used to pass (NaN <= 0 is false), and its threshold
+        # envelope then took the smooth-envelope branch of _pair_functional
+        with pytest.raises(PreconditionError):
+            make()
+
     def test_reduction_consistency_bitwise(self, gauss3, engine, engine_mc_small):
         thr = MonotoneEnvelope.threshold(0.1)
         for eng in (engine, engine_mc_small):

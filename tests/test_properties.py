@@ -1,6 +1,7 @@
 """Property tests on randomly drawn fields: jump fields (a Gaussian plus
-one to three disjoint or nested indicator balls), and smooth two-term sums
-for the exact laws of the Monte Carlo engine."""
+one to three disjoint or nested indicator balls), smooth two-term sums
+for the exact laws of the Monte Carlo engine, and non-monotone radial
+profiles for the level crossings of the radial engine."""
 
 import math
 from dataclasses import replace
@@ -10,11 +11,15 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import nlsob as nl  # noqa: E402
+from scipy.optimize import brentq  # noqa: E402
+
 from nlsob import functionals  # noqa: E402
 from nlsob.inequalities import check_diamagnetic  # noqa: E402
+from nlsob.quadrature import (  # noqa: E402
+    _XTOL, _RTOL, _excess_intervals, _level_crossings, _probe_grid)
 
 
 class Counting(nl.FiniteSumField):
@@ -145,3 +150,57 @@ def test_mc_amplitude_law_bitwise(u, delta, seed):
         est = nl.i_delta(u.amplify(t), nl.KernelSpec(t * delta), eng)
         assert est.value == t * t * base.value
         assert est.stderr == t * t * base.stderr
+
+
+@st.composite
+def ring_profiles(draw):
+    """A non-monotone clamped-cubic profile on 4 to 7 knots, with a probe
+    grid like the radial engine's (dense on the support, geometric beyond)
+    and the profile's values there."""
+    n = draw(st.integers(4, 7))
+    knots = np.cumsum([0.0] + [draw(st.floats(0.2, 1.0)) for _ in range(n - 1)])
+    values = [draw(st.floats(-1.0, 1.5)) for _ in range(n - 1)] + [0.0]
+    prof = nl.RadialProfileField(3, knots, values).radial_profile()
+    assume(not prof.monotone_decreasing)
+    xs = _probe_grid(0.0, 1.5 * knots[-1], knots[-1])
+    return prof, xs, prof.g(xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ring_profiles(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_level_crossings_match_brentq(case, fracs):
+    # each cell of the probe grid where g - level changes sign holds one
+    # root, the one scipy's brentq finds on that cell, to 1e-12 where the
+    # crossing is well conditioned; where g is flat (a level next to an
+    # extremum) g tells roots apart only to about ulp(level) / |g'|.  The
+    # grid points where g equals the level are roots themselves
+    prof, xs, vals = case
+    g = prof.g
+    levels = vals.min() + np.array(fracs) * (vals.max() - vals.min())
+    i, roots = _level_crossings(g, prof.dg, levels, xs, vals)
+    for k, level in enumerate(levels):
+        d = vals - level
+        cells = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+        expect = sorted([(brentq(lambda t: float(g(np.array([t]))[0]) - level,
+                                 xs[j], xs[j + 1], xtol=_XTOL, rtol=_RTOL),
+                          xs[j], xs[j + 1]) for j in cells]
+                        + [(x, x, x) for x in xs[d == 0.0]])
+        got = roots[i == k]
+        assert got.size == len(expect)
+        for r, (ref, a, b) in zip(got, expect):
+            with np.errstate(divide="ignore"):
+                flat = 8.0 * np.spacing(max(abs(level), 1.0)) / abs(prof.dg(np.array([ref]))[0])
+            assert a <= r <= b and abs(r - ref) <= 1e-12 + flat
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ring_profiles(), where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       delta=st.floats(0.01, 0.5))
+def test_excess_intervals_exceed_delta(case, where, delta):
+    # on every interval kept for r, |g(s) - g(r)| > delta at its midpoint
+    prof, xs, vals = case
+    g = prof.g
+    a_vals = g(np.array(where) * xs[-1])
+    row, lo, hi = _excess_intervals(g, prof.dg, a_vals, delta, xs, vals)
+    assert np.all(lo < hi)
+    assert np.all(np.abs(g(0.5 * (lo + hi)) - a_vals[row]) > delta)

@@ -14,8 +14,10 @@ from scipy.optimize import brentq
 import nlsob as nl
 from nlsob.errors import PreconditionError
 from nlsob.quadrature import (
+    _RTOL,
+    _XTOL,
     _carving_grid,
-    _decreasing_roots,
+    _crossing_roots,
     _graded_kernel,
     _pcg64_states,
     _radial_indicator_value,
@@ -24,7 +26,6 @@ from nlsob.quadrature import (
     RadialSpec,
     RadialWeight,
     ball_volume,
-    brentq as batched_brentq,
     mc_pair_integrate,
     mc_pair_integrate_many,
     mc_volume_value,
@@ -288,18 +289,27 @@ class TestRadialEngine:
         assert abs(coarse.value - fine.value) <= coarse.discrepancy
 
     def test_generic_carving_bits(self):
-        # bits recorded with scipy's brentq solving one bracket at a time;
-        # the batched solve takes the same steps, so no bit may move
+        # bits of the generic carving path, its crossings solved by the
+        # safeguarded Newton of _crossing_roots on the spline's derivative
         from nlsob.functionals import restricted_power_integral
         ring = nl.RadialProfileField(4, [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0])
         engine = replace(nl.default_engine(1), radial=RadialSpec(n_r=12, n_s=16))
-        for delta, value, disc in ((0.2, "0x1.5908db62b790cp+7", "0x1.0e87ee288fa00p+2"),
-                                   (0.05, "0x1.64d5d045343b9p+7", "0x1.0e5b5ccd74600p-1")):
+        for delta, value, disc in ((0.2, "0x1.5908db62b790ap+7", "0x1.0e87ee288fc40p+2"),
+                                   (0.05, "0x1.64d5d045343b4p+7", "0x1.0e5b5ccd7a400p-1")):
             est = nl.i_delta(ring, nl.KernelSpec(delta), engine)
             assert (est.value.hex(), est.discrepancy.hex()) == (value, disc)
         ring3 = nl.RadialProfileField(3, [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0])
         est = restricted_power_integral(ring3, 3.0, 0.3, "above")
-        assert (est.method, est.value.hex()) == ("radial", "0x1.e244fe0699b94p+2")
+        assert (est.method, est.value.hex()) == ("radial", "0x1.e244fe0699b95p+2")
+
+    def test_oscillation_below_delta_carves_nothing(self):
+        # g stays within [-0.034, 0.25], so no pair differs by 0.3, yet
+        # 2 sup |g| = 0.5 > 0.3 passes the oscillation shortcut; an empty
+        # carve used to end in an IndexError
+        ring = nl.RadialProfileField(3, [0.0, 1.0, 2.0, 3.0], [0.25, 0.0, 0.0, 0.0])
+        assert not ring.radial_profile().monotone_decreasing
+        est = nl.i_delta(ring, nl.KernelSpec(0.3), nl.default_engine(1))
+        assert (est.value, est.method) == (0.0, "radial")
 
     def test_dim_one_unsupported(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
@@ -331,15 +341,19 @@ class TestMonotonePath:
         g = prof.g
         s_max = self.S_MAX
         r = np.linspace(0.01, 1.9, 40)
+        dg = prof.dg if newton else None
         for delta in (0.3, 0.05, 0.004):
             level = g(r) - delta
             ok = g(np.array([s_max]))[0] < level
-            got = _decreasing_roots(g, prof.dg if newton else None,
-                                    level[ok], r[ok], s_max)
-            for rn, lv, x in zip(r[ok], level[ok], got):
+            got = _crossing_roots(g, dg, level[ok], r[ok], s_max)
+            # the same crossings of -g, an increasing profile, with the
+            # bracket's upper end s_max passed first
+            neg_dg = None if dg is None else (lambda s: -dg(s))
+            flipped = _crossing_roots(lambda s: -g(s), neg_dg, -level[ok], s_max, r[ok])
+            for rn, lv, x, y in zip(r[ok], level[ok], got, flipped):
                 ref = brentq(lambda t: float(g(np.array([t]))[0]) - lv, rn, s_max,
-                             xtol=1e-14, rtol=1e-15)
-                assert abs(x - ref) <= 1e-13
+                             xtol=_XTOL, rtol=_RTOL)
+                assert abs(x - ref) <= 1e-13 and abs(y - ref) <= 1e-13
 
     @pytest.mark.parametrize("name,dim", [("gauss", 3), ("bump", 3), ("cubic", 3),
                                           ("gauss", 4)])
@@ -372,9 +386,9 @@ class TestMonotonePath:
 
 
 class TestBrentOracle:
-    """The batched ``brentq`` against ``scipy.optimize.brentq``: on a
-    mixed batch, every root equals to the bit the one scipy finds for that
-    bracket alone."""
+    """The one level-crossing solver against ``scipy.optimize.brentq``: on
+    a mixed batch, every root lies within twice the solve's tolerance of
+    the one scipy finds for that bracket alone."""
 
     @staticmethod
     def family(x, kind, c):
@@ -385,6 +399,15 @@ class TestBrentOracle:
                 [np.cos(x) - c, x ** 3 - c, np.exp(x) - c, x * x - c,
                  np.tanh(40.0 * (x - c))],
                 x - c)
+
+    @staticmethod
+    def derivative(x, kind, c):
+        with np.errstate(all="ignore"):
+            return np.select(
+                [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+                [-np.sin(x), 3.0 * x * x, np.exp(x), 2.0 * x,
+                 40.0 / np.cosh(40.0 * (x - c)) ** 2],
+                np.ones_like(x))
 
     def batch(self, rng, m):
         kind = rng.integers(0, 6, m)
@@ -399,46 +422,42 @@ class TestBrentOracle:
         a[flip], b[flip] = b[flip], a[flip].copy()
         return kind, c, a, b
 
-    @pytest.mark.parametrize("xtol,rtol", [(1e-14, 1e-15), (2e-12, 4 * np.finfo(float).eps)])
-    def test_mixed_batch_bitwise(self, xtol, rtol):
+    @pytest.mark.parametrize("newton", [True, False])
+    def test_mixed_batch_within_tolerance(self, newton):
         rng = np.random.default_rng(11)
         kind, c, a, b = self.batch(rng, 300)
-        calls = []
-
-        def f(x, k):
-            calls.append(k.size)
-            return self.family(x, kind[k], c[k])
-
-        got = batched_brentq(f, a, b, xtol, rtol)
+        # upper end first; where the root is the upper end itself
+        # (x^2 = c at b) the solve runs down to it from below
+        upper = self.family(a, kind, c) > self.family(b, kind, c)
+        lo, hi = np.where(upper, a, b), np.where(upper, b, a)
+        dg = (lambda x: self.derivative(x, kind, c)) if newton else None
+        got = _crossing_roots(lambda x: self.family(x, kind, c), dg, np.zeros(kind.size),
+                              lo, hi)
         for i in range(kind.size):
             ref = brentq(lambda t: float(self.family(np.array([t]), kind[i:i + 1],
                                                      c[i:i + 1])[0]),
-                         a[i], b[i], xtol=xtol, rtol=rtol)
-            assert got[i].hex() == ref.hex()
-        assert calls[0] == 2 * kind.size and calls[-1] < kind.size  # finished brackets drop out
-
-    def test_no_sign_change(self):
-        f = lambda x, k: x * x + 1.0
-        with pytest.raises(ValueError):
-            brentq(lambda t: t * t + 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            batched_brentq(f, np.array([-1.0, 0.0]), np.array([1.0, 1.0]), 1e-14, 1e-15)
+                         a[i], b[i], xtol=_XTOL, rtol=_RTOL)
+            assert abs(got[i] - ref) <= 2.0 * (_XTOL + _RTOL * abs(ref))
 
     def test_nan_value(self):
-        f = lambda x, k: np.where(x > 0.5, np.nan, x - 0.25)
+        f = lambda x: np.where(x > 0.4, np.nan, x - 0.25)
         with pytest.raises(ValueError):
-            brentq(lambda t: float(f(np.array([t]), None)[0]), 0.0, 1.0)
+            brentq(lambda t: float(f(np.array([t]))[0]), 0.0, 1.0)
         with pytest.raises(ValueError):
-            batched_brentq(f, np.zeros(1), np.ones(1), 1e-14, 1e-15)
+            _crossing_roots(f, None, np.zeros(1), np.ones(1), np.zeros(1))
 
-    def test_no_convergence(self):
-        # at a triple root the interpolation steps shrink only slowly, and
-        # Brent's method needs more than its 100 steps to the tolerance
-        f = lambda x, k: (x - 0.3) ** 3
+    @pytest.mark.parametrize("newton", [True, False])
+    def test_converges_at_triple_root(self, newton):
+        # Brent's interpolation steps shrink only slowly at a triple root,
+        # and scipy's brentq needs more than its 100 steps to the
+        # tolerance; bisection halves the bracket, and the safeguarded
+        # Newton steps shrink it by 2/3 each
+        f = lambda x: (x - 0.3) ** 3
         with pytest.raises(RuntimeError):
-            brentq(lambda t: (t - 0.3) ** 3, 0.0, 1.0, xtol=1e-14, rtol=1e-15)
-        with pytest.raises(RuntimeError):
-            batched_brentq(f, np.zeros(2), np.ones(2), 1e-14, 1e-15)
+            brentq(f, 0.0, 1.0, xtol=_XTOL, rtol=_RTOL)
+        dg = (lambda x: 3.0 * (x - 0.3) ** 2) if newton else None
+        got = _crossing_roots(f, dg, np.zeros(2), np.ones(2), np.zeros(2))
+        assert np.all(np.abs(got - 0.3) <= 2.0 * (_XTOL + _RTOL * 0.3))
 
 
 class TestMcEngine:
@@ -787,6 +806,16 @@ class TestSpecsValidation:
     def test_radial_sizes_positive(self):
         with pytest.raises(PreconditionError):
             RadialSpec(n_r=0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf])
+    def test_outer_radius_eps_positive_finite(self, eps):
+        with pytest.raises(PreconditionError):
+            McSpec(master_seed=1, outer_radius_eps=eps)
+
+    @pytest.mark.parametrize("r_max", [-1.0, math.nan, math.inf])
+    def test_r_max_finite(self, r_max):
+        with pytest.raises(PreconditionError):
+            RadialSpec(r_max=r_max)
 
     @pytest.mark.parametrize("seed", [-1, 1.0, True, "7", None])
     def test_master_seed_nonnegative_integer(self, seed):
