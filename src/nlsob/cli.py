@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -23,7 +24,6 @@ from typing import List, Optional
 from .errors import ConfigError, PreconditionError
 from .fields import (
     FIELD_SHAPES,
-    ComplexField,
     ConstantPotential,
     LinearBPotential,
     LinearPhase,
@@ -49,11 +49,10 @@ from .functionals import (
 from .inequalities import (
     FREE_CONSTANT_CHECKS,
     FREE_CONSTANT_REPORTS,
-    check_diamagnetic,
+    MAGNETIC_REPORTS,
     check_euclidean_family,
     check_gauss_lsi,
     check_jensen,
-    check_magnetic_lsi,
     check_small_set_bound,
     family_constant,
     sweep_family,
@@ -81,8 +80,8 @@ _EVAL = {
 }
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
 
-# check -> its reports on the built config, field-major and delta-minor;
-# the checks with a free constant come from inequalities.FREE_CONSTANT_REPORTS
+# check -> its reports on the built config, field-major and delta-minor; the
+# free-constant and magnetic checks come from inequalities' report tables
 _CHECKS = {
     "gauss_lsi": lambda b: [check_gauss_lsi(u) for u in b.fields],
     "euclidean_family": lambda b: [check_euclidean_family(u, a)
@@ -90,17 +89,13 @@ _CHECKS = {
     "jensen": lambda b: [check_jensen(u) for u in b.fields],
     "small_set_bound": lambda b: [check_small_set_bound(u, d, b.lam)
                                   for u in b.fields for d in b.deltas],
-    "diamagnetic": lambda b: _magnetic_reports(check_diamagnetic, b),
-    "magnetic_lsi": lambda b: _magnetic_reports(check_magnetic_lsi, b),
-    **{name: lambda b, report=report: [report(u, d, b.lam, b.envelope, b.engine)
-                                       for u in b.fields for d in b.deltas]
+    **{name: lambda b, report=report: [r for u in b.fields for r in report(
+        u, b.potential, b.phase, b.deltas, b.engine)]
+       for name, report in MAGNETIC_REPORTS.items()},
+    **{name: lambda b, report=report: [r for u in b.fields for r in report(
+        u, b.deltas, b.lam, b.envelope, b.engine)]
        for name, report in FREE_CONSTANT_REPORTS.items()},
 }
-
-
-def _magnetic_reports(check, b) -> list:
-    return [check(ComplexField(u, b.phase), b.potential, d, b.engine)
-            for u in b.fields for d in b.deltas]
 
 
 # kind -> (keys the builder cannot do without, builder)
@@ -234,7 +229,7 @@ def _build(cfg: dict, seed: int) -> SimpleNamespace:
             a_values=[float(a) for a in cfg.get("a_values", [1.0])],
             potential=_POTENTIALS[pot["kind"]][1](pot, cfg["dim"]),
             phase=LinearPhase(float(phase.get("offset", 0.0)), tuple(phase.get("wave", ()))))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ConfigError(str(exc)) from exc
     if any(f.dim != cfg["dim"] for f in b.fields):
         raise ConfigError("field dimension disagrees with config dim")
@@ -428,9 +423,11 @@ _COMMANDS = {"eval": cmd_eval, "check": cmd_check, "sweep": cmd_sweep,
              "constants": cmd_constants, "qn": cmd_qn}
 
 
-def _no_constant(name: str):
-    # json reads NaN, Infinity and -Infinity, which no config value may be
-    raise ValueError(f"{name} is not a finite number")
+def _finite_number(text: str) -> float:
+    # json reads NaN, Infinity and overflowing literals (1e999) as floats no config may hold
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -450,7 +447,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh, parse_constant=_no_constant)
+            cfg = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

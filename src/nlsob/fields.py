@@ -75,17 +75,19 @@ def _as_points(x, dim: int) -> np.ndarray:
     return pts
 
 
-def row_sq_norms(v: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of an (m, n) array, bit-equal to
-    ``np.sum(v * v, axis=1)`` (and, after ``sqrt``, to
-    ``np.linalg.norm(v, axis=1)``).  Below 8 columns numpy's axis-1 reduce
-    adds the columns left to right, which the column loop repeats at a
-    fraction of the reduce's cost; from 8 on numpy sums pairwise."""
+def row_sq_norms(v: np.ndarray, center=None) -> np.ndarray:
+    """Squared norm of each row d of ``v`` or ``v - center``, bit-equal to
+    ``np.sum(d * d, axis=1)`` (and, after ``sqrt``, to ``np.linalg.norm``).
+    Below 8 columns numpy's axis-1 reduce adds the columns left to right,
+    which the column loop repeats at a fraction of the cost (centering one
+    column at a time); from 8 on numpy sums pairwise."""
     if v.shape[1] >= 8:
-        return np.sum(v * v, axis=1)
-    out = v[:, 0] * v[:, 0]
-    for j in range(1, v.shape[1]):
-        out += v[:, j] * v[:, j]
+        d = v if center is None else v - center
+        return np.sum(d * d, axis=1)
+    out = np.zeros(len(v))  # 0 + x is x
+    for j in range(v.shape[1]):
+        d = v[:, j] if center is None else v[:, j] - center[j]
+        out += d * d
     return out
 
 
@@ -273,7 +275,7 @@ class RadialShapeField(ScalarField):
 
     def evaluate(self, x) -> np.ndarray:
         pts = _as_points(x, self.dim)
-        return self._g(np.sqrt(row_sq_norms(pts - self.center)))
+        return self._g(np.sqrt(row_sq_norms(pts, self.center)))
 
     def gradient(self, x) -> np.ndarray:
         if self._dg is None:
@@ -352,7 +354,7 @@ class GaussianField(RadialShapeField):
     # sum), not through the profile: pinned MC bits depend on it
     def evaluate(self, x) -> np.ndarray:
         pts = _as_points(x, self.dim)
-        return self.amplitude * np.exp(-self.rate * row_sq_norms(pts - self.center))
+        return self.amplitude * np.exp(-self.rate * row_sq_norms(pts, self.center))
 
     def gradient(self, x) -> np.ndarray:
         pts = _as_points(x, self.dim)

@@ -389,29 +389,36 @@ def _magnetic_context(u: ComplexField, A: VectorPotential, delta: float,
     dim = u.dim
     numerator = _int_pow(delta, 2.0)
     mod = u.modulus
-    lip = mod.lipschitz_bound
-    x_radius = mod.decay_radius(delta / 2.0)
+    rx = engine.mc.x_radius if engine.mc.x_radius is not None else mod.decay_radius(delta / 2.0)
+    floor = 0.5 * delta * (1.0 - 1e-12)  # margin: |Psi| can round above |u(x)| + |u(y)|
 
     def mag_integrand(x, y, rho, mx, my):
+        out = np.zeros(len(rho))  # 0 where |u(x)| + |u(y)| >= |Psi(x,y) - u(x)| is <= 2 floor
+        hot = np.flatnonzero(np.abs(mx) + np.abs(my) > 2.0 * floor)
+        x, y, mx, my = x.take(hot, axis=0), y.take(hot, axis=0), mx[hot], my[hot]
         phi = np.einsum("ij,ij->i", x - y, A.evaluate(0.5 * (x + y)))
         # u = |u| exp(i phase), rebuilt from the modulus as ComplexField.evaluate does
         uy = my * np.exp(1j * u.phase(y))
         ux = mx * np.exp(1j * u.phase(x))
         dpsi = np.abs(np.exp(1j * phi) * uy - ux)
-        return np.where(dpsi > delta, numerator, 0.0) * rho ** (-(dim + 2.0))
+        out[hot] = np.where(dpsi > delta, numerator, 0.0) * rho[hot] ** (-(dim + 2.0))
+        return out
 
     def mod_integrand(x, y, rho, mx, my):
         du = np.abs(np.abs(my) - np.abs(mx))
         return np.where(du > delta, numerator, 0.0) * rho ** (-(dim + 2.0))
 
-    ctx = PairContext(dim, np.zeros(dim), x_radius, 2.0, numerator,
-                      (mag_integrand, mod_integrand), symmetric=True,
-                      values=mod.evaluate)
-    # |Psi(x,y) - Psi(x,x)| <= (L + sup|u| sup|A|) |x - y| on the sampled region
-    h_max, _ = quad._derive_h_max(ctx, engine.mc)
-    reach = x_radius + 0.5 * h_max
-    lip_a = lip + mod.sup_bound * A.local_bound(reach)
-    return replace(ctx, inner_cutoff=delta / lip_a if lip_a > 0 else 0.0)
+    # |Psi(x,y) - Psi(x,x)| <= slope(c) |x - y| for x within rx and pairs closer than c
+    # (|wave| bounds the phase's gradient): the largest c with c slope(c) <= delta
+    slope = lambda c: (mod.lipschitz_bound + mod.sup_bound
+                       * (A.local_bound(rx + 0.5 * c) + math.hypot(*u.phase.wave)))
+    lo, hi = 0.0, (delta / slope(0.0) if slope(0.0) > 0 else 0.0)
+    for _ in range(32):  # bisection (slope grows with c), to 2^-32 of the first bracket
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * slope(mid) <= delta else (lo, mid)
+    return PairContext(dim, np.zeros(dim), rx, 2.0, numerator,
+                       (mag_integrand, mod_integrand), inner_cutoff=lo, symmetric=True,
+                       values=mod.evaluate, zero_floor=floor)
 
 
 def i_delta_magnetic(u: ComplexField, A: VectorPotential, k: KernelSpec,
@@ -437,8 +444,7 @@ def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
         return z, z
     if not math.isfinite(u.modulus.lipschitz_bound):
         raise PreconditionError("magnetic functional needs a Lipschitz modulus")
-    ests = mc_pair_integrate_many(_magnetic_context(u, A, delta, engine), engine.mc)
-    return ests[0], ests[1]
+    return tuple(mc_pair_integrate_many(_magnetic_context(u, A, delta, engine), engine.mc))
 
 
 # ---------------------------------------------------------------------------

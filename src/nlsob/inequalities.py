@@ -55,6 +55,7 @@ __all__ = [
     "family_constant",
     "FREE_CONSTANT_CHECKS",
     "FREE_CONSTANT_REPORTS",
+    "MAGNETIC_REPORTS",
 ]
 
 _FP_SLACK = 1e-9
@@ -170,16 +171,29 @@ def check_nonlocal_sobolev(u: ScalarField, delta: float, lam: float,
                             degenerate=not math.isfinite(admissible))
 
 
+def _lsi_volume(u) -> tuple:
+    """(L2 mass, entropy) of |u| for the log-Sobolev checks, after their dimension check."""
+    _require_sobolev_dim(u.dim)
+    l2 = l2_norm_sq_estimate(u)
+    return l2, entropy_l2_estimate(u, l2=l2)
+
+
+def _per_volume(u, deltas, report: Callable, envelope=None) -> list:
+    """``report(u, delta, pair)`` per delta, on one volume pair after ``envelope.validate()``."""
+    if envelope is not None:
+        envelope.validate()
+    volume = _lsi_volume(u) if len(deltas) else None
+    return [report(u, d, volume) for d in deltas]
+
+
 def _log_sobolev(inequality_id: str, u, nonlocal_term: Callable[[], Estimate], beta: float,
                  norm_term: Callable[[float], float], inputs: dict,
-                 diverged_note: str = _VACUOUS) -> InequalityReport:
+                 diverged_note: str = _VACUOUS, volume=None) -> InequalityReport:
     """ent + (N beta/4) log ||u||^2 against (N/2) log(C (norm_term(||u||^2)
-    + nonlocal_term())), with the smallest admissible constant C.  The
-    entropy and L2 mass are those of |u|, estimated before the nonlocal term."""
+    + nonlocal_term())), with the smallest admissible constant C.  The L2 mass and
+    entropy of |u| are the checkers' private ``_volume`` pair, or estimated here."""
     n = u.dim
-    _require_sobolev_dim(n)
-    l2 = l2_norm_sq_estimate(u)
-    ent = entropy_l2_estimate(u, l2=l2)
+    l2, ent = volume if volume is not None else _lsi_volume(u)
     nl_est = nonlocal_term()
     if nl_est.diverged:
         return _vacuous(inequality_id, inputs, diverged_note)
@@ -201,31 +215,32 @@ def _delta_term(n: int, delta: float, m: float) -> float:
     return delta ** (4.0 / n) * m ** ((n - 2.0) / n)
 
 
-def check_logsobolev_main(u: ScalarField, delta: float,
-                          engine: EngineSpec) -> InequalityReport:
+def check_logsobolev_main(u: ScalarField, delta: float, engine: EngineSpec, *,
+                          _volume: Optional[tuple] = None) -> InequalityReport:
     """Entropy bounded by (N/2) log of the nonlocal term plus a delta term."""
     return _log_sobolev("logsobolev_main", u, lambda: i_delta(u, KernelSpec(delta), engine),
-                        2.0, lambda m: _delta_term(u.dim, delta, m), _prov(u, delta, engine))
+                        2.0, lambda m: _delta_term(u.dim, delta, m), _prov(u, delta, engine),
+                        volume=_volume)
 
 
-def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float,
-                       engine: EngineSpec) -> InequalityReport:
+def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float, engine: EngineSpec,
+                       *, _volume: Optional[tuple] = None) -> InequalityReport:
     """Magnetic variant: |u| in the entropy, covariant difference on the right."""
     return _log_sobolev("magnetic_lsi", u,
                         lambda: i_delta_magnetic_paired(u, A, KernelSpec(delta), engine)[0],
                         2.0, lambda m: _delta_term(u.dim, delta, m),
-                        _prov(u.modulus, delta, engine, potential=A.to_dict()))
+                        _prov(u.modulus, delta, engine, potential=A.to_dict()), volume=_volume)
 
 
-def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope,
-                   engine: EngineSpec) -> InequalityReport:
+def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope, engine: EngineSpec, *,
+                       _volume: Optional[tuple] = None) -> InequalityReport:
     """Envelope-functional version with the ||u||^beta normalization."""
     envelope.validate()
     beta = envelope.beta
     return _log_sobolev("envelope_lsi", u, lambda: f_functional(u, envelope, 2.0, engine),
                         beta, lambda m: m ** (beta / 2.0),
                         _prov(u, None, engine, envelope=envelope.to_dict()),
-                        diverged_note="envelope functional diverges")
+                        diverged_note="envelope functional diverges", volume=_volume)
 
 
 def check_diamagnetic(u: ComplexField, A: VectorPotential, delta: float,
@@ -331,16 +346,26 @@ class FamilySweep:
     excluded: List[tuple]             # (instance index, reason)
 
 
-# the checkers whose constant is an output: each maps (field, delta,
-# lambda, envelope or None, engine) to its report.  The entries are
-# lambdas, so they look the checkers up at call time.
+# the checkers whose constant is an output: each maps (field, deltas, lambda, envelope
+# or None, engine) to the field's reports, one per delta, the log-Sobolev ones on one
+# volume pair.  The entries are lambdas, so they look the checkers up at call time.
 FREE_CONSTANT_REPORTS = {
-    "logsobolev_main": lambda u, d, lam, env, engine: check_logsobolev_main(u, d, engine),
-    "nonlocal_sobolev": lambda u, d, lam, env, engine: check_nonlocal_sobolev(u, d, lam, engine),
-    "envelope_lsi": lambda u, d, lam, env, engine: check_envelope_lsi(
-        u, env if env is not None else MonotoneEnvelope.threshold(d), engine),
+    "logsobolev_main": lambda u, ds, lam, env, engine: _per_volume(
+        u, ds, lambda u, d, v: check_logsobolev_main(u, d, engine, _volume=v)),
+    "nonlocal_sobolev": lambda u, ds, lam, env, engine: [
+        check_nonlocal_sobolev(u, d, lam, engine) for d in ds],
+    "envelope_lsi": lambda u, ds, lam, env, engine: _per_volume(u, ds, lambda u, d, v: (
+        check_envelope_lsi(u, env or MonotoneEnvelope.threshold(d), engine, _volume=v)), env),
 }
 FREE_CONSTANT_CHECKS = tuple(FREE_CONSTANT_REPORTS)
+
+# the magnetic checkers: each maps (field, potential, phase, deltas, engine) likewise
+MAGNETIC_REPORTS = {
+    "diamagnetic": lambda u, A, phase, ds, engine: [
+        check_diamagnetic(ComplexField(u, phase), A, d, engine) for d in ds],
+    "magnetic_lsi": lambda u, A, phase, ds, engine: _per_volume(ComplexField(u, phase), ds,
+        lambda w, d, v: check_magnetic_lsi(w, A, d, engine, _volume=v)),
+}
 
 
 def family_constant(reports: Sequence[InequalityReport]) -> Optional[float]:
@@ -366,7 +391,7 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
         raise PreconditionError("empty field family")
     report = FREE_CONSTANT_REPORTS[inequality_id]
     instances = [(fi, d) for fi in range(len(fields)) for d in deltas]
-    reports = [report(fields[fi], d, lam, envelope, engine) for fi, d in instances]
+    reports = [r for u in fields for r in report(u, deltas, lam, envelope, engine)]
     excluded = [(i, r.notes or "degenerate") for i, r in enumerate(reports) if r.degenerate]
     usable = [i for i, r in enumerate(reports) if not r.degenerate]
     if not usable:

@@ -158,6 +158,22 @@ class TestConfigValidation:
             assert not any(p.suffix in (".csv", ".json") and p.name != "cfg.json"
                            for p in tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["eval", "check", "sweep", "constants", "qn"])
+    def test_overflowing_number_is_config_error(self, tmp_path, capsys, command):
+        # json reads 1e999 as inf, past the NaN/Infinity guard: eval used to
+        # write a row delta=inf, status=error:PreconditionError and exit 0
+        text = json.dumps(base_config(checks=["logsobolev_main"],
+                                      kernel={"deltas": [0.123456]}))
+        for big in ("1e999", "-1e999", "1" + "0" * 400):
+            path = tmp_path / "cfg.json"
+            path.write_text(text.replace("0.123456", big))
+            rc = cli.main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "Traceback" not in err
+            assert not any(p.suffix in (".csv", ".json") and p.name != "cfg.json"
+                           for p in tmp_path.iterdir())
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not valid")
@@ -383,6 +399,73 @@ class TestSweepAndConstants:
         rows = read_rows(tmp_path / "out.csv")
         assert len(rows) == 1
         assert rows[0]["constant"] == rows[0]["family_constant"]
+
+    def test_constants_estimates_each_volume_quantity_once_per_field(self, tmp_path):
+        # the two non-radial sums of the mc_family benchmark over three
+        # deltas: 3 volume passes (the entropy of the Gaussian sum, whose L²
+        # has a closed form, and both of the Gaussian+bump sum), where a
+        # checker per instance makes 9, with that checker's constants
+        from unittest import mock
+
+        from nlsob import quadrature
+        from nlsob.inequalities import check_logsobolev_main
+        gauss = lambda rate, amp, c: {"shape": "gaussian", "dim": 3, "rate": rate,
+                                      "amplitude": amp, "center": c}
+        fields = [
+            {"shape": "sum", "dim": 3, "terms": [gauss(1.0, 1.0, [0.3, 0.0, 0.0]),
+                                                 gauss(1.6, 0.65, [-0.3, 0.2, 0.0])]},
+            {"shape": "sum", "dim": 3, "terms": [
+                gauss(1.0, 1.0, [0.0, 0.3, 0.0]),
+                {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+                 "center": [0.0, -0.3, 0.1]}]}]
+        cfg = base_config(fields=fields, kernel={"deltas": [0.2, 0.1, 0.05]},
+                          checks=["logsobolev_main"], engine={"mc": {"n_samples": 4800}},
+                          output={"csv": "out.csv"})
+        spy = mock.patch.object(quadrature, "mc_volume_value", wraps=quadrature.mc_volume_value)
+        with spy as shared:
+            assert cli.main(["constants", "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path)]) == 0
+        b = cli._build(cfg, cfg["seed"])
+        with spy as alone:
+            expect = [repr(check_logsobolev_main(u, d, b.engine).admissible_constant)
+                      for u in b.fields for d in b.deltas]
+        assert (shared.call_count, alone.call_count) == (3, 9)
+        assert [r["constant"] for r in read_rows(tmp_path / "out.csv")] == expect
+
+    def test_magnetic_checks_share_one_volume_pair(self, tmp_path):
+        # magnetic_lsi estimates the L² mass and entropy of |u| once for
+        # both deltas; diamagnetic reads neither
+        from unittest import mock
+
+        from nlsob import quadrature
+        field = {"shape": "sum", "dim": 3, "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+            {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+             "center": [0.0, -0.3, 0.1]}]}
+        for check, passes in (("magnetic_lsi", 2), ("diamagnetic", 0)):
+            path = write_config(tmp_path, base_config(
+                fields=[field], kernel={"deltas": [0.2, 0.1]}, checks=[check],
+                potential={"kind": "constant", "vector": [0.5, -0.3, 0.2]},
+                phase={"kind": "linear", "wave": [0.3, 0.0, -0.2]},
+                engine={"mc": {"n_samples": 4800}}, output={"csv": "out.csv"}))
+            with mock.patch.object(quadrature, "mc_volume_value",
+                                   wraps=quadrature.mc_volume_value) as spy:
+                assert cli.main(["check", "--config", path, "--out-dir", str(tmp_path)]) in (0, 4)
+            assert spy.call_count == passes
+            assert len(read_rows(tmp_path / "out.csv")) == 2
+
+    @pytest.mark.parametrize("command,check", [
+        ("check", "logsobolev_main"), ("constants", "logsobolev_main"),
+        ("check", "envelope_lsi"), ("check", "magnetic_lsi")])
+    def test_log_sobolev_dimension_checked_before_volume(self, tmp_path, capsys, command, check):
+        # N = 2 admits no log-Sobolev check: a config error, raised before
+        # the volume pair (whose L² mass diverges on a constant field)
+        cfg = base_config(dim=2, fields=[{"shape": "constant", "dim": 2, "value": 0.5}],
+                          kernel={"deltas": [0.2, 0.1]}, checks=[check])
+        rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "N >= 3" in capsys.readouterr().err
 
     def test_constants_needs_free_constant_check(self, tmp_path, capsys):
         # gauss_lsi has no free constant; next to one that has, it used to

@@ -55,6 +55,9 @@ class TestEvaluation:
         s = row_sq_norms(v)
         assert s.tobytes() == np.sum(v * v, axis=1).tobytes()
         assert np.sqrt(s).tobytes() == np.linalg.norm(v, axis=1).tobytes()
+        # about a center, subtracted one column at a time
+        c = np.random.default_rng(n).standard_normal(n)
+        assert row_sq_norms(v, c).tobytes() == np.sum((v - c) * (v - c), axis=1).tobytes()
 
     @pytest.mark.parametrize("m", [0, 1, 2, 17, 1000])
     def test_sorted_unique_matches_np_unique(self, m):

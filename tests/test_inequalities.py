@@ -278,3 +278,45 @@ class TestFamilySweep:
     def test_unknown_id_rejected(self, gauss3, engine):
         with pytest.raises(PreconditionError):
             sweep_family([gauss3], [0.1], "diamagnetic", engine)
+
+    def test_preconditions_before_volume_pair(self, gauss3, engine):
+        # a dimension or envelope that admits no check fails before any
+        # volume pass, as a checker called alone does
+        from unittest import mock
+
+        from nlsob import quadrature
+        u2 = nl.FiniteSumField([nl.GaussianField(2, 1.0, 1.0, (0.0, 0.3)),
+                                nl.SmoothBumpField(2, 1.7, 0.5, (0.0, -0.3))])
+        wiggle = MonotoneEnvelope(fn=lambda t: np.sin(np.asarray(t, float)) ** 2,
+                                  beta=2.0, name="wiggle", small_t_power=2.0)
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            for check in ("logsobolev_main", "envelope_lsi"):
+                with pytest.raises(PreconditionError, match="N >= 3"):
+                    sweep_family([u2], [0.1], check, engine)
+            with pytest.raises(PreconditionError, match="not non-decreasing"):
+                sweep_family([gauss3], [0.1], "envelope_lsi", engine, envelope=wiggle)
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("check", ["logsobolev_main", "envelope_lsi"])
+    def test_one_volume_pair_per_field(self, check):
+        # every delta's report reads the field's one L² mass and entropy,
+        # with the bits of a checker called alone
+        from unittest import mock
+
+        from nlsob import quadrature
+        u = nl.FiniteSumField([nl.GaussianField(3, 1.0, 1.0, (0.0, 0.3, 0.0)),
+                               nl.SmoothBumpField(3, 1.7, 0.5, (0.0, -0.3, 0.1))])
+        engine = nl.default_engine(3, mode="mc", n_samples=4800)
+        deltas = [0.2, 0.1, 0.05]
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            sw = sweep_family([u], deltas, check, engine, seed=1)
+        assert spy.call_count == 2
+        alone = {"logsobolev_main": lambda d: check_logsobolev_main(u, d, engine),
+                 "envelope_lsi": lambda d: check_envelope_lsi(
+                     u, MonotoneEnvelope.threshold(d), engine)}[check]
+        for d, rep in zip(deltas, sw.reports):
+            ref = alone(d)
+            assert (rep.lhs, rep.admissible_constant, rep.stat_margin) == (
+                ref.lhs, ref.admissible_constant, ref.stat_margin)

@@ -166,6 +166,43 @@ def ring_profiles(draw):
     return prof, xs, prof.g(xs)
 
 
+def exact_pieces(prof, a, b):
+    """The pieces of the clamped cubic behind ``prof`` that meet [a, b], as
+    (start, end, coefficients in powers of r - start, highest first), its
+    doubles taken exactly as mpmath numbers."""
+    import mpmath
+    spline = prof.g.__self__._spline
+    x = [mpmath.mpf(float(v)) for v in spline.x]
+    return [(x[i], x[i + 1], [mpmath.mpf(float(c)) for c in spline.c[:, i]])
+            for i in range(len(x) - 1) if x[i] <= b and x[i + 1] >= a]
+
+
+def exact_crossings(prof, level, a, b):
+    """Where the exact piecewise cubic behind ``prof`` equals ``level`` on
+    [a, b], in 60-digit arithmetic."""
+    import mpmath
+    out = []
+    with mpmath.workdps(60):
+        for x0, x1, coef in exact_pieces(prof, a, b):
+            coef = coef[:-1] + [coef[-1] - mpmath.mpf(float(level))]
+            while len(coef) > 1 and coef[0] == 0:
+                coef.pop(0)
+            roots = mpmath.polyroots(coef, maxsteps=200, extraprec=200) if len(coef) > 1 else []
+            out += [float(x0 + z.real) for z in map(mpmath.mpc, roots)
+                    if abs(z.imag) <= 1e-40 and max(a, x0) <= x0 + z.real <= min(b, x1)]
+    return out
+
+
+def exact_residual(prof, level, t):
+    """|p(t) - level| for the exact piecewise cubic p behind ``prof``, which
+    is 0 beyond its last knot."""
+    import mpmath
+    with mpmath.workdps(60):
+        value = sum(mpmath.polyval(coef, mpmath.mpf(float(t)) - x0)
+                    for x0, _, coef in exact_pieces(prof, t, t)[:1])
+        return float(abs(value - mpmath.mpf(float(level))))
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=ring_profiles(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_level_crossings_match_brentq(case, fracs):
@@ -173,14 +210,23 @@ def test_level_crossings_match_brentq(case, fracs):
     # root, the one scipy's brentq finds on that cell, to 1e-12 where the
     # crossing is well conditioned; where g is flat (a level next to an
     # extremum) g tells roots apart only to about ulp(level) / |g'|.  The
-    # grid points where g equals the level are roots themselves
+    # grid points where g equals the level are roots themselves.  At a level
+    # one ulp below the largest grid value, the rounded g at that grid point
+    # lies above the level while the exact spline crosses it 1e-12 to one
+    # side, so brentq on the cell on the other side can stop on that rounding
+    # instead of the cell's crossing.  Where the root found differs from
+    # brentq's, brentq's must be a root only to rounding (the exact spline
+    # within 8 ulp of the level there) and the root found a crossing of the
+    # exact spline in the cell, to 1e-12 + 8 ulp / |g'| and at most half the cell
     prof, xs, vals = case
     g = prof.g
     levels = vals.min() + np.array(fracs) * (vals.max() - vals.min())
     i, roots = _level_crossings(g, prof.dg, levels, xs, vals)
     for k, level in enumerate(levels):
         d = vals - level
-        cells = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+        # signs, not the product d[:-1] * d[1:], which underflows to 0 at a
+        # subnormal level next to the support's end (found at level 2e-313)
+        cells = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
         expect = sorted([(brentq(lambda t: float(g(np.array([t]))[0]) - level,
                                  xs[j], xs[j + 1], xtol=_XTOL, rtol=_RTOL),
                           xs[j], xs[j + 1]) for j in cells]
@@ -190,7 +236,12 @@ def test_level_crossings_match_brentq(case, fracs):
         for r, (ref, a, b) in zip(got, expect):
             with np.errstate(divide="ignore"):
                 flat = 8.0 * np.spacing(max(abs(level), 1.0)) / abs(prof.dg(np.array([ref]))[0])
-            assert a <= r <= b and abs(r - ref) <= 1e-12 + flat
+                own = 8.0 * np.spacing(max(abs(level), 1.0)) / abs(prof.dg(np.array([r]))[0])
+            assert a <= r <= b
+            if abs(r - ref) > 1e-12 + flat:
+                assert exact_residual(prof, level, ref) <= 8.0 * np.spacing(max(abs(level), 1.0))
+                tol = min(1e-12 + own, 0.5 * (b - a))
+                assert min(abs(t - r) for t in exact_crossings(prof, level, a, b)) <= tol
 
 
 @settings(max_examples=100, deadline=None)

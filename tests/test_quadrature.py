@@ -7,7 +7,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 
@@ -746,9 +746,12 @@ class TestOneL2PerInstance:
 
 def per_stratum_reference(ctx, spec):
     """The MC pair engine as a loop over chunks and strata, one field
-    evaluation and one partial sum per stratum: the batched engine must
-    reproduce its value and stderr bit for bit."""
-    from nlsob.quadrature import _derive_h_max, _reduce_triples, _unit_rows
+    evaluation and one partial sum per stratum and integrand, with the y
+    side computed on every sample (no zero floor): the batched engine must
+    reproduce its (value, stderr, n_effective) bit for bit, one triple per
+    integrand."""
+    from nlsob.quadrature import _derive_h_max, _reduce_triples
+    unit = lambda v: v / np.sqrt(np.sum(v * v, axis=1))[:, None]
     n, rx = ctx.dim, ctx.x_radius
     h_max, _ = _derive_h_max(ctx, spec)
     k_strata = spec.radial_strata
@@ -756,24 +759,26 @@ def per_stratum_reference(ctx, spec):
     log_widths = np.log(edges[1:] / edges[:-1])
     m = spec.chunk_size // k_strata
     vol, omega = ball_volume(n, rx), sphere_surface(n)
-    triples = []
+    triples = [[] for _ in ctx.integrands]
     for c in range(spec.n_samples // spec.chunk_size):
-        s_acc = q_acc = 0.0
+        acc = [[0.0, 0.0] for _ in ctx.integrands]
         for k in np.nonzero(edges[1:] > ctx.inner_cutoff)[0]:
             rng = np.random.default_rng([spec.master_seed, c, int(k)])
             xdir, xu = rng.standard_normal((m, n)), rng.random(m)
             hdir, hu = rng.standard_normal((m, n)), rng.random(m)
-            x = ctx.x_center + rx * (xu ** (1.0 / n))[:, None] * _unit_rows(xdir)
+            x = ctx.x_center + rx * (xu ** (1.0 / n))[:, None] * unit(xdir)
             rho = edges[k] * np.exp(log_widths[k] * hu)
-            y = x + rho[:, None] * _unit_rows(hdir)
+            y = x + rho[:, None] * unit(hdir)
             base = vol * (log_widths[k] * omega) * rho ** n
             vx, vy = ctx.values(x), ctx.values(y)
             base = base * np.where(np.abs(vx) >= np.abs(vy), 2.0, 0.0)
-            zeta = ctx.integrands[0](x, y, rho, vx, vy) * base
-            s_acc += float(zeta.sum())
-            q_acc += float((zeta * zeta).sum())
-        triples.append((s_acc, q_acc, spec.chunk_size))
-    return _reduce_triples(triples, float(k_strata))[:2]
+            for f, a in zip(ctx.integrands, acc):
+                zeta = f(x, y, rho, vx, vy) * base
+                a[0] += float(zeta.sum())
+                a[1] += float((zeta * zeta).sum())
+        for t, (s_acc, q_acc) in zip(triples, acc):
+            t.append((s_acc, q_acc, spec.chunk_size))
+    return [_reduce_triples(t, float(k_strata)) for t in triples]
 
 
 @pytest.mark.parametrize("seed", [0, 5, 21])
@@ -791,7 +796,127 @@ def test_batched_chunk_matches_per_stratum_loop(seed):
                       values=g.evaluate)
     spec = McSpec(master_seed=seed, n_samples=14400, chunk_size=4800)
     est = mc_pair_integrate(ctx, spec)
-    assert (est.value, est.stderr) == per_stratum_reference(ctx, spec)
+    assert [(est.value, est.stderr, est.n_effective)] == per_stratum_reference(ctx, spec)
+
+
+def engine_call(call):
+    """The one (context, spec, estimates) that ``call`` runs the MC pair
+    engine with, through the name the functionals module calls."""
+    from unittest import mock
+
+    from nlsob import functionals
+    seen, real = [], functionals.mc_pair_integrate_many
+
+    def spy(ctx, spec):
+        seen.append((ctx, spec, real(ctx, spec)))
+        return seen[-1][2]
+
+    with mock.patch.object(functionals, "mc_pair_integrate_many", spy):
+        call()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def assert_every_stratum_bits(ctx, spec, ests):
+    """The engine's estimates equal the per-stratum loop's with no zero
+    floor and every stratum drawn, on the engine's own h_max: the cutoff
+    and the floor skip only work that adds exactly 0."""
+    from nlsob.quadrature import _derive_h_max
+    full = replace(ctx, zero_floor=None, inner_cutoff=0.0)
+    ref = per_stratum_reference(full, replace(spec, h_max=_derive_h_max(ctx, spec)[0]))
+    assert [(e.value, e.stderr, e.n_effective) for e in ests] == ref
+
+
+@st.composite
+def two_term_sums(draw):
+    """A Gaussian plus a Gaussian or a bump, off centre, with amplitudes of
+    either sign: a non-radial field for the MC engine."""
+    at = lambda: tuple(draw(st.floats(-0.4, 0.4)) for _ in range(3))
+    amp = lambda: draw(st.floats(0.3, 1.2)) * draw(st.sampled_from([1.0, -1.0]))
+    first = nl.GaussianField(3, draw(st.floats(0.6, 2.0)), abs(amp()), at())
+    second = draw(st.sampled_from(["gaussian", "bump"]))
+    if second == "gaussian":
+        other = nl.GaussianField(3, draw(st.floats(0.6, 2.0)), amp(), at())
+    else:
+        other = nl.SmoothBumpField(3, draw(st.floats(0.8, 2.0)), amp(), at())
+    return nl.FiniteSumField([first, other])
+
+
+def potentials():
+    entries = st.floats(-0.8, 0.8)
+    antisym = st.tuples(entries, entries, entries).map(
+        lambda b: [[0.0, b[0], b[1]], [-b[0], 0.0, b[2]], [-b[1], -b[2], 0.0]])
+    return st.one_of(st.just(nl.ZeroPotential(3)),
+                     st.tuples(entries, entries, entries).map(nl.ConstantPotential),
+                     antisym.map(nl.LinearBPotential))
+
+
+_ORACLE_MC = dict(n_samples=9600, chunk_size=4800)
+
+
+class TestEngineOracle:
+    """Each functional's MC run against ``per_stratum_reference`` with no
+    zero floor and every stratum drawn, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(u=two_term_sums(), delta=st.floats(0.05, 0.4), seed=st.integers(0, 2 ** 31 - 1))
+    def test_i_delta(self, u, delta, seed):
+        engine = nl.default_engine(seed, mode="mc", **_ORACLE_MC)
+        ctx, spec, ests = engine_call(lambda: nl.i_delta(u, nl.KernelSpec(delta), engine))
+        assert_every_stratum_bits(ctx, spec, ests)
+
+    @settings(max_examples=15, deadline=None)
+    @given(jump=st.floats(0.3, 1.2), factor=st.floats(1.1, 2.5),
+           rate=st.floats(0.6, 2.0), seed=st.integers(0, 2 ** 31 - 1))
+    def test_convergent_jump_field(self, jump, factor, rate, seed):
+        u = nl.FiniteSumField([nl.IndicatorField(3, 1.0, jump),
+                               nl.GaussianField(3, rate, 0.8, (0.3, 0.0, 0.0))])
+        engine = nl.default_engine(seed, mode="mc", **_ORACLE_MC)
+        k = nl.KernelSpec(factor * jump, 1.5)
+        ctx, spec, ests = engine_call(lambda: nl.i_delta_p(u, k, engine))
+        assert not ests[0].diverged
+        assert_every_stratum_bits(ctx, spec, ests)
+
+    @settings(max_examples=30, deadline=None)
+    @given(u=two_term_sums(), A=potentials(), delta=st.floats(0.05, 0.4),
+           phase=st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                           st.floats(-3.0, 3.0)),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_magnetic_paired(self, u, A, delta, phase, seed):
+        assume(delta < 2.0 * u.sup_bound)
+        w = nl.ComplexField(u, nl.LinearPhase(phase[0], phase[1:]))
+        engine = nl.default_engine(seed, mode="mc", **_ORACLE_MC)
+        ctx, spec, ests = engine_call(
+            lambda: nl.i_delta_magnetic_paired(w, A, nl.KernelSpec(delta), engine))
+        assert ctx.zero_floor is not None and ctx.inner_cutoff > 0.0
+        assert_every_stratum_bits(ctx, spec, ests)
+
+    def test_samples_exactly_at_the_floor(self):
+        # a field of quarter steps puts many samples at |v(x)| = 0.25 exactly;
+        # the floor skips the y side of those and of the samples below them,
+        # and the bits stay
+        values = lambda pts: np.floor(4.0 * np.maximum(1.5 - np.sqrt(
+            np.sum(pts * pts, axis=1)), 0.0)) / 4.0
+        seen = []
+
+        def counted(pts):
+            seen.append(values(pts))
+            return seen[-1]
+
+        def integrand(x, y, rho, vx, vy):
+            return np.where(np.abs(vy - vx) > 0.5, 0.25, 0.0) * rho ** -5.0
+
+        ctx = PairContext(dim=3, x_center=np.zeros(3), x_radius=1.5, kernel_p=2.0,
+                          numerator=0.25, integrands=(integrand, integrand),
+                          inner_cutoff=0.05, symmetric=True, values=counted,
+                          zero_floor=0.25)
+        spec = McSpec(master_seed=3, n_samples=9600, chunk_size=4800)
+        ests = mc_pair_integrate_many(ctx, spec)
+        vx, vy = seen[0], seen[1]
+        assert np.count_nonzero(vx == 0.25) > 0 and ests[0].value > 0.0
+        assert len(vy) == np.count_nonzero(np.abs(vx) > 0.25) < len(vx)
+        assert [(e.value, e.stderr, e.n_effective) for e in ests] == \
+            per_stratum_reference(replace(ctx, zero_floor=None), spec)
 
 
 class TestSpecsValidation:
