@@ -50,10 +50,9 @@ from .inequalities import (
     FREE_CONSTANT_CHECKS,
     FREE_CONSTANT_REPORTS,
     MAGNETIC_REPORTS,
-    check_euclidean_family,
+    VOLUME_REPORTS,
     check_gauss_lsi,
     check_jensen,
-    check_small_set_bound,
     family_constant,
     sweep_family,
 )
@@ -81,14 +80,15 @@ _EVAL = {
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
 
 # check -> its reports on the built config, field-major and delta-minor; the
-# free-constant and magnetic checks come from inequalities' report tables
+# free-constant, magnetic and volume-sharing checks come from inequalities'
+# report tables
 _CHECKS = {
     "gauss_lsi": lambda b: [check_gauss_lsi(u) for u in b.fields],
-    "euclidean_family": lambda b: [check_euclidean_family(u, a)
-                                   for u in b.fields for a in b.a_values],
+    "euclidean_family": lambda b: [r for u in b.fields for r in VOLUME_REPORTS[
+        "euclidean_family"](u, b.a_values, b.lam)],
     "jensen": lambda b: [check_jensen(u) for u in b.fields],
-    "small_set_bound": lambda b: [check_small_set_bound(u, d, b.lam)
-                                  for u in b.fields for d in b.deltas],
+    "small_set_bound": lambda b: [r for u in b.fields for r in VOLUME_REPORTS[
+        "small_set_bound"](u, b.deltas, b.lam)],
     **{name: lambda b, report=report: [r for u in b.fields for r in report(
         u, b.potential, b.phase, b.deltas, b.engine)]
        for name, report in MAGNETIC_REPORTS.items()},

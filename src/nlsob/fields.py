@@ -113,7 +113,11 @@ class RadialProfile1D:
     (support edges, spline breakpoints) so quadrature panels can align there.
     ``flat_radius(eps)`` is the radius beyond which g stays within eps of
     its limit at infinity, so that g' vanishes there; left out, g tends
-    to 0 and it is ``decay_radius``.
+    to 0 and it is ``decay_radius``.  ``level_radius(levels)``, set only
+    on a decreasing profile whose inverse has a closed form, maps an
+    array of levels in (0, g(0)] to the s >= 0 with g(s) = level; the
+    radial engine then cuts its indicator sets there instead of solving
+    for each crossing.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -125,6 +129,7 @@ class RadialProfile1D:
     monotone_decreasing: bool
     support_radius: float = math.inf
     flat_radius: Optional[Callable[[float], float]] = None
+    level_radius: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.flat_radius is None:
@@ -247,11 +252,14 @@ class RadialShapeField(ScalarField):
 
     A shape keeps its parameters and its profile ``_g`` and ``_dg`` (None
     where u jumps), and calls ``_init_shape`` once when built.  Where g
-    does not vanish beyond ``support``, the shape overrides ``_reach``.
+    does not vanish beyond ``support``, the shape overrides ``_reach``; a
+    shape that can invert g in closed form defines ``_level_radius``, which
+    its profile carries where g decreases.
     """
 
     center_point: tuple
     _dg = None
+    _level_radius = None
 
     def _init_shape(self, center, *, sup: float, lip: float, knots: np.ndarray,
                     monotone: bool, support: float = math.inf) -> None:
@@ -319,6 +327,7 @@ class RadialShapeField(ScalarField):
             decay_radius=self._profile_decay,
             monotone_decreasing=self._monotone,
             support_radius=self._support,
+            level_radius=self._level_radius if self._monotone else None,
         )
 
     def proposal_components(self) -> list:
@@ -330,6 +339,14 @@ class RadialShapeField(ScalarField):
     def translate(self, v) -> "RadialShapeField":
         v = np.asarray(v, dtype=float)
         return replace(self, center_point=tuple(np.array(self.center_point) + v))
+
+
+def _log_ratio(levels: np.ndarray, amp: float) -> np.ndarray:
+    """log(levels / amp) for 0 < levels <= amp, within an ulp or two also
+    next to amp, where it is log1p of the exact difference levels - amp
+    (the plain log loses up to hundreds of ulps of the radius there)."""
+    near = np.log1p((np.maximum(levels, 0.5 * amp) - amp) / amp)
+    return np.where(levels > 0.5 * amp, near, np.log(levels / amp))
 
 
 @dataclass(frozen=True)
@@ -371,6 +388,9 @@ class GaussianField(RadialShapeField):
 
     def _reach(self, eps: float) -> float:
         return math.sqrt(math.log(abs(self.amplitude) / eps) / self.rate)
+
+    def _level_radius(self, levels: np.ndarray) -> np.ndarray:
+        return np.sqrt(-_log_ratio(levels, self.amplitude) / self.rate)
 
     def gaussian_terms(self) -> list:
         return [self]
@@ -456,6 +476,11 @@ class SmoothBumpField(RadialShapeField):
         den = R * R - ri * ri
         out[inside] = self.amplitude * np.exp(1.0 - R * R / den) * (-2.0 * ri * R * R / den ** 2)
         return out
+
+    def _level_radius(self, levels: np.ndarray) -> np.ndarray:
+        # level = amp exp(L) with L = 1 - R^2 / (R^2 - s^2)
+        ell = _log_ratio(levels, self.amplitude)
+        return self.radius * np.sqrt(-ell / (1.0 - ell))
 
     def dilate(self, lam: float) -> "SmoothBumpField":
         if lam <= 0:
@@ -559,12 +584,15 @@ class ClampedSpline:
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
-        s = r - self.x[i]
-        out = 0.0 + self.c[-1, i]
+        # the piece of each r, end pieces extended, as clip(searchsorted(x, r,
+        # "right") - 1, 0, x.size - 2) gives it; take() gathers the same
+        # doubles as fancy indexing, at less cost
+        i = np.searchsorted(self.x[1:-1], r, side="right")
+        s = r - self.x.take(i)
+        out = 0.0 + self.c[-1].take(i)
         z = s
         for k in range(self.c.shape[0] - 2, -1, -1):
-            out = out + self.c[k, i] * z
+            out = out + self.c[k].take(i) * z
             if k:
                 z = z * s
         return out

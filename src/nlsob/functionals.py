@@ -608,7 +608,7 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
             base, (lambda v: v, xlogx), power_hint=1.0))
     else:
         vals = lambda pts: (f.evaluate(pts) ** 2 if square else f.evaluate(pts))
-        mass, flogf = _gauss_expectation(f, (vals, lambda pts: xlogx(vals(pts))))
+        mass, flogf = _gauss_expectation(f, (lambda v: v, xlogx), values=vals)
     if mass <= 0:
         raise ZeroFieldError("||f||_{1,mu} must be positive")
     # int (f/m) log(f/m) = int f log f / m - log m
@@ -622,11 +622,14 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
 _GAUSS_MC_SPEC = McSpec(master_seed=271828182, n_samples=384000, chunk_size=4800)
 
 
-def _gauss_expectation(field, fn_pts, spec: Optional[McSpec] = None):
-    """Integral of fn against the probability measure e^{-pi |x|^2} dx.  A
-    tuple of fns gives a list of integrals, all on the same nodes or the
-    same Monte Carlo samples."""
+def _gauss_expectation(field, fn_pts, spec: Optional[McSpec] = None, values=None):
+    """Integral of fn(x), or of fn(values(x)), against the probability
+    measure e^{-pi |x|^2} dx.  A tuple of fns gives a list of integrals,
+    all on the same nodes or the same Monte Carlo samples."""
     fns = fn_pts if isinstance(fn_pts, tuple) else (fn_pts,)
+    at = values or (lambda pts: pts)
+    # each fn reads (values, Gauss weight), both computed once per node set
+    weighted = tuple(lambda vw, f=f: f(vw[0]) * vw[1] for f in fns)
     n = field.dim
     prof = field.radial_profile()
     if prof is not None and not np.any(field.center):
@@ -636,17 +639,16 @@ def _gauss_expectation(field, fn_pts, spec: Optional[McSpec] = None):
         except (UnsupportedOperationError, OverflowError):
             pass
         e1 = np.eye(n)[0]
-        vals = [quad.radial_volume_value(
-            lambda r, f=f: f(r[:, None] * e1[None, :]) * np.exp(-math.pi * r * r),
-            n, r_max, knots=prof.knots, n_panels=96) for f in fns]
+        vals = quad.radial_volume_value(
+            weighted, n, r_max, knots=prof.knots, n_panels=96,
+            values=lambda r: (at(r[:, None] * e1[None, :]), np.exp(-math.pi * r * r)))
     else:
         sp = spec if spec is not None else _GAUSS_MC_SPEC
         # the proposal is the Gauss measure itself: a centred normal of
         # variance 1 / (2 pi) per coordinate
-        weighted = tuple(lambda pts, f=f: f(pts) * np.exp(-math.pi * row_sq_norms(pts))
-                         for f in fns)
         vals = [e.value for e in quad.mc_volume_value(
-            weighted, n, [(np.zeros(n), 1.0 / math.sqrt(2.0 * math.pi))], sp)]
+            weighted, n, [(np.zeros(n), 1.0 / math.sqrt(2.0 * math.pi))], sp,
+            lambda pts: (at(pts), np.exp(-math.pi * row_sq_norms(pts))))]
     return vals if isinstance(fn_pts, tuple) else vals[0]
 
 
@@ -660,9 +662,9 @@ def gauss_lsi_sides(u: ScalarField) -> tuple:
     sides = u.gauss_lsi_closed_form()
     if sides is not None:
         return sides
-    m0, ulogu, grad = _gauss_expectation(u, (lambda pts: u.evaluate(pts) ** 2,
-                                             lambda pts: xlogx(u.evaluate(pts) ** 2),
-                                             lambda pts: row_sq_norms(u.gradient(pts))))
+    m0, ulogu, grad = _gauss_expectation(
+        u, (lambda v: v[0], lambda v: xlogx(v[0]), lambda v: row_sq_norms(v[1])),
+        values=lambda pts: (u.evaluate(pts) ** 2, u.gradient(pts)))
     if m0 <= 0:
         raise ZeroFieldError("zero field")
     return ulogu - m0 * math.log(m0), grad / math.pi

@@ -56,6 +56,7 @@ __all__ = [
     "FREE_CONSTANT_CHECKS",
     "FREE_CONSTANT_REPORTS",
     "MAGNETIC_REPORTS",
+    "VOLUME_REPORTS",
 ]
 
 _FP_SLACK = 1e-9
@@ -178,12 +179,13 @@ def _lsi_volume(u) -> tuple:
     return l2, entropy_l2_estimate(u, l2=l2)
 
 
-def _per_volume(u, deltas, report: Callable, envelope=None) -> list:
-    """``report(u, delta, pair)`` per delta, on one volume pair after ``envelope.validate()``."""
+def _per_volume(u, params, report: Callable, envelope=None, volume=_lsi_volume) -> list:
+    """``report(u, param, quantities)`` per param, on one ``volume(u)`` (the
+    log-Sobolev pair by default) after ``envelope.validate()``."""
     if envelope is not None:
         envelope.validate()
-    volume = _lsi_volume(u) if len(deltas) else None
-    return [report(u, d, volume) for d in deltas]
+    quantities = volume(u) if len(params) else None
+    return [report(u, p, quantities) for p in params]
 
 
 def _log_sobolev(inequality_id: str, u, nonlocal_term: Callable[[], Estimate], beta: float,
@@ -263,14 +265,20 @@ def check_gauss_lsi(u: ScalarField) -> InequalityReport:
                             stat_margin=slack, inputs=_prov(u))
 
 
-def check_euclidean_family(u: ScalarField, a: float) -> InequalityReport:
-    """One-parameter Euclidean form; fully explicit, no free constant."""
+def _euclidean_volume(u) -> tuple:
+    """(L2 mass, entropy, Dirichlet energy) of u for the Euclidean family."""
+    l2 = l2_norm_sq_estimate(u)
+    return l2, entropy_l2_estimate(u, l2=l2), dirichlet_energy(u)
+
+
+def check_euclidean_family(u: ScalarField, a: float, *,
+                           _volume: Optional[tuple] = None) -> InequalityReport:
+    """One-parameter Euclidean form; fully explicit, no free constant.
+    ``_volume`` is ``_euclidean_volume(u)`` when the caller has it."""
     if a <= 0:
         raise PreconditionError("parameter a must be positive")
     n = u.dim
-    l2 = l2_norm_sq_estimate(u)
-    ent = entropy_l2_estimate(u, l2=l2)
-    energy = dirichlet_energy(u)
+    l2, ent, energy = _volume if _volume is not None else _euclidean_volume(u)
     lhs = l2.value * ent.value + n * (1.0 + math.log(a)) * l2.value
     rhs = (a * a / math.pi) * energy
     margin = 3.0 * math.hypot(l2.value * ent.stderr,
@@ -281,21 +289,33 @@ def check_euclidean_family(u: ScalarField, a: float) -> InequalityReport:
                             inputs=_prov(u, a=a))
 
 
-def check_small_set_bound(u: ScalarField, delta: float, lam: float) -> InequalityReport:
-    """Sublevel critical integral against (lam delta)^{4/(N-2)} after
-    normalizing to unit L2 mass."""
+def _small_set_volume(u) -> tuple:
+    """(v, integral of |v|^q) for the small-set bound, after its dimension
+    check: v is u normalized to unit L2 mass, q = 2N/(N-2)."""
     n = u.dim
     _require_sobolev_dim(n)
     l2 = l2_norm_sq_estimate(u)
     if l2.value <= 0:
         raise PreconditionError("zero field")
     v = u.amplify(1.0 / math.sqrt(l2.value))
+    return v, lp_power_integral(v, 2.0 * n / (n - 2.0))
+
+
+def check_small_set_bound(u: ScalarField, delta: float, lam: float, *,
+                          _volume: Optional[tuple] = None) -> InequalityReport:
+    """Sublevel critical integral against (lam delta)^{4/(N-2)} after
+    normalizing to unit L2 mass.  ``_volume`` is ``_small_set_volume(u)``
+    when the caller has it."""
+    n = u.dim
+    v, total = _volume if _volume is not None else _small_set_volume(u)
     q = 2.0 * n / (n - 2.0)
-    lhs_est = restricted_power_integral(v, q, lam * delta, "below")
+    # the sublevel integral is the total minus the superlevel one
+    above = restricted_power_integral(v, q, lam * delta, "above")
+    lhs = total.value - above.value
     rhs = (lam * delta) ** (4.0 / (n - 2.0))
-    margin = max(3.0 * lhs_est.stderr, 1e-9 * (1.0 + abs(rhs)))
-    return InequalityReport("small_set_bound", lhs=lhs_est.value, rhs=rhs,
-                            deficit=rhs - lhs_est.value, stat_margin=margin,
+    margin = max(3.0 * math.hypot(total.stderr, above.stderr), 1e-9 * (1.0 + abs(rhs)))
+    return InequalityReport("small_set_bound", lhs=lhs, rhs=rhs,
+                            deficit=rhs - lhs, stat_margin=margin,
                             inputs=_prov(u, delta, llambda=lam))
 
 
@@ -365,6 +385,24 @@ MAGNETIC_REPORTS = {
         check_diamagnetic(ComplexField(u, phase), A, d, engine) for d in ds],
     "magnetic_lsi": lambda u, A, phase, ds, engine: _per_volume(ComplexField(u, phase), ds,
         lambda w, d, v: check_magnetic_lsi(w, A, d, engine, _volume=v)),
+}
+
+
+def _euclidean_reports(u, a_values, lam) -> list:
+    if any(a <= 0 for a in a_values):  # before the volume, as check_euclidean_family does
+        raise PreconditionError("parameter a must be positive")
+    return _per_volume(u, a_values, lambda u, a, v: check_euclidean_family(u, a, _volume=v),
+                       volume=_euclidean_volume)
+
+
+# the explicit checkers over a list of parameters: each maps (field, its
+# parameters, lambda) to the field's reports, one per parameter, on one set of
+# its volume quantities
+VOLUME_REPORTS = {
+    "euclidean_family": _euclidean_reports,
+    "small_set_bound": lambda u, ds, lam: _per_volume(
+        u, ds, lambda u, d, v: check_small_set_bound(u, d, lam, _volume=v),
+        volume=_small_set_volume),
 }
 
 

@@ -27,7 +27,10 @@ Two pair engines share one Estimate type:
   generic indicator carving, smooth tensor weight) lay out one row of
   s-panels per r-node, or per (r-node, admissible s-interval), and
   integrate all rows in one array pass.  The indicator paths cut the
-  s-sets at level crossings, all solved by one safeguarded Newton.
+  s-sets at level crossings.  A decreasing profile with a closed-form
+  inverse (``RadialProfile1D.level_radius``: Gaussians, smooth bumps)
+  gives each crossing directly; every other crossing is bracketed on a
+  probe grid and solved by one safeguarded Newton.
 
 Both report rigorous tail bounds for the truncated regions where the
 field metadata permits one.
@@ -149,9 +152,29 @@ class RadialSpec:
 # small deterministic quadrature helpers
 # ---------------------------------------------------------------------------
 
+# the lower halves of the Gauss-Legendre rules the engines use, nodes then
+# weights, bit for bit as numpy.polynomial.legendre.leggauss gives them (its
+# rules are exactly symmetric); they spare a study that module's import
+_GL_HALVES = {
+    4: ("-0x1.b8e6dbcf63985p-1 -0x1.5c23fd9dd3dfcp-2",
+        "0x1.64340f7e7b666p-2 0x1.4de5f840c24cdp-1"),
+    6: ("-0x1.dd6ca4e80a01dp-1 -0x1.528a09655c95ep-1 -0x1.e8b12d03675c5p-3",
+        "0x1.5edf601e2dbf5p-3 0x1.716b7b5794c1ep-2 0x1.df24d499545e8p-2"),
+    8: ("-0x1.ebab1cb0acc66p-1 -0x1.97e4ab249f41ep-1 -0x1.0d129583284b4p-1 "
+        "-0x1.77ac94f3c7344p-3",
+        "0x1.9ea1d04ca03aep-4 0x1.c76fb531d2b94p-3 0x1.413c50a25560ep-2 "
+        "0x1.736360b19933dp-2"),
+}
+
+
 @lru_cache(maxsize=32)
 def _gl_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
+    if order in _GL_HALVES:
+        x, w = (np.array([float.fromhex(v) for v in half.split()])
+                for half in _GL_HALVES[order])
+        x, w = np.concatenate([x, -x[::-1]]), np.concatenate([w, w[::-1]])
+    else:
+        x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
 
 
@@ -726,10 +749,17 @@ def _carving_grid(profile: RadialProfile1D, delta: float, s_max: float):
     probe grid on [0, s_max], the profile on it, and the reach of the
     r-integral, 0 when no pair is admissible.  A decreasing profile's
     r-integral ends at the last crossing of delta; otherwise it ends
-    where g has decayed below delta / 2."""
+    where g has decayed below delta / 2.  A decreasing profile with a
+    ``level_radius`` needs no grid: the grid is None and the profile is
+    given at 0 and s_max only."""
     r_half = profile.decay_radius(delta / 2.0)
     if r_half <= 0.0:
         return None, None, 0.0
+    if profile.monotone_decreasing and profile.level_radius is not None:
+        ends = profile.g(np.array([0.0, s_max]))
+        if not ends[0] > delta >= ends[-1]:
+            return None, ends, 0.0
+        return None, ends, min(float(profile.level_radius(np.array([delta]))[0]), s_max)
     bulk = min(profile.decay_radius(1e-4 * delta), s_max)
     xs = _probe_grid(0.0, s_max, bulk)
     vals = profile.g(xs)
@@ -766,7 +796,10 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
         keep = vals[-1] < target
         if not keep.any():
             return 0.0
-        s2 = _decreasing_crossings(g, profile.dg, target[keep], xs, vals)
+        if xs is None:  # closed form; the clip guards a target within rounding of g(s_max)
+            s2 = np.minimum(profile.level_radius(target[keep]), s_max)
+        else:
+            s2 = _decreasing_crossings(g, profile.dg, target[keep], xs, vals)
         bps = _mapped_panels(s2, np.full_like(s2, s_max), template, knots)
         total, _ = _integrate_rows(r_nodes[keep], r_w[keep], g_r[keep], bps, g, weight,
                                    kernel_p, dim, order, s_max)
@@ -879,14 +912,17 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
 # volume integrals
 # ---------------------------------------------------------------------------
 
-def radial_volume_value(fn_r: Callable[[np.ndarray], np.ndarray], dim: int,
-                        r_max: float, knots: Sequence[float] = (),
-                        n_panels: int = 64) -> float:
-    """Deterministic integral over R^N of a radial integrand fn(|x|), by
-    8-point Gauss rules on ``n_panels`` panels."""
+def radial_volume_value(fn_r, dim: int, r_max: float, knots: Sequence[float] = (),
+                        n_panels: int = 64, values=None):
+    """Deterministic integral over R^N of a radial integrand fn(|x|), or of
+    fn(values(|x|)), by 8-point Gauss rules on ``n_panels`` panels; a tuple
+    of fns gives a list on shared nodes, with one ``values`` of them."""
     panels = uniform_panels(0.0, r_max, n_panels, splits=knots)
     nodes, w = panel_nodes(panels, 8)
-    return sphere_surface(dim) * float(np.sum(w * fn_r(nodes) * nodes ** (dim - 1)))
+    v = nodes if values is None else values(nodes)
+    out = [sphere_surface(dim) * float(np.sum(w * f(v) * nodes ** (dim - 1)))
+           for f in (fn_r if isinstance(fn_r, tuple) else (fn_r,))]
+    return out if isinstance(fn_r, tuple) else out[0]
 
 
 def mc_volume_value(fns: tuple, dim: int, components, spec: McSpec, values=None) -> list:
@@ -925,7 +961,7 @@ _DEFAULT_VOLUME_SPEC = McSpec(master_seed=1812051820, n_samples=192000,
 def volume_integrate(integrand, field, spec: Optional[McSpec] = None,
                      tail_eps: float = 1e-9, values=None):
     """Integral over R^N of ``integrand(points)``, or of ``integrand(values(points))``;
-    a tuple gives a list on shared nodes (and one ``values`` per MC chunk).
+    a tuple gives a list on shared nodes, with one ``values`` per node set.
 
     The field supplies geometry only: a radial field routes to the
     deterministic radial rule (the integrand must then be radial about
@@ -946,9 +982,9 @@ def volume_integrate(integrand, field, spec: Optional[McSpec] = None,
                 raise DivergentIntegralError("field does not decay below the tail tolerance")
         center, e1 = field.center, np.eye(field.dim)[0]
         at = values or (lambda pts: pts)
-        ests = [Estimate(radial_volume_value(
-            lambda r, f=f: f(at(center[None, :] + r[:, None] * e1[None, :])), field.dim,
-            max(r_max, 1e-12), knots=prof.knots), 0.0, 0, 0.0, "radial") for f in fns]
+        ests = [Estimate(v, 0.0, 0, 0.0, "radial") for v in radial_volume_value(
+            fns, field.dim, max(r_max, 1e-12), knots=prof.knots,
+            values=lambda r: at(center[None, :] + r[:, None] * e1[None, :]))]
     else:
         sp = spec if spec is not None else _DEFAULT_VOLUME_SPEC
         ests = mc_volume_value(fns, field.dim, field.proposal_components(), sp, values)

@@ -454,6 +454,54 @@ class TestSweepAndConstants:
             assert spy.call_count == passes
             assert len(read_rows(tmp_path / "out.csv")) == 2
 
+    @pytest.mark.parametrize("check,passes", [("euclidean_family", 3), ("small_set_bound", 5)])
+    def test_explicit_checks_estimate_each_volume_quantity_once(self, tmp_path, check, passes):
+        # over three a-values, euclidean_family estimates the L² mass, the
+        # entropy and the Dirichlet energy once each; over three deltas,
+        # small_set_bound estimates the L² mass and the normalized field's
+        # total once, and one superlevel integral per delta.  A checker per
+        # instance makes 9 passes either way, and writes the same rows
+        from unittest import mock
+
+        from nlsob import quadrature
+        from nlsob.inequalities import check_euclidean_family, check_small_set_bound
+        field = {"shape": "sum", "dim": 3, "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+            {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+             "center": [0.0, -0.3, 0.1]}]}
+        cfg = base_config(fields=[field], kernel={"deltas": [0.2, 0.1, 0.05]},
+                          a_values=[0.5, 1.0, 2.0], checks=[check], output={"csv": "out.csv"})
+        spy = mock.patch.object(quadrature, "mc_volume_value", wraps=quadrature.mc_volume_value)
+        with spy as shared:
+            assert cli.main(["check", "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path)]) == 0
+        b = cli._build(cfg, cfg["seed"])
+        with spy as alone:
+            if check == "euclidean_family":
+                reports = [check_euclidean_family(u, a) for u in b.fields for a in b.a_values]
+            else:
+                reports = [check_small_set_bound(u, d, b.lam) for u in b.fields for d in b.deltas]
+        assert (shared.call_count, alone.call_count) == (passes, 9)
+        expect = [{k: str(v) for k, v in r.csv_row().items()} for r in reports]
+        assert read_rows(tmp_path / "out.csv") == expect
+
+    def test_euclidean_parameter_checked_before_volume(self, tmp_path, capsys):
+        # a nonpositive a is a config error, raised before the field's volume passes
+        from unittest import mock
+
+        from nlsob import quadrature
+        field = {"shape": "sum", "dim": 3, "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+            {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+             "center": [0.0, -0.3, 0.1]}]}
+        cfg = base_config(fields=[field], a_values=[1.0, -1.0], checks=["euclidean_family"])
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            rc = cli.main(["check", "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+        assert (rc, spy.call_count) == (2, 0)
+        assert "parameter a must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,check", [
         ("check", "logsobolev_main"), ("constants", "logsobolev_main"),
         ("check", "envelope_lsi"), ("check", "magnetic_lsi")])

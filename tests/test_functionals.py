@@ -490,6 +490,33 @@ class TestEntMu:
         assert Counting.points == spy.call_args_list[0].args[3].n_samples
 
 
+    @pytest.mark.parametrize("square", [False, True])
+    def test_gauss_one_field_evaluation_per_sample(self, square):
+        # the Monte Carlo pass of ent_mu(u, "gauss") evaluates u once per
+        # sample, with the bits of two passes of their own
+        from unittest import mock
+
+        from nlsob import quadrature
+        from nlsob.functionals import _gauss_expectation, xlogx
+
+        class Counting(nl.FiniteSumField):
+            points = 0
+
+            def evaluate(self, x):
+                Counting.points += len(x)
+                return super().evaluate(x)
+
+        u = Counting([nl.GaussianField(3, 1.0, 1.0, (0.3, 0, 0)),
+                      nl.GaussianField(3, 1.6, 0.65, (-0.3, 0.2, 0))])
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            got = ent_mu(u, "gauss", square=square)
+        assert Counting.points == spy.call_args_list[0].args[3].n_samples == 384000
+        f = (lambda pts: u.evaluate(pts) ** 2) if square else u.evaluate
+        mass = _gauss_expectation(u, f)
+        flogf = _gauss_expectation(u, lambda pts: xlogx(f(pts)))
+        assert got == flogf / mass - math.log(mass) + 1.5 * math.log(mass)
+
 class TestLogMoment:
     def test_p2_matches_u2logu2(self, gauss3):
         assert rel_err(log_moment_lp(gauss3, 2.0),
@@ -603,6 +630,36 @@ class TestGaussMeasure:
         three_pass = _gauss_expectation(u, u2log)
         assert abs(lhs - three_pass) <= 1e-12 * (abs(ulogu) + abs(m0 * math.log(m0)))
         assert rhs >= lhs
+
+    def test_one_field_evaluation_per_sample(self):
+        # the three integrals read one evaluation of u per sample
+        from unittest import mock
+
+        from nlsob import quadrature
+
+        class Counting(nl.FiniteSumField):
+            points = 0
+
+            def evaluate(self, x):
+                Counting.points += len(x)
+                return super().evaluate(x)
+
+        u = Counting([nl.GaussianField(3, 1.0, 0.6),
+                      nl.GaussianField(3, 2.0, 0.5, (0.8, 0.0, 0.0))])
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            sides = gauss_lsi_sides(u)
+        assert Counting.points == spy.call_args_list[0].args[3].n_samples == 384000
+        assert sides[1] >= sides[0]
+        # a concentric sum takes the radial rule: one evaluation per node
+        from nlsob.functionals import _gauss_expectation
+        Counting.points = 0
+        v = Counting([nl.GaussianField(3, 1.0, 0.6), nl.SmoothBumpField(3, 1.5, 0.4)])
+        assert v.radial_profile() is not None and v.gauss_lsi_closed_form() is None
+        gauss_lsi_sides(v)
+        nodes, Counting.points = Counting.points, 0
+        _gauss_expectation(v, v.evaluate)
+        assert nodes == Counting.points > 0
 
 
 class TestEnergies:

@@ -1,7 +1,8 @@
 """Property tests on randomly drawn fields: jump fields (a Gaussian plus
 one to three disjoint or nested indicator balls), smooth two-term sums
-for the exact laws of the Monte Carlo engine, and non-monotone radial
-profiles for the level crossings of the radial engine."""
+for the exact laws of the Monte Carlo engine, non-monotone radial
+profiles for the level crossings of the radial engine, and Gaussians and
+bumps for its closed-form crossings."""
 
 import math
 from dataclasses import replace
@@ -19,7 +20,7 @@ from scipy.optimize import brentq  # noqa: E402
 from nlsob import functionals  # noqa: E402
 from nlsob.inequalities import check_diamagnetic  # noqa: E402
 from nlsob.quadrature import (  # noqa: E402
-    _XTOL, _RTOL, _excess_intervals, _level_crossings, _probe_grid)
+    _XTOL, _RTOL, RadialSpec, _excess_intervals, _level_crossings, _probe_grid)
 
 
 class Counting(nl.FiniteSumField):
@@ -255,3 +256,73 @@ def test_excess_intervals_exceed_delta(case, where, delta):
     row, lo, hi = _excess_intervals(g, prof.dg, a_vals, delta, xs, vals)
     assert np.all(lo < hi)
     assert np.all(np.abs(g(0.5 * (lo + hi)) - a_vals[row]) > delta)
+
+
+@st.composite
+def closed_form_shapes(draw):
+    """A Gaussian or a smooth bump of positive amplitude: decreasing
+    profiles with a ``level_radius``."""
+    amp = draw(st.floats(1e-3, 1e3))
+    size = draw(st.floats(1e-2, 1e2))  # the Gaussian's rate or the bump's radius
+    dim = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        return nl.GaussianField(dim, size, amp)
+    return nl.SmoothBumpField(dim, size, amp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=closed_form_shapes(),
+       frac=st.one_of(st.floats(1e-290, 1.0),  # down to the bump's s -> R
+                      st.integers(0, 64).map(lambda k: 1.0 - k * 2.0 ** -53),  # near g(0)
+                      st.floats(1e-290, 1e-30)))
+def test_level_radius_inverts_the_profile(field, frac):
+    # level_radius(l) is the exact root to a few ulps (50-digit mpmath;
+    # next to g(0) a plain log(l / amp) was off by up to 464 ulps), and
+    # g(level_radius(l)) = l to a few ulps of l, plus the few ulps of s
+    # that g's slope turns into s |g'(s)| ulps of g; that term dominates
+    # far out, where g is ill conditioned (the bump's s -> R as l -> 0)
+    import mpmath
+    prof = field.radial_profile()
+    level = frac * prof.sup
+    s = prof.level_radius(np.array([level]))
+    assert s.shape == (1,)
+    assert 0.0 <= s[0] <= prof.support_radius
+    with mpmath.workdps(50):
+        ell = mpmath.log(mpmath.mpf(level) / mpmath.mpf(field.amplitude))
+        exact = float(mpmath.sqrt(-ell / field.rate) if isinstance(field, nl.GaussianField)
+                      else field.radius * mpmath.sqrt(-ell / (1 - ell)))
+    assert abs(s[0] - exact) <= 4.0 * np.spacing(exact)
+    slope = abs(prof.dg(s)[0]) * s[0]
+    assert abs(prof.g(s)[0] - level) <= 8.0 * np.finfo(float).eps * (level + slope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=closed_form_shapes(), frac=st.floats(1e-3, 1.95))
+def test_closed_form_crossings_match_newton(field, frac):
+    # the radial i_delta on closed-form crossings against the same on the
+    # probe grid and the safeguarded Newton, forced by dropping level_radius:
+    # equal to 1e-12 relative, plus what the Newton's own error on the
+    # r-range's end r_top moves a value of size ~ r_top^N by: its step
+    # tolerance, and the ulp(delta) / |g'(r_top)| to which g tells roots
+    # apart.  That term dominates for delta next to g(0), where g is flat:
+    # at a bump's delta = 0.99999 g(0), r_top = 3.2e-3 and the Newton one
+    # is off by 8e-12 relative (the closed form is exact there to rounding,
+    # against 50-digit mpmath)
+    engine = replace(nl.default_engine(1), radial=RadialSpec(n_r=12, n_s=16))
+    delta = frac * field.sup_bound
+    k = nl.KernelSpec(delta)
+    got = nl.i_delta(field, k, engine)
+    profile = type(field).radial_profile
+    with mock.patch.object(type(field), "radial_profile",
+                           lambda u: replace(profile(u), level_radius=None)):
+        ref = nl.i_delta(field, k, engine)
+    assert got.method == ref.method == "radial"
+    if delta >= field.sup_bound:  # no admissible pair
+        assert got.value == ref.value == 0.0
+        return
+    prof = field.radial_profile()
+    r_top = prof.level_radius(np.array([delta]))
+    newton = _XTOL + _RTOL * r_top[0] + 8.0 * np.spacing(delta) / abs(prof.dg(r_top)[0])
+    tol = (1e-12 + field.dim * newton / r_top[0]) * abs(ref.value)
+    assert abs(got.value - ref.value) <= tol
+    assert abs(got.discrepancy - ref.discrepancy) <= 4.0 * tol

@@ -375,6 +375,34 @@ class TestMonotonePath:
             assert a.value > 0.0
             assert abs(a.value - b.value) <= a.discrepancy + b.discrepancy
 
+    def test_closed_form_crossings_solve_nothing(self):
+        # a Gaussian and a bump invert g in closed form: their indicator
+        # path builds no probe grid and makes no Newton solve, while the
+        # spline profile still brackets and solves its crossings
+        from unittest import mock
+
+        import nlsob.quadrature as quad
+        engine = replace(nl.default_engine(1), radial=RadialSpec(n_r=12, n_s=16))
+        fields = {"gauss": nl.GaussianField(3, 1.0), "bump": nl.SmoothBumpField(3, 2.0),
+                  "cubic": nl.RadialProfileField(3, [0.0, 0.5, 1.0, 1.5, 2.0],
+                                                 [1.0, 0.9, 0.55, 0.2, 0.0])}
+        for name, field in fields.items():
+            prof = field.radial_profile()
+            assert prof.monotone_decreasing
+            assert (prof.level_radius is None) == (name == "cubic")
+            assert (_carving_grid(prof, 0.1, 8.0)[0] is None) == (name != "cubic")
+            with mock.patch.object(quad, "_crossing_roots", wraps=quad._crossing_roots) as spy:
+                est = nl.i_delta(field, nl.KernelSpec(0.1), engine)
+            assert est.method == "radial" and est.value > 0.0
+            assert (spy.call_count > 0) == (name == "cubic")
+
+    def test_no_level_radius_off_the_decreasing_shapes(self):
+        # a negative amplitude makes g increase, and a concentric sum has no
+        # closed-form inverse: both keep the probe grid
+        for field in (nl.GaussianField(3, 1.0, -1.0), nl.SmoothBumpField(3, 2.0, -0.5),
+                      nl.FiniteSumField([nl.GaussianField(3, 1.0), nl.GaussianField(3, 2.0)])):
+            assert field.radial_profile().level_radius is None
+
     def test_no_admissible_s_within_r_max(self):
         # g(r) - 0.6 < 0.4 < g(0.9) for every r-node: each admissible s
         # lies beyond r_max, in the tail bound's share
@@ -1001,3 +1029,14 @@ class TestGeometryHelpers:
 
     def test_ball_volume(self):
         assert rel_err(ball_volume(3, 2.0), 4.0 / 3.0 * math.pi * 8.0) < 1e-15
+
+    @pytest.mark.parametrize("order", [4, 5, 6, 8])
+    def test_gauss_legendre_rules_are_numpys(self, order):
+        # the engines' orders 4, 6 and 8, tabled so that no study imports
+        # numpy.polynomial, and any other order are leggauss's own doubles
+        # mapped to [0, 1]
+        from nlsob.quadrature import _gl_rule
+        x, w = np.polynomial.legendre.leggauss(order)
+        xi, wi = _gl_rule(order)
+        assert xi.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert wi.tobytes() == (0.5 * w).tobytes()
