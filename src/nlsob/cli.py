@@ -64,19 +64,40 @@ from .quadrature import Estimate, McSpec, RadialSpec
 # entries are lambdas, so they look the library functions up at call
 # time and reach a rebinding of this module's names.
 
-# functional -> (one row per delta, evaluation on (field, delta, built config))
+# functional -> (one row per delta, evaluation on (field, delta, built config,
+# the field's ``_field_volumes``))
 _EVAL = {
-    "l2_norm_sq": (False, lambda u, d, b: l2_norm_sq_estimate(u)),
-    "dirichlet_energy": (False, lambda u, d, b: dirichlet_energy_estimate(u)),
-    "entropy_l2": (False, lambda u, d, b: entropy_l2_estimate(u)),
-    "log_moment_lp": (False, lambda u, d, b: log_moment_lp_estimate(u, b.p)),
-    "j_energy": (False, lambda u, d, b: j_energy(u, EnergyParams(b.omega))),
-    "f_functional": (False, lambda u, d, b: f_functional(u, b.envelope, b.p, b.engine)),
-    "i_delta": (True, lambda u, d, b: i_delta(u, KernelSpec(d), b.engine)),
-    "i_delta_p": (True, lambda u, d, b: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
-    "j_delta_energy": (True, lambda u, d, b: j_delta_energy(u, EnergyParams(b.omega),
-                                                            KernelSpec(d), b.engine)),
+    "l2_norm_sq": (False, lambda u, d, b, vol: vol(l2_norm_sq_estimate)),
+    "dirichlet_energy": (False, lambda u, d, b, vol: vol(dirichlet_energy_estimate)),
+    "entropy_l2": (False, lambda u, d, b, vol: entropy_l2_estimate(
+        u, l2=vol(l2_norm_sq_estimate))),
+    "log_moment_lp": (False, lambda u, d, b, vol: vol(log_moment_lp_estimate, b.p)),
+    "j_energy": (False, lambda u, d, b, vol: j_energy(u, EnergyParams(b.omega), _volume=(
+        vol(dirichlet_energy_estimate), vol(l2_norm_sq_estimate),
+        vol(log_moment_lp_estimate, 2.0)))),
+    "f_functional": (False, lambda u, d, b, vol: f_functional(u, b.envelope, b.p, b.engine)),
+    "i_delta": (True, lambda u, d, b, vol: i_delta(u, KernelSpec(d), b.engine)),
+    "i_delta_p": (True, lambda u, d, b, vol: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
+    "j_delta_energy": (True, lambda u, d, b, vol: j_delta_energy(
+        u, EnergyParams(b.omega), KernelSpec(d), b.engine)),
 }
+
+
+def _field_volumes(u):
+    """``vol(estimate, *args)``: ``estimate(u, *args)``, a volume quantity
+    that several eval rows of ``u`` read, made on first use and passed
+    along to the later rows; a failure is not kept, so each row that
+    needs it raises it anew."""
+    done = {}
+
+    def vol(estimate, *args):
+        if (estimate, *args) not in done:
+            done[estimate, *args] = estimate(u, *args)
+        return done[estimate, *args]
+
+    return vol
+
+
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
 
 # check -> its reports on the built config, field-major and delta-minor; the
@@ -311,11 +332,12 @@ def cmd_eval(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     rows = []
     for fi, u in enumerate(b.fields):
         fh = descriptor_hash(u)
+        vol = _field_volumes(u)
         for name in cfg.get("functionals") or _DEFAULT_FUNCTIONALS:
             per_delta, evaluate = _EVAL[name]
             for d in b.deltas if per_delta else [None]:
                 try:
-                    outcome = evaluate(u, d, b)
+                    outcome = evaluate(u, d, b, vol)
                 except Exception as exc:  # noqa: BLE001 - per-row status
                     outcome = exc
                 rows.append(_eval_row(fi, fh, name, d, outcome))

@@ -89,7 +89,10 @@ class MonotoneEnvelope:
     size the inner cutoff.  ``zero_below`` marks an exact zero region
     F = 0 on [0, zero_below].  The threshold envelope reproducing the
     plain indicator functional is exempted from the sub-homogeneity
-    check (it fails it), but stays valid for evaluation.
+    check (it fails it), but stays valid for evaluation.  It alone sets
+    ``step``, the promise F = sup_value * 1{t > zero_below}, which lets
+    the radial engine take it as the plain indicator weight; ``step``
+    stays out of ``to_dict``, so the descriptor hashes do not see it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -99,6 +102,7 @@ class MonotoneEnvelope:
     zero_below: float = 0.0
     subhom_exempt: bool = False
     sup_value: float = math.inf
+    step: bool = False
 
     @staticmethod
     def power_law(q: float) -> "MonotoneEnvelope":
@@ -115,7 +119,7 @@ class MonotoneEnvelope:
         return MonotoneEnvelope(
             fn=lambda t: np.where(np.asarray(t, dtype=float) > delta, num, 0.0),
             beta=p, name=f"threshold:{delta}", small_t_power=p,
-            zero_below=delta, subhom_exempt=True, sup_value=num)
+            zero_below=delta, subhom_exempt=True, sup_value=num, step=True)
 
     def validate(self, t_max: float = 4.0, tol: float = 1e-12) -> None:
         """Monotonicity plus (unless exempt) sub-homogeneity on a 50x50 grid.
@@ -274,7 +278,9 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
         tail_scale = envelope.sup_value  # inf for power laws: handled below
         zero_below = envelope.zero_below
         num_fn = envelope.fn
-    pair_fn = lambda a, b: num_fn(np.abs(a - b))
+    # None: the radial engine's plain indicator numerator * 1{|a - b| > zero_below}
+    pair_fn = None if envelope is None or envelope.step else (
+        lambda a, b: num_fn(np.abs(a - b)))
 
     # exact shortcuts: a constant field has |u(x)-u(y)| = 0, and if the
     # oscillation 2 sup|u| cannot exceed the threshold the set is empty
@@ -674,11 +680,15 @@ def gauss_lsi_sides(u: ScalarField) -> tuple:
 # energies
 # ---------------------------------------------------------------------------
 
-def j_energy(u: ScalarField, params: EnergyParams) -> float:
-    """(1/2) |grad u|^2_2 + ((omega+1)/2) ||u||_2^2 - (1/2) int u^2 log u^2."""
-    e = dirichlet_energy(u)
-    m = l2_norm_sq(u)
-    lm = log_moment_lp(u, 2.0)
+def j_energy(u: ScalarField, params: EnergyParams, *,
+             _volume: Optional[tuple] = None) -> float:
+    """(1/2) |grad u|^2_2 + ((omega+1)/2) ||u||_2^2 - (1/2) int u^2 log u^2.
+    ``_volume`` is the caller's (``dirichlet_energy_estimate(u)``,
+    ``l2_norm_sq_estimate(u)``, ``log_moment_lp_estimate(u, 2.0)``)."""
+    if _volume is None:
+        e, m, lm = dirichlet_energy(u), l2_norm_sq(u), log_moment_lp(u, 2.0)
+    else:
+        e, m, lm = (est.value for est in _volume)
     return 0.5 * e + 0.5 * (params.omega + 1.0) * m - 0.5 * lm
 
 

@@ -26,11 +26,17 @@ Two pair engines share one Estimate type:
   near-diagonal layer.  All three radial paths (monotone indicator,
   generic indicator carving, smooth tensor weight) lay out one row of
   s-panels per r-node, or per (r-node, admissible s-interval), and
-  integrate all rows in one array pass.  The indicator paths cut the
+  integrate all rows in one array pass, on unit Gauss rules built once
+  per grid size and mapped onto each row.  The indicator paths cut the
   s-sets at level crossings.  A decreasing profile with a closed-form
   inverse (``RadialProfile1D.level_radius``: Gaussians, smooth bumps)
   gives each crossing directly; every other crossing is bracketed on a
-  probe grid and solved by one safeguarded Newton.
+  probe grid and solved by one safeguarded Newton, started on a
+  decreasing profile at the secant point of its grid cell.  With the
+  plain indicator weight (``RadialWeight.pair_fn`` None) the carved rows
+  of a decreasing profile integrate the kernel alone: their s-nodes all
+  lie past the crossing, so neither the profile nor the weight is
+  evaluated there.
 
 Both report rigorous tail bounds for the truncated regions where the
 field metadata permits one.
@@ -603,18 +609,23 @@ def _level_crossings(g, dg, levels: np.ndarray, xs: np.ndarray, vals: np.ndarray
     return i[order], roots[order]
 
 
-def _crossing_roots(g, dg, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _crossing_roots(g, dg, level: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    x0: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve g(s) = level[i] between lo[i] and hi[i] for every i at once.
 
     Each bracket must hold a single crossing, g(lo[i]) > level[i] >= g(hi[i]),
     with lo[i] on either side of hi[i].  Safeguarded Newton on ``dg`` as in
-    ``rtsafe`` (*Numerical Recipes* 9.4): a bisection step replaces any
-    Newton step that leaves the bracket or is not under half the step
-    before last, and every step when ``dg`` is None.  An entry stops once
-    its step is within _XTOL + _RTOL |s|; a NaN value raises ValueError.
+    ``rtsafe`` (*Numerical Recipes* 9.4), started at ``x0`` (the midpoints
+    when None): a bisection step replaces any Newton step that leaves the
+    bracket or is not under half the step before last, and every step when
+    ``dg`` is None.  An entry stops once its step is within _XTOL + _RTOL |s|.
+    That fixes the root to the tolerance only where g is steep: g(s) - level
+    is known to about ulp(level), so where |g'| is small the last Newton
+    step can stop up to ulp(level) / |g'| from the true crossing.  A NaN
+    value raises ValueError.
     """
     lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    x = 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi) if x0 is None else np.array(x0, dtype=float)
     step = step_old = np.abs(hi - lo)
     done = np.zeros(lo.shape, dtype=bool)
     for _ in range(200):
@@ -649,9 +660,11 @@ def _decreasing_crossings(g, dg, levels: np.ndarray, xs: np.ndarray,
     """The s with g(s) = levels[i] for a decreasing g, given on the grid
     ``xs`` by ``vals`` = g(xs) with vals[0] > levels[i] >= vals[-1]: the
     first grid value at or below a level ends the one cell that brackets
-    its crossing."""
+    its crossing, and each solve starts at the secant point of its cell."""
     j = np.searchsorted(-vals, -levels)
-    return _crossing_roots(g, dg, levels, xs[j - 1], xs[j])
+    lo, hi = xs[j - 1], xs[j]
+    secant = lo + (vals[j - 1] - levels) / (vals[j - 1] - vals[j]) * (hi - lo)
+    return _crossing_roots(g, dg, levels, lo, hi, np.minimum(secant, hi))
 
 
 def _excess_intervals(g, dg, a_vals: np.ndarray, delta: float, xs: np.ndarray,
@@ -694,7 +707,12 @@ class RadialWeight:
     nonnegative numerator weight.  ``threshold`` marks the exact
     indicator structure |a - b| > threshold, which lets the engine carve
     the admissible s-intervals exactly; ``numerator`` bounds the weight
-    there and scales the rigorous tail bound.
+    there and scales the rigorous tail bound.  ``pair_fn`` None, allowed
+    only with a threshold, is the plain indicator
+    ``numerator * 1{|a - b| > threshold}``.  On a decreasing profile every
+    s-node of a carved row lies past the row's crossing, where that
+    indicator is 1, so those rows integrate the kernel alone: the engine
+    evaluates neither the profile nor the weight at their s-nodes.
 
     A weight without a threshold must be symmetric in (a, b): the engine
     integrates r over [0, r_range] and s over [0, spec.r_max], with
@@ -703,45 +721,78 @@ class RadialWeight:
     caller's bound on everything beyond that geometry.
     """
 
-    pair_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pair_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     threshold: Optional[float] = None
     numerator: float = 1.0
     r_range: Optional[float] = None
     tail_hint: float = 0.0
+
+    def __post_init__(self):
+        if self.pair_fn is None and self.threshold is None:
+            raise PreconditionError("a weight without a threshold needs a pair_fn")
+
+
+def _pair_weights(weight: RadialWeight, g_r: np.ndarray, g_s: np.ndarray) -> np.ndarray:
+    """The numerator at the pairs (g_r[i], g_s[i, j]) of a row layout."""
+    if weight.pair_fn is None:
+        return np.where(np.abs(g_r[:, None] - g_s) > weight.threshold, weight.numerator, 0.0)
+    return weight.pair_fn(np.broadcast_to(g_r[:, None], g_s.shape), g_s)
 
 
 def _pair_prefactor(n: int) -> float:
     return sphere_surface(n) * sphere_surface(n - 1)
 
 
-def _mapped_panels(lo: np.ndarray, hi: np.ndarray, template: np.ndarray,
-                   knots: np.ndarray) -> np.ndarray:
-    """One breakpoint row per [lo[i], hi[i]]: ``template`` on [0, 1] mapped
-    onto the row, plus the profile knots clipped into it (a knot outside a
-    row's range gives a zero-width panel)."""
-    bps = lo[:, None] + (hi - lo)[:, None] * template[None, :]
+@lru_cache(maxsize=32)
+def _unit_rule(n: int, order: int, graded: bool):
+    """Breakpoints, Gauss nodes and weights on [0, 1] of the s-template
+    (panels graded ``n`` levels deep toward both ends) or of the r-rule
+    (``n`` uniform panels), built once per (n, order)."""
+    bps = graded_panels(0.0, 1.0, n, toward="both") if graded else uniform_panels(0.0, 1.0, n)
+    rule = (bps, *panel_nodes(bps, order))
+    for a in rule:  # every caller shares these arrays
+        a.flags.writeable = False
+    return rule
+
+
+def _s_rows(lo: np.ndarray, hi: np.ndarray, n_s: int, order: int, knots: np.ndarray):
+    """Nodes and weights of the graded s-template on every row [lo[i], hi[i]]:
+    the unit rule mapped affinely (nodes lo + (hi - lo) tau, weights
+    (hi - lo) omega), or, for a profile with knots, the template's
+    breakpoints mapped onto the row with the knots clipped in (a knot
+    outside a row's range gives a zero-width panel)."""
+    bps, tau, omega = _unit_rule(n_s, order, True)
+    width = (hi - lo)[:, None]
+    if not knots.size:
+        return lo[:, None] + width * tau, width * omega
+    bps = lo[:, None] + width * bps[None, :]
     inner = knots[(knots > lo.min()) & (knots < hi.max())]
     if inner.size:
         bps = np.sort(np.concatenate(
             [bps, np.clip(inner[None, :], lo[:, None], hi[:, None])], axis=1), axis=1)
-    return bps
+    return panel_nodes(bps, order)
 
 
-def _integrate_rows(rn: np.ndarray, rw: np.ndarray, g_r: np.ndarray, bps: np.ndarray,
-                    g, weight: RadialWeight, kernel_p: float, dim: int,
-                    order: int, far: float):
-    """Sum over rows (r-node rn[i], r-weight rw[i], g(rn[i]), s-breakpoints
-    bps[i]) of the r-weighted s-integral of numerator x theta-kernel, in
-    one array pass.  Returns the total and its s > ``far`` part."""
-    sn, sw = panel_nodes(bps, order)
+def _integrate_rows(rn: np.ndarray, rw: np.ndarray, sn: np.ndarray, sw: np.ndarray,
+                    w_vals: Optional[np.ndarray], kernel_p: float, dim: int, order: int,
+                    far: Optional[float] = None):
+    """Sum over rows (r-node rn[i], r-weight rw[i], s-nodes sn[i] with
+    weights sw[i]) of the r-weighted s-integral of w_vals x theta-kernel x
+    s^{N-1}, in one array pass; ``w_vals`` None integrates the kernel
+    alone.  With ``far`` it returns the s > far part as well."""
     t_vals = theta_reduced_kernel(rn[:, None], sn, dim, kernel_p, order=order)
-    w_vals = weight.pair_fn(np.broadcast_to(g_r[:, None], sn.shape), g(sn))
-    # a pair of weight exactly 0 contributes 0, even where the kernel is +inf
-    with np.errstate(invalid="ignore"):
-        f = np.where(w_vals == 0.0, 0.0, sw * w_vals * t_vals) * sn ** (dim - 1)
+    if w_vals is None:
+        f = sw * t_vals
+    else:
+        # a pair of weight exactly 0 contributes 0, even where the kernel is +inf
+        with np.errstate(invalid="ignore"):
+            f = np.where(w_vals == 0.0, 0.0, sw * w_vals * t_vals)
+    f *= sn ** (dim - 1)
     scale = rw * rn ** (dim - 1)
-    return (float(np.sum(scale * np.sum(f, axis=1))),
-            float(np.sum(scale * np.sum(np.where(sn > far, f, 0.0), axis=1))))
+    total = float(np.sum(scale * np.sum(f, axis=1)))
+    if far is None:
+        return total
+    return total, float(np.sum(scale * np.sum(np.where(sn > far, f, 0.0), axis=1)))
 
 
 def _carving_grid(profile: RadialProfile1D, delta: float, s_max: float):
@@ -784,8 +835,11 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
     delta = weight.threshold
     s_max = spec.r_max
     knots = profile.knots
-    template = graded_panels(0.0, 1.0, spec.n_s, toward="both")
-    r_nodes, r_w = panel_nodes(uniform_panels(0.0, r_top, spec.n_r, splits=knots), order)
+    if knots.size:
+        r_nodes, r_w = panel_nodes(uniform_panels(0.0, r_top, spec.n_r, splits=knots), order)
+    else:  # the unit r-rule scaled onto [0, r_top]
+        _, tau, omega = _unit_rule(spec.n_r, order, False)
+        r_nodes, r_w = r_top * tau, r_top * omega
     g_r = g(r_nodes)
 
     if profile.monotone_decreasing:
@@ -800,10 +854,12 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
             s2 = np.minimum(profile.level_radius(target[keep]), s_max)
         else:
             s2 = _decreasing_crossings(g, profile.dg, target[keep], xs, vals)
-        bps = _mapped_panels(s2, np.full_like(s2, s_max), template, knots)
-        total, _ = _integrate_rows(r_nodes[keep], r_w[keep], g_r[keep], bps, g, weight,
-                                   kernel_p, dim, order, s_max)
-        return 2.0 * _pair_prefactor(dim) * total
+        sn, sw = _s_rows(s2, np.full_like(s2, s_max), spec.n_s, order, knots)
+        # the plain indicator is 1 past each row's crossing, on every s-node
+        w_vals = None if weight.pair_fn is None else _pair_weights(weight, g_r[keep], g(sn))
+        total = _integrate_rows(r_nodes[keep], r_w[keep], sn, sw, w_vals, kernel_p, dim, order)
+        numerator = weight.numerator if w_vals is None else 1.0
+        return 2.0 * _pair_prefactor(dim) * numerator * total
 
     # generic path: r over [0, r_top], one row per (r-node, excess interval)
     # in s over [0, s_max]; the region {r > r_top, s <= r_top} equals by
@@ -812,8 +868,9 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
     idx, lo, hi = _excess_intervals(g, profile.dg, g_r, delta, xs, vals)
     if not idx.size:
         return 0.0
-    bps = _mapped_panels(lo, hi, template, knots)
-    total, extra = _integrate_rows(r_nodes[idx], r_w[idx], g_r[idx], bps, g, weight,
+    sn, sw = _s_rows(lo, hi, spec.n_s, order, knots)
+    total, extra = _integrate_rows(r_nodes[idx], r_w[idx], sn, sw,
+                                   _pair_weights(weight, g_r[idx], g(sn)),
                                    kernel_p, dim, order, r_top)
     return _pair_prefactor(dim) * (total + extra)
 
@@ -856,8 +913,9 @@ def _radial_tensor_value(profile: RadialProfile1D, kernel_p: float,
     rows = [_s_panels_around(rn, 0.0, spec.r_max, spec.n_s, s_knots) for rn in r_nodes]
     width = max(row.size for row in rows)
     bps = np.stack([np.pad(row, (0, width - row.size), mode="edge") for row in rows])
-    total, extra = _integrate_rows(r_nodes, r_w, g(r_nodes), bps, g, weight, kernel_p,
-                                   dim, order, r_hi)
+    sn, sw = panel_nodes(bps, order)
+    total, extra = _integrate_rows(r_nodes, r_w, sn, sw, _pair_weights(weight, g(r_nodes), g(sn)),
+                                   kernel_p, dim, order, r_hi)
     return _pair_prefactor(dim) * (total + extra)
 
 

@@ -234,6 +234,36 @@ class TestEval:
         assert energy["stderr"] == energy["tail_bound"] == energy["n_effective"] == ""
         assert math.isfinite(float(energy["value"]))
 
+    def test_volume_rows_share_their_integrals(self, tmp_path):
+        # the entropy row reads the L² row's estimate, and j_energy the
+        # Dirichlet, L² and log-moment rows': four Monte Carlo volume passes
+        # for four distinct integrals, where independent calls make eight,
+        # and the same rows
+        from unittest import mock
+
+        from nlsob import quadrature
+        from nlsob.fields import descriptor_hash
+        desc = {"shape": "sum", "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.3, 0.0, 0.0]},
+            {"shape": "bump", "dim": 3, "radius": 1.5, "amplitude": 0.8,
+             "center": [-0.3, 0.0, 0.0]}]}
+        names = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "log_moment_lp", "j_energy"]
+        cfg = base_config(fields=[desc], functionals=names, output={"csv": "out.csv"})
+        spy = mock.patch.object(quadrature, "mc_volume_value", wraps=quadrature.mc_volume_value)
+        with spy as shared:
+            assert cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path)]) == 0
+        u = field_from_dict(desc)
+        with spy as alone:
+            outcomes = [fn.l2_norm_sq_estimate(u), fn.dirichlet_energy_estimate(u),
+                        fn.entropy_l2_estimate(u), fn.log_moment_lp_estimate(u, 2.0),
+                        fn.j_energy(u, fn.EnergyParams())]
+        assert (shared.call_count, alone.call_count) == (4, 8)
+        expect = [{k: str(v) for k, v in cli._eval_row(0, descriptor_hash(u), name, None,
+                                                        out).items()}
+                  for name, out in zip(names, outcomes)]
+        assert read_rows(tmp_path / "out.csv") == expect
+
     def test_seed_override_changes_mc_output(self, tmp_path):
         cfg = base_config(functionals=["i_delta"],
                           engine={"mode": "mc", "mc": {"n_samples": 48000}})

@@ -235,6 +235,13 @@ class TestEnvelopes:
             b = i_delta(gauss3, KernelSpec(0.1), eng)
             assert a.value == b.value
 
+    def test_only_the_threshold_envelope_is_a_step(self):
+        # step = True lets the radial engine take the plain indicator weight;
+        # the descriptor leaves it out, so no hash moves
+        thr = MonotoneEnvelope.threshold(0.1)
+        assert thr.step and not MonotoneEnvelope.power_law(3.0).step
+        assert "step" not in thr.to_dict()
+
     def test_zero_envelope(self, gauss3, engine):
         env = MonotoneEnvelope(fn=lambda t: np.zeros_like(np.asarray(t, float)),
                                beta=2.0, name="zero", small_t_power=3.0)

@@ -1,8 +1,9 @@
 """Property tests on randomly drawn fields: jump fields (a Gaussian plus
 one to three disjoint or nested indicator balls), smooth two-term sums
 for the exact laws of the Monte Carlo engine, non-monotone radial
-profiles for the level crossings of the radial engine, and Gaussians and
-bumps for its closed-form crossings."""
+profiles for the level crossings of the radial engine, Gaussians and
+bumps for its closed-form crossings, and monotone radial fields for its
+plain indicator weight and its agreement with the Monte Carlo engine."""
 
 import math
 from dataclasses import replace
@@ -20,7 +21,8 @@ from scipy.optimize import brentq  # noqa: E402
 from nlsob import functionals  # noqa: E402
 from nlsob.inequalities import check_diamagnetic  # noqa: E402
 from nlsob.quadrature import (  # noqa: E402
-    _XTOL, _RTOL, RadialSpec, _excess_intervals, _level_crossings, _probe_grid)
+    _XTOL, _RTOL, RadialSpec, RadialWeight, _excess_intervals, _level_crossings, _probe_grid,
+    radial_pair_integrate)
 
 
 class Counting(nl.FiniteSumField):
@@ -326,3 +328,92 @@ def test_closed_form_crossings_match_newton(field, frac):
     tol = (1e-12 + field.dim * newton / r_top[0]) * abs(ref.value)
     assert abs(got.value - ref.value) <= tol
     assert abs(got.discrepancy - ref.discrepancy) <= 4.0 * tol
+
+
+@st.composite
+def monotone_profiles(draw):
+    """A Gaussian, a smooth bump or a clamped spline through samples of
+    the decreasing bell h (1 - (r/s)^2)^2, in dimension 2 to 4."""
+    dim = draw(st.integers(2, 4))
+    amp = draw(st.floats(1e-2, 1e2))
+    size = draw(st.floats(0.1, 10.0))
+    kind = draw(st.sampled_from(["gauss", "bump", "spline"]))
+    if kind == "gauss":
+        return nl.GaussianField(dim, size, amp)
+    if kind == "bump":
+        return nl.SmoothBumpField(dim, size, amp)
+    n = draw(st.integers(3, 7))
+    field = nl.RadialProfileField(dim, [size * k / n for k in range(n + 1)],
+                                  [amp * (1.0 - (k / n) ** 2) ** 2 for k in range(n + 1)])
+    assume(field.radial_profile().monotone_decreasing)
+    return field
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=monotone_profiles(), frac=st.floats(1e-3, 0.99),
+       p=st.sampled_from([1.5, 2.0, 3.0]))
+def test_plain_indicator_weight_matches_explicit(field, frac, p):
+    # pair_fn None integrates the carved rows' kernel alone and scales by
+    # delta^p once; an explicit indicator weighs every s-node: the same
+    # integral to rounding
+    prof = field.radial_profile()
+    delta = frac * prof.sup
+    num = delta ** p
+    spec = RadialSpec(n_r=8, n_s=10)  # coarse: the graded theta rule at N = 2, 4 is slow
+    plain = RadialWeight(threshold=delta, numerator=num)
+    explicit = replace(plain, pair_fn=lambda a, b: np.where(np.abs(a - b) > delta, num, 0.0))
+    got = radial_pair_integrate(prof, p, plain, spec, field.dim)
+    ref = radial_pair_integrate(prof, p, explicit, spec, field.dim)
+    assert got.value > 0.0
+    assert abs(got.value - ref.value) <= 1e-13 * ref.value
+    assert abs(got.discrepancy - ref.discrepancy) <= 1e-13 * ref.value
+
+
+def _seeded_monotone_cases(rng):
+    """Three Gaussians, three bumps and three monotone splines, each in a
+    random dimension 2 to 4 with one delta below its sup."""
+    cases = []
+    for kind in ("gauss", "bump", "spline"):
+        for _ in range(3):
+            dim = int(rng.integers(2, 5))
+            amp = rng.uniform(0.5, 2.0)
+            if kind == "gauss":
+                field = nl.GaussianField(dim, rng.uniform(0.5, 2.0), amp)
+            elif kind == "bump":
+                field = nl.SmoothBumpField(dim, rng.uniform(1.0, 3.0), amp)
+            else:
+                n, size = int(rng.integers(4, 7)), rng.uniform(1.5, 3.0)
+                field = nl.RadialProfileField(
+                    dim, [size * k / n for k in range(n + 1)],
+                    [amp * (1.0 - (k / n) ** 2) ** 2 for k in range(n + 1)])
+            cases.append((field, rng.uniform(0.05, 0.6) * field.sup_bound))
+    return cases
+
+
+def test_radial_and_mc_agree_within_their_budgets():
+    # The radial i_delta and the MC one (48k samples in 40 chunks, four
+    # seeds) differ by at most k stderr + discrepancy + both tail bounds.
+    # The MC error is a mean of 40 iid chunk means of a bounded integrand,
+    # so (estimate - truth) / stderr is near Student t with 39 degrees of
+    # freedom; k is its two-sided quantile at 1e-3 / 36, so that by the
+    # union bound the 36 comparisons false-alarm with probability <= 1e-3
+    # (k = 4.75).  The discrepancy and the tail bounds are the engines'
+    # own claims on their deterministic errors.
+    from scipy.stats import t as student
+    seeds = (1, 2, 3, 4)
+    cases = _seeded_monotone_cases(np.random.default_rng(20170901))
+    chunks = 40
+    k = float(student.ppf(1.0 - 1e-3 / (2 * len(cases) * len(seeds)), chunks - 1))
+    radial_engine = replace(nl.default_engine(1), radial=RadialSpec(n_r=12, n_s=16))
+    for field, delta in cases:
+        assert field.radial_profile().monotone_decreasing
+        kern = nl.KernelSpec(delta)
+        radial = nl.i_delta(field, kern, radial_engine)
+        assert radial.method == "radial" and radial.value > 0.0
+        for seed in seeds:
+            mc = nl.i_delta(field, kern, nl.default_engine(
+                seed, mode="mc", n_samples=48000, chunk_size=48000 // chunks))
+            assert mc.method == "mc" and mc.stderr > 0.0
+            budget = (k * mc.stderr + radial.discrepancy + radial.tail_bound
+                      + mc.tail_bound)
+            assert abs(radial.value - mc.value) <= budget, (field.to_dict(), delta, seed)

@@ -18,6 +18,7 @@ from nlsob.quadrature import (
     _XTOL,
     _carving_grid,
     _crossing_roots,
+    _decreasing_crossings,
     _graded_kernel,
     _pcg64_states,
     _radial_indicator_value,
@@ -402,6 +403,64 @@ class TestMonotonePath:
         for field in (nl.GaussianField(3, 1.0, -1.0), nl.SmoothBumpField(3, 2.0, -0.5),
                       nl.FiniteSumField([nl.GaussianField(3, 1.0), nl.GaussianField(3, 2.0)])):
             assert field.radial_profile().level_radius is None
+
+    @pytest.mark.parametrize("name", ["gauss", "bump", "cubic"])
+    def test_carved_rows_read_no_profile_at_s_nodes(self, name):
+        # with the plain indicator weight (pair_fn None) every s-node of a
+        # carved row lies past its crossing, so the profile sees only 1-D
+        # arrays: r-nodes and carving points, never the (row x s-node)
+        # array an explicit pair_fn reads.  A closed-form inverse leaves
+        # the r-nodes of both resolutions (12 x 6 and 6 x 4) and g(0), g(r_max)
+        prof = _monotone_profiles()[name]
+        shapes = []
+
+        def g(s):
+            shapes.append(np.shape(s))
+            return prof.g(s)
+
+        delta = 0.1
+        spec = RadialSpec(n_r=12, n_s=16, r_max=self.S_MAX)
+        plain = RadialWeight(threshold=delta, numerator=delta * delta)
+        est = radial_pair_integrate(replace(prof, g=g), 2.0, plain, spec, 3)
+        assert est.value > 0.0 and all(len(shape) == 1 for shape in shapes)
+        if name != "cubic":
+            assert sum(shape[0] for shape in shapes) == 2 + 72 + 24
+        shapes.clear()
+        explicit = replace(plain, pair_fn=lambda a, b: np.where(
+            np.abs(a - b) > delta, delta * delta, 0.0))
+        ref = radial_pair_integrate(replace(prof, g=g), 2.0, explicit, spec, 3)
+        assert any(len(shape) == 2 for shape in shapes)
+        assert rel_err(est.value, ref.value) <= 1e-13
+
+    def test_weight_without_threshold_needs_pair_fn(self):
+        with pytest.raises(PreconditionError):
+            RadialWeight(r_range=5.0)
+
+    def test_secant_start_no_more_profile_values(self):
+        # each crossing of the spline solved from the secant point of its
+        # grid cell lies within the Brent oracle's tolerance, and the batch
+        # takes no more profile evaluations than from the cells' midpoints
+        prof = _monotone_profiles()["cubic"]
+        calls = [0]
+
+        def g(s):
+            calls[0] += 1
+            return prof.g(s)
+
+        for delta in (0.3, 0.05, 0.004):
+            xs, vals, _ = _carving_grid(prof, delta, self.S_MAX)
+            level = prof.g(np.linspace(0.01, 1.9, 40)) - delta
+            level = level[vals[-1] < level]
+            j = np.searchsorted(-vals, -level)
+            calls[0] = 0
+            secant = _decreasing_crossings(g, prof.dg, level, xs, vals)
+            n_secant, calls[0] = calls[0], 0
+            _crossing_roots(g, prof.dg, level, xs[j - 1], xs[j])
+            assert n_secant <= calls[0]
+            for lv, x, lo, hi in zip(level, secant, xs[j - 1], xs[j]):
+                ref = brentq(lambda t: float(prof.g(np.array([t]))[0]) - lv, lo, hi,
+                             xtol=_XTOL, rtol=_RTOL)
+                assert abs(x - ref) <= 2.0 * (_XTOL + _RTOL * abs(ref))
 
     def test_no_admissible_s_within_r_max(self):
         # g(r) - 0.6 < 0.4 < g(0.9) for every r-node: each admissible s
