@@ -4,7 +4,6 @@ functionals and the logarithmic Sobolev type inequalities they control."""
 from .fields import (
     ComplexField,
     ConstantField,
-    ExponentialField,
     FiniteSumField,
     GaussianField,
     IndicatorField,

@@ -79,7 +79,7 @@ _EVAL = {
     "i_delta": (True, lambda u, d, b, vol: i_delta(u, KernelSpec(d), b.engine)),
     "i_delta_p": (True, lambda u, d, b, vol: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
     "j_delta_energy": (True, lambda u, d, b, vol: j_delta_energy(
-        u, EnergyParams(b.omega), KernelSpec(d), b.engine)),
+        u, EnergyParams(b.omega), KernelSpec(d), b.engine, _volume=vol)),
 }
 
 
@@ -372,8 +372,17 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     return 4 if violated else 0
 
 
+def _p2_kernel(b: SimpleNamespace, command: str):
+    """The delta -> 0 study has the p = 2 indicator kernel only, so a config
+    that asks for another kernel is an error, not a p = 2 run."""
+    if b.p != 2.0 or b.envelope is not None:
+        raise ConfigError(f"{command} takes the p = 2 kernel only: "
+                          "kernel.p must be 2 and kernel.envelope absent")
+
+
 def cmd_sweep(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     b = _build(cfg, seed)
+    _p2_kernel(b, "sweep")
     header = ["field_index", "field_hash", "delta", "value", "stderr", "ratio",
               "tail_bound"]
     rows, summary = [], []
@@ -427,6 +436,7 @@ def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
 
 def cmd_qn(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     b = _build(cfg, seed)
+    _p2_kernel(b, "qn")
     deltas = sorted(b.deltas, reverse=True)
     if len(deltas) < 3:
         deltas = [0.2 * 2.0 ** (-k) for k in range(6)]

@@ -43,7 +43,6 @@ __all__ = [
     "RadialProfileField",
     "FiniteSumField",
     "ConstantField",
-    "ExponentialField",
     "ComplexField",
     "LinearPhase",
     "VectorPotential",
@@ -889,73 +888,6 @@ class ConstantField(ScalarField):
         return {"shape": "constant", "dim": self.dim, "value": self.value}
 
 
-@dataclass(frozen=True)
-class ExponentialField(ScalarField):
-    """amp * exp(rate . x); used for Gauss-measure equality cases only."""
-
-    dim: int
-    rate_vector: tuple
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        check_dimension(self.dim)
-        rv = tuple(float(v) for v in self.rate_vector)
-        if len(rv) != self.dim:
-            raise DimensionMismatchError("rate vector has wrong dimension")
-        object.__setattr__(self, "rate_vector", rv)
-
-    def evaluate(self, x) -> np.ndarray:
-        pts = _as_points(x, self.dim)
-        return self.amplitude * np.exp(pts @ np.array(self.rate_vector))
-
-    def gradient(self, x) -> np.ndarray:
-        vals = self.evaluate(x)
-        return vals[:, None] * np.array(self.rate_vector)[None, :]
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return math.inf
-
-    @property
-    def sup_bound(self) -> float:
-        return math.inf if any(self.rate_vector) else abs(self.amplitude)
-
-    def l2_norm_sq_closed_form(self) -> None:
-        if any(self.rate_vector):
-            raise DivergentIntegralError("exponential field is not square integrable")
-        return None
-
-    def dirichlet_closed_form(self) -> None:
-        if any(self.rate_vector):
-            raise DivergentIntegralError("exponential field has divergent Dirichlet energy")
-        return None
-
-    def gauss_lsi_closed_form(self) -> tuple:
-        if self.amplitude == 0.0:
-            raise ZeroFieldError("zero field")
-        c2 = float(np.dot(self.rate_vector, self.rate_vector))
-        m0 = self.amplitude ** 2 * math.exp(c2 / math.pi)
-        lhs = (c2 / math.pi) * m0
-        rhs = (c2 / math.pi) * m0
-        return lhs, rhs
-
-    def dilate(self, lam: float) -> "ExponentialField":
-        return ExponentialField(self.dim, tuple(c / lam for c in self.rate_vector),
-                                self.amplitude)
-
-    def amplify(self, t: float) -> "ExponentialField":
-        return ExponentialField(self.dim, self.rate_vector, t * self.amplitude)
-
-    def translate(self, v) -> "ExponentialField":
-        v = np.asarray(v, dtype=float)
-        shift = math.exp(-float(np.dot(np.array(self.rate_vector), v)))
-        return ExponentialField(self.dim, self.rate_vector, self.amplitude * shift)
-
-    def to_dict(self) -> dict:
-        return {"shape": "exponential", "dim": self.dim,
-                "rate_vector": list(self.rate_vector), "amplitude": self.amplitude}
-
-
 # ---------------------------------------------------------------------------
 # complex fields and vector potentials
 # ---------------------------------------------------------------------------
@@ -1140,9 +1072,6 @@ FIELD_SHAPES = {
     "sum": (lambda d: FiniteSumField([field_from_dict(t) for t in d["terms"]]),
             {"terms"}, {"dim"}),
     "constant": (lambda d: ConstantField(d["dim"], d.get("value", 1.0)), {"dim"}, {"value"}),
-    "exponential": (lambda d: ExponentialField(d["dim"], tuple(d["rate_vector"]),
-                                               d.get("amplitude", 1.0)),
-                    {"dim", "rate_vector"}, {"amplitude"}),
 }
 
 

@@ -358,9 +358,12 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
                    * sphere_surface(dim) * cutoff ** (-p) / p)
         extra_tail = inner_excl + outer_x
 
+    # on the half-domain |u(y)| <= |u(x)|, |u(x) - u(y)| <= 2 |u(x)| (also in
+    # floating point), so samples with |u(x)| <= zero_below / 2 add exactly 0
     ctx = PairContext(dim, np.zeros(dim), x_radius, p, h_tail_scale, (integrand,),
                       inner_cutoff=cutoff, symmetric=True, values=u.evaluate,
-                      extra_tail=extra_tail)
+                      extra_tail=extra_tail,
+                      zero_floor=zero_below / 2.0 if zero_below > 0 else None)
     return mc_pair_integrate_many(ctx, engine.mc)[0]
 
 
@@ -489,22 +492,10 @@ def lp_power_integral(u: ScalarField, q: float, method: str = "auto") -> Estimat
         method)
 
 
-def restricted_power_integral(u: ScalarField, q: float, level: float,
-                              mode: str = "above") -> Estimate:
-    """Integral of |u|^q over the superlevel set {|u| > level} (mode='above')
-    or the sublevel set {|u| <= level} (mode='below')."""
-    if mode not in ("above", "below"):
-        raise PreconditionError("mode must be 'above' or 'below'")
+def restricted_power_integral(u: ScalarField, q: float, level: float) -> Estimate:
+    """Integral of |u|^q over the superlevel set {|u| > level}."""
     if level <= 0:
         raise PreconditionError("level must be positive")
-    if mode == "below":
-        total = lp_power_integral(u, q)
-        above = restricted_power_integral(u, q, level, "above")
-        return Estimate(total.value - above.value,
-                        math.hypot(total.stderr, above.stderr),
-                        min(total.n_effective, above.n_effective),
-                        total.tail_bound + above.tail_bound,
-                        above.method)
     if level >= u.sup_bound:
         return Estimate(0.0, method="closed_form")
     prof = u.radial_profile()
@@ -693,11 +684,14 @@ def j_energy(u: ScalarField, params: EnergyParams, *,
 
 
 def j_delta_energy(u: ScalarField, params: EnergyParams, k: KernelSpec,
-                   engine: EngineSpec) -> float:
-    """Nonlocal energy: i_delta replaces the Dirichlet term (no 1/2 factor)."""
+                   engine: EngineSpec, *, _volume: Optional[Callable] = None) -> float:
+    """Nonlocal energy: i_delta replaces the Dirichlet term (no 1/2 factor).
+    ``_volume(estimate, *args)``, when given, returns the caller's
+    ``estimate(u, *args)``; it is read only once i_delta is finite."""
     i = i_delta(u, k, engine)
     if i.diverged:
         raise DivergentIntegralError("nonlocal term diverges for this field")
-    m = l2_norm_sq(u)
-    lm = log_moment_lp(u, 2.0)
+    vol = _volume or (lambda estimate, *args: estimate(u, *args))
+    m = vol(l2_norm_sq_estimate).value
+    lm = vol(log_moment_lp_estimate, 2.0).value
     return i.value + 0.5 * (params.omega + 1.0) * m - 0.5 * lm

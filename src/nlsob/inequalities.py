@@ -154,7 +154,7 @@ def check_nonlocal_sobolev(u: ScalarField, delta: float, lam: float,
     i_est = i_delta(u, KernelSpec(delta), engine)
     if i_est.diverged:
         return _vacuous("nonlocal_sobolev", inputs)
-    lhs_est = restricted_power_integral(u, q, lam * delta, "above")
+    lhs_est = restricted_power_integral(u, q, lam * delta)
     lhs = lhs_est.value
     amp = i_est.value ** pw
     if amp > 0:
@@ -310,7 +310,7 @@ def check_small_set_bound(u: ScalarField, delta: float, lam: float, *,
     v, total = _volume if _volume is not None else _small_set_volume(u)
     q = 2.0 * n / (n - 2.0)
     # the sublevel integral is the total minus the superlevel one
-    above = restricted_power_integral(v, q, lam * delta, "above")
+    above = restricted_power_integral(v, q, lam * delta)
     lhs = total.value - above.value
     rhs = (lam * delta) ** (4.0 / (n - 2.0))
     margin = max(3.0 * math.hypot(total.stderr, above.stderr), 1e-9 * (1.0 + abs(rhs)))

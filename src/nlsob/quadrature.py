@@ -2,9 +2,9 @@
 
 Two pair engines share one Estimate type:
 
-* ``mc_pair_integrate``: stratified importance-sampling Monte Carlo.  The
-  outer point x is drawn uniformly from a ball sized by the field's decay
-  envelope; the offset h = y - x is drawn log-uniformly in radius
+* ``mc_pair_integrate_many``: stratified importance-sampling Monte Carlo.
+  The outer point x is drawn uniformly from a ball sized by the field's
+  decay envelope; the offset h = y - x is drawn log-uniformly in radius
   (density proportional to ``|h|^-N``) inside radial strata, matching the
   kernel's scale invariance.  Randomness is keyed per (master_seed,
   chunk, stratum): the stream of ``SeedSequence([master_seed, c, k])`` ->
@@ -60,7 +60,6 @@ __all__ = [
     "RadialSpec",
     "PairContext",
     "RadialWeight",
-    "mc_pair_integrate",
     "mc_pair_integrate_many",
     "radial_pair_integrate",
     "volume_integrate",
@@ -440,13 +439,6 @@ def mc_pair_integrate_many(ctx: PairContext, spec: McSpec):
                         _ordered_sum((zeta * zeta).sum(axis=1)), spec.chunk_size))
     return [Estimate(*_reduce_triples(t, float(k_strata)), tail_bound, "mc")
             for t in triples]
-
-
-def mc_pair_integrate(ctx: PairContext, spec: McSpec) -> Estimate:
-    """Single-integrand front end for the MC pair engine."""
-    if len(ctx.integrands) != 1:
-        raise PreconditionError("mc_pair_integrate expects exactly one integrand")
-    return mc_pair_integrate_many(ctx, spec)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -235,9 +235,10 @@ class TestEval:
         assert math.isfinite(float(energy["value"]))
 
     def test_volume_rows_share_their_integrals(self, tmp_path):
-        # the entropy row reads the L² row's estimate, and j_energy the
-        # Dirichlet, L² and log-moment rows': four Monte Carlo volume passes
-        # for four distinct integrals, where independent calls make eight,
+        # the entropy row reads the L² row's estimate, j_energy the
+        # Dirichlet, L² and log-moment rows', and j_delta_energy at each
+        # delta the L² and log-moment rows': four Monte Carlo volume passes
+        # for four distinct integrals, where independent calls make twelve,
         # and the same rows
         from unittest import mock
 
@@ -248,21 +249,46 @@ class TestEval:
             {"shape": "bump", "dim": 3, "radius": 1.5, "amplitude": 0.8,
              "center": [-0.3, 0.0, 0.0]}]}
         names = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "log_moment_lp", "j_energy"]
-        cfg = base_config(fields=[desc], functionals=names, output={"csv": "out.csv"})
+        cfg = base_config(fields=[desc], functionals=names + ["j_delta_energy"],
+                          output={"csv": "out.csv"})
         spy = mock.patch.object(quadrature, "mc_volume_value", wraps=quadrature.mc_volume_value)
         with spy as shared:
             assert cli.main(["eval", "--config", write_config(tmp_path, cfg),
                              "--out-dir", str(tmp_path)]) == 0
-        u = field_from_dict(desc)
+        u, b = field_from_dict(desc), cli._build(cfg, cfg["seed"])
         with spy as alone:
             outcomes = [fn.l2_norm_sq_estimate(u), fn.dirichlet_energy_estimate(u),
                         fn.entropy_l2_estimate(u), fn.log_moment_lp_estimate(u, 2.0),
                         fn.j_energy(u, fn.EnergyParams())]
-        assert (shared.call_count, alone.call_count) == (4, 8)
-        expect = [{k: str(v) for k, v in cli._eval_row(0, descriptor_hash(u), name, None,
-                                                        out).items()}
+            energies = [fn.j_delta_energy(u, fn.EnergyParams(), fn.KernelSpec(d), b.engine)
+                        for d in b.deltas]
+        assert (shared.call_count, alone.call_count) == (4, 12)
+        expect = [cli._eval_row(0, descriptor_hash(u), name, None, out)
                   for name, out in zip(names, outcomes)]
-        assert read_rows(tmp_path / "out.csv") == expect
+        expect += [cli._eval_row(0, descriptor_hash(u), "j_delta_energy", d, out)
+                   for d, out in zip(b.deltas, energies)]
+        assert read_rows(tmp_path / "out.csv") == [{k: str(v) for k, v in row.items()}
+                                                   for row in expect]
+
+    def test_j_delta_energy_reads_no_volume_when_i_delta_diverges(self, tmp_path):
+        # an indicator's jump above delta makes i_delta infinite: the row
+        # reports that divergence, before any volume pass of the energy
+        from unittest import mock
+
+        from nlsob import quadrature
+        desc = {"shape": "sum", "terms": [
+            {"shape": "indicator", "dim": 3, "radius": 1.0},
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.3, 0.0, 0.0]}]}
+        cfg = base_config(fields=[desc], functionals=["j_delta_energy", "l2_norm_sq"],
+                          kernel={"deltas": [0.5]}, output={"csv": "out.csv"})
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            assert cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path)]) == 0
+        energy, l2 = read_rows(tmp_path / "out.csv")
+        assert energy["status"] == "error:DivergentIntegralError" and energy["value"] == ""
+        assert l2["status"] == "ok" and l2["method"] == "mc"
+        assert spy.call_count == 1
 
     def test_seed_override_changes_mc_output(self, tmp_path):
         cfg = base_config(functionals=["i_delta"],
@@ -395,6 +421,20 @@ class TestCheck:
         checked = {r["constant"] for r in read_rows(tmp_path / "check" / "out.csv")}
         assert len(family) == 1 and checked == family
 
+    def test_jensen_rows_carry_the_gap(self, tmp_path):
+        from nlsob.inequalities import jensen_gap
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                                  {"shape": "indicator", "dim": 3, "radius": 1.0}],
+                          checks=["jensen"])
+        rc = cli.main(["check", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        gauss, ball = read_rows(tmp_path / "out.csv")
+        assert gauss["inequality_id"] == ball["inequality_id"] == "jensen"
+        assert float(gauss["deficit"]) == jensen_gap(field_from_dict(cfg["fields"][0])) > 0.0
+        assert float(ball["deficit"]) == jensen_gap(field_from_dict(cfg["fields"][1]))
+        assert abs(float(ball["deficit"])) < 1e-12
+
     def test_violated_inequality_exit_code(self, tmp_path, monkeypatch):
         from nlsob.inequalities import InequalityReport
 
@@ -419,6 +459,29 @@ class TestSweepAndConstants:
         assert rc == 0
         deltas = [float(r["delta"]) for r in read_rows(tmp_path / "out.csv")]
         assert deltas == sorted(deltas, reverse=True)
+
+    @pytest.mark.parametrize("command", ["sweep", "qn"])
+    def test_only_the_p2_kernel(self, tmp_path, capsys, command):
+        # both commands study the p = 2 limit; a kernel.p of 3 used to run
+        # it anyway and write the p = 2 rows
+        fields = [{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                  {"shape": "gaussian", "dim": 3, "rate": 0.5}]
+        deltas = [0.2, 0.1, 0.05]
+        for kernel in ({"deltas": deltas, "p": 3.0},
+                       {"deltas": deltas, "envelope": {"kind": "power", "q": 3.0}}):
+            cfg = base_config(fields=fields, kernel=kernel)
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path / "bad")])
+            assert rc == 2
+            assert "p = 2 kernel only" in capsys.readouterr().err
+            assert not (tmp_path / "bad").exists()
+        # p = 2, given or left out, writes the same bytes
+        for name, p in (("given", {"p": 2.0}), ("default", {})):
+            cfg = base_config(fields=fields, kernel=dict(deltas=deltas, **p))
+            assert cli.main([command, "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path / name)]) == 0
+        assert (tmp_path / "given" / "out.csv").read_bytes() == \
+            (tmp_path / "default" / "out.csv").read_bytes()
 
     def test_constants_singleton_family(self, tmp_path):
         cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0}],

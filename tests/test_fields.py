@@ -218,8 +218,6 @@ class TestNorms:
     def test_l2_divergent_rejected(self):
         with pytest.raises(DivergentIntegralError):
             nl.l2_norm_sq(nl.ConstantField(3, 1.0))
-        with pytest.raises(DivergentIntegralError):
-            nl.l2_norm_sq(nl.ExponentialField(3, (1.0, 0.0, 0.0)))
 
     def test_dirichlet_gaussian(self, gauss3):
         assert rel_err(nl.dirichlet_energy(gauss3), 3.0 * (math.pi / 2.0) ** 1.5) < 1e-14
@@ -292,12 +290,45 @@ class TestTransforms:
             assert rel_err(nl.dirichlet_energy(t),
                            lam ** (f.dim - 2) * nl.dirichlet_energy(f)) < 1e-10
 
-    def test_transform_semantics_pointwise(self, bump3, rng):
-        t = nl.transform(bump3, dilate=1.5, amplify=-2.0, translate=[0.1, 0.2, 0.3])
-        pts = rng.normal(size=(100, 3))
-        v = np.array([0.1, 0.2, 0.3])
-        expected = -2.0 * bump3.evaluate((pts - v) / 1.5)
-        assert np.allclose(t.evaluate(pts), expected, rtol=1e-10, atol=1e-13)
+    # one field of every shape, off centre, so that each of dilate, amplify
+    # and translate moves its values
+    C = (0.3, -0.2, 0.1)
+    SHAPES = {
+        "gaussian": nl.GaussianField(3, 1.3, 0.7, C),
+        "bump": nl.SmoothBumpField(3, 1.7, -0.8, C),
+        "indicator": nl.IndicatorField(3, 1.1, 0.9, C),
+        "radial_profile": nl.RadialProfileField(3, [0.0, 0.6, 1.2, 2.0],
+                                                [1.0, 0.7, 0.25, 0.0], C),
+        "sum": nl.FiniteSumField([nl.GaussianField(3, 2.0, 0.5, C),
+                                  nl.IndicatorField(3, 0.8, 0.4, (-0.4, 0.0, 0.2))]),
+        "constant": nl.ConstantField(3, 0.25),
+    }
+
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_transform_semantics_pointwise(self, name, rng):
+        # transform(u, dilate=lam, amplify=t, translate=v)(x) = t u((x - v) / lam)
+        u, lam, t, v = self.SHAPES[name], 1.5, -2.0, np.array([0.1, 0.2, 0.3])
+        got_field = nl.transform(u, dilate=lam, amplify=t, translate=v)
+        pts = rng.normal(size=(400, 3))
+        z = (pts - v) / lam
+        # away from the jump spheres, where a rounding may put z on either side
+        for c, r, _ in u.jumps()[0]:
+            z = z[np.abs(np.linalg.norm(z - np.array(c), axis=1) - r) > 1e-6]
+        expected = t * u.evaluate(z)
+        got = got_field.evaluate(lam * z + v)
+        # and relative to the sup on the thin tails below a thousandth of
+        # it, where the bump and the profile turn rounding in the radius
+        # into large relative errors
+        scale = abs(t) * u.sup_bound
+        big = np.abs(expected) >= 1e-3 * scale
+        assert np.count_nonzero(big) > 100
+        assert np.all(np.abs(got - expected)[big] <= 1e-12 * np.abs(expected[big]))
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+    def test_constant_gradient_is_zero(self):
+        c = nl.ConstantField(3, 0.25)
+        assert np.array_equal(nl.grad(c, [0.4, -1.0, 2.0]), np.zeros(3))
+        assert np.array_equal(c.gradient(np.ones((5, 3))), np.zeros((5, 3)))
 
 
 class TestComplexAndPotentials:
@@ -358,7 +389,6 @@ class TestPinnedLiterals:
         "sum": nl.FiniteSumField([nl.GaussianField(3, 2.0, 0.5, C),
                                   nl.SmoothBumpField(3, 1.5, 0.8, C)]),
         "constant": nl.ConstantField(3, 0.25),
-        "exponential": nl.ExponentialField(3, (0.3, -0.2, 0.1), 1.5),
     }
     OFFSETS = np.array([[0.2, -0.1, 0.15], [-0.3, 0.5, 0.2], [0.6, 0.45, -0.5],
                         [-0.9, -0.7, 0.55], [1.4, 1.1, -0.8]])
@@ -369,7 +399,6 @@ class TestPinnedLiterals:
         "radial_profile": "f395c39fa015",
         "sum": "a9d97bc8487f",
         "constant": "d674e49ed5ad",
-        "exponential": "6fa77ee0c253",
         "mc": "506eb107eb2e",
         "radial": "e10f2b800312",
         "kernel": "95a823c6d348",

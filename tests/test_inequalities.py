@@ -173,10 +173,6 @@ class TestExplicitInequalities:
         rep = check_gauss_lsi(nl.ConstantField(3, 1.0))
         assert rep.deficit == 0.0
 
-    def test_gauss_lsi_exponential_equality(self):
-        rep = check_gauss_lsi(nl.ExponentialField(3, (1.0, 0.0, 0.0)))
-        assert abs(rep.deficit) <= rep.stat_margin
-
     def test_euclidean_family_optimum(self):
         u = normalized_gaussian(math.pi / 2.0)
         rep = check_euclidean_family(u, 1.0)

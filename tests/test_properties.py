@@ -1,6 +1,7 @@
 """Property tests on randomly drawn fields: jump fields (a Gaussian plus
 one to three disjoint or nested indicator balls), smooth two-term sums
-for the exact laws of the Monte Carlo engine, non-monotone radial
+for the exact laws of the Monte Carlo engine, Gaussian sums for the
+gauge oracle of the magnetic functional, non-monotone radial
 profiles for the level crossings of the radial engine, Gaussians and
 bumps for its closed-form crossings, and monotone radial fields for its
 plain indicator weight and its agreement with the Monte Carlo engine."""
@@ -138,6 +139,34 @@ def test_diamagnetic_ordering_exact(modulus, A, offset, wave, delta, seed):
     u = nl.ComplexField(modulus, nl.LinearPhase(offset, wave))
     rep = check_diamagnetic(u, A, delta, nl.default_engine(seed, mode="mc", n_samples=4800))
     assert rep.deficit >= 0.0
+
+
+@st.composite
+def gaussian_sums(draw):
+    """A sum of one to three positive N=3 Gaussians at drawn centers."""
+    return nl.FiniteSumField([
+        nl.GaussianField(3, draw(st.floats(0.5, 3.0)), draw(st.floats(0.2, 1.5)),
+                         tuple(draw(st.floats(-0.8, 0.8)) for _ in range(3)))
+        for _ in range(draw(st.integers(1, 3)))])
+
+
+@settings(max_examples=30, deadline=None)
+@given(modulus=gaussian_sums(), offset=st.floats(-3.0, 3.0),
+       wave=st.tuples(*[st.floats(-2.0, 2.0)] * 3), frac=st.floats(0.05, 0.6),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_magnetic_gauge_oracle(modulus, offset, wave, frac, seed):
+    # with A = w and the phase offset + w.x, the covariant difference is
+    # exp(i phase(x)) (g(y) - g(x)), so the magnetic functional is the one
+    # of the modulus, which the paired run estimates on the same samples;
+    # delta below the tallest term's amplitude leaves it nonzero
+    u = nl.ComplexField(modulus, nl.LinearPhase(offset, wave))
+    delta = frac * max(t.amplitude for t in modulus.terms)
+    A, k = nl.ConstantPotential(wave), nl.KernelSpec(delta)
+    engine = nl.default_engine(seed, mode="mc", n_samples=9600)
+    mag = nl.i_delta_magnetic(u, A, k, engine)
+    mod = nl.i_delta_magnetic_paired(u, A, k, engine)[1]
+    assert mod.value > 0.0
+    assert abs(mag.value - mod.value) <= 1e-12 * mod.value
 
 
 @settings(max_examples=30, deadline=None)

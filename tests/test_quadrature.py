@@ -27,7 +27,6 @@ from nlsob.quadrature import (
     RadialSpec,
     RadialWeight,
     ball_volume,
-    mc_pair_integrate,
     mc_pair_integrate_many,
     mc_volume_value,
     radial_pair_integrate,
@@ -300,7 +299,7 @@ class TestRadialEngine:
             est = nl.i_delta(ring, nl.KernelSpec(delta), engine)
             assert (est.value.hex(), est.discrepancy.hex()) == (value, disc)
         ring3 = nl.RadialProfileField(3, [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0])
-        est = restricted_power_integral(ring3, 3.0, 0.3, "above")
+        est = restricted_power_integral(ring3, 3.0, 0.3)
         assert (est.method, est.value.hex()) == ("radial", "0x1.e244fe0699b95p+2")
 
     def test_oscillation_below_delta_carves_nothing(self):
@@ -551,24 +550,24 @@ class TestMcEngine:
     def test_zero_integrand(self):
         ctx = replace(shell_context(),
                       integrands=(lambda x, y, rho, vx, vy: np.zeros(len(x)),))
-        est = mc_pair_integrate(ctx, McSpec(master_seed=1, n_samples=9600,
-                                            chunk_size=4800))
+        est = mc_pair_integrate_many(ctx, McSpec(master_seed=1, n_samples=9600,
+                                                 chunk_size=4800))[0]
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_shell_within_three_sigma(self):
-        est = mc_pair_integrate(shell_context(),
-                                McSpec(master_seed=7, n_samples=192000,
-                                       chunk_size=4800, h_max=4.0))
+        est = mc_pair_integrate_many(shell_context(),
+                                     McSpec(master_seed=7, n_samples=192000,
+                                            chunk_size=4800, h_max=4.0))[0]
         assert abs(est.value - SHELL_EXACT) <= 3.0 * est.stderr
 
     def test_unbiased_coverage_300_seeds(self):
         # >= 99% of 300 independent seeds land within 3 stderr of the truth
         hits = 0
         for seed in range(300):
-            est = mc_pair_integrate(shell_context(),
-                                    McSpec(master_seed=seed, n_samples=57600,
-                                           chunk_size=480, radial_strata=24,
-                                           h_max=4.0))
+            est = mc_pair_integrate_many(shell_context(),
+                                         McSpec(master_seed=seed, n_samples=57600,
+                                                chunk_size=480, radial_strata=24,
+                                                h_max=4.0))[0]
             hits += abs(est.value - SHELL_EXACT) <= 3.0 * est.stderr
         assert hits >= 297
 
@@ -587,13 +586,13 @@ class TestMcEngine:
         spec = McSpec(master_seed=1, n_samples=4800, chunk_size=4800)
         ctx = replace(shell_context(), inner_cutoff=0.0, integrands=(never,))
         _, tail = _derive_h_max(ctx, spec)
-        est = mc_pair_integrate(replace(ctx, inner_cutoff=math.inf), spec)
+        est = mc_pair_integrate_many(replace(ctx, inner_cutoff=math.inf), spec)[0]
         assert est == nl.Estimate(0.0, 0.0, 0, tail, "mc") and tail > 0.0
 
     def test_bitwise_reproducible(self):
         spec = McSpec(master_seed=33, n_samples=48000, chunk_size=4800, h_max=4.0)
-        a = mc_pair_integrate(shell_context(), spec)
-        b = mc_pair_integrate(shell_context(), spec)
+        a = mc_pair_integrate_many(shell_context(), spec)[0]
+        b = mc_pair_integrate_many(shell_context(), spec)[0]
         assert (a.value, a.stderr, a.n_effective) == (b.value, b.stderr, b.n_effective)
 
     @settings(max_examples=60, deadline=None)
@@ -643,8 +642,8 @@ class TestMcEngine:
                               x_radius=g.decay_radius(delta / 2.0), kernel_p=2.0,
                               numerator=delta * delta, integrands=(integrand,),
                               inner_cutoff=c, symmetric=True, values=g.evaluate)
-            return mc_pair_integrate(ctx, McSpec(master_seed=11, n_samples=48000,
-                                                 chunk_size=4800, h_max=40.0))
+            return mc_pair_integrate_many(ctx, McSpec(master_seed=11, n_samples=48000,
+                                                      chunk_size=4800, h_max=40.0))[0]
 
         vals = {run(c).value for c in (0.0, 0.25 * cut, 0.5 * cut, cut)}
         assert len(vals) == 1
@@ -665,8 +664,8 @@ class TestMcEngine:
                           numerator=delta * delta, integrands=(integrand,),
                           inner_cutoff=delta / g.lipschitz_bound, symmetric=True,
                           values=g.evaluate)
-        a = mc_pair_integrate(ctx, spec_h)
-        b = mc_pair_integrate(ctx, spec_2h)
+        a = mc_pair_integrate_many(ctx, spec_h)[0]
+        b = mc_pair_integrate_many(ctx, spec_2h)[0]
         assert abs(b.value - a.value) <= a.tail_bound + 3.0 * math.hypot(a.stderr, b.stderr)
         # deterministic version of the same statement via the radial engine
         prof = g.radial_profile()
@@ -744,39 +743,45 @@ class TestPinnedBits:
 
     def test_restricted_power_integral_mc(self):
         from nlsob.functionals import restricted_power_integral
-        above = restricted_power_integral(self.TWO_GAUSS, 3.0, 0.3, "above")
-        below = restricted_power_integral(self.TWO_GAUSS, 3.0, 0.3, "below")
+        above = restricted_power_integral(self.TWO_GAUSS, 3.0, 0.3)
         assert self.bits(above) == ("0x1.1ad546216efcbp-1", "0x1.169ad08980ddbp-10", 128199)
-        assert self.bits(below) == ("0x1.ea7e4b7e3b140p-5", "0x1.5b90c3b3383d3p-10", 128199)
+
+    class Recording(nl.FiniteSumField):
+        """A sum that keeps what each of its evaluate calls returned."""
+
+        def __init__(self, terms):
+            super().__init__(terms)
+            self.returned = []
+
+        def evaluate(self, x):
+            self.returned.append(super().evaluate(x))
+            return self.returned[-1]
+
+    @staticmethod
+    def assert_floor_counts(f, spec, drawn, delta):
+        # each chunk evaluates x, then y: one x-side value per drawn sample,
+        # and a y side for exactly the samples with |u(x)| > delta / 2
+        xs, ys = f.returned[0::2], f.returned[1::2]
+        assert len(xs) == len(ys) == spec.n_samples // spec.chunk_size
+        assert sum(map(len, xs)) == drawn
+        assert [len(v) for v in ys] == [np.count_nonzero(np.abs(v) > delta / 2.0) for v in xs]
+        assert 0 < sum(map(len, ys)) < drawn
 
     def test_two_field_evaluations_per_sample(self):
-        class Counting(nl.FiniteSumField):
-            points = 0
-
-            def evaluate(self, x):
-                Counting.points += len(x)
-                return super().evaluate(x)
-
-        f = Counting(self.TWO_GAUSS.terms)
+        f = self.Recording(self.TWO_GAUSS.terms)
         delta, h_max, spec = 0.2, 8.0, McSpec(master_seed=3, n_samples=48000, h_max=8.0)
         nl.i_delta(f, nl.KernelSpec(delta), nl.EngineSpec(mc=spec, mode="mc"))
         edges = np.geomspace(h_max * 1e-9, h_max, spec.radial_strata + 1)
         active = np.count_nonzero(edges[1:] > delta / f.lipschitz_bound)
         drawn = spec.n_samples * active // spec.radial_strata
         assert 0 < drawn < spec.n_samples
-        assert Counting.points == 2 * drawn
+        self.assert_floor_counts(f, spec, drawn, delta)
 
     def test_jump_field_samples_no_stratum_below_rho0(self):
         # pairs closer than rho0 = (delta - J) / L_s contribute exactly 0, so
         # a stratum wholly below rho0 must not cost a field evaluation
-        class Counting(nl.FiniteSumField):
-            points = 0
-
-            def evaluate(self, x):
-                Counting.points += len(x)
-                return super().evaluate(x)
-
-        f = Counting([nl.IndicatorField(3, 1.0), nl.GaussianField(3, 1.0, 1.0, (0.3, 0.0, 0.0))])
+        f = self.Recording([nl.IndicatorField(3, 1.0),
+                            nl.GaussianField(3, 1.0, 1.0, (0.3, 0.0, 0.0))])
         delta, h_max, spec = 1.25, 8.0, McSpec(master_seed=3, n_samples=48000, h_max=8.0)
         est = nl.i_delta(f, nl.KernelSpec(delta), nl.EngineSpec(mc=spec, mode="mc"))
         assert not est.diverged and est.value > 0.0
@@ -785,7 +790,7 @@ class TestPinnedBits:
         edges = np.geomspace(h_max * 1e-9, h_max, spec.radial_strata + 1)
         drawn = spec.n_samples * np.count_nonzero(edges[1:] > rho0) // spec.radial_strata
         assert 0 < drawn < spec.n_samples
-        assert Counting.points == 2 * drawn
+        self.assert_floor_counts(f, spec, drawn, delta)
 
     def test_one_field_evaluation_per_volume_sample(self):
         from nlsob.functionals import restricted_power_integral
@@ -882,7 +887,7 @@ def test_batched_chunk_matches_per_stratum_loop(seed):
                       inner_cutoff=delta / g.lipschitz_bound, symmetric=True,
                       values=g.evaluate)
     spec = McSpec(master_seed=seed, n_samples=14400, chunk_size=4800)
-    est = mc_pair_integrate(ctx, spec)
+    est = mc_pair_integrate_many(ctx, spec)[0]
     assert [(est.value, est.stderr, est.n_effective)] == per_stratum_reference(ctx, spec)
 
 
@@ -1053,8 +1058,7 @@ class TestVolume:
     def test_non_decaying_rejected(self):
         from nlsob.errors import DivergentIntegralError
         with pytest.raises(DivergentIntegralError):
-            volume_integrate(lambda pts: np.ones(len(pts)),
-                             nl.ExponentialField(3, (1.0, 0.0, 0.0)))
+            volume_integrate(lambda pts: np.ones(len(pts)), nl.ConstantField(3, 1.0))
 
     def test_mc_path_matches_closed_form(self):
         f = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
