@@ -39,6 +39,7 @@ from .functionals import (
     dirichlet_energy_estimate,
     entropy_l2_estimate,
     f_functional,
+    field_volumes,
     i_delta,
     i_delta_p,
     j_delta_energy,
@@ -46,35 +47,23 @@ from .functionals import (
     l2_norm_sq_estimate,
     log_moment_lp_estimate,
 )
-from .inequalities import (
-    FREE_CONSTANT_CHECKS,
-    FREE_CONSTANT_REPORTS,
-    MAGNETIC_REPORTS,
-    VOLUME_REPORTS,
-    check_gauss_lsi,
-    check_jensen,
-    family_constant,
-    sweep_family,
-)
+from .inequalities import FREE_CONSTANT_CHECKS, REPORTS, family_constant, sweep_family
 from .limits import delta_sweep, estimate_qn
 from .quadrature import Estimate, McSpec, RadialSpec
 
-# Each name a config may use is defined once, in one of the tables below;
-# a table's keys are both the validation set and the dispatch.  The
-# entries are lambdas, so they look the library functions up at call
-# time and reach a rebinding of this module's names.
+# Each name a config may use is defined once, in one table (the checks in
+# inequalities.REPORTS); a table's keys are both the validation set and the
+# dispatch.  Its lambdas look the library functions up at call time.
 
 # functional -> (one row per delta, evaluation on (field, delta, built config,
-# the field's ``_field_volumes``))
+# the field's ``field_volumes``))
 _EVAL = {
     "l2_norm_sq": (False, lambda u, d, b, vol: vol(l2_norm_sq_estimate)),
     "dirichlet_energy": (False, lambda u, d, b, vol: vol(dirichlet_energy_estimate)),
     "entropy_l2": (False, lambda u, d, b, vol: entropy_l2_estimate(
         u, l2=vol(l2_norm_sq_estimate))),
     "log_moment_lp": (False, lambda u, d, b, vol: vol(log_moment_lp_estimate, b.p)),
-    "j_energy": (False, lambda u, d, b, vol: j_energy(u, EnergyParams(b.omega), _volume=(
-        vol(dirichlet_energy_estimate), vol(l2_norm_sq_estimate),
-        vol(log_moment_lp_estimate, 2.0)))),
+    "j_energy": (False, lambda u, d, b, vol: j_energy(u, EnergyParams(b.omega), _volume=vol)),
     "f_functional": (False, lambda u, d, b, vol: f_functional(u, b.envelope, b.p, b.engine)),
     "i_delta": (True, lambda u, d, b, vol: i_delta(u, KernelSpec(d), b.engine)),
     "i_delta_p": (True, lambda u, d, b, vol: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
@@ -82,42 +71,7 @@ _EVAL = {
         u, EnergyParams(b.omega), KernelSpec(d), b.engine, _volume=vol)),
 }
 
-
-def _field_volumes(u):
-    """``vol(estimate, *args)``: ``estimate(u, *args)``, a volume quantity
-    that several eval rows of ``u`` read, made on first use and passed
-    along to the later rows; a failure is not kept, so each row that
-    needs it raises it anew."""
-    done = {}
-
-    def vol(estimate, *args):
-        if (estimate, *args) not in done:
-            done[estimate, *args] = estimate(u, *args)
-        return done[estimate, *args]
-
-    return vol
-
-
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
-
-# check -> its reports on the built config, field-major and delta-minor; the
-# free-constant, magnetic and volume-sharing checks come from inequalities'
-# report tables
-_CHECKS = {
-    "gauss_lsi": lambda b: [check_gauss_lsi(u) for u in b.fields],
-    "euclidean_family": lambda b: [r for u in b.fields for r in VOLUME_REPORTS[
-        "euclidean_family"](u, b.a_values, b.lam)],
-    "jensen": lambda b: [check_jensen(u) for u in b.fields],
-    "small_set_bound": lambda b: [r for u in b.fields for r in VOLUME_REPORTS[
-        "small_set_bound"](u, b.deltas, b.lam)],
-    **{name: lambda b, report=report: [r for u in b.fields for r in report(
-        u, b.potential, b.phase, b.deltas, b.engine)]
-       for name, report in MAGNETIC_REPORTS.items()},
-    **{name: lambda b, report=report: [r for u in b.fields for r in report(
-        u, b.deltas, b.lam, b.envelope, b.engine)]
-       for name, report in FREE_CONSTANT_REPORTS.items()},
-}
-
 
 # kind -> (keys the builder cannot do without, builder)
 _ENVELOPES = {
@@ -202,6 +156,8 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     _check_keys(kern, _KERNEL_KEYS, "$.kernel", strict)
     if "delta" in kern and "deltas" in kern:
         raise ConfigError("$.kernel: give either delta or deltas, not both")
+    if "deltas" in kern and (not isinstance(kern["deltas"], list) or not kern["deltas"]):
+        raise ConfigError("$.kernel.deltas must be a nonempty list")
     env = kern.get("envelope")
     if env is not None:
         _check_keys(env, _ENVELOPE_KEYS, "$.kernel.envelope", strict)
@@ -218,7 +174,7 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     if "f_functional" in cfg.get("functionals", []) and env is None:
         raise ConfigError("f_functional needs kernel.envelope")
     for name in cfg.get("checks", []):
-        if name not in _CHECKS:
+        if name not in REPORTS:
             raise ConfigError(f"unknown check {name!r}")
     if "potential" in cfg:
         _check_keys(cfg["potential"], _POTENTIAL_KEYS, "$.potential", strict)
@@ -332,7 +288,7 @@ def cmd_eval(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     rows = []
     for fi, u in enumerate(b.fields):
         fh = descriptor_hash(u)
-        vol = _field_volumes(u)
+        vol = field_volumes(u)
         for name in cfg.get("functionals") or _DEFAULT_FUNCTIONALS:
             per_delta, evaluate = _EVAL[name]
             for d in b.deltas if per_delta else [None]:
@@ -353,7 +309,7 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     rows, details = [], []
     violated = False
     for check in cfg.get("checks", []):
-        reports = _CHECKS[check](b)
+        reports = [r for u in b.fields for r in REPORTS[check](u, b)]
         family = family_constant(reports)
         for report in reports:
             row = report.csv_row()
@@ -437,9 +393,8 @@ def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
 def cmd_qn(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     b = _build(cfg, seed)
     _p2_kernel(b, "qn")
-    deltas = sorted(b.deltas, reverse=True)
-    if len(deltas) < 3:
-        deltas = [0.2 * 2.0 ** (-k) for k in range(6)]
+    given = {"delta", "deltas"} & set(cfg.get("kernel", {}))
+    deltas = sorted(b.deltas, reverse=True) if given else None
     est = estimate_qn(cfg["dim"], b.fields, b.engine, deltas)
     header = ["dim", "estimate", "error", "candidate", "candidate_label",
               "consistent"]

@@ -612,6 +612,21 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
     return flogf / mass - math.log(mass) + (n / 2.0) * math.log(mass)
 
 
+def field_volumes(u) -> Callable:
+    """``vol(estimate, *args, **kw)``: ``estimate(u, *args, **kw)``, made on first
+    use for the rows or reports of one field, whose private ``_volume`` it is.
+    A failure is not kept, so each caller that needs it raises it anew."""
+    done = {}
+
+    def vol(estimate, *args, **kw):
+        key = (estimate, args, tuple(sorted(kw.items())))
+        if key not in done:
+            done[key] = estimate(u, *args, **kw)
+        return done[key]
+
+    return vol
+
+
 # ---------------------------------------------------------------------------
 # Gauss-measure quantities
 # ---------------------------------------------------------------------------
@@ -672,26 +687,25 @@ def gauss_lsi_sides(u: ScalarField) -> tuple:
 # ---------------------------------------------------------------------------
 
 def j_energy(u: ScalarField, params: EnergyParams, *,
-             _volume: Optional[tuple] = None) -> float:
+             _volume: Optional[Callable] = None) -> float:
     """(1/2) |grad u|^2_2 + ((omega+1)/2) ||u||_2^2 - (1/2) int u^2 log u^2.
-    ``_volume`` is the caller's (``dirichlet_energy_estimate(u)``,
-    ``l2_norm_sq_estimate(u)``, ``log_moment_lp_estimate(u, 2.0)``)."""
-    if _volume is None:
-        e, m, lm = dirichlet_energy(u), l2_norm_sq(u), log_moment_lp(u, 2.0)
-    else:
-        e, m, lm = (est.value for est in _volume)
+    ``_volume`` is the caller's ``field_volumes(u)``."""
+    vol = _volume or field_volumes(u)
+    e = vol(dirichlet_energy_estimate).value
+    m = vol(l2_norm_sq_estimate).value
+    lm = vol(log_moment_lp_estimate, 2.0).value
     return 0.5 * e + 0.5 * (params.omega + 1.0) * m - 0.5 * lm
 
 
 def j_delta_energy(u: ScalarField, params: EnergyParams, k: KernelSpec,
                    engine: EngineSpec, *, _volume: Optional[Callable] = None) -> float:
     """Nonlocal energy: i_delta replaces the Dirichlet term (no 1/2 factor).
-    ``_volume(estimate, *args)``, when given, returns the caller's
-    ``estimate(u, *args)``; it is read only once i_delta is finite."""
+    ``_volume`` is the caller's ``field_volumes(u)``, read only once
+    i_delta is finite."""
     i = i_delta(u, k, engine)
     if i.diverged:
         raise DivergentIntegralError("nonlocal term diverges for this field")
-    vol = _volume or (lambda estimate, *args: estimate(u, *args))
+    vol = _volume or field_volumes(u)
     m = vol(l2_norm_sq_estimate).value
     lm = vol(log_moment_lp_estimate, 2.0).value
     return i.value + 0.5 * (params.omega + 1.0) * m - 0.5 * lm

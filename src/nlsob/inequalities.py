@@ -6,6 +6,9 @@ each checker reports the smallest constant making its instance true, and
 constants; ``sweep_family`` re-validates it on a deterministic held-out
 split.
 
+``REPORTS``, read by the CLI and ``sweep_family``, maps each check name to
+one field's reports; they share one ``field_volumes`` memo, their ``_volume``.
+
 Tolerance policy: inequalities involving Monte Carlo estimates are
 asserted up to ``stat_margin`` (3x the combined standard errors,
 linearized); deterministic instances carry a tiny floating-point slack.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -25,9 +29,10 @@ from .functionals import (
     EngineSpec,
     KernelSpec,
     MonotoneEnvelope,
-    dirichlet_energy,
+    dirichlet_energy_estimate,
     entropy_l2_estimate,
     f_functional,
+    field_volumes,
     gauss_lsi_sides,
     i_delta,
     i_delta_magnetic_paired,
@@ -54,9 +59,7 @@ __all__ = [
     "sweep_family",
     "family_constant",
     "FREE_CONSTANT_CHECKS",
-    "FREE_CONSTANT_REPORTS",
-    "MAGNETIC_REPORTS",
-    "VOLUME_REPORTS",
+    "REPORTS",
 ]
 
 _FP_SLACK = 1e-9
@@ -172,30 +175,16 @@ def check_nonlocal_sobolev(u: ScalarField, delta: float, lam: float,
                             degenerate=not math.isfinite(admissible))
 
 
-def _lsi_volume(u) -> tuple:
-    """(L2 mass, entropy) of |u| for the log-Sobolev checks, after their dimension check."""
-    _require_sobolev_dim(u.dim)
-    l2 = l2_norm_sq_estimate(u)
-    return l2, entropy_l2_estimate(u, l2=l2)
-
-
-def _per_volume(u, params, report: Callable, envelope=None, volume=_lsi_volume) -> list:
-    """``report(u, param, quantities)`` per param, on one ``volume(u)`` (the
-    log-Sobolev pair by default) after ``envelope.validate()``."""
-    if envelope is not None:
-        envelope.validate()
-    quantities = volume(u) if len(params) else None
-    return [report(u, p, quantities) for p in params]
-
-
 def _log_sobolev(inequality_id: str, u, nonlocal_term: Callable[[], Estimate], beta: float,
                  norm_term: Callable[[float], float], inputs: dict,
                  diverged_note: str = _VACUOUS, volume=None) -> InequalityReport:
     """ent + (N beta/4) log ||u||^2 against (N/2) log(C (norm_term(||u||^2)
-    + nonlocal_term())), with the smallest admissible constant C.  The L2 mass and
-    entropy of |u| are the checkers' private ``_volume`` pair, or estimated here."""
+    + nonlocal_term())) at the smallest admissible C; ``volume`` is the checkers' ``_volume``."""
     n = u.dim
-    l2, ent = volume if volume is not None else _lsi_volume(u)
+    _require_sobolev_dim(n)
+    vol = volume or field_volumes(u)
+    l2 = vol(l2_norm_sq_estimate)
+    ent = vol(entropy_l2_estimate, l2=l2)
     nl_est = nonlocal_term()
     if nl_est.diverged:
         return _vacuous(inequality_id, inputs, diverged_note)
@@ -218,7 +207,7 @@ def _delta_term(n: int, delta: float, m: float) -> float:
 
 
 def check_logsobolev_main(u: ScalarField, delta: float, engine: EngineSpec, *,
-                          _volume: Optional[tuple] = None) -> InequalityReport:
+                          _volume: Optional[Callable] = None) -> InequalityReport:
     """Entropy bounded by (N/2) log of the nonlocal term plus a delta term."""
     return _log_sobolev("logsobolev_main", u, lambda: i_delta(u, KernelSpec(delta), engine),
                         2.0, lambda m: _delta_term(u.dim, delta, m), _prov(u, delta, engine),
@@ -226,7 +215,7 @@ def check_logsobolev_main(u: ScalarField, delta: float, engine: EngineSpec, *,
 
 
 def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float, engine: EngineSpec,
-                       *, _volume: Optional[tuple] = None) -> InequalityReport:
+                       *, _volume: Optional[Callable] = None) -> InequalityReport:
     """Magnetic variant: |u| in the entropy, covariant difference on the right."""
     return _log_sobolev("magnetic_lsi", u,
                         lambda: i_delta_magnetic_paired(u, A, KernelSpec(delta), engine)[0],
@@ -235,7 +224,7 @@ def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float, engine
 
 
 def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope, engine: EngineSpec, *,
-                       _volume: Optional[tuple] = None) -> InequalityReport:
+                       _volume: Optional[Callable] = None) -> InequalityReport:
     """Envelope-functional version with the ||u||^beta normalization."""
     envelope.validate()
     beta = envelope.beta
@@ -265,20 +254,16 @@ def check_gauss_lsi(u: ScalarField) -> InequalityReport:
                             stat_margin=slack, inputs=_prov(u))
 
 
-def _euclidean_volume(u) -> tuple:
-    """(L2 mass, entropy, Dirichlet energy) of u for the Euclidean family."""
-    l2 = l2_norm_sq_estimate(u)
-    return l2, entropy_l2_estimate(u, l2=l2), dirichlet_energy(u)
-
-
 def check_euclidean_family(u: ScalarField, a: float, *,
-                           _volume: Optional[tuple] = None) -> InequalityReport:
-    """One-parameter Euclidean form; fully explicit, no free constant.
-    ``_volume`` is ``_euclidean_volume(u)`` when the caller has it."""
+                           _volume: Optional[Callable] = None) -> InequalityReport:
+    """One-parameter Euclidean form; fully explicit, no free constant."""
     if a <= 0:
         raise PreconditionError("parameter a must be positive")
     n = u.dim
-    l2, ent, energy = _volume if _volume is not None else _euclidean_volume(u)
+    vol = _volume or field_volumes(u)
+    l2 = vol(l2_norm_sq_estimate)
+    ent = vol(entropy_l2_estimate, l2=l2)
+    energy = vol(dirichlet_energy_estimate).value
     lhs = l2.value * ent.value + n * (1.0 + math.log(a)) * l2.value
     rhs = (a * a / math.pi) * energy
     margin = 3.0 * math.hypot(l2.value * ent.stderr,
@@ -289,26 +274,24 @@ def check_euclidean_family(u: ScalarField, a: float, *,
                             inputs=_prov(u, a=a))
 
 
-def _small_set_volume(u) -> tuple:
-    """(v, integral of |v|^q) for the small-set bound, after its dimension
-    check: v is u normalized to unit L2 mass, q = 2N/(N-2)."""
-    n = u.dim
-    _require_sobolev_dim(n)
-    l2 = l2_norm_sq_estimate(u)
-    if l2.value <= 0:
-        raise PreconditionError("zero field")
-    v = u.amplify(1.0 / math.sqrt(l2.value))
-    return v, lp_power_integral(v, 2.0 * n / (n - 2.0))
+def _unit_mass_power_integral(u, q: float, l2: Estimate) -> Estimate:
+    """Integral of |v|^q, v = u normalized to its unit L2 mass ``l2``."""
+    return lp_power_integral(u.amplify(1.0 / math.sqrt(l2.value)), q)
 
 
 def check_small_set_bound(u: ScalarField, delta: float, lam: float, *,
-                          _volume: Optional[tuple] = None) -> InequalityReport:
+                          _volume: Optional[Callable] = None) -> InequalityReport:
     """Sublevel critical integral against (lam delta)^{4/(N-2)} after
-    normalizing to unit L2 mass.  ``_volume`` is ``_small_set_volume(u)``
-    when the caller has it."""
+    normalizing to unit L2 mass."""
     n = u.dim
-    v, total = _volume if _volume is not None else _small_set_volume(u)
+    _require_sobolev_dim(n)
     q = 2.0 * n / (n - 2.0)
+    vol = _volume or field_volumes(u)
+    l2 = vol(l2_norm_sq_estimate)
+    if l2.value <= 0:
+        raise PreconditionError("zero field")
+    v = u.amplify(1.0 / math.sqrt(l2.value))
+    total = vol(_unit_mass_power_integral, q, l2)
     # the sublevel integral is the total minus the superlevel one
     above = restricted_power_integral(v, q, lam * delta)
     lhs = total.value - above.value
@@ -366,44 +349,52 @@ class FamilySweep:
     excluded: List[tuple]             # (instance index, reason)
 
 
-# the checkers whose constant is an output: each maps (field, deltas, lambda, envelope
-# or None, engine) to the field's reports, one per delta, the log-Sobolev ones on one
-# volume pair.  The entries are lambdas, so they look the checkers up at call time.
-FREE_CONSTANT_REPORTS = {
-    "logsobolev_main": lambda u, ds, lam, env, engine: _per_volume(
-        u, ds, lambda u, d, v: check_logsobolev_main(u, d, engine, _volume=v)),
-    "nonlocal_sobolev": lambda u, ds, lam, env, engine: [
-        check_nonlocal_sobolev(u, d, lam, engine) for d in ds],
-    "envelope_lsi": lambda u, ds, lam, env, engine: _per_volume(u, ds, lambda u, d, v: (
-        check_envelope_lsi(u, env or MonotoneEnvelope.threshold(d), engine, _volume=v)), env),
-}
-FREE_CONSTANT_CHECKS = tuple(FREE_CONSTANT_REPORTS)
-
-# the magnetic checkers: each maps (field, potential, phase, deltas, engine) likewise
-MAGNETIC_REPORTS = {
-    "diamagnetic": lambda u, A, phase, ds, engine: [
-        check_diamagnetic(ComplexField(u, phase), A, d, engine) for d in ds],
-    "magnetic_lsi": lambda u, A, phase, ds, engine: _per_volume(ComplexField(u, phase), ds,
-        lambda w, d, v: check_magnetic_lsi(w, A, d, engine, _volume=v)),
-}
+def _logsobolev_reports(u, ps) -> list:
+    vol = field_volumes(u)
+    return [check_logsobolev_main(u, d, ps.engine, _volume=vol) for d in ps.deltas]
 
 
-def _euclidean_reports(u, a_values, lam) -> list:
-    if any(a <= 0 for a in a_values):  # before the volume, as check_euclidean_family does
+def _envelope_reports(u, ps) -> list:
+    vol = field_volumes(u)
+    return [check_envelope_lsi(u, ps.envelope or MonotoneEnvelope.threshold(d), ps.engine,
+                               _volume=vol) for d in ps.deltas]
+
+
+def _magnetic_lsi_reports(u, ps) -> list:
+    w = ComplexField(u, ps.phase)
+    vol = field_volumes(w)
+    return [check_magnetic_lsi(w, ps.potential, d, ps.engine, _volume=vol) for d in ps.deltas]
+
+
+def _euclidean_reports(u, ps) -> list:
+    if any(a <= 0 for a in ps.a_values):  # before the volume, as check_euclidean_family does
         raise PreconditionError("parameter a must be positive")
-    return _per_volume(u, a_values, lambda u, a, v: check_euclidean_family(u, a, _volume=v),
-                       volume=_euclidean_volume)
+    vol = field_volumes(u)
+    return [check_euclidean_family(u, a, _volume=vol) for a in ps.a_values]
 
 
-# the explicit checkers over a list of parameters: each maps (field, its
-# parameters, lambda) to the field's reports, one per parameter, on one set of
-# its volume quantities
-VOLUME_REPORTS = {
+def _small_set_reports(u, ps) -> list:
+    vol = field_volumes(u)
+    return [check_small_set_bound(u, d, ps.lam, _volume=vol) for d in ps.deltas]
+
+
+# check -> (field, the CLI's built config or an object with the attributes the
+# entry reads) -> the field's reports, one per delta (per a for euclidean_family).
+# Entries look the checkers up at call time, so a rebinding of them reaches them.
+REPORTS = {
+    "logsobolev_main": _logsobolev_reports,
+    "nonlocal_sobolev": lambda u, ps: [check_nonlocal_sobolev(u, d, ps.lam, ps.engine)
+                                       for d in ps.deltas],
+    "envelope_lsi": _envelope_reports,
+    "magnetic_lsi": _magnetic_lsi_reports,
+    "diamagnetic": lambda u, ps: [check_diamagnetic(ComplexField(u, ps.phase), ps.potential,
+                                                    d, ps.engine) for d in ps.deltas],
+    "gauss_lsi": lambda u, ps: [check_gauss_lsi(u)],
     "euclidean_family": _euclidean_reports,
-    "small_set_bound": lambda u, ds, lam: _per_volume(
-        u, ds, lambda u, d, v: check_small_set_bound(u, d, lam, _volume=v),
-        volume=_small_set_volume),
+    "small_set_bound": _small_set_reports,
+    "jensen": lambda u, ps: [check_jensen(u)],
 }
+FREE_CONSTANT_CHECKS = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
 
 
 def family_constant(reports: Sequence[InequalityReport]) -> Optional[float]:
@@ -423,13 +414,13 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
     The split is deterministic in ``seed``.  Diverged instances are
     excluded from the constant and reported.
     """
-    if inequality_id not in FREE_CONSTANT_REPORTS:
+    if inequality_id not in FREE_CONSTANT_CHECKS:
         raise PreconditionError(f"{inequality_id!r} has no free constant to sweep")
     if not fields:
         raise PreconditionError("empty field family")
-    report = FREE_CONSTANT_REPORTS[inequality_id]
+    ps = SimpleNamespace(deltas=deltas, engine=engine, lam=lam, envelope=envelope)
     instances = [(fi, d) for fi in range(len(fields)) for d in deltas]
-    reports = [r for u in fields for r in report(u, deltas, lam, envelope, engine)]
+    reports = [r for u in fields for r in REPORTS[inequality_id](u, ps)]
     excluded = [(i, r.notes or "degenerate") for i, r in enumerate(reports) if r.degenerate]
     usable = [i for i, r in enumerate(reports) if not r.degenerate]
     if not usable:

@@ -64,8 +64,6 @@ def _power_law_extrapolation(deltas, ratios):
     """Fit r = r0 + c delta^gamma on the last three points of a geometric grid."""
     d = np.asarray(deltas, dtype=float)
     r = np.asarray(ratios, dtype=float)
-    if d.size < 3:
-        raise PreconditionError("extrapolation needs at least three deltas")
 
     def fit(i2):  # uses points i2-2, i2-1, i2 (finest last)
         da, db, dc = d[i2 - 2], d[i2 - 1], d[i2]
@@ -98,6 +96,8 @@ def delta_sweep(u: ScalarField, deltas: Sequence[float],
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise PreconditionError("deltas must be positive and strictly decreasing")
+    if len(deltas) < 3:
+        raise PreconditionError(f"extrapolation needs at least three deltas, got {len(deltas)}")
     if not u.differentiable:
         raise PreconditionError("sweep needs a differentiable field")
     if deltas[0] >= 2.0 * u.sup_bound:
@@ -175,6 +175,8 @@ def check_upper_bound(u: ScalarField, deltas: Sequence[float],
     bound: sup over the grid of I_delta / Dirichlet, with a grid-doubling
     stability check."""
     deltas = sorted((float(d) for d in deltas), reverse=True)
+    if not deltas:
+        raise PreconditionError("the upper-bound check needs at least one delta")
     energy = dirichlet_energy(u)
     if energy <= 0:
         raise PreconditionError("zero Dirichlet energy")

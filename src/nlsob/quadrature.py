@@ -94,9 +94,6 @@ class Estimate:
     diverged: bool = False
     discrepancy: float = 0.0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class McSpec:

@@ -9,6 +9,7 @@ import pytest
 
 import nlsob.cli as cli
 import nlsob.functionals as fn
+import nlsob.inequalities as inequalities
 from nlsob.errors import ConfigError
 from nlsob.fields import field_from_dict
 
@@ -121,6 +122,20 @@ class TestConfigValidation:
         for cfg, needle in ((no_envelope, "envelope"), (bad_potential, "potential")):
             with pytest.raises(ConfigError, match=needle):
                 cli.validate_config(cfg)
+
+    @pytest.mark.parametrize("deltas", [[], 0.5])
+    @pytest.mark.parametrize("command", ["sweep", "constants", "check", "eval"])
+    def test_empty_deltas_is_config_error(self, tmp_path, capsys, command, deltas):
+        # an empty list used to end sweep in an IndexError and constants in
+        # "every instance was degenerate"; a number, every command in a TypeError
+        cfg = base_config(kernel={"deltas": deltas}, checks=["logsobolev_main"])
+        with pytest.raises(ConfigError, match="kernel.deltas must be a nonempty list"):
+            cli.validate_config(cfg)
+        rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "kernel.deltas must be a nonempty list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_value_is_config_error(self, tmp_path, capsys):
         # a value a field or potential constructor rejects used to end in a
@@ -435,6 +450,62 @@ class TestCheck:
         assert float(ball["deficit"]) == jensen_gap(field_from_dict(cfg["fields"][1]))
         assert abs(float(ball["deficit"])) < 1e-12
 
+    @pytest.mark.parametrize("check", sorted(inequalities.REPORTS))
+    def test_report_table_rows_match_direct_checker_calls(self, tmp_path, check):
+        # every entry of the one check table, on a radial Gaussian and a
+        # non-radial Gaussian+bump sum, writes the rows of its checker called
+        # alone (without a shared _volume) on each field and each delta or
+        # a-value, at the family constant where the check has a free one.
+        # lambda differs from every delta, so an entry that passes one for
+        # the other writes another delta column
+        from nlsob.fields import ComplexField
+        from nlsob.functionals import MonotoneEnvelope
+        iq = inequalities
+        cfg = base_config(
+            fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                    {"shape": "sum", "dim": 3, "terms": [
+                        {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+                        {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+                         "center": [0.0, -0.3, 0.1]}]}],
+            kernel={"deltas": [0.2, 0.1]}, checks=[check], a_values=[0.5, 2.0],
+            potential={"kind": "constant", "vector": [0.5, -0.3, 0.2]},
+            phase={"kind": "linear", "offset": 0.1, "wave": [0.3, 0.0, -0.2]},
+            engine={"mc": {"n_samples": 4800}, "radial": {"n_r": 12, "n_s": 16}},
+            output={"csv": "out.csv"}, **{"lambda": 0.7})
+        assert cli.main(["check", "--config", write_config(tmp_path, cfg),
+                         "--out-dir", str(tmp_path)]) in (0, 4)
+        b = cli._build(cfg, cfg["seed"])
+        per_delta = lambda check_at: [check_at(d) for d in b.deltas]
+        direct = {
+            "logsobolev_main": lambda u: per_delta(
+                lambda d: iq.check_logsobolev_main(u, d, b.engine)),
+            "nonlocal_sobolev": lambda u: per_delta(
+                lambda d: iq.check_nonlocal_sobolev(u, d, b.lam, b.engine)),
+            "envelope_lsi": lambda u: per_delta(
+                lambda d: iq.check_envelope_lsi(u, MonotoneEnvelope.threshold(d), b.engine)),
+            "magnetic_lsi": lambda u: per_delta(lambda d: iq.check_magnetic_lsi(
+                ComplexField(u, b.phase), b.potential, d, b.engine)),
+            "diamagnetic": lambda u: per_delta(lambda d: iq.check_diamagnetic(
+                ComplexField(u, b.phase), b.potential, d, b.engine)),
+            "gauss_lsi": lambda u: [iq.check_gauss_lsi(u)],
+            "euclidean_family": lambda u: [iq.check_euclidean_family(u, a)
+                                           for a in b.a_values],
+            "small_set_bound": lambda u: per_delta(
+                lambda d: iq.check_small_set_bound(u, d, b.lam)),
+            "jensen": lambda u: [iq.check_jensen(u)],
+        }
+        assert set(direct) == set(iq.REPORTS)
+        reports = [r for u in b.fields for r in direct[check](u)]
+        family = iq.family_constant(reports)
+        expect = []
+        for r in reports:
+            row = r.csv_row()
+            if family is not None and r.rhs_builder is not None and not r.degenerate:
+                row.update(deficit=r.deficit_at(family), rhs=r.rhs_builder(family),
+                           constant=family)
+            expect.append({k: str(v) for k, v in row.items()})
+        assert read_rows(tmp_path / "out.csv") == expect
+
     def test_violated_inequality_exit_code(self, tmp_path, monkeypatch):
         from nlsob.inequalities import InequalityReport
 
@@ -442,7 +513,7 @@ class TestCheck:
             return InequalityReport("gauss_lsi", lhs=1.0, rhs=0.0, deficit=-1.0,
                                     stat_margin=1e-9)
 
-        monkeypatch.setattr(cli, "check_gauss_lsi", fake_gauss)
+        monkeypatch.setattr(inequalities, "check_gauss_lsi", fake_gauss)
         cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0}],
                           checks=["gauss_lsi"])
         rc = cli.main(["check", "--config", write_config(tmp_path, cfg),
@@ -459,6 +530,20 @@ class TestSweepAndConstants:
         assert rc == 0
         deltas = [float(r["delta"]) for r in read_rows(tmp_path / "out.csv")]
         assert deltas == sorted(deltas, reverse=True)
+
+    def test_short_sweep_grid_runs_no_estimate(self, tmp_path, capsys):
+        # a 2-delta sweep used to run every i_delta before its exit 2
+        from unittest import mock
+
+        from nlsob import limits
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0}],
+                          kernel={"deltas": [0.2, 0.1]})
+        with mock.patch.object(limits, "i_delta", wraps=limits.i_delta) as spy:
+            rc = cli.main(["sweep", "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path / "out")])
+        assert (rc, spy.call_count) == (2, 0)
+        assert "at least three deltas" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "qn"])
     def test_only_the_p2_kernel(self, tmp_path, capsys, command):
@@ -634,6 +719,37 @@ class TestQn:
         row = read_rows(tmp_path / "out.csv")[0]
         assert rel_err(float(row["estimate"]), 2.0 * math.pi / 3.0) < 0.02
         assert "derived" in row["candidate_label"]
+
+    @pytest.mark.parametrize("kernel", [{"deltas": [0.2, 0.1]}, {"delta": 0.1}])
+    def test_short_explicit_grid_is_config_error(self, tmp_path, capsys, kernel):
+        # qn used to drop a grid of fewer than three deltas and run its
+        # default one instead, exit 0
+        from unittest import mock
+
+        from nlsob import limits
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                                  {"shape": "gaussian", "dim": 3, "rate": 0.5}],
+                          kernel=kernel)
+        with mock.patch.object(limits, "i_delta", wraps=limits.i_delta) as spy:
+            rc = cli.main(["qn", "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path / "out")])
+        assert (rc, spy.call_count) == (2, 0)
+        assert "at least three deltas" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_grid_runs_the_default(self, tmp_path):
+        from unittest import mock
+
+        from nlsob import limits
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                                  {"shape": "gaussian", "dim": 3, "rate": 0.5}],
+                          engine={"radial": {"n_r": 12, "n_s": 16}})
+        del cfg["kernel"]
+        with mock.patch.object(limits, "i_delta", wraps=limits.i_delta) as spy:
+            assert cli.main(["qn", "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path)]) == 0
+        grid = [0.2 * 2.0 ** (-k) for k in range(6)]
+        assert [c.args[1].delta for c in spy.call_args_list] == grid + grid
 
 
 def test_import_loads_no_scipy():

@@ -402,6 +402,10 @@ class TestPinnedLiterals:
         "mc": "506eb107eb2e",
         "radial": "e10f2b800312",
         "kernel": "95a823c6d348",
+        "complex": "06893a18b740",
+        "zero_potential": "4ae8106f85e8",
+        "constant_potential": "e662afda2ad9",
+        "linear_b_potential": "9951fc06ed20",
     }
     BITS = {
         "gaussian": {
@@ -511,8 +515,16 @@ class TestPinnedLiterals:
         from nlsob.fields import descriptor_hash
         from nlsob.functionals import KernelSpec, MonotoneEnvelope
         from nlsob.quadrature import McSpec, RadialSpec
+        # the magnetic benchmark ops key on the complex field's and the
+        # potentials' descriptors too
         objs = dict(self.SHAPES, mc=McSpec(master_seed=7), radial=RadialSpec(),
-                    kernel=KernelSpec(0.25, 1.5, MonotoneEnvelope.power_law(3.0)))
+                    kernel=KernelSpec(0.25, 1.5, MonotoneEnvelope.power_law(3.0)),
+                    complex=nl.ComplexField(self.SHAPES["gaussian"],
+                                            nl.LinearPhase(0.4, (0.3, 0.0, -0.2))),
+                    zero_potential=nl.ZeroPotential(3),
+                    constant_potential=nl.ConstantPotential((0.5, -0.3, 0.2)),
+                    linear_b_potential=nl.LinearBPotential(
+                        [[0.0, 0.4, -0.3], [-0.4, 0.0, 0.2], [0.3, -0.2, 0.0]]))
         assert {k: descriptor_hash(v) for k, v in objs.items()} == self.HASHES
 
     @pytest.mark.parametrize("name", ["gaussian", "bump", "indicator", "radial_profile", "sum"])

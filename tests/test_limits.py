@@ -36,12 +36,26 @@ class TestDeltaSweep:
             delta_sweep(nl.ConstantField(3, 1.0), DELTAS, engine)
 
     def test_rejects_oversized_delta(self, engine, gauss3):
-        with pytest.raises(PreconditionError):
-            delta_sweep(gauss3, [3.0, 1.5], engine)
+        with pytest.raises(PreconditionError, match="below the field's oscillation"):
+            delta_sweep(gauss3, [3.0, 1.5, 0.75], engine)
 
     def test_rejects_nondecreasing_grid(self, engine, gauss3):
-        with pytest.raises(PreconditionError):
-            delta_sweep(gauss3, [0.1, 0.2], engine)
+        with pytest.raises(PreconditionError, match="strictly decreasing"):
+            delta_sweep(gauss3, [0.1, 0.2, 0.05], engine)
+
+    @pytest.mark.parametrize("deltas", [[], [0.1], [0.2, 0.1]])
+    def test_short_grid_rejected_before_any_estimate(self, engine, gauss3, deltas):
+        # the extrapolation fits three points: fewer deltas are an error
+        # raised before the first pair estimate
+        from unittest import mock
+
+        from nlsob import limits
+        with mock.patch.object(limits, "i_delta", wraps=limits.i_delta) as spy:
+            for sweep in (lambda: delta_sweep(gauss3, deltas, engine),
+                          lambda: recover_classical_lsi(gauss3, deltas, 0.05, engine)):
+                with pytest.raises(PreconditionError, match="at least three deltas"):
+                    sweep()
+        assert spy.call_count == 0
 
     def test_ratios_increase_toward_candidate(self, gauss_sweep):
         r = gauss_sweep.ratios
@@ -96,6 +110,10 @@ class TestUpperBound:
             3.0 * gauss_sweep.extrapolation_error,
             0.02 * gauss_sweep.extrapolated_limit)
         assert rep.sup_ratio >= floor
+
+    def test_empty_grid_rejected(self, engine, gauss3):
+        with pytest.raises(PreconditionError, match="at least one delta"):
+            check_upper_bound(gauss3, [], engine)
 
     def test_dilates_share_ratio_curve(self, engine, gauss3):
         a = check_upper_bound(gauss3, [0.2, 0.1, 0.05], engine)
