@@ -48,7 +48,7 @@ from .functionals import (
     log_moment_lp_estimate,
 )
 from .inequalities import FREE_CONSTANT_CHECKS, REPORTS, family_constant, sweep_family
-from .limits import delta_sweep, estimate_qn
+from .limits import DEFAULT_DELTAS, delta_sweep, estimate_qn
 from .quadrature import Estimate, McSpec, RadialSpec
 
 # Each name a config may use is defined once, in one table (the checks in
@@ -73,16 +73,21 @@ _EVAL = {
 
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
 
-# kind -> (keys the builder cannot do without, builder)
+# kind -> (builder, required keys, optional keys), the format of fields.FIELD_SHAPES
 _ENVELOPES = {
-    "power": ({"q"}, lambda env: MonotoneEnvelope.power_law(float(env["q"]))),
-    "threshold": ({"delta"}, lambda env: MonotoneEnvelope.threshold(float(env["delta"]),
-                                                                    float(env.get("p", 2.0)))),
+    "power": (lambda env: MonotoneEnvelope.power_law(float(env["q"])), {"q"}, set()),
+    "threshold": (lambda env: MonotoneEnvelope.threshold(float(env["delta"]),
+                                                         float(env.get("p", 2.0))),
+                  {"delta"}, {"p"}),
 }
 _POTENTIALS = {
-    "zero": (set(), lambda pot, dim: ZeroPotential(dim)),
-    "constant": ({"vector"}, lambda pot, dim: ConstantPotential(tuple(pot["vector"]))),
-    "linear_b": ({"matrix"}, lambda pot, dim: LinearBPotential(pot["matrix"])),
+    "zero": (lambda pot, dim: ZeroPotential(dim), set(), set()),
+    "constant": (lambda pot, dim: ConstantPotential(tuple(pot["vector"])), {"vector"}, set()),
+    "linear_b": (lambda pot, dim: LinearBPotential(pot["matrix"]), {"matrix"}, set()),
+}
+_PHASES = {
+    "linear": (lambda ph: LinearPhase(float(ph.get("offset", 0.0)), tuple(ph.get("wave", ()))),
+               set(), {"offset", "wave"}),
 }
 
 
@@ -93,13 +98,10 @@ _POTENTIALS = {
 _TOP_KEYS = {"dim", "seed", "fields", "kernel", "engine", "functionals", "checks",
              "lambda", "omega", "a_values", "potential", "phase", "output"}
 _KERNEL_KEYS = {"delta", "deltas", "p", "envelope"}
-_ENVELOPE_KEYS = {"kind", "q", "delta", "p"}
 _ENGINE_KEYS = {"mode", "mc", "radial"}
 _MC_KEYS = {f.name for f in dataclasses.fields(McSpec)} - {"master_seed"}  # seed comes from $.seed
 _RADIAL_KEYS = {f.name for f in dataclasses.fields(RadialSpec)}
 _OUTPUT_KEYS = {"csv", "json"}
-_POTENTIAL_KEYS = {"kind", "vector", "matrix"}
-_PHASE_KEYS = {"kind", "offset", "wave"}
 
 
 def _check_keys(obj: dict, allowed: set, path: str, strict: bool):
@@ -111,30 +113,22 @@ def _check_keys(obj: dict, allowed: set, path: str, strict: bool):
         print(f"warning: {msg}", file=sys.stderr)
 
 
-def _check_required(obj: dict, required: set, path: str):
+def _check_tagged(obj, tag: str, table: dict, path: str, strict: bool):
+    """``obj[tag]`` names an entry (builder, required keys, optional keys) of
+    ``table``, and ``obj`` has the entry's required keys and no other keys."""
+    if not isinstance(obj, dict) or obj.get(tag) not in table:
+        raise ConfigError(f"{path}.{tag} must be {' | '.join(table)}")
+    _, required, optional = table[obj[tag]]
+    _check_keys(obj, {tag} | required | optional, path, strict)
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"missing key(s) {sorted(missing)} at {path}")
 
 
-def _check_kind(obj: dict, table: dict, path: str):
-    """``obj["kind"]`` names an entry of ``table`` and ``obj`` has the
-    entry's required keys."""
-    if obj.get("kind") not in table:
-        raise ConfigError(f"{path}.kind must be {' | '.join(table)}")
-    _check_required(obj, table[obj["kind"]][0], path)
-
-
 def _check_field_dict(d: dict, path: str, strict: bool):
-    if not isinstance(d, dict) or "shape" not in d:
-        raise ConfigError(f"{path}: field descriptor must be an object with 'shape'")
-    if d["shape"] not in FIELD_SHAPES:
-        raise ConfigError(f"{path}: unknown shape {d['shape']!r}")
-    _, required, optional = FIELD_SHAPES[d["shape"]]
-    _check_keys(d, {"shape"} | required | optional, path, strict)
-    _check_required(d, required, path)
+    _check_tagged(d, "shape", FIELD_SHAPES, path, strict)
     if d["shape"] == "sum":
-        for i, t in enumerate(d.get("terms", [])):
+        for i, t in enumerate(d["terms"]):
             _check_field_dict(t, f"{path}.terms[{i}]", strict)
 
 
@@ -160,14 +154,11 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
         raise ConfigError("$.kernel.deltas must be a nonempty list")
     env = kern.get("envelope")
     if env is not None:
-        _check_keys(env, _ENVELOPE_KEYS, "$.kernel.envelope", strict)
-        _check_kind(env, _ENVELOPES, "$.kernel.envelope")
+        _check_tagged(env, "kind", _ENVELOPES, "$.kernel.envelope", strict)
     eng = cfg.get("engine", {})
     _check_keys(eng, _ENGINE_KEYS, "$.engine", strict)
     _check_keys(eng.get("mc", {}), _MC_KEYS, "$.engine.mc", strict)
     _check_keys(eng.get("radial", {}), _RADIAL_KEYS, "$.engine.radial", strict)
-    if eng.get("mode", "auto") not in ("auto", "mc", "radial"):
-        raise ConfigError("$.engine.mode must be auto | mc | radial")
     for name in cfg.get("functionals", []):
         if name not in _EVAL:
             raise ConfigError(f"unknown functional {name!r}")
@@ -177,10 +168,9 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
         if name not in REPORTS:
             raise ConfigError(f"unknown check {name!r}")
     if "potential" in cfg:
-        _check_keys(cfg["potential"], _POTENTIAL_KEYS, "$.potential", strict)
-        _check_kind(cfg["potential"], _POTENTIALS, "$.potential")
+        _check_tagged(cfg["potential"], "kind", _POTENTIALS, "$.potential", strict)
     if "phase" in cfg:
-        _check_keys(cfg["phase"], _PHASE_KEYS, "$.phase", strict)
+        _check_tagged(cfg["phase"], "kind", _PHASES, "$.phase", strict)
     _check_keys(cfg.get("output", {}), _OUTPUT_KEYS, "$.output", strict)
     return cfg
 
@@ -191,7 +181,7 @@ def _build(cfg: dict, seed: int) -> SimpleNamespace:
     kern, eng = cfg.get("kernel", {}), cfg.get("engine", {})
     env = kern.get("envelope")
     pot = cfg.get("potential", {"kind": "zero"})
-    phase = cfg.get("phase", {})
+    phase = cfg.get("phase", {"kind": "linear"})
     try:
         b = SimpleNamespace(
             fields=[field_from_dict(d) for d in cfg["fields"]],
@@ -199,13 +189,13 @@ def _build(cfg: dict, seed: int) -> SimpleNamespace:
             engine=EngineSpec(mc=McSpec(master_seed=seed, **eng.get("mc", {})),
                               radial=RadialSpec(**eng.get("radial", {})),
                               mode=eng.get("mode", "auto")),
-            envelope=None if env is None else _ENVELOPES[env["kind"]][1](env),
+            envelope=None if env is None else _ENVELOPES[env["kind"]][0](env),
             p=float(kern.get("p", 2.0)),
             omega=float(cfg.get("omega", 0.0)),
             lam=float(cfg.get("lambda", 1.0)),
             a_values=[float(a) for a in cfg.get("a_values", [1.0])],
-            potential=_POTENTIALS[pot["kind"]][1](pot, cfg["dim"]),
-            phase=LinearPhase(float(phase.get("offset", 0.0)), tuple(phase.get("wave", ()))))
+            potential=_POTENTIALS[pot["kind"]][0](pot, cfg["dim"]),
+            phase=_PHASES[phase["kind"]][0](phase))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ConfigError(str(exc)) from exc
     if any(f.dim != cfg["dim"] for f in b.fields):
@@ -308,8 +298,9 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
               "constant", "stat_margin", "degenerate"]
     rows, details = [], []
     violated = False
+    vols = [field_volumes(u) for u in b.fields]
     for check in cfg.get("checks", []):
-        reports = [r for u in b.fields for r in REPORTS[check](u, b)]
+        reports = [r for u, vol in zip(b.fields, vols) for r in REPORTS[check](u, b, vol)]
         family = family_constant(reports)
         for report in reports:
             row = report.csv_row()
@@ -336,14 +327,23 @@ def _p2_kernel(b: SimpleNamespace, command: str):
                           "kernel.p must be 2 and kernel.envelope absent")
 
 
+def _grid(cfg: dict, b: SimpleNamespace) -> List[float]:
+    """The delta grid of sweep and qn: the config's, largest first, or the
+    study's default where the config gives none."""
+    if {"delta", "deltas"} & set(cfg.get("kernel", {})):
+        return sorted(b.deltas, reverse=True)
+    return list(DEFAULT_DELTAS)
+
+
 def cmd_sweep(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     b = _build(cfg, seed)
     _p2_kernel(b, "sweep")
     header = ["field_index", "field_hash", "delta", "value", "stderr", "ratio",
               "tail_bound"]
     rows, summary = [], []
+    grid = _grid(cfg, b)
     for fi, u in enumerate(b.fields):
-        sw = delta_sweep(u, sorted(b.deltas, reverse=True), b.engine)
+        sw = delta_sweep(u, grid, b.engine)
         fh = descriptor_hash(u)
         for d, est, ratio in zip(sw.deltas, sw.estimates, sw.ratios):
             rows.append({"field_index": fi, "field_hash": fh, "delta": d,
@@ -393,9 +393,7 @@ def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
 def cmd_qn(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     b = _build(cfg, seed)
     _p2_kernel(b, "qn")
-    given = {"delta", "deltas"} & set(cfg.get("kernel", {}))
-    deltas = sorted(b.deltas, reverse=True) if given else None
-    est = estimate_qn(cfg["dim"], b.fields, b.engine, deltas)
+    est = estimate_qn(cfg["dim"], b.fields, b.engine, _grid(cfg, b))
     header = ["dim", "estimate", "error", "candidate", "candidate_label",
               "consistent"]
     rows = [{"dim": est.dim, "estimate": est.value, "error": est.error,

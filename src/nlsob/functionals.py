@@ -87,11 +87,12 @@ class MonotoneEnvelope:
 
     ``small_t_power`` is the power q with F(t) = O(t^q) near 0, used to
     size the inner cutoff.  ``zero_below`` marks an exact zero region
-    F = 0 on [0, zero_below].  The threshold envelope reproducing the
-    plain indicator functional is exempted from the sub-homogeneity
-    check (it fails it), but stays valid for evaluation.  It alone sets
-    ``step``, the promise F = sup_value * 1{t > zero_below}, which lets
-    the radial engine take it as the plain indicator weight; ``step``
+    F = 0 on [0, zero_below].  ``threshold(delta, p)`` is the one place
+    the indicator numerator delta^p 1{t > delta} of I_delta, its
+    general-p variant and the magnetic functional is built.  It alone
+    sets ``step``, the promise F = sup_value * 1{t > zero_below}: a step
+    fails the sub-homogeneity check, so ``validate`` skips it there, and
+    the radial engine takes it as the plain indicator weight.  ``step``
     stays out of ``to_dict``, so the descriptor hashes do not see it.
     """
 
@@ -100,7 +101,6 @@ class MonotoneEnvelope:
     name: str
     small_t_power: float
     zero_below: float = 0.0
-    subhom_exempt: bool = False
     sup_value: float = math.inf
     step: bool = False
 
@@ -119,10 +119,10 @@ class MonotoneEnvelope:
         return MonotoneEnvelope(
             fn=lambda t: np.where(np.asarray(t, dtype=float) > delta, num, 0.0),
             beta=p, name=f"threshold:{delta}", small_t_power=p,
-            zero_below=delta, subhom_exempt=True, sup_value=num, step=True)
+            zero_below=delta, sup_value=num, step=True)
 
     def validate(self, t_max: float = 4.0, tol: float = 1e-12) -> None:
-        """Monotonicity plus (unless exempt) sub-homogeneity on a 50x50 grid.
+        """Monotonicity plus (unless a step) sub-homogeneity on a 50x50 grid.
 
         The sub-homogeneity tolerance is relative to the right side, so
         rounding in large values of F does not count as a violation.
@@ -133,7 +133,7 @@ class MonotoneEnvelope:
             raise PreconditionError(f"envelope {self.name} takes negative values")
         if np.any(np.diff(vals) < -tol):
             raise PreconditionError(f"envelope {self.name} is not non-decreasing")
-        if not self.subhom_exempt:
+        if not self.step:
             t = np.linspace(0.0, t_max, 50)[:, None]
             s = np.linspace(0.0, t_max, 50)[None, :]
             lhs = self.fn(t * s)
@@ -173,14 +173,17 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Which pair engine to use and with what parameters."""
+    """Which pair engine to use and with what parameters.  ``mode`` "auto"
+    sends radial fields with a finite Lipschitz bound to the radial engine,
+    the rest to Monte Carlo; "mc" sends every field to Monte Carlo, the
+    radial engine's cross-engine oracle."""
 
     mc: McSpec
     radial: RadialSpec = RadialSpec()
-    mode: str = "auto"  # auto | mc | radial
+    mode: str = "auto"  # auto | mc
 
     def __post_init__(self):
-        if self.mode not in ("auto", "mc", "radial"):
+        if self.mode not in ("auto", "mc"):
             raise PreconditionError(f"unknown engine mode {self.mode!r}")
 
 
@@ -256,31 +259,17 @@ def _jump_free_radius(u: ScalarField, level: float, weight) -> Optional[float]:
     return rho0
 
 
-def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
-                     delta: Optional[float] = None,
-                     envelope: Optional[MonotoneEnvelope] = None) -> Estimate:
-    """Shared core of i_delta / i_delta_p / f_functional for real fields.
-
-    Exactly one of ``delta`` (indicator numerator delta^p on
-    {|u(x)-u(y)| > delta}) and ``envelope`` (numerator F(|u(x)-u(y)|))
-    must be given.
+def _pair_functional(u: ScalarField, p: float, envelope: MonotoneEnvelope,
+                     engine: EngineSpec) -> Estimate:
+    """Shared core of i_delta / i_delta_p / f_functional for real fields:
+    the integral of F(|u(x) - u(y)|) / |x - y|^{N+p}, F = ``envelope.fn``.
+    The indicator functionals pass ``MonotoneEnvelope.threshold``.
     """
-    if (delta is None) == (envelope is None):
-        raise PreconditionError("pass exactly one of delta / envelope")
     dim = u.dim
     lip = u.lipschitz_bound
-    if envelope is None:
-        numerator = _int_pow(delta, p)
-        tail_scale = numerator
-        zero_below = delta
-        num_fn = lambda du: np.where(du > delta, numerator, 0.0)
-    else:
-        tail_scale = envelope.sup_value  # inf for power laws: handled below
-        zero_below = envelope.zero_below
-        num_fn = envelope.fn
-    # None: the radial engine's plain indicator numerator * 1{|a - b| > zero_below}
-    pair_fn = None if envelope is None or envelope.step else (
-        lambda a, b: num_fn(np.abs(a - b)))
+    zero_below = envelope.zero_below
+    # None: the radial engine's plain indicator sup_value * 1{|a - b| > zero_below}
+    pair_fn = None if envelope.step else (lambda a, b: envelope.fn(np.abs(a - b)))
 
     # exact shortcuts: a constant field has |u(x)-u(y)| = 0, and if the
     # oscillation 2 sup|u| cannot exceed the threshold the set is empty
@@ -290,17 +279,11 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
         return Estimate(0.0, 0.0, 0, 0.0, "closed_form")
 
     prof = u.radial_profile()
-    if engine.mode == "radial":
-        if prof is None:
-            raise PreconditionError("radial engine requires a radial field")
-        if not math.isfinite(lip):
-            raise PreconditionError("radial engine requires a finite Lipschitz bound")
-
     if engine.mode != "mc" and prof is not None and math.isfinite(lip):
         rspec = engine.radial
         if zero_below > 0:
             weight = RadialWeight(pair_fn=pair_fn, threshold=zero_below,
-                                  numerator=tail_scale)
+                                  numerator=envelope.sup_value)
             return radial_pair_integrate(prof, p, weight, rspec, dim)
         # smooth envelope: symmetric weight with slowly decaying pair tails
         sup = prof.sup
@@ -327,19 +310,19 @@ def _pair_functional(u: ScalarField, p: float, engine: EngineSpec, *,
     np_exp = -(dim + p)
 
     if not math.isfinite(lip):
-        rho0 = _jump_free_radius(u, zero_below, num_fn)
+        rho0 = _jump_free_radius(u, zero_below, envelope.fn)
         if rho0 is None:
             return Estimate(math.inf, method="exact", diverged=True)
 
     def integrand(x, y, rho, vx, vy):
-        return num_fn(np.abs(vy - vx)) * rho ** np_exp
+        return envelope.fn(np.abs(vy - vx)) * rho ** np_exp
 
     if zero_below > 0:
         x_radius = u.decay_radius(zero_below / 2.0)
         extra_tail = 0.0
         # exact: pairs closer than rho0 (inf for one sphere with L_s = 0) add 0
         cutoff = zero_below / lip if math.isfinite(lip) else rho0
-        h_tail_scale = tail_scale
+        h_tail_scale = envelope.sup_value
     else:
         # lip is finite: without a zero region the weight is positive below
         # every jump, so a field with jumps was decided above
@@ -371,12 +354,12 @@ def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     """The nonlocal functional with kernel delta^2 / |x-y|^{N+2}."""
     if k.p != 2.0:
         raise PreconditionError("i_delta is the p = 2 kernel; use i_delta_p")
-    return _pair_functional(u, 2.0, engine, delta=k.delta)
+    return _pair_functional(u, 2.0, MonotoneEnvelope.threshold(k.delta), engine)
 
 
 def i_delta_p(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     """General-p variant: kernel delta^p / |x-y|^{N+p} on {|u(x)-u(y)| > delta}."""
-    return _pair_functional(u, k.p, engine, delta=k.delta)
+    return _pair_functional(u, k.p, MonotoneEnvelope.threshold(k.delta, k.p), engine)
 
 
 def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
@@ -386,7 +369,7 @@ def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
     if envelope.zero_below == 0.0 and envelope.small_t_power <= p:
         raise PreconditionError(
             "envelope must vanish faster than t^p near 0 for integrability")
-    return _pair_functional(u, p, engine, envelope=envelope)
+    return _pair_functional(u, p, envelope, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +379,7 @@ def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
 def _magnetic_context(u: ComplexField, A: VectorPotential, delta: float,
                       engine: EngineSpec) -> PairContext:
     dim = u.dim
-    numerator = _int_pow(delta, 2.0)
+    env = MonotoneEnvelope.threshold(delta)
     mod = u.modulus
     rx = engine.mc.x_radius if engine.mc.x_radius is not None else mod.decay_radius(delta / 2.0)
     floor = 0.5 * delta * (1.0 - 1e-12)  # margin: |Psi| can round above |u(x)| + |u(y)|
@@ -410,12 +393,11 @@ def _magnetic_context(u: ComplexField, A: VectorPotential, delta: float,
         uy = my * np.exp(1j * u.phase(y))
         ux = mx * np.exp(1j * u.phase(x))
         dpsi = np.abs(np.exp(1j * phi) * uy - ux)
-        out[hot] = np.where(dpsi > delta, numerator, 0.0) * rho[hot] ** (-(dim + 2.0))
+        out[hot] = env.fn(dpsi) * rho[hot] ** (-(dim + 2.0))
         return out
 
     def mod_integrand(x, y, rho, mx, my):
-        du = np.abs(np.abs(my) - np.abs(mx))
-        return np.where(du > delta, numerator, 0.0) * rho ** (-(dim + 2.0))
+        return env.fn(np.abs(np.abs(my) - np.abs(mx))) * rho ** (-(dim + 2.0))
 
     # |Psi(x,y) - Psi(x,x)| <= slope(c) |x - y| for x within rx and pairs closer than c
     # (|wave| bounds the phase's gradient): the largest c with c slope(c) <= delta
@@ -425,7 +407,7 @@ def _magnetic_context(u: ComplexField, A: VectorPotential, delta: float,
     for _ in range(32):  # bisection (slope grows with c), to 2^-32 of the first bracket
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if mid * slope(mid) <= delta else (lo, mid)
-    return PairContext(dim, np.zeros(dim), rx, 2.0, numerator,
+    return PairContext(dim, np.zeros(dim), rx, 2.0, env.sup_value,
                        (mag_integrand, mod_integrand), inner_cutoff=lo, symmetric=True,
                        values=mod.evaluate, zero_floor=floor)
 

@@ -7,7 +7,8 @@ constants; ``sweep_family`` re-validates it on a deterministic held-out
 split.
 
 ``REPORTS``, read by the CLI and ``sweep_family``, maps each check name to
-one field's reports; they share one ``field_volumes`` memo, their ``_volume``.
+one field's reports, given that field's ``field_volumes`` memo, which the
+reports' checkers share as their ``_volume``.
 
 Tolerance policy: inequalities involving Monte Carlo estimates are
 asserted up to ``stat_margin`` (3x the combined standard errors,
@@ -349,50 +350,42 @@ class FamilySweep:
     excluded: List[tuple]             # (instance index, reason)
 
 
-def _logsobolev_reports(u, ps) -> list:
-    vol = field_volumes(u)
-    return [check_logsobolev_main(u, d, ps.engine, _volume=vol) for d in ps.deltas]
-
-
-def _envelope_reports(u, ps) -> list:
-    vol = field_volumes(u)
-    return [check_envelope_lsi(u, ps.envelope or MonotoneEnvelope.threshold(d), ps.engine,
-                               _volume=vol) for d in ps.deltas]
-
-
-def _magnetic_lsi_reports(u, ps) -> list:
+def _magnetic_lsi_reports(u, ps, _) -> list:
+    # the checker's volume calls take ComplexField(u, phase), so they get a
+    # memo of that field, not the one of u
     w = ComplexField(u, ps.phase)
     vol = field_volumes(w)
     return [check_magnetic_lsi(w, ps.potential, d, ps.engine, _volume=vol) for d in ps.deltas]
 
 
-def _euclidean_reports(u, ps) -> list:
+def _euclidean_reports(u, ps, vol) -> list:
     if any(a <= 0 for a in ps.a_values):  # before the volume, as check_euclidean_family does
         raise PreconditionError("parameter a must be positive")
-    vol = field_volumes(u)
     return [check_euclidean_family(u, a, _volume=vol) for a in ps.a_values]
 
 
-def _small_set_reports(u, ps) -> list:
-    vol = field_volumes(u)
-    return [check_small_set_bound(u, d, ps.lam, _volume=vol) for d in ps.deltas]
-
-
 # check -> (field, the CLI's built config or an object with the attributes the
-# entry reads) -> the field's reports, one per delta (per a for euclidean_family).
-# Entries look the checkers up at call time, so a rebinding of them reaches them.
+# entry reads, the field's ``field_volumes`` memo) -> the field's reports, one
+# per delta (per a for euclidean_family).  One memo serves every check of a
+# command on that field.  Entries look the checkers up at call time, so a
+# rebinding of them reaches them.
 REPORTS = {
-    "logsobolev_main": _logsobolev_reports,
-    "nonlocal_sobolev": lambda u, ps: [check_nonlocal_sobolev(u, d, ps.lam, ps.engine)
-                                       for d in ps.deltas],
-    "envelope_lsi": _envelope_reports,
+    "logsobolev_main": lambda u, ps, vol: [check_logsobolev_main(u, d, ps.engine, _volume=vol)
+                                           for d in ps.deltas],
+    "nonlocal_sobolev": lambda u, ps, vol: [check_nonlocal_sobolev(u, d, ps.lam, ps.engine)
+                                            for d in ps.deltas],
+    "envelope_lsi": lambda u, ps, vol: [
+        check_envelope_lsi(u, ps.envelope or MonotoneEnvelope.threshold(d), ps.engine,
+                           _volume=vol) for d in ps.deltas],
     "magnetic_lsi": _magnetic_lsi_reports,
-    "diamagnetic": lambda u, ps: [check_diamagnetic(ComplexField(u, ps.phase), ps.potential,
-                                                    d, ps.engine) for d in ps.deltas],
-    "gauss_lsi": lambda u, ps: [check_gauss_lsi(u)],
+    "diamagnetic": lambda u, ps, vol: [check_diamagnetic(ComplexField(u, ps.phase),
+                                                         ps.potential, d, ps.engine)
+                                       for d in ps.deltas],
+    "gauss_lsi": lambda u, ps, vol: [check_gauss_lsi(u)],
     "euclidean_family": _euclidean_reports,
-    "small_set_bound": _small_set_reports,
-    "jensen": lambda u, ps: [check_jensen(u)],
+    "small_set_bound": lambda u, ps, vol: [check_small_set_bound(u, d, ps.lam, _volume=vol)
+                                           for d in ps.deltas],
+    "jensen": lambda u, ps, vol: [check_jensen(u)],
 }
 FREE_CONSTANT_CHECKS = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
 
@@ -420,7 +413,7 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
         raise PreconditionError("empty field family")
     ps = SimpleNamespace(deltas=deltas, engine=engine, lam=lam, envelope=envelope)
     instances = [(fi, d) for fi in range(len(fields)) for d in deltas]
-    reports = [r for u in fields for r in REPORTS[inequality_id](u, ps)]
+    reports = [r for u in fields for r in REPORTS[inequality_id](u, ps, field_volumes(u))]
     excluded = [(i, r.notes or "degenerate") for i, r in enumerate(reports) if r.degenerate]
     usable = [i for i, r in enumerate(reports) if not r.degenerate]
     if not usable:

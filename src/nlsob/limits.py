@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _STABILITY_TOL = 0.05  # grid-doubling change of the sup ratio that still counts as stable
+DEFAULT_DELTAS = tuple(0.2 * 2.0 ** (-k) for k in range(6))  # the study's grid, largest first
 
 
 def gradient_limit_constant(dim: int) -> float:
@@ -137,7 +138,7 @@ def estimate_qn(dim: int, fields: Sequence[ScalarField], engine: EngineSpec,
     if len(fields) < 2:
         raise PreconditionError("estimate_qn needs at least two test fields")
     if deltas is None:
-        deltas = [0.2 * 2.0 ** (-k) for k in range(6)]
+        deltas = DEFAULT_DELTAS
     per_field = []
     for u in fields:
         if u.dim != dim:

@@ -123,6 +123,53 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=needle):
                 cli.validate_config(cfg)
 
+    @pytest.mark.parametrize("command,extra", [
+        ("check", {"checks": ["diamagnetic"], "phase": {"kind": "quadratic"}}),
+        ("check", {"checks": ["diamagnetic"], "phase": {"wave": [0.3, 0.0, -0.2]}}),
+        ("check", {"checks": ["diamagnetic"],
+                   "potential": {"kind": "zero", "vector": [0.5, -0.3, 0.2]}}),
+        ("check", {"checks": ["diamagnetic"],
+                   "potential": {"kind": "constant", "vector": [0.5, -0.3, 0.2],
+                                 "matrix": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                            [0.0, 0.0, 0.0]]}}),
+        ("eval", {"functionals": ["f_functional"],
+                  "kernel": {"delta": 0.1, "envelope": {"kind": "power", "q": 3.0, "p": 2.0}}}),
+        ("eval", {"functionals": ["f_functional"],
+                  "kernel": {"delta": 0.1,
+                             "envelope": {"kind": "threshold", "delta": 0.1, "q": 3.0}}}),
+    ], ids=["phase-quadratic", "phase-no-kind", "zero-potential-vector",
+            "constant-potential-matrix", "power-envelope-p", "threshold-envelope-q"])
+    def test_tagged_object_takes_its_own_keys_only(self, tmp_path, command, extra):
+        # each config but the one without a phase kind used to run on a
+        # Gaussian, exit 0 and ignore part of itself: a linear phase for the
+        # quadratic one, the vector of the zero potential, the matrix of the
+        # constant one, the p of the power envelope, the q of the threshold one
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0}], **extra)
+        with pytest.raises(ConfigError):
+            cli.validate_config(cfg)
+        rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_engine_mode_radial_is_config_error(self, tmp_path, capsys):
+        # the engine modes are auto and mc; "radial" used to be accepted
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0}],
+                          functionals=["i_delta"], engine={"mode": "radial"})
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown engine mode 'radial'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_foreign_key_of_a_kind_is_a_warning_without_strict(self, tmp_path, capsys):
+        cfg = base_config(functionals=["l2_norm_sq"],
+                          kernel={"delta": 0.1, "envelope": {"kind": "power", "q": 3.0, "p": 2.0}})
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path), "--no-strict"])
+        assert rc == 0
+        assert "warning: unknown key(s) ['p'] at $.kernel.envelope" in capsys.readouterr().err
+
     @pytest.mark.parametrize("deltas", [[], 0.5])
     @pytest.mark.parametrize("command", ["sweep", "constants", "check", "eval"])
     def test_empty_deltas_is_config_error(self, tmp_path, capsys, command, deltas):
@@ -304,6 +351,28 @@ class TestEval:
         assert energy["status"] == "error:DivergentIntegralError" and energy["value"] == ""
         assert l2["status"] == "ok" and l2["method"] == "mc"
         assert spy.call_count == 1
+
+    @pytest.mark.parametrize("field", [
+        {"shape": "gaussian", "dim": 3, "rate": 1.0},
+        {"shape": "sum", "dim": 3, "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+            {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+             "center": [0.0, -0.3, 0.1]}]},
+    ], ids=["gaussian", "sum"])
+    def test_threshold_envelope_writes_the_i_delta_row(self, tmp_path, field):
+        # f_functional of the config's threshold envelope at delta is I_delta
+        # there, on the radial engine and on Monte Carlo alike
+        cfg = base_config(fields=[field], functionals=["i_delta", "f_functional"],
+                          kernel={"delta": 0.1,
+                                  "envelope": {"kind": "threshold", "delta": 0.1}},
+                          engine={"mc": {"n_samples": 4800}, "radial": {"n_r": 12, "n_s": 16}})
+        assert cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                         "--out-dir", str(tmp_path)]) == 0
+        ind, env = read_rows(tmp_path / "out.csv")
+        assert (ind["functional"], env["functional"]) == ("i_delta", "f_functional")
+        keys = ("value", "stderr", "tail_bound", "method")
+        assert [env[k] for k in keys] == [ind[k] for k in keys]
+        assert float(ind["value"]) > 0.0
 
     def test_seed_override_changes_mc_output(self, tmp_path):
         cfg = base_config(functionals=["i_delta"],
@@ -506,6 +575,36 @@ class TestCheck:
             expect.append({k: str(v) for k, v in row.items()})
         assert read_rows(tmp_path / "out.csv") == expect
 
+    def test_checks_of_one_command_share_one_volume_memo_per_field(self, tmp_path):
+        # logsobolev_main, euclidean_family and small_set_bound on a
+        # Gaussian+bump sum over three deltas read 7 distinct volume
+        # quantities: the L² mass, entropy, Dirichlet energy, normalized
+        # critical integral and three superlevel integrals.  A memo per check
+        # made 10 passes; the rows are those of one command per check
+        from unittest import mock
+
+        from nlsob import quadrature
+        field = {"shape": "sum", "dim": 3, "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+            {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+             "center": [0.0, -0.3, 0.1]}]}
+        checks = ["logsobolev_main", "euclidean_family", "small_set_bound"]
+        cfg = base_config(fields=[field], kernel={"deltas": [0.2, 0.1, 0.05]}, checks=checks,
+                          engine={"mc": {"n_samples": 4800}}, output={"csv": "out.csv"})
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            rc = cli.main(["check", "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path / "all")])
+        assert (rc, spy.call_count) == (0, 7)
+        alone = []
+        for check in checks:
+            path = write_config(tmp_path, dict(cfg, checks=[check]))
+            assert cli.main(["check", "--config", path, "--out-dir", str(tmp_path / check)]) == 0
+            alone.append((tmp_path / check / "out.csv").read_text().splitlines(True))
+        header = alone[0][0]
+        assert (tmp_path / "all" / "out.csv").read_text() == \
+            header + "".join(row for lines in alone for row in lines[1:])
+
     def test_violated_inequality_exit_code(self, tmp_path, monkeypatch):
         from nlsob.inequalities import InequalityReport
 
@@ -544,6 +643,24 @@ class TestSweepAndConstants:
         assert (rc, spy.call_count) == (2, 0)
         assert "at least three deltas" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_no_grid_runs_the_default(self, tmp_path):
+        # a config without delta or deltas used to end sweep in an exit 2,
+        # "at least three deltas, got 1", naming a grid it never gave; sweep
+        # now runs the default grid of qn
+        from unittest import mock
+
+        from nlsob import limits
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                                  {"shape": "gaussian", "dim": 3, "rate": 0.5}],
+                          engine={"radial": {"n_r": 12, "n_s": 16}})
+        del cfg["kernel"]
+        with mock.patch.object(limits, "i_delta", wraps=limits.i_delta) as spy:
+            assert cli.main(["sweep", "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path)]) == 0
+        grid = [0.2 * 2.0 ** (-k) for k in range(6)]
+        assert [c.args[1].delta for c in spy.call_args_list] == grid + grid
+        assert [float(r["delta"]) for r in read_rows(tmp_path / "out.csv")] == grid + grid
 
     @pytest.mark.parametrize("command", ["sweep", "qn"])
     def test_only_the_p2_kernel(self, tmp_path, capsys, command):

@@ -220,20 +220,30 @@ class TestEnvelopes:
         lambda: MonotoneEnvelope.power_law(0.5),
         lambda: MonotoneEnvelope.threshold(math.nan),
         lambda: MonotoneEnvelope.threshold(-0.1),
+        lambda: default_engine(1, mode="radial"),
     ], ids=["delta-nan", "delta-inf", "delta-0", "p-nan", "p-inf", "p-half", "q-nan",
-            "q-inf", "q-half", "threshold-nan", "threshold-negative"])
+            "q-inf", "q-half", "threshold-nan", "threshold-negative", "mode-radial"])
     def test_invalid_parameters_rejected(self, make):
         # a NaN delta used to pass (NaN <= 0 is false), and its threshold
-        # envelope then took the smooth-envelope branch of _pair_functional
+        # envelope then took the smooth-envelope branch of _pair_functional.
+        # The engine modes are auto and mc; "radial" was one no caller set
         with pytest.raises(PreconditionError):
             make()
 
-    def test_reduction_consistency_bitwise(self, gauss3, engine, engine_mc_small):
-        thr = MonotoneEnvelope.threshold(0.1)
-        for eng in (engine, engine_mc_small):
-            a = f_functional(gauss3, thr, 2.0, eng)
-            b = i_delta(gauss3, KernelSpec(0.1), eng)
-            assert a.value == b.value
+    def test_reduction_consistency_bitwise(self, gauss3, bump3, engine, engine_mc_small):
+        # I_delta and its general-p variant are the envelope functional of
+        # the threshold envelope: the same Estimate, bit for bit, on both
+        # engines, on a non-radial sum, and on a field whose jump lies below
+        # delta (finite, one exactly truncated MC run) at p = 1.5
+        gsum = nl.FiniteSumField([gauss3, bump3.amplify(0.5).translate([0.0, 0.3, 0.0])])
+        jumpy = nl.FiniteSumField([nl.IndicatorField(3, 0.9, 1.0, (-0.1, 0.1, 0.0)),
+                                   nl.GaussianField(3, 1.0, 1.0, (0.2, -0.1, 0.0))])
+        cases = [(gauss3, 0.1, 2.0, eng) for eng in (engine, engine_mc_small)]
+        cases += [(gsum, 0.1, 2.0, engine_mc_small), (jumpy, 1.25, 1.5, engine_mc_small)]
+        for u, delta, p, eng in cases:
+            a = f_functional(u, MonotoneEnvelope.threshold(delta, p), p, eng)
+            b = (i_delta if p == 2.0 else i_delta_p)(u, KernelSpec(delta, p=p), eng)
+            assert a == b and 0.0 < b.value < math.inf
 
     def test_only_the_threshold_envelope_is_a_step(self):
         # step = True lets the radial engine take the plain indicator weight;

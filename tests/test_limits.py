@@ -84,6 +84,22 @@ class TestDeltaSweep:
             delta_sweep(spiky, [0.5, 0.25, 0.125], engine)
 
 
+class TestExtrapolation:
+    @pytest.mark.parametrize("ratios,expect", [
+        # d_ab * d_bc < 0: the last value, gamma 1, error half the last step
+        ([1.0, 1.2, 1.1], (1.1, 1.0, 0.5 * abs(1.1 - 1.2))),
+        # d_bc == 0
+        ([1.0, 1.1, 1.1], (1.1, 1.0, 0.0)),
+        # four deltas, both fits without a power law: the error is the
+        # spread of the two fits' last values, here the last step
+        ([1.0, 1.2, 1.1, 1.15], (1.15, 1.0, abs(1.15 - 1.1))),
+    ], ids=["3-sign-change", "3-flat", "4-sign-change"])
+    def test_no_consistent_power_law_reports_the_last_ratio(self, ratios, expect):
+        from nlsob.limits import _power_law_extrapolation
+        deltas = [0.2 * 2.0 ** (-k) for k in range(len(ratios))]
+        assert _power_law_extrapolation(deltas, ratios) == expect
+
+
 class TestEstimateQn:
     def test_needs_two_fields(self, engine, gauss3):
         with pytest.raises(PreconditionError):
