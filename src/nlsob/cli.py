@@ -105,6 +105,8 @@ _OUTPUT_KEYS = {"csv", "json"}
 
 
 def _check_keys(obj: dict, allowed: set, path: str, strict: bool):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         msg = f"unknown key(s) {sorted(unknown)} at {path}"
@@ -128,6 +130,8 @@ def _check_tagged(obj, tag: str, table: dict, path: str, strict: bool):
 def _check_field_dict(d: dict, path: str, strict: bool):
     _check_tagged(d, "shape", FIELD_SHAPES, path, strict)
     if d["shape"] == "sum":
+        if not isinstance(d["terms"], list):
+            raise ConfigError(f"{path}.terms must be a list")
         for i, t in enumerate(d["terms"]):
             _check_field_dict(t, f"{path}.terms[{i}]", strict)
 
@@ -159,6 +163,10 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     _check_keys(eng, _ENGINE_KEYS, "$.engine", strict)
     _check_keys(eng.get("mc", {}), _MC_KEYS, "$.engine.mc", strict)
     _check_keys(eng.get("radial", {}), _RADIAL_KEYS, "$.engine.radial", strict)
+    for key in ("functionals", "checks"):
+        names = cfg.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ConfigError(f"$.{key} must be a list of names")
     for name in cfg.get("functionals", []):
         if name not in _EVAL:
             raise ConfigError(f"unknown functional {name!r}")
@@ -172,6 +180,8 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     if "phase" in cfg:
         _check_tagged(cfg["phase"], "kind", _PHASES, "$.phase", strict)
     _check_keys(cfg.get("output", {}), _OUTPUT_KEYS, "$.output", strict)
+    if not all(isinstance(path, str) for path in cfg.get("output", {}).values()):
+        raise ConfigError("$.output paths must be strings")
     return cfg
 
 
@@ -196,7 +206,8 @@ def _build(cfg: dict, seed: int) -> SimpleNamespace:
             a_values=[float(a) for a in cfg.get("a_values", [1.0])],
             potential=_POTENTIALS[pot["kind"]][0](pot, cfg["dim"]),
             phase=_PHASES[phase["kind"]][0](phase))
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
+    # OverflowError: an int beyond float range; TypeError: a value of the wrong JSON type
+    except (ValueError, OverflowError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     if any(f.dim != cfg["dim"] for f in b.fields):
         raise ConfigError("field dimension disagrees with config dim")
@@ -369,9 +380,10 @@ def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     header = ["inequality_id", "field_hash", "delta", "constant", "family_constant",
               "held_out", "held_ok"]
     rows, summary = [], []
+    vols = [field_volumes(u) for u in b.fields]
     for check in checks:
         sw = sweep_family(b.fields, b.deltas, check, b.engine, seed=seed, lam=b.lam,
-                          envelope=b.envelope)
+                          envelope=b.envelope, volumes=vols)
         for idx, ((fi, d), rep) in enumerate(zip(sw.instances, sw.reports)):
             rows.append({
                 "inequality_id": check,

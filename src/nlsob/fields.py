@@ -547,12 +547,8 @@ class ClampedSpline:
     coefficients on [x[i], x[i+1]] in powers of (r - x[i]), highest first.
 
     ``clamped(x, y)`` is the interpolating spline with zero end slopes (de
-    Boor, *A Practical Guide to Splines*, ch. IV).  Construction and
-    evaluation repeat ``scipy.interpolate.CubicSpline(x, y, bc_type=((1, 0),
-    (1, 0)))`` step for step, so every coefficient and value is the same
-    double: the knot slopes come from the tridiagonal solve of LAPACK's
-    ``dgtsv``, row interchanges included, and a value is the power sum of
-    ``PPoly``.  Outside [x[0], x[-1]] the end pieces extend.
+    Boor, *A Practical Guide to Splines*, ch. IV).  Outside [x[0], x[-1]]
+    the end pieces extend.
     """
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
@@ -563,17 +559,20 @@ class ClampedSpline:
     def clamped(cls, x: np.ndarray, y: np.ndarray) -> "ClampedSpline":
         dx = np.diff(x)
         slope = np.diff(y) / dx
-        # equations for the knot slopes: end rows s = 0, interior rows
-        # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs
-        diag = np.ones_like(x)
-        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-        upper = np.zeros_like(dx)
-        upper[1:] = dx[:-1]
-        lower = np.zeros_like(dx)
-        lower[:-1] = dx[1:]
-        rhs = np.zeros_like(x)
-        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()))
+        # knot slopes: end rows s = 0, interior rows
+        # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i];
+        # strictly diagonally dominant, so Thomas's sweep needs no pivoting
+        h = dx.tolist()
+        diag = (2 * (dx[:-1] + dx[1:])).tolist()
+        rhs = (3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist()
+        for i in range(1, len(diag)):
+            w = h[i + 1] / diag[i - 1]
+            diag[i] -= w * h[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        s = [0.0] * x.size
+        for i in range(len(diag) - 1, -1, -1):
+            s[i + 1] = (rhs[i] - h[i] * s[i + 2]) / diag[i]
+        s = np.array(s)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         return cls(x, np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])))
 
@@ -583,52 +582,14 @@ class ClampedSpline:
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        # the piece of each r, end pieces extended, as clip(searchsorted(x, r,
-        # "right") - 1, 0, x.size - 2) gives it; take() gathers the same
-        # doubles as fancy indexing, at less cost
+        # the piece of each r, end pieces extended; take() gathers at less
+        # cost than fancy indexing
         i = np.searchsorted(self.x[1:-1], r, side="right")
         s = r - self.x.take(i)
-        out = 0.0 + self.c[-1].take(i)
-        z = s
-        for k in range(self.c.shape[0] - 2, -1, -1):
-            out = out + self.c[k].take(i) * z
-            if k:
-                z = z * s
+        out = self.c[0].take(i)
+        for c in self.c[1:]:
+            out = out * s + c.take(i)
         return out
-
-
-def _gtsv(dl: list, d: list, du: list, b: list) -> list:
-    """Solution of the tridiagonal system with sub-, main and super-diagonal
-    ``dl``, ``d``, ``du`` and right side ``b`` (lists, overwritten), by
-    Gaussian elimination with partial pivoting in the order of LAPACK's
-    ``dgtsv`` for one right side."""
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular tridiagonal system")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    if d[-1] == 0.0:
-        raise np.linalg.LinAlgError("singular tridiagonal system")
-    b[-1] = b[-1] / d[-1]
-    if n > 1:
-        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return b
 
 
 class RadialProfileField(RadialShapeField):

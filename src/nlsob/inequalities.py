@@ -108,13 +108,13 @@ class InequalityReport:
 
     def detail(self) -> dict:
         out = self.csv_row()
-        out["inputs"] = {k: v for k, v in self.inputs.items() if k != "field"}
+        out["inputs"] = self.inputs
         out["notes"] = self.notes
         return out
 
 
 def _prov(u, delta=None, engine: Optional[EngineSpec] = None, **extra) -> dict:
-    d = {"field": u.to_dict(), "field_hash": descriptor_hash(u)}
+    d = {"field_hash": descriptor_hash(u)}
     if delta is not None:
         d["delta"] = delta
     if engine is not None:
@@ -341,7 +341,7 @@ class FamilySweep:
     """Per-instance reports plus the family constant and held-out check."""
 
     inequality_id: str
-    instances: List[tuple]            # (field_index, delta)
+    instances: List[tuple]            # (field_index, delta or None)
     reports: List[InequalityReport]
     train_idx: List[int]
     held_idx: List[int]
@@ -374,9 +374,10 @@ REPORTS = {
                                            for d in ps.deltas],
     "nonlocal_sobolev": lambda u, ps, vol: [check_nonlocal_sobolev(u, d, ps.lam, ps.engine)
                                             for d in ps.deltas],
+    # a given envelope is one instance per field, else each delta's threshold
     "envelope_lsi": lambda u, ps, vol: [
-        check_envelope_lsi(u, ps.envelope or MonotoneEnvelope.threshold(d), ps.engine,
-                           _volume=vol) for d in ps.deltas],
+        check_envelope_lsi(u, env, ps.engine, _volume=vol) for env in
+        ([ps.envelope] if ps.envelope else [MonotoneEnvelope.threshold(d) for d in ps.deltas])],
     "magnetic_lsi": _magnetic_lsi_reports,
     "diamagnetic": lambda u, ps, vol: [check_diamagnetic(ComplexField(u, ps.phase),
                                                          ps.potential, d, ps.engine)
@@ -399,10 +400,14 @@ def family_constant(reports: Sequence[InequalityReport]) -> Optional[float]:
 
 def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
                  inequality_id: str, engine: EngineSpec, *, seed: int = 0,
-                 lam: float = 1.0, envelope: Optional[MonotoneEnvelope] = None) -> FamilySweep:
-    """Run one free-constant checker over fields x deltas; the family
-    constant is the supremum of the per-instance admissible constants,
-    re-validated end to end on a deterministic 20% held-out subset.
+                 lam: float = 1.0, envelope: Optional[MonotoneEnvelope] = None,
+                 volumes: Optional[Sequence[Callable]] = None) -> FamilySweep:
+    """Run one free-constant checker over its instances, one per field and
+    delta, or one per field for envelope_lsi with a given ``envelope``; the
+    family constant is the supremum of the per-instance admissible
+    constants, re-validated end to end on a deterministic 20% held-out
+    subset.  ``volumes`` holds each field's ``field_volumes`` memo, to share
+    it with other checks; by default each field gets its own.
 
     The split is deterministic in ``seed``.  Diverged instances are
     excluded from the constant and reported.
@@ -412,8 +417,11 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
     if not fields:
         raise PreconditionError("empty field family")
     ps = SimpleNamespace(deltas=deltas, engine=engine, lam=lam, envelope=envelope)
-    instances = [(fi, d) for fi in range(len(fields)) for d in deltas]
-    reports = [r for u in fields for r in REPORTS[inequality_id](u, ps, field_volumes(u))]
+    per_field = [REPORTS[inequality_id](u, ps, vol) for u, vol in
+                 zip(fields, volumes or [field_volumes(u) for u in fields])]
+    labels = [None] if inequality_id == "envelope_lsi" and envelope else deltas
+    instances = [(fi, d) for fi, rs in enumerate(per_field) for d, _ in zip(labels, rs)]
+    reports = [r for rs in per_field for r in rs]
     excluded = [(i, r.notes or "degenerate") for i, r in enumerate(reports) if r.degenerate]
     usable = [i for i, r in enumerate(reports) if not r.degenerate]
     if not usable:

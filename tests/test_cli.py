@@ -11,7 +11,7 @@ import nlsob.cli as cli
 import nlsob.functionals as fn
 import nlsob.inequalities as inequalities
 from nlsob.errors import ConfigError
-from nlsob.fields import field_from_dict
+from nlsob.fields import descriptor_hash, field_from_dict
 
 from conftest import rel_err
 
@@ -201,6 +201,26 @@ class TestConfigValidation:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and "Traceback" not in err
             assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("extra", [
+        {"kernel": 5},
+        {"fields": [{"shape": "sum", "dim": 3, "terms": 5}]},
+        {"potential": {"kind": "constant", "vector": 5}},
+        {"checks": 5},
+        {"checks": [["diamagnetic"]]},
+        {"functionals": 5},
+        {"output": {"csv": 5}},
+    ], ids=["kernel", "sum-terms", "potential-vector", "checks", "check-name", "functionals",
+            "output-csv"])
+    def test_wrong_json_type_is_config_error(self, tmp_path, capsys, extra):
+        # each used to end in a TypeError traceback (exit 1)
+        cfg = dict(base_config(checks=["diamagnetic"], output={"csv": "out.csv"}), **extra)
+        rc = cli.main(["check", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "check", "sweep", "constants", "qn"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, command):
@@ -726,6 +746,51 @@ class TestSweepAndConstants:
                       for u in b.fields for d in b.deltas]
         assert (shared.call_count, alone.call_count) == (3, 9)
         assert [r["constant"] for r in read_rows(tmp_path / "out.csv")] == expect
+
+    def test_constants_checks_share_one_volume_memo_per_field(self, tmp_path):
+        # logsobolev_main and envelope_lsi read the same L² mass and entropy
+        # of the Gaussian+bump sum: 2 volume passes for both checks, where a
+        # memo per check made 4, and the rows of one command per check
+        from unittest import mock
+
+        from nlsob import quadrature
+        field = {"shape": "sum", "dim": 3, "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+            {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+             "center": [0.0, -0.3, 0.1]}]}
+        checks = ["logsobolev_main", "envelope_lsi"]
+        cfg = base_config(fields=[field], kernel={"deltas": [0.2, 0.1, 0.05]}, checks=checks,
+                          engine={"mc": {"n_samples": 4800}}, output={"csv": "out.csv"})
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            assert cli.main(["constants", "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path / "all")]) == 0
+        assert spy.call_count == 2
+        alone = []
+        for check in checks:
+            path = write_config(tmp_path, dict(cfg, checks=[check]))
+            assert cli.main(["constants", "--config", path,
+                             "--out-dir", str(tmp_path / check)]) == 0
+            alone.append((tmp_path / check / "out.csv").read_text().splitlines(True))
+        assert (tmp_path / "all" / "out.csv").read_text() == \
+            alone[0][0] + "".join(row for lines in alone for row in lines[1:])
+
+    def test_given_envelope_is_one_instance_per_field(self, tmp_path):
+        # envelope_lsi with kernel.envelope has no delta: check used to write
+        # one identical row per delta, and constants to label the copies
+        # with the deltas and hold one of them out against the others
+        fields = [{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                  {"shape": "gaussian", "dim": 3, "rate": 2.0}]
+        kernel = {"deltas": [0.2, 0.1, 0.05], "envelope": {"kind": "power", "q": 3.0}}
+        hashes = [descriptor_hash(field_from_dict(f)) for f in fields]
+        for command in ("check", "constants"):
+            cfg = base_config(fields=fields, kernel=kernel, checks=["envelope_lsi"],
+                              output={"csv": "out.csv"})
+            assert cli.main([command, "--config", write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path / command)]) == 0
+            rows = read_rows(tmp_path / command / "out.csv")
+            assert [(r["field_hash"], r["delta"]) for r in rows] == [(h, "") for h in hashes]
+        assert [r["held_out"] for r in rows].count("True") == 1
 
     def test_magnetic_checks_share_one_volume_pair(self, tmp_path):
         # magnetic_lsi estimates the L² mass and entropy of |u| once for
