@@ -180,35 +180,41 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     if "phase" in cfg:
         _check_tagged(cfg["phase"], "kind", _PHASES, "$.phase", strict)
     _check_keys(cfg.get("output", {}), _OUTPUT_KEYS, "$.output", strict)
-    if not all(isinstance(path, str) for path in cfg.get("output", {}).values()):
-        raise ConfigError("$.output paths must be strings")
+    for key, path in cfg.get("output", {}).items():
+        if not isinstance(path, str) or os.path.basename(path) in ("", ".", ".."):
+            raise ConfigError(f"$.output.{key} must be a string that names a file, not {path!r}")
     return cfg
 
 
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value it rejects is a config error that
+    names ``path``, the part of the config the value came from."""
+    try:
+        return make(*args, **kwargs)
+    # OverflowError: an int beyond float range; TypeError: a value of the wrong JSON type
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _build(cfg: dict, seed: int) -> SimpleNamespace:
-    """The objects of a validated config, built once per command; a value
-    their constructors reject is a config error."""
+    """The objects of a validated config, built once per command."""
     kern, eng = cfg.get("kernel", {}), cfg.get("engine", {})
     env = kern.get("envelope")
     pot = cfg.get("potential", {"kind": "zero"})
     phase = cfg.get("phase", {"kind": "linear"})
-    try:
-        b = SimpleNamespace(
-            fields=[field_from_dict(d) for d in cfg["fields"]],
-            deltas=[float(d) for d in kern.get("deltas", [kern.get("delta", 0.1)])],
-            engine=EngineSpec(mc=McSpec(master_seed=seed, **eng.get("mc", {})),
-                              radial=RadialSpec(**eng.get("radial", {})),
-                              mode=eng.get("mode", "auto")),
-            envelope=None if env is None else _ENVELOPES[env["kind"]][0](env),
-            p=float(kern.get("p", 2.0)),
-            omega=float(cfg.get("omega", 0.0)),
-            lam=float(cfg.get("lambda", 1.0)),
-            a_values=[float(a) for a in cfg.get("a_values", [1.0])],
-            potential=_POTENTIALS[pot["kind"]][0](pot, cfg["dim"]),
-            phase=_PHASES[phase["kind"]][0](phase))
-    # OverflowError: an int beyond float range; TypeError: a value of the wrong JSON type
-    except (ValueError, OverflowError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    mc = _built("$.engine.mc", McSpec, seed, **eng.get("mc", {}))
+    radial = _built("$.engine.radial", RadialSpec, **eng.get("radial", {}))
+    b = SimpleNamespace(
+        fields=[_built(f"$.fields[{i}]", field_from_dict, d) for i, d in enumerate(cfg["fields"])],
+        deltas=[_built("$.kernel", float, d) for d in kern.get("deltas", [kern.get("delta", 0.1)])],
+        engine=_built("$.engine", EngineSpec, mc, radial, eng.get("mode", "auto")),
+        envelope=env and _built("$.kernel.envelope", _ENVELOPES[env["kind"]][0], env),
+        p=_built("$.kernel.p", float, kern.get("p", 2.0)),
+        omega=_built("$.omega", float, cfg.get("omega", 0.0)),
+        lam=_built("$.lambda", float, cfg.get("lambda", 1.0)),
+        a_values=_built("$.a_values", lambda: [float(a) for a in cfg.get("a_values", [1.0])]),
+        potential=_built("$.potential", _POTENTIALS[pot["kind"]][0], pot, cfg["dim"]),
+        phase=_built("$.phase", _PHASES[phase["kind"]][0], phase))
     if any(f.dim != cfg["dim"] for f in b.fields):
         raise ConfigError("field dimension disagrees with config dim")
     return b
@@ -255,7 +261,7 @@ def _write_outputs(cfg: dict, out_dir: Optional[str], command: str, header: List
     """The CSV always, the JSON payload where the config names a path."""
     out = cfg.get("output", {})
     _write_csv(os.path.join(out_dir or "", out.get("csv", f"{command}.csv")), header, rows)
-    if out.get("json"):
+    if "json" in out:
         _write_json(os.path.join(out_dir or "", out["json"]), payload)
 
 
@@ -451,6 +457,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         validate_config(cfg, strict=args.strict)
         seed = args.seed if args.seed is not None else cfg["seed"]
+        if seed < 0:  # the config's own seed passed validate_config
+            raise ConfigError("--seed must be >= 0")
         return _COMMANDS[args.command](cfg, seed, args.out_dir)
     except (ConfigError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -81,6 +81,11 @@ __all__ = [
 # parameter types
 # ---------------------------------------------------------------------------
 
+# the grid end and the tolerance of MonotoneEnvelope.validate
+_VALIDATE_T_MAX = 4.0
+_VALIDATE_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class MonotoneEnvelope:
     """Non-decreasing envelope F with sub-homogeneity F(t s) <= t^beta F(s).
@@ -121,24 +126,24 @@ class MonotoneEnvelope:
             beta=p, name=f"threshold:{delta}", small_t_power=p,
             zero_below=delta, sup_value=num, step=True)
 
-    def validate(self, t_max: float = 4.0, tol: float = 1e-12) -> None:
-        """Monotonicity plus (unless a step) sub-homogeneity on a 50x50 grid.
+    def validate(self) -> None:
+        """Monotonicity plus (unless a step) sub-homogeneity on a 50x50 grid
+        over [0, _VALIDATE_T_MAX].
 
         The sub-homogeneity tolerance is relative to the right side, so
         rounding in large values of F does not count as a violation.
         """
-        ts = np.linspace(0.0, t_max, 50)
+        ts = np.linspace(0.0, _VALIDATE_T_MAX, 50)
         vals = self.fn(ts)
-        if np.any(vals < -tol):
+        if np.any(vals < -_VALIDATE_TOL):
             raise PreconditionError(f"envelope {self.name} takes negative values")
-        if np.any(np.diff(vals) < -tol):
+        if np.any(np.diff(vals) < -_VALIDATE_TOL):
             raise PreconditionError(f"envelope {self.name} is not non-decreasing")
         if not self.step:
-            t = np.linspace(0.0, t_max, 50)[:, None]
-            s = np.linspace(0.0, t_max, 50)[None, :]
+            t, s = ts[:, None], ts[None, :]
             lhs = self.fn(t * s)
             rhs = t ** self.beta * self.fn(np.broadcast_to(s, lhs.shape))
-            if np.any(lhs > rhs + tol * np.maximum(np.abs(rhs), 1.0)):
+            if np.any(lhs > rhs + _VALIDATE_TOL * np.maximum(np.abs(rhs), 1.0)):
                 raise PreconditionError(
                     f"envelope {self.name} violates sub-homogeneity with beta={self.beta}")
 
@@ -446,32 +451,21 @@ def _real_part(u: Union[ScalarField, ComplexField]) -> ScalarField:
     return u.modulus if isinstance(u, ComplexField) else u
 
 
-def _closed_form_or_quadrature(f: ScalarField, closed_form: Callable[[], Optional[float]],
-                               quadrature: Callable[[], Estimate], method: str) -> Estimate:
-    """The one rule of every volume quantity.
-
-    method: 'auto' prefers the field's closed form, 'closed_form' requires
-    one, 'quadrature' integrates.  A field without a decay envelope has no
-    quadrature, so its closed form, or its divergence, stands under every
-    method.
-    """
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise PreconditionError(f"unknown method {method!r}")
-    if method != "quadrature" or not f.decays:
-        val = closed_form()
-        if val is not None:
-            return Estimate(val, method="closed_form")
-        if method == "closed_form":
-            raise UnsupportedOperationError(f"no closed form for {type(f).__name__}")
-    return quadrature()
+def _closed_form_or_quadrature(closed_form: Callable[[], Optional[float]],
+                               quadrature: Callable[[], Estimate]) -> Estimate:
+    """The one rule of every volume quantity: the field's closed form, or
+    the divergence it raises, where there is one; the quadrature otherwise.
+    Tests reach the quadrature itself through
+    ``quadrature.lebesgue_volume_integral`` and ``dirichlet_quadrature``."""
+    val = closed_form()
+    return quadrature() if val is None else Estimate(val, method="closed_form")
 
 
-def lp_power_integral(u: ScalarField, q: float, method: str = "auto") -> Estimate:
+def lp_power_integral(u: ScalarField, q: float) -> Estimate:
     """Integral of |u|^q over R^N."""
     return _closed_form_or_quadrature(
-        u, lambda: u.lp_power_closed_form(q),
-        lambda: quad.lebesgue_volume_integral(u, lambda v: np.abs(v) ** q, power_hint=q),
-        method)
+        lambda: u.lp_power_closed_form(q),
+        lambda: quad.lebesgue_volume_integral(u, (lambda v: np.abs(v) ** q,), q)[0])
 
 
 def restricted_power_integral(u: ScalarField, q: float, level: float) -> Estimate:
@@ -494,72 +488,66 @@ def restricted_power_integral(u: ScalarField, q: float, level: float) -> Estimat
                 quad.uniform_panels(e1, e2, 24, splits=prof.knots), 8)
             total += float(np.sum(w * np.abs(g(nodes)) ** q * nodes ** (u.dim - 1)))
         return Estimate(sphere_surface(u.dim) * total, method="radial")
-    def fn(pts):
-        a = np.abs(u.evaluate(pts))
+    def fn(v):
+        a = np.abs(v)
         return np.where(a > level, a ** q, 0.0)
 
-    return quad.volume_integrate(fn, u)
+    return quad.volume_integrate((fn,), u, u.evaluate)[0]
 
 
-def log_moment_lp_estimate(u: Union[ScalarField, ComplexField], p: float,
-                           method: str = "auto") -> Estimate:
+def log_moment_lp_estimate(u: Union[ScalarField, ComplexField], p: float) -> Estimate:
     """Integral of |u|^p log |u|^p, with 0 log 0 = 0."""
     f = _real_part(u)
     return _closed_form_or_quadrature(
-        f, lambda: f.log_moment_closed_form(p),
-        lambda: quad.lebesgue_volume_integral(f, lambda v: xlogx(np.abs(v) ** p),
-                                              power_hint=p),
-        method)
+        lambda: f.log_moment_closed_form(p),
+        lambda: quad.lebesgue_volume_integral(f, (lambda v: xlogx(np.abs(v) ** p),), p)[0])
 
 
-def log_moment_lp(u, p: float, method: str = "auto") -> float:
-    return log_moment_lp_estimate(u, p, method).value
+def log_moment_lp(u, p: float) -> float:
+    return log_moment_lp_estimate(u, p).value
 
 
-def l2_norm_sq_estimate(u: Union[ScalarField, ComplexField],
-                        method: str = "auto") -> Estimate:
+def l2_norm_sq_estimate(u: Union[ScalarField, ComplexField]) -> Estimate:
     """Integral of |u|^2 over R^N."""
     f = _real_part(u)
     return _closed_form_or_quadrature(
-        f, f.l2_norm_sq_closed_form,
-        lambda: quad.lebesgue_volume_integral(f, lambda v: v * v, power_hint=2.0), method)
+        f.l2_norm_sq_closed_form,
+        lambda: quad.lebesgue_volume_integral(f, (lambda v: v * v,), 2.0)[0])
 
 
-def l2_norm_sq(u, method: str = "auto") -> float:
-    return l2_norm_sq_estimate(u, method).value
+def l2_norm_sq(u) -> float:
+    return l2_norm_sq_estimate(u).value
 
 
-def dirichlet_energy_estimate(u: ScalarField, method: str = "auto") -> Estimate:
+def dirichlet_energy_estimate(u: ScalarField) -> Estimate:
     """Integral of |grad u|^2 over R^N."""
     if not u.differentiable:
         raise UnsupportedOperationError("Dirichlet energy is infinite for jump fields")
-    return _closed_form_or_quadrature(u, u.dirichlet_closed_form,
-                                      lambda: quad.dirichlet_quadrature(u), method)
+    return _closed_form_or_quadrature(u.dirichlet_closed_form,
+                                      lambda: quad.dirichlet_quadrature(u))
 
 
-def dirichlet_energy(u: ScalarField, method: str = "auto") -> float:
-    return dirichlet_energy_estimate(u, method).value
+def dirichlet_energy(u: ScalarField) -> float:
+    return dirichlet_energy_estimate(u).value
 
 
-def entropy_l2_estimate(u: Union[ScalarField, ComplexField],
-                        method: str = "auto", *, l2: Optional[Estimate] = None) -> Estimate:
+def entropy_l2_estimate(u: Union[ScalarField, ComplexField], *,
+                        l2: Optional[Estimate] = None) -> Estimate:
     """Entropy of the normalized density u^2 / ||u||^2 (scale invariant).
     ``l2``, when given, is the caller's ``l2_norm_sq_estimate(u)`` and
     serves as the normalising mass."""
     f = _real_part(u)
-    nsq = l2 if l2 is not None else l2_norm_sq_estimate(
-        f, method="auto" if method == "quadrature" else method)
+    nsq = l2 if l2 is not None else l2_norm_sq_estimate(f)
     if nsq.value <= 0.0:
         raise ZeroFieldError("entropy undefined for the zero field")
     m = nsq.value
     return _closed_form_or_quadrature(
-        f, f.entropy_l2_closed_form,
-        lambda: quad.lebesgue_volume_integral(f, lambda v: xlogx(v * v / m), power_hint=2.0),
-        method)
+        f.entropy_l2_closed_form,
+        lambda: quad.lebesgue_volume_integral(f, (lambda v: xlogx(v * v / m),), 2.0)[0])
 
 
-def entropy_l2(u, method: str = "auto") -> float:
-    return entropy_l2_estimate(u, method).value
+def entropy_l2(u) -> float:
+    return entropy_l2_estimate(u).value
 
 
 def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
@@ -584,7 +572,7 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
         # mass: the volume integrals below raise DivergentIntegralError
         base = _real_part(f)
         mass, flogf = (e.value for e in quad.lebesgue_volume_integral(
-            base, (lambda v: v, xlogx), power_hint=1.0))
+            base, (lambda v: v, xlogx), 1.0))
     else:
         vals = lambda pts: (f.evaluate(pts) ** 2 if square else f.evaluate(pts))
         mass, flogf = _gauss_expectation(f, (lambda v: v, xlogx), values=vals)
@@ -616,12 +604,10 @@ def field_volumes(u) -> Callable:
 _GAUSS_MC_SPEC = McSpec(master_seed=271828182, n_samples=384000, chunk_size=4800)
 
 
-def _gauss_expectation(field, fn_pts, spec: Optional[McSpec] = None, values=None):
-    """Integral of fn(x), or of fn(values(x)), against the probability
-    measure e^{-pi |x|^2} dx.  A tuple of fns gives a list of integrals,
-    all on the same nodes or the same Monte Carlo samples."""
-    fns = fn_pts if isinstance(fn_pts, tuple) else (fn_pts,)
-    at = values or (lambda pts: pts)
+def _gauss_expectation(field, fns: tuple, values) -> list:
+    """Integrals of fn(values(x)) against the probability measure
+    e^{-pi |x|^2} dx, one per fn, all on the same nodes or the same Monte
+    Carlo samples."""
     # each fn reads (values, Gauss weight), both computed once per node set
     weighted = tuple(lambda vw, f=f: f(vw[0]) * vw[1] for f in fns)
     n = field.dim
@@ -633,17 +619,14 @@ def _gauss_expectation(field, fn_pts, spec: Optional[McSpec] = None, values=None
         except (UnsupportedOperationError, OverflowError):
             pass
         e1 = np.eye(n)[0]
-        vals = quad.radial_volume_value(
+        return quad.radial_volume_value(
             weighted, n, r_max, knots=prof.knots, n_panels=96,
-            values=lambda r: (at(r[:, None] * e1[None, :]), np.exp(-math.pi * r * r)))
-    else:
-        sp = spec if spec is not None else _GAUSS_MC_SPEC
-        # the proposal is the Gauss measure itself: a centred normal of
-        # variance 1 / (2 pi) per coordinate
-        vals = [e.value for e in quad.mc_volume_value(
-            weighted, n, [(np.zeros(n), 1.0 / math.sqrt(2.0 * math.pi))], sp,
-            lambda pts: (at(pts), np.exp(-math.pi * row_sq_norms(pts))))]
-    return vals if isinstance(fn_pts, tuple) else vals[0]
+            values=lambda r: (values(r[:, None] * e1[None, :]), np.exp(-math.pi * r * r)))
+    # the proposal is the Gauss measure itself: a centred normal of
+    # variance 1 / (2 pi) per coordinate
+    return [e.value for e in quad.mc_volume_value(
+        weighted, n, [(np.zeros(n), 1.0 / math.sqrt(2.0 * math.pi))], _GAUSS_MC_SPEC,
+        lambda pts: (values(pts), np.exp(-math.pi * row_sq_norms(pts))))]
 
 
 def gauss_lsi_sides(u: ScalarField) -> tuple:

@@ -959,23 +959,21 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
 # volume integrals
 # ---------------------------------------------------------------------------
 
-def radial_volume_value(fn_r, dim: int, r_max: float, knots: Sequence[float] = (),
-                        n_panels: int = 64, values=None):
-    """Deterministic integral over R^N of a radial integrand fn(|x|), or of
-    fn(values(|x|)), by 8-point Gauss rules on ``n_panels`` panels; a tuple
-    of fns gives a list on shared nodes, with one ``values`` of them."""
+def radial_volume_value(fns: tuple, dim: int, r_max: float, values,
+                        knots: Sequence[float] = (), n_panels: int = 64) -> list:
+    """Deterministic integrals over R^N of radial integrands fn(values(|x|)),
+    one per fn, by 8-point Gauss rules on ``n_panels`` panels: shared
+    nodes and one ``values`` of them."""
     panels = uniform_panels(0.0, r_max, n_panels, splits=knots)
     nodes, w = panel_nodes(panels, 8)
-    v = nodes if values is None else values(nodes)
-    out = [sphere_surface(dim) * float(np.sum(w * f(v) * nodes ** (dim - 1)))
-           for f in (fn_r if isinstance(fn_r, tuple) else (fn_r,))]
-    return out if isinstance(fn_r, tuple) else out[0]
+    v = values(nodes)
+    return [sphere_surface(dim) * float(np.sum(w * f(v) * nodes ** (dim - 1))) for f in fns]
 
 
-def mc_volume_value(fns: tuple, dim: int, components, spec: McSpec, values=None) -> list:
-    """Plain importance-sampled volume integrals with a Gaussian mixture
-    proposal, one per integrand, all on one sample stream, one proposal
-    density and one ``values`` of the points (if given) per chunk."""
+def mc_volume_value(fns: tuple, dim: int, components, spec: McSpec, values) -> list:
+    """Plain importance-sampled volume integrals of fn(values(x)) with a
+    Gaussian mixture proposal, one per fn, all on one sample stream, one
+    proposal density and one ``values`` of the points per chunk."""
     comps = [(np.asarray(c, dtype=float), float(s)) for c, s in components]
     k = len(comps)
     m = spec.chunk_size
@@ -995,7 +993,7 @@ def mc_volume_value(fns: tuple, dim: int, components, spec: McSpec, values=None)
         for (c, s), nc in zip(comps, norms):
             q += np.exp(-0.5 * row_sq_norms(x, c) / (s * s)) / nc
         q /= k
-        v = x if values is None else values(x)
+        v = values(x)
         chunks.append([(float(zeta.sum()), float((zeta * zeta).sum()), m)
                        for zeta in (f(v) / q for f in fns)])
     return [Estimate(*_reduce_triples(t, 1.0), 0.0, "mc") for t in zip(*chunks)]
@@ -1005,56 +1003,49 @@ _DEFAULT_VOLUME_SPEC = McSpec(master_seed=1812051820, n_samples=192000,
                               chunk_size=4800)
 
 
-def volume_integrate(integrand, field, spec: Optional[McSpec] = None,
-                     tail_eps: float = 1e-9, values=None):
-    """Integral over R^N of ``integrand(points)``, or of ``integrand(values(points))``;
-    a tuple gives a list on shared nodes, with one ``values`` per node set.
+def volume_integrate(fns: tuple, field, values, tail_eps: float = 1e-9) -> list:
+    """Integrals over R^N of fn(values(points)), one per fn, on shared nodes
+    with one ``values`` per node set.
 
     The field supplies geometry only: a radial field routes to the
-    deterministic radial rule (the integrand must then be radial about
+    deterministic radial rule (the integrands must then be radial about
     the field's center); anything else is integrated by MC under a
     mixture proposal adapted to the field.  Non-decaying fields are
     rejected since no sound truncation exists.
     """
-    fns = integrand if isinstance(integrand, tuple) else (integrand,)
     if not field.decays:
         raise DivergentIntegralError("field has no decay envelope; integral not truncatable")
     prof = field.radial_profile()
-    if prof is not None:
-        if prof.support_radius < math.inf:
-            r_max = prof.support_radius
-        else:
-            r_max = prof.decay_radius(tail_eps * max(prof.sup, 1.0))
-            if not math.isfinite(r_max):
-                raise DivergentIntegralError("field does not decay below the tail tolerance")
-        center, e1 = field.center, np.eye(field.dim)[0]
-        at = values or (lambda pts: pts)
-        ests = [Estimate(v, 0.0, 0, 0.0, "radial") for v in radial_volume_value(
-            fns, field.dim, max(r_max, 1e-12), knots=prof.knots,
-            values=lambda r: at(center[None, :] + r[:, None] * e1[None, :]))]
+    if prof is None:
+        return mc_volume_value(fns, field.dim, field.proposal_components(),
+                               _DEFAULT_VOLUME_SPEC, values)
+    if prof.support_radius < math.inf:
+        r_max = prof.support_radius
     else:
-        sp = spec if spec is not None else _DEFAULT_VOLUME_SPEC
-        ests = mc_volume_value(fns, field.dim, field.proposal_components(), sp, values)
-    return ests if isinstance(integrand, tuple) else ests[0]
+        r_max = prof.decay_radius(tail_eps * max(prof.sup, 1.0))
+        if not math.isfinite(r_max):
+            raise DivergentIntegralError("field does not decay below the tail tolerance")
+    center, e1 = field.center, np.eye(field.dim)[0]
+    return [Estimate(v, 0.0, 0, 0.0, "radial") for v in radial_volume_value(
+        fns, field.dim, max(r_max, 1e-12), knots=prof.knots,
+        values=lambda r: values(center[None, :] + r[:, None] * e1[None, :]))]
 
 
-def lebesgue_volume_integral(field, fn_of_u, power_hint: float = 2.0,
-                             spec: Optional[McSpec] = None):
-    """Integral of fn(u(x)) dx, using the field's own evaluations; a tuple
-    of fns gives a list, as in ``volume_integrate``."""
-    eps = (1e-14) ** (1.0 / power_hint) * max(getattr(field, "sup_bound", 1.0), 1.0)
-    return volume_integrate(fn_of_u, field, spec=spec, tail_eps=min(eps, 1e-6),
-                            values=field.evaluate)
+def lebesgue_volume_integral(field, fns: tuple, power_hint: float) -> list:
+    """Integrals of fn(u(x)) dx, one per fn, on the field's own evaluations,
+    as in ``volume_integrate``; the tail tolerance follows |u|^power_hint."""
+    eps = (1e-14) ** (1.0 / power_hint) * max(field.sup_bound, 1.0)
+    return volume_integrate(fns, field, field.evaluate, tail_eps=min(eps, 1e-6))
 
 
-def dirichlet_quadrature(field, spec: Optional[McSpec] = None) -> Estimate:
+def dirichlet_quadrature(field) -> Estimate:
     """Quadrature fallback for the Dirichlet energy."""
     prof = field.radial_profile()
     if prof is not None and prof.dg is not None:
         # g' vanishes where g has settled, which need not be where g decays
         r_max = (prof.support_radius if prof.support_radius < math.inf
                  else prof.flat_radius(1e-8 * max(prof.sup, 1.0)))
-        val = radial_volume_value(lambda r: prof.dg(r) ** 2, field.dim,
-                                  max(r_max, 1e-12), knots=prof.knots)
+        (val,) = radial_volume_value((lambda d: d ** 2,), field.dim, max(r_max, 1e-12),
+                                     prof.dg, knots=prof.knots)
         return Estimate(val, 0.0, 0, 0.0, "radial")
-    return volume_integrate(lambda pts: row_sq_norms(field.gradient(pts)), field, spec)
+    return volume_integrate((row_sq_norms,), field, field.gradient)[0]

@@ -222,6 +222,51 @@ class TestConfigValidation:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("output", [
+        {"csv": ""}, {"csv": "sub/"}, {"json": ""}, {"json": "sub/."},
+    ], ids=["csv-empty", "csv-directory", "json-empty", "json-dot"])
+    def test_output_path_without_a_file_name_is_config_error(self, tmp_path, capsys, output):
+        # an empty csv path, or one ending in "/", used to exit 1 with
+        # NotADirectoryError after every estimate had run; an empty json path
+        # wrote no JSON and exited 0
+        cfg = base_config(functionals=["l2_norm_sq"], output=output)
+        with pytest.raises(ConfigError, match="names a file"):
+            cli.validate_config(cfg)
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: $.output.{next(iter(output))} must be a string")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra,path", [
+        ({"fields": [{"shape": "gaussian", "dim": 3, "rate": 1.0, "center": 5}]}, "$.fields[0]"),
+        ({"fields": [{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                     {"shape": "gaussian", "dim": 3, "rate": -1.0}]}, "$.fields[1]"),
+        ({"a_values": 5}, "$.a_values"),
+        ({"potential": {"kind": "constant", "vector": 5}}, "$.potential"),
+        ({"potential": {"kind": "linear_b",
+                        "matrix": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}},
+         "$.potential"),
+        ({"phase": {"kind": "linear", "wave": 5}}, "$.phase"),
+        ({"kernel": {"delta": 0.1, "envelope": {"kind": "power", "q": 0.5}}},
+         "$.kernel.envelope"),
+        ({"engine": {"mc": {"n_samples": 1000}}}, "$.engine.mc"),
+        ({"engine": {"radial": {"n_r": 0}}}, "$.engine.radial"),
+        ({"engine": {"mode": "radial"}}, "$.engine"),
+    ], ids=["center", "second-field-rate", "a-values", "vector", "symmetric-b", "wave",
+            "envelope-q", "mc", "radial", "mode"])
+    def test_rejected_value_names_its_config_path(self, tmp_path, capsys, extra, path):
+        # each used to say only what the constructor said, such as "'int'
+        # object is not iterable" or "matrix must be antisymmetric"
+        cfg = base_config(functionals=["l2_norm_sq"], **extra)
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "check", "sweep", "constants", "qn"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, command):
         # a NaN delta used to end check in an AttributeError traceback

@@ -11,6 +11,7 @@ import nlsob as nl
 from nlsob.errors import (DimensionMismatchError, DivergentIntegralError,
                           UnsupportedOperationError)
 from nlsob.fields import eval as feval, row_sq_norms, sorted_unique
+from nlsob.quadrature import dirichlet_quadrature, lebesgue_volume_integral
 
 from conftest import rel_err
 
@@ -207,15 +208,14 @@ class TestNorms:
         assert rel_err(nl.l2_norm_sq(indicator3), 4.0 * math.pi / 3.0) < 1e-14
 
     def test_l2_quadrature_matches_closed(self, gauss3):
-        q = nl.l2_norm_sq(gauss3, method="quadrature")
+        q = lebesgue_volume_integral(gauss3, (lambda v: v * v,), 2.0)[0].value
         assert rel_err(q, (math.pi / 2.0) ** 1.5) < 1e-8
 
     def test_l2_sum_of_gaussians_cross_terms(self):
-        from nlsob.quadrature import lebesgue_volume_integral
         f = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
                                nl.GaussianField(3, 3.0, 0.5, (0.4, 0.0, 0.0))])
         closed = nl.l2_norm_sq(f)
-        est = lebesgue_volume_integral(f, lambda v: v * v, power_hint=2.0)
+        (est,) = lebesgue_volume_integral(f, (lambda v: v * v,), power_hint=2.0)
         assert est.method == "mc"  # off-center sum is not radial
         assert abs(est.value - closed) <= 4.0 * est.stderr
 
@@ -246,11 +246,13 @@ class TestNorms:
         ref = 4.0 * math.pi * np.trapezoid(dg ** 2 * r ** 2, r)
         assert rel_err(closed_style, ref) < 1e-5
 
-    @pytest.mark.parametrize("method", ["auto", "quadrature"])
-    def test_dirichlet_gaussian_plus_constant(self, method):
+    @pytest.mark.parametrize("energy", [
+        pytest.param(nl.dirichlet_energy, id="auto"),
+        pytest.param(lambda f: dirichlet_quadrature(f).value, id="quadrature")])
+    def test_dirichlet_gaussian_plus_constant(self, energy):
         # g never decays but g' does; the radial grid used to run to r = inf (nan)
         f = nl.FiniteSumField([nl.GaussianField(3, 1.0), nl.ConstantField(3, 1.0)])
-        assert rel_err(nl.dirichlet_energy(f, method=method),
+        assert rel_err(energy(f),
                        3.0 * (math.pi / 2.0) ** 1.5) < 1e-12
 
     def test_small_constant_does_not_decay(self):
@@ -259,9 +261,13 @@ class TestNorms:
         assert not c.decays
         assert not nl.FiniteSumField([nl.GaussianField(3, 1.0), c]).decays
         assert nl.ConstantField(3, 0.0).decays
-        assert nl.dirichlet_energy(c, method="quadrature") == 0.0
+        # the volume quantities of a non-decaying field: the closed form, or
+        # the divergence it raises, and no quadrature of u itself
+        assert nl.dirichlet_energy(c) == dirichlet_quadrature(c).value == 0.0
         with pytest.raises(DivergentIntegralError):
-            nl.l2_norm_sq(c, method="quadrature")
+            nl.l2_norm_sq(c)
+        with pytest.raises(DivergentIntegralError):
+            lebesgue_volume_integral(c, (lambda v: v * v,), 2.0)
 
 
 class TestTransforms:

@@ -32,7 +32,9 @@ from nlsob.functionals import (
     log_moment_lp_estimate,
     lp_power_integral,
     restricted_power_integral,
+    xlogx,
 )
+from nlsob.quadrature import dirichlet_quadrature, lebesgue_volume_integral
 
 from conftest import rel_err
 
@@ -360,11 +362,11 @@ class TestEntropy:
 
     def test_quadrature_matches(self, gauss3):
         expect = -1.5 - 1.5 * math.log(math.pi / 2.0)
-        assert rel_err(entropy_l2(gauss3, method="quadrature"), expect) < 1e-6
+        assert rel_err(entropy_quadrature(gauss3), expect) < 1e-6
 
     def test_scale_invariance(self, gauss3):
-        base = entropy_l2(gauss3, method="quadrature")
-        scaled = entropy_l2(gauss3.amplify(7.3), method="quadrature")
+        base = entropy_quadrature(gauss3)
+        scaled = entropy_quadrature(gauss3.amplify(7.3))
         assert rel_err(scaled, base) < 1e-10
 
     def test_indicator_closed_form(self, indicator3):
@@ -388,54 +390,103 @@ class TestEntropy:
             assert entropy_l2(f) >= -math.log(vol) - 1e-9
 
 
-# (Estimate path, float function or None) of every volume quantity
+def entropy_quadrature(u):
+    """The quadrature that ``entropy_l2`` falls back to, run on a field with
+    a closed form: the entropy's integral against the closed-form mass."""
+    m = l2_norm_sq(u)
+    return lebesgue_volume_integral(u, (lambda v: xlogx(v * v / m),), 2.0)[0].value
+
+
+def log_moment_quadrature(u, p):
+    return lebesgue_volume_integral(u, (lambda v: xlogx(np.abs(v) ** p),), p)[0].value
+
+
+# (Estimate path, float function or None, the field's closed form, the quadrature)
+# of every volume quantity
 VOLUME_QUANTITIES = {
-    "l2_norm_sq": (l2_norm_sq_estimate, l2_norm_sq),
-    "dirichlet_energy": (dirichlet_energy_estimate, dirichlet_energy),
-    "lp_power_integral": (lambda u, m: lp_power_integral(u, 3.0, m), None),
-    "log_moment_lp": (lambda u, m: log_moment_lp_estimate(u, 2.0, m),
-                      lambda u, m: log_moment_lp(u, 2.0, m)),
-    "entropy_l2": (entropy_l2_estimate, entropy_l2),
+    "l2_norm_sq": (l2_norm_sq_estimate, l2_norm_sq, lambda u: u.l2_norm_sq_closed_form(),
+                   lambda u: lebesgue_volume_integral(u, (lambda v: v * v,), 2.0)[0]),
+    "dirichlet_energy": (dirichlet_energy_estimate, dirichlet_energy,
+                         lambda u: u.dirichlet_closed_form(), dirichlet_quadrature),
+    "lp_power_integral": (
+        lambda u: lp_power_integral(u, 3.0), None, lambda u: u.lp_power_closed_form(3.0),
+        lambda u: lebesgue_volume_integral(u, (lambda v: np.abs(v) ** 3.0,), 3.0)[0]),
+    "log_moment_lp": (
+        lambda u: log_moment_lp_estimate(u, 2.0), lambda u: log_moment_lp(u, 2.0),
+        lambda u: u.log_moment_closed_form(2.0),
+        lambda u: lebesgue_volume_integral(u, (lambda v: xlogx(np.abs(v) ** 2.0),),
+                                           2.0)[0]),
+    # the normalising mass comes first, and so does its divergence
+    "entropy_l2": (
+        entropy_l2_estimate, entropy_l2,
+        lambda u: (l2_norm_sq(u), u.entropy_l2_closed_form())[1],
+        lambda u: lebesgue_volume_integral(
+            u, (lambda v, m=l2_norm_sq(u): xlogx(v * v / m),), 2.0)[0]),
 }
 
 
-def _outcome(fn, u, method):
-    """What ``fn(u, method)`` returns, or the type of what it raises."""
+def _outcome(fn, u):
+    """What ``fn(u)`` returns, or the type of what it raises."""
     try:
-        return fn(u, method)
+        return fn(u)
     except Exception as exc:  # noqa: BLE001 - the outcome under test
         return type(exc)
 
 
+def _bits(outcome):
+    return outcome if isinstance(outcome, type) else (
+        outcome.value, outcome.stderr, outcome.n_effective, outcome.method)
+
+
 class TestVolumeRule:
-    """One closed-form-or-quadrature rule for every volume quantity."""
+    """One rule for every volume quantity: the field's closed form, or the
+    divergence it raises, where there is one; the quadrature otherwise.
+    ``auto`` checks the whole rule, ``closed_form`` and ``quadrature`` each
+    of its two branches."""
 
     GAUSS = nl.GaussianField(3, 1.0, 0.8)
     NO_CLOSED_FORM = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
                                         nl.SmoothBumpField(3, 1.5, 0.8, (0.7, 0.0, 0.0))])
     NON_DECAYING = nl.ConstantField(3, 1.0)
 
-    @pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature"])
+    @pytest.mark.parametrize("branch", ["auto", "closed_form", "quadrature"])
     @pytest.mark.parametrize("name", sorted(VOLUME_QUANTITIES))
-    def test_rule(self, name, method):
-        estimate, as_float = VOLUME_QUANTITIES[name]
+    def test_rule(self, name, branch):
+        from unittest import mock
+
+        from nlsob import quadrature
+        estimate, as_float, closed_form, integrate = VOLUME_QUANTITIES[name]
         for u in (self.GAUSS, self.NO_CLOSED_FORM, self.NON_DECAYING):
-            got = _outcome(estimate, u, method)
-            if as_float is not None:
-                value = _outcome(as_float, u, method)
-                assert value == (got if isinstance(got, type) else got.value)  # bit for bit
-            if u is self.NON_DECAYING:
-                # no quadrature exists: the closed form or its divergence stands
-                if method == "quadrature":
-                    auto = _outcome(estimate, u, "auto")
-                    assert got == auto if isinstance(got, type) else got.value == auto.value
-            elif u is self.NO_CLOSED_FORM and method == "closed_form":
-                assert got is UnsupportedOperationError
+            closed = _outcome(closed_form, u)
+            if branch == "auto":
+                got = _outcome(estimate, u)
+                expect = _bits(_outcome(integrate, u)) if closed is None else (
+                    closed if isinstance(closed, type) else (closed, 0.0, 0, "closed_form"))
+                assert _bits(got) == expect  # bit for bit
+                if as_float is not None:
+                    value = _outcome(as_float, u)
+                    assert value == (got if isinstance(got, type) else got.value)
+            elif branch == "closed_form":
+                if u is not self.NON_DECAYING:  # every closed form of GAUSS, none of the sum
+                    assert (closed is None) == (u is self.NO_CLOSED_FORM)
+                if closed is not None:  # a closed form runs no volume pass
+                    with mock.patch.object(quadrature, "radial_volume_value",
+                                           side_effect=AssertionError), \
+                            mock.patch.object(quadrature, "mc_volume_value",
+                                              side_effect=AssertionError):
+                        got = _outcome(estimate, u)
+                    assert got is closed if isinstance(closed, type) else (
+                        got.method == "closed_form" and got.value == closed)
             else:
-                closed = u is self.GAUSS and method != "quadrature"
-                assert (got.method == "closed_form") == closed
-        with pytest.raises(PreconditionError):  # a misspelt method is not 'auto'
-            estimate(self.GAUSS, method.upper())
+                got = _outcome(integrate, u)
+                if u is self.NON_DECAYING:
+                    # no truncation for u, while grad u = 0 has settled everywhere
+                    assert _bits(got) == ((0.0, 0.0, 0, "radial") if name == "dirichlet_energy"
+                                          else DivergentIntegralError)
+                else:
+                    assert got.method == ("radial" if u is self.GAUSS else "mc")
+                if closed is None:
+                    assert _bits(_outcome(estimate, u)) == _bits(got)
 
 
 class TestEntMu:
@@ -447,8 +498,7 @@ class TestEntMu:
         assert rel_err(ent_mu(c, "gauss", dim=3), 1.5 * math.log(c)) < 1e-12
 
     def test_lebesgue_consistency_identity(self, gauss3):
-        lhs = ent_mu(gauss3, "lebesgue", square=True) - entropy_l2(
-            gauss3, method="quadrature")
+        lhs = ent_mu(gauss3, "lebesgue", square=True) - entropy_quadrature(gauss3)
         rhs = 1.5 * math.log(nl.l2_norm_sq(gauss3))
         assert rel_err(lhs, rhs) < 1e-8
 
@@ -477,8 +527,8 @@ class TestEntMu:
                                wraps=quadrature.mc_volume_value) as spy:
             got = ent_mu(u, "gauss")
         assert [c.args[3].n_samples for c in spy.call_args_list] == [_GAUSS_MC_SPEC.n_samples]
-        mass = _gauss_expectation(u, u.evaluate)
-        two_pass = _gauss_expectation(u, lambda pts: xlogx(u.evaluate(pts) / mass))
+        (mass,) = _gauss_expectation(u, (lambda v: v,), u.evaluate)
+        (two_pass,) = _gauss_expectation(u, (lambda v: xlogx(v / mass),), u.evaluate)
         assert rel_err(got, two_pass + 1.5 * math.log(mass)) < 1e-12
 
 
@@ -530,8 +580,8 @@ class TestEntMu:
             got = ent_mu(u, "gauss", square=square)
         assert Counting.points == spy.call_args_list[0].args[3].n_samples == 384000
         f = (lambda pts: u.evaluate(pts) ** 2) if square else u.evaluate
-        mass = _gauss_expectation(u, f)
-        flogf = _gauss_expectation(u, lambda pts: xlogx(f(pts)))
+        (mass,) = _gauss_expectation(u, (lambda v: v,), f)
+        (flogf,) = _gauss_expectation(u, (xlogx,), f)
         assert got == flogf / mass - math.log(mass) + 1.5 * math.log(mass)
 
 class TestLogMoment:
@@ -540,7 +590,7 @@ class TestLogMoment:
                        -1.5 * (math.pi / 2.0) ** 1.5) < 1e-14
 
     def test_quadrature_path(self, gauss3):
-        assert rel_err(log_moment_lp(gauss3, 2.0, method="quadrature"),
+        assert rel_err(log_moment_quadrature(gauss3, 2.0),
                        -1.5 * (math.pi / 2.0) ** 1.5) < 1e-6
 
     def test_amplitude_two_closed_form(self):
@@ -548,8 +598,7 @@ class TestLogMoment:
         expect = 4.0 * (math.pi / 2.0) ** 1.5 * (2.0 * math.log(2.0) - 1.5)
         got = log_moment_lp(nl.GaussianField(3, 1.0, 2.0), 2.0)
         assert rel_err(got, expect) < 1e-14
-        got_q = log_moment_lp(nl.GaussianField(3, 1.0, 2.0), 2.0,
-                              method="quadrature")
+        got_q = log_moment_quadrature(nl.GaussianField(3, 1.0, 2.0), 2.0)
         assert rel_err(got_q, expect) < 1e-6
 
     def test_sup_below_one_is_nonpositive(self, bump3):
@@ -622,17 +671,17 @@ class TestGaussMeasure:
             lhs, rhs = gauss_lsi_sides(u)
         assert [c.args[3].n_samples for c in spy.call_args_list] == [_GAUSS_MC_SPEC.n_samples]
         # each quantity in a pass of its own, on the same samples
-        m0 = _gauss_expectation(u, lambda pts: u.evaluate(pts) ** 2)
-        grad = _gauss_expectation(u, lambda pts: row_sq_norms(u.gradient(pts)))
-        ulogu = _gauss_expectation(u, lambda pts: xlogx(u.evaluate(pts) ** 2))
+        (m0,) = _gauss_expectation(u, (lambda v: v ** 2,), u.evaluate)
+        (grad,) = _gauss_expectation(u, (row_sq_norms,), u.gradient)
+        (ulogu,) = _gauss_expectation(u, (lambda v: xlogx(v ** 2),), u.evaluate)
 
-        def u2log(pts):
-            v2 = u.evaluate(pts) ** 2
+        def u2log(v):
+            v2 = v ** 2
             return np.where(v2 > 0, v2 * (np.log(np.where(v2 > 0, v2, 1.0)) - math.log(m0)), 0.0)
 
         assert rhs == grad / math.pi
         assert lhs == ulogu - m0 * math.log(m0)
-        three_pass = _gauss_expectation(u, u2log)
+        (three_pass,) = _gauss_expectation(u, (u2log,), u.evaluate)
         assert abs(lhs - three_pass) <= 1e-12 * (abs(ulogu) + abs(m0 * math.log(m0)))
         assert rhs >= lhs
 
@@ -663,7 +712,7 @@ class TestGaussMeasure:
         assert v.radial_profile() is not None and v.gauss_lsi_closed_form() is None
         gauss_lsi_sides(v)
         nodes, Counting.points = Counting.points, 0
-        _gauss_expectation(v, v.evaluate)
+        _gauss_expectation(v, (lambda w: w,), v.evaluate)
         assert nodes == Counting.points > 0
 
 

@@ -623,7 +623,8 @@ class TestMcEngine:
         monkeypatch.setattr(np.random, "SeedSequence", counted(np.random.SeedSequence))
         spec = McSpec(master_seed=5, n_samples=9600, chunk_size=4800, h_max=4.0)
         mc_pair_integrate_many(shell_context(), spec)
-        mc_volume_value((lambda pts: np.ones(len(pts)),), 3, [(np.zeros(3), 1.0)], spec)
+        mc_volume_value((lambda pts: np.ones(len(pts)),), 3, [(np.zeros(3), 1.0)], spec,
+                        lambda pts: pts)
         assert calls == []
 
     def test_exact_zero_cutoff_invariance(self):
@@ -723,14 +724,47 @@ class TestPinnedBits:
         assert est.method == "mc"
         assert self.bits(est) == ("0x1.dadf4336a6c43p+1", "0x1.ef8ddcd4391ecp-8", 88581)
 
+    # (value, stderr, n_effective) of dirichlet_energy_estimate, lp_power_integral(., 3),
+    # log_moment_lp_estimate(., 2), entropy_l2_estimate, restricted_power_integral(., 3, 0.3),
+    # then ent_mu(., "gauss") and gauss_lsi_sides: MC on a non-radial sum, the
+    # deterministic radial rule on a bump
+    VOLUME_BITS = {
+        "mc": (nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
+                                  nl.SmoothBumpField(3, 1.5, 0.8, (0.7, 0.0, 0.0))]), (
+            ("0x1.daf6f5c47707bp+3", "0x1.4840c898255fbp-5", 66247),
+            ("0x1.7acb2a79344c3p+1", "0x1.c352e4cd5c9fbp-8", 73007),
+            ("-0x1.37830b13c173ap+1", "0x1.024d6535ca943p-7", 63632),
+            ("-0x1.f78dbb121494dp+0", "0x1.04a41dbc9a654p-8", 100137),
+            ("0x1.74d2c4093e2e1p+1", "0x1.ca1ae451eefddp-8", 70786),
+            "-0x1.e0d85d173aa0cp-3", ("0x1.7350a7a157a5ap-3", "0x1.86c105f06f7bdp-2"))),
+        "radial": (nl.SmoothBumpField(3, 1.5), (
+            ("0x1.a34e9e15768ccp+3", "0x0.0p+0", 0),
+            ("0x1.a8e7d652a7246p+0", "0x0.0p+0", 0),
+            ("-0x1.04ede1aed6e9bp+1", "0x0.0p+0", 0),
+            ("-0x1.b981befe04eccp+0", "0x0.0p+0", 0),
+            ("0x1.a2d4cb8f981b4p+0", "0x0.0p+0", 0),
+            "-0x1.7bef5dadb62f5p-2", ("0x1.26fc36e70c606p-4", "0x1.84ae8a98089dcp-3"))),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(VOLUME_BITS))
+    def test_volume_quantities(self, kind):
+        from nlsob import functionals as fn
+        f, (dirichlet, lp3, logm, ent, above, ent_gauss, lsi) = self.VOLUME_BITS[kind]
+        ests = (fn.dirichlet_energy_estimate(f), fn.lp_power_integral(f, 3.0),
+                fn.log_moment_lp_estimate(f, 2.0), fn.entropy_l2_estimate(f),
+                fn.restricted_power_integral(f, 3.0, 0.3))
+        assert {e.method for e in ests} == {kind}
+        assert [self.bits(e) for e in ests] == [dirichlet, lp3, logm, ent, above]
+        assert fn.ent_mu(f, "gauss").hex() == ent_gauss
+        assert tuple(v.hex() for v in fn.gauss_lsi_sides(f)) == lsi
+
     def test_gauss_expectation_mc(self):
         from nlsob.functionals import _gauss_expectation
         f = self.TWO_GAUSS
-        val = _gauss_expectation(f, lambda pts: f.evaluate(pts) ** 2,
-                                 McSpec(master_seed=19, n_samples=48000))
+        (val,) = _gauss_expectation(f, (lambda v: v ** 2,), f.evaluate)
         # the Gauss weight over the proposal density (the same Gaussian) is 1
         # only up to rounding, so the last bits are the volume engine's
-        assert val.hex() == "0x1.274e990583746p-2"
+        assert val.hex() == "0x1.271bbc9a06eeap-2"
 
     def test_convergent_jump_field(self):
         # jump 1 at delta 1.25: pairs closer than 0.25 / L_s contribute 0, and
@@ -1042,28 +1076,29 @@ class TestSpecsValidation:
 
 class TestVolume:
     def test_gaussian_l2_radial(self, gauss3):
-        est = volume_integrate(lambda pts: gauss3.evaluate(pts) ** 2, gauss3)
+        (est,) = volume_integrate((lambda v: v ** 2,), gauss3, gauss3.evaluate)
         assert est.method == "radial"
         assert rel_err(est.value, (math.pi / 2.0) ** 1.5) < 1e-8
 
     def test_zero_integrand(self, gauss3):
-        est = volume_integrate(lambda pts: np.zeros(len(pts)), gauss3)
+        (est,) = volume_integrate((lambda v: np.zeros(len(v)),), gauss3, gauss3.evaluate)
         assert est.value == 0.0
 
     def test_u2_log_u2_closed_form(self, gauss3):
         from nlsob.functionals import xlogx
-        est = volume_integrate(lambda pts: xlogx(gauss3.evaluate(pts) ** 2), gauss3)
+        (est,) = volume_integrate((lambda v: xlogx(v ** 2),), gauss3, gauss3.evaluate)
         assert rel_err(est.value, -1.5 * (math.pi / 2.0) ** 1.5) < 1e-8
 
     def test_non_decaying_rejected(self):
         from nlsob.errors import DivergentIntegralError
         with pytest.raises(DivergentIntegralError):
-            volume_integrate(lambda pts: np.ones(len(pts)), nl.ConstantField(3, 1.0))
+            c = nl.ConstantField(3, 1.0)
+            volume_integrate((lambda v: np.ones(len(v)),), c, c.evaluate)
 
     def test_mc_path_matches_closed_form(self):
         f = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
                                nl.GaussianField(3, 2.0, 0.5, (0.8, 0.0, 0.0))])
-        est = volume_integrate(lambda pts: f.evaluate(pts) ** 2, f)
+        (est,) = volume_integrate((lambda v: v ** 2,), f, f.evaluate)
         assert est.method == "mc"
         assert abs(est.value - nl.l2_norm_sq(f)) <= 4.0 * est.stderr
 
@@ -1074,14 +1109,15 @@ class TestVolume:
                                nl.GaussianField(3, 1.6, 0.65, (-0.3, 0.2, 0.0))])
         fns = (lambda v: v, xlogx)
         both = lebesgue_volume_integral(f, fns, power_hint=1.0)
-        single = [lebesgue_volume_integral(f, fn, power_hint=1.0) for fn in fns]
+        single = [lebesgue_volume_integral(f, (fn,), power_hint=1.0)[0] for fn in fns]
         assert both == single
         assert [e.value.hex() for e in both] == ["0x1.d5d12f4b110b8p+2",
                                                  "-0x1.0a90960c8fdc5p+3"]
 
     def test_tuple_on_the_radial_path(self, gauss3):
-        fns = (lambda pts: gauss3.evaluate(pts), lambda pts: gauss3.evaluate(pts) ** 2)
-        assert volume_integrate(fns, gauss3) == [volume_integrate(fn, gauss3) for fn in fns]
+        fns = (lambda v: v, lambda v: v ** 2)
+        assert volume_integrate(fns, gauss3, gauss3.evaluate) == [
+            volume_integrate((fn,), gauss3, gauss3.evaluate)[0] for fn in fns]
 
 
 class TestGeometryHelpers:
