@@ -39,7 +39,6 @@ from .functionals import (
     dirichlet_energy_estimate,
     entropy_l2_estimate,
     f_functional,
-    field_volumes,
     i_delta,
     i_delta_p,
     j_delta_energy,
@@ -55,20 +54,18 @@ from .quadrature import Estimate, McSpec, RadialSpec
 # inequalities.REPORTS); a table's keys are both the validation set and the
 # dispatch.  Its lambdas look the library functions up at call time.
 
-# functional -> (one row per delta, evaluation on (field, delta, built config,
-# the field's ``field_volumes``))
+# functional -> (one row per delta, evaluation on (field, delta, built config))
 _EVAL = {
-    "l2_norm_sq": (False, lambda u, d, b, vol: vol(l2_norm_sq_estimate)),
-    "dirichlet_energy": (False, lambda u, d, b, vol: vol(dirichlet_energy_estimate)),
-    "entropy_l2": (False, lambda u, d, b, vol: entropy_l2_estimate(
-        u, l2=vol(l2_norm_sq_estimate))),
-    "log_moment_lp": (False, lambda u, d, b, vol: vol(log_moment_lp_estimate, b.p)),
-    "j_energy": (False, lambda u, d, b, vol: j_energy(u, EnergyParams(b.omega), _volume=vol)),
-    "f_functional": (False, lambda u, d, b, vol: f_functional(u, b.envelope, b.p, b.engine)),
-    "i_delta": (True, lambda u, d, b, vol: i_delta(u, KernelSpec(d), b.engine)),
-    "i_delta_p": (True, lambda u, d, b, vol: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
-    "j_delta_energy": (True, lambda u, d, b, vol: j_delta_energy(
-        u, EnergyParams(b.omega), KernelSpec(d), b.engine, _volume=vol)),
+    "l2_norm_sq": (False, lambda u, d, b: l2_norm_sq_estimate(u)),
+    "dirichlet_energy": (False, lambda u, d, b: dirichlet_energy_estimate(u)),
+    "entropy_l2": (False, lambda u, d, b: entropy_l2_estimate(u)),
+    "log_moment_lp": (False, lambda u, d, b: log_moment_lp_estimate(u, b.p)),
+    "j_energy": (False, lambda u, d, b: j_energy(u, EnergyParams(b.omega))),
+    "f_functional": (False, lambda u, d, b: f_functional(u, b.envelope, b.p, b.engine)),
+    "i_delta": (True, lambda u, d, b: i_delta(u, KernelSpec(d), b.engine)),
+    "i_delta_p": (True, lambda u, d, b: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
+    "j_delta_energy": (True, lambda u, d, b: j_delta_energy(
+        u, EnergyParams(b.omega), KernelSpec(d), b.engine)),
 }
 
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
@@ -215,8 +212,9 @@ def _build(cfg: dict, seed: int) -> SimpleNamespace:
         a_values=_built("$.a_values", lambda: [float(a) for a in cfg.get("a_values", [1.0])]),
         potential=_built("$.potential", _POTENTIALS[pot["kind"]][0], pot, cfg["dim"]),
         phase=_built("$.phase", _PHASES[phase["kind"]][0], phase))
-    if any(f.dim != cfg["dim"] for f in b.fields):
-        raise ConfigError("field dimension disagrees with config dim")
+    for i, f in enumerate(b.fields):
+        if f.dim != cfg["dim"]:
+            raise ConfigError(f"$.fields[{i}]: dim {f.dim}, config dim {cfg['dim']}")
     return b
 
 
@@ -295,12 +293,11 @@ def cmd_eval(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     rows = []
     for fi, u in enumerate(b.fields):
         fh = descriptor_hash(u)
-        vol = field_volumes(u)
         for name in cfg.get("functionals") or _DEFAULT_FUNCTIONALS:
             per_delta, evaluate = _EVAL[name]
             for d in b.deltas if per_delta else [None]:
                 try:
-                    outcome = evaluate(u, d, b, vol)
+                    outcome = evaluate(u, d, b)
                 except Exception as exc:  # noqa: BLE001 - per-row status
                     outcome = exc
                 rows.append(_eval_row(fi, fh, name, d, outcome))
@@ -315,9 +312,8 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
               "constant", "stat_margin", "degenerate"]
     rows, details = [], []
     violated = False
-    vols = [field_volumes(u) for u in b.fields]
     for check in cfg.get("checks", []):
-        reports = [r for u, vol in zip(b.fields, vols) for r in REPORTS[check](u, b, vol)]
+        reports = [r for u in b.fields for r in REPORTS[check](u, b)]
         family = family_constant(reports)
         for report in reports:
             row = report.csv_row()
@@ -386,10 +382,9 @@ def cmd_constants(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     header = ["inequality_id", "field_hash", "delta", "constant", "family_constant",
               "held_out", "held_ok"]
     rows, summary = [], []
-    vols = [field_volumes(u) for u in b.fields]
     for check in checks:
         sw = sweep_family(b.fields, b.deltas, check, b.engine, seed=seed, lam=b.lam,
-                          envelope=b.envelope, volumes=vols)
+                          envelope=b.envelope)
         for idx, ((fi, d), rep) in enumerate(zip(sw.instances, sw.reports)):
             rows.append({
                 "inequality_id": check,

@@ -15,6 +15,8 @@ exp(-pi |x|^2) dx, a probability measure.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -210,6 +212,36 @@ def _int_pow(x: float, p: float) -> float:
     return x ** p
 
 
+_MEMO_SIZE = 1024  # entries of the process-wide memo; past it the oldest goes
+_MEMO: dict = {}
+
+
+def _memoized(key: Callable) -> Callable:
+    """Decorator: ``fn(*args)`` made once per process for each key.
+
+    ``key(*args)`` returns (field, rest); the memo key is fn's name, the
+    field's class, its canonical descriptor ``json.dumps(to_dict(),
+    sort_keys=True)`` and ``rest``.  Sound by the reproducibility
+    contract: volume quantities run on fixed nodes or the fixed
+    ``quadrature._DEFAULT_VOLUME_SPEC`` stream, pair functionals on the
+    engine's own seed, so equal keys give equal bits.  A failure is not
+    kept: every failing call raises anew.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def memo(*args, **kwargs):
+            u, rest = key(*args, **kwargs)
+            k = (fn.__name__, type(u), json.dumps(u.to_dict(), sort_keys=True), rest)
+            if k not in _MEMO:
+                out = fn(*args, **kwargs)
+                if len(_MEMO) >= _MEMO_SIZE:
+                    del _MEMO[next(iter(_MEMO))]
+                _MEMO[k] = out
+            return _MEMO[k]
+        return memo
+    return decorate
+
+
 def xlogx(v: np.ndarray) -> np.ndarray:
     """t log t with the continuous extension 0 log 0 = 0."""
     v = np.asarray(v, dtype=float)
@@ -355,6 +387,7 @@ def _pair_functional(u: ScalarField, p: float, envelope: MonotoneEnvelope,
     return mc_pair_integrate_many(ctx, engine.mc)[0]
 
 
+@_memoized(lambda u, k, engine: (u, (k.delta, k.p, engine)))
 def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     """The nonlocal functional with kernel delta^2 / |x-y|^{N+2}."""
     if k.p != 2.0:
@@ -362,6 +395,7 @@ def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     return _pair_functional(u, 2.0, MonotoneEnvelope.threshold(k.delta), engine)
 
 
+@_memoized(lambda u, k, engine: (u, (k.delta, k.p, engine)))
 def i_delta_p(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     """General-p variant: kernel delta^p / |x-y|^{N+p} on {|u(x)-u(y)| > delta}."""
     return _pair_functional(u, k.p, MonotoneEnvelope.threshold(k.delta, k.p), engine)
@@ -461,6 +495,7 @@ def _closed_form_or_quadrature(closed_form: Callable[[], Optional[float]],
     return quadrature() if val is None else Estimate(val, method="closed_form")
 
 
+@_memoized(lambda u, q: (u, q))
 def lp_power_integral(u: ScalarField, q: float) -> Estimate:
     """Integral of |u|^q over R^N."""
     return _closed_form_or_quadrature(
@@ -468,6 +503,7 @@ def lp_power_integral(u: ScalarField, q: float) -> Estimate:
         lambda: quad.lebesgue_volume_integral(u, (lambda v: np.abs(v) ** q,), q)[0])
 
 
+@_memoized(lambda u, q, level: (u, (q, level)))
 def restricted_power_integral(u: ScalarField, q: float, level: float) -> Estimate:
     """Integral of |u|^q over the superlevel set {|u| > level}."""
     if level <= 0:
@@ -495,6 +531,7 @@ def restricted_power_integral(u: ScalarField, q: float, level: float) -> Estimat
     return quad.volume_integrate((fn,), u, u.evaluate)[0]
 
 
+@_memoized(lambda u, p: (_real_part(u), p))
 def log_moment_lp_estimate(u: Union[ScalarField, ComplexField], p: float) -> Estimate:
     """Integral of |u|^p log |u|^p, with 0 log 0 = 0."""
     f = _real_part(u)
@@ -507,6 +544,7 @@ def log_moment_lp(u, p: float) -> float:
     return log_moment_lp_estimate(u, p).value
 
 
+@_memoized(lambda u: (_real_part(u), None))
 def l2_norm_sq_estimate(u: Union[ScalarField, ComplexField]) -> Estimate:
     """Integral of |u|^2 over R^N."""
     f = _real_part(u)
@@ -519,6 +557,7 @@ def l2_norm_sq(u) -> float:
     return l2_norm_sq_estimate(u).value
 
 
+@_memoized(lambda u: (u, None))
 def dirichlet_energy_estimate(u: ScalarField) -> Estimate:
     """Integral of |grad u|^2 over R^N."""
     if not u.differentiable:
@@ -531,16 +570,13 @@ def dirichlet_energy(u: ScalarField) -> float:
     return dirichlet_energy_estimate(u).value
 
 
-def entropy_l2_estimate(u: Union[ScalarField, ComplexField], *,
-                        l2: Optional[Estimate] = None) -> Estimate:
-    """Entropy of the normalized density u^2 / ||u||^2 (scale invariant).
-    ``l2``, when given, is the caller's ``l2_norm_sq_estimate(u)`` and
-    serves as the normalising mass."""
+@_memoized(lambda u: (_real_part(u), None))
+def entropy_l2_estimate(u: Union[ScalarField, ComplexField]) -> Estimate:
+    """Entropy of the normalized density u^2 / ||u||^2 (scale invariant)."""
     f = _real_part(u)
-    nsq = l2 if l2 is not None else l2_norm_sq_estimate(f)
-    if nsq.value <= 0.0:
+    m = l2_norm_sq_estimate(f).value
+    if m <= 0.0:
         raise ZeroFieldError("entropy undefined for the zero field")
-    m = nsq.value
     return _closed_form_or_quadrature(
         f.entropy_l2_closed_form,
         lambda: quad.lebesgue_volume_integral(f, (lambda v: xlogx(v * v / m),), 2.0)[0])
@@ -565,8 +601,7 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
         f = ConstantField(dim, float(f))
     n = f.dim
     if mu == "lebesgue" and square:
-        l2 = l2_norm_sq_estimate(f)
-        return entropy_l2_estimate(f, l2=l2).value + (n / 2.0) * math.log(l2.value)
+        return entropy_l2(f) + (n / 2.0) * math.log(l2_norm_sq(f))
     if mu == "lebesgue":
         # a field without decay, such as a nonzero constant, has infinite
         # mass: the volume integrals below raise DivergentIntegralError
@@ -580,21 +615,6 @@ def ent_mu(f: Union[ScalarField, float], mu: str = "lebesgue", *,
         raise ZeroFieldError("||f||_{1,mu} must be positive")
     # int (f/m) log(f/m) = int f log f / m - log m
     return flogf / mass - math.log(mass) + (n / 2.0) * math.log(mass)
-
-
-def field_volumes(u) -> Callable:
-    """``vol(estimate, *args, **kw)``: ``estimate(u, *args, **kw)``, made on first
-    use for the rows or reports of one field, whose private ``_volume`` it is.
-    A failure is not kept, so each caller that needs it raises it anew."""
-    done = {}
-
-    def vol(estimate, *args, **kw):
-        key = (estimate, args, tuple(sorted(kw.items())))
-        if key not in done:
-            done[key] = estimate(u, *args, **kw)
-        return done[key]
-
-    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -651,26 +671,17 @@ def gauss_lsi_sides(u: ScalarField) -> tuple:
 # energies
 # ---------------------------------------------------------------------------
 
-def j_energy(u: ScalarField, params: EnergyParams, *,
-             _volume: Optional[Callable] = None) -> float:
-    """(1/2) |grad u|^2_2 + ((omega+1)/2) ||u||_2^2 - (1/2) int u^2 log u^2.
-    ``_volume`` is the caller's ``field_volumes(u)``."""
-    vol = _volume or field_volumes(u)
-    e = vol(dirichlet_energy_estimate).value
-    m = vol(l2_norm_sq_estimate).value
-    lm = vol(log_moment_lp_estimate, 2.0).value
-    return 0.5 * e + 0.5 * (params.omega + 1.0) * m - 0.5 * lm
+def j_energy(u: ScalarField, params: EnergyParams) -> float:
+    """(1/2) |grad u|^2_2 + ((omega+1)/2) ||u||_2^2 - (1/2) int u^2 log u^2."""
+    return (0.5 * dirichlet_energy(u) + 0.5 * (params.omega + 1.0) * l2_norm_sq(u)
+            - 0.5 * log_moment_lp(u, 2.0))
 
 
 def j_delta_energy(u: ScalarField, params: EnergyParams, k: KernelSpec,
-                   engine: EngineSpec, *, _volume: Optional[Callable] = None) -> float:
+                   engine: EngineSpec) -> float:
     """Nonlocal energy: i_delta replaces the Dirichlet term (no 1/2 factor).
-    ``_volume`` is the caller's ``field_volumes(u)``, read only once
-    i_delta is finite."""
+    The volume terms are read only once i_delta is finite."""
     i = i_delta(u, k, engine)
     if i.diverged:
         raise DivergentIntegralError("nonlocal term diverges for this field")
-    vol = _volume or field_volumes(u)
-    m = vol(l2_norm_sq_estimate).value
-    lm = vol(log_moment_lp_estimate, 2.0).value
-    return i.value + 0.5 * (params.omega + 1.0) * m - 0.5 * lm
+    return i.value + 0.5 * (params.omega + 1.0) * l2_norm_sq(u) - 0.5 * log_moment_lp(u, 2.0)

@@ -7,8 +7,14 @@ constants; ``sweep_family`` re-validates it on a deterministic held-out
 split.
 
 ``REPORTS``, read by the CLI and ``sweep_family``, maps each check name to
-one field's reports, given that field's ``field_volumes`` memo, which the
-reports' checkers share as their ``_volume``.
+one field's reports.  Checkers ask ``functionals`` for every volume
+quantity and ``i_delta`` they read; it memoizes each per process, keyed
+by the field's canonical descriptor (a complex field's modulus's) and
+the other arguments, sound as the volume integrals run on fixed streams
+and ``i_delta`` on its engine's seed.  A repeat across deltas, checks
+and commands returns the identical ``Estimate``.  ``f_functional`` (an
+envelope's descriptor does not fix its function) and the magnetic
+functionals (no study repeats them) are not memoized.
 
 Tolerance policy: inequalities involving Monte Carlo estimates are
 asserted up to ``stat_margin`` (3x the combined standard errors,
@@ -33,7 +39,6 @@ from .functionals import (
     dirichlet_energy_estimate,
     entropy_l2_estimate,
     f_functional,
-    field_volumes,
     gauss_lsi_sides,
     i_delta,
     i_delta_magnetic_paired,
@@ -178,14 +183,13 @@ def check_nonlocal_sobolev(u: ScalarField, delta: float, lam: float,
 
 def _log_sobolev(inequality_id: str, u, nonlocal_term: Callable[[], Estimate], beta: float,
                  norm_term: Callable[[float], float], inputs: dict,
-                 diverged_note: str = _VACUOUS, volume=None) -> InequalityReport:
+                 diverged_note: str = _VACUOUS) -> InequalityReport:
     """ent + (N beta/4) log ||u||^2 against (N/2) log(C (norm_term(||u||^2)
-    + nonlocal_term())) at the smallest admissible C; ``volume`` is the checkers' ``_volume``."""
+    + nonlocal_term())) at the smallest admissible C."""
     n = u.dim
     _require_sobolev_dim(n)
-    vol = volume or field_volumes(u)
-    l2 = vol(l2_norm_sq_estimate)
-    ent = vol(entropy_l2_estimate, l2=l2)
+    l2 = l2_norm_sq_estimate(u)
+    ent = entropy_l2_estimate(u)
     nl_est = nonlocal_term()
     if nl_est.diverged:
         return _vacuous(inequality_id, inputs, diverged_note)
@@ -207,32 +211,30 @@ def _delta_term(n: int, delta: float, m: float) -> float:
     return delta ** (4.0 / n) * m ** ((n - 2.0) / n)
 
 
-def check_logsobolev_main(u: ScalarField, delta: float, engine: EngineSpec, *,
-                          _volume: Optional[Callable] = None) -> InequalityReport:
+def check_logsobolev_main(u: ScalarField, delta: float, engine: EngineSpec) -> InequalityReport:
     """Entropy bounded by (N/2) log of the nonlocal term plus a delta term."""
     return _log_sobolev("logsobolev_main", u, lambda: i_delta(u, KernelSpec(delta), engine),
-                        2.0, lambda m: _delta_term(u.dim, delta, m), _prov(u, delta, engine),
-                        volume=_volume)
+                        2.0, lambda m: _delta_term(u.dim, delta, m), _prov(u, delta, engine))
 
 
-def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float, engine: EngineSpec,
-                       *, _volume: Optional[Callable] = None) -> InequalityReport:
+def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float,
+                       engine: EngineSpec) -> InequalityReport:
     """Magnetic variant: |u| in the entropy, covariant difference on the right."""
     return _log_sobolev("magnetic_lsi", u,
                         lambda: i_delta_magnetic_paired(u, A, KernelSpec(delta), engine)[0],
                         2.0, lambda m: _delta_term(u.dim, delta, m),
-                        _prov(u.modulus, delta, engine, potential=A.to_dict()), volume=_volume)
+                        _prov(u.modulus, delta, engine, potential=A.to_dict()))
 
 
-def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope, engine: EngineSpec, *,
-                       _volume: Optional[Callable] = None) -> InequalityReport:
+def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope,
+                       engine: EngineSpec) -> InequalityReport:
     """Envelope-functional version with the ||u||^beta normalization."""
     envelope.validate()
     beta = envelope.beta
     return _log_sobolev("envelope_lsi", u, lambda: f_functional(u, envelope, 2.0, engine),
                         beta, lambda m: m ** (beta / 2.0),
                         _prov(u, None, engine, envelope=envelope.to_dict()),
-                        diverged_note="envelope functional diverges", volume=_volume)
+                        diverged_note="envelope functional diverges")
 
 
 def check_diamagnetic(u: ComplexField, A: VectorPotential, delta: float,
@@ -255,16 +257,14 @@ def check_gauss_lsi(u: ScalarField) -> InequalityReport:
                             stat_margin=slack, inputs=_prov(u))
 
 
-def check_euclidean_family(u: ScalarField, a: float, *,
-                           _volume: Optional[Callable] = None) -> InequalityReport:
+def check_euclidean_family(u: ScalarField, a: float) -> InequalityReport:
     """One-parameter Euclidean form; fully explicit, no free constant."""
     if a <= 0:
         raise PreconditionError("parameter a must be positive")
     n = u.dim
-    vol = _volume or field_volumes(u)
-    l2 = vol(l2_norm_sq_estimate)
-    ent = vol(entropy_l2_estimate, l2=l2)
-    energy = vol(dirichlet_energy_estimate).value
+    l2 = l2_norm_sq_estimate(u)
+    ent = entropy_l2_estimate(u)
+    energy = dirichlet_energy_estimate(u).value
     lhs = l2.value * ent.value + n * (1.0 + math.log(a)) * l2.value
     rhs = (a * a / math.pi) * energy
     margin = 3.0 * math.hypot(l2.value * ent.stderr,
@@ -275,24 +275,17 @@ def check_euclidean_family(u: ScalarField, a: float, *,
                             inputs=_prov(u, a=a))
 
 
-def _unit_mass_power_integral(u, q: float, l2: Estimate) -> Estimate:
-    """Integral of |v|^q, v = u normalized to its unit L2 mass ``l2``."""
-    return lp_power_integral(u.amplify(1.0 / math.sqrt(l2.value)), q)
-
-
-def check_small_set_bound(u: ScalarField, delta: float, lam: float, *,
-                          _volume: Optional[Callable] = None) -> InequalityReport:
+def check_small_set_bound(u: ScalarField, delta: float, lam: float) -> InequalityReport:
     """Sublevel critical integral against (lam delta)^{4/(N-2)} after
     normalizing to unit L2 mass."""
     n = u.dim
     _require_sobolev_dim(n)
     q = 2.0 * n / (n - 2.0)
-    vol = _volume or field_volumes(u)
-    l2 = vol(l2_norm_sq_estimate)
+    l2 = l2_norm_sq_estimate(u)
     if l2.value <= 0:
         raise PreconditionError("zero field")
     v = u.amplify(1.0 / math.sqrt(l2.value))
-    total = vol(_unit_mass_power_integral, q, l2)
+    total = lp_power_integral(v, q)
     # the sublevel integral is the total minus the superlevel one
     above = restricted_power_integral(v, q, lam * delta)
     lhs = total.value - above.value
@@ -350,43 +343,32 @@ class FamilySweep:
     excluded: List[tuple]             # (instance index, reason)
 
 
-def _magnetic_lsi_reports(u, ps, _) -> list:
-    # the checker's volume calls take ComplexField(u, phase), so they get a
-    # memo of that field, not the one of u
-    w = ComplexField(u, ps.phase)
-    vol = field_volumes(w)
-    return [check_magnetic_lsi(w, ps.potential, d, ps.engine, _volume=vol) for d in ps.deltas]
-
-
-def _euclidean_reports(u, ps, vol) -> list:
+def _euclidean_reports(u, ps) -> list:
     if any(a <= 0 for a in ps.a_values):  # before the volume, as check_euclidean_family does
         raise PreconditionError("parameter a must be positive")
-    return [check_euclidean_family(u, a, _volume=vol) for a in ps.a_values]
+    return [check_euclidean_family(u, a) for a in ps.a_values]
 
 
 # check -> (field, the CLI's built config or an object with the attributes the
-# entry reads, the field's ``field_volumes`` memo) -> the field's reports, one
-# per delta (per a for euclidean_family).  One memo serves every check of a
-# command on that field.  Entries look the checkers up at call time, so a
+# entry reads) -> the field's reports, one per delta (per a for
+# euclidean_family).  Entries look the checkers up at call time, so a
 # rebinding of them reaches them.
 REPORTS = {
-    "logsobolev_main": lambda u, ps, vol: [check_logsobolev_main(u, d, ps.engine, _volume=vol)
-                                           for d in ps.deltas],
-    "nonlocal_sobolev": lambda u, ps, vol: [check_nonlocal_sobolev(u, d, ps.lam, ps.engine)
-                                            for d in ps.deltas],
-    # a given envelope is one instance per field, else each delta's threshold
-    "envelope_lsi": lambda u, ps, vol: [
-        check_envelope_lsi(u, env, ps.engine, _volume=vol) for env in
-        ([ps.envelope] if ps.envelope else [MonotoneEnvelope.threshold(d) for d in ps.deltas])],
-    "magnetic_lsi": _magnetic_lsi_reports,
-    "diamagnetic": lambda u, ps, vol: [check_diamagnetic(ComplexField(u, ps.phase),
-                                                         ps.potential, d, ps.engine)
+    "logsobolev_main": lambda u, ps: [check_logsobolev_main(u, d, ps.engine) for d in ps.deltas],
+    "nonlocal_sobolev": lambda u, ps: [check_nonlocal_sobolev(u, d, ps.lam, ps.engine)
                                        for d in ps.deltas],
-    "gauss_lsi": lambda u, ps, vol: [check_gauss_lsi(u)],
+    # a given envelope is one instance per field, else each delta's threshold
+    "envelope_lsi": lambda u, ps: [
+        check_envelope_lsi(u, env, ps.engine) for env in
+        ([ps.envelope] if ps.envelope else [MonotoneEnvelope.threshold(d) for d in ps.deltas])],
+    "magnetic_lsi": lambda u, ps: [check_magnetic_lsi(ComplexField(u, ps.phase), ps.potential,
+                                                      d, ps.engine) for d in ps.deltas],
+    "diamagnetic": lambda u, ps: [check_diamagnetic(ComplexField(u, ps.phase), ps.potential,
+                                                    d, ps.engine) for d in ps.deltas],
+    "gauss_lsi": lambda u, ps: [check_gauss_lsi(u)],
     "euclidean_family": _euclidean_reports,
-    "small_set_bound": lambda u, ps, vol: [check_small_set_bound(u, d, ps.lam, _volume=vol)
-                                           for d in ps.deltas],
-    "jensen": lambda u, ps, vol: [check_jensen(u)],
+    "small_set_bound": lambda u, ps: [check_small_set_bound(u, d, ps.lam) for d in ps.deltas],
+    "jensen": lambda u, ps: [check_jensen(u)],
 }
 FREE_CONSTANT_CHECKS = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
 
@@ -400,14 +382,12 @@ def family_constant(reports: Sequence[InequalityReport]) -> Optional[float]:
 
 def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
                  inequality_id: str, engine: EngineSpec, *, seed: int = 0,
-                 lam: float = 1.0, envelope: Optional[MonotoneEnvelope] = None,
-                 volumes: Optional[Sequence[Callable]] = None) -> FamilySweep:
+                 lam: float = 1.0, envelope: Optional[MonotoneEnvelope] = None) -> FamilySweep:
     """Run one free-constant checker over its instances, one per field and
     delta, or one per field for envelope_lsi with a given ``envelope``; the
     family constant is the supremum of the per-instance admissible
     constants, re-validated end to end on a deterministic 20% held-out
-    subset.  ``volumes`` holds each field's ``field_volumes`` memo, to share
-    it with other checks; by default each field gets its own.
+    subset.
 
     The split is deterministic in ``seed``.  Diverged instances are
     excluded from the constant and reported.
@@ -417,8 +397,7 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
     if not fields:
         raise PreconditionError("empty field family")
     ps = SimpleNamespace(deltas=deltas, engine=engine, lam=lam, envelope=envelope)
-    per_field = [REPORTS[inequality_id](u, ps, vol) for u, vol in
-                 zip(fields, volumes or [field_volumes(u) for u in fields])]
+    per_field = [REPORTS[inequality_id](u, ps) for u in fields]
     labels = [None] if inequality_id == "envelope_lsi" and envelope else deltas
     instances = [(fi, d) for fi, rs in enumerate(per_field) for d, _ in zip(labels, rs)]
     reports = [r for rs in per_field for r in rs]

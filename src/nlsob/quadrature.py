@@ -95,6 +95,13 @@ class Estimate:
     discrepancy: float = 0.0
 
 
+def _require_counts(spec, names):
+    for name in names:
+        v = getattr(spec, name)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise PreconditionError(f"{name} must be a positive integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class McSpec:
     """Monte Carlo sampling plan.
@@ -118,6 +125,7 @@ class McSpec:
         seed = self.master_seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise PreconditionError("master_seed must be a nonnegative integer")
+        _require_counts(self, ("n_samples", "chunk_size", "radial_strata"))
         if self.n_samples < self.chunk_size:
             raise PreconditionError("n_samples must be >= chunk_size")
         if self.n_samples % self.chunk_size != 0:
@@ -141,8 +149,7 @@ class RadialSpec:
     r_max: float = 0.0  # 0 -> derived from the field's decay envelope
 
     def __post_init__(self):
-        if min(self.n_r, self.n_s, self.n_theta) <= 0:
-            raise PreconditionError("all grid sizes must be positive")
+        _require_counts(self, ("n_r", "n_s", "n_theta"))
         if not 0 <= self.r_max < math.inf:
             raise PreconditionError("r_max must be finite and >= 0 (0: derived)")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nlsob as nl
+from nlsob import functionals
 from nlsob.functionals import default_engine
 
 SEED = 42
@@ -9,6 +10,13 @@ SEED = 42
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
+
+
+@pytest.fixture(autouse=True)
+def fresh_memo():
+    """Every test starts with an empty memo of deterministic estimates, so
+    its spies count its own passes and its own calls make its bits."""
+    functionals._MEMO.clear()
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ import numpy as np
 
 import nlsob as nl
 import nlsob.cli as cli
+from nlsob import functionals
 from nlsob.functionals import (
     KernelSpec,
     MonotoneEnvelope,
@@ -274,6 +275,7 @@ def test_criterion_10_reproducibility(tmp_path):
     try:
         for tag, workers in (("w1", "1"), ("w8", "8")):
             os.environ["WORKERS"] = workers
+            functionals._MEMO.clear()  # each run computes its own estimates
             rc = cli.main(["eval", "--config", str(path),
                            "--out-dir", str(tmp_path / tag)])
             assert rc == 0

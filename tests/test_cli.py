@@ -267,6 +267,35 @@ class TestConfigValidation:
         assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("radial", "n_r", 12.5), ("radial", "n_s", 16.0), ("radial", "n_theta", True),
+        ("mc", "chunk_size", 4800.0), ("mc", "n_samples", 48000.0), ("mc", "radial_strata", True),
+        ("mc", "chunk_size", 0)])
+    def test_count_that_is_not_a_positive_integer_is_config_error(self, tmp_path, capsys,
+                                                                  section, key, value):
+        # "n_r": 12.5 and "chunk_size": 4800.0 used to pass the specs and
+        # end in error:TypeError rows with exit 0; a bool passed as 0 or 1,
+        # and "chunk_size": 0 ended in a ZeroDivisionError traceback
+        engine = {"mc": {"n_samples": 48000}}
+        engine[section] = dict(engine.get(section, {}), **{key: value})
+        cfg = base_config(functionals=["i_delta"], engine=engine)
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"config error: $.engine.{section}: {key} must be "
+                                           f"a positive integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_field_dimension_error_names_the_field_and_both_dimensions(self, tmp_path, capsys):
+        cfg = base_config(functionals=["l2_norm_sq"],
+                          fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
+                                  {"shape": "gaussian", "dim": 2, "rate": 1.0}])
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: $.fields[1]: dim 2, config dim 3\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "check", "sweep", "constants", "qn"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, command):
         # a NaN delta used to end check in an AttributeError traceback
@@ -327,6 +356,7 @@ class TestEval:
         cfg = base_config(functionals=["i_delta"])
         path = write_config(tmp_path, cfg)
         cli.main(["eval", "--config", path, "--out-dir", str(tmp_path / "a")])
+        fn._MEMO.clear()  # the second run computes, not reads the first one's estimates
         cli.main(["eval", "--config", path, "--out-dir", str(tmp_path / "b")])
         assert (tmp_path / "a" / "out.csv").read_bytes() == \
             (tmp_path / "b" / "out.csv").read_bytes()
@@ -365,8 +395,8 @@ class TestEval:
         # the entropy row reads the L² row's estimate, j_energy the
         # Dirichlet, L² and log-moment rows', and j_delta_energy at each
         # delta the L² and log-moment rows': four Monte Carlo volume passes
-        # for four distinct integrals, where independent calls make twelve,
-        # and the same rows
+        # for four distinct integrals.  The same calls made afresh, outside
+        # the CLI, also make four, and write the same rows
         from unittest import mock
 
         from nlsob import quadrature
@@ -383,13 +413,14 @@ class TestEval:
             assert cli.main(["eval", "--config", write_config(tmp_path, cfg),
                              "--out-dir", str(tmp_path)]) == 0
         u, b = field_from_dict(desc), cli._build(cfg, cfg["seed"])
+        fn._MEMO.clear()
         with spy as alone:
             outcomes = [fn.l2_norm_sq_estimate(u), fn.dirichlet_energy_estimate(u),
                         fn.entropy_l2_estimate(u), fn.log_moment_lp_estimate(u, 2.0),
                         fn.j_energy(u, fn.EnergyParams())]
             energies = [fn.j_delta_energy(u, fn.EnergyParams(), fn.KernelSpec(d), b.engine)
                         for d in b.deltas]
-        assert (shared.call_count, alone.call_count) == (4, 12)
+        assert (shared.call_count, alone.call_count) == (4, 4)
         expect = [cli._eval_row(0, descriptor_hash(u), name, None, out)
                   for name, out in zip(names, outcomes)]
         expect += [cli._eval_row(0, descriptor_hash(u), "j_delta_energy", d, out)
@@ -588,7 +619,7 @@ class TestCheck:
     def test_report_table_rows_match_direct_checker_calls(self, tmp_path, check):
         # every entry of the one check table, on a radial Gaussian and a
         # non-radial Gaussian+bump sum, writes the rows of its checker called
-        # alone (without a shared _volume) on each field and each delta or
+        # alone (on an empty memo) on each field and each delta or
         # a-value, at the family constant where the check has a free one.
         # lambda differs from every delta, so an entry that passes one for
         # the other writes another delta column
@@ -608,6 +639,7 @@ class TestCheck:
             output={"csv": "out.csv"}, **{"lambda": 0.7})
         assert cli.main(["check", "--config", write_config(tmp_path, cfg),
                          "--out-dir", str(tmp_path)]) in (0, 4)
+        fn._MEMO.clear()  # the direct calls compute their own estimates
         b = cli._build(cfg, cfg["seed"])
         per_delta = lambda check_at: [check_at(d) for d in b.deltas]
         direct = {
@@ -645,7 +677,8 @@ class TestCheck:
         # Gaussian+bump sum over three deltas read 7 distinct volume
         # quantities: the L² mass, entropy, Dirichlet energy, normalized
         # critical integral and three superlevel integrals.  A memo per check
-        # made 10 passes; the rows are those of one command per check
+        # made 10 passes; the rows are those of one command per check, each
+        # run on an empty memo
         from unittest import mock
 
         from nlsob import quadrature
@@ -663,6 +696,7 @@ class TestCheck:
         assert (rc, spy.call_count) == (0, 7)
         alone = []
         for check in checks:
+            fn._MEMO.clear()
             path = write_config(tmp_path, dict(cfg, checks=[check]))
             assert cli.main(["check", "--config", path, "--out-dir", str(tmp_path / check)]) == 0
             alone.append((tmp_path / check / "out.csv").read_text().splitlines(True))
@@ -763,8 +797,8 @@ class TestSweepAndConstants:
     def test_constants_estimates_each_volume_quantity_once_per_field(self, tmp_path):
         # the two non-radial sums of the mc_family benchmark over three
         # deltas: 3 volume passes (the entropy of the Gaussian sum, whose L²
-        # has a closed form, and both of the Gaussian+bump sum), where a
-        # checker per instance makes 9, with that checker's constants
+        # has a closed form, and both of the Gaussian+bump sum).  A checker
+        # called per instance, afresh, makes the same 3 and the same constants
         from unittest import mock
 
         from nlsob import quadrature
@@ -786,16 +820,18 @@ class TestSweepAndConstants:
             assert cli.main(["constants", "--config", write_config(tmp_path, cfg),
                              "--out-dir", str(tmp_path)]) == 0
         b = cli._build(cfg, cfg["seed"])
+        fn._MEMO.clear()
         with spy as alone:
             expect = [repr(check_logsobolev_main(u, d, b.engine).admissible_constant)
                       for u in b.fields for d in b.deltas]
-        assert (shared.call_count, alone.call_count) == (3, 9)
+        assert (shared.call_count, alone.call_count) == (3, 3)
         assert [r["constant"] for r in read_rows(tmp_path / "out.csv")] == expect
 
     def test_constants_checks_share_one_volume_memo_per_field(self, tmp_path):
         # logsobolev_main and envelope_lsi read the same L² mass and entropy
         # of the Gaussian+bump sum: 2 volume passes for both checks, where a
-        # memo per check made 4, and the rows of one command per check
+        # memo per check made 4, and the rows of one command per check, each
+        # run on an empty memo
         from unittest import mock
 
         from nlsob import quadrature
@@ -813,12 +849,49 @@ class TestSweepAndConstants:
         assert spy.call_count == 2
         alone = []
         for check in checks:
+            fn._MEMO.clear()
             path = write_config(tmp_path, dict(cfg, checks=[check]))
             assert cli.main(["constants", "--config", path,
                              "--out-dir", str(tmp_path / check)]) == 0
             alone.append((tmp_path / check / "out.csv").read_text().splitlines(True))
         assert (tmp_path / "all" / "out.csv").read_text() == \
             alone[0][0] + "".join(row for lines in alone for row in lines[1:])
+
+    def test_commands_of_one_process_share_the_volume_estimates(self, tmp_path):
+        # the mc_family benchmark's commands: constants over three deltas,
+        # then magnetic_lsi under three potentials.  The magnetic checks read
+        # the L² mass and entropy of |u| = u, which constants estimated: 3
+        # volume passes in all, where a memo per command made 3 + 3 x 3 = 12
+        from unittest import mock
+
+        from nlsob import quadrature
+        gauss = lambda rate, amp, c: {"shape": "gaussian", "dim": 3, "rate": rate,
+                                      "amplitude": amp, "center": c}
+        fields = [
+            {"shape": "sum", "dim": 3, "terms": [gauss(1.0, 1.0, [0.3, 0.0, 0.0]),
+                                                 gauss(1.6, 0.65, [-0.3, 0.2, 0.0])]},
+            {"shape": "sum", "dim": 3, "terms": [
+                gauss(1.0, 1.0, [0.0, 0.3, 0.0]),
+                {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+                 "center": [0.0, -0.3, 0.1]}]}]
+        base = dict(base_config(fields=fields, engine={"mc": {"n_samples": 4800}}),
+                    output={"csv": "out.csv"})
+        argvs = [["constants", "--config", write_config(tmp_path, dict(
+            base, kernel={"deltas": [0.2, 0.1, 0.05]}, checks=["logsobolev_main"]), "c.json")]]
+        for i, pot in enumerate([{"kind": "zero"},
+                                 {"kind": "constant", "vector": [0.5, -0.3, 0.2]},
+                                 {"kind": "linear_b", "matrix": [[0.0, 0.4, -0.3],
+                                                                 [-0.4, 0.0, 0.2],
+                                                                 [0.3, -0.2, 0.0]]}]):
+            argvs.append(["check", "--config", write_config(tmp_path, dict(
+                base, kernel={"delta": 0.1}, checks=["magnetic_lsi"], potential=pot,
+                phase={"kind": "linear", "wave": [0.3, 0.0, -0.2]}), f"m{i}.json")])
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            rcs = [cli.main(argv + ["--out-dir", str(tmp_path / str(i))])
+                   for i, argv in enumerate(argvs)]
+        assert rcs[0] == 0 and all(rc in (0, 4) for rc in rcs[1:])
+        assert spy.call_count == 3
 
     def test_given_envelope_is_one_instance_per_field(self, tmp_path):
         # envelope_lsi with kernel.envelope has no delta: check used to write
@@ -864,8 +937,8 @@ class TestSweepAndConstants:
         # over three a-values, euclidean_family estimates the L² mass, the
         # entropy and the Dirichlet energy once each; over three deltas,
         # small_set_bound estimates the L² mass and the normalized field's
-        # total once, and one superlevel integral per delta.  A checker per
-        # instance makes 9 passes either way, and writes the same rows
+        # total once, and one superlevel integral per delta.  A checker
+        # called per instance, afresh, makes as many and writes the same rows
         from unittest import mock
 
         from nlsob import quadrature
@@ -881,12 +954,13 @@ class TestSweepAndConstants:
             assert cli.main(["check", "--config", write_config(tmp_path, cfg),
                              "--out-dir", str(tmp_path)]) == 0
         b = cli._build(cfg, cfg["seed"])
+        fn._MEMO.clear()
         with spy as alone:
             if check == "euclidean_family":
                 reports = [check_euclidean_family(u, a) for u in b.fields for a in b.a_values]
             else:
                 reports = [check_small_set_bound(u, d, b.lam) for u in b.fields for d in b.deltas]
-        assert (shared.call_count, alone.call_count) == (passes, 9)
+        assert (shared.call_count, alone.call_count) == (passes, passes)
         expect = [{k: str(v) for k, v in r.csv_row().items()} for r in reports]
         assert read_rows(tmp_path / "out.csv") == expect
 

@@ -1,5 +1,6 @@
 """Functional evaluators: exact laws, reductions, entropies, energies."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -746,3 +747,89 @@ class TestEnergies:
     def test_j_delta_diverged_raises(self, indicator3, engine):
         with pytest.raises(DivergentIntegralError):
             j_delta_energy(indicator3, EnergyParams(0.0), KernelSpec(0.5), engine)
+
+
+class TestMemo:
+    """Each deterministic estimate is made once per process, keyed by the
+    field's canonical descriptor and the call's other arguments."""
+
+    SUM = {"shape": "sum", "dim": 3, "terms": [
+        {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+        {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+         "center": [0.0, -0.3, 0.1]}]}
+
+    def test_equal_and_complex_fields_reuse_the_volume_estimates(self):
+        # a freshly built equal field, and a complex field with that field
+        # as its modulus, read the first field's estimates: no pass, and
+        # the identical Estimate objects
+        from unittest import mock
+
+        from nlsob import quadrature
+        u = nl.field_from_dict(self.SUM)
+        calls = (l2_norm_sq_estimate, entropy_l2_estimate,
+                 lambda f: log_moment_lp_estimate(f, 2.0))
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            first = [c(u) for c in calls]
+            assert spy.call_count == 3
+            again = [c(nl.field_from_dict(self.SUM)) for c in calls]
+            w = nl.ComplexField(nl.field_from_dict(self.SUM), nl.LinearPhase(0.1, (0.3, 0.0, -0.2)))
+            complex_ = [c(w) for c in calls]
+        assert spy.call_count == 3
+        assert all(a is b is c for a, b, c in zip(first, again, complex_))
+        assert first[0].method == "mc"
+
+    def test_changed_coefficient_or_seed_is_computed_anew(self):
+        # one coefficient more or a different master_seed is another key;
+        # the same seed again is not
+        from unittest import mock
+
+        from nlsob import functionals, quadrature
+        u = nl.field_from_dict(self.SUM)
+        moved = dict(self.SUM, terms=[self.SUM["terms"][0],
+                                      dict(self.SUM["terms"][1], amplitude=0.51)])
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            a, b = l2_norm_sq_estimate(u), l2_norm_sq_estimate(nl.field_from_dict(moved))
+        assert spy.call_count == 2 and a.value != b.value
+        with mock.patch.object(functionals, "mc_pair_integrate_many",
+                               wraps=functionals.mc_pair_integrate_many) as spy:
+            ests = [i_delta(u, KernelSpec(0.1), default_engine(seed, n_samples=4800))
+                    for seed in (1, 2, 1)]
+        assert spy.call_count == 2
+        assert ests[0] is ests[2] and ests[0].value != ests[1].value
+
+    def test_failures_are_raised_on_every_call(self):
+        # a failure is not kept: a field that does not decay reaches the
+        # quadrature, and raises, on each call; the zero field's entropy
+        # raises each time, over its one kept (zero) L² mass
+        from unittest import mock
+
+        from nlsob import quadrature
+        flat = nl.FiniteSumField([nl.ConstantField(3, 0.5), nl.GaussianField(3, 1.0)])
+        with mock.patch.object(quadrature, "volume_integrate",
+                               wraps=quadrature.volume_integrate) as spy:
+            for _ in range(2):
+                with pytest.raises(DivergentIntegralError):
+                    l2_norm_sq_estimate(flat)
+        assert spy.call_count == 2
+        zero = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.0, (0.3, 0.0, 0.0)),
+                                  nl.SmoothBumpField(3, 1.5, 0.0, (-0.3, 0.0, 0.0))])
+        with mock.patch.object(quadrature, "mc_volume_value",
+                               wraps=quadrature.mc_volume_value) as spy:
+            for _ in range(2):
+                with pytest.raises(ZeroFieldError):
+                    entropy_l2_estimate(zero)
+        assert spy.call_count == 1
+        assert l2_norm_sq_estimate(zero).value == 0.0
+
+    def test_size_is_capped(self, monkeypatch):
+        # past the cap the oldest entry goes
+        from nlsob import functionals
+        monkeypatch.setattr(functionals, "_MEMO_SIZE", 2)
+        fields = [nl.GaussianField(3, rate) for rate in (1.0, 2.0, 3.0)]
+        for f in fields:
+            dirichlet_energy_estimate(f)
+        assert len(functionals._MEMO) == 2
+        assert [k[2] for k in functionals._MEMO] == [
+            json.dumps(f.to_dict(), sort_keys=True) for f in fields[1:]]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nlsob as nl
+from nlsob import functionals
 from nlsob.errors import PreconditionError
 from nlsob.functionals import KernelSpec, MonotoneEnvelope
 from nlsob.inequalities import (
@@ -261,6 +262,7 @@ class TestFamilySweep:
     def test_split_deterministic(self, gauss3, engine):
         fields = [gauss3, gauss3.dilate(2.0)]
         a = sweep_family(fields, [0.1, 0.2], "logsobolev_main", engine, seed=9)
+        functionals._MEMO.clear()
         b = sweep_family(fields, [0.1, 0.2], "logsobolev_main", engine, seed=9)
         assert a.held_idx == b.held_idx
         assert a.family_constant == b.family_constant
@@ -297,7 +299,7 @@ class TestFamilySweep:
     @pytest.mark.parametrize("check", ["logsobolev_main", "envelope_lsi"])
     def test_one_volume_pair_per_field(self, check):
         # every delta's report reads the field's one L² mass and entropy,
-        # with the bits of a checker called alone
+        # with the bits of a checker called alone on an empty memo
         from unittest import mock
 
         from nlsob import quadrature
@@ -309,6 +311,7 @@ class TestFamilySweep:
                                wraps=quadrature.mc_volume_value) as spy:
             sw = sweep_family([u], deltas, check, engine, seed=1)
         assert spy.call_count == 2
+        functionals._MEMO.clear()
         alone = {"logsobolev_main": lambda d: check_logsobolev_main(u, d, engine),
                  "envelope_lsi": lambda d: check_envelope_lsi(
                      u, MonotoneEnvelope.threshold(d), engine)}[check]

@@ -151,3 +151,18 @@ class TestRecovery:
         from nlsob.functionals import entropy_l2
         ent = entropy_l2(gauss3)
         assert ent == entropy_l2(gauss3)
+
+
+def test_upper_bound_then_recovery_run_the_engine_once_per_delta(engine, gauss3):
+    # check_upper_bound re-reads its base grid and adds the midpoints, and
+    # recover_classical_lsi sweeps the base grid again: the radial engine
+    # runs once per distinct delta, where it ran once per call (11 times)
+    from unittest import mock
+
+    from nlsob import functionals
+    deltas = DELTAS[:4]
+    with mock.patch.object(functionals, "radial_pair_integrate",
+                           wraps=functionals.radial_pair_integrate) as spy:
+        check_upper_bound(gauss3, deltas, engine)
+        recover_classical_lsi(gauss3, deltas, 0.05, engine)
+    assert spy.call_count == len(deltas) + len(deltas) - 1 == 7

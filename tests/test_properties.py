@@ -80,6 +80,7 @@ def test_verdict_is_delta_below_jump(case, seed):
         return run(ctx, spec)
 
     Counting.points = 0
+    functionals._MEMO.clear()  # a repeated example runs the engine again
     with mock.patch.object(functionals, "mc_pair_integrate_many", recording):
         est = nl.i_delta_p(u, nl.KernelSpec(delta, p),
                            nl.default_engine(seed, mode="mc", n_samples=4800))
@@ -343,6 +344,7 @@ def test_closed_form_crossings_match_newton(field, frac):
     delta = frac * field.sup_bound
     k = nl.KernelSpec(delta)
     got = nl.i_delta(field, k, engine)
+    functionals._MEMO.clear()  # the reference computes anew, on the patched profile
     profile = type(field).radial_profile
     with mock.patch.object(type(field), "radial_profile",
                            lambda u: replace(profile(u), level_radius=None)):

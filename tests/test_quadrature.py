@@ -843,16 +843,19 @@ class TestPinnedBits:
 
 
 class TestOneL2PerInstance:
-    """A caller's L² estimate, passed to the entropy, replaces the entropy's
-    own L² pass without moving a bit."""
+    """The entropy normalises by the memo's L² estimate: made before it or
+    by it, the entropy keeps its bits."""
 
     # the Gaussian+bump sum of TestPinnedBits.test_l2_norm_sq_volume_mc
     FIELD = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
                                nl.SmoothBumpField(3, 1.5, 0.8, (0.7, 0.0, 0.0))])
 
     def test_entropy_with_given_l2_bitwise(self):
+        from nlsob import functionals
         from nlsob.functionals import entropy_l2_estimate, l2_norm_sq_estimate
-        a = entropy_l2_estimate(self.FIELD, l2=l2_norm_sq_estimate(self.FIELD))
+        l2_norm_sq_estimate(self.FIELD)
+        a = entropy_l2_estimate(self.FIELD)
+        functionals._MEMO.clear()
         b = entropy_l2_estimate(self.FIELD)
         assert a.method == "mc"
         assert (a.value.hex(), a.stderr.hex()) == (b.value.hex(), b.stderr.hex())
@@ -927,10 +930,12 @@ def test_batched_chunk_matches_per_stratum_loop(seed):
 
 def engine_call(call):
     """The one (context, spec, estimates) that ``call`` runs the MC pair
-    engine with, through the name the functionals module calls."""
+    engine with, through the name the functionals module calls, on an
+    empty memo (hypothesis may repeat an example)."""
     from unittest import mock
 
     from nlsob import functionals
+    functionals._MEMO.clear()
     seen, real = [], functionals.mc_pair_integrate_many
 
     def spy(ctx, spec):
