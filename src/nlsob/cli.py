@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from types import SimpleNamespace
 from typing import List, Optional
 
@@ -45,8 +46,10 @@ from .functionals import (
     j_energy,
     l2_norm_sq_estimate,
     log_moment_lp_estimate,
+    prefetch_pairs,
 )
-from .inequalities import FREE_CONSTANT_CHECKS, REPORTS, family_constant, sweep_family
+from .inequalities import (FREE_CONSTANT_CHECKS, REPORTS, family_constant, prefetch_reports,
+                           sweep_family)
 from .limits import DEFAULT_DELTAS, delta_sweep, estimate_qn
 from .quadrature import Estimate, McSpec, RadialSpec
 
@@ -66,6 +69,15 @@ _EVAL = {
     "i_delta_p": (True, lambda u, d, b: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
     "j_delta_energy": (True, lambda u, d, b: j_delta_energy(
         u, EnergyParams(b.omega), KernelSpec(d), b.engine)),
+}
+
+# functional -> (field, delta, built config) -> the (name, arguments) of the
+# memoized pair call its _EVAL entry makes at that delta, which
+# functionals.prefetch_pairs computes with the command's others
+_EVAL_REQUESTS = {
+    "i_delta": lambda u, d, b: ("i_delta", (u, KernelSpec(d), b.engine)),
+    "i_delta_p": lambda u, d, b: ("i_delta_p", (u, KernelSpec(d, p=b.p), b.engine)),
+    "j_delta_energy": lambda u, d, b: ("i_delta", (u, KernelSpec(d), b.engine)),
 }
 
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
@@ -291,9 +303,12 @@ def cmd_eval(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     header = ["field_index", "field_hash", "functional", "delta", "value",
               "stderr", "tail_bound", "method", "status", "n_effective"]
     rows = []
+    names = cfg.get("functionals") or _DEFAULT_FUNCTIONALS
+    prefetch_pairs(partial(_EVAL_REQUESTS[name], u, d, b) for u in b.fields
+                   for name in names if name in _EVAL_REQUESTS for d in b.deltas)
     for fi, u in enumerate(b.fields):
         fh = descriptor_hash(u)
-        for name in cfg.get("functionals") or _DEFAULT_FUNCTIONALS:
+        for name in names:
             per_delta, evaluate = _EVAL[name]
             for d in b.deltas if per_delta else [None]:
                 try:
@@ -312,6 +327,7 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
               "constant", "stat_margin", "degenerate"]
     rows, details = [], []
     violated = False
+    prefetch_reports(cfg.get("checks", []), b.fields, b)
     for check in cfg.get("checks", []):
         reports = [r for u in b.fields for r in REPORTS[check](u, b)]
         family = family_constant(reports)

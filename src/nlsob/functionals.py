@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
     "f_functional",
     "i_delta_magnetic",
     "i_delta_magnetic_paired",
+    "prefetch_pairs",
     "l2_norm_sq",
     "l2_norm_sq_estimate",
     "dirichlet_energy",
@@ -216,27 +217,40 @@ _MEMO_SIZE = 1024  # entries of the process-wide memo; past it the oldest goes
 _MEMO: dict = {}
 
 
+_MEMO_KEYS: dict = {}  # memoized function's name -> its key function
+
+
+def _memo_key(name: str, *args, **kwargs) -> tuple:
+    """The memo key of the call ``name(*args, **kwargs)``: the name, the
+    field's class, its canonical descriptor ``json.dumps(to_dict(),
+    sort_keys=True)`` and the rest that the key function returns."""
+    u, rest = _MEMO_KEYS[name](*args, **kwargs)
+    return (name, type(u), json.dumps(u.to_dict(), sort_keys=True), rest)
+
+
+def _remember(key: tuple, value) -> None:
+    if len(_MEMO) >= _MEMO_SIZE:
+        del _MEMO[next(iter(_MEMO))]
+    _MEMO[key] = value
+
+
 def _memoized(key: Callable) -> Callable:
     """Decorator: ``fn(*args)`` made once per process for each key.
 
-    ``key(*args)`` returns (field, rest); the memo key is fn's name, the
-    field's class, its canonical descriptor ``json.dumps(to_dict(),
-    sort_keys=True)`` and ``rest``.  Sound by the reproducibility
-    contract: volume quantities run on fixed nodes or the fixed
-    ``quadrature._DEFAULT_VOLUME_SPEC`` stream, pair functionals on the
-    engine's own seed, so equal keys give equal bits.  A failure is not
-    kept: every failing call raises anew.
+    ``key(*args)`` returns (field, rest); see ``_memo_key``.  Sound by the
+    reproducibility contract: volume quantities run on fixed nodes or the
+    fixed ``quadrature._DEFAULT_VOLUME_SPEC`` stream, pair functionals on
+    the engine's own seed, so equal keys give equal bits.  A failure is
+    not kept: every failing call raises anew.
     """
     def decorate(fn):
+        _MEMO_KEYS[fn.__name__] = key
+
         @functools.wraps(fn)
         def memo(*args, **kwargs):
-            u, rest = key(*args, **kwargs)
-            k = (fn.__name__, type(u), json.dumps(u.to_dict(), sort_keys=True), rest)
+            k = _memo_key(fn.__name__, *args, **kwargs)
             if k not in _MEMO:
-                out = fn(*args, **kwargs)
-                if len(_MEMO) >= _MEMO_SIZE:
-                    del _MEMO[next(iter(_MEMO))]
-                _MEMO[k] = out
+                _remember(k, fn(*args, **kwargs))
             return _MEMO[k]
         return memo
     return decorate
@@ -296,17 +310,14 @@ def _jump_free_radius(u: ScalarField, level: float, weight) -> Optional[float]:
     return rho0
 
 
-def _pair_functional(u: ScalarField, p: float, envelope: MonotoneEnvelope,
-                     engine: EngineSpec) -> Estimate:
-    """Shared core of i_delta / i_delta_p / f_functional for real fields:
-    the integral of F(|u(x) - u(y)|) / |x - y|^{N+p}, F = ``envelope.fn``.
-    The indicator functionals pass ``MonotoneEnvelope.threshold``.
-    """
+def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: EngineSpec):
+    """How the pair functional of ``_pair_functional`` is decided: its
+    Estimate where no engine runs (0 in closed form, or divergence at a
+    jump), the field's radial profile where the radial engine decides it,
+    else the MC engine's context."""
     dim = u.dim
     lip = u.lipschitz_bound
     zero_below = envelope.zero_below
-    # None: the radial engine's plain indicator sup_value * 1{|a - b| > zero_below}
-    pair_fn = None if envelope.step else (lambda a, b: envelope.fn(np.abs(a - b)))
 
     # exact shortcuts: a constant field has |u(x)-u(y)| = 0, and if the
     # oscillation 2 sup|u| cannot exceed the threshold the set is empty
@@ -317,31 +328,7 @@ def _pair_functional(u: ScalarField, p: float, envelope: MonotoneEnvelope,
 
     prof = u.radial_profile()
     if engine.mode != "mc" and prof is not None and math.isfinite(lip):
-        rspec = engine.radial
-        if zero_below > 0:
-            weight = RadialWeight(pair_fn=pair_fn, threshold=zero_below,
-                                  numerator=envelope.sup_value)
-            return radial_pair_integrate(prof, p, weight, rspec, dim)
-        # smooth envelope: symmetric weight with slowly decaying pair tails
-        sup = prof.sup
-        eps_x = 1e-9 * max(sup, 1e-30)
-        r_range = prof.decay_radius(eps_x)
-        q = envelope.small_t_power
-        omega = sphere_surface(dim)
-        uq = lp_power_integral(u, q).value
-        far_mass = 2.0 ** q * uq * omega / p
-        atol = max(1e-8, 1e-4 * far_mass)
-        s_range = r_range + (far_mass / atol) ** (1.0 / p)
-        if rspec.r_max > 0:
-            s_range = rspec.r_max
-            r_range = min(r_range, s_range)
-        # residuals: pairs beyond s_range, plus the far near-diagonal corner
-        far_tail = 2.0 * far_mass * max(s_range - r_range, 1e-12) ** (-p)
-        corner = (4.0 * quad._pair_prefactor(dim) * lip ** p
-                  * (2.0 * eps_x) ** (q - p) * (s_range - r_range) / p)
-        weight = RadialWeight(pair_fn=pair_fn, r_range=r_range, tail_hint=far_tail + corner)
-        return radial_pair_integrate(prof, p, weight,
-                                     replace(rspec, r_max=s_range), dim)
+        return prof
 
     # Monte Carlo path
     np_exp = -(dim + p)
@@ -380,19 +367,71 @@ def _pair_functional(u: ScalarField, p: float, envelope: MonotoneEnvelope,
 
     # on the half-domain |u(y)| <= |u(x)|, |u(x) - u(y)| <= 2 |u(x)| (also in
     # floating point), so samples with |u(x)| <= zero_below / 2 add exactly 0
-    ctx = PairContext(dim, np.zeros(dim), x_radius, p, h_tail_scale, (integrand,),
-                      inner_cutoff=cutoff, symmetric=True, values=u.evaluate,
-                      extra_tail=extra_tail,
-                      zero_floor=zero_below / 2.0 if zero_below > 0 else None)
-    return mc_pair_integrate_many(ctx, engine.mc)[0]
+    return PairContext(dim, np.zeros(dim), x_radius, p, h_tail_scale, (integrand,),
+                       inner_cutoff=cutoff, symmetric=True, values=u.evaluate,
+                       extra_tail=extra_tail,
+                       zero_floor=zero_below / 2.0 if zero_below > 0 else None)
+
+
+def _radial_pair_functional(u: ScalarField, prof, p: float, envelope: MonotoneEnvelope,
+                            rspec: RadialSpec) -> Estimate:
+    """The radial engine's estimate of ``_pair_functional``, on the field's
+    radial profile ``prof``."""
+    dim = u.dim
+    zero_below = envelope.zero_below
+    # None: the radial engine's plain indicator sup_value * 1{|a - b| > zero_below}
+    pair_fn = None if envelope.step else (lambda a, b: envelope.fn(np.abs(a - b)))
+    if zero_below > 0:
+        weight = RadialWeight(pair_fn=pair_fn, threshold=zero_below,
+                              numerator=envelope.sup_value)
+        return radial_pair_integrate(prof, p, weight, rspec, dim)
+    # smooth envelope: symmetric weight with slowly decaying pair tails
+    lip = u.lipschitz_bound
+    sup = prof.sup
+    eps_x = 1e-9 * max(sup, 1e-30)
+    r_range = prof.decay_radius(eps_x)
+    q = envelope.small_t_power
+    omega = sphere_surface(dim)
+    uq = lp_power_integral(u, q).value
+    far_mass = 2.0 ** q * uq * omega / p
+    atol = max(1e-8, 1e-4 * far_mass)
+    s_range = r_range + (far_mass / atol) ** (1.0 / p)
+    if rspec.r_max > 0:
+        s_range = rspec.r_max
+        r_range = min(r_range, s_range)
+    # residuals: pairs beyond s_range, plus the far near-diagonal corner
+    far_tail = 2.0 * far_mass * max(s_range - r_range, 1e-12) ** (-p)
+    corner = (4.0 * quad._pair_prefactor(dim) * lip ** p
+              * (2.0 * eps_x) ** (q - p) * (s_range - r_range) / p)
+    weight = RadialWeight(pair_fn=pair_fn, r_range=r_range, tail_hint=far_tail + corner)
+    return radial_pair_integrate(prof, p, weight, replace(rspec, r_max=s_range), dim)
+
+
+def _pair_functional(u: ScalarField, p: float, envelope: MonotoneEnvelope,
+                     engine: EngineSpec) -> Estimate:
+    """Shared core of i_delta / i_delta_p / f_functional for real fields:
+    the integral of F(|u(x) - u(y)|) / |x - y|^{N+p}, F = ``envelope.fn``.
+    The indicator functionals pass ``MonotoneEnvelope.threshold``.
+    """
+    route = _pair_route(u, p, envelope, engine)
+    if isinstance(route, PairContext):
+        return mc_pair_integrate_many([route], engine.mc)[0]
+    if isinstance(route, Estimate):
+        return route
+    return _radial_pair_functional(u, route, p, envelope, engine.radial)
+
+
+def _i_delta_kernel(k: KernelSpec):
+    """(p, envelope) of i_delta's kernel delta^2 1{|du| > delta} / |x-y|^{N+2}."""
+    if k.p != 2.0:
+        raise PreconditionError("i_delta is the p = 2 kernel; use i_delta_p")
+    return 2.0, MonotoneEnvelope.threshold(k.delta)
 
 
 @_memoized(lambda u, k, engine: (u, (k.delta, k.p, engine)))
 def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     """The nonlocal functional with kernel delta^2 / |x-y|^{N+2}."""
-    if k.p != 2.0:
-        raise PreconditionError("i_delta is the p = 2 kernel; use i_delta_p")
-    return _pair_functional(u, 2.0, MonotoneEnvelope.threshold(k.delta), engine)
+    return _pair_functional(u, *_i_delta_kernel(k), engine)
 
 
 @_memoized(lambda u, k, engine: (u, (k.delta, k.p, engine)))
@@ -458,6 +497,21 @@ def i_delta_magnetic(u: ComplexField, A: VectorPotential, k: KernelSpec,
     return i_delta_magnetic_paired(u, A, k, engine)[0]
 
 
+def _magnetic_route(u: ComplexField, A: VectorPotential, k: KernelSpec, engine: EngineSpec):
+    """How ``i_delta_magnetic_paired`` is decided: its (0, 0) in closed form
+    where delta is past the oscillation of |u|, else the MC engine's context."""
+    if k.p != 2.0:
+        raise PreconditionError("the magnetic functional uses the p = 2 kernel")
+    if k.delta >= 2.0 * u.modulus.sup_bound:
+        z = Estimate(0.0, 0.0, 0, 0.0, "closed_form")
+        return z, z
+    if not math.isfinite(u.modulus.lipschitz_bound):
+        raise PreconditionError("magnetic functional needs a Lipschitz modulus")
+    return _magnetic_context(u, A, k.delta, engine)
+
+
+@_memoized(lambda u, A, k, engine: (
+    u, (type(A), json.dumps(A.to_dict(), sort_keys=True), k.delta, k.p, engine)))
 def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
                             engine: EngineSpec):
     """(magnetic estimate, estimate for |u|) on one shared sample stream.
@@ -466,15 +520,59 @@ def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
     the indicator inclusion hold sample by sample, so the returned pair
     is ordered with zero tolerance.
     """
-    if k.p != 2.0:
-        raise PreconditionError("the magnetic functional uses the p = 2 kernel")
-    delta = k.delta
-    if delta >= 2.0 * u.modulus.sup_bound:
-        z = Estimate(0.0, 0.0, 0, 0.0, "closed_form")
-        return z, z
-    if not math.isfinite(u.modulus.lipschitz_bound):
-        raise PreconditionError("magnetic functional needs a Lipschitz modulus")
-    return tuple(mc_pair_integrate_many(_magnetic_context(u, A, delta, engine), engine.mc))
+    route = _magnetic_route(u, A, k, engine)
+    if isinstance(route, PairContext):
+        return tuple(mc_pair_integrate_many([route], engine.mc))
+    return route
+
+
+# ---------------------------------------------------------------------------
+# one engine pass for the pair estimates of a command
+# ---------------------------------------------------------------------------
+
+# memoized pair functional -> (its route on the call's arguments, the call's
+# value from the estimates of an MC route)
+_PAIR_ROUTES = {
+    "i_delta": (lambda u, k, engine: _pair_route(u, *_i_delta_kernel(k), engine),
+                lambda ests: ests[0]),
+    "i_delta_p": (lambda u, k, engine: _pair_route(
+        u, k.p, MonotoneEnvelope.threshold(k.delta, k.p), engine), lambda ests: ests[0]),
+    "i_delta_magnetic_paired": (_magnetic_route, tuple),
+}
+
+
+def prefetch_pairs(requests: Iterable[Callable[[], tuple]]) -> None:
+    """Compute together the MC pair estimates that memoized calls will read.
+
+    Each request, called, gives the (name, arguments) of one call of
+    ``i_delta``, ``i_delta_p`` or ``i_delta_magnetic_paired``.  The
+    requests that reach the MC engine are grouped by (McSpec, dimension);
+    each group runs one engine pass, whose contexts share their streams,
+    and each call's value is kept under that call's memo key, so the call
+    reads it.  Each estimate equals that of the call's own pass, bit for
+    bit.  A request that raises, is kept already, or is decided without
+    the MC engine (closed form, radial engine, divergence at a jump) is
+    left to its own call.
+    """
+    groups = {}
+    for request in requests:
+        try:
+            name, args = request()
+            key = _memo_key(name, *args)
+            route_of, finish = _PAIR_ROUTES[name]
+            route = None if key in _MEMO else route_of(*args)
+        except Exception:  # noqa: BLE001 - the call raises it again
+            continue
+        if isinstance(route, PairContext):
+            engine = args[-1]  # every pair functional takes its engine last
+            groups.setdefault((engine.mc, route.dim), {})[key] = (route, finish)
+    for (spec, _), members in groups.items():
+        try:
+            ests = iter(mc_pair_integrate_many([ctx for ctx, _ in members.values()], spec))
+        except Exception:  # noqa: BLE001 - each call meets its own failure
+            continue
+        for key, (ctx, finish) in members.items():
+            _remember(key, finish([next(ests) for _ in ctx.integrands]))
 
 
 # ---------------------------------------------------------------------------

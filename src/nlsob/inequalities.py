@@ -8,13 +8,16 @@ split.
 
 ``REPORTS``, read by the CLI and ``sweep_family``, maps each check name to
 one field's reports.  Checkers ask ``functionals`` for every volume
-quantity and ``i_delta`` they read; it memoizes each per process, keyed
-by the field's canonical descriptor (a complex field's modulus's) and
-the other arguments, sound as the volume integrals run on fixed streams
-and ``i_delta`` on its engine's seed.  A repeat across deltas, checks
-and commands returns the identical ``Estimate``.  ``f_functional`` (an
-envelope's descriptor does not fix its function) and the magnetic
-functionals (no study repeats them) are not memoized.
+quantity, ``i_delta`` and magnetic pair (``i_delta_magnetic_paired``)
+they read; it memoizes each per process, keyed by the field's canonical
+descriptor (a complex field's modulus's, for a volume quantity) and the
+other arguments, sound as the volume integrals run on fixed streams and
+the pair estimates on their engine's seed.  A repeat across deltas,
+checks and commands returns the identical ``Estimate``.  ``f_functional``
+(an envelope's descriptor does not fix its function) is not memoized.
+``PAIR_REQUESTS``, next to ``REPORTS``, names the memoized pair
+estimates each entry reads, so that ``prefetch_reports`` computes a
+command's together in one Monte Carlo pass before the entries run.
 
 Tolerance policy: inequalities involving Monte Carlo estimates are
 asserted up to ``stat_margin`` (3x the combined standard errors,
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence
 
@@ -45,6 +49,7 @@ from .functionals import (
     l2_norm_sq_estimate,
     log_moment_lp_estimate,
     lp_power_integral,
+    prefetch_pairs,
     restricted_power_integral,
 )
 from .quadrature import Estimate
@@ -66,6 +71,8 @@ __all__ = [
     "family_constant",
     "FREE_CONSTANT_CHECKS",
     "REPORTS",
+    "PAIR_REQUESTS",
+    "prefetch_reports",
 ]
 
 _FP_SLACK = 1e-9
@@ -145,6 +152,11 @@ def _require_sobolev_dim(n: int, p: float = 2.0):
         raise PreconditionError(f"checkers need N > p (got N={n}, p={p})")
 
 
+def _require_positive_lambda(lam: float):
+    if lam <= 0:
+        raise PreconditionError("lambda must be positive")
+
+
 # ---------------------------------------------------------------------------
 # individual checkers
 # ---------------------------------------------------------------------------
@@ -155,8 +167,7 @@ def check_nonlocal_sobolev(u: ScalarField, delta: float, lam: float,
     nonlocal functional; the free constant is extracted per instance."""
     n = u.dim
     _require_sobolev_dim(n)
-    if lam <= 0:
-        raise PreconditionError("lambda must be positive")
+    _require_positive_lambda(lam)
     q = 2.0 * n / (n - 2.0)
     pw = n / (n - 2.0)
     inputs = _prov(u, delta, engine, llambda=lam)
@@ -373,6 +384,47 @@ REPORTS = {
 FREE_CONSTANT_CHECKS = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
 
 
+def _i_delta_request(u, d, ps):
+    _require_sobolev_dim(u.dim)
+    return "i_delta", (u, KernelSpec(d), ps.engine)
+
+
+def _nonlocal_sobolev_request(u, d, ps):
+    _require_positive_lambda(ps.lam)
+    return _i_delta_request(u, d, ps)
+
+
+def _magnetic_request(u, d, ps):
+    return "i_delta_magnetic_paired", (ComplexField(u, ps.phase), ps.potential, KernelSpec(d),
+                                       ps.engine)
+
+
+def _magnetic_lsi_request(u, d, ps):
+    _require_sobolev_dim(u.dim)
+    return _magnetic_request(u, d, ps)
+
+
+# check -> (field, delta, the object its REPORTS entry reads) -> the (name,
+# arguments) of the memoized pair call the entry makes at that delta.  A
+# request first tests what its checker tests before any estimate, so that a
+# check that fails there runs no pass.  A check that makes no such call
+# (envelope_lsi's f_functional is not memoized) is absent.
+PAIR_REQUESTS = {
+    "logsobolev_main": _i_delta_request,
+    "nonlocal_sobolev": _nonlocal_sobolev_request,
+    "magnetic_lsi": _magnetic_lsi_request,
+    "diamagnetic": _magnetic_request,
+}
+
+
+def prefetch_reports(checks: Sequence[str], fields: Sequence[ScalarField], ps) -> None:
+    """Compute in one Monte Carlo pass per engine the memoized pair
+    estimates that the ``REPORTS`` entries of ``checks`` read on ``fields``
+    (``functionals.prefetch_pairs``); the entries then read them."""
+    prefetch_pairs(partial(PAIR_REQUESTS[c], u, d, ps)
+                   for c in checks if c in PAIR_REQUESTS for u in fields for d in ps.deltas)
+
+
 def family_constant(reports: Sequence[InequalityReport]) -> Optional[float]:
     """The largest admissible constant over the non-degenerate reports
     with a free constant, or None if there are none."""
@@ -397,6 +449,7 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
     if not fields:
         raise PreconditionError("empty field family")
     ps = SimpleNamespace(deltas=deltas, engine=engine, lam=lam, envelope=envelope)
+    prefetch_reports([inequality_id], fields, ps)
     per_field = [REPORTS[inequality_id](u, ps) for u in fields]
     labels = [None] if inequality_id == "envelope_lsi" and envelope else deltas
     instances = [(fi, d) for fi, rs in enumerate(per_field) for d, _ in zip(labels, rs)]

@@ -10,11 +10,15 @@ Two pair engines share one Estimate type:
   chunk, stratum): the stream of ``SeedSequence([master_seed, c, k])`` ->
   PCG64, whose states ``_pcg64_states`` derives itself (NEP 19 fixes them
   across numpy versions; ``test_stream_states_match_default_rng`` checks
-  them).  Each chunk is one array pass that evaluates the field once at x
-  and once at y, and partial sums are reduced stratum by stratum, then
-  chunk by chunk, in ascending order.  Chunks run serially, so a result
-  is bit-identical for a given McSpec, also where it skips work adding 0:
-  strata below a valid cutoff, y sides below ``PairContext.zero_floor``.
+  them).  One pass takes several contexts of one dimension, such as the
+  pair estimates of one command: each chunk draws the union of their
+  strata once and computes the radii and unit directions once, and each
+  context evaluates its field once at its x and once at its y.  Partial
+  sums are reduced stratum by stratum, then chunk by chunk, in ascending
+  order.  Chunks run serially, so a result is bit-identical for a given
+  McSpec, whichever contexts share its pass, also where it skips work
+  adding 0: strata below a valid cutoff, y sides below
+  ``PairContext.zero_floor``, integrands where the symmetric weight is 0.
 
 * ``radial_pair_integrate``: deterministic quadrature for radial fields.
   The pair integral reduces to (r, s, theta) with surface factor
@@ -134,6 +138,10 @@ class McSpec:
             raise PreconditionError("radial_strata must divide chunk_size")
         if not 0 < self.outer_radius_eps < math.inf:
             raise PreconditionError("outer_radius_eps must be positive and finite")
+        for name in ("h_max", "x_radius"):
+            v = getattr(self, name)
+            if v is not None and not 0 < v < math.inf:
+                raise PreconditionError(f"{name} must be positive and finite, got {v!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -265,14 +273,18 @@ def _reduce_triples(triples, scale: float):
     return value, stderr, ess
 
 
-def _offset_rows(origin, scale: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``origin + scale[:, None] * v / |v|`` (origin a point or one per row),
-    bit-equal to that broadcast form at half its cost, one column at a time."""
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """``v / |v|`` row by row (a zero row stays zero)."""
     norms = np.sqrt(row_sq_norms(v))
-    norms = np.where(norms > 0, norms, 1.0)
-    out = np.empty_like(v)
-    for j in range(v.shape[1]):
-        np.add(origin[..., j], scale * (v[:, j] / norms), out=out[:, j])
+    return v / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+def _offset_rows(origin, scale: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """``origin + scale[:, None] * unit`` (origin a point or one per row),
+    bit-equal to that broadcast form at half its cost, one column at a time."""
+    out = np.empty_like(unit)
+    for j in range(unit.shape[1]):
+        np.add(origin[..., j], scale * unit[:, j], out=out[:, j])
     return out
 
 
@@ -378,71 +390,120 @@ def _derive_h_max(ctx: PairContext, spec: McSpec):
     return h, tail
 
 
-def mc_pair_integrate_many(ctx: PairContext, spec: McSpec):
-    """Stratified MC estimates for several integrands on one sample stream.
+@dataclass
+class _Stratified:
+    """One context's part of a pass: its tail bound, per integrand the
+    (sum, sumsq, count) of each chunk so far, its strata ``first`` .. K-1
+    (none where ``first`` is K) and their lower edges, log widths and
+    sample weights, one entry per stratum."""
 
-    Sharing the stream makes pointwise integrand orderings carry over to
-    the estimates exactly (common random numbers).  Each chunk is one
-    array pass: the strata draw into consecutive rows of one buffer, the
-    field and every integrand are evaluated once on the whole chunk, and
-    the sums are taken stratum by stratum in ascending order.
-    """
-    n = ctx.dim
+    ctx: PairContext
+    tail: float
+    triples: list
+    first: int
+    lo: Optional[np.ndarray] = None
+    lw: Optional[np.ndarray] = None
+    weight: Optional[np.ndarray] = None
+
+
+def _stratify(ctx: PairContext, spec: McSpec) -> _Stratified:
     rx = spec.x_radius if spec.x_radius is not None else ctx.x_radius
     ctx = replace(ctx, x_radius=rx)
-    if rx <= 0:
-        return [Estimate(0.0, 0.0, 0, ctx.extra_tail, "mc") for _ in ctx.integrands]
-    h_max, h_tail = _derive_h_max(ctx, spec)
-    tail_bound = h_tail + ctx.extra_tail
     k_strata = spec.radial_strata
+    plan = _Stratified(ctx, ctx.extra_tail, [[] for _ in ctx.integrands], k_strata)
+    if rx <= 0:
+        return plan
+    h_max, h_tail = _derive_h_max(ctx, spec)
+    plan.tail = h_tail + ctx.extra_tail
     edges = np.geomspace(h_max * 1e-9, h_max, k_strata + 1)
-    log_widths = np.log(edges[1:] / edges[:-1])
-    active = np.nonzero(edges[1:] > ctx.inner_cutoff)[0]
-    if active.size == 0:
-        return [Estimate(0.0, 0.0, 0, tail_bound, "mc") for _ in ctx.integrands]
-    m = spec.chunk_size // k_strata
-    vol = ball_volume(n, rx)
-    omega = sphere_surface(n)
-    # per-sample stratum geometry, in the order the strata are drawn
-    k_of = np.repeat(active, m)
-    lo = edges[k_of]
-    lw = log_widths[k_of]
-    weight = vol * (lw * omega)
-    triples = [[] for _ in ctx.integrands]
-    n_chunks = spec.n_samples // spec.chunk_size
-    states = _pcg64_states(spec.master_seed, np.column_stack(
-        [np.repeat(np.arange(n_chunks), active.size), np.tile(active, n_chunks)]))
-    rng = np.random.Generator(np.random.PCG64(0))
-    xdir, hdir = np.empty((2, active.size * m, n))
-    xu, hu = np.empty((2, active.size * m))
-    for c in range(n_chunks):
-        for i in range(active.size):
-            # the stream of default_rng([master_seed, c, active[i]])
-            rng.bit_generator.state = next(states)
-            rows = slice(i * m, (i + 1) * m)
-            rng.standard_normal(out=xdir[rows])
-            rng.random(out=xu[rows])
-            rng.standard_normal(out=hdir[rows])
-            rng.random(out=hu[rows])
-        x = _offset_rows(ctx.x_center, rx * xu ** (1.0 / n), xdir)
-        vx = None if ctx.values is None else ctx.values(x)
-        live = slice(None)  # rows with a y side
-        if ctx.zero_floor is not None:
-            live = np.flatnonzero(np.abs(vx) > ctx.zero_floor)
-            x, vx = x.take(live, axis=0), vx[live]
-        rho = lo[live] * np.exp(lw[live] * hu[live])
-        y = _offset_rows(x, rho, hdir[live])
-        base = weight[live] * rho ** n
-        vy = None if ctx.values is None else ctx.values(y)
-        if ctx.symmetric:
-            base = base * np.where(np.abs(vx) >= np.abs(vy), 2.0, 0.0)
-        for f, out in zip(ctx.integrands, triples):
-            zeta = np.zeros((active.size, m))  # the skipped rows add 0
-            zeta.ravel()[live] = f(x, y, rho, vx, vy) * base
-            out.append((_ordered_sum(zeta.sum(axis=1)),
-                        _ordered_sum((zeta * zeta).sum(axis=1)), spec.chunk_size))
-    return [Estimate(*_reduce_triples(t, float(k_strata)), tail_bound, "mc")
-            for t in triples]
+    # the drawn strata, those reaching past the cutoff, are a suffix
+    plan.first = int(np.count_nonzero(~(edges[1:] > ctx.inner_cutoff)))
+    plan.lo = edges[plan.first:-1]
+    plan.lw = np.log(edges[1:] / edges[:-1])[plan.first:]
+    plan.weight = ball_volume(ctx.dim, rx) * (plan.lw * sphere_surface(ctx.dim))
+    return plan
+
+
+def _chunk_sums(plan: _Stratified, spec: McSpec, xr: np.ndarray, xunit: np.ndarray,
+                hu: np.ndarray, hunit: np.ndarray):
+    """Add one chunk's (sum, sumsq, count) per integrand to ``plan``, from
+    the rows of its strata: ``xr`` (uniform draws to the power 1/N) and
+    ``xunit`` place x in the ball, ``hu`` and ``hunit`` place y around x."""
+    ctx, n = plan.ctx, plan.ctx.dim
+    x = _offset_rows(ctx.x_center, ctx.x_radius * xr, xunit)
+    vx = None if ctx.values is None else ctx.values(x)
+    live = np.arange(len(x))  # rows with a y side
+    if ctx.zero_floor is not None:
+        live = np.flatnonzero(np.abs(vx) > ctx.zero_floor)
+        x, vx = x.take(live, axis=0), vx[live]
+    m = spec.chunk_size // spec.radial_strata
+    k = live // m  # each row's stratum, counted from the context's first
+    rho = plan.lo[k] * np.exp(plan.lw[k] * hu[live])
+    y = _offset_rows(x, rho, hunit.take(live, axis=0))
+    vy = None if ctx.values is None else ctx.values(y)
+    if ctx.symmetric:
+        # the half-domain |v(x)| >= |v(y)|, doubled below; the other rows add 0
+        keep = np.flatnonzero(np.abs(vx) >= np.abs(vy))
+        x, y, rho, vx, vy = (x.take(keep, axis=0), y.take(keep, axis=0), rho[keep],
+                             vx[keep], vy[keep])
+        live, k = live[keep], k[keep]
+    base = plan.weight[k] * rho ** n
+    if ctx.symmetric:
+        base *= 2.0
+    for f, out in zip(ctx.integrands, plan.triples):
+        zeta = np.zeros((len(xr) // m, m))  # the skipped rows add 0
+        zeta.ravel()[live] = f(x, y, rho, vx, vy) * base
+        out.append((_ordered_sum(zeta.sum(axis=1)),
+                    _ordered_sum((zeta * zeta).sum(axis=1)), spec.chunk_size))
+
+
+def mc_pair_integrate_many(contexts: Sequence[PairContext], spec: McSpec) -> list:
+    """Stratified MC estimates of every integrand of every context, all on
+    one sample stream; a flat list in (context, integrand) order.
+
+    Sharing the stream makes pointwise integrand orderings carry over to
+    the estimates exactly (common random numbers).  The contexts must
+    share their dimension.  Each chunk draws the strata of all contexts
+    once, into consecutive rows of one buffer (a context's strata are a
+    suffix of them, so its rows are the buffer's tail), and computes the
+    x radii and the unit directions once; each context then evaluates its
+    field at its own x and y, and its integrands on the rows of nonzero
+    weight, and takes the sums stratum by stratum in ascending order.  A
+    context's estimates are those of a pass of that context alone, bit for
+    bit.
+    """
+    if len({ctx.dim for ctx in contexts}) > 1:
+        raise PreconditionError("contexts of one pass must share their dimension")
+    k_strata = spec.radial_strata
+    plans = [_stratify(ctx, spec) for ctx in contexts]
+    drawn = [plan for plan in plans if plan.first < k_strata]
+    if drawn:
+        n = drawn[0].ctx.dim
+        first = min(plan.first for plan in drawn)
+        strata = np.arange(first, k_strata)
+        m = spec.chunk_size // k_strata
+        n_chunks = spec.n_samples // spec.chunk_size
+        states = _pcg64_states(spec.master_seed, np.column_stack(
+            [np.repeat(np.arange(n_chunks), strata.size), np.tile(strata, n_chunks)]))
+        rng = np.random.Generator(np.random.PCG64(0))
+        xdir, hdir = np.empty((2, strata.size * m, n))
+        xu, hu = np.empty((2, strata.size * m))
+        for c in range(n_chunks):
+            for i in range(strata.size):
+                # the stream of default_rng([master_seed, c, strata[i]])
+                rng.bit_generator.state = next(states)
+                rows = slice(i * m, (i + 1) * m)
+                rng.standard_normal(out=xdir[rows])
+                rng.random(out=xu[rows])
+                rng.standard_normal(out=hdir[rows])
+                rng.random(out=hu[rows])
+            xr, xunit, hunit = xu ** (1.0 / n), _unit_rows(xdir), _unit_rows(hdir)
+            for plan in drawn:
+                tail = slice((plan.first - first) * m, None)
+                _chunk_sums(plan, spec, xr[tail], xunit[tail], hu[tail], hunit[tail])
+    return [Estimate(*_reduce_triples(t, float(k_strata)), plan.tail, "mc") if t
+            else Estimate(0.0, 0.0, 0, plan.tail, "mc")
+            for plan in plans for t in plan.triples]
 
 
 # ---------------------------------------------------------------------------

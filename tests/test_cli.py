@@ -286,6 +286,24 @@ class TestConfigValidation:
                                            f"a positive integer, got {value!r}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value", [("x_radius", -1.0), ("x_radius", 0.0),
+                                           ("h_max", -2.0), ("h_max", 0)])
+    def test_pinned_mc_geometry_that_is_not_positive_is_config_error(self, tmp_path, capsys,
+                                                                     key, value):
+        # "x_radius": -1.0 used to give i_delta 0.0 with tail 0.0 and status
+        # ok, "h_max": -2.0 the value 0.0 with a tail of 1.44, both exit 0
+        two_gauss = {"shape": "sum", "dim": 3, "terms": [
+            {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.3, 0.0, 0.0]},
+            {"shape": "gaussian", "dim": 3, "rate": 1.6, "center": [-0.3, 0.2, 0.0]}]}
+        cfg = base_config(fields=[two_gauss], functionals=["i_delta"],
+                          engine={"mc": {"n_samples": 4800, key: value}})
+        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"config error: $.engine.mc: {key} must be "
+                                           f"positive and finite, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_field_dimension_error_names_the_field_and_both_dimensions(self, tmp_path, capsys):
         cfg = base_config(functionals=["l2_norm_sq"],
                           fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0},
@@ -1051,6 +1069,172 @@ class TestQn:
                              "--out-dir", str(tmp_path)]) == 0
         grid = [0.2 * 2.0 ** (-k) for k in range(6)]
         assert [c.args[1].delta for c in spy.call_args_list] == grid + grid
+
+
+_TWO_SUMS = [
+    {"shape": "sum", "dim": 3, "terms": [
+        {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.3, 0.0, 0.0]},
+        {"shape": "gaussian", "dim": 3, "rate": 1.6, "amplitude": 0.65,
+         "center": [-0.3, 0.2, 0.0]}]},
+    {"shape": "sum", "dim": 3, "terms": [
+        {"shape": "gaussian", "dim": 3, "rate": 1.0, "center": [0.0, 0.3, 0.0]},
+        {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
+         "center": [0.0, -0.3, 0.1]}]},
+]
+_JUMP_FIELDS = [
+    {"shape": "indicator", "dim": 3, "radius": 1.0, "amplitude": 1.0, "center": [0.1, 0.0, 0.0]},
+    {"shape": "sum", "dim": 3, "terms": [
+        {"shape": "indicator", "dim": 3, "radius": 0.9, "amplitude": 1.0,
+         "center": [-0.1, 0.1, 0.0]},
+        {"shape": "gaussian", "dim": 3, "rate": 1.0, "amplitude": 1.0,
+         "center": [0.2, -0.1, 0.0]}]},
+]
+
+
+class TestOnePassPerCommand:
+    """The MC pair estimates of one command share one engine pass, and the
+    command writes the bytes it wrote when each estimate ran a pass of its
+    own (the SHA-256 digests were recorded then)."""
+
+    CASES = {
+        # two non-radial fields x three deltas: six passes before
+        "constants": ({"kernel": {"deltas": [0.2, 0.1, 0.05]}, "checks": ["logsobolev_main"]},
+                      "080217c6f114676ca3026529bd2f47bbe394a4fc80a5459d3421ba6f985fdb66"),
+        # two magnetic pairs: two passes before
+        "check": ({"kernel": {"delta": 0.1}, "checks": ["diamagnetic"],
+                   "potential": {"kind": "linear_b", "matrix": [
+                       [0.0, 0.4, -0.3], [-0.4, 0.0, 0.2], [0.3, -0.2, 0.0]]},
+                   "phase": {"kind": "linear", "wave": [0.3, 0.0, -0.2]}},
+                  "b328b61fa869e7a06504c5b487f6037fcef54fa0a7feeeecb1f7a72636ae83d6"),
+        # the benchmark's p-sweep shape: a unit indicator, whose finite
+        # estimates draw no stratum, and an indicator lifted by a Gaussian;
+        # four passes before, the deltas below the jump decided exactly
+        "eval": ({"fields": _JUMP_FIELDS, "functionals": ["i_delta_p"],
+                  "kernel": {"deltas": [0.25, 0.5, 1.25, 1.5], "p": 1.5},
+                  "engine": {"mc": {"n_samples": 9600}, "radial": {"n_r": 12, "n_s": 16}}},
+                 "0021c2972fb6ad73e91954a0a72cf0e73f85e7bac2f7c751989dd2d1383e8083"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_one_pass_writes_the_same_bytes(self, tmp_path, command):
+        import hashlib
+        from collections import Counter
+        from unittest import mock
+
+        class CountedReads(dict):
+            def __init__(self):
+                super().__init__()
+                self.reads = Counter()
+
+            def __getitem__(self, key):
+                self.reads[key] += 1
+                return super().__getitem__(key)
+
+        extra, digest = self.CASES[command]
+        cfg = dict({"dim": 3, "seed": 5, "fields": _TWO_SUMS,
+                    "engine": {"mc": {"n_samples": 9600}}, "output": {"csv": "out.csv"}},
+                   **extra)
+        memo = CountedReads()
+        with mock.patch.object(fn, "_MEMO", memo), \
+                mock.patch.object(fn, "mc_pair_integrate_many",
+                                  wraps=fn.mc_pair_integrate_many) as spy:
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+        assert rc == (3 if command == "eval" else 0)
+        assert spy.call_count == 1
+        assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+        # every pair estimate kept, prefetched or not, was read by its call
+        pairs = [k for k in memo if k[0] in ("i_delta", "i_delta_p", "i_delta_magnetic_paired")]
+        assert len(pairs) == {"constants": 6, "check": 2, "eval": 8}[command]
+        assert all(memo.reads[k] >= 1 for k in pairs)
+
+    @pytest.mark.parametrize("table,name", [("check", c) for c in sorted(inequalities.REPORTS)]
+                             + [("eval", f) for f in sorted(cli._EVAL)])
+    def test_request_table_names_every_pair_estimate(self, table, name):
+        # after the prefetch of an entry's requests the entry runs no MC
+        # pass of its own; only the envelope functional, which is not
+        # memoized, still runs its own
+        from types import SimpleNamespace
+        from unittest import mock
+
+        from nlsob.functionals import MonotoneEnvelope
+        cfg = base_config(fields=_TWO_SUMS, kernel={"deltas": [0.2, 0.1]}, checks=[],
+                          potential={"kind": "constant", "vector": [0.5, -0.3, 0.2]},
+                          phase={"kind": "linear", "offset": 0.1, "wave": [0.3, 0.0, -0.2]},
+                          engine={"mc": {"n_samples": 4800}})
+        b = cli._build(cfg, cfg["seed"])
+        b.envelope = MonotoneEnvelope.power_law(3.0)
+        if table == "check":
+            prefetch = lambda: inequalities.prefetch_reports([name], b.fields, b)
+            run = lambda: [inequalities.REPORTS[name](u, b) for u in b.fields]
+        else:
+            per_delta, evaluate = cli._EVAL[name]
+            requests = [(u, d) for u in b.fields for d in b.deltas] if name in cli._EVAL_REQUESTS \
+                else []
+            prefetch = lambda: fn.prefetch_pairs(
+                lambda r=r: cli._EVAL_REQUESTS[name](*r, b) for r in requests)
+            run = lambda: [evaluate(u, d, b) for u in b.fields
+                           for d in (b.deltas if per_delta else [None])]
+        spy = mock.patch.object(fn, "mc_pair_integrate_many", wraps=fn.mc_pair_integrate_many)
+        with spy as before:
+            prefetch()
+        with spy as after:
+            run()
+        requested = name in inequalities.PAIR_REQUESTS or name in cli._EVAL_REQUESTS
+        assert before.call_count == int(requested)
+        unmemoized = {"envelope_lsi", "f_functional"}
+        assert (after.call_count > 0) == (name in unmemoized)
+        assert not (requested and name in unmemoized)
+
+    @pytest.mark.parametrize("command,check,extra", [
+        ("check", "nonlocal_sobolev", {"lambda": -1.0}),
+        ("constants", "nonlocal_sobolev", {"lambda": 0.0}),
+        ("check", "logsobolev_main", {"dim": 2}),
+        ("check", "magnetic_lsi", {"dim": 2})])
+    def test_checker_preconditions_run_no_pass(self, tmp_path, capsys, command, check, extra):
+        # a check that fails before its first estimate is a config error
+        # (exit 2) with no Monte Carlo pass run for it
+        from unittest import mock
+        dim = extra.get("dim", 3)
+        field = {"shape": "sum", "dim": dim, "terms": [
+            {"shape": "gaussian", "dim": dim, "rate": 1.0, "center": [0.3] + [0.0] * (dim - 1)},
+            {"shape": "gaussian", "dim": dim, "rate": 1.6, "center": [-0.3] + [0.2] * (dim - 1)}]}
+        cfg = base_config(fields=[field], checks=[check], engine={"mc": {"n_samples": 4800}},
+                          **extra)
+        with mock.patch.object(fn, "mc_pair_integrate_many",
+                               wraps=fn.mc_pair_integrate_many) as spy:
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+        assert (rc, spy.call_count) == (2, 0)
+        err = capsys.readouterr().err
+        assert ("N >= 3" if dim == 2 else "lambda must be positive") in err
+
+    def test_contexts_of_other_dimensions_or_specs_get_their_own_pass(self):
+        # one command reads i_delta of N=3 and N=4 fields on two seeds:
+        # one pass per (McSpec, dimension), each of one dimension and spec
+        from unittest import mock
+        fields = [field_from_dict(d) for d in _TWO_SUMS] + [field_from_dict(
+            {"shape": "sum", "dim": 4, "terms": [
+                {"shape": "gaussian", "dim": 4, "rate": 1.0, "center": [0.3, 0.0, 0.0, 0.0]},
+                {"shape": "gaussian", "dim": 4, "rate": 1.6, "center": [-0.3, 0.2, 0.0, 0.1]}]})]
+        engines = [fn.default_engine(seed, n_samples=4800) for seed in (3, 4)]
+        requests = [("i_delta", (u, fn.KernelSpec(d), e)) for e in engines for u in fields
+                    for d in (0.2, 0.1)]
+        passes = []
+        real = fn.mc_pair_integrate_many
+
+        def spy(contexts, spec):
+            passes.append(({c.dim for c in contexts}, spec, len(contexts)))
+            return real(contexts, spec)
+
+        with mock.patch.object(fn, "mc_pair_integrate_many", spy):
+            fn.prefetch_pairs(lambda r=r: r for r in requests)
+            got = [fn.i_delta(*args) for _, args in requests]
+        assert sorted((min(dims), spec.master_seed, k) for dims, spec, k in passes) == \
+            [(3, 3, 4), (3, 4, 4), (4, 3, 2), (4, 4, 2)]
+        assert all(len(dims) == 1 for dims, _, _ in passes)
+        fn._MEMO.clear()
+        assert got == [fn.i_delta(*args) for _, args in requests]
 
 
 def test_import_loads_no_scipy():

@@ -339,7 +339,7 @@ class TestMagnetic:
         A, engine = nl.ZeroPotential(3), nl.default_engine(7, mode="mc", n_samples=48000)
         est = i_delta_magnetic_paired(u, A, KernelSpec(0.1), engine)[0]
         ctx = _magnetic_context(u, A, 0.1, engine)
-        every = mc_pair_integrate_many(replace(ctx, inner_cutoff=0.0), engine.mc)[0]
+        every = mc_pair_integrate_many([replace(ctx, inner_cutoff=0.0)], engine.mc)[0]
         assert ctx.inner_cutoff > 0.0
         assert (est.value.hex(), est.stderr.hex()) == (every.value.hex(), every.stderr.hex())
 

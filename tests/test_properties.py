@@ -22,8 +22,8 @@ from scipy.optimize import brentq  # noqa: E402
 from nlsob import functionals  # noqa: E402
 from nlsob.inequalities import check_diamagnetic  # noqa: E402
 from nlsob.quadrature import (  # noqa: E402
-    _XTOL, _RTOL, RadialSpec, RadialWeight, _excess_intervals, _level_crossings, _probe_grid,
-    radial_pair_integrate)
+    _XTOL, _RTOL, PairContext, RadialSpec, RadialWeight, _excess_intervals, _level_crossings,
+    _probe_grid, radial_pair_integrate)
 
 
 class Counting(nl.FiniteSumField):
@@ -75,9 +75,9 @@ def test_verdict_is_delta_below_jump(case, seed):
     cutoffs = []
     run = functionals.mc_pair_integrate_many
 
-    def recording(ctx, spec):
-        cutoffs.append(ctx.inner_cutoff)
-        return run(ctx, spec)
+    def recording(contexts, spec):
+        cutoffs.extend(ctx.inner_cutoff for ctx in contexts)
+        return run(contexts, spec)
 
     Counting.points = 0
     functionals._MEMO.clear()  # a repeated example runs the engine again
@@ -183,6 +183,65 @@ def test_mc_amplitude_law_bitwise(u, delta, seed):
         est = nl.i_delta(u.amplify(t), nl.KernelSpec(t * delta), eng)
         assert est.value == t * t * base.value
         assert est.stderr == t * t * base.stderr
+
+
+@st.composite
+def pair_contexts(draw):
+    """An N=3 MC pair context on a drawn two-term field, with one or two
+    integrands, an outer radius that may be <= 0, an inner cutoff that may
+    leave no stratum (inf, or past a pinned h_max of 4), a zero floor or
+    none, symmetric or not."""
+    u = draw(two_term_fields())
+    delta = draw(st.floats(0.05, 0.6))
+    p = draw(st.sampled_from([1.5, 2.0]))
+
+    def step(x, y, rho, vx, vy):
+        return np.where(np.abs(vy - vx) > delta, delta ** p, 0.0) * rho ** -(3.0 + p)
+
+    def smooth(x, y, rho, vx, vy):
+        return np.abs(vy - vx) ** 3 * rho ** -(3.0 + p)
+
+    return PairContext(
+        3, np.array([draw(st.floats(-0.5, 0.5)) for _ in range(3)]),
+        draw(st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(0.2, 3.0))), p, delta ** p,
+        (step, smooth)[:draw(st.integers(1, 2))],
+        inner_cutoff=draw(st.one_of(st.just(0.0), st.floats(1e-6, 8.0), st.just(math.inf))),
+        symmetric=draw(st.booleans()), values=u.evaluate,
+        extra_tail=draw(st.floats(0.0, 1.0)),
+        zero_floor=draw(st.sampled_from([None, 0.5 * delta])))
+
+
+def _bits(est):
+    return (est.value.hex(), est.stderr.hex(), est.n_effective, est.tail_bound.hex(),
+            est.method)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contexts=st.lists(pair_contexts(), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 31 - 1), h_max=st.sampled_from([None, 4.0]),
+       x_radius=st.sampled_from([None, None, 1.5]))
+def test_shared_pass_matches_each_context_alone(contexts, seed, h_max, x_radius):
+    # the contexts of one pass draw each (chunk, stratum) stream once, the
+    # union of their strata, and each context's estimates are those of a
+    # pass of it alone, to the bit
+    from nlsob import quadrature
+    spec = nl.McSpec(master_seed=seed, n_samples=1920, chunk_size=960, h_max=h_max,
+                     x_radius=x_radius)
+    keys, states = [], quadrature._pcg64_states
+
+    def recording(master_seed, key_rows):
+        keys.extend(map(tuple, np.asarray(key_rows).tolist()))
+        return states(master_seed, key_rows)
+
+    with mock.patch.object(quadrature, "_pcg64_states", recording):
+        shared = quadrature.mc_pair_integrate_many(contexts, spec)
+    alone = [e for ctx in contexts for e in quadrature.mc_pair_integrate_many([ctx], spec)]
+    assert [_bits(e) for e in shared] == [_bits(e) for e in alone]
+    assert len(shared) == sum(len(ctx.integrands) for ctx in contexts)
+    assert len(keys) == len(set(keys))
+    if keys:
+        first = min(k for _, k in keys)
+        assert sorted(keys) == [(c, k) for c in range(2) for k in range(first, 24)]
 
 
 @st.composite

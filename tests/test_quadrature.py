@@ -550,12 +550,12 @@ class TestMcEngine:
     def test_zero_integrand(self):
         ctx = replace(shell_context(),
                       integrands=(lambda x, y, rho, vx, vy: np.zeros(len(x)),))
-        est = mc_pair_integrate_many(ctx, McSpec(master_seed=1, n_samples=9600,
-                                                 chunk_size=4800))[0]
+        est = mc_pair_integrate_many([ctx], McSpec(master_seed=1, n_samples=9600,
+                                                   chunk_size=4800))[0]
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_shell_within_three_sigma(self):
-        est = mc_pair_integrate_many(shell_context(),
+        est = mc_pair_integrate_many([shell_context()],
                                      McSpec(master_seed=7, n_samples=192000,
                                             chunk_size=4800, h_max=4.0))[0]
         assert abs(est.value - SHELL_EXACT) <= 3.0 * est.stderr
@@ -564,7 +564,7 @@ class TestMcEngine:
         # >= 99% of 300 independent seeds land within 3 stderr of the truth
         hits = 0
         for seed in range(300):
-            est = mc_pair_integrate_many(shell_context(),
+            est = mc_pair_integrate_many([shell_context()],
                                          McSpec(master_seed=seed, n_samples=57600,
                                                 chunk_size=480, radial_strata=24,
                                                 h_max=4.0))[0]
@@ -586,13 +586,13 @@ class TestMcEngine:
         spec = McSpec(master_seed=1, n_samples=4800, chunk_size=4800)
         ctx = replace(shell_context(), inner_cutoff=0.0, integrands=(never,))
         _, tail = _derive_h_max(ctx, spec)
-        est = mc_pair_integrate_many(replace(ctx, inner_cutoff=math.inf), spec)[0]
+        est = mc_pair_integrate_many([replace(ctx, inner_cutoff=math.inf)], spec)[0]
         assert est == nl.Estimate(0.0, 0.0, 0, tail, "mc") and tail > 0.0
 
     def test_bitwise_reproducible(self):
         spec = McSpec(master_seed=33, n_samples=48000, chunk_size=4800, h_max=4.0)
-        a = mc_pair_integrate_many(shell_context(), spec)[0]
-        b = mc_pair_integrate_many(shell_context(), spec)[0]
+        a = mc_pair_integrate_many([shell_context()], spec)[0]
+        b = mc_pair_integrate_many([shell_context()], spec)[0]
         assert (a.value, a.stderr, a.n_effective) == (b.value, b.stderr, b.n_effective)
 
     @settings(max_examples=60, deadline=None)
@@ -622,7 +622,7 @@ class TestMcEngine:
         monkeypatch.setattr(np.random, "default_rng", counted(np.random.default_rng))
         monkeypatch.setattr(np.random, "SeedSequence", counted(np.random.SeedSequence))
         spec = McSpec(master_seed=5, n_samples=9600, chunk_size=4800, h_max=4.0)
-        mc_pair_integrate_many(shell_context(), spec)
+        mc_pair_integrate_many([shell_context()], spec)
         mc_volume_value((lambda pts: np.ones(len(pts)),), 3, [(np.zeros(3), 1.0)], spec,
                         lambda pts: pts)
         assert calls == []
@@ -643,8 +643,8 @@ class TestMcEngine:
                               x_radius=g.decay_radius(delta / 2.0), kernel_p=2.0,
                               numerator=delta * delta, integrands=(integrand,),
                               inner_cutoff=c, symmetric=True, values=g.evaluate)
-            return mc_pair_integrate_many(ctx, McSpec(master_seed=11, n_samples=48000,
-                                                      chunk_size=4800, h_max=40.0))[0]
+            return mc_pair_integrate_many([ctx], McSpec(master_seed=11, n_samples=48000,
+                                                        chunk_size=4800, h_max=40.0))[0]
 
         vals = {run(c).value for c in (0.0, 0.25 * cut, 0.5 * cut, cut)}
         assert len(vals) == 1
@@ -665,8 +665,8 @@ class TestMcEngine:
                           numerator=delta * delta, integrands=(integrand,),
                           inner_cutoff=delta / g.lipschitz_bound, symmetric=True,
                           values=g.evaluate)
-        a = mc_pair_integrate_many(ctx, spec_h)[0]
-        b = mc_pair_integrate_many(ctx, spec_2h)[0]
+        a = mc_pair_integrate_many([ctx], spec_h)[0]
+        b = mc_pair_integrate_many([ctx], spec_2h)[0]
         assert abs(b.value - a.value) <= a.tail_bound + 3.0 * math.hypot(a.stderr, b.stderr)
         # deterministic version of the same statement via the radial engine
         prof = g.radial_profile()
@@ -685,10 +685,15 @@ class TestMcEngine:
             return 0.5 * f1(x, y, rho, vx, vy)
 
         ests = mc_pair_integrate_many(
-            replace(shell_context(), integrands=(f1, f2)),
+            [replace(shell_context(), integrands=(f1, f2))],
             McSpec(master_seed=9, n_samples=48000, chunk_size=4800, h_max=4.0))
         assert ests[1].value <= ests[0].value
         assert ests[1].value == 0.5 * ests[0].value  # exact halving, shared samples
+
+    def test_contexts_of_one_pass_share_their_dimension(self):
+        flat = replace(shell_context(), dim=2, x_center=np.zeros(2))
+        with pytest.raises(PreconditionError, match="share their dimension"):
+            mc_pair_integrate_many([shell_context(), flat], McSpec(master_seed=1, n_samples=4800))
 
 
 class TestPinnedBits:
@@ -924,7 +929,7 @@ def test_batched_chunk_matches_per_stratum_loop(seed):
                       inner_cutoff=delta / g.lipschitz_bound, symmetric=True,
                       values=g.evaluate)
     spec = McSpec(master_seed=seed, n_samples=14400, chunk_size=4800)
-    est = mc_pair_integrate_many(ctx, spec)[0]
+    est = mc_pair_integrate_many([ctx], spec)[0]
     assert [(est.value, est.stderr, est.n_effective)] == per_stratum_reference(ctx, spec)
 
 
@@ -938,8 +943,9 @@ def engine_call(call):
     functionals._MEMO.clear()
     seen, real = [], functionals.mc_pair_integrate_many
 
-    def spy(ctx, spec):
-        seen.append((ctx, spec, real(ctx, spec)))
+    def spy(contexts, spec):
+        (ctx,) = contexts
+        seen.append((ctx, spec, real(contexts, spec)))
         return seen[-1][2]
 
     with mock.patch.object(functionals, "mc_pair_integrate_many", spy):
@@ -1042,7 +1048,7 @@ class TestEngineOracle:
                           inner_cutoff=0.05, symmetric=True, values=counted,
                           zero_floor=0.25)
         spec = McSpec(master_seed=3, n_samples=9600, chunk_size=4800)
-        ests = mc_pair_integrate_many(ctx, spec)
+        ests = mc_pair_integrate_many([ctx], spec)
         vx, vy = seen[0], seen[1]
         assert np.count_nonzero(vx == 0.25) > 0 and ests[0].value > 0.0
         assert len(vy) == np.count_nonzero(np.abs(vx) > 0.25) < len(vx)
@@ -1067,6 +1073,15 @@ class TestSpecsValidation:
     def test_outer_radius_eps_positive_finite(self, eps):
         with pytest.raises(PreconditionError):
             McSpec(master_seed=1, outer_radius_eps=eps)
+
+    @pytest.mark.parametrize("name", ["x_radius", "h_max"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, math.nan])
+    def test_pinned_geometry_positive_finite(self, name, value):
+        # a nonpositive x_radius used to give the estimate 0 with status ok,
+        # a negative h_max a zero estimate with a finite tail bound
+        with pytest.raises(PreconditionError, match=f"{name} must be positive and finite"):
+            McSpec(master_seed=1, **{name: value})
+        assert McSpec(master_seed=1, **{name: 2.5}).to_dict()[name] == 2.5
 
     @pytest.mark.parametrize("r_max", [-1.0, math.nan, math.inf])
     def test_r_max_finite(self, r_max):
