@@ -50,34 +50,35 @@ from .functionals import (
 )
 from .inequalities import (FREE_CONSTANT_CHECKS, REPORTS, family_constant, prefetch_reports,
                            sweep_family)
-from .limits import DEFAULT_DELTAS, delta_sweep, estimate_qn
+from .limits import DEFAULT_DELTAS, delta_sweeps, estimate_qn
 from .quadrature import Estimate, McSpec, RadialSpec
 
 # Each name a config may use is defined once, in one table (the checks in
 # inequalities.REPORTS); a table's keys are both the validation set and the
 # dispatch.  Its lambdas look the library functions up at call time.
 
-# functional -> (one row per delta, evaluation on (field, delta, built config))
-_EVAL = {
-    "l2_norm_sq": (False, lambda u, d, b: l2_norm_sq_estimate(u)),
-    "dirichlet_energy": (False, lambda u, d, b: dirichlet_energy_estimate(u)),
-    "entropy_l2": (False, lambda u, d, b: entropy_l2_estimate(u)),
-    "log_moment_lp": (False, lambda u, d, b: log_moment_lp_estimate(u, b.p)),
-    "j_energy": (False, lambda u, d, b: j_energy(u, EnergyParams(b.omega))),
-    "f_functional": (False, lambda u, d, b: f_functional(u, b.envelope, b.p, b.engine)),
-    "i_delta": (True, lambda u, d, b: i_delta(u, KernelSpec(d), b.engine)),
-    "i_delta_p": (True, lambda u, d, b: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
-    "j_delta_energy": (True, lambda u, d, b: j_delta_energy(
-        u, EnergyParams(b.omega), KernelSpec(d), b.engine)),
-}
 
-# functional -> (field, delta, built config) -> the (name, arguments) of the
-# memoized pair call its _EVAL entry makes at that delta, which
-# functionals.prefetch_pairs computes with the command's others
-_EVAL_REQUESTS = {
-    "i_delta": lambda u, d, b: ("i_delta", (u, KernelSpec(d), b.engine)),
-    "i_delta_p": lambda u, d, b: ("i_delta_p", (u, KernelSpec(d, p=b.p), b.engine)),
-    "j_delta_energy": lambda u, d, b: ("i_delta", (u, KernelSpec(d), b.engine)),
+def _i_delta_request(u, d, b):  # i_delta is i_delta_p at p = 2
+    return "i_delta_p", (u, KernelSpec(d), b.engine)
+
+
+# functional -> (request, evaluation on (field, delta, built config)).  request:
+# (field, delta, built config) -> the (name, arguments) of the memoized pair
+# call the evaluation makes at that delta, which functionals.prefetch_pairs
+# computes with the command's others; None for a functional of one row per
+# field, evaluated at delta None
+_EVAL = {
+    "l2_norm_sq": (None, lambda u, d, b: l2_norm_sq_estimate(u)),
+    "dirichlet_energy": (None, lambda u, d, b: dirichlet_energy_estimate(u)),
+    "entropy_l2": (None, lambda u, d, b: entropy_l2_estimate(u)),
+    "log_moment_lp": (None, lambda u, d, b: log_moment_lp_estimate(u, b.p)),
+    "j_energy": (None, lambda u, d, b: j_energy(u, EnergyParams(b.omega))),
+    "f_functional": (None, lambda u, d, b: f_functional(u, b.envelope, b.p, b.engine)),
+    "i_delta": (_i_delta_request, lambda u, d, b: i_delta(u, KernelSpec(d), b.engine)),
+    "i_delta_p": (lambda u, d, b: ("i_delta_p", (u, KernelSpec(d, p=b.p), b.engine)),
+                  lambda u, d, b: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
+    "j_delta_energy": (_i_delta_request, lambda u, d, b: j_delta_energy(
+        u, EnergyParams(b.omega), KernelSpec(d), b.engine)),
 }
 
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]
@@ -215,7 +216,8 @@ def _build(cfg: dict, seed: int) -> SimpleNamespace:
     radial = _built("$.engine.radial", RadialSpec, **eng.get("radial", {}))
     b = SimpleNamespace(
         fields=[_built(f"$.fields[{i}]", field_from_dict, d) for i, d in enumerate(cfg["fields"])],
-        deltas=[_built("$.kernel", float, d) for d in kern.get("deltas", [kern.get("delta", 0.1)])],
+        deltas=[_built("$.kernel", lambda: KernelSpec(float(d)).delta)
+                for d in kern.get("deltas", [kern.get("delta", 0.1)])],
         engine=_built("$.engine", EngineSpec, mc, radial, eng.get("mode", "auto")),
         envelope=env and _built("$.kernel.envelope", _ENVELOPES[env["kind"]][0], env),
         p=_built("$.kernel.p", float, kern.get("p", 2.0)),
@@ -224,9 +226,12 @@ def _build(cfg: dict, seed: int) -> SimpleNamespace:
         a_values=_built("$.a_values", lambda: [float(a) for a in cfg.get("a_values", [1.0])]),
         potential=_built("$.potential", _POTENTIALS[pot["kind"]][0], pot, cfg["dim"]),
         phase=_built("$.phase", _PHASES[phase["kind"]][0], phase))
-    for i, f in enumerate(b.fields):
-        if f.dim != cfg["dim"]:
-            raise ConfigError(f"$.fields[{i}]: dim {f.dim}, config dim {cfg['dim']}")
+    # an empty phase wave is constant in every dimension
+    dims = [(f"$.fields[{i}]", f.dim) for i, f in enumerate(b.fields)] + [
+        ("$.potential", b.potential.dim), ("$.phase", len(b.phase.wave) or cfg["dim"])]
+    for path, dim in dims:
+        if dim != cfg["dim"]:
+            raise ConfigError(f"{path}: dim {dim}, config dim {cfg['dim']}")
     return b
 
 
@@ -304,13 +309,13 @@ def cmd_eval(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
               "stderr", "tail_bound", "method", "status", "n_effective"]
     rows = []
     names = cfg.get("functionals") or _DEFAULT_FUNCTIONALS
-    prefetch_pairs(partial(_EVAL_REQUESTS[name], u, d, b) for u in b.fields
-                   for name in names if name in _EVAL_REQUESTS for d in b.deltas)
+    prefetch_pairs(partial(_EVAL[name][0], u, d, b) for u in b.fields
+                   for name in names if _EVAL[name][0] for d in b.deltas)
     for fi, u in enumerate(b.fields):
         fh = descriptor_hash(u)
         for name in names:
-            per_delta, evaluate = _EVAL[name]
-            for d in b.deltas if per_delta else [None]:
+            request, evaluate = _EVAL[name]
+            for d in b.deltas if request else [None]:
                 try:
                     outcome = evaluate(u, d, b)
                 except Exception as exc:  # noqa: BLE001 - per-row status
@@ -329,7 +334,7 @@ def cmd_check(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     violated = False
     prefetch_reports(cfg.get("checks", []), b.fields, b)
     for check in cfg.get("checks", []):
-        reports = [r for u in b.fields for r in REPORTS[check](u, b)]
+        reports = [r for u in b.fields for r in REPORTS[check][1](u, b)]
         family = family_constant(reports)
         for report in reports:
             row = report.csv_row()
@@ -370,9 +375,7 @@ def cmd_sweep(cfg: dict, seed: int, out_dir: Optional[str]) -> int:
     header = ["field_index", "field_hash", "delta", "value", "stderr", "ratio",
               "tail_bound"]
     rows, summary = [], []
-    grid = _grid(cfg, b)
-    for fi, u in enumerate(b.fields):
-        sw = delta_sweep(u, grid, b.engine)
+    for fi, (u, sw) in enumerate(zip(b.fields, delta_sweeps(b.fields, _grid(cfg, b), b.engine))):
         fh = descriptor_hash(u)
         for d, est, ratio in zip(sw.deltas, sw.estimates, sw.ratios):
             rows.append({"field_index": fi, "field_hash": fh, "delta": d,

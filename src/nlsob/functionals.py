@@ -217,14 +217,14 @@ _MEMO_SIZE = 1024  # entries of the process-wide memo; past it the oldest goes
 _MEMO: dict = {}
 
 
-_MEMO_KEYS: dict = {}  # memoized function's name -> its key function
+_MEMOIZED: dict = {}  # memoized function's name -> (its key function, its route or None)
 
 
 def _memo_key(name: str, *args, **kwargs) -> tuple:
     """The memo key of the call ``name(*args, **kwargs)``: the name, the
     field's class, its canonical descriptor ``json.dumps(to_dict(),
     sort_keys=True)`` and the rest that the key function returns."""
-    u, rest = _MEMO_KEYS[name](*args, **kwargs)
+    u, rest = _MEMOIZED[name][0](*args, **kwargs)
     return (name, type(u), json.dumps(u.to_dict(), sort_keys=True), rest)
 
 
@@ -234,23 +234,26 @@ def _remember(key: tuple, value) -> None:
     _MEMO[key] = value
 
 
-def _memoized(key: Callable) -> Callable:
+def _memoized(key: Callable, routed: bool = False) -> Callable:
     """Decorator: ``fn(*args)`` made once per process for each key.
 
-    ``key(*args)`` returns (field, rest); see ``_memo_key``.  Sound by the
-    reproducibility contract: volume quantities run on fixed nodes or the
-    fixed ``quadrature._DEFAULT_VOLUME_SPEC`` stream, pair functionals on
-    the engine's own seed, so equal keys give equal bits.  A failure is
-    not kept: every failing call raises anew.
+    ``key(*args)`` returns (field, rest); see ``_memo_key``.  A ``routed``
+    fn is a pair functional's route, which takes its engine last: the
+    call's value is ``_resolve`` of the route on that engine's McSpec.
+    Sound by the reproducibility contract: volume quantities run on fixed
+    nodes or the fixed ``quadrature._DEFAULT_VOLUME_SPEC`` stream, pair
+    functionals on the engine's own seed, so equal keys give equal bits.
+    A failure is not kept: every failing call raises anew.
     """
     def decorate(fn):
-        _MEMO_KEYS[fn.__name__] = key
+        _MEMOIZED[fn.__name__] = (key, fn if routed else None)
 
         @functools.wraps(fn)
         def memo(*args, **kwargs):
             k = _memo_key(fn.__name__, *args, **kwargs)
             if k not in _MEMO:
-                _remember(k, fn(*args, **kwargs))
+                value = fn(*args, **kwargs)
+                _remember(k, _resolve([value], args[-1].mc)[0] if routed else value)
             return _MEMO[k]
         return memo
     return decorate
@@ -311,10 +314,11 @@ def _jump_free_radius(u: ScalarField, level: float, weight) -> Optional[float]:
 
 
 def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: EngineSpec):
-    """How the pair functional of ``_pair_functional`` is decided: its
-    Estimate where no engine runs (0 in closed form, or divergence at a
-    jump), the field's radial profile where the radial engine decides it,
-    else the MC engine's context."""
+    """The route of the integral of F(|u(x) - u(y)|) / |x - y|^{N+p} for a
+    real field, F = ``envelope.fn`` (``MonotoneEnvelope.threshold`` for the
+    indicator functionals): its Estimate where no engine runs (0 in closed
+    form, or divergence at a jump), the radial engine's deferred call, or
+    the MC engine's context; see ``_resolve``."""
     dim = u.dim
     lip = u.lipschitz_bound
     zero_below = envelope.zero_below
@@ -328,7 +332,7 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
 
     prof = u.radial_profile()
     if engine.mode != "mc" and prof is not None and math.isfinite(lip):
-        return prof
+        return functools.partial(_radial_pair_functional, u, prof, p, envelope, engine.radial)
 
     # Monte Carlo path
     np_exp = -(dim + p)
@@ -375,8 +379,8 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
 
 def _radial_pair_functional(u: ScalarField, prof, p: float, envelope: MonotoneEnvelope,
                             rspec: RadialSpec) -> Estimate:
-    """The radial engine's estimate of ``_pair_functional``, on the field's
-    radial profile ``prof``."""
+    """The radial engine's estimate of the integral of ``_pair_route``, on
+    the field's radial profile ``prof``."""
     dim = u.dim
     zero_below = envelope.zero_below
     # None: the radial engine's plain indicator sup_value * 1{|a - b| > zero_below}
@@ -407,37 +411,35 @@ def _radial_pair_functional(u: ScalarField, prof, p: float, envelope: MonotoneEn
     return radial_pair_integrate(prof, p, weight, replace(rspec, r_max=s_range), dim)
 
 
-def _pair_functional(u: ScalarField, p: float, envelope: MonotoneEnvelope,
-                     engine: EngineSpec) -> Estimate:
-    """Shared core of i_delta / i_delta_p / f_functional for real fields:
-    the integral of F(|u(x) - u(y)|) / |x - y|^{N+p}, F = ``envelope.fn``.
-    The indicator functionals pass ``MonotoneEnvelope.threshold``.
-    """
-    route = _pair_route(u, p, envelope, engine)
-    if isinstance(route, PairContext):
-        return mc_pair_integrate_many([route], engine.mc)[0]
-    if isinstance(route, Estimate):
-        return route
-    return _radial_pair_functional(u, route, p, envelope, engine.radial)
+def _resolve(routes: list, spec: McSpec) -> list:
+    """The values of ``routes``: an Estimate, or a pair of them, as it is;
+    a radial route's deferred call, made; and the contexts of all MC routes
+    run in one engine pass on ``spec``, one estimate per integrand, or a
+    tuple of them for a context of several."""
+    contexts = [r for r in routes if isinstance(r, PairContext)]
+    ests = iter(mc_pair_integrate_many(contexts, spec) if contexts else ())
+    out = []
+    for r in routes:
+        if isinstance(r, PairContext):
+            parts = tuple(next(ests) for _ in r.integrands)
+            out.append(parts if len(parts) > 1 else parts[0])
+        else:
+            out.append(r() if callable(r) else r)
+    return out
 
 
-def _i_delta_kernel(k: KernelSpec):
-    """(p, envelope) of i_delta's kernel delta^2 1{|du| > delta} / |x-y|^{N+2}."""
-    if k.p != 2.0:
-        raise PreconditionError("i_delta is the p = 2 kernel; use i_delta_p")
-    return 2.0, MonotoneEnvelope.threshold(k.delta)
-
-
-@_memoized(lambda u, k, engine: (u, (k.delta, k.p, engine)))
-def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
-    """The nonlocal functional with kernel delta^2 / |x-y|^{N+2}."""
-    return _pair_functional(u, *_i_delta_kernel(k), engine)
-
-
-@_memoized(lambda u, k, engine: (u, (k.delta, k.p, engine)))
+@_memoized(lambda u, k, engine: (u, (k.delta, k.p, engine)), routed=True)
 def i_delta_p(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     """General-p variant: kernel delta^p / |x-y|^{N+p} on {|u(x)-u(y)| > delta}."""
-    return _pair_functional(u, k.p, MonotoneEnvelope.threshold(k.delta, k.p), engine)
+    return _pair_route(u, k.p, MonotoneEnvelope.threshold(k.delta, k.p), engine)
+
+
+def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
+    """The nonlocal functional with kernel delta^2 / |x-y|^{N+2}: ``i_delta_p``
+    at p = 2, the same memo entry."""
+    if k.p != 2.0:
+        raise PreconditionError("i_delta is the p = 2 kernel; use i_delta_p")
+    return i_delta_p(u, k, engine)
 
 
 def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
@@ -447,18 +449,41 @@ def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
     if envelope.zero_below == 0.0 and envelope.small_t_power <= p:
         raise PreconditionError(
             "envelope must vanish faster than t^p near 0 for integrability")
-    return _pair_functional(u, p, envelope, engine)
+    return _resolve([_pair_route(u, p, envelope, engine)], engine.mc)[0]
 
 
 # ---------------------------------------------------------------------------
 # magnetic functional
 # ---------------------------------------------------------------------------
 
-def _magnetic_context(u: ComplexField, A: VectorPotential, delta: float,
-                      engine: EngineSpec) -> PairContext:
-    dim = u.dim
-    env = MonotoneEnvelope.threshold(delta)
+def i_delta_magnetic(u: ComplexField, A: VectorPotential, k: KernelSpec,
+                     engine: EngineSpec) -> Estimate:
+    """Magnetic variant built from the covariant difference
+    exp(i (x-y) . A((x+y)/2)) u(y) - u(x)."""
+    return i_delta_magnetic_paired(u, A, k, engine)[0]
+
+
+@_memoized(lambda u, A, k, engine: (
+    u, (type(A), json.dumps(A.to_dict(), sort_keys=True), k.delta, k.p, engine)), routed=True)
+def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
+                            engine: EngineSpec):
+    """(magnetic estimate, estimate for |u|) on one shared sample stream;
+    (0, 0) in closed form where delta is past the oscillation of |u|.
+
+    The pointwise bound ||u(x)| - |u(y)|| <= |Psi(x,x) - Psi(x,y)| makes
+    the indicator inclusion hold sample by sample, so the returned pair
+    is ordered with zero tolerance.
+    """
+    if k.p != 2.0:
+        raise PreconditionError("the magnetic functional uses the p = 2 kernel")
     mod = u.modulus
+    if k.delta >= 2.0 * mod.sup_bound:
+        z = Estimate(0.0, 0.0, 0, 0.0, "closed_form")
+        return z, z
+    if not math.isfinite(mod.lipschitz_bound):
+        raise PreconditionError("magnetic functional needs a Lipschitz modulus")
+    dim, delta = u.dim, k.delta
+    env = MonotoneEnvelope.threshold(delta)
     rx = engine.mc.x_radius if engine.mc.x_radius is not None else mod.decay_radius(delta / 2.0)
     floor = 0.5 * delta * (1.0 - 1e-12)  # margin: |Psi| can round above |u(x)| + |u(y)|
 
@@ -490,68 +515,21 @@ def _magnetic_context(u: ComplexField, A: VectorPotential, delta: float,
                        values=mod.evaluate, zero_floor=floor)
 
 
-def i_delta_magnetic(u: ComplexField, A: VectorPotential, k: KernelSpec,
-                     engine: EngineSpec) -> Estimate:
-    """Magnetic variant built from the covariant difference
-    exp(i (x-y) . A((x+y)/2)) u(y) - u(x)."""
-    return i_delta_magnetic_paired(u, A, k, engine)[0]
-
-
-def _magnetic_route(u: ComplexField, A: VectorPotential, k: KernelSpec, engine: EngineSpec):
-    """How ``i_delta_magnetic_paired`` is decided: its (0, 0) in closed form
-    where delta is past the oscillation of |u|, else the MC engine's context."""
-    if k.p != 2.0:
-        raise PreconditionError("the magnetic functional uses the p = 2 kernel")
-    if k.delta >= 2.0 * u.modulus.sup_bound:
-        z = Estimate(0.0, 0.0, 0, 0.0, "closed_form")
-        return z, z
-    if not math.isfinite(u.modulus.lipschitz_bound):
-        raise PreconditionError("magnetic functional needs a Lipschitz modulus")
-    return _magnetic_context(u, A, k.delta, engine)
-
-
-@_memoized(lambda u, A, k, engine: (
-    u, (type(A), json.dumps(A.to_dict(), sort_keys=True), k.delta, k.p, engine)))
-def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
-                            engine: EngineSpec):
-    """(magnetic estimate, estimate for |u|) on one shared sample stream.
-
-    The pointwise bound ||u(x)| - |u(y)|| <= |Psi(x,x) - Psi(x,y)| makes
-    the indicator inclusion hold sample by sample, so the returned pair
-    is ordered with zero tolerance.
-    """
-    route = _magnetic_route(u, A, k, engine)
-    if isinstance(route, PairContext):
-        return tuple(mc_pair_integrate_many([route], engine.mc))
-    return route
-
-
 # ---------------------------------------------------------------------------
 # one engine pass for the pair estimates of a command
 # ---------------------------------------------------------------------------
 
-# memoized pair functional -> (its route on the call's arguments, the call's
-# value from the estimates of an MC route)
-_PAIR_ROUTES = {
-    "i_delta": (lambda u, k, engine: _pair_route(u, *_i_delta_kernel(k), engine),
-                lambda ests: ests[0]),
-    "i_delta_p": (lambda u, k, engine: _pair_route(
-        u, k.p, MonotoneEnvelope.threshold(k.delta, k.p), engine), lambda ests: ests[0]),
-    "i_delta_magnetic_paired": (_magnetic_route, tuple),
-}
-
-
 def prefetch_pairs(requests: Iterable[Callable[[], tuple]]) -> None:
-    """Compute together the MC pair estimates that memoized calls will read.
+    """Compute together the pair estimates that memoized calls will read.
 
     Each request, called, gives the (name, arguments) of one call of
-    ``i_delta``, ``i_delta_p`` or ``i_delta_magnetic_paired``.  The
-    requests that reach the MC engine are grouped by (McSpec, dimension);
-    each group runs one engine pass, whose contexts share their streams,
-    and each call's value is kept under that call's memo key, so the call
-    reads it.  Each estimate equals that of the call's own pass, bit for
-    bit.  A request that raises, is kept already, or is decided without
-    the MC engine (closed form, radial engine, divergence at a jump) is
+    ``i_delta_p`` or ``i_delta_magnetic_paired``.  The routes of the
+    requests not kept already are resolved together: those that reach the
+    MC engine in one engine pass per (McSpec, dimension), whose contexts
+    share their streams, the others (closed form, radial engine, divergence
+    at a jump) each by itself.  Each call's value is kept under that call's
+    memo key, so the call reads it, and equals that of the call alone, bit
+    for bit.  A request that raises, or a group whose resolution raises, is
     left to its own call.
     """
     groups = {}
@@ -559,20 +537,20 @@ def prefetch_pairs(requests: Iterable[Callable[[], tuple]]) -> None:
         try:
             name, args = request()
             key = _memo_key(name, *args)
-            route_of, finish = _PAIR_ROUTES[name]
-            route = None if key in _MEMO else route_of(*args)
+            if key not in _MEMO:
+                route = _MEMOIZED[name][1](*args)
+                dim = route.dim if isinstance(route, PairContext) else None
+                engine = args[-1]  # every pair functional takes its engine last
+                groups.setdefault((engine.mc, dim), {})[key] = route
         except Exception:  # noqa: BLE001 - the call raises it again
             continue
-        if isinstance(route, PairContext):
-            engine = args[-1]  # every pair functional takes its engine last
-            groups.setdefault((engine.mc, route.dim), {})[key] = (route, finish)
     for (spec, _), members in groups.items():
         try:
-            ests = iter(mc_pair_integrate_many([ctx for ctx, _ in members.values()], spec))
+            values = _resolve(list(members.values()), spec)
         except Exception:  # noqa: BLE001 - each call meets its own failure
             continue
-        for key, (ctx, finish) in members.items():
-            _remember(key, finish([next(ests) for _ in ctx.integrands]))
+        for key, value in zip(members, values):
+            _remember(key, value)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,18 @@ constants; ``sweep_family`` re-validates it on a deterministic held-out
 split.
 
 ``REPORTS``, read by the CLI and ``sweep_family``, maps each check name to
-one field's reports.  Checkers ask ``functionals`` for every volume
-quantity, ``i_delta`` and magnetic pair (``i_delta_magnetic_paired``)
-they read; it memoizes each per process, keyed by the field's canonical
-descriptor (a complex field's modulus's, for a volume quantity) and the
-other arguments, sound as the volume integrals run on fixed streams and
-the pair estimates on their engine's seed.  A repeat across deltas,
-checks and commands returns the identical ``Estimate``.  ``f_functional``
-(an envelope's descriptor does not fix its function) is not memoized.
-``PAIR_REQUESTS``, next to ``REPORTS``, names the memoized pair
-estimates each entry reads, so that ``prefetch_reports`` computes a
-command's together in one Monte Carlo pass before the entries run.
+its pair request and one field's reports.  Checkers ask ``functionals``
+for every volume quantity, ``i_delta`` and magnetic pair
+(``i_delta_magnetic_paired``) they read; it memoizes each per process,
+keyed by the field's canonical descriptor (a complex field's modulus's,
+for a volume quantity) and the other arguments, sound as the volume
+integrals run on fixed streams and the pair estimates on their engine's
+seed.  A repeat across deltas, checks and commands returns the identical
+``Estimate``.  ``f_functional`` (an envelope's descriptor does not fix
+its function) is not memoized.  An entry's request names the memoized
+pair call (``i_delta_p`` for ``i_delta``) its reports make at each
+delta, so that ``prefetch_reports`` computes a command's together in one
+Monte Carlo pass before the entries run.
 
 Tolerance policy: inequalities involving Monte Carlo estimates are
 asserted up to ``stat_margin`` (3x the combined standard errors,
@@ -71,7 +72,6 @@ __all__ = [
     "family_constant",
     "FREE_CONSTANT_CHECKS",
     "REPORTS",
-    "PAIR_REQUESTS",
     "prefetch_reports",
 ]
 
@@ -360,33 +360,9 @@ def _euclidean_reports(u, ps) -> list:
     return [check_euclidean_family(u, a) for a in ps.a_values]
 
 
-# check -> (field, the CLI's built config or an object with the attributes the
-# entry reads) -> the field's reports, one per delta (per a for
-# euclidean_family).  Entries look the checkers up at call time, so a
-# rebinding of them reaches them.
-REPORTS = {
-    "logsobolev_main": lambda u, ps: [check_logsobolev_main(u, d, ps.engine) for d in ps.deltas],
-    "nonlocal_sobolev": lambda u, ps: [check_nonlocal_sobolev(u, d, ps.lam, ps.engine)
-                                       for d in ps.deltas],
-    # a given envelope is one instance per field, else each delta's threshold
-    "envelope_lsi": lambda u, ps: [
-        check_envelope_lsi(u, env, ps.engine) for env in
-        ([ps.envelope] if ps.envelope else [MonotoneEnvelope.threshold(d) for d in ps.deltas])],
-    "magnetic_lsi": lambda u, ps: [check_magnetic_lsi(ComplexField(u, ps.phase), ps.potential,
-                                                      d, ps.engine) for d in ps.deltas],
-    "diamagnetic": lambda u, ps: [check_diamagnetic(ComplexField(u, ps.phase), ps.potential,
-                                                    d, ps.engine) for d in ps.deltas],
-    "gauss_lsi": lambda u, ps: [check_gauss_lsi(u)],
-    "euclidean_family": _euclidean_reports,
-    "small_set_bound": lambda u, ps: [check_small_set_bound(u, d, ps.lam) for d in ps.deltas],
-    "jensen": lambda u, ps: [check_jensen(u)],
-}
-FREE_CONSTANT_CHECKS = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
-
-
 def _i_delta_request(u, d, ps):
     _require_sobolev_dim(u.dim)
-    return "i_delta", (u, KernelSpec(d), ps.engine)
+    return "i_delta_p", (u, KernelSpec(d), ps.engine)
 
 
 def _nonlocal_sobolev_request(u, d, ps):
@@ -404,25 +380,44 @@ def _magnetic_lsi_request(u, d, ps):
     return _magnetic_request(u, d, ps)
 
 
-# check -> (field, delta, the object its REPORTS entry reads) -> the (name,
-# arguments) of the memoized pair call the entry makes at that delta.  A
-# request first tests what its checker tests before any estimate, so that a
-# check that fails there runs no pass.  A check that makes no such call
-# (envelope_lsi's f_functional is not memoized) is absent.
-PAIR_REQUESTS = {
-    "logsobolev_main": _i_delta_request,
-    "nonlocal_sobolev": _nonlocal_sobolev_request,
-    "magnetic_lsi": _magnetic_lsi_request,
-    "diamagnetic": _magnetic_request,
+# check -> (request, reports).  reports: (field, the CLI's built config or an
+# object with the attributes the entry reads) -> the field's reports, one per
+# delta (per a for euclidean_family).  request: (field, delta, that object) ->
+# the (name, arguments) of the memoized pair call the reports make at that
+# delta, or None for a check that makes none (envelope_lsi's f_functional is
+# not memoized).  A request first tests what its checker tests before any
+# estimate, so that a check that fails there runs no pass.  Entries look the
+# checkers up at call time, so a rebinding of them reaches them.
+REPORTS = {
+    "logsobolev_main": (_i_delta_request, lambda u, ps: [
+        check_logsobolev_main(u, d, ps.engine) for d in ps.deltas]),
+    "nonlocal_sobolev": (_nonlocal_sobolev_request, lambda u, ps: [
+        check_nonlocal_sobolev(u, d, ps.lam, ps.engine) for d in ps.deltas]),
+    # a given envelope is one instance per field, else each delta's threshold
+    "envelope_lsi": (None, lambda u, ps: [
+        check_envelope_lsi(u, env, ps.engine) for env in
+        ([ps.envelope] if ps.envelope else [MonotoneEnvelope.threshold(d) for d in ps.deltas])]),
+    "magnetic_lsi": (_magnetic_lsi_request, lambda u, ps: [
+        check_magnetic_lsi(ComplexField(u, ps.phase), ps.potential, d, ps.engine)
+        for d in ps.deltas]),
+    "diamagnetic": (_magnetic_request, lambda u, ps: [
+        check_diamagnetic(ComplexField(u, ps.phase), ps.potential, d, ps.engine)
+        for d in ps.deltas]),
+    "gauss_lsi": (None, lambda u, ps: [check_gauss_lsi(u)]),
+    "euclidean_family": (None, _euclidean_reports),
+    "small_set_bound": (None, lambda u, ps: [check_small_set_bound(u, d, ps.lam)
+                                             for d in ps.deltas]),
+    "jensen": (None, lambda u, ps: [check_jensen(u)]),
 }
+FREE_CONSTANT_CHECKS = ("logsobolev_main", "nonlocal_sobolev", "envelope_lsi")
 
 
 def prefetch_reports(checks: Sequence[str], fields: Sequence[ScalarField], ps) -> None:
     """Compute in one Monte Carlo pass per engine the memoized pair
     estimates that the ``REPORTS`` entries of ``checks`` read on ``fields``
     (``functionals.prefetch_pairs``); the entries then read them."""
-    prefetch_pairs(partial(PAIR_REQUESTS[c], u, d, ps)
-                   for c in checks if c in PAIR_REQUESTS for u in fields for d in ps.deltas)
+    prefetch_pairs(partial(REPORTS[c][0], u, d, ps)
+                   for c in checks if REPORTS[c][0] for u in fields for d in ps.deltas)
 
 
 def family_constant(reports: Sequence[InequalityReport]) -> Optional[float]:
@@ -450,7 +445,7 @@ def sweep_family(fields: Sequence[ScalarField], deltas: Sequence[float],
         raise PreconditionError("empty field family")
     ps = SimpleNamespace(deltas=deltas, engine=engine, lam=lam, envelope=envelope)
     prefetch_reports([inequality_id], fields, ps)
-    per_field = [REPORTS[inequality_id](u, ps) for u in fields]
+    per_field = [REPORTS[inequality_id][1](u, ps) for u in fields]
     labels = [None] if inequality_id == "envelope_lsi" and envelope else deltas
     instances = [(fi, d) for fi, rs in enumerate(per_field) for d, _ in zip(labels, rs)]
     reports = [r for rs in per_field for r in rs]

@@ -24,8 +24,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DivergentIntegralError, PreconditionError
-from .fields import ScalarField
-from .functionals import EngineSpec, KernelSpec, dirichlet_energy, i_delta, l2_norm_sq
+from .fields import ScalarField, descriptor_hash
+from .functionals import (EngineSpec, KernelSpec, dirichlet_energy, i_delta, l2_norm_sq,
+                          prefetch_pairs)
 from .quadrature import Estimate, sphere_surface
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "RecoveryReport",
     "gradient_limit_constant",
     "delta_sweep",
+    "delta_sweeps",
     "estimate_qn",
     "check_upper_bound",
     "recover_classical_lsi",
@@ -90,10 +92,15 @@ def _power_law_extrapolation(deltas, ratios):
     return r0, gamma, err
 
 
-def delta_sweep(u: ScalarField, deltas: Sequence[float],
-                engine: EngineSpec) -> DeltaSweep:
-    """Evaluate the nonlocal functional along a decreasing delta grid and
-    extrapolate the ratio against the Dirichlet energy to delta -> 0."""
+def _prefetch(fields: Sequence[ScalarField], deltas: Sequence[float], engine: EngineSpec):
+    """The i_delta of each field at each delta, computed together
+    (``functionals.prefetch_pairs``); the calls then read them."""
+    prefetch_pairs(lambda u=u, d=d: ("i_delta_p", (u, KernelSpec(d), engine))
+                   for u in fields for d in deltas)
+
+
+def _sweep_grid(u: ScalarField, deltas: Sequence[float]) -> tuple:
+    """(deltas as floats, Dirichlet energy) once the sweep's preconditions hold."""
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise PreconditionError("deltas must be positive and strictly decreasing")
@@ -106,6 +113,15 @@ def delta_sweep(u: ScalarField, deltas: Sequence[float],
     energy = dirichlet_energy(u)
     if energy <= 0:
         raise PreconditionError("zero Dirichlet energy; ratio undefined")
+    return deltas, energy
+
+
+def delta_sweep(u: ScalarField, deltas: Sequence[float],
+                engine: EngineSpec) -> DeltaSweep:
+    """Evaluate the nonlocal functional along a decreasing delta grid and
+    extrapolate the ratio against the Dirichlet energy to delta -> 0."""
+    deltas, energy = _sweep_grid(u, deltas)
+    _prefetch([u], deltas, engine)
     estimates = []
     for d in deltas:
         est = i_delta(u, KernelSpec(d), engine)
@@ -116,6 +132,17 @@ def delta_sweep(u: ScalarField, deltas: Sequence[float],
     r0, gamma, err = _power_law_extrapolation(deltas, ratios)
     stoch = 3.0 * math.sqrt(sum((e.stderr / energy) ** 2 for e in estimates[-3:]))
     return DeltaSweep(deltas, estimates, energy, ratios, r0, err + stoch, gamma)
+
+
+def delta_sweeps(fields: Sequence[ScalarField], deltas: Sequence[float],
+                 engine: EngineSpec) -> List[DeltaSweep]:
+    """``delta_sweep`` of each field, with every field's preconditions
+    checked before the first estimate and the estimates of all fields
+    computed together."""
+    for u in fields:
+        _sweep_grid(u, deltas)
+    _prefetch(fields, deltas, engine)
+    return [delta_sweep(u, deltas, engine) for u in fields]
 
 
 @dataclass
@@ -133,19 +160,13 @@ def estimate_qn(dim: int, fields: Sequence[ScalarField], engine: EngineSpec,
                 deltas: Optional[Sequence[float]] = None) -> QnEstimate:
     """Pooled extrapolated ratio limit over several test fields, with the
     independently derived analytic candidate attached for comparison."""
-    from .fields import descriptor_hash
-
     if len(fields) < 2:
         raise PreconditionError("estimate_qn needs at least two test fields")
-    if deltas is None:
-        deltas = DEFAULT_DELTAS
-    per_field = []
-    for u in fields:
-        if u.dim != dim:
-            raise PreconditionError("field dimension mismatch")
-        sw = delta_sweep(u, deltas, engine)
-        per_field.append((descriptor_hash(u), sw.extrapolated_limit,
-                          max(sw.extrapolation_error, 1e-12)))
+    if any(u.dim != dim for u in fields):
+        raise PreconditionError("field dimension mismatch")
+    sweeps = delta_sweeps(fields, DEFAULT_DELTAS if deltas is None else deltas, engine)
+    per_field = [(descriptor_hash(u), sw.extrapolated_limit, max(sw.extrapolation_error, 1e-12))
+                 for u, sw in zip(fields, sweeps)]
     w = np.array([1.0 / e ** 2 for _, _, e in per_field])
     vals = np.array([v for _, v, _ in per_field])
     pooled = float(np.sum(w * vals) / np.sum(w))
@@ -182,6 +203,10 @@ def check_upper_bound(u: ScalarField, deltas: Sequence[float],
     if energy <= 0:
         raise PreconditionError("zero Dirichlet energy")
 
+    # the refined grid is the base grid plus its midpoints; only those are new
+    mids = {math.sqrt(a * b) for a, b in zip(deltas, deltas[1:])} - set(deltas)
+    _prefetch([u], [*deltas, *mids], engine)
+
     def ratios_for(grid):
         out = []
         for d in grid:
@@ -193,8 +218,6 @@ def check_upper_bound(u: ScalarField, deltas: Sequence[float],
 
     base = ratios_for(deltas)
     sup0 = max(base)
-    # the refined grid is the base grid plus its midpoints; only those are new
-    mids = {math.sqrt(a * b) for a, b in zip(deltas, deltas[1:])} - set(deltas)
     sup1 = max([sup0] + ratios_for(sorted(mids, reverse=True)))
     rel = abs(sup1 - sup0) / max(sup0, 1e-300)
     return UpperBoundReport(deltas, base, sup0, sup1, rel, rel < _STABILITY_TOL)

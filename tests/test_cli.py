@@ -314,6 +314,47 @@ class TestConfigValidation:
         assert capsys.readouterr().err == "config error: $.fields[1]: dim 2, config dim 3\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value,path", [
+        ("potential", {"kind": "constant", "vector": [0.5, 0.1]}, "$.potential"),
+        ("potential", {"kind": "linear_b", "matrix": [[0.0, 0.4], [-0.4, 0.0]]}, "$.potential"),
+        ("phase", {"kind": "linear", "wave": [0.3, 0.1]}, "$.phase")])
+    def test_potential_or_phase_dimension_error_names_it(self, tmp_path, capsys, key, value,
+                                                          path):
+        # a 2-D potential or phase under dim 3 used to end check in a
+        # DimensionMismatchError or matmul ValueError traceback (exit 1),
+        # after a Monte Carlo pass had run
+        from unittest import mock
+        cfg = base_config(fields=_TWO_SUMS[:1], kernel={"delta": 0.1}, checks=["diamagnetic"],
+                          engine={"mc": {"n_samples": 4800}}, **{key: value})
+        with mock.patch.object(fn, "mc_pair_integrate_many",
+                               wraps=fn.mc_pair_integrate_many) as spy:
+            rc = cli.main(["check", "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path / "out")])
+        assert (rc, spy.call_count) == (2, 0)
+        assert capsys.readouterr().err == f"config error: {path}: dim 2, config dim 3\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_phase_wave_is_valid_in_every_dimension(self, tmp_path):
+        cfg = base_config(fields=[{"shape": "gaussian", "dim": 3, "rate": 1.0}],
+                          kernel={"delta": 0.1}, checks=["diamagnetic"],
+                          phase={"kind": "linear", "offset": 0.2, "wave": []},
+                          engine={"mc": {"n_samples": 4800}}, output={"csv": "out.csv"})
+        assert cli.main(["check", "--config", write_config(tmp_path, cfg),
+                         "--out-dir", str(tmp_path)]) == 0
+        assert len(read_rows(tmp_path / "out.csv")) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "check", "sweep", "constants", "qn"])
+    @pytest.mark.parametrize("kernel", [{"deltas": [0.1, -0.1]}, {"delta": 0.0}])
+    def test_non_positive_delta_is_config_error(self, tmp_path, capsys, command, kernel):
+        # eval used to write error:PreconditionError rows for it and exit 0
+        cfg = base_config(functionals=["i_delta"], checks=["logsobolev_main"], kernel=kernel)
+        rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "config error: $.kernel: delta must be positive and finite\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "check", "sweep", "constants", "qn"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, command):
         # a NaN delta used to end check in an AttributeError traceback
@@ -1081,6 +1122,12 @@ _TWO_SUMS = [
         {"shape": "bump", "dim": 3, "radius": 1.7, "amplitude": 0.5,
          "center": [0.0, -0.3, 0.1]}]},
 ]
+_TWO_GAUSSIAN_SUMS = _TWO_SUMS[:1] + [
+    {"shape": "sum", "dim": 3, "terms": [
+        {"shape": "gaussian", "dim": 3, "rate": 1.2, "center": [0.0, 0.3, 0.0]},
+        {"shape": "gaussian", "dim": 3, "rate": 0.8, "amplitude": 0.5,
+         "center": [0.0, -0.3, 0.1]}]},
+]
 _JUMP_FIELDS = [
     {"shape": "indicator", "dim": 3, "radius": 1.0, "amplitude": 1.0, "center": [0.1, 0.0, 0.0]},
     {"shape": "sum", "dim": 3, "terms": [
@@ -1100,6 +1147,11 @@ class TestOnePassPerCommand:
         # two non-radial fields x three deltas: six passes before
         "constants": ({"kernel": {"deltas": [0.2, 0.1, 0.05]}, "checks": ["logsobolev_main"]},
                       "080217c6f114676ca3026529bd2f47bbe394a4fc80a5459d3421ba6f985fdb66"),
+        # two two-Gaussian sums at three deltas: six passes before
+        "sweep": ({"fields": _TWO_GAUSSIAN_SUMS, "kernel": {"deltas": [0.2, 0.1, 0.05]}},
+                  "0a290888711a6653bfd9c25a2d75b3e070f5e3b215b6ad43c5803d81ef48d701"),
+        "qn": ({"fields": _TWO_GAUSSIAN_SUMS, "kernel": {"deltas": [0.2, 0.1, 0.05]}},
+               "c8fa5edc8eca222c6bfaaaabc62bb1aa5678b75e9ab3fa21dce3cedb6328c33d"),
         # two magnetic pairs: two passes before
         "check": ({"kernel": {"delta": 0.1}, "checks": ["diamagnetic"],
                    "potential": {"kind": "linear_b", "matrix": [
@@ -1145,7 +1197,7 @@ class TestOnePassPerCommand:
         assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
         # every pair estimate kept, prefetched or not, was read by its call
         pairs = [k for k in memo if k[0] in ("i_delta", "i_delta_p", "i_delta_magnetic_paired")]
-        assert len(pairs) == {"constants": 6, "check": 2, "eval": 8}[command]
+        assert len(pairs) == {"constants": 6, "check": 2, "eval": 8, "sweep": 6, "qn": 6}[command]
         assert all(memo.reads[k] >= 1 for k in pairs)
 
     @pytest.mark.parametrize("table,name", [("check", c) for c in sorted(inequalities.REPORTS)]
@@ -1165,22 +1217,22 @@ class TestOnePassPerCommand:
         b = cli._build(cfg, cfg["seed"])
         b.envelope = MonotoneEnvelope.power_law(3.0)
         if table == "check":
+            request, reports = inequalities.REPORTS[name]
             prefetch = lambda: inequalities.prefetch_reports([name], b.fields, b)
-            run = lambda: [inequalities.REPORTS[name](u, b) for u in b.fields]
+            run = lambda: [reports(u, b) for u in b.fields]
         else:
-            per_delta, evaluate = cli._EVAL[name]
-            requests = [(u, d) for u in b.fields for d in b.deltas] if name in cli._EVAL_REQUESTS \
-                else []
+            request, evaluate = cli._EVAL[name]
             prefetch = lambda: fn.prefetch_pairs(
-                lambda r=r: cli._EVAL_REQUESTS[name](*r, b) for r in requests)
+                lambda u=u, d=d: request(u, d, b) for u in b.fields
+                for d in (b.deltas if request else []))
             run = lambda: [evaluate(u, d, b) for u in b.fields
-                           for d in (b.deltas if per_delta else [None])]
+                           for d in (b.deltas if request else [None])]
         spy = mock.patch.object(fn, "mc_pair_integrate_many", wraps=fn.mc_pair_integrate_many)
         with spy as before:
             prefetch()
         with spy as after:
             run()
-        requested = name in inequalities.PAIR_REQUESTS or name in cli._EVAL_REQUESTS
+        requested = request is not None
         assert before.call_count == int(requested)
         unmemoized = {"envelope_lsi", "f_functional"}
         assert (after.call_count > 0) == (name in unmemoized)
@@ -1209,6 +1261,21 @@ class TestOnePassPerCommand:
         err = capsys.readouterr().err
         assert ("N >= 3" if dim == 2 else "lambda must be positive") in err
 
+    @pytest.mark.parametrize("command", ["sweep", "qn"])
+    def test_sweep_preconditions_of_every_field_run_no_pass(self, tmp_path, capsys, command):
+        # a field the sweep rejects (a jump field) fails the command before
+        # the Monte Carlo pass of the fields before it
+        from unittest import mock
+        cfg = base_config(fields=_TWO_SUMS[:1] + _JUMP_FIELDS[:1],
+                          kernel={"deltas": [0.2, 0.1, 0.05]}, engine={"mc": {"n_samples": 4800}})
+        with mock.patch.object(fn, "mc_pair_integrate_many",
+                               wraps=fn.mc_pair_integrate_many) as spy:
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path / "out")])
+        assert (rc, spy.call_count) == (2, 0)
+        assert "differentiable" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_contexts_of_other_dimensions_or_specs_get_their_own_pass(self):
         # one command reads i_delta of N=3 and N=4 fields on two seeds:
         # one pass per (McSpec, dimension), each of one dimension and spec
@@ -1218,7 +1285,7 @@ class TestOnePassPerCommand:
                 {"shape": "gaussian", "dim": 4, "rate": 1.0, "center": [0.3, 0.0, 0.0, 0.0]},
                 {"shape": "gaussian", "dim": 4, "rate": 1.6, "center": [-0.3, 0.2, 0.0, 0.1]}]})]
         engines = [fn.default_engine(seed, n_samples=4800) for seed in (3, 4)]
-        requests = [("i_delta", (u, fn.KernelSpec(d), e)) for e in engines for u in fields
+        requests = [("i_delta_p", (u, fn.KernelSpec(d), e)) for e in engines for u in fields
                     for d in (0.2, 0.1)]
         passes = []
         real = fn.mc_pair_integrate_many

@@ -75,6 +75,24 @@ class TestIDelta:
         b = i_delta_p(gauss3, KernelSpec(0.1, p=2.0), engine_mc_small)
         assert a.value == b.value
 
+    @pytest.mark.parametrize("route", ["mc", "radial", "diverged", "closed_form"])
+    def test_i_delta_is_i_delta_p_at_p2(self, engine, route):
+        # one memo entry on every route: i_delta returns the very Estimate
+        # that i_delta_p keeps
+        from nlsob import functionals
+        u, delta = {
+            "mc": (nl.FiniteSumField([nl.GaussianField(3, 1.0, 1.0, (0.3, 0.0, 0.0)),
+                                      nl.GaussianField(3, 1.6, 0.65, (-0.3, 0.2, 0.0))]), 0.1),
+            "radial": (nl.GaussianField(3, 1.0), 0.1),
+            "diverged": (nl.IndicatorField(3, 1.0), 0.5),
+            "closed_form": (nl.GaussianField(3, 1.0), 2.0)}[route]
+        engine = replace(engine, mc=replace(engine.mc, n_samples=4800))
+        a = i_delta(u, KernelSpec(delta), engine)
+        assert a is i_delta_p(u, KernelSpec(delta, p=2.0), engine)
+        assert list(functionals._MEMO.values()) == [a]
+        assert a.method == {"mc": "mc", "radial": "radial", "diverged": "exact",
+                            "closed_form": "closed_form"}[route]
+
 
 class CountingIndicator(nl.IndicatorField):
     points = 0
@@ -331,14 +349,13 @@ class TestMagnetic:
         # w = 5, 222.4 for 985.3 +- 52 at w = 20)
         from dataclasses import replace
 
-        from nlsob.functionals import _magnetic_context
         from nlsob.quadrature import mc_pair_integrate_many
         two_gauss = nl.FiniteSumField([nl.GaussianField(3, 1.0, 0.6),
                                        nl.GaussianField(3, 2.0, 0.5, (0.8, 0.0, 0.0))])
         u = nl.ComplexField(two_gauss, nl.LinearPhase(0.0, (w, 0.0, 0.0)))
         A, engine = nl.ZeroPotential(3), nl.default_engine(7, mode="mc", n_samples=48000)
         est = i_delta_magnetic_paired(u, A, KernelSpec(0.1), engine)[0]
-        ctx = _magnetic_context(u, A, 0.1, engine)
+        ctx = i_delta_magnetic_paired.__wrapped__(u, A, KernelSpec(0.1), engine)  # its route
         every = mc_pair_integrate_many([replace(ctx, inner_cutoff=0.0)], engine.mc)[0]
         assert ctx.inner_cutoff > 0.0
         assert (est.value.hex(), est.stderr.hex()) == (every.value.hex(), every.stderr.hex())

@@ -166,3 +166,17 @@ def test_upper_bound_then_recovery_run_the_engine_once_per_delta(engine, gauss3)
         check_upper_bound(gauss3, deltas, engine)
         recover_classical_lsi(gauss3, deltas, 0.05, engine)
     assert spy.call_count == len(deltas) + len(deltas) - 1 == 7
+
+
+def test_qn_routes_each_radial_estimate_once(engine):
+    # estimate_qn requests every estimate of its fields, then each sweep
+    # requests its own, then makes its calls: a radial request is resolved
+    # where it is first routed, so each (field, delta) is routed once, as
+    # without requests, and later requests and calls read the memo
+    from unittest import mock
+
+    from nlsob import functionals
+    fields = [nl.GaussianField(3, 1.0), nl.SmoothBumpField(3, 2.0)]
+    with mock.patch.object(functionals, "_pair_route", wraps=functionals._pair_route) as spy:
+        estimate_qn(3, fields, engine, DELTAS[:3])
+    assert spy.call_count == 6
