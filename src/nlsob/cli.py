@@ -42,6 +42,7 @@ from .functionals import (
     f_functional,
     i_delta,
     i_delta_p,
+    i_delta_request,
     j_delta_energy,
     j_energy,
     l2_norm_sq_estimate,
@@ -58,15 +59,11 @@ from .quadrature import Estimate, McSpec, RadialSpec
 # dispatch.  Its lambdas look the library functions up at call time.
 
 
-def _i_delta_request(u, d, b):  # i_delta is i_delta_p at p = 2
-    return "i_delta_p", (u, KernelSpec(d), b.engine)
-
-
 # functional -> (request, evaluation on (field, delta, built config)).  request:
 # (field, delta, built config) -> the (name, arguments) of the memoized pair
 # call the evaluation makes at that delta, which functionals.prefetch_pairs
 # computes with the command's others; None for a functional of one row per
-# field, evaluated at delta None
+# field, evaluated at delta None (f_functional is memoized all the same)
 _EVAL = {
     "l2_norm_sq": (None, lambda u, d, b: l2_norm_sq_estimate(u)),
     "dirichlet_energy": (None, lambda u, d, b: dirichlet_energy_estimate(u)),
@@ -74,11 +71,13 @@ _EVAL = {
     "log_moment_lp": (None, lambda u, d, b: log_moment_lp_estimate(u, b.p)),
     "j_energy": (None, lambda u, d, b: j_energy(u, EnergyParams(b.omega))),
     "f_functional": (None, lambda u, d, b: f_functional(u, b.envelope, b.p, b.engine)),
-    "i_delta": (_i_delta_request, lambda u, d, b: i_delta(u, KernelSpec(d), b.engine)),
-    "i_delta_p": (lambda u, d, b: ("i_delta_p", (u, KernelSpec(d, p=b.p), b.engine)),
+    "i_delta": (lambda u, d, b: i_delta_request(u, KernelSpec(d), b.engine),
+                lambda u, d, b: i_delta(u, KernelSpec(d), b.engine)),
+    "i_delta_p": (lambda u, d, b: i_delta_request(u, KernelSpec(d, p=b.p), b.engine),
                   lambda u, d, b: i_delta_p(u, KernelSpec(d, p=b.p), b.engine)),
-    "j_delta_energy": (_i_delta_request, lambda u, d, b: j_delta_energy(
-        u, EnergyParams(b.omega), KernelSpec(d), b.engine)),
+    "j_delta_energy": (lambda u, d, b: i_delta_request(u, KernelSpec(d), b.engine),
+                       lambda u, d, b: j_delta_energy(
+                           u, EnergyParams(b.omega), KernelSpec(d), b.engine)),
 }
 
 _DEFAULT_FUNCTIONALS = ["l2_norm_sq", "dirichlet_energy", "entropy_l2", "i_delta"]

@@ -93,18 +93,22 @@ _VALIDATE_TOL = 1e-12
 class MonotoneEnvelope:
     """Non-decreasing envelope F with sub-homogeneity F(t s) <= t^beta F(s).
 
-    ``small_t_power`` is the power q with F(t) = O(t^q) near 0, used to
-    size the inner cutoff.  ``zero_below`` marks an exact zero region
-    F = 0 on [0, zero_below].  ``threshold(delta, p)`` is the one place
-    the indicator numerator delta^p 1{t > delta} of I_delta, its
-    general-p variant and the magnetic functional is built.  It alone
-    sets ``step``, the promise F = sup_value * 1{t > zero_below}: a step
-    fails the sub-homogeneity check, so ``validate`` skips it there, and
-    the radial engine takes it as the plain indicator weight.  ``step``
-    stays out of ``to_dict``, so the descriptor hashes do not see it.
+    ``envelope(t)`` is F(t).  ``power_law(q)`` and ``threshold(delta, p)``
+    (the numerator delta^p 1{t > delta} of I_delta, its general-p variant
+    and the magnetic functional) keep ``fn`` None and compute F from their
+    fields, so envelopes are values, equal where their parameters are, and
+    ``f_functional`` memoizes by them; one built from an arbitrary ``fn``
+    equals only one holding that same object.  ``small_t_power`` is the
+    power q with F(t) = O(t^q) near 0, used to size the inner cutoff.
+    ``zero_below`` marks an exact zero region F = 0 on [0, zero_below].
+    ``step``, set by ``threshold`` alone, is the promise F = sup_value *
+    1{t > zero_below}: a step fails the sub-homogeneity check, so
+    ``validate`` skips it there, and the radial engine takes it as the
+    plain indicator weight.  ``to_dict`` leaves ``step`` out, so the
+    descriptor hashes do not see it.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Optional[Callable[[np.ndarray], np.ndarray]]
     beta: float
     name: str
     small_t_power: float
@@ -116,18 +120,22 @@ class MonotoneEnvelope:
     def power_law(q: float) -> "MonotoneEnvelope":
         if not 1 <= q < math.inf:
             raise PreconditionError("power-law envelope needs a finite q >= 1")
-        return MonotoneEnvelope(fn=lambda t: np.asarray(t, dtype=float) ** q,
-                                beta=q, name=f"power:{q}", small_t_power=q)
+        return MonotoneEnvelope(fn=None, beta=q, name=f"power:{q}", small_t_power=q)
 
     @staticmethod
     def threshold(delta: float, p: float = 2.0) -> "MonotoneEnvelope":
         if not 0 < delta < math.inf:
             raise PreconditionError("threshold envelope needs a positive finite delta")
-        num = _int_pow(delta, p)
-        return MonotoneEnvelope(
-            fn=lambda t: np.where(np.asarray(t, dtype=float) > delta, num, 0.0),
-            beta=p, name=f"threshold:{delta}", small_t_power=p,
-            zero_below=delta, sup_value=num, step=True)
+        if not 1 <= p < math.inf:
+            raise PreconditionError("threshold envelope needs a finite p >= 1")
+        return MonotoneEnvelope(fn=None, beta=p, name=f"threshold:{delta}", small_t_power=p,
+                                zero_below=delta, sup_value=_int_pow(delta, p), step=True)
+
+    def __call__(self, t) -> np.ndarray:
+        if self.fn is not None:
+            return self.fn(t)
+        t = np.asarray(t, dtype=float)
+        return np.where(t > self.zero_below, self.sup_value, 0.0) if self.step else t ** self.beta
 
     def validate(self) -> None:
         """Monotonicity plus (unless a step) sub-homogeneity on a 50x50 grid
@@ -137,15 +145,15 @@ class MonotoneEnvelope:
         rounding in large values of F does not count as a violation.
         """
         ts = np.linspace(0.0, _VALIDATE_T_MAX, 50)
-        vals = self.fn(ts)
+        vals = self(ts)
         if np.any(vals < -_VALIDATE_TOL):
             raise PreconditionError(f"envelope {self.name} takes negative values")
         if np.any(np.diff(vals) < -_VALIDATE_TOL):
             raise PreconditionError(f"envelope {self.name} is not non-decreasing")
         if not self.step:
             t, s = ts[:, None], ts[None, :]
-            lhs = self.fn(t * s)
-            rhs = t ** self.beta * self.fn(np.broadcast_to(s, lhs.shape))
+            lhs = self(t * s)
+            rhs = t ** self.beta * self(np.broadcast_to(s, lhs.shape))
             if np.any(lhs > rhs + _VALIDATE_TOL * np.maximum(np.abs(rhs), 1.0)):
                 raise PreconditionError(
                     f"envelope {self.name} violates sub-homogeneity with beta={self.beta}")
@@ -157,7 +165,7 @@ class MonotoneEnvelope:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """delta, kernel exponent p, optional envelope replacing the numerator."""
+    """delta, kernel exponent p; no functional reads ``envelope``, kept as to_dict hashes it."""
 
     delta: float
     p: float = 2.0
@@ -215,8 +223,6 @@ def _int_pow(x: float, p: float) -> float:
 
 _MEMO_SIZE = 1024  # entries of the process-wide memo; past it the oldest goes
 _MEMO: dict = {}
-
-
 _MEMOIZED: dict = {}  # memoized function's name -> (its key function, its route or None)
 
 
@@ -315,7 +321,7 @@ def _jump_free_radius(u: ScalarField, level: float, weight) -> Optional[float]:
 
 def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: EngineSpec):
     """The route of the integral of F(|u(x) - u(y)|) / |x - y|^{N+p} for a
-    real field, F = ``envelope.fn`` (``MonotoneEnvelope.threshold`` for the
+    real field, F = ``envelope`` (``MonotoneEnvelope.threshold`` for the
     indicator functionals): its Estimate where no engine runs (0 in closed
     form, or divergence at a jump), the radial engine's deferred call, or
     the MC engine's context; see ``_resolve``."""
@@ -325,9 +331,7 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
 
     # exact shortcuts: a constant field has |u(x)-u(y)| = 0, and if the
     # oscillation 2 sup|u| cannot exceed the threshold the set is empty
-    if lip == 0.0:
-        return Estimate(0.0, 0.0, 0, 0.0, "closed_form")
-    if zero_below > 0 and zero_below >= 2.0 * u.sup_bound:
+    if lip == 0.0 or (zero_below > 0 and zero_below >= 2.0 * u.sup_bound):
         return Estimate(0.0, 0.0, 0, 0.0, "closed_form")
 
     prof = u.radial_profile()
@@ -338,12 +342,12 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
     np_exp = -(dim + p)
 
     if not math.isfinite(lip):
-        rho0 = _jump_free_radius(u, zero_below, envelope.fn)
+        rho0 = _jump_free_radius(u, zero_below, envelope)
         if rho0 is None:
             return Estimate(math.inf, method="exact", diverged=True)
 
     def integrand(x, y, rho, vx, vy):
-        return envelope.fn(np.abs(vy - vx)) * rho ** np_exp
+        return envelope(np.abs(vy - vx)) * rho ** np_exp
 
     if zero_below > 0:
         x_radius = u.decay_radius(zero_below / 2.0)
@@ -359,7 +363,7 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
         x_radius = u.decay_radius(eps_x)
         q = envelope.small_t_power
         # |h|-tail: F(|du|) <= F(2 sup |u|) out there
-        h_tail_scale = float(np.asarray(envelope.fn(np.array([2.0 * sup]))).ravel()[0])
+        h_tail_scale = float(np.asarray(envelope(np.array([2.0 * sup]))).ravel()[0])
         cutoff = 1e-4 * max(x_radius, 1e-6)
         # excluded inner region, bounded through the L2 modulus of continuity
         energy = dirichlet_energy(u)
@@ -384,7 +388,7 @@ def _radial_pair_functional(u: ScalarField, prof, p: float, envelope: MonotoneEn
     dim = u.dim
     zero_below = envelope.zero_below
     # None: the radial engine's plain indicator sup_value * 1{|a - b| > zero_below}
-    pair_fn = None if envelope.step else (lambda a, b: envelope.fn(np.abs(a - b)))
+    pair_fn = None if envelope.step else (lambda a, b: envelope(np.abs(a - b)))
     if zero_below > 0:
         weight = RadialWeight(pair_fn=pair_fn, threshold=zero_below,
                               numerator=envelope.sup_value)
@@ -428,10 +432,25 @@ def _resolve(routes: list, spec: McSpec) -> list:
     return out
 
 
-@_memoized(lambda u, k, engine: (u, (k.delta, k.p, engine)), routed=True)
+@_memoized(lambda u, envelope, p, engine: (u, (envelope, p, engine)), routed=True)
+def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
+                 engine: EngineSpec) -> Estimate:
+    """Envelope functional: integral of F(|u(x)-u(y)|) / |x-y|^{N+p}."""
+    envelope.validate()
+    if envelope.zero_below == 0.0 and envelope.small_t_power <= p:
+        raise PreconditionError("envelope must vanish faster than t^p near 0 for integrability")
+    return _pair_route(u, p, envelope, engine)
+
+
+def i_delta_request(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> tuple:
+    """The ``prefetch_pairs`` request of ``i_delta_p(u, k, engine)``: the
+    (name, arguments) of its ``f_functional`` call of the threshold envelope."""
+    return "f_functional", (u, MonotoneEnvelope.threshold(k.delta, k.p), k.p, engine)
+
+
 def i_delta_p(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     """General-p variant: kernel delta^p / |x-y|^{N+p} on {|u(x)-u(y)| > delta}."""
-    return _pair_route(u, k.p, MonotoneEnvelope.threshold(k.delta, k.p), engine)
+    return f_functional(*i_delta_request(u, k, engine)[1])
 
 
 def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
@@ -440,16 +459,6 @@ def i_delta(u: ScalarField, k: KernelSpec, engine: EngineSpec) -> Estimate:
     if k.p != 2.0:
         raise PreconditionError("i_delta is the p = 2 kernel; use i_delta_p")
     return i_delta_p(u, k, engine)
-
-
-def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
-                 engine: EngineSpec) -> Estimate:
-    """Envelope functional: integral of F(|u(x)-u(y)|) / |x-y|^{N+p}."""
-    envelope.validate()
-    if envelope.zero_below == 0.0 and envelope.small_t_power <= p:
-        raise PreconditionError(
-            "envelope must vanish faster than t^p near 0 for integrability")
-    return _resolve([_pair_route(u, p, envelope, engine)], engine.mc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +505,11 @@ def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
         uy = my * np.exp(1j * u.phase(y))
         ux = mx * np.exp(1j * u.phase(x))
         dpsi = np.abs(np.exp(1j * phi) * uy - ux)
-        out[hot] = env.fn(dpsi) * rho[hot] ** (-(dim + 2.0))
+        out[hot] = env(dpsi) * rho[hot] ** (-(dim + 2.0))
         return out
 
     def mod_integrand(x, y, rho, mx, my):
-        return env.fn(np.abs(np.abs(my) - np.abs(mx))) * rho ** (-(dim + 2.0))
+        return env(np.abs(np.abs(my) - np.abs(mx))) * rho ** (-(dim + 2.0))
 
     # |Psi(x,y) - Psi(x,x)| <= slope(c) |x - y| for x within rx and pairs closer than c
     # (|wave| bounds the phase's gradient): the largest c with c slope(c) <= delta
@@ -523,19 +532,25 @@ def prefetch_pairs(requests: Iterable[Callable[[], tuple]]) -> None:
     """Compute together the pair estimates that memoized calls will read.
 
     Each request, called, gives the (name, arguments) of one call of
-    ``i_delta_p`` or ``i_delta_magnetic_paired``.  The routes of the
-    requests not kept already are resolved together: those that reach the
-    MC engine in one engine pass per (McSpec, dimension), whose contexts
-    share their streams, the others (closed form, radial engine, divergence
-    at a jump) each by itself.  Each call's value is kept under that call's
-    memo key, so the call reads it, and equals that of the call alone, bit
-    for bit.  A request that raises, or a group whose resolution raises, is
-    left to its own call.
+    ``f_functional`` or ``i_delta_magnetic_paired``; a name of no memoized
+    pair functional raises ValueError.  The routes of the requests not
+    kept already are resolved together: those that reach the MC engine in
+    one engine pass per (McSpec, dimension), whose contexts share their
+    streams, the others (closed form, radial engine, divergence at a jump)
+    each by itself.  Each call's value is kept under that call's memo key,
+    so the call reads it, and equals that of the call alone, bit for bit.
+    A request that raises, or a group whose resolution raises, is left to
+    its own call.
     """
     groups = {}
     for request in requests:
         try:
             name, args = request()
+        except Exception:  # noqa: BLE001 - the call raises it again
+            continue
+        if _MEMOIZED.get(name, (None, None))[1] is None:
+            raise ValueError(f"request {name!r} names no memoized pair functional")
+        try:
             key = _memo_key(name, *args)
             if key not in _MEMO:
                 route = _MEMOIZED[name][1](*args)

@@ -8,17 +8,17 @@ split.
 
 ``REPORTS``, read by the CLI and ``sweep_family``, maps each check name to
 its pair request and one field's reports.  Checkers ask ``functionals``
-for every volume quantity, ``i_delta`` and magnetic pair
-(``i_delta_magnetic_paired``) they read; it memoizes each per process,
-keyed by the field's canonical descriptor (a complex field's modulus's,
-for a volume quantity) and the other arguments, sound as the volume
-integrals run on fixed streams and the pair estimates on their engine's
-seed.  A repeat across deltas, checks and commands returns the identical
-``Estimate``.  ``f_functional`` (an envelope's descriptor does not fix
-its function) is not memoized.  An entry's request names the memoized
-pair call (``i_delta_p`` for ``i_delta``) its reports make at each
-delta, so that ``prefetch_reports`` computes a command's together in one
-Monte Carlo pass before the entries run.
+for every volume quantity, ``i_delta``, envelope functional
+(``f_functional``) and magnetic pair (``i_delta_magnetic_paired``) they
+read; it memoizes each per process, keyed by the field's canonical
+descriptor (a complex field's modulus's, for a volume quantity) and the
+other arguments (an envelope by its value), sound as the volume integrals
+run on fixed streams and the pair estimates on their engine's seed.  A
+repeat across deltas, checks and commands returns the identical
+``Estimate``.  An entry's request names the memoized pair call its reports
+make at each delta (``functionals.i_delta_request`` for ``i_delta``), so
+that ``prefetch_reports`` computes a command's together in one Monte
+Carlo pass before the entries run.
 
 Tolerance policy: inequalities involving Monte Carlo estimates are
 asserted up to ``stat_margin`` (3x the combined standard errors,
@@ -47,6 +47,7 @@ from .functionals import (
     gauss_lsi_sides,
     i_delta,
     i_delta_magnetic_paired,
+    i_delta_request,
     l2_norm_sq_estimate,
     log_moment_lp_estimate,
     lp_power_integral,
@@ -362,12 +363,17 @@ def _euclidean_reports(u, ps) -> list:
 
 def _i_delta_request(u, d, ps):
     _require_sobolev_dim(u.dim)
-    return "i_delta_p", (u, KernelSpec(d), ps.engine)
+    return i_delta_request(u, KernelSpec(d), ps.engine)
 
 
 def _nonlocal_sobolev_request(u, d, ps):
     _require_positive_lambda(ps.lam)
     return _i_delta_request(u, d, ps)
+
+
+def _envelope_request(u, d, ps):
+    _require_sobolev_dim(u.dim)
+    return "f_functional", (u, ps.envelope or MonotoneEnvelope.threshold(d), 2.0, ps.engine)
 
 
 def _magnetic_request(u, d, ps):
@@ -384,17 +390,17 @@ def _magnetic_lsi_request(u, d, ps):
 # object with the attributes the entry reads) -> the field's reports, one per
 # delta (per a for euclidean_family).  request: (field, delta, that object) ->
 # the (name, arguments) of the memoized pair call the reports make at that
-# delta, or None for a check that makes none (envelope_lsi's f_functional is
-# not memoized).  A request first tests what its checker tests before any
-# estimate, so that a check that fails there runs no pass.  Entries look the
-# checkers up at call time, so a rebinding of them reaches them.
+# delta, or None for a check that makes none.  A request first tests what its
+# checker tests before any estimate, so that a check that fails there runs no
+# pass.  Entries look the checkers up at call time, so a rebinding of them
+# reaches them.
 REPORTS = {
     "logsobolev_main": (_i_delta_request, lambda u, ps: [
         check_logsobolev_main(u, d, ps.engine) for d in ps.deltas]),
     "nonlocal_sobolev": (_nonlocal_sobolev_request, lambda u, ps: [
         check_nonlocal_sobolev(u, d, ps.lam, ps.engine) for d in ps.deltas]),
     # a given envelope is one instance per field, else each delta's threshold
-    "envelope_lsi": (None, lambda u, ps: [
+    "envelope_lsi": (_envelope_request, lambda u, ps: [
         check_envelope_lsi(u, env, ps.engine) for env in
         ([ps.envelope] if ps.envelope else [MonotoneEnvelope.threshold(d) for d in ps.deltas])]),
     "magnetic_lsi": (_magnetic_lsi_request, lambda u, ps: [

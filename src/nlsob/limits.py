@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import DivergentIntegralError, PreconditionError
 from .fields import ScalarField, descriptor_hash
-from .functionals import (EngineSpec, KernelSpec, dirichlet_energy, i_delta, l2_norm_sq,
-                          prefetch_pairs)
+from .functionals import (EngineSpec, KernelSpec, dirichlet_energy, i_delta, i_delta_request,
+                          l2_norm_sq, prefetch_pairs)
 from .quadrature import Estimate, sphere_surface
 
 __all__ = [
@@ -95,7 +95,7 @@ def _power_law_extrapolation(deltas, ratios):
 def _prefetch(fields: Sequence[ScalarField], deltas: Sequence[float], engine: EngineSpec):
     """The i_delta of each field at each delta, computed together
     (``functionals.prefetch_pairs``); the calls then read them."""
-    prefetch_pairs(lambda u=u, d=d: ("i_delta_p", (u, KernelSpec(d), engine))
+    prefetch_pairs(lambda u=u, d=d: i_delta_request(u, KernelSpec(d), engine)
                    for u in fields for d in deltas)
 
 

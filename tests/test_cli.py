@@ -4,13 +4,14 @@ import csv
 import json
 import math
 import os
+from functools import partial
 
 import pytest
 
 import nlsob.cli as cli
 import nlsob.functionals as fn
 import nlsob.inequalities as inequalities
-from nlsob.errors import ConfigError
+from nlsob.errors import ConfigError, PreconditionError
 from nlsob.fields import descriptor_hash, field_from_dict
 
 from conftest import rel_err
@@ -251,14 +252,19 @@ class TestConfigValidation:
         ({"phase": {"kind": "linear", "wave": 5}}, "$.phase"),
         ({"kernel": {"delta": 0.1, "envelope": {"kind": "power", "q": 0.5}}},
          "$.kernel.envelope"),
+        *(({"kernel": {"delta": 0.1, "envelope": {"kind": "threshold", "delta": 0.1, "p": p}}},
+           "$.kernel.envelope") for p in (0.5, 0, -2)),
         ({"engine": {"mc": {"n_samples": 1000}}}, "$.engine.mc"),
         ({"engine": {"radial": {"n_r": 0}}}, "$.engine.radial"),
         ({"engine": {"mode": "radial"}}, "$.engine"),
     ], ids=["center", "second-field-rate", "a-values", "vector", "symmetric-b", "wave",
-            "envelope-q", "mc", "radial", "mode"])
+            "envelope-q", "threshold-p-half", "threshold-p-0", "threshold-p-negative", "mc",
+            "radial", "mode"])
     def test_rejected_value_names_its_config_path(self, tmp_path, capsys, extra, path):
         # each used to say only what the constructor said, such as "'int'
-        # object is not iterable" or "matrix must be antisymmetric"
+        # object is not iterable" or "matrix must be antisymmetric"; a
+        # threshold envelope's p of 0.5, 0 or -2 used to pass, and eval of
+        # its f_functional wrote 380.94, 1204.64 or 120464.18 with exit 0
         cfg = base_config(functionals=["l2_norm_sq"], **extra)
         rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
                        "--out-dir", str(tmp_path / "out")])
@@ -1196,7 +1202,7 @@ class TestOnePassPerCommand:
         assert spy.call_count == 1
         assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
         # every pair estimate kept, prefetched or not, was read by its call
-        pairs = [k for k in memo if k[0] in ("i_delta", "i_delta_p", "i_delta_magnetic_paired")]
+        pairs = [k for k in memo if k[0] in ("f_functional", "i_delta_magnetic_paired")]
         assert len(pairs) == {"constants": 6, "check": 2, "eval": 8, "sweep": 6, "qn": 6}[command]
         assert all(memo.reads[k] >= 1 for k in pairs)
 
@@ -1204,8 +1210,8 @@ class TestOnePassPerCommand:
                              + [("eval", f) for f in sorted(cli._EVAL)])
     def test_request_table_names_every_pair_estimate(self, table, name):
         # after the prefetch of an entry's requests the entry runs no MC
-        # pass of its own; only the envelope functional, which is not
-        # memoized, still runs its own
+        # pass of its own; only eval's envelope functional, one row per
+        # field with no delta to tie a request to, still runs its own
         from types import SimpleNamespace
         from unittest import mock
 
@@ -1234,9 +1240,56 @@ class TestOnePassPerCommand:
             run()
         requested = request is not None
         assert before.call_count == int(requested)
-        unmemoized = {"envelope_lsi", "f_functional"}
+        unmemoized = {"f_functional"}
         assert (after.call_count > 0) == (name in unmemoized)
         assert not (requested and name in unmemoized)
+
+    # two two-Gaussian sums at deltas 0.2 and 0.1: envelope_lsi without an
+    # envelope reads the i_delta estimates logsobolev_main requests, and with
+    # a power envelope requests its own.  5 and 2 passes before; the digests
+    # were recorded then
+    ENVELOPE_CASES = {
+        ("check", "threshold"): "f5aeeedaa887f50823f235c36e5db5fc8503b9c43f1ee9d866495cb91a67629e",
+        ("constants", "threshold"):
+            "ac7c4fdf547c6f775169ea1f9d73b50715e4336c757e84eee59129ed8eff711e",
+        ("check", "power"): "6cd43b251fdee1d6551bc85fe7ca748d8998bcd82ba04dc2547ef5c5800330d0",
+        ("constants", "power"): "14113d98dfa4718153a73826ddd620887237108239549ffaf30d7e9524e99a85",
+    }
+
+    @pytest.mark.parametrize("command,envelope", sorted(ENVELOPE_CASES))
+    def test_envelope_lsi_shares_the_pass(self, tmp_path, command, envelope):
+        import hashlib
+        from unittest import mock
+        kernel, checks = {"deltas": [0.2, 0.1]}, ["logsobolev_main", "envelope_lsi"]
+        if envelope == "power":
+            kernel, checks = dict(kernel, envelope={"kind": "power", "q": 3.0}), ["envelope_lsi"]
+        cfg = {"dim": 3, "seed": 5, "fields": _TWO_GAUSSIAN_SUMS, "kernel": kernel,
+               "checks": checks, "engine": {"mc": {"n_samples": 4800}},
+               "output": {"csv": "out.csv"}}
+        with mock.patch.object(fn, "mc_pair_integrate_many",
+                               wraps=fn.mc_pair_integrate_many) as spy:
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                           "--out-dir", str(tmp_path)])
+        assert (rc, spy.call_count) == (0, 1)
+        assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == \
+            self.ENVELOPE_CASES[command, envelope]
+
+    def test_request_of_no_memoized_pair_functional_raises(self):
+        # a request named "i_delta", a function with no memo entry of its
+        # own, used to run no pass and keep nothing, silently; a request
+        # that raises, as a checker precondition does, is still left to its
+        # own call
+        u = field_from_dict(_TWO_SUMS[0])
+        e = fn.default_engine(3, n_samples=4800)
+
+        def failing():
+            raise PreconditionError("checker precondition")
+
+        for name in ("i_delta", "i_delta_p", "l2_norm_sq_estimate"):
+            with pytest.raises(ValueError, match="names no memoized pair functional"):
+                fn.prefetch_pairs([lambda name=name: (name, (u, fn.KernelSpec(0.1), e))])
+        fn.prefetch_pairs([failing])
+        assert not fn._MEMO
 
     @pytest.mark.parametrize("command,check,extra", [
         ("check", "nonlocal_sobolev", {"lambda": -1.0}),
@@ -1285,8 +1338,7 @@ class TestOnePassPerCommand:
                 {"shape": "gaussian", "dim": 4, "rate": 1.0, "center": [0.3, 0.0, 0.0, 0.0]},
                 {"shape": "gaussian", "dim": 4, "rate": 1.6, "center": [-0.3, 0.2, 0.0, 0.1]}]})]
         engines = [fn.default_engine(seed, n_samples=4800) for seed in (3, 4)]
-        requests = [("i_delta_p", (u, fn.KernelSpec(d), e)) for e in engines for u in fields
-                    for d in (0.2, 0.1)]
+        calls = [(u, fn.KernelSpec(d), e) for e in engines for u in fields for d in (0.2, 0.1)]
         passes = []
         real = fn.mc_pair_integrate_many
 
@@ -1295,13 +1347,13 @@ class TestOnePassPerCommand:
             return real(contexts, spec)
 
         with mock.patch.object(fn, "mc_pair_integrate_many", spy):
-            fn.prefetch_pairs(lambda r=r: r for r in requests)
-            got = [fn.i_delta(*args) for _, args in requests]
+            fn.prefetch_pairs(partial(fn.i_delta_request, *c) for c in calls)
+            got = [fn.i_delta(*c) for c in calls]
         assert sorted((min(dims), spec.master_seed, k) for dims, spec, k in passes) == \
             [(3, 3, 4), (3, 4, 4), (4, 3, 2), (4, 4, 2)]
         assert all(len(dims) == 1 for dims, _, _ in passes)
         fn._MEMO.clear()
-        assert got == [fn.i_delta(*args) for _, args in requests]
+        assert got == [fn.i_delta(*c) for c in calls]
 
 
 def test_import_loads_no_scipy():

@@ -241,30 +241,89 @@ class TestEnvelopes:
         lambda: MonotoneEnvelope.power_law(0.5),
         lambda: MonotoneEnvelope.threshold(math.nan),
         lambda: MonotoneEnvelope.threshold(-0.1),
+        lambda: MonotoneEnvelope.threshold(0.1, 0.5),
+        lambda: MonotoneEnvelope.threshold(0.1, 0.0),
+        lambda: MonotoneEnvelope.threshold(0.1, -2.0),
+        lambda: MonotoneEnvelope.threshold(0.1, math.nan),
+        lambda: MonotoneEnvelope.threshold(0.1, math.inf),
         lambda: default_engine(1, mode="radial"),
     ], ids=["delta-nan", "delta-inf", "delta-0", "p-nan", "p-inf", "p-half", "q-nan",
-            "q-inf", "q-half", "threshold-nan", "threshold-negative", "mode-radial"])
+            "q-inf", "q-half", "threshold-nan", "threshold-negative", "threshold-p-half",
+            "threshold-p-0", "threshold-p-negative", "threshold-p-nan", "threshold-p-inf",
+            "mode-radial"])
     def test_invalid_parameters_rejected(self, make):
         # a NaN delta used to pass (NaN <= 0 is false), and its threshold
         # envelope then took the smooth-envelope branch of _pair_functional.
-        # The engine modes are auto and mc; "radial" was one no caller set
+        # A threshold p below 1 used to give finite values (p = 0.5, 0 and
+        # -2 all did), p = NaN a NaN numerator, which as a memo key would
+        # never equal itself.  The engine modes are auto and mc; "radial"
+        # was one no caller set
         with pytest.raises(PreconditionError):
             make()
 
     def test_reduction_consistency_bitwise(self, gauss3, bump3, engine, engine_mc_small):
         # I_delta and its general-p variant are the envelope functional of
-        # the threshold envelope: the same Estimate, bit for bit, on both
-        # engines, on a non-radial sum, and on a field whose jump lies below
-        # delta (finite, one exactly truncated MC run) at p = 1.5
+        # the threshold envelope: one memo entry, the very same Estimate, on
+        # both engines, on a non-radial sum, on a field whose jump lies
+        # below delta (finite, one exactly truncated MC run) or above it
+        # (diverged, decided exactly) at p = 1.5, and past the oscillation
+        # (0 in closed form)
+        from nlsob import functionals
         gsum = nl.FiniteSumField([gauss3, bump3.amplify(0.5).translate([0.0, 0.3, 0.0])])
         jumpy = nl.FiniteSumField([nl.IndicatorField(3, 0.9, 1.0, (-0.1, 0.1, 0.0)),
                                    nl.GaussianField(3, 1.0, 1.0, (0.2, -0.1, 0.0))])
-        cases = [(gauss3, 0.1, 2.0, eng) for eng in (engine, engine_mc_small)]
-        cases += [(gsum, 0.1, 2.0, engine_mc_small), (jumpy, 1.25, 1.5, engine_mc_small)]
-        for u, delta, p, eng in cases:
+        cases = [(gauss3, 0.1, 2.0, eng, "finite") for eng in (engine, engine_mc_small)]
+        cases += [(gsum, 0.1, 2.0, engine_mc_small, "finite"),
+                  (jumpy, 1.25, 1.5, engine_mc_small, "finite"),
+                  (jumpy, 0.5, 1.5, engine_mc_small, "diverged"),
+                  (gauss3, 2.5, 2.0, engine_mc_small, "zero")]
+        for u, delta, p, eng, expect in cases:
+            functionals._MEMO.clear()
             a = f_functional(u, MonotoneEnvelope.threshold(delta, p), p, eng)
             b = (i_delta if p == 2.0 else i_delta_p)(u, KernelSpec(delta, p=p), eng)
-            assert a == b and 0.0 < b.value < math.inf
+            assert a is b and len(functionals._MEMO) == 1
+            assert {"finite": 0.0 < b.value < math.inf and not b.diverged,
+                    "diverged": b.diverged and b.value == math.inf,
+                    "zero": b.value == 0.0 and b.method == "closed_form"}[expect]
+
+    def test_envelopes_are_values(self, gauss3, engine):
+        # the two kinds are equal by parameters, so they are sound memo keys;
+        # an envelope of an arbitrary fn equals only one holding that object
+        from nlsob import functionals
+        thr, pw = MonotoneEnvelope.threshold, MonotoneEnvelope.power_law
+        assert thr(0.1, 1.5) == thr(0.1, 1.5) and hash(thr(0.1, 1.5)) == hash(thr(0.1, 1.5))
+        assert pw(3.0) == pw(3.0) and hash(pw(3.0)) == hash(pw(3.0))
+        assert thr(0.1) == thr(0.1, 2.0)
+        assert len({thr(0.1), thr(0.2), thr(0.1, 3.0), pw(3.0), pw(4.0)}) == 5
+        cube = lambda t: np.asarray(t, float) ** 3
+        make = lambda fn: MonotoneEnvelope(fn=fn, beta=3.0, name="cube", small_t_power=3.0)
+        assert make(cube) == make(cube)
+        assert make(cube) != make(lambda t: np.asarray(t, float) ** 3) != pw(3.0)
+        # one memo entry per envelope value: a new power_law(3) reads the
+        # first one's estimate, a new fn is a new entry with the same bits
+        a = f_functional(gauss3, pw(3.0), 2.0, engine)
+        assert f_functional(gauss3, pw(3.0), 2.0, engine) is a
+        b = f_functional(gauss3, make(cube), 2.0, engine)
+        assert f_functional(gauss3, make(cube), 2.0, engine) is b
+        c = f_functional(gauss3, make(lambda t: np.asarray(t, float) ** 3), 2.0, engine)
+        assert sum(k[0] == "f_functional" for k in functionals._MEMO) == 3 and a == b == c
+
+    def test_envelope_descriptors_are_unchanged(self):
+        # the benchmark hashes to_dict into the op id of an f_functional call
+        assert MonotoneEnvelope.threshold(0.1, 1.5).to_dict() == {
+            "name": "threshold:0.1", "beta": 1.5, "small_t_power": 1.5, "zero_below": 0.1}
+        assert MonotoneEnvelope.power_law(3.0).to_dict() == {
+            "name": "power:3.0", "beta": 3.0, "small_t_power": 3.0, "zero_below": 0.0}
+
+    def test_kinds_compute_the_functions_they_replaced(self):
+        # F of each kind from its fields, bit for bit the lambdas the kinds held
+        t = np.linspace(0.0, 4.0, 97)
+        for delta, p in ((0.1, 2.0), (0.3, 1.5), (1.0, 3.0)):
+            num = MonotoneEnvelope.threshold(delta, p).sup_value
+            assert np.array_equal(MonotoneEnvelope.threshold(delta, p)(t),
+                                  np.where(t > delta, num, 0.0))
+        for q in (1.0, 2.5, 3.0):
+            assert np.array_equal(MonotoneEnvelope.power_law(q)(t), t ** q)
 
     def test_only_the_threshold_envelope_is_a_step(self):
         # step = True lets the radial engine take the plain indicator weight;
@@ -303,7 +362,7 @@ class TestEnvelopes:
 
     def test_power_law_subhomogeneity_saturates(self):
         env = MonotoneEnvelope.power_law(3.0)
-        assert env.fn(np.array([2.0]))[0] == 2.0 ** 3 * env.fn(np.array([1.0]))[0]
+        assert env(np.array([2.0]))[0] == 2.0 ** 3 * env(np.array([1.0]))[0]
         env.validate()  # power laws satisfy it with equality
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0, 5.0])
