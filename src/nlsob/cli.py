@@ -113,43 +113,40 @@ _RADIAL_KEYS = {f.name for f in dataclasses.fields(RadialSpec)}
 _OUTPUT_KEYS = {"csv", "json"}
 
 
-def _check_keys(obj: dict, allowed: set, path: str, strict: bool):
+def _check_keys(obj: dict, allowed: set, path: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
-        msg = f"unknown key(s) {sorted(unknown)} at {path}"
-        if strict:
-            raise ConfigError(msg)
-        print(f"warning: {msg}", file=sys.stderr)
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} at {path}")
 
 
-def _check_tagged(obj, tag: str, table: dict, path: str, strict: bool):
+def _check_tagged(obj, tag: str, table: dict, path: str):
     """``obj[tag]`` names an entry (builder, required keys, optional keys) of
     ``table``, and ``obj`` has the entry's required keys and no other keys."""
     if not isinstance(obj, dict) or obj.get(tag) not in table:
         raise ConfigError(f"{path}.{tag} must be {' | '.join(table)}")
     _, required, optional = table[obj[tag]]
-    _check_keys(obj, {tag} | required | optional, path, strict)
+    _check_keys(obj, {tag} | required | optional, path)
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"missing key(s) {sorted(missing)} at {path}")
 
 
-def _check_field_dict(d: dict, path: str, strict: bool):
-    _check_tagged(d, "shape", FIELD_SHAPES, path, strict)
+def _check_field_dict(d: dict, path: str):
+    _check_tagged(d, "shape", FIELD_SHAPES, path)
     if d["shape"] == "sum":
         if not isinstance(d["terms"], list):
             raise ConfigError(f"{path}.terms must be a list")
         for i, t in enumerate(d["terms"]):
-            _check_field_dict(t, f"{path}.terms[{i}]", strict)
+            _check_field_dict(t, f"{path}.terms[{i}]")
 
 
-def validate_config(cfg: dict, strict: bool = True) -> dict:
+def validate_config(cfg: dict) -> dict:
     """Schema validation; raises ConfigError before any computation."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "$", strict)
+    _check_keys(cfg, _TOP_KEYS, "$")
     if "dim" not in cfg or not isinstance(cfg["dim"], int) or cfg["dim"] < 1:
         raise ConfigError("config needs an integer dim >= 1")
     seed = cfg.get("seed")
@@ -158,20 +155,20 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
     if not isinstance(cfg.get("fields"), list) or not cfg["fields"]:
         raise ConfigError("config needs a nonempty 'fields' list")
     for i, d in enumerate(cfg["fields"]):
-        _check_field_dict(d, f"$.fields[{i}]", strict)
+        _check_field_dict(d, f"$.fields[{i}]")
     kern = cfg.get("kernel", {})
-    _check_keys(kern, _KERNEL_KEYS, "$.kernel", strict)
+    _check_keys(kern, _KERNEL_KEYS, "$.kernel")
     if "delta" in kern and "deltas" in kern:
         raise ConfigError("$.kernel: give either delta or deltas, not both")
     if "deltas" in kern and (not isinstance(kern["deltas"], list) or not kern["deltas"]):
         raise ConfigError("$.kernel.deltas must be a nonempty list")
     env = kern.get("envelope")
     if env is not None:
-        _check_tagged(env, "kind", _ENVELOPES, "$.kernel.envelope", strict)
+        _check_tagged(env, "kind", _ENVELOPES, "$.kernel.envelope")
     eng = cfg.get("engine", {})
-    _check_keys(eng, _ENGINE_KEYS, "$.engine", strict)
-    _check_keys(eng.get("mc", {}), _MC_KEYS, "$.engine.mc", strict)
-    _check_keys(eng.get("radial", {}), _RADIAL_KEYS, "$.engine.radial", strict)
+    _check_keys(eng, _ENGINE_KEYS, "$.engine")
+    _check_keys(eng.get("mc", {}), _MC_KEYS, "$.engine.mc")
+    _check_keys(eng.get("radial", {}), _RADIAL_KEYS, "$.engine.radial")
     for key in ("functionals", "checks"):
         names = cfg.get(key, [])
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -185,10 +182,10 @@ def validate_config(cfg: dict, strict: bool = True) -> dict:
         if name not in REPORTS:
             raise ConfigError(f"unknown check {name!r}")
     if "potential" in cfg:
-        _check_tagged(cfg["potential"], "kind", _POTENTIALS, "$.potential", strict)
+        _check_tagged(cfg["potential"], "kind", _POTENTIALS, "$.potential")
     if "phase" in cfg:
-        _check_tagged(cfg["phase"], "kind", _PHASES, "$.phase", strict)
-    _check_keys(cfg.get("output", {}), _OUTPUT_KEYS, "$.output", strict)
+        _check_tagged(cfg["phase"], "kind", _PHASES, "$.phase")
+    _check_keys(cfg.get("output", {}), _OUTPUT_KEYS, "$.output")
     for key, path in cfg.get("output", {}).items():
         if not isinstance(path, str) or os.path.basename(path) in ("", ".", ".."):
             raise ConfigError(f"$.output.{key} must be a string that names a file, not {path!r}")
@@ -456,9 +453,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out-dir", default=None, help="prefix for output paths")
-    parser.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="reject unknown config keys (default: on)")
     args = parser.parse_args(argv)
 
     try:
@@ -468,7 +462,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        validate_config(cfg, strict=args.strict)
+        validate_config(cfg)
         seed = args.seed if args.seed is not None else cfg["seed"]
         if seed < 0:  # the config's own seed passed validate_config
             raise ConfigError("--seed must be >= 0")

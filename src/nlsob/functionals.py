@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Union
 
@@ -41,9 +41,9 @@ from .fields import (
 from .quadrature import (
     Estimate,
     McSpec,
+    MonotoneEnvelope,
     PairContext,
     RadialSpec,
-    RadialWeight,
     ball_volume,
     mc_pair_integrate_many,
     radial_pair_integrate,
@@ -83,85 +83,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # parameter types
 # ---------------------------------------------------------------------------
-
-# the grid end and the tolerance of MonotoneEnvelope.validate
-_VALIDATE_T_MAX = 4.0
-_VALIDATE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class MonotoneEnvelope:
-    """Non-decreasing envelope F with sub-homogeneity F(t s) <= t^beta F(s).
-
-    ``envelope(t)`` is F(t).  ``power_law(q)`` and ``threshold(delta, p)``
-    (the numerator delta^p 1{t > delta} of I_delta, its general-p variant
-    and the magnetic functional) keep ``fn`` None and compute F from their
-    fields, so envelopes are values, equal where their parameters are, and
-    ``f_functional`` memoizes by them; one built from an arbitrary ``fn``
-    equals only one holding that same object.  ``small_t_power`` is the
-    power q with F(t) = O(t^q) near 0, used to size the inner cutoff.
-    ``zero_below`` marks an exact zero region F = 0 on [0, zero_below].
-    ``step``, set by ``threshold`` alone, is the promise F = sup_value *
-    1{t > zero_below}: a step fails the sub-homogeneity check, so
-    ``validate`` skips it there, and the radial engine takes it as the
-    plain indicator weight.  ``to_dict`` leaves ``step`` out, so the
-    descriptor hashes do not see it.
-    """
-
-    fn: Optional[Callable[[np.ndarray], np.ndarray]]
-    beta: float
-    name: str
-    small_t_power: float
-    zero_below: float = 0.0
-    sup_value: float = math.inf
-    step: bool = False
-
-    @staticmethod
-    def power_law(q: float) -> "MonotoneEnvelope":
-        if not 1 <= q < math.inf:
-            raise PreconditionError("power-law envelope needs a finite q >= 1")
-        return MonotoneEnvelope(fn=None, beta=q, name=f"power:{q}", small_t_power=q)
-
-    @staticmethod
-    def threshold(delta: float, p: float = 2.0) -> "MonotoneEnvelope":
-        if not 0 < delta < math.inf:
-            raise PreconditionError("threshold envelope needs a positive finite delta")
-        if not 1 <= p < math.inf:
-            raise PreconditionError("threshold envelope needs a finite p >= 1")
-        return MonotoneEnvelope(fn=None, beta=p, name=f"threshold:{delta}", small_t_power=p,
-                                zero_below=delta, sup_value=_int_pow(delta, p), step=True)
-
-    def __call__(self, t) -> np.ndarray:
-        if self.fn is not None:
-            return self.fn(t)
-        t = np.asarray(t, dtype=float)
-        return np.where(t > self.zero_below, self.sup_value, 0.0) if self.step else t ** self.beta
-
-    def validate(self) -> None:
-        """Monotonicity plus (unless a step) sub-homogeneity on a 50x50 grid
-        over [0, _VALIDATE_T_MAX].
-
-        The sub-homogeneity tolerance is relative to the right side, so
-        rounding in large values of F does not count as a violation.
-        """
-        ts = np.linspace(0.0, _VALIDATE_T_MAX, 50)
-        vals = self(ts)
-        if np.any(vals < -_VALIDATE_TOL):
-            raise PreconditionError(f"envelope {self.name} takes negative values")
-        if np.any(np.diff(vals) < -_VALIDATE_TOL):
-            raise PreconditionError(f"envelope {self.name} is not non-decreasing")
-        if not self.step:
-            t, s = ts[:, None], ts[None, :]
-            lhs = self(t * s)
-            rhs = t ** self.beta * self(np.broadcast_to(s, lhs.shape))
-            if np.any(lhs > rhs + _VALIDATE_TOL * np.maximum(np.abs(rhs), 1.0)):
-                raise PreconditionError(
-                    f"envelope {self.name} violates sub-homogeneity with beta={self.beta}")
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "beta": self.beta,
-                "small_t_power": self.small_t_power, "zero_below": self.zero_below}
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -205,20 +126,6 @@ class EngineSpec:
 
 def default_engine(seed: int, mode: str = "auto", **mc_overrides) -> EngineSpec:
     return EngineSpec(mc=McSpec(master_seed=seed, **mc_overrides), mode=mode)
-
-
-def _int_pow(x: float, p: float) -> float:
-    """x**p by repeated multiplication for small integer p.
-
-    Keeps exact power-of-two scaling relations, which the amplitude-law
-    common-random-number identities rely on.
-    """
-    if float(p).is_integer() and 1 <= p <= 8:
-        out = 1.0
-        for _ in range(int(p)):
-            out *= x
-        return out
-    return x ** p
 
 
 _MEMO_SIZE = 1024  # entries of the process-wide memo; past it the oldest goes
@@ -322,9 +229,9 @@ def _jump_free_radius(u: ScalarField, level: float, weight) -> Optional[float]:
 def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: EngineSpec):
     """The route of the integral of F(|u(x) - u(y)|) / |x - y|^{N+p} for a
     real field, F = ``envelope`` (``MonotoneEnvelope.threshold`` for the
-    indicator functionals): its Estimate where no engine runs (0 in closed
-    form, or divergence at a jump), the radial engine's deferred call, or
-    the MC engine's context; see ``_resolve``."""
+    indicator functionals): an Estimate where no MC pass is needed (0 in
+    closed form, divergence at a jump, or the radial engine's estimate,
+    computed here), or the MC engine's context; see ``_resolve``."""
     dim = u.dim
     lip = u.lipschitz_bound
     zero_below = envelope.zero_below
@@ -336,7 +243,8 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
 
     prof = u.radial_profile()
     if engine.mode != "mc" and prof is not None and math.isfinite(lip):
-        return functools.partial(_radial_pair_functional, u, prof, p, envelope, engine.radial)
+        q_mass = 0.0 if zero_below > 0 else lp_power_integral(u, envelope.small_t_power).value
+        return radial_pair_integrate(prof, p, envelope, engine.radial, dim, q_mass)
 
     # Monte Carlo path
     np_exp = -(dim + p)
@@ -381,54 +289,19 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
                        zero_floor=zero_below / 2.0 if zero_below > 0 else None)
 
 
-def _radial_pair_functional(u: ScalarField, prof, p: float, envelope: MonotoneEnvelope,
-                            rspec: RadialSpec) -> Estimate:
-    """The radial engine's estimate of the integral of ``_pair_route``, on
-    the field's radial profile ``prof``."""
-    dim = u.dim
-    zero_below = envelope.zero_below
-    # None: the radial engine's plain indicator sup_value * 1{|a - b| > zero_below}
-    pair_fn = None if envelope.step else (lambda a, b: envelope(np.abs(a - b)))
-    if zero_below > 0:
-        weight = RadialWeight(pair_fn=pair_fn, threshold=zero_below,
-                              numerator=envelope.sup_value)
-        return radial_pair_integrate(prof, p, weight, rspec, dim)
-    # smooth envelope: symmetric weight with slowly decaying pair tails
-    lip = u.lipschitz_bound
-    sup = prof.sup
-    eps_x = 1e-9 * max(sup, 1e-30)
-    r_range = prof.decay_radius(eps_x)
-    q = envelope.small_t_power
-    omega = sphere_surface(dim)
-    uq = lp_power_integral(u, q).value
-    far_mass = 2.0 ** q * uq * omega / p
-    atol = max(1e-8, 1e-4 * far_mass)
-    s_range = r_range + (far_mass / atol) ** (1.0 / p)
-    if rspec.r_max > 0:
-        s_range = rspec.r_max
-        r_range = min(r_range, s_range)
-    # residuals: pairs beyond s_range, plus the far near-diagonal corner
-    far_tail = 2.0 * far_mass * max(s_range - r_range, 1e-12) ** (-p)
-    corner = (4.0 * quad._pair_prefactor(dim) * lip ** p
-              * (2.0 * eps_x) ** (q - p) * (s_range - r_range) / p)
-    weight = RadialWeight(pair_fn=pair_fn, r_range=r_range, tail_hint=far_tail + corner)
-    return radial_pair_integrate(prof, p, weight, replace(rspec, r_max=s_range), dim)
-
-
 def _resolve(routes: list, spec: McSpec) -> list:
-    """The values of ``routes``: an Estimate, or a pair of them, as it is;
-    a radial route's deferred call, made; and the contexts of all MC routes
-    run in one engine pass on ``spec``, one estimate per integrand, or a
-    tuple of them for a context of several."""
+    """The values of ``routes``: an Estimate, or a pair of them, as it is,
+    and the contexts of all MC routes run in one engine pass on ``spec``,
+    one estimate per integrand, or a tuple of them for a context of
+    several."""
     contexts = [r for r in routes if isinstance(r, PairContext)]
     ests = iter(mc_pair_integrate_many(contexts, spec) if contexts else ())
     out = []
     for r in routes:
         if isinstance(r, PairContext):
             parts = tuple(next(ests) for _ in r.integrands)
-            out.append(parts if len(parts) > 1 else parts[0])
-        else:
-            out.append(r() if callable(r) else r)
+            r = parts if len(parts) > 1 else parts[0]
+        out.append(r)
     return out
 
 
@@ -536,9 +409,9 @@ def prefetch_pairs(requests: Iterable[Callable[[], tuple]]) -> None:
     pair functional raises ValueError.  The routes of the requests not
     kept already are resolved together: those that reach the MC engine in
     one engine pass per (McSpec, dimension), whose contexts share their
-    streams, the others (closed form, radial engine, divergence at a jump)
-    each by itself.  Each call's value is kept under that call's memo key,
-    so the call reads it, and equals that of the call alone, bit for bit.
+    streams, the others (closed form, radial, divergence at a jump) as
+    they are.  Each call's value is kept under that call's memo key, so
+    the call reads it, and equals that of the call alone, bit for bit.
     A request that raises, or a group whose resolution raises, is left to
     its own call.
     """

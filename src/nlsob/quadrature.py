@@ -36,11 +36,10 @@ Two pair engines share one Estimate type:
   inverse (``RadialProfile1D.level_radius``: Gaussians, smooth bumps)
   gives each crossing directly; every other crossing is bracketed on a
   probe grid and solved by one safeguarded Newton, started on a
-  decreasing profile at the secant point of its grid cell.  With the
-  plain indicator weight (``RadialWeight.pair_fn`` None) the carved rows
-  of a decreasing profile integrate the kernel alone: their s-nodes all
-  lie past the crossing, so neither the profile nor the weight is
-  evaluated there.
+  decreasing profile at the secant point of its grid cell.  With a step
+  envelope (``MonotoneEnvelope.step``) the carved rows of a decreasing
+  profile integrate the kernel alone: their s-nodes all lie past the
+  crossing, so neither the profile nor the envelope is evaluated there.
 
 Both report rigorous tail bounds for the truncated regions where the
 field metadata permits one.
@@ -49,7 +48,7 @@ field metadata permits one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
@@ -62,8 +61,8 @@ __all__ = [
     "Estimate",
     "McSpec",
     "RadialSpec",
+    "MonotoneEnvelope",
     "PairContext",
-    "RadialWeight",
     "mc_pair_integrate_many",
     "radial_pair_integrate",
     "volume_integrate",
@@ -163,6 +162,108 @@ class RadialSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _int_pow(x: float, p: float) -> float:
+    """x**p by repeated multiplication for small integer p.
+
+    Keeps exact power-of-two scaling relations, which the amplitude-law
+    common-random-number identities rely on.
+    """
+    if float(p).is_integer() and 1 <= p <= 8:
+        out = 1.0
+        for _ in range(int(p)):
+            out *= x
+        return out
+    return x ** p
+
+
+# the grid end and the tolerance of MonotoneEnvelope.validate
+_VALIDATE_T_MAX = 4.0
+_VALIDATE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class MonotoneEnvelope:
+    """Non-decreasing envelope F with sub-homogeneity F(t s) <= t^beta F(s):
+    the numerator F(|u(x) - u(y)|) that both pair engines read.
+
+    ``envelope(t)`` is F(t).  ``power_law(q)`` and ``threshold(delta, p)``
+    (delta^p 1{t > delta}, the numerator of I_delta, its general-p variant
+    and the magnetic functional) keep ``fn`` None and compute F from their
+    fields, so envelopes are values and ``f_functional`` memoizes by them;
+    an ``fn`` compares by identity, whatever its own ``==`` says.
+    ``small_t_power`` is the q with F(t) = O(t^q) near 0.  ``zero_below``
+    marks an exact zero region F = 0 on [0, zero_below].  Where it is
+    positive, the radial engine carves the admissible s-sets at level
+    crossings, the MC engine draws no pair closer than zero_below / L, and
+    both scale their outer tail bounds by ``sup_value``, the sup of F;
+    where it is 0, both bound what they truncate through |u|^q, and the
+    radial engine runs its tensor path.  ``step``, set by ``threshold``
+    alone, is the promise F = sup_value * 1{t > zero_below}: ``validate``
+    skips the sub-homogeneity check a step fails, and the radial engine's
+    rows carved from a decreasing profile integrate the kernel alone,
+    times sup_value.  ``to_dict`` leaves ``step`` out, so the descriptor
+    hashes do not see it.
+    """
+
+    fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(compare=False)
+    beta: float
+    name: str
+    small_t_power: float
+    zero_below: float = 0.0
+    sup_value: float = math.inf
+    step: bool = False
+    _fn_id: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_fn_id", id(self.fn))
+
+    @staticmethod
+    def power_law(q: float) -> "MonotoneEnvelope":
+        if not 1 <= q < math.inf:
+            raise PreconditionError("power-law envelope needs a finite q >= 1")
+        return MonotoneEnvelope(fn=None, beta=q, name=f"power:{q}", small_t_power=q)
+
+    @staticmethod
+    def threshold(delta: float, p: float = 2.0) -> "MonotoneEnvelope":
+        if not 0 < delta < math.inf:
+            raise PreconditionError("threshold envelope needs a positive finite delta")
+        if not 1 <= p < math.inf:
+            raise PreconditionError("threshold envelope needs a finite p >= 1")
+        return MonotoneEnvelope(fn=None, beta=p, name=f"threshold:{delta}", small_t_power=p,
+                                zero_below=delta, sup_value=_int_pow(delta, p), step=True)
+
+    def __call__(self, t) -> np.ndarray:
+        if self.fn is not None:
+            return self.fn(t)
+        t = np.asarray(t, dtype=float)
+        return np.where(t > self.zero_below, self.sup_value, 0.0) if self.step else t ** self.beta
+
+    def validate(self) -> None:
+        """Monotonicity plus (unless a step) sub-homogeneity on a 50x50 grid
+        over [0, _VALIDATE_T_MAX].
+
+        The sub-homogeneity tolerance is relative to the right side, so
+        rounding in large values of F does not count as a violation.
+        """
+        ts = np.linspace(0.0, _VALIDATE_T_MAX, 50)
+        vals = self(ts)
+        if np.any(vals < -_VALIDATE_TOL):
+            raise PreconditionError(f"envelope {self.name} takes negative values")
+        if np.any(np.diff(vals) < -_VALIDATE_TOL):
+            raise PreconditionError(f"envelope {self.name} is not non-decreasing")
+        if not self.step:
+            t, s = ts[:, None], ts[None, :]
+            lhs = self(t * s)
+            rhs = t ** self.beta * self(np.broadcast_to(s, lhs.shape))
+            if np.any(lhs > rhs + _VALIDATE_TOL * np.maximum(np.abs(rhs), 1.0)):
+                raise PreconditionError(
+                    f"envelope {self.name} violates sub-homogeneity with beta={self.beta}")
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "beta": self.beta,
+                "small_t_power": self.small_t_power, "zero_below": self.zero_below}
 
 
 # ---------------------------------------------------------------------------
@@ -756,46 +857,6 @@ def _excess_intervals(g, dg, a_vals: np.ndarray, delta: float, xs: np.ndarray,
 # radial pair engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RadialWeight:
-    """Numerator of the pair integrand for the radial engine.
-
-    ``pair_fn(a, b)`` maps profile values (a, b) = (g(r), g(s)) to the
-    nonnegative numerator weight.  ``threshold`` marks the exact
-    indicator structure |a - b| > threshold, which lets the engine carve
-    the admissible s-intervals exactly; ``numerator`` bounds the weight
-    there and scales the rigorous tail bound.  ``pair_fn`` None, allowed
-    only with a threshold, is the plain indicator
-    ``numerator * 1{|a - b| > threshold}``.  On a decreasing profile every
-    s-node of a carved row lies past the row's crossing, where that
-    indicator is 1, so those rows integrate the kernel alone: the engine
-    evaluates neither the profile nor the weight at their s-nodes.
-
-    A weight without a threshold must be symmetric in (a, b): the engine
-    integrates r over [0, r_range] and s over [0, spec.r_max], with
-    ``r_range`` (spec.r_max when None) well inside spec.r_max, and adds
-    the s > r_range portion once more by symmetry; ``tail_hint`` is the
-    caller's bound on everything beyond that geometry.
-    """
-
-    pair_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    threshold: Optional[float] = None
-    numerator: float = 1.0
-    r_range: Optional[float] = None
-    tail_hint: float = 0.0
-
-    def __post_init__(self):
-        if self.pair_fn is None and self.threshold is None:
-            raise PreconditionError("a weight without a threshold needs a pair_fn")
-
-
-def _pair_weights(weight: RadialWeight, g_r: np.ndarray, g_s: np.ndarray) -> np.ndarray:
-    """The numerator at the pairs (g_r[i], g_s[i, j]) of a row layout."""
-    if weight.pair_fn is None:
-        return np.where(np.abs(g_r[:, None] - g_s) > weight.threshold, weight.numerator, 0.0)
-    return weight.pair_fn(np.broadcast_to(g_r[:, None], g_s.shape), g_s)
-
-
 def _pair_prefactor(n: int) -> float:
     return sphere_surface(n) * sphere_surface(n - 1)
 
@@ -880,16 +941,16 @@ def _carving_grid(profile: RadialProfile1D, delta: float, s_max: float):
 
 
 def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
-                            weight: RadialWeight, spec: RadialSpec, dim: int,
+                            envelope: MonotoneEnvelope, spec: RadialSpec, dim: int,
                             order: int, grid) -> float:
     """Indicator path: the admissible s-set of every r-node is carved
     exactly, and the graded s-panel template is mapped onto each piece.
-    ``grid`` is ``_carving_grid(profile, weight.threshold, spec.r_max)``."""
+    ``grid`` is ``_carving_grid(profile, envelope.zero_below, spec.r_max)``."""
     xs, vals, r_top = grid
     if r_top <= 0.0:
         return 0.0
     g = profile.g
-    delta = weight.threshold
+    delta = envelope.zero_below
     s_max = spec.r_max
     knots = profile.knots
     if knots.size:
@@ -912,10 +973,10 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
         else:
             s2 = _decreasing_crossings(g, profile.dg, target[keep], xs, vals)
         sn, sw = _s_rows(s2, np.full_like(s2, s_max), spec.n_s, order, knots)
-        # the plain indicator is 1 past each row's crossing, on every s-node
-        w_vals = None if weight.pair_fn is None else _pair_weights(weight, g_r[keep], g(sn))
+        # a step is sup_value past each row's crossing, on every s-node
+        w_vals = None if envelope.step else envelope(np.abs(g_r[keep][:, None] - g(sn)))
         total = _integrate_rows(r_nodes[keep], r_w[keep], sn, sw, w_vals, kernel_p, dim, order)
-        numerator = weight.numerator if w_vals is None else 1.0
+        numerator = envelope.sup_value if w_vals is None else 1.0
         return 2.0 * _pair_prefactor(dim) * numerator * total
 
     # generic path: r over [0, r_top], one row per (r-node, excess interval)
@@ -927,7 +988,7 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
         return 0.0
     sn, sw = _s_rows(lo, hi, spec.n_s, order, knots)
     total, extra = _integrate_rows(r_nodes[idx], r_w[idx], sn, sw,
-                                   _pair_weights(weight, g_r[idx], g(sn)),
+                                   envelope(np.abs(g_r[idx][:, None] - g(sn))),
                                    kernel_p, dim, order, r_top)
     return _pair_prefactor(dim) * (total + extra)
 
@@ -956,47 +1017,48 @@ def _s_panels_around(rn: float, lo: float, hi: float, depth: int, knots) -> np.n
 
 
 def _radial_tensor_value(profile: RadialProfile1D, kernel_p: float,
-                         weight: RadialWeight, spec: RadialSpec, dim: int,
-                         order: int) -> float:
-    """Tensor path for smooth symmetric weights: r over [0, r_range], s over
+                         envelope: MonotoneEnvelope, spec: RadialSpec, dim: int,
+                         order: int, r_range: float) -> float:
+    """Tensor path for smooth envelopes: r over [0, r_range], s over
     [0, spec.r_max] with the s > r_range portion added twice, one row of
     s-panels per r-node (padded with zero-width panels to a common length)."""
     g = profile.g
-    r_hi = weight.r_range if weight.r_range is not None else spec.r_max
-    r_panels = uniform_panels(0.0, r_hi, spec.n_r, splits=profile.knots)
+    r_panels = uniform_panels(0.0, r_range, spec.n_r, splits=profile.knots)
     r_nodes, r_w = panel_nodes(r_panels, order)
-    # the doubling of s > r_hi is a jump of the s-integrand: a panel edge
-    s_knots = np.append(profile.knots, r_hi)
+    # the doubling of s > r_range is a jump of the s-integrand: a panel edge
+    s_knots = np.append(profile.knots, r_range)
     rows = [_s_panels_around(rn, 0.0, spec.r_max, spec.n_s, s_knots) for rn in r_nodes]
     width = max(row.size for row in rows)
     bps = np.stack([np.pad(row, (0, width - row.size), mode="edge") for row in rows])
     sn, sw = panel_nodes(bps, order)
-    total, extra = _integrate_rows(r_nodes, r_w, sn, sw, _pair_weights(weight, g(r_nodes), g(sn)),
-                                   kernel_p, dim, order, r_hi)
+    total, extra = _integrate_rows(r_nodes, r_w, sn, sw,
+                                   envelope(np.abs(g(r_nodes)[:, None] - g(sn))),
+                                   kernel_p, dim, order, r_range)
     return _pair_prefactor(dim) * (total + extra)
 
 
 def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
-                          weight: RadialWeight, spec: RadialSpec,
-                          dim: int) -> Estimate:
-    """Deterministic pair integral for a radial field.
+                          envelope: MonotoneEnvelope, spec: RadialSpec,
+                          dim: int, q_mass: float = 0.0) -> Estimate:
+    """Deterministic integral of F(|g(|x|) - g(|y|)|) / |x - y|^{N+p},
+    F = ``envelope``, for a radial field of profile g.
 
     Runs the quadrature at the requested and at halved resolution and
-    reports the difference as ``discrepancy``.  stderr is always 0.  With
-    a threshold, ``spec.r_max`` = 0 is derived from the profile's decay;
-    a smooth weight needs it set.
+    reports the difference as ``discrepancy``; stderr is 0.  ``spec.r_max``
+    = 0 is derived from the profile's decay.  A smooth envelope bounds its
+    far tail through ``q_mass``, the integral of |u|^q, q = small_t_power.
     """
     if dim < 2:
         raise PreconditionError("radial reduction needs dimension >= 2")
-    if weight.threshold is not None:
+    if envelope.zero_below > 0:
         if not math.isfinite(profile.lipschitz):
             raise PreconditionError("indicator path needs a finite Lipschitz bound")
-        r_half = profile.decay_radius(weight.threshold / 2.0)
+        r_half = profile.decay_radius(envelope.zero_below / 2.0)
 
         def far_mass(r_in: float, gap: float) -> float:
             """Bound on the pairs with |x| < r_in, |x - y| > gap."""
             return (2.0 * ball_volume(dim, r_in) * sphere_surface(dim)
-                    * weight.numerator * gap ** (-kernel_p) / kernel_p)
+                    * envelope.sup_value * gap ** (-kernel_p) / kernel_p)
 
         if spec.r_max <= 0:
             mass = far_mass(r_half, 1.0)
@@ -1010,16 +1072,30 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
             raise PreconditionError("r_max leaves no room beyond the field's bulk")
         tail = far_mass(r_half, gap)
         value = partial(_radial_indicator_value,
-                        grid=_carving_grid(profile, weight.threshold, spec.r_max))
-    elif spec.r_max <= 0:
-        raise PreconditionError("RadialSpec.r_max must be set for a smooth weight")
+                        grid=_carving_grid(profile, envelope.zero_below, spec.r_max))
     else:
-        tail = weight.tail_hint
-        value = _radial_tensor_value
+        if not q_mass > 0.0 and profile.sup > 0.0:
+            raise PreconditionError("a smooth envelope needs q_mass, the integral of |u|^q")
+        # smooth envelope: symmetric weight with slowly decaying pair tails
+        eps_x = 1e-9 * max(profile.sup, 1e-30)
+        r_range = profile.decay_radius(eps_x)
+        q = envelope.small_t_power
+        far_mass = 2.0 ** q * q_mass * sphere_surface(dim) / kernel_p
+        atol = max(1e-8, 1e-4 * far_mass)
+        s_range = r_range + (far_mass / atol) ** (1.0 / kernel_p)
+        if spec.r_max > 0:
+            s_range = spec.r_max
+            r_range = min(r_range, s_range)
+        # residuals: pairs beyond s_range, plus the far near-diagonal corner
+        tail = (2.0 * far_mass * max(s_range - r_range, 1e-12) ** (-kernel_p)
+                + 4.0 * _pair_prefactor(dim) * profile.lipschitz ** kernel_p
+                * (2.0 * eps_x) ** (q - kernel_p) * (s_range - r_range) / kernel_p)
+        spec = replace(spec, r_max=s_range)
+        value = partial(_radial_tensor_value, r_range=r_range)
     half_spec = replace(spec, n_r=max(4, spec.n_r // 2), n_s=max(6, spec.n_s - 4))
     # one Gauss order for r-panels, s-panels and the graded theta rule
-    full = value(profile, kernel_p, weight, spec, dim, 6)
-    half = value(profile, kernel_p, weight, half_spec, dim, 4)
+    full = value(profile, kernel_p, envelope, spec, dim, 6)
+    half = value(profile, kernel_p, envelope, half_spec, dim, 4)
     return Estimate(full, 0.0, 0, tail, "radial", False, 2.0 * abs(full - half))
 
 

@@ -60,13 +60,6 @@ class TestConfigValidation:
         assert rc == 2
         assert not (tmp_path / "out.csv").exists()  # no partial writes
 
-    def test_unknown_key_tolerated_without_strict(self, tmp_path):
-        cfg = base_config(bogus=1)
-        cfg["functionals"] = ["l2_norm_sq"]
-        rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
-                       "--out-dir", str(tmp_path), "--no-strict"])
-        assert rc == 0
-
     def test_missing_fields_rejected(self, tmp_path):
         cfg = base_config()
         del cfg["fields"]
@@ -163,13 +156,17 @@ class TestConfigValidation:
         assert "unknown engine mode 'radial'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_foreign_key_of_a_kind_is_a_warning_without_strict(self, tmp_path, capsys):
+    def test_foreign_key_of_a_kind_is_a_config_error(self, tmp_path, capsys):
+        # unknown keys are always an error; --no-strict used to make them warnings
         cfg = base_config(functionals=["l2_norm_sq"],
                           kernel={"delta": 0.1, "envelope": {"kind": "power", "q": 3.0, "p": 2.0}})
         rc = cli.main(["eval", "--config", write_config(tmp_path, cfg),
-                       "--out-dir", str(tmp_path), "--no-strict"])
-        assert rc == 0
-        assert "warning: unknown key(s) ['p'] at $.kernel.envelope" in capsys.readouterr().err
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: unknown key(s) ['p'] at $.kernel.envelope" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit):
+            cli.main(["eval", "--config", write_config(tmp_path, cfg), "--no-strict"])
 
     @pytest.mark.parametrize("deltas", [[], 0.5])
     @pytest.mark.parametrize("command", ["sweep", "constants", "check", "eval"])

@@ -35,7 +35,7 @@ from nlsob.functionals import (
     restricted_power_integral,
     xlogx,
 )
-from nlsob.quadrature import dirichlet_quadrature, lebesgue_volume_integral
+from nlsob.quadrature import RadialSpec, dirichlet_quadrature, lebesgue_volume_integral
 
 from conftest import rel_err
 
@@ -307,6 +307,32 @@ class TestEnvelopes:
         assert f_functional(gauss3, make(cube), 2.0, engine) is b
         c = f_functional(gauss3, make(lambda t: np.asarray(t, float) ** 3), 2.0, engine)
         assert sum(k[0] == "f_functional" for k in functionals._MEMO) == 3 and a == b == c
+
+    def test_callable_objects_compare_by_identity(self, gauss3):
+        # an fn compares by identity, whatever its own == says: one defining
+        # __eq__ but not __hash__ used to make the memo key unhashable
+        # (TypeError), and two distinct callables equal by their == would
+        # have shared one memo entry
+        from nlsob import functionals
+
+        class Cube:
+            def __call__(self, t):
+                return np.asarray(t, float) ** 3
+
+            def __eq__(self, other):
+                return isinstance(other, Cube)
+
+        engine = replace(default_engine(1), radial=RadialSpec(n_r=8, n_s=10))
+        make = lambda fn: MonotoneEnvelope(fn=fn, beta=3.0, name="cube", small_t_power=3.0)
+        first, second = Cube(), Cube()
+        assert first == second and make(first) != make(second)
+        assert make(first) == make(first) and hash(make(first)) == hash(make(first))
+        functionals._MEMO.clear()
+        a = f_functional(gauss3, make(first), 2.0, engine)
+        assert f_functional(gauss3, make(first), 2.0, engine) is a
+        b = f_functional(gauss3, make(second), 2.0, engine)
+        assert b is not a and b == a
+        assert sum(k[0] == "f_functional" for k in functionals._MEMO) == 2
 
     def test_envelope_descriptors_are_unchanged(self):
         # the benchmark hashes to_dict into the op id of an f_functional call

@@ -22,8 +22,8 @@ from scipy.optimize import brentq  # noqa: E402
 from nlsob import functionals  # noqa: E402
 from nlsob.inequalities import check_diamagnetic  # noqa: E402
 from nlsob.quadrature import (  # noqa: E402
-    _XTOL, _RTOL, PairContext, RadialSpec, RadialWeight, _excess_intervals, _level_crossings,
-    _probe_grid, radial_pair_integrate)
+    _XTOL, _RTOL, MonotoneEnvelope, PairContext, RadialSpec, _excess_intervals,
+    _level_crossings, _probe_grid, radial_pair_integrate)
 
 
 class Counting(nl.FiniteSumField):
@@ -443,15 +443,16 @@ def monotone_profiles(draw):
 @given(field=monotone_profiles(), frac=st.floats(1e-3, 0.99),
        p=st.sampled_from([1.5, 2.0, 3.0]))
 def test_plain_indicator_weight_matches_explicit(field, frac, p):
-    # pair_fn None integrates the carved rows' kernel alone and scales by
-    # delta^p once; an explicit indicator weighs every s-node: the same
-    # integral to rounding
+    # a step envelope integrates the carved rows' kernel alone and scales
+    # by delta^p once; the same F from a function weighs every s-node: the
+    # same integral to rounding
     prof = field.radial_profile()
     delta = frac * prof.sup
     num = delta ** p
     spec = RadialSpec(n_r=8, n_s=10)  # coarse: the graded theta rule at N = 2, 4 is slow
-    plain = RadialWeight(threshold=delta, numerator=num)
-    explicit = replace(plain, pair_fn=lambda a, b: np.where(np.abs(a - b) > delta, num, 0.0))
+    plain = MonotoneEnvelope(fn=None, beta=p, name="plain", small_t_power=p,
+                             zero_below=delta, sup_value=num, step=True)
+    explicit = replace(plain, fn=lambda t: np.where(t > delta, num, 0.0), step=False)
     got = radial_pair_integrate(prof, p, plain, spec, field.dim)
     ref = radial_pair_integrate(prof, p, explicit, spec, field.dim)
     assert got.value > 0.0

@@ -23,9 +23,9 @@ from nlsob.quadrature import (
     _pcg64_states,
     _radial_indicator_value,
     McSpec,
+    MonotoneEnvelope,
     PairContext,
     RadialSpec,
-    RadialWeight,
     ball_volume,
     mc_pair_integrate_many,
     mc_volume_value,
@@ -36,6 +36,14 @@ from nlsob.quadrature import (
 )
 
 from conftest import rel_err
+
+def explicit_indicator(delta, num):
+    """num * 1{t > delta} from a function, which the radial engine reads at
+    every pair, unlike the step of ``MonotoneEnvelope.threshold``."""
+    return MonotoneEnvelope(fn=lambda t: np.where(t > delta, num, 0.0), beta=2.0,
+                            name="explicit", small_t_power=2.0, zero_below=delta,
+                            sup_value=num)
+
 
 SHELL_EXACT = 2.0 * math.pi ** 2  # ball volume x shell kernel mass, computed below
 
@@ -208,15 +216,14 @@ class TestThetaKernel:
 class TestRadialEngine:
     def test_zero_condition(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
-        w = RadialWeight(pair_fn=lambda a, b: np.zeros_like(a), threshold=0.1,
-                         numerator=0.01)
+        w = MonotoneEnvelope(fn=np.zeros_like, beta=2.0, name="zero", small_t_power=2.0,
+                             zero_below=0.1, sup_value=0.01)
         est = radial_pair_integrate(prof, 2.0, w, RadialSpec(r_max=30.0), 3)
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_discrepancy_covers_refinement(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
-        w = RadialWeight(pair_fn=lambda a, b: np.where(np.abs(a - b) > 0.1, 0.01, 0.0),
-                         threshold=0.1, numerator=0.01)
+        w = explicit_indicator(0.1, 0.01)
         spec = RadialSpec(n_r=48, n_s=30, r_max=60.0)
         est = radial_pair_integrate(prof, 2.0, w, spec, 3)
         double = radial_pair_integrate(prof, 2.0, w,
@@ -243,10 +250,13 @@ class TestRadialEngine:
         # with the base grid's midpoint at r, the s-panels around an r-node
         # used to end in a one-ulp panel whose Gauss nodes rounded onto r,
         # where the N = 3 kernel is +inf; no s-node may land there now
+        from nlsob.functionals import lp_power_integral
         calls = self.watch_kernel(monkeypatch)
-        prof = nl.GaussianField(3, 1.0).radial_profile()
-        w = RadialWeight(pair_fn=lambda a, b: np.abs(a - b) ** 3, r_range=5.0)
-        est = radial_pair_integrate(prof, 2.0, w, RadialSpec(n_r=8, n_s=30, r_max=40.0), 3)
+        field = nl.GaussianField(3, 1.0)
+        est = radial_pair_integrate(field.radial_profile(), 2.0,
+                                    MonotoneEnvelope.power_law(3.0),
+                                    RadialSpec(n_r=8, n_s=30, r_max=40.0), 3,
+                                    lp_power_integral(field, 3.0).value)
         assert calls and sum(c[1] for c in calls) == 0
         assert math.isfinite(est.value) and est.value > 0.0
         assert math.isfinite(est.discrepancy)
@@ -313,15 +323,45 @@ class TestRadialEngine:
 
     def test_dim_one_unsupported(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
-        w = RadialWeight(pair_fn=lambda a, b: a)
         with pytest.raises(PreconditionError):
-            radial_pair_integrate(prof, 2.0, w, RadialSpec(r_max=4.0), 1)
+            radial_pair_integrate(prof, 2.0, MonotoneEnvelope.power_law(3.0),
+                                  RadialSpec(r_max=4.0), 1, 1.0)
 
-    def test_r_max_required(self):
-        prof = nl.GaussianField(3, 1.0).radial_profile()
-        w = RadialWeight(pair_fn=lambda a, b: a)
-        with pytest.raises(PreconditionError):
-            radial_pair_integrate(prof, 2.0, w, RadialSpec(), 3)
+    def test_smooth_envelope_derives_its_s_range(self):
+        # r_max 0 is derived for a smooth envelope too, from the integral of
+        # |u|^q: the engine alone gives f_functional's estimate bit for bit,
+        # and without that integral it has no tail bound to give
+        from nlsob.functionals import lp_power_integral
+        field = nl.GaussianField(3, 1.0)
+        env = MonotoneEnvelope.power_law(3.0)
+        spec = RadialSpec(n_r=12, n_s=16)
+        est = radial_pair_integrate(field.radial_profile(), 2.0, env, spec, 3,
+                                    lp_power_integral(field, 3.0).value)
+        ref = nl.f_functional(field, env, 2.0, replace(nl.default_engine(1), radial=spec))
+        assert [x.hex() for x in (est.value, est.discrepancy, est.tail_bound)] == [
+            x.hex() for x in (ref.value, ref.discrepancy, ref.tail_bound)]
+        assert est.value > 0.0 and est.tail_bound > 0.0
+        with pytest.raises(PreconditionError, match="q_mass"):
+            radial_pair_integrate(field.radial_profile(), 2.0, env, spec, 3)
+
+    def test_radial_bits(self):
+        # bits of the paths whose numerator moved onto MonotoneEnvelope: the
+        # N = 4 tensor path of the jump_envelope benchmark, and the monotone
+        # carving path with a step and with the same F built from a function
+        spec = RadialSpec(n_r=12, n_s=16)
+        engine = replace(nl.default_engine(1), radial=spec)
+        g4, g3 = nl.GaussianField(4, 1.0), nl.GaussianField(3, 1.0)
+        cases = [
+            (nl.f_functional(g4, MonotoneEnvelope.power_law(3.0), 2.0, engine),
+             ("0x1.e01a2df2afdb6p+4", "0x1.e40a2bd020000p-12", "0x1.1cebacef1fd75p-6")),
+            (nl.i_delta(g3, nl.KernelSpec(0.1), engine),
+             ("0x1.817c409fe7c72p+3", "0x1.18435831dc000p-9", "0x1.cef4cffae2bebp-16")),
+            (radial_pair_integrate(g3.radial_profile(), 2.0, explicit_indicator(0.1, 0.1 * 0.1),
+                                   spec, 3),
+             ("0x1.817c409fe7c71p+3", "0x1.18435831de000p-9", "0x1.cef4cffae2bebp-16"))]
+        for est, bits in cases:
+            assert est.method == "radial"
+            assert (est.value.hex(), est.discrepancy.hex(), est.tail_bound.hex()) == bits
 
 
 def _monotone_profiles():
@@ -367,8 +407,7 @@ class TestMonotonePath:
         prof = _monotone_profiles()[name]
         generic = replace(prof, monotone_decreasing=False)
         for delta in (0.2, 0.05):
-            w = RadialWeight(pair_fn=lambda a, b, d=delta: np.where(
-                np.abs(a - b) > d, d * d, 0.0), threshold=delta, numerator=delta * delta)
+            w = explicit_indicator(delta, delta * delta)
             spec = RadialSpec(r_max=40.0)
             a = radial_pair_integrate(prof, 2.0, w, spec, dim)
             b = radial_pair_integrate(generic, 2.0, w, spec, dim)
@@ -405,10 +444,10 @@ class TestMonotonePath:
 
     @pytest.mark.parametrize("name", ["gauss", "bump", "cubic"])
     def test_carved_rows_read_no_profile_at_s_nodes(self, name):
-        # with the plain indicator weight (pair_fn None) every s-node of a
-        # carved row lies past its crossing, so the profile sees only 1-D
-        # arrays: r-nodes and carving points, never the (row x s-node)
-        # array an explicit pair_fn reads.  A closed-form inverse leaves
+        # with a step envelope every s-node of a carved row lies past its
+        # crossing, so the profile sees only 1-D arrays: r-nodes and carving
+        # points, never the (row x s-node) array an envelope from a function
+        # reads.  A closed-form inverse leaves
         # the r-nodes of both resolutions (12 x 6 and 6 x 4) and g(0), g(r_max)
         prof = _monotone_profiles()[name]
         shapes = []
@@ -419,21 +458,16 @@ class TestMonotonePath:
 
         delta = 0.1
         spec = RadialSpec(n_r=12, n_s=16, r_max=self.S_MAX)
-        plain = RadialWeight(threshold=delta, numerator=delta * delta)
-        est = radial_pair_integrate(replace(prof, g=g), 2.0, plain, spec, 3)
+        est = radial_pair_integrate(replace(prof, g=g), 2.0, MonotoneEnvelope.threshold(delta),
+                                    spec, 3)
         assert est.value > 0.0 and all(len(shape) == 1 for shape in shapes)
         if name != "cubic":
             assert sum(shape[0] for shape in shapes) == 2 + 72 + 24
         shapes.clear()
-        explicit = replace(plain, pair_fn=lambda a, b: np.where(
-            np.abs(a - b) > delta, delta * delta, 0.0))
-        ref = radial_pair_integrate(replace(prof, g=g), 2.0, explicit, spec, 3)
+        ref = radial_pair_integrate(replace(prof, g=g), 2.0,
+                                    explicit_indicator(delta, delta * delta), spec, 3)
         assert any(len(shape) == 2 for shape in shapes)
         assert rel_err(est.value, ref.value) <= 1e-13
-
-    def test_weight_without_threshold_needs_pair_fn(self):
-        with pytest.raises(PreconditionError):
-            RadialWeight(r_range=5.0)
 
     def test_secant_start_no_more_profile_values(self):
         # each crossing of the spline solved from the secant point of its
@@ -465,7 +499,8 @@ class TestMonotonePath:
         # g(r) - 0.6 < 0.4 < g(0.9) for every r-node: each admissible s
         # lies beyond r_max, in the tail bound's share
         prof = _monotone_profiles()["gauss"]
-        w = RadialWeight(pair_fn=lambda a, b: np.ones_like(a), threshold=0.6)
+        w = MonotoneEnvelope(fn=np.ones_like, beta=2.0, name="one", small_t_power=2.0,
+                             zero_below=0.6, sup_value=1.0)
         spec = RadialSpec(n_r=4, n_s=6, r_max=0.9)
         grid = _carving_grid(prof, 0.6, spec.r_max)
         assert _radial_indicator_value(prof, 2.0, w, spec, 3, 6, grid) == 0.0
@@ -670,9 +705,7 @@ class TestMcEngine:
         assert abs(b.value - a.value) <= a.tail_bound + 3.0 * math.hypot(a.stderr, b.stderr)
         # deterministic version of the same statement via the radial engine
         prof = g.radial_profile()
-        w = RadialWeight(pair_fn=lambda x, y: np.where(np.abs(x - y) > delta,
-                                                       delta * delta, 0.0),
-                         threshold=delta, numerator=delta * delta)
+        w = explicit_indicator(delta, delta * delta)
         ra = radial_pair_integrate(prof, 2.0, w, RadialSpec(r_max=30.0), 3)
         rb = radial_pair_integrate(prof, 2.0, w, RadialSpec(r_max=60.0), 3)
         assert abs(rb.value - ra.value) <= ra.tail_bound + ra.discrepancy + rb.discrepancy
