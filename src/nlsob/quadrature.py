@@ -40,6 +40,8 @@ Two pair engines share one Estimate type:
   envelope (``MonotoneEnvelope.step``) the carved rows of a decreasing
   profile integrate the kernel alone: their s-nodes all lie past the
   crossing, so neither the profile nor the envelope is evaluated there.
+  At N = 3 those rows are exact in s: each row's s-integral of the
+  kernel is elementary, so they take no s-nodes and run no theta-kernel.
 
 Both report rigorous tail bounds for the truncated regions where the
 field metadata permits one.
@@ -48,7 +50,7 @@ field metadata permits one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
@@ -148,7 +150,9 @@ class McSpec:
 
 @dataclass(frozen=True)
 class RadialSpec:
-    """Grid sizes for the reduced (r, s, theta) quadrature."""
+    """Grid sizes for the reduced (r, s, theta) quadrature.  At N = 3 the
+    carved rows of a step on a decreasing profile are exact in s: they read
+    no ``n_s``, and their discrepancy is the r-rule's alone."""
 
     n_r: int = 48
     n_s: int = 30
@@ -183,7 +187,7 @@ _VALIDATE_T_MAX = 4.0
 _VALIDATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneEnvelope:
     """Non-decreasing envelope F with sub-homogeneity F(t s) <= t^beta F(s):
     the numerator F(|u(x) - u(y)|) that both pair engines read.
@@ -207,17 +211,24 @@ class MonotoneEnvelope:
     hashes do not see it.
     """
 
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(compare=False)
+    fn: Optional[Callable[[np.ndarray], np.ndarray]]
     beta: float
     name: str
     small_t_power: float
     zero_below: float = 0.0
     sup_value: float = math.inf
     step: bool = False
-    _fn_id: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_fn_id", id(self.fn))
+    def _key(self) -> tuple:
+        # id(fn) is taken now, while both sides hold their fn: equal ids are one object
+        return (id(self.fn), self.beta, self.name, self.small_t_power, self.zero_below,
+                self.sup_value, self.step)
+
+    def __eq__(self, other):
+        return type(other) is MonotoneEnvelope and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def power_law(q: float) -> "MonotoneEnvelope":
@@ -696,6 +707,20 @@ def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6) -> np.ndarray:
     return _graded_kernel(r, s, n, p, order)
 
 
+def _kernel_rows_3d(r: np.ndarray, lo: np.ndarray, hi: float, p: float) -> np.ndarray:
+    """Integral over s in [lo[i], hi] of s^2 theta_reduced_kernel(r[i], s, 3, p),
+    for r[i] < lo[i] <= hi: (F(hi) - F(lo[i])) / ((1+p) r[i]) with
+    F(s) = ((s-r)^{1-p} - (s+r)^{1-p}) / (1-p) - (r/p) ((s-r)^{-p} + (s+r)^{-p}),
+    the first term written with expm1/log1p (-log1p(2r/(s-r)) at p = 1).
+    Both terms are negative, so F cancels nowhere."""
+    def antiderivative(s):
+        u = s - r
+        ell = np.log1p(2.0 * r / u)  # log((s+r)/(s-r))
+        near = -ell if p == 1.0 else u ** (1.0 - p) * -np.expm1((1.0 - p) * ell) / (1.0 - p)
+        return near - r / p * (u ** -p + (s + r) ** -p)
+    return (antiderivative(hi) - antiderivative(lo)) / ((1.0 + p) * r)
+
+
 def _graded_kernel(r: np.ndarray, s: np.ndarray, n: int, p: float, order: int) -> np.ndarray:
     """The graded ``order``-point rule of ``theta_reduced_kernel``, for any n and p."""
     nu = 0.5 * (n + p)
@@ -945,6 +970,9 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
                             order: int, grid) -> float:
     """Indicator path: the admissible s-set of every r-node is carved
     exactly, and the graded s-panel template is mapped onto each piece.
+    A step on a decreasing profile at N = 3 instead takes each row's
+    s-integral in closed form (``_kernel_rows_3d``), reads no ``spec.n_s``,
+    and leaves the discrepancy to the r-rule alone.
     ``grid`` is ``_carving_grid(profile, envelope.zero_below, spec.r_max)``."""
     xs, vals, r_top = grid
     if r_top <= 0.0:
@@ -972,6 +1000,10 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
             s2 = np.minimum(profile.level_radius(target[keep]), s_max)
         else:
             s2 = _decreasing_crossings(g, profile.dg, target[keep], xs, vals)
+        if envelope.step and dim == 3:  # each row's s-integral in closed form
+            rn = r_nodes[keep]
+            total = float(np.sum(r_w[keep] * rn * rn * _kernel_rows_3d(rn, s2, s_max, kernel_p)))
+            return 2.0 * _pair_prefactor(dim) * envelope.sup_value * total
         sn, sw = _s_rows(s2, np.full_like(s2, s_max), spec.n_s, order, knots)
         # a step is sup_value past each row's crossing, on every s-node
         w_vals = None if envelope.step else envelope(np.abs(g_r[keep][:, None] - g(sn)))

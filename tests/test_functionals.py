@@ -334,6 +334,40 @@ class TestEnvelopes:
         assert b is not a and b == a
         assert sum(k[0] == "f_functional" for k in functionals._MEMO) == 2
 
+    def test_deep_copy_of_an_fn_is_a_new_key(self):
+        # fn's identity is taken when comparing, not stored at construction:
+        # a deep copy of an envelope of a callable object holds a new object,
+        # so it is another key, while a lambda, which deepcopy keeps, is the
+        # same key
+        import copy
+
+        class Cube:
+            def __call__(self, t):
+                return np.asarray(t, float) ** 3
+
+        env = MonotoneEnvelope(fn=Cube(), beta=3.0, name="cube", small_t_power=3.0)
+        dup = copy.deepcopy(env)
+        assert dup.fn is not env.fn and dup != env
+        lam = replace(env, fn=lambda t: np.asarray(t, float) ** 3)
+        assert copy.deepcopy(lam) == lam and hash(copy.deepcopy(lam)) == hash(lam)
+
+    def test_threshold_equals_its_pickle_from_another_process(self):
+        # two thresholds of equal parameters compare and hash equal, also
+        # when one was pickled by another process, whose None has another id
+        import os
+        import pickle
+        import subprocess
+        import sys
+        script = ("import pickle, sys; from nlsob.quadrature import MonotoneEnvelope as M; "
+                  "print(pickle.dumps(M.threshold(0.1, 2.0)).hex())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(nl.__file__)), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True)
+        loaded = pickle.loads(bytes.fromhex(out.stdout.strip()))
+        fresh = MonotoneEnvelope.threshold(0.1, 2.0)
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+
     def test_envelope_descriptors_are_unchanged(self):
         # the benchmark hashes to_dict into the op id of an f_functional call
         assert MonotoneEnvelope.threshold(0.1, 1.5).to_dict() == {

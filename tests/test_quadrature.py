@@ -2,6 +2,7 @@
 stderr calibration, tail soundness."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -20,6 +21,7 @@ from nlsob.quadrature import (
     _crossing_roots,
     _decreasing_crossings,
     _graded_kernel,
+    _kernel_rows_3d,
     _pcg64_states,
     _radial_indicator_value,
     McSpec,
@@ -345,17 +347,23 @@ class TestRadialEngine:
             radial_pair_integrate(field.radial_profile(), 2.0, env, spec, 3)
 
     def test_radial_bits(self):
-        # bits of the paths whose numerator moved onto MonotoneEnvelope: the
-        # N = 4 tensor path of the jump_envelope benchmark, and the monotone
-        # carving path with a step and with the same F built from a function
+        # bits of the N = 4 tensor path of the jump_envelope benchmark, and of
+        # the monotone carving path with a step, whose rows take their
+        # s-integral in closed form at N = 3, and with the same F built from
+        # a function, whose rows still run the s-template
         spec = RadialSpec(n_r=12, n_s=16)
         engine = replace(nl.default_engine(1), radial=spec)
         g4, g3 = nl.GaussianField(4, 1.0), nl.GaussianField(3, 1.0)
+        step = nl.i_delta(g3, nl.KernelSpec(0.1), engine)
+        # the s-template's value, which the closed form moved by 1.0e-9
+        # relative, inside the template's own discrepancy + tail bound
+        old = float.fromhex("0x1.817c409fe7c72p+3")
+        assert abs(step.value - old) <= (float.fromhex("0x1.18435831dc000p-9")
+                                         + float.fromhex("0x1.cef4cffae2bebp-16"))
         cases = [
             (nl.f_functional(g4, MonotoneEnvelope.power_law(3.0), 2.0, engine),
              ("0x1.e01a2df2afdb6p+4", "0x1.e40a2bd020000p-12", "0x1.1cebacef1fd75p-6")),
-            (nl.i_delta(g3, nl.KernelSpec(0.1), engine),
-             ("0x1.817c409fe7c72p+3", "0x1.18435831dc000p-9", "0x1.cef4cffae2bebp-16")),
+            (step, ("0x1.817c40a68f929p+3", "0x1.271dc9867a000p-9", "0x1.cef4cffae2bebp-16")),
             (radial_pair_integrate(g3.radial_profile(), 2.0, explicit_indicator(0.1, 0.1 * 0.1),
                                    spec, 3),
              ("0x1.817c409fe7c71p+3", "0x1.18435831de000p-9", "0x1.cef4cffae2bebp-16"))]
@@ -448,7 +456,9 @@ class TestMonotonePath:
         # crossing, so the profile sees only 1-D arrays: r-nodes and carving
         # points, never the (row x s-node) array an envelope from a function
         # reads.  A closed-form inverse leaves
-        # the r-nodes of both resolutions (12 x 6 and 6 x 4) and g(0), g(r_max)
+        # the r-nodes of both resolutions (12 x 6 and 6 x 4) and g(0), g(r_max).
+        # At N = 3 the step's rows are exact in s, while the function's run
+        # the s-template, which is off by 5.5e-10 to 7.8e-10 relative here
         prof = _monotone_profiles()[name]
         shapes = []
 
@@ -467,7 +477,7 @@ class TestMonotonePath:
         ref = radial_pair_integrate(replace(prof, g=g), 2.0,
                                     explicit_indicator(delta, delta * delta), spec, 3)
         assert any(len(shape) == 2 for shape in shapes)
-        assert rel_err(est.value, ref.value) <= 1e-13
+        assert rel_err(est.value, ref.value) <= 1.5e-9
 
     def test_secant_start_no_more_profile_values(self):
         # each crossing of the spline solved from the secant point of its
@@ -504,6 +514,94 @@ class TestMonotonePath:
         spec = RadialSpec(n_r=4, n_s=6, r_max=0.9)
         grid = _carving_grid(prof, 0.6, spec.r_max)
         assert _radial_indicator_value(prof, 2.0, w, spec, 3, 6, grid) == 0.0
+
+
+class TestStepRowsAtN3:
+    """At N = 3 every carved row of a step integrates s^2 T(r, s) over
+    [s(r), r_max] in closed form (``_kernel_rows_3d``); the theta-kernel
+    is not run there."""
+
+    @staticmethod
+    def _quad_row(r, lo, hi, p):
+        # scipy's quad of s^2 theta_reduced_kernel on pieces whose distance
+        # to the diagonal doubles from one to the next.  Its own nodes round
+        # to ulp(r), which moves the steep near end by about
+        # (1 + p) eps r / (lo - r) relative: 1e-12 at lo - r = 5e-4 r
+        ends = [lo]
+        while r + 2.0 * (ends[-1] - r) < hi:
+            ends.append(r + 2.0 * (ends[-1] - r))
+        ends.append(hi)
+
+        def f(s):
+            return s * s * float(theta_reduced_kernel(r, s, 3, p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+                       for a, b in zip(ends[:-1], ends[1:]))
+
+    def test_row_integral_matches_quad(self):
+        # rows far from the diagonal (r / lo <= 1e-3), next to it
+        # (lo - r <= 1e-3 r) and in between, for each p
+        rng = np.random.default_rng(20170933)
+        for p in (1.0, 1.2, 1.5, 2.0, 3.0):
+            for kind in range(12):
+                r = rng.uniform(0.01, 3.0)
+                lo = r * {0: 10.0 ** rng.uniform(3.0, 5.0),
+                          1: 1.0 + 10.0 ** rng.uniform(-3.3, -3.0),
+                          2: rng.uniform(1.001, 20.0)}[kind % 3]
+                hi = lo * rng.uniform(1.5, 50.0)
+                got = _kernel_rows_3d(np.array([r]), np.array([lo]), hi, p)[0]
+                assert rel_err(got, self._quad_row(r, lo, hi, p)) <= 1e-12, (p, r, lo, hi)
+
+    def test_row_integral_next_to_the_diagonal_matches_mpmath(self):
+        # closer to the diagonal than a double-precision quad resolves:
+        # 40-digit mpmath on the exact integrand, in pieces as above
+        rng = np.random.default_rng(7)
+        for p in (1.0, 1.5, 3.0):
+            r = rng.uniform(0.1, 3.0)
+            lo = r * (1.0 + 10.0 ** rng.uniform(-9.0, -4.0))
+            hi = lo * rng.uniform(2.0, 50.0)
+            with mpmath.workdps(40):
+                rr, pp = mpmath.mpf(r), mpmath.mpf(p)
+
+                def f(s):
+                    return s * ((s - rr) ** -(1 + pp) - (s + rr) ** -(1 + pp)) / ((1 + pp) * rr)
+                u, pts = mpmath.mpf(lo) - rr, [mpmath.mpf(lo)]
+                while rr + 2 * u < hi:
+                    u *= 2
+                    pts.append(rr + u)
+                ref = mpmath.quad(f, pts + [mpmath.mpf(hi)])
+            got = _kernel_rows_3d(np.array([r]), np.array([lo]), hi, p)[0]
+            assert rel_err(got, float(ref)) <= 1e-14, (p, r, lo, hi)
+
+    def test_step_runs_no_theta_kernel(self):
+        # i_delta and i_delta_p of decreasing profiles at N = 3, a spline
+        # among them: every carved row in closed form
+        from unittest import mock
+
+        import nlsob.quadrature as quad
+        engine = replace(nl.default_engine(1), radial=RadialSpec(n_r=12, n_s=16))
+        for field in (nl.GaussianField(3, 1.0), nl.SmoothBumpField(3, 2.0),
+                      nl.RadialProfileField(3, [0.0, 0.5, 1.0, 1.5, 2.0],
+                                            [1.0, 0.9, 0.55, 0.2, 0.0])):
+            for k in (nl.KernelSpec(0.1), nl.KernelSpec(0.05, 1.5)):
+                with mock.patch.object(quad, "theta_reduced_kernel",
+                                       wraps=quad.theta_reduced_kernel) as spy:
+                    est = nl.i_delta_p(field, k, engine)
+                assert est.method == "radial" and est.value > 0.0
+                assert spy.call_count == 0
+
+    def test_pinned_claim_covers_the_truth(self):
+        # GaussianField(3, 1.0), p = 1.5, delta = 0.2 at 12/16, against
+        # 22.936464398771868 from scipy's nested quad of the pair integral
+        # (a theta-graded ray quadrature gives the same).  The value is off
+        # by 1.21e-3.  With the s-template the claim was 3.81e-4: its half
+        # order's s-rule error cancelled most of the r-rule's.  The r-rule
+        # alone now claims 1.41e-2
+        engine = replace(nl.default_engine(1), radial=RadialSpec(n_r=12, n_s=16))
+        est = nl.i_delta_p(nl.GaussianField(3, 1.0), nl.KernelSpec(0.2, 1.5), engine)
+        assert est.method == "radial"
+        assert abs(est.value - 22.936464398771868) <= est.discrepancy + est.tail_bound
 
 
 class TestBrentOracle:
