@@ -283,7 +283,7 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
 
     # on the half-domain |u(y)| <= |u(x)|, |u(x) - u(y)| <= 2 |u(x)| (also in
     # floating point), so samples with |u(x)| <= zero_below / 2 add exactly 0
-    return PairContext(dim, np.zeros(dim), x_radius, p, h_tail_scale, (integrand,),
+    return PairContext(dim, x_radius, p, h_tail_scale, (integrand,),
                        inner_cutoff=cutoff, symmetric=True, values=u.evaluate,
                        extra_tail=extra_tail,
                        zero_floor=zero_below / 2.0 if zero_below > 0 else None)
@@ -309,7 +309,6 @@ def _resolve(routes: list, spec: McSpec) -> list:
 def f_functional(u: ScalarField, envelope: MonotoneEnvelope, p: float,
                  engine: EngineSpec) -> Estimate:
     """Envelope functional: integral of F(|u(x)-u(y)|) / |x-y|^{N+p}."""
-    envelope.validate()
     if envelope.zero_below == 0.0 and envelope.small_t_power <= p:
         raise PreconditionError("envelope must vanish faster than t^p near 0 for integrability")
     return _pair_route(u, p, envelope, engine)
@@ -392,7 +391,7 @@ def i_delta_magnetic_paired(u: ComplexField, A: VectorPotential, k: KernelSpec,
     for _ in range(32):  # bisection (slope grows with c), to 2^-32 of the first bracket
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if mid * slope(mid) <= delta else (lo, mid)
-    return PairContext(dim, np.zeros(dim), rx, 2.0, env.sup_value,
+    return PairContext(dim, rx, 2.0, env.sup_value,
                        (mag_integrand, mod_integrand), inner_cutoff=lo, symmetric=True,
                        values=mod.evaluate, zero_floor=floor)
 

@@ -241,7 +241,6 @@ def check_magnetic_lsi(u: ComplexField, A: VectorPotential, delta: float,
 def check_envelope_lsi(u: ScalarField, envelope: MonotoneEnvelope,
                        engine: EngineSpec) -> InequalityReport:
     """Envelope-functional version with the ||u||^beta normalization."""
-    envelope.validate()
     beta = envelope.beta
     return _log_sobolev("envelope_lsi", u, lambda: f_functional(u, envelope, 2.0, engine),
                         beta, lambda m: m ** (beta / 2.0),

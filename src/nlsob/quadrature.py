@@ -3,11 +3,12 @@
 Two pair engines share one Estimate type:
 
 * ``mc_pair_integrate_many``: stratified importance-sampling Monte Carlo.
-  The outer point x is drawn uniformly from a ball sized by the field's
-  decay envelope; the offset h = y - x is drawn log-uniformly in radius
-  (density proportional to ``|h|^-N``) inside radial strata, matching the
-  kernel's scale invariance.  Randomness is keyed per (master_seed,
-  chunk, stratum): the stream of ``SeedSequence([master_seed, c, k])`` ->
+  The outer point x is drawn uniformly from a ball about the origin sized
+  by the field's decay envelope; the offset h = y - x is drawn
+  log-uniformly in radius (density proportional to ``|h|^-N``) inside
+  radial strata, matching the kernel's scale invariance.  Randomness is
+  keyed per (master_seed, chunk, stratum): the stream of
+  ``SeedSequence([master_seed, c, k])`` ->
   PCG64, whose states ``_pcg64_states`` derives itself (NEP 19 fixes them
   across numpy versions; ``test_stream_states_match_default_rng`` checks
   them).  One pass takes several contexts of one dimension, such as the
@@ -28,11 +29,12 @@ Two pair engines share one Estimate type:
   (N+p)/2 is an integer of at least N-1, that integral has a closed form;
   other N use a rule graded in log t, which resolves each pair's
   near-diagonal layer.  All three radial paths (monotone indicator,
-  generic indicator carving, smooth tensor weight) lay out one row of
-  s-panels per r-node, or per (r-node, admissible s-interval), and
-  integrate all rows in one array pass, on unit Gauss rules built once
-  per grid size and mapped onto each row.  The indicator paths cut the
-  s-sets at level crossings.  A decreasing profile with a closed-form
+  generic indicator carving, smooth envelope) lay out one row of s-panels
+  per r-node, or per (r-node, admissible s-interval), and integrate all
+  rows in one array pass, on one graded s-template built once per grid
+  size and mapped onto each row; a smooth envelope's row maps it onto
+  both sides of its r-node, [0, r] and [r, s_max].  The indicator paths
+  cut the s-sets at level crossings.  A decreasing profile with a closed-form
   inverse (``RadialProfile1D.level_radius``: Gaussians, smooth bumps)
   gives each crossing directly; every other crossing is bracketed on a
   probe grid and solved by one safeguarded Newton, started on a
@@ -203,12 +205,13 @@ class MonotoneEnvelope:
     crossings, the MC engine draws no pair closer than zero_below / L, and
     both scale their outer tail bounds by ``sup_value``, the sup of F;
     where it is 0, both bound what they truncate through |u|^q, and the
-    radial engine runs its tensor path.  ``step``, set by ``threshold``
-    alone, is the promise F = sup_value * 1{t > zero_below}: ``validate``
-    skips the sub-homogeneity check a step fails, and the radial engine's
-    rows carved from a decreasing profile integrate the kernel alone,
-    times sup_value.  ``to_dict`` leaves ``step`` out, so the descriptor
-    hashes do not see it.
+    radial engine maps the graded s-template onto one row per r-node.
+    ``step``, set by ``threshold`` alone, is the promise
+    F = sup_value * 1{t > zero_below}: the radial engine's rows carved from
+    a decreasing profile integrate the kernel alone, times sup_value.
+    ``to_dict`` leaves ``step`` out, so the descriptor hashes do not see it.
+    An envelope built from an ``fn`` is validated when it is built;
+    ``power_law`` and ``threshold`` are valid by their parameter checks.
     """
 
     fn: Optional[Callable[[np.ndarray], np.ndarray]]
@@ -218,6 +221,10 @@ class MonotoneEnvelope:
     zero_below: float = 0.0
     sup_value: float = math.inf
     step: bool = False
+
+    def __post_init__(self):
+        if self.fn is not None:
+            self.validate()
 
     def _key(self) -> tuple:
         # id(fn) is taken now, while both sides hold their fn: equal ids are one object
@@ -252,9 +259,12 @@ class MonotoneEnvelope:
         return np.where(t > self.zero_below, self.sup_value, 0.0) if self.step else t ** self.beta
 
     def validate(self) -> None:
-        """Monotonicity plus (unless a step) sub-homogeneity on a 50x50 grid
-        over [0, _VALIDATE_T_MAX].
+        """Monotonicity plus, where ``zero_below`` is 0, sub-homogeneity on a
+        50x50 grid over [0, _VALIDATE_T_MAX].
 
+        An F that is 0 on [0, zero_below] and positive somewhere is never
+        sub-homogeneous (F(s) = 0 < F(t s) for s = zero_below and some
+        t > 1); its engines bound their tails by ``sup_value`` instead.
         The sub-homogeneity tolerance is relative to the right side, so
         rounding in large values of F does not count as a violation.
         """
@@ -264,7 +274,7 @@ class MonotoneEnvelope:
             raise PreconditionError(f"envelope {self.name} takes negative values")
         if np.any(np.diff(vals) < -_VALIDATE_TOL):
             raise PreconditionError(f"envelope {self.name} is not non-decreasing")
-        if not self.step:
+        if not self.zero_below:
             t, s = ts[:, None], ts[None, :]
             lhs = self(t * s)
             rhs = t ** self.beta * self(np.broadcast_to(s, lhs.shape))
@@ -320,37 +330,10 @@ def panel_nodes(panels: np.ndarray, order: int):
     return (a + width * xi).reshape(shape), (width * wi).reshape(shape)
 
 
-def _split_at(pts: np.ndarray, knots: Sequence[float], a: float, b: float) -> np.ndarray:
-    """Sorted breakpoints ``pts`` plus the knots strictly inside (a, b)."""
-    inner = np.asarray([k for k in knots if a < k < b], dtype=float)
-    return sorted_unique(np.concatenate([pts, inner]))
-
-
 def uniform_panels(a: float, b: float, n: int, splits: Sequence[float] = ()) -> np.ndarray:
-    return _split_at(np.linspace(a, b, n + 1), splits, a, b)
-
-
-def graded_panels(a: float, b: float, depth: int, toward: str = "both") -> np.ndarray:
-    """Panels on [a, b] geometrically refined toward one or both endpoints.
-
-    One-sided grading keeps the doubling widths all the way across; the
-    two-sided version lets the ladders meet in the middle.
-    """
-    span = b - a
-    if span <= 0:
-        return np.array([a, b])
-    widths = span * 2.0 ** (-np.arange(depth, 0, -1, dtype=float))
-    left = a + np.concatenate([[0.0], np.cumsum(widths)])
-    right = b - np.concatenate([[0.0], np.cumsum(widths)])[::-1]
-    pts = [np.array([a, b])]
-    if toward == "left":
-        pts.append(left)
-    elif toward == "right":
-        pts.append(right)
-    else:
-        pts.append(left[left < a + 0.5 * span])
-        pts.append(right[right > a + 0.5 * span])
-    return sorted_unique(np.concatenate(pts))
+    """``n`` equal panels on [a, b], split at the ``splits`` strictly inside."""
+    inner = np.asarray([k for k in splits if a < k < b], dtype=float)
+    return sorted_unique(np.concatenate([np.linspace(a, b, n + 1), inner]))
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +374,12 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.where(norms > 0, norms, 1.0)[:, None]
 
 
-def _offset_rows(origin, scale: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """``origin + scale[:, None] * unit`` (origin a point or one per row),
-    bit-equal to that broadcast form at half its cost, one column at a time."""
+def _offset_rows(origin: np.ndarray, scale: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """``origin + scale[:, None] * unit``, one origin per row, bit-equal to
+    that broadcast form at half its cost, one column at a time."""
     out = np.empty_like(unit)
     for j in range(unit.shape[1]):
-        np.add(origin[..., j], scale * unit[:, j], out=out[:, j])
+        np.add(origin[:, j], scale * unit[:, j], out=out[:, j])
     return out
 
 
@@ -455,7 +438,8 @@ def _pcg64_states(master_seed: int, keys: np.ndarray):
 
 @dataclass
 class PairContext:
-    """Geometry and workload description for the MC pair engine.
+    """Geometry and workload description for the MC pair engine, which
+    draws x in the ball of radius ``x_radius`` about the origin.
 
     ``integrands`` are maps (x_pts, y_pts, |y-x|, v(x), v(y)) ->
     nonnegative values; they include the kernel.  ``values`` is the field
@@ -475,7 +459,6 @@ class PairContext:
     """
 
     dim: int
-    x_center: np.ndarray
     x_radius: float
     kernel_p: float
     numerator: float
@@ -542,7 +525,7 @@ def _chunk_sums(plan: _Stratified, spec: McSpec, xr: np.ndarray, xunit: np.ndarr
     the rows of its strata: ``xr`` (uniform draws to the power 1/N) and
     ``xunit`` place x in the ball, ``hu`` and ``hunit`` place y around x."""
     ctx, n = plan.ctx, plan.ctx.dim
-    x = _offset_rows(ctx.x_center, ctx.x_radius * xr, xunit)
+    x = (ctx.x_radius * xr)[:, None] * xunit
     vx = None if ctx.values is None else ctx.values(x)
     live = np.arange(len(x))  # rows with a y side
     if ctx.zero_floor is not None:
@@ -888,10 +871,16 @@ def _pair_prefactor(n: int) -> float:
 
 @lru_cache(maxsize=32)
 def _unit_rule(n: int, order: int, graded: bool):
-    """Breakpoints, Gauss nodes and weights on [0, 1] of the s-template
-    (panels graded ``n`` levels deep toward both ends) or of the r-rule
-    (``n`` uniform panels), built once per (n, order)."""
-    bps = graded_panels(0.0, 1.0, n, toward="both") if graded else uniform_panels(0.0, 1.0, n)
+    """Breakpoints, Gauss nodes and weights on [0, 1] of the s-template or
+    of the r-rule (``n`` uniform panels), built once per (n, order).  The
+    template's panels double in width from 2^-n at each end, each ladder
+    kept to its own half."""
+    if graded:
+        left = np.cumsum(np.append(0.0, 2.0 ** -np.arange(n, 0, -1.0)))
+        right = 1.0 - left
+        bps = sorted_unique(np.concatenate([left[left < 0.5], right[right > 0.5]]))
+    else:
+        bps = uniform_panels(0.0, 1.0, n)
     rule = (bps, *panel_nodes(bps, order))
     for a in rule:  # every caller shares these arrays
         a.flags.writeable = False
@@ -1025,44 +1014,26 @@ def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
     return _pair_prefactor(dim) * (total + extra)
 
 
-_S_BASE_PANELS = 12  # coarse s-panels of a tensor row before grading
-
-
-def _s_panels_around(rn: float, lo: float, hi: float, depth: int, knots) -> np.ndarray:
-    """Panels on [lo, hi]: coarse base grid, graded refinement at s = rn,
-    graded coverage of the far tail, split at profile knots."""
-    near_hi = min(hi, max(2.0 * rn, rn + 1.0))
-    bps = [np.linspace(lo, near_hi, _S_BASE_PANELS + 1)]
-    if lo < rn < hi:
-        bps.append(graded_panels(max(lo, rn - 0.5 * (near_hi - lo)), rn,
-                                 depth=depth, toward="right"))
-        bps.append(graded_panels(rn, min(near_hi, rn + 0.5 * (near_hi - lo)),
-                                 depth=depth, toward="left"))
-    if near_hi < hi:
-        bps.append(graded_panels(near_hi, hi, depth=max(depth, 24), toward="left"))
-    pts = _split_at(np.concatenate(bps), knots, lo, hi)
-    if lo < rn < hi:
-        # a breakpoint within rounding of rn (the base grid's midpoint when
-        # near_hi = 2 rn) leaves a panel so narrow that its nodes land on rn
-        pts = pts[(np.abs(pts - rn) > 64.0 * np.spacing(rn)) | (pts == rn)]
-    return pts
-
-
-def _radial_tensor_value(profile: RadialProfile1D, kernel_p: float,
+def _radial_smooth_value(profile: RadialProfile1D, kernel_p: float,
                          envelope: MonotoneEnvelope, spec: RadialSpec, dim: int,
                          order: int, r_range: float) -> float:
-    """Tensor path for smooth envelopes: r over [0, r_range], s over
-    [0, spec.r_max] with the s > r_range portion added twice, one row of
-    s-panels per r-node (padded with zero-width panels to a common length)."""
+    """Smooth envelopes: r over [0, r_range], s over [0, spec.r_max] with the
+    s > r_range portion added twice.  Each r-node's row is the graded
+    s-template mapped onto [0, r] and onto [r, r_max], split at the profile's
+    knots and at r_range (the doubling is a jump of the s-integrand): every
+    breakpoint lies inside the row, so no panel has zero width and no
+    s-node lands on r."""
+    s_max = spec.r_max
+    r_nodes, r_w = panel_nodes(uniform_panels(0.0, r_range, spec.n_r, splits=profile.knots),
+                               order)
+    bps = _unit_rule(spec.n_s, order, True)[0]
+    cuts = sorted_unique(np.append(profile.knots, r_range))
+    cuts = cuts[(cuts > 0.0) & (cuts < s_max)]
+    rn = r_nodes[:, None]
+    rows = np.concatenate([rn * bps[:-1], rn + (s_max - rn) * bps,
+                           np.broadcast_to(cuts, (rn.size, cuts.size))], axis=1)
+    sn, sw = panel_nodes(np.sort(rows, axis=1), order)
     g = profile.g
-    r_panels = uniform_panels(0.0, r_range, spec.n_r, splits=profile.knots)
-    r_nodes, r_w = panel_nodes(r_panels, order)
-    # the doubling of s > r_range is a jump of the s-integrand: a panel edge
-    s_knots = np.append(profile.knots, r_range)
-    rows = [_s_panels_around(rn, 0.0, spec.r_max, spec.n_s, s_knots) for rn in r_nodes]
-    width = max(row.size for row in rows)
-    bps = np.stack([np.pad(row, (0, width - row.size), mode="edge") for row in rows])
-    sn, sw = panel_nodes(bps, order)
     total, extra = _integrate_rows(r_nodes, r_w, sn, sw,
                                    envelope(np.abs(g(r_nodes)[:, None] - g(sn))),
                                    kernel_p, dim, order, r_range)
@@ -1123,7 +1094,7 @@ def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
                 + 4.0 * _pair_prefactor(dim) * profile.lipschitz ** kernel_p
                 * (2.0 * eps_x) ** (q - kernel_p) * (s_range - r_range) / kernel_p)
         spec = replace(spec, r_max=s_range)
-        value = partial(_radial_tensor_value, r_range=r_range)
+        value = partial(_radial_smooth_value, r_range=r_range)
     half_spec = replace(spec, n_r=max(4, spec.n_r // 2), n_s=max(6, spec.n_s - 4))
     # one Gauss order for r-panels, s-panels and the graded theta rule
     full = value(profile, kernel_p, envelope, spec, dim, 6)

@@ -403,17 +403,16 @@ class TestEnvelopes:
         m = f_functional(gauss3, env, 2.0, engine_mc)
         assert abs(r.value - m.value) <= 3.0 * m.stderr + r.tail_bound + m.tail_bound
 
-    def test_subhomogeneity_validation_rejects(self, gauss3, engine):
-        bad = MonotoneEnvelope(fn=lambda t: np.asarray(t, float) ** 3,
-                               beta=2.0, name="bad-beta", small_t_power=3.0)
-        with pytest.raises(PreconditionError):
-            f_functional(gauss3, bad, 2.0, engine)
+    def test_subhomogeneity_validation_rejects(self):
+        # an envelope is validated where it is built
+        with pytest.raises(PreconditionError, match="violates sub-homogeneity"):
+            MonotoneEnvelope(fn=lambda t: np.asarray(t, float) ** 3,
+                             beta=2.0, name="bad-beta", small_t_power=3.0)
 
-    def test_non_monotone_rejected(self, gauss3, engine):
-        bad = MonotoneEnvelope(fn=lambda t: np.sin(np.asarray(t, float)) ** 2,
-                               beta=2.0, name="wiggle", small_t_power=2.0)
-        with pytest.raises(PreconditionError):
-            f_functional(gauss3, bad, 2.0, engine)
+    def test_non_monotone_rejected(self):
+        with pytest.raises(PreconditionError, match="not non-decreasing"):
+            MonotoneEnvelope(fn=lambda t: np.sin(np.asarray(t, float)) ** 2,
+                             beta=2.0, name="wiggle", small_t_power=2.0)
 
     def test_small_t_integrability_guard(self, gauss3, engine):
         env = MonotoneEnvelope.power_law(2.0)  # q = p = 2: not integrable
@@ -431,10 +430,9 @@ class TestEnvelopes:
         MonotoneEnvelope.power_law(q).validate()
 
     def test_subhomogeneity_violation_still_raises(self):
-        bad = MonotoneEnvelope(fn=lambda t: np.asarray(t, float) ** 2,
-                               beta=1.0, name="square-beta-1", small_t_power=2.0)
-        with pytest.raises(PreconditionError):
-            bad.validate()
+        with pytest.raises(PreconditionError, match="violates sub-homogeneity"):
+            MonotoneEnvelope(fn=lambda t: np.asarray(t, float) ** 2,
+                             beta=1.0, name="square-beta-1", small_t_power=2.0)
 
 
 class TestMagnetic:

@@ -277,23 +277,23 @@ class TestFamilySweep:
         with pytest.raises(PreconditionError):
             sweep_family([gauss3], [0.1], "diamagnetic", engine)
 
-    def test_preconditions_before_volume_pair(self, gauss3, engine):
-        # a dimension or envelope that admits no check fails before any
-        # volume pass, as a checker called alone does
+    def test_preconditions_before_volume_pair(self, engine):
+        # a dimension that admits no check fails before any volume pass, as
+        # a checker called alone does; an envelope that admits none fails
+        # where it is built
         from unittest import mock
 
         from nlsob import quadrature
         u2 = nl.FiniteSumField([nl.GaussianField(2, 1.0, 1.0, (0.0, 0.3)),
                                 nl.SmoothBumpField(2, 1.7, 0.5, (0.0, -0.3))])
-        wiggle = MonotoneEnvelope(fn=lambda t: np.sin(np.asarray(t, float)) ** 2,
-                                  beta=2.0, name="wiggle", small_t_power=2.0)
         with mock.patch.object(quadrature, "mc_volume_value",
                                wraps=quadrature.mc_volume_value) as spy:
             for check in ("logsobolev_main", "envelope_lsi"):
                 with pytest.raises(PreconditionError, match="N >= 3"):
                     sweep_family([u2], [0.1], check, engine)
             with pytest.raises(PreconditionError, match="not non-decreasing"):
-                sweep_family([gauss3], [0.1], "envelope_lsi", engine, envelope=wiggle)
+                MonotoneEnvelope(fn=lambda t: np.sin(np.asarray(t, float)) ** 2,
+                                 beta=2.0, name="wiggle", small_t_power=2.0)
         assert spy.call_count == 0
 
     @pytest.mark.parametrize("check", ["logsobolev_main", "envelope_lsi"])

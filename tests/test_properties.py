@@ -202,8 +202,7 @@ def pair_contexts(draw):
         return np.abs(vy - vx) ** 3 * rho ** -(3.0 + p)
 
     return PairContext(
-        3, np.array([draw(st.floats(-0.5, 0.5)) for _ in range(3)]),
-        draw(st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(0.2, 3.0))), p, delta ** p,
+        3, draw(st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(0.2, 3.0))), p, delta ** p,
         (step, smooth)[:draw(st.integers(1, 2))],
         inner_cutoff=draw(st.one_of(st.just(0.0), st.floats(1e-6, 8.0), st.just(math.inf))),
         symmetric=draw(st.booleans()), values=u.evaluate,

@@ -63,7 +63,7 @@ def shell_integrand(x, y, rho, vx, vy):
 
 
 def shell_context():
-    return PairContext(dim=3, x_center=np.zeros(3), x_radius=1.0, kernel_p=2.0,
+    return PairContext(dim=3, x_radius=1.0, kernel_p=2.0,
                        numerator=1.0, integrands=(shell_integrand,),
                        inner_cutoff=1.0)
 
@@ -347,13 +347,19 @@ class TestRadialEngine:
             radial_pair_integrate(field.radial_profile(), 2.0, env, spec, 3)
 
     def test_radial_bits(self):
-        # bits of the N = 4 tensor path of the jump_envelope benchmark, and of
-        # the monotone carving path with a step, whose rows take their
-        # s-integral in closed form at N = 3, and with the same F built from
-        # a function, whose rows still run the s-template
+        # bits of the N = 4 smooth-envelope rows of the jump_envelope
+        # benchmark, and of the monotone carving path with a step, whose rows
+        # take their s-integral in closed form at N = 3, and with the same F
+        # built from a function, whose rows still run the s-template
         spec = RadialSpec(n_r=12, n_s=16)
         engine = replace(nl.default_engine(1), radial=spec)
         g4, g3 = nl.GaussianField(4, 1.0), nl.GaussianField(3, 1.0)
+        smooth = nl.f_functional(g4, MonotoneEnvelope.power_law(3.0), 2.0, engine)
+        # the value of the per-r-node s-panels these rows replaced, which
+        # the shared s-template moved by 5.7e-9, inside its discrepancy + tail bound
+        old = float.fromhex("0x1.e01a2df2afdb6p+4")
+        assert abs(smooth.value - old) <= (float.fromhex("0x1.e40a2bd020000p-12")
+                                           + float.fromhex("0x1.1cebacef1fd75p-6"))
         step = nl.i_delta(g3, nl.KernelSpec(0.1), engine)
         # the s-template's value, which the closed form moved by 1.0e-9
         # relative, inside the template's own discrepancy + tail bound
@@ -361,8 +367,7 @@ class TestRadialEngine:
         assert abs(step.value - old) <= (float.fromhex("0x1.18435831dc000p-9")
                                          + float.fromhex("0x1.cef4cffae2bebp-16"))
         cases = [
-            (nl.f_functional(g4, MonotoneEnvelope.power_law(3.0), 2.0, engine),
-             ("0x1.e01a2df2afdb6p+4", "0x1.e40a2bd020000p-12", "0x1.1cebacef1fd75p-6")),
+            (smooth, ("0x1.e01a2df437eb3p+4", "0x1.bf387a2220000p-12", "0x1.1cebacef1fd75p-6")),
             (step, ("0x1.817c40a68f929p+3", "0x1.271dc9867a000p-9", "0x1.cef4cffae2bebp-16")),
             (radial_pair_integrate(g3.radial_profile(), 2.0, explicit_indicator(0.1, 0.1 * 0.1),
                                    spec, 3),
@@ -772,8 +777,7 @@ class TestMcEngine:
             return np.where(du > delta, delta * delta, 0.0) * rho ** -5.0
 
         def run(c):
-            ctx = PairContext(dim=3, x_center=np.zeros(3),
-                              x_radius=g.decay_radius(delta / 2.0), kernel_p=2.0,
+            ctx = PairContext(dim=3, x_radius=g.decay_radius(delta / 2.0), kernel_p=2.0,
                               numerator=delta * delta, integrands=(integrand,),
                               inner_cutoff=c, symmetric=True, values=g.evaluate)
             return mc_pair_integrate_many([ctx], McSpec(master_seed=11, n_samples=48000,
@@ -793,8 +797,7 @@ class TestMcEngine:
             du = np.abs(vy - vx)
             return np.where(du > delta, delta * delta, 0.0) * rho ** -5.0
 
-        ctx = PairContext(dim=3, x_center=np.zeros(3),
-                          x_radius=g.decay_radius(delta / 2.0), kernel_p=2.0,
+        ctx = PairContext(dim=3, x_radius=g.decay_radius(delta / 2.0), kernel_p=2.0,
                           numerator=delta * delta, integrands=(integrand,),
                           inner_cutoff=delta / g.lipschitz_bound, symmetric=True,
                           values=g.evaluate)
@@ -822,7 +825,7 @@ class TestMcEngine:
         assert ests[1].value == 0.5 * ests[0].value  # exact halving, shared samples
 
     def test_contexts_of_one_pass_share_their_dimension(self):
-        flat = replace(shell_context(), dim=2, x_center=np.zeros(2))
+        flat = replace(shell_context(), dim=2)
         with pytest.raises(PreconditionError, match="share their dimension"):
             mc_pair_integrate_many([shell_context(), flat], McSpec(master_seed=1, n_samples=4800))
 
@@ -1031,7 +1034,7 @@ def per_stratum_reference(ctx, spec):
             rng = np.random.default_rng([spec.master_seed, c, int(k)])
             xdir, xu = rng.standard_normal((m, n)), rng.random(m)
             hdir, hu = rng.standard_normal((m, n)), rng.random(m)
-            x = ctx.x_center + rx * (xu ** (1.0 / n))[:, None] * unit(xdir)
+            x = rx * (xu ** (1.0 / n))[:, None] * unit(xdir)
             rho = edges[k] * np.exp(log_widths[k] * hu)
             y = x + rho[:, None] * unit(hdir)
             base = vol * (log_widths[k] * omega) * rho ** n
@@ -1055,7 +1058,7 @@ def test_batched_chunk_matches_per_stratum_loop(seed):
     def integrand(x, y, rho, vx, vy):
         return np.where(np.abs(vy - vx) > delta, delta * delta, 0.0) * rho ** -5.0
 
-    ctx = PairContext(dim=3, x_center=np.zeros(3), x_radius=g.decay_radius(delta / 2.0),
+    ctx = PairContext(dim=3, x_radius=g.decay_radius(delta / 2.0),
                       kernel_p=2.0, numerator=delta * delta, integrands=(integrand,),
                       inner_cutoff=delta / g.lipschitz_bound, symmetric=True,
                       values=g.evaluate)
@@ -1174,7 +1177,7 @@ class TestEngineOracle:
         def integrand(x, y, rho, vx, vy):
             return np.where(np.abs(vy - vx) > 0.5, 0.25, 0.0) * rho ** -5.0
 
-        ctx = PairContext(dim=3, x_center=np.zeros(3), x_radius=1.5, kernel_p=2.0,
+        ctx = PairContext(dim=3, x_radius=1.5, kernel_p=2.0,
                           numerator=0.25, integrands=(integrand, integrand),
                           inner_cutoff=0.05, symmetric=True, values=counted,
                           zero_floor=0.25)
