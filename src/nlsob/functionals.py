@@ -43,6 +43,7 @@ from .quadrature import (
     McSpec,
     MonotoneEnvelope,
     PairContext,
+    RadialRequest,
     RadialSpec,
     ball_volume,
     mc_pair_integrate_many,
@@ -229,9 +230,11 @@ def _jump_free_radius(u: ScalarField, level: float, weight) -> Optional[float]:
 def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: EngineSpec):
     """The route of the integral of F(|u(x) - u(y)|) / |x - y|^{N+p} for a
     real field, F = ``envelope`` (``MonotoneEnvelope.threshold`` for the
-    indicator functionals): an Estimate where no MC pass is needed (0 in
-    closed form, divergence at a jump, or the radial engine's estimate,
-    computed here), or the MC engine's context; see ``_resolve``."""
+    indicator functionals): an Estimate where no engine pass is needed (0
+    in closed form, divergence at a jump), or the request of an engine
+    pass, which ``_resolve`` runs: the radial engine's ``RadialRequest``,
+    whose preconditions are checked and scalar geometry derived here, or
+    the MC engine's context."""
     dim = u.dim
     lip = u.lipschitz_bound
     zero_below = envelope.zero_below
@@ -244,7 +247,7 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
     prof = u.radial_profile()
     if engine.mode != "mc" and prof is not None and math.isfinite(lip):
         q_mass = 0.0 if zero_below > 0 else lp_power_integral(u, envelope.small_t_power).value
-        return radial_pair_integrate(prof, p, envelope, engine.radial, dim, q_mass)
+        return RadialRequest(prof, p, envelope, engine.radial, dim, q_mass, field=u)
 
     # Monte Carlo path
     np_exp = -(dim + p)
@@ -289,20 +292,38 @@ def _pair_route(u: ScalarField, p: float, envelope: MonotoneEnvelope, engine: En
                        zero_floor=zero_below / 2.0 if zero_below > 0 else None)
 
 
+def _pass_key(route):
+    """The engine pass a route joins: MC contexts of one dimension, radial
+    requests of one field object, kernel p, RadialSpec and dimension; None
+    for a value."""
+    if isinstance(route, PairContext):
+        return PairContext, route.dim
+    if isinstance(route, RadialRequest):
+        return RadialRequest, id(route.field), route.kernel_p, route.spec, route.dim
+    return None
+
+
 def _resolve(routes: list, spec: McSpec) -> list:
-    """The values of ``routes``: an Estimate, or a pair of them, as it is,
-    and the contexts of all MC routes run in one engine pass on ``spec``,
-    one estimate per integrand, or a tuple of them for a context of
-    several."""
-    contexts = [r for r in routes if isinstance(r, PairContext)]
-    ests = iter(mc_pair_integrate_many(contexts, spec) if contexts else ())
-    out = []
+    """The values of ``routes``, in order: an Estimate, or a pair of them,
+    as it is, and each request from one run of its pass per ``_pass_key``:
+    the MC contexts on ``spec``, one estimate per integrand or a tuple of
+    them for a context of several, and the radial requests of one field in
+    one ``radial_pair_integrate``.  A lone memo miss is a batch of one."""
+    passes = {}
     for r in routes:
-        if isinstance(r, PairContext):
-            parts = tuple(next(ests) for _ in r.integrands)
-            r = parts if len(parts) > 1 else parts[0]
-        out.append(r)
-    return out
+        passes.setdefault(_pass_key(r), []).append(r)
+    values = {}
+    for key, group in passes.items():
+        if key is None:
+            continue
+        if key[0] is RadialRequest:
+            values.update(zip(map(id, group), radial_pair_integrate(group)))
+            continue
+        ests = iter(mc_pair_integrate_many(group, spec))
+        for ctx in group:
+            parts = tuple(next(ests) for _ in ctx.integrands)
+            values[id(ctx)] = parts if len(parts) > 1 else parts[0]
+    return [values.get(id(r), r) for r in routes]
 
 
 @_memoized(lambda u, envelope, p, engine: (u, (envelope, p, engine)), routed=True)
@@ -406,13 +427,16 @@ def prefetch_pairs(requests: Iterable[Callable[[], tuple]]) -> None:
     Each request, called, gives the (name, arguments) of one call of
     ``f_functional`` or ``i_delta_magnetic_paired``; a name of no memoized
     pair functional raises ValueError.  The routes of the requests not
-    kept already are resolved together: those that reach the MC engine in
-    one engine pass per (McSpec, dimension), whose contexts share their
-    streams, the others (closed form, radial, divergence at a jump) as
-    they are.  Each call's value is kept under that call's memo key, so
-    the call reads it, and equals that of the call alone, bit for bit.
-    A request that raises, or a group whose resolution raises, is left to
-    its own call.
+    kept already are resolved together, by ``_resolve``: those that reach
+    the MC engine in one engine pass per (McSpec, dimension), whose
+    contexts share their streams, the radial requests in one radial pass
+    per (field object, kernel p, RadialSpec, dimension), such as all the
+    thresholds of one field's delta sweep, and the others (closed form,
+    divergence at a jump) as they are.  Each call's value is kept under
+    that call's memo key, so the call reads it, and equals that of the
+    call alone, bit for bit.  A request that raises, such as a radial
+    threshold that fails its own preconditions, or a pass that raises, is
+    left to its own call.
     """
     groups = {}
     for request in requests:
@@ -426,9 +450,8 @@ def prefetch_pairs(requests: Iterable[Callable[[], tuple]]) -> None:
             key = _memo_key(name, *args)
             if key not in _MEMO:
                 route = _MEMOIZED[name][1](*args)
-                dim = route.dim if isinstance(route, PairContext) else None
                 engine = args[-1]  # every pair functional takes its engine last
-                groups.setdefault((engine.mc, dim), {})[key] = route
+                groups.setdefault((engine.mc, _pass_key(route)), {})[key] = route
         except Exception:  # noqa: BLE001 - the call raises it again
             continue
     for (spec, _), members in groups.items():

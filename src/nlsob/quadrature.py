@@ -28,22 +28,33 @@ Two pair engines share one Estimate type:
   into a 1D integral on [(r-s)^2, (r+s)^2].  At N = 3, and wherever
   (N+p)/2 is an integer of at least N-1, that integral has a closed form;
   other N use a rule graded in log t, which resolves each pair's
-  near-diagonal layer.  All three radial paths (monotone indicator,
-  generic indicator carving, smooth envelope) lay out one row of s-panels
-  per r-node, or per (r-node, admissible s-interval), and integrate all
-  rows in one array pass, on one graded s-template built once per grid
-  size and mapped onto each row; a smooth envelope's row maps it onto
-  both sides of its r-node, [0, r] and [r, s_max].  The indicator paths
-  cut the s-sets at level crossings.  A decreasing profile with a closed-form
-  inverse (``RadialProfile1D.level_radius``: Gaussians, smooth bumps)
-  gives each crossing directly; every other crossing is bracketed on a
-  probe grid and solved by one safeguarded Newton, started on a
-  decreasing profile at the secant point of its grid cell.  With a step
-  envelope (``MonotoneEnvelope.step``) the carved rows of a decreasing
-  profile integrate the kernel alone: their s-nodes all lie past the
-  crossing, so neither the profile nor the envelope is evaluated there.
-  At N = 3 those rows are exact in s: each row's s-integral of the
-  kernel is elementary, so they take no s-nodes and run no theta-kernel.
+  near-diagonal layer.  One pass takes several ``RadialRequest``s of one
+  field, kernel p, RadialSpec and dimension, such as the thresholds of a
+  delta sweep; each request carries its own scalar geometry, derived
+  when it is built.  All three radial paths (monotone indicator, generic
+  indicator carving, smooth envelope) lay out one row of s-panels per
+  r-node, or per (r-node, admissible s-interval), and integrate the rows
+  of one request and resolution in one array pass, on one graded
+  s-template built once per grid size and mapped onto each row; a smooth
+  envelope's row maps it onto both sides of its r-node, [0, r] and
+  [r, s_max].  The indicator paths cut the s-sets at level crossings.  A
+  decreasing profile with a closed-form inverse
+  (``RadialProfile1D.level_radius``: Gaussians, smooth bumps) gives each
+  crossing directly; every other crossing is bracketed on a probe grid
+  (one per reach and bulk, shared by the thresholds that have them) and
+  solved by one safeguarded Newton, started on a decreasing profile at
+  the secant point of its grid cell.  On a decreasing profile a pass
+  solves the crossings that end the r-ranges of all its thresholds in
+  one such solve, and those of every r-node of every threshold at both
+  resolutions in a second.  The solver freezes each entry once it has
+  converged, so a root does not depend on the others it is solved with.
+  With a step envelope (``MonotoneEnvelope.step``) the carved rows of a
+  decreasing profile integrate the kernel alone: their s-nodes all lie
+  past the crossing, so neither the profile nor the envelope is
+  evaluated there.  At N = 3 those rows are exact in s: each row's
+  s-integral of the kernel is elementary, so they take no s-nodes, run
+  no theta-kernel, and the rows of the whole pass are integrated in one
+  call; each threshold sums its own contiguous slice of them.
 
 Both report rigorous tail bounds for the truncated regions where the
 field metadata permits one.
@@ -52,8 +63,9 @@ field metadata permits one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from dataclasses import InitVar, asdict, dataclass, replace
+from dataclasses import field as dataclass_field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,6 +77,7 @@ __all__ = [
     "Estimate",
     "McSpec",
     "RadialSpec",
+    "RadialRequest",
     "MonotoneEnvelope",
     "PairContext",
     "mc_pair_integrate_many",
@@ -152,9 +165,13 @@ class McSpec:
 
 @dataclass(frozen=True)
 class RadialSpec:
-    """Grid sizes for the reduced (r, s, theta) quadrature.  At N = 3 the
-    carved rows of a step on a decreasing profile are exact in s: they read
-    no ``n_s``, and their discrepancy is the r-rule's alone."""
+    """Grid sizes of the radial engine: ``n_r`` r-panels and the depth
+    ``n_s`` of the graded s-template.  At N = 3 the carved rows of a step on
+    a decreasing profile are exact in s: they read no ``n_s``, and their
+    discrepancy is the r-rule's alone.  The theta-integral takes no grid;
+    only this class's own validation reads ``n_theta``, which stays a field
+    because the descriptor hashes of engine specs include it, until the
+    benchmark re-record (ROADMAP items 1 and 8) drops it."""
 
     n_r: int = 48
     n_s: int = 30
@@ -633,19 +650,39 @@ def _terminating_kernel(r: np.ndarray, s: np.ndarray, n: int, nu: int) -> np.nda
     a = 0.5 * (n - nu)
     b = a - 0.5
     degree = int(-a) if a == int(a) else int(-b)  # where P = 2F1(a, b; n/2; z) stops
-    sq = r * r + s * s
-    dd = np.abs((r - s) * (r + s))
+    # in place, with the operations and their order of the written-out form
+    # A = r*r + s*s, D = |(r-s) * (r+s)|, z = (2*r*s / A)**2 and
+    # beta_N * D**-nu * (A/D)**(nu-n+1) * P: each fresh temporary of this
+    # size costs page faults
+    dd = np.subtract(r, s, out=np.empty(np.broadcast_shapes(np.shape(r), np.shape(s))))
+    sq = np.add(r, s, out=np.empty_like(dd))
+    dd *= sq
+    np.abs(dd, out=dd)
+    out = np.multiply(s, s, out=np.empty_like(dd))
+    np.multiply(r, r, out=sq)
+    sq += out
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = sphere_surface(n) / sphere_surface(n - 1) * dd ** -float(nu)
+        np.power(dd, -float(nu), out=out)
+        out *= sphere_surface(n) / sphere_surface(n - 1)
         if nu > n - 1:
-            out *= (sq / dd) ** (nu - n + 1)
+            ratio = sq / dd
+            ratio **= nu - n + 1
+            out *= ratio
         if degree:
-            z = (2.0 * r * s / sq) ** 2
-            poly = 1.0
+            z = np.multiply(2.0 * r, s, out=dd)
+            z /= sq
+            z **= 2
+            poly = None  # 1 + c_k z poly, from poly = 1
             for k in reversed(range(degree)):
-                poly = 1.0 + (a + k) * (b + k) / ((0.5 * n + k) * (k + 1)) * z * poly
+                term = z * ((a + k) * (b + k) / ((0.5 * n + k) * (k + 1)))
+                if poly is not None:
+                    term *= poly
+                term += 1.0
+                poly = term
             out *= poly
-    return np.where(r * s > 0.0, out, 0.0)
+        np.multiply(r, s, out=dd)
+    out[~(dd > 0.0)] = 0.0
+    return out
 
 
 _KERNEL_BLOCK = 1 << 16  # elements per temporary in _graded_kernel
@@ -690,9 +727,10 @@ def theta_reduced_kernel(r, s, n: int, p: float, order: int = 6) -> np.ndarray:
     return _graded_kernel(r, s, n, p, order)
 
 
-def _kernel_rows_3d(r: np.ndarray, lo: np.ndarray, hi: float, p: float) -> np.ndarray:
-    """Integral over s in [lo[i], hi] of s^2 theta_reduced_kernel(r[i], s, 3, p),
-    for r[i] < lo[i] <= hi: (F(hi) - F(lo[i])) / ((1+p) r[i]) with
+def _kernel_rows_3d(r: np.ndarray, lo: np.ndarray, hi, p: float) -> np.ndarray:
+    """Integral over s in [lo[i], hi[i]] of s^2 theta_reduced_kernel(r[i], s, 3, p),
+    for r[i] < lo[i] <= hi[i] (``hi`` an array or one float for every row):
+    (F(hi[i]) - F(lo[i])) / ((1+p) r[i]) with
     F(s) = ((s-r)^{1-p} - (s+r)^{1-p}) / (1-p) - (r/p) ((s-r)^{-p} + (s+r)^{-p}),
     the first term written with expm1/log1p (-log1p(2r/(s-r)) at p = 1).
     Both terms are negative, so F cancels nowhere."""
@@ -784,7 +822,9 @@ def _crossing_roots(g, dg, level: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     ``rtsafe`` (*Numerical Recipes* 9.4), started at ``x0`` (the midpoints
     when None): a bisection step replaces any Newton step that leaves the
     bracket or is not under half the step before last, and every step when
-    ``dg`` is None.  An entry stops once its step is within _XTOL + _RTOL |s|.
+    ``dg`` is None.  An entry stops once its step is within _XTOL + _RTOL |s|,
+    and keeps that value while the others go on, so for an elementwise g
+    its root has the same bits whatever other entries share the call.
     That fixes the root to the tolerance only where g is steep: g(s) - level
     is known to about ulp(level), so where |g'| is small the last Newton
     step can stop up to ulp(level) / |g'| from the true crossing.  A NaN
@@ -821,16 +861,25 @@ def _crossing_roots(g, dg, level: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 brentq = _crossing_roots
 
 
-def _decreasing_crossings(g, dg, levels: np.ndarray, xs: np.ndarray,
-                          vals: np.ndarray) -> np.ndarray:
-    """The s with g(s) = levels[i] for a decreasing g, given on the grid
-    ``xs`` by ``vals`` = g(xs) with vals[0] > levels[i] >= vals[-1]: the
-    first grid value at or below a level ends the one cell that brackets
-    its crossing, and each solve starts at the secant point of its cell."""
-    j = np.searchsorted(-vals, -levels)
-    lo, hi = xs[j - 1], xs[j]
-    secant = lo + (vals[j - 1] - levels) / (vals[j - 1] - vals[j]) * (hi - lo)
-    return _crossing_roots(g, dg, levels, lo, hi, np.minimum(secant, hi))
+def _decreasing_crossings(g, dg, sets: Sequence[tuple]) -> list:
+    """For each (levels, xs, vals) of ``sets``, the s with g(s) = levels[i]
+    for a decreasing g, given on the grid ``xs`` by ``vals`` = g(xs) with
+    vals[0] > levels[i] >= vals[-1]: the first grid value at or below a
+    level ends the one cell that brackets its crossing, and each solve
+    starts at the secant point of its cell.  The crossings of all sets are
+    solved in one ``_crossing_roots`` call (none if there are none); one
+    array of roots per set."""
+    cells = []
+    for levels, xs, vals in sets:
+        j = np.searchsorted(-vals, -levels)
+        lo, hi = xs[j - 1], xs[j]
+        secant = lo + (vals[j - 1] - levels) / (vals[j - 1] - vals[j]) * (hi - lo)
+        cells.append((levels, lo, hi, np.minimum(secant, hi)))
+    if not cells:
+        return []
+    levels, lo, hi, x0 = (np.concatenate(v) for v in zip(*cells))
+    roots = _crossing_roots(g, dg, levels, lo, hi, x0) if levels.size else levels
+    return _split(roots, [c[0].size for c in cells])
 
 
 def _excess_intervals(g, dg, a_vals: np.ndarray, delta: float, xs: np.ndarray,
@@ -912,118 +961,183 @@ def _integrate_rows(rn: np.ndarray, rw: np.ndarray, sn: np.ndarray, sw: np.ndarr
     weights sw[i]) of the r-weighted s-integral of w_vals x theta-kernel x
     s^{N-1}, in one array pass; ``w_vals`` None integrates the kernel
     alone.  With ``far`` it returns the s > far part as well."""
-    t_vals = theta_reduced_kernel(rn[:, None], sn, dim, kernel_p, order=order)
+    # in place on the kernel's values, with the operations and their order
+    # of sw * w_vals * kernel * sn**(N-1): each fresh temporary of this size
+    # costs page faults
+    f = theta_reduced_kernel(rn[:, None], sn, dim, kernel_p, order=order)
     if w_vals is None:
-        f = sw * t_vals
+        f *= sw
     else:
-        # a pair of weight exactly 0 contributes 0, even where the kernel is +inf
         with np.errstate(invalid="ignore"):
-            f = np.where(w_vals == 0.0, 0.0, sw * w_vals * t_vals)
+            f *= sw * w_vals
+        # a pair of weight exactly 0 contributes 0, even where the kernel is +inf
+        f[w_vals == 0.0] = 0.0
     f *= sn ** (dim - 1)
     scale = rw * rn ** (dim - 1)
     total = float(np.sum(scale * np.sum(f, axis=1)))
     if far is None:
         return total
-    return total, float(np.sum(scale * np.sum(np.where(sn > far, f, 0.0), axis=1)))
+    f[~(sn > far)] = 0.0
+    return total, float(np.sum(scale * np.sum(f, axis=1)))
 
 
-def _carving_grid(profile: RadialProfile1D, delta: float, s_max: float):
-    """What the indicator path computes once for both resolutions: the
-    probe grid on [0, s_max], the profile on it, and the reach of the
-    r-integral, 0 when no pair is admissible.  A decreasing profile's
-    r-integral ends at the last crossing of delta; otherwise it ends
-    where g has decayed below delta / 2.  A decreasing profile with a
-    ``level_radius`` needs no grid: the grid is None and the profile is
-    given at 0 and s_max only."""
-    r_half = profile.decay_radius(delta / 2.0)
-    if r_half <= 0.0:
-        return None, None, 0.0
-    if profile.monotone_decreasing and profile.level_radius is not None:
-        ends = profile.g(np.array([0.0, s_max]))
-        if not ends[0] > delta >= ends[-1]:
-            return None, ends, 0.0
-        return None, ends, min(float(profile.level_radius(np.array([delta]))[0]), s_max)
-    bulk = min(profile.decay_radius(1e-4 * delta), s_max)
-    xs = _probe_grid(0.0, s_max, bulk)
-    vals = profile.g(xs)
-    if not profile.monotone_decreasing:
-        return xs, vals, min(r_half, s_max)
-    if not vals[0] > delta >= vals[-1]:
-        return xs, vals, 0.0
-    top = _decreasing_crossings(profile.g, profile.dg, np.array([delta]), xs, vals)
-    return xs, vals, float(top[0])
+def _split(a: np.ndarray, sizes: Sequence[int]) -> list:
+    """``a`` cut into consecutive views of the given sizes."""
+    out, start = [], 0
+    for n in sizes:
+        out.append(a[start:start + n])
+        start += n
+    return out
 
 
-def _radial_indicator_value(profile: RadialProfile1D, kernel_p: float,
-                            envelope: MonotoneEnvelope, spec: RadialSpec, dim: int,
-                            order: int, grid) -> float:
-    """Indicator path: the admissible s-set of every r-node is carved
-    exactly, and the graded s-panel template is mapped onto each piece.
-    A step on a decreasing profile at N = 3 instead takes each row's
-    s-integral in closed form (``_kernel_rows_3d``), reads no ``spec.n_s``,
-    and leaves the discrepancy to the r-rule alone.
-    ``grid`` is ``_carving_grid(profile, envelope.zero_below, spec.r_max)``."""
-    xs, vals, r_top = grid
-    if r_top <= 0.0:
-        return 0.0
+def _one_call(fn, arrays: list) -> list:
+    """An elementwise ``fn`` of every array of ``arrays``, in one call on
+    their concatenation: one result per array."""
+    return _split(fn(np.concatenate(arrays)), [a.size for a in arrays]) if arrays else []
+
+
+def _carving_grids(profile: RadialProfile1D, requests: Sequence["RadialRequest"]) -> list:
+    """What the indicator path computes once for both resolutions of each
+    request: the probe grid on [0, s_max], the profile on it, and the
+    reach r_top of the r-integral, 0 when no pair is admissible.  A
+    decreasing profile's r-integral ends at the last crossing of delta;
+    otherwise it ends where g has decayed below delta / 2.  A decreasing
+    profile with a ``level_radius`` needs no grid: the grid is None and the
+    profile is given at 0 and s_max only.  The profile values of all
+    requests come from one call, and their crossings of delta from one
+    inverse or one solve."""
     g = profile.g
-    delta = envelope.zero_below
-    s_max = spec.r_max
-    knots = profile.knots
-    if knots.size:
-        r_nodes, r_w = panel_nodes(uniform_panels(0.0, r_top, spec.n_r, splits=knots), order)
-    else:  # the unit r-rule scaled onto [0, r_top]
-        _, tau, omega = _unit_rule(spec.n_r, order, False)
-        r_nodes, r_w = r_top * tau, r_top * omega
-    g_r = g(r_nodes)
+    deltas = [r.envelope.zero_below for r in requests]
+    reach = [profile.decay_radius(d / 2.0) for d in deltas]
+    grids = [[None, None, 0.0] for _ in requests]
+    live = [i for i, r_half in enumerate(reach) if r_half > 0.0]
+    closed = profile.monotone_decreasing and profile.level_radius is not None
+    if closed:
+        ends = g(np.array([0.0, *(requests[i].s_max for i in live)]))
+        for j, i in enumerate(live):
+            grids[i][1] = ends[[0, j + 1]]
+    else:
+        # thresholds of one reach and bulk share their probe grid and values
+        probes = {}
+        for i in live:
+            s_max = requests[i].s_max
+            key = (s_max, min(profile.decay_radius(1e-4 * deltas[i]), s_max))
+            probes.setdefault(key, []).append(i)
+        xs_of = [_probe_grid(0.0, *key) for key in probes]
+        for members, xs, vals in zip(probes.values(), xs_of, _one_call(g, xs_of)):
+            for i in members:
+                grids[i][:2] = xs, vals
+        if not profile.monotone_decreasing:
+            for i in live:
+                grids[i][2] = min(reach[i], requests[i].s_max)
+            return grids
+    crossed = [i for i in live if grids[i][1][0] > deltas[i] >= grids[i][1][-1]]
+    if closed:
+        tops = profile.level_radius(np.array([deltas[i] for i in crossed])).tolist()
+    else:
+        tops = [float(top[0]) for top in _decreasing_crossings(
+            g, profile.dg, [(np.array([deltas[i]]), *grids[i][:2]) for i in crossed])]
+    for i, top in zip(crossed, tops):
+        grids[i][2] = min(top, requests[i].s_max)
+    return grids
 
-    if profile.monotone_decreasing:
-        # unordered pairs: 2 * { r < s, g(r) - g(s) > delta }, one row per r-node
-        target = g_r - delta
-        # where g(s_max) >= target the admissible s lie beyond s_max,
-        # which the tail bound covers
-        keep = vals[-1] < target
-        if not keep.any():
-            return 0.0
-        if xs is None:  # closed form; the clip guards a target within rounding of g(s_max)
-            s2 = np.minimum(profile.level_radius(target[keep]), s_max)
-        else:
-            s2 = _decreasing_crossings(g, profile.dg, target[keep], xs, vals)
-        if envelope.step and dim == 3:  # each row's s-integral in closed form
-            rn = r_nodes[keep]
-            total = float(np.sum(r_w[keep] * rn * rn * _kernel_rows_3d(rn, s2, s_max, kernel_p)))
-            return 2.0 * _pair_prefactor(dim) * envelope.sup_value * total
-        sn, sw = _s_rows(s2, np.full_like(s2, s_max), spec.n_s, order, knots)
+
+def _r_rule(profile: RadialProfile1D, r_top: float, n_r: int, order: int):
+    """r-nodes and weights on [0, r_top]: ``n_r`` uniform panels split at the
+    profile's knots, or without knots the unit r-rule scaled onto it."""
+    if profile.knots.size:
+        return panel_nodes(uniform_panels(0.0, r_top, n_r, splits=profile.knots), order)
+    _, tau, omega = _unit_rule(n_r, order, False)
+    return r_top * tau, r_top * omega
+
+
+def _indicator_values(profile: RadialProfile1D, kernel_p: float, dim: int,
+                      requests: Sequence["RadialRequest"], resolutions) -> list:
+    """Indicator path: the value of each request at each (spec, Gauss order)
+    of ``resolutions``, one list per request.  The admissible s-set of every
+    r-node is carved exactly, and the graded s-panel template is mapped
+    onto each piece.  A step on a decreasing profile at N = 3 instead takes
+    each row's s-integral in closed form (``_kernel_rows_3d``), reads no
+    ``n_s``, and leaves the discrepancy to the r-rule alone.  On a
+    decreasing profile the crossings that end the r-ranges take one solve
+    and those of the r-nodes a second, and the closed-form rows of all
+    requests and resolutions are integrated in one call, each (request,
+    resolution) summing its own contiguous slice."""
+    g, dg, knots = profile.g, profile.dg, profile.knots
+    values = [[0.0] * len(resolutions) for _ in requests]
+    grids = _carving_grids(profile, requests)
+    # one row set per (request, resolution) with pairs to carve; the
+    # profile at the r-nodes of all of them in one call
+    live = [i for i, grid in enumerate(grids) if grid[2] > 0.0]
+    jobs = [(i, k) for k in range(len(resolutions)) for i in live]
+    rules = [_r_rule(profile, grids[i][2], spec.n_r, order)
+             for spec, order in resolutions for i in live]
+    g_rs = _one_call(g, [rn for rn, _ in rules])
+    prefactor = _pair_prefactor(dim)
+
+    if not profile.monotone_decreasing:
+        # generic path: r over [0, r_top], one row per (r-node, excess
+        # interval) in s over [0, s_max]; the region {r > r_top, s <= r_top}
+        # equals by symmetry the portion of the main integral with s > r_top,
+        # which is added once more.
+        for (i, k), (rn, rw), g_r in zip(jobs, rules, g_rs):
+            (spec, order), (xs, vals, r_top) = resolutions[k], grids[i]
+            envelope = requests[i].envelope
+            idx, lo, hi = _excess_intervals(g, dg, g_r, envelope.zero_below, xs, vals)
+            if not idx.size:
+                continue
+            sn, sw = _s_rows(lo, hi, spec.n_s, order, knots)
+            total, extra = _integrate_rows(rn[idx], rw[idx], sn, sw,
+                                           envelope(np.abs(g_r[idx][:, None] - g(sn))),
+                                           kernel_p, dim, order, r_top)
+            values[i][k] = prefactor * (total + extra)
+        return values
+
+    # unordered pairs: 2 * { r < s, g(r) - g(s) > delta }, one row per
+    # r-node; where g(s_max) >= g(r) - delta the admissible s lie beyond
+    # s_max, which the tail bound covers
+    prefactor *= 2.0
+    targets = [g_r - requests[i].envelope.zero_below for (i, _), g_r in zip(jobs, g_rs)]
+    keeps = [grids[i][1][-1] < target for (i, _), target in zip(jobs, targets)]
+    levels = [target[keep] for target, keep in zip(targets, keeps)]
+    if profile.level_radius is not None:  # the clip guards a level within rounding of g(s_max)
+        s2s = [np.minimum(s2, requests[i].s_max)
+               for (i, _), s2 in zip(jobs, _one_call(profile.level_radius, levels))]
+    else:
+        s2s = _decreasing_crossings(g, dg, [(level, *grids[i][:2])
+                                            for (i, _), level in zip(jobs, levels)])
+    exact = [n for n, (i, _) in enumerate(jobs) if requests[i].envelope.step and dim == 3]
+    if exact:  # each row's s-integral in closed form, for all rows at once
+        rn, rw = (np.concatenate([rules[n][j][keeps[n]] for n in exact]) for j in (0, 1))
+        sizes = [s2s[n].size for n in exact]
+        s_max = np.repeat([requests[jobs[n][0]].s_max for n in exact], sizes)
+        rows = rw * rn * rn * _kernel_rows_3d(rn, np.concatenate([s2s[n] for n in exact]),
+                                               s_max, kernel_p)
+        for n, piece in zip(exact, _split(rows, sizes)):
+            i, k = jobs[n]
+            values[i][k] = prefactor * requests[i].envelope.sup_value * float(piece.sum())
+    for n, (i, k) in enumerate(jobs):
+        if n in exact or not keeps[n].any():
+            continue
+        (spec, order), envelope, s2, keep = resolutions[k], requests[i].envelope, s2s[n], keeps[n]
+        sn, sw = _s_rows(s2, np.full_like(s2, requests[i].s_max), spec.n_s, order, knots)
         # a step is sup_value past each row's crossing, on every s-node
-        w_vals = None if envelope.step else envelope(np.abs(g_r[keep][:, None] - g(sn)))
-        total = _integrate_rows(r_nodes[keep], r_w[keep], sn, sw, w_vals, kernel_p, dim, order)
-        numerator = envelope.sup_value if w_vals is None else 1.0
-        return 2.0 * _pair_prefactor(dim) * numerator * total
-
-    # generic path: r over [0, r_top], one row per (r-node, excess interval)
-    # in s over [0, s_max]; the region {r > r_top, s <= r_top} equals by
-    # symmetry the portion of the main integral with s > r_top, which is
-    # added once more.
-    idx, lo, hi = _excess_intervals(g, profile.dg, g_r, delta, xs, vals)
-    if not idx.size:
-        return 0.0
-    sn, sw = _s_rows(lo, hi, spec.n_s, order, knots)
-    total, extra = _integrate_rows(r_nodes[idx], r_w[idx], sn, sw,
-                                   envelope(np.abs(g_r[idx][:, None] - g(sn))),
-                                   kernel_p, dim, order, r_top)
-    return _pair_prefactor(dim) * (total + extra)
+        w_vals = None if envelope.step else envelope(np.abs(g_rs[n][keep][:, None] - g(sn)))
+        total = _integrate_rows(rules[n][0][keep], rules[n][1][keep], sn, sw, w_vals,
+                                kernel_p, dim, order)
+        values[i][k] = prefactor * (envelope.sup_value if w_vals is None else 1.0) * total
+    return values
 
 
-def _radial_smooth_value(profile: RadialProfile1D, kernel_p: float,
-                         envelope: MonotoneEnvelope, spec: RadialSpec, dim: int,
-                         order: int, r_range: float) -> float:
-    """Smooth envelopes: r over [0, r_range], s over [0, spec.r_max] with the
+def _radial_smooth_value(profile: RadialProfile1D, request: "RadialRequest",
+                         spec: RadialSpec, order: int) -> float:
+    """Smooth envelopes: r over [0, r_range], s over [0, s_max] with the
     s > r_range portion added twice.  Each r-node's row is the graded
-    s-template mapped onto [0, r] and onto [r, r_max], split at the profile's
+    s-template mapped onto [0, r] and onto [r, s_max], split at the profile's
     knots and at r_range (the doubling is a jump of the s-integrand): every
     breakpoint lies inside the row, so no panel has zero width and no
     s-node lands on r."""
-    s_max = spec.r_max
+    s_max, r_range, dim = request.s_max, request.r_range, request.dim
     r_nodes, r_w = panel_nodes(uniform_panels(0.0, r_range, spec.n_r, splits=profile.knots),
                                order)
     bps = _unit_rule(spec.n_s, order, True)[0]
@@ -1035,71 +1149,115 @@ def _radial_smooth_value(profile: RadialProfile1D, kernel_p: float,
     sn, sw = panel_nodes(np.sort(rows, axis=1), order)
     g = profile.g
     total, extra = _integrate_rows(r_nodes, r_w, sn, sw,
-                                   envelope(np.abs(g(r_nodes)[:, None] - g(sn))),
-                                   kernel_p, dim, order, r_range)
+                                   request.envelope(np.abs(g(r_nodes)[:, None] - g(sn))),
+                                   request.kernel_p, dim, order, r_range)
     return _pair_prefactor(dim) * (total + extra)
 
 
-def radial_pair_integrate(profile: RadialProfile1D, kernel_p: float,
-                          envelope: MonotoneEnvelope, spec: RadialSpec,
-                          dim: int, q_mass: float = 0.0) -> Estimate:
-    """Deterministic integral of F(|g(|x|) - g(|y|)|) / |x - y|^{N+p},
-    F = ``envelope``, for a radial field of profile g.
+@dataclass(frozen=True, eq=False)
+class RadialRequest:
+    """One estimate of the radial engine, as data: the integral of
+    F(|g(|x|) - g(|y|)|) / |x - y|^{N+p}, F = ``envelope``, for a radial
+    field of profile g, on the grids of ``spec``.  A smooth envelope bounds
+    its far tail through ``q_mass``, the integral of |u|^q with
+    q = small_t_power.  ``field`` is the field the profile was read from,
+    if any: the requests of one field object, kernel p, spec and dimension
+    share one pass (``functionals._resolve``).
 
-    Runs the quadrature at the requested and at halved resolution and
-    reports the difference as ``discrepancy``; stderr is 0.  ``spec.r_max``
-    = 0 is derived from the profile's decay.  A smooth envelope bounds its
-    far tail through ``q_mass``, the integral of |u|^q, q = small_t_power.
+    Building a request checks its preconditions and derives its scalar
+    geometry: ``s_max``, the reach of the s-integral (``spec.r_max``, or
+    derived from the profile's decay where that is 0), ``r_range``, that
+    of a smooth envelope's r-integral (0 for an indicator, whose r-range
+    the pass finds at its level crossings), and ``tail``, the rigorous
+    bound on the mass the two truncate.
     """
-    if dim < 2:
-        raise PreconditionError("radial reduction needs dimension >= 2")
-    if envelope.zero_below > 0:
-        if not math.isfinite(profile.lipschitz):
-            raise PreconditionError("indicator path needs a finite Lipschitz bound")
-        r_half = profile.decay_radius(envelope.zero_below / 2.0)
 
-        def far_mass(r_in: float, gap: float) -> float:
-            """Bound on the pairs with |x| < r_in, |x - y| > gap."""
-            return (2.0 * ball_volume(dim, r_in) * sphere_surface(dim)
-                    * envelope.sup_value * gap ** (-kernel_p) / kernel_p)
+    profile: RadialProfile1D
+    kernel_p: float
+    envelope: MonotoneEnvelope
+    spec: RadialSpec
+    dim: int
+    q_mass: InitVar[float] = 0.0
+    field: object = None
+    s_max: float = dataclass_field(init=False)
+    r_range: float = dataclass_field(init=False)
+    tail: float = dataclass_field(init=False)
 
-        if spec.r_max <= 0:
-            mass = far_mass(r_half, 1.0)
-            atol = max(1e-6, 1e-5 * mass)
-            spec = replace(spec, r_max=max(4.0 * r_half + 1.0,
-                                           (mass / atol) ** (1.0 / kernel_p)))
-        # rigorous bound on the mass beyond s_max
-        r_half = min(r_half, spec.r_max)
-        gap = spec.r_max - r_half
-        if gap <= 0.25 * spec.r_max:
-            raise PreconditionError("r_max leaves no room beyond the field's bulk")
-        tail = far_mass(r_half, gap)
-        value = partial(_radial_indicator_value,
-                        grid=_carving_grid(profile, envelope.zero_below, spec.r_max))
-    else:
-        if not q_mass > 0.0 and profile.sup > 0.0:
-            raise PreconditionError("a smooth envelope needs q_mass, the integral of |u|^q")
-        # smooth envelope: symmetric weight with slowly decaying pair tails
-        eps_x = 1e-9 * max(profile.sup, 1e-30)
-        r_range = profile.decay_radius(eps_x)
-        q = envelope.small_t_power
-        far_mass = 2.0 ** q * q_mass * sphere_surface(dim) / kernel_p
-        atol = max(1e-8, 1e-4 * far_mass)
-        s_range = r_range + (far_mass / atol) ** (1.0 / kernel_p)
-        if spec.r_max > 0:
-            s_range = spec.r_max
-            r_range = min(r_range, s_range)
-        # residuals: pairs beyond s_range, plus the far near-diagonal corner
-        tail = (2.0 * far_mass * max(s_range - r_range, 1e-12) ** (-kernel_p)
-                + 4.0 * _pair_prefactor(dim) * profile.lipschitz ** kernel_p
-                * (2.0 * eps_x) ** (q - kernel_p) * (s_range - r_range) / kernel_p)
-        spec = replace(spec, r_max=s_range)
-        value = partial(_radial_smooth_value, r_range=r_range)
+    def __post_init__(self, q_mass: float):
+        profile, kernel_p, envelope, dim = self.profile, self.kernel_p, self.envelope, self.dim
+        if dim < 2:
+            raise PreconditionError("radial reduction needs dimension >= 2")
+        s_max, r_range = self.spec.r_max, 0.0
+        if envelope.zero_below > 0:
+            if not math.isfinite(profile.lipschitz):
+                raise PreconditionError("indicator path needs a finite Lipschitz bound")
+            r_half = profile.decay_radius(envelope.zero_below / 2.0)
+
+            def far_mass(r_in: float, gap: float) -> float:
+                """Bound on the pairs with |x| < r_in, |x - y| > gap."""
+                return (2.0 * ball_volume(dim, r_in) * sphere_surface(dim)
+                        * envelope.sup_value * gap ** (-kernel_p) / kernel_p)
+
+            if s_max <= 0:
+                mass = far_mass(r_half, 1.0)
+                atol = max(1e-6, 1e-5 * mass)
+                s_max = max(4.0 * r_half + 1.0, (mass / atol) ** (1.0 / kernel_p))
+            # rigorous bound on the mass beyond s_max
+            r_half = min(r_half, s_max)
+            gap = s_max - r_half
+            if gap <= 0.25 * s_max:
+                raise PreconditionError("r_max leaves no room beyond the field's bulk")
+            tail = far_mass(r_half, gap)
+        else:
+            if not q_mass > 0.0 and profile.sup > 0.0:
+                raise PreconditionError("a smooth envelope needs q_mass, the integral of |u|^q")
+            # smooth envelope: symmetric weight with slowly decaying pair tails
+            eps_x = 1e-9 * max(profile.sup, 1e-30)
+            r_range = profile.decay_radius(eps_x)
+            q = envelope.small_t_power
+            far_mass = 2.0 ** q * q_mass * sphere_surface(dim) / kernel_p
+            atol = max(1e-8, 1e-4 * far_mass)
+            if s_max > 0:
+                r_range = min(r_range, s_max)
+            else:
+                s_max = r_range + (far_mass / atol) ** (1.0 / kernel_p)
+            # residuals: pairs beyond s_max, plus the far near-diagonal corner
+            tail = (2.0 * far_mass * max(s_max - r_range, 1e-12) ** (-kernel_p)
+                    + 4.0 * _pair_prefactor(dim) * profile.lipschitz ** kernel_p
+                    * (2.0 * eps_x) ** (q - kernel_p) * (s_max - r_range) / kernel_p)
+        for name, value in (("s_max", s_max), ("r_range", r_range), ("tail", tail)):
+            object.__setattr__(self, name, value)
+
+
+def radial_pair_integrate(requests: Sequence[RadialRequest]) -> list:
+    """Deterministic estimates of the ``requests``, one per request, in one
+    pass.  The requests must share their field, kernel p, spec and
+    dimension; the pass reads the first one's profile.
+
+    Each runs at the requested and at halved resolution and reports the
+    difference as ``discrepancy``; stderr is 0.  Every estimate is that of
+    a pass of its request alone, bit for bit.
+    """
+    if not requests:
+        return []
+    first = requests[0]
+    spec = first.spec
+    if any(r.field is not first.field or (r.kernel_p, r.spec, r.dim)
+           != (first.kernel_p, spec, first.dim) for r in requests):
+        raise PreconditionError("the requests of one radial pass must share their field, "
+                                "kernel p, spec and dimension")
     half_spec = replace(spec, n_r=max(4, spec.n_r // 2), n_s=max(6, spec.n_s - 4))
     # one Gauss order for r-panels, s-panels and the graded theta rule
-    full = value(profile, kernel_p, envelope, spec, dim, 6)
-    half = value(profile, kernel_p, envelope, half_spec, dim, 4)
-    return Estimate(full, 0.0, 0, tail, "radial", False, 2.0 * abs(full - half))
+    resolutions = ((spec, 6), (half_spec, 4))
+    carved = iter(_indicator_values(first.profile, first.kernel_p, first.dim,
+                                    [r for r in requests if r.envelope.zero_below > 0],
+                                    resolutions))
+    out = []
+    for r in requests:
+        full, half = (next(carved) if r.envelope.zero_below > 0 else
+                      [_radial_smooth_value(first.profile, r, *res) for res in resolutions])
+        out.append(Estimate(full, 0.0, 0, r.tail, "radial", False, 2.0 * abs(full - half)))
+    return out
 
 
 # ---------------------------------------------------------------------------

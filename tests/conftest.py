@@ -12,6 +12,12 @@ def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
+def radial_estimate(profile, p, envelope, spec, dim, q_mass=0.0):
+    """The radial engine's estimate of one request, in a pass of its own."""
+    from nlsob.quadrature import RadialRequest, radial_pair_integrate
+    return radial_pair_integrate([RadialRequest(profile, p, envelope, spec, dim, q_mass)])[0]
+
+
 @pytest.fixture(autouse=True)
 def fresh_memo():
     """Every test starts with an empty memo of deterministic estimates, so

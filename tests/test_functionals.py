@@ -967,3 +967,31 @@ class TestMemo:
         assert len(functionals._MEMO) == 2
         assert [k[2] for k in functionals._MEMO] == [
             json.dumps(f.to_dict(), sort_keys=True) for f in fields[1:]]
+
+
+def test_threshold_failing_its_preconditions_leaves_the_others_one_pass():
+    # with r_max = 2.5 a Gaussian's bulk leaves room for delta = 0.2 and
+    # 0.1 but not for 0.02: that threshold raises where it is routed, as it
+    # does alone, and the other two still share one radial pass, whose
+    # estimates their calls then read
+    import re
+    from unittest import mock
+
+    from nlsob import functionals
+    u = nl.GaussianField(3, 1.0)
+    engine = replace(default_engine(1), radial=RadialSpec(n_r=12, n_s=16, r_max=2.5))
+    with pytest.raises(PreconditionError) as alone:
+        nl.i_delta(u, nl.KernelSpec(0.02), engine)
+    assert "no room beyond the field's bulk" in str(alone.value)
+    deltas = [0.2, 0.1, 0.02]
+    with mock.patch.object(functionals, "radial_pair_integrate",
+                           wraps=functionals.radial_pair_integrate) as spy:
+        functionals.prefetch_pairs(
+            lambda d=d: functionals.i_delta_request(u, nl.KernelSpec(d), engine) for d in deltas)
+        assert spy.call_count == 1
+        assert [r.envelope.zero_below for r in spy.call_args.args[0]] == deltas[:2]
+        for d in deltas[:2]:
+            assert nl.i_delta(u, nl.KernelSpec(d), engine).value > 0.0
+        with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+            nl.i_delta(u, nl.KernelSpec(0.02), engine)
+    assert spy.call_count == 1

@@ -156,7 +156,8 @@ class TestRecovery:
 def test_upper_bound_then_recovery_run_the_engine_once_per_delta(engine, gauss3):
     # check_upper_bound re-reads its base grid and adds the midpoints, and
     # recover_classical_lsi sweeps the base grid again: the radial engine
-    # runs once per distinct delta, where it ran once per call (11 times)
+    # estimates each distinct delta once, where it ran once per call (11
+    # times), and all of them in the one pass of check_upper_bound's request
     from unittest import mock
 
     from nlsob import functionals
@@ -165,7 +166,8 @@ def test_upper_bound_then_recovery_run_the_engine_once_per_delta(engine, gauss3)
                            wraps=functionals.radial_pair_integrate) as spy:
         check_upper_bound(gauss3, deltas, engine)
         recover_classical_lsi(gauss3, deltas, 0.05, engine)
-    assert spy.call_count == len(deltas) + len(deltas) - 1 == 7
+    assert spy.call_count == 1
+    assert len(spy.call_args.args[0]) == len(deltas) + len(deltas) - 1 == 7
 
 
 def test_qn_routes_each_radial_estimate_once(engine):
@@ -180,3 +182,25 @@ def test_qn_routes_each_radial_estimate_once(engine):
     with mock.patch.object(functionals, "_pair_route", wraps=functionals._pair_route) as spy:
         estimate_qn(3, fields, engine, DELTAS[:3])
     assert spy.call_count == 6
+
+
+def test_qn_makes_one_radial_pass_per_field(engine):
+    # estimate_qn over 4 deltas on a Gaussian, a bump and a spline runs one
+    # radial pass per field, each on that field's 4 thresholds.  The
+    # Gaussian and the bump invert their profiles in closed form; the
+    # spline solves the crossings that end its r-ranges in one call and
+    # those of its r-nodes, at both resolutions, in a second
+    from unittest import mock
+
+    from nlsob import functionals
+    from nlsob import quadrature as quad
+    fields = [nl.GaussianField(3, 1.0), nl.SmoothBumpField(3, 2.0),
+              nl.RadialProfileField(3, [0.5 * k for k in range(5)],
+                                    [(1.0 - (k / 4.0) ** 2) ** 2 for k in range(5)])]
+    with mock.patch.object(functionals, "radial_pair_integrate",
+                           wraps=functionals.radial_pair_integrate) as passes, \
+            mock.patch.object(quad, "_crossing_roots", wraps=quad._crossing_roots) as solves:
+        estimate_qn(3, fields, engine, DELTAS[:4])
+    assert [len(c.args[0]) for c in passes.call_args_list] == [4, 4, 4]
+    assert [c.args[0][0].field for c in passes.call_args_list] == fields
+    assert solves.call_count == 2

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import nlsob as nl  # noqa: E402
 from scipy.optimize import brentq  # noqa: E402
@@ -22,8 +22,10 @@ from scipy.optimize import brentq  # noqa: E402
 from nlsob import functionals  # noqa: E402
 from nlsob.inequalities import check_diamagnetic  # noqa: E402
 from nlsob.quadrature import (  # noqa: E402
-    _XTOL, _RTOL, MonotoneEnvelope, PairContext, RadialSpec, _excess_intervals,
-    _level_crossings, _probe_grid, radial_pair_integrate)
+    _XTOL, _RTOL, MonotoneEnvelope, PairContext, RadialRequest, RadialSpec,
+    _excess_intervals, _level_crossings, _probe_grid, radial_pair_integrate)
+
+from conftest import radial_estimate  # noqa: E402
 
 
 class Counting(nl.FiniteSumField):
@@ -458,10 +460,10 @@ def test_plain_indicator_weight_matches_explicit(field, frac, p):
     plain = MonotoneEnvelope(fn=None, beta=p, name="plain", small_t_power=p,
                              zero_below=delta, sup_value=num, step=True)
     explicit = replace(plain, fn=lambda t: np.where(t > delta, num, 0.0), step=False)
-    got = radial_pair_integrate(prof, p, plain, spec, field.dim)
+    got = radial_estimate(prof, p, plain, spec, field.dim)
     if field.dim == 3:
         spec = replace(spec, n_s=30)
-    ref = radial_pair_integrate(prof, p, explicit, spec, field.dim)
+    ref = radial_estimate(prof, p, explicit, spec, field.dim)
     assert got.value > 0.0
     if field.dim != 3:
         assert abs(got.value - ref.value) <= 1e-13 * ref.value
@@ -471,6 +473,48 @@ def test_plain_indicator_weight_matches_explicit(field, frac, p):
     assert abs(got.discrepancy - ref.discrepancy) <= 5e-6 * ref.value
     assert abs(got.value - ref.value) <= min(got.discrepancy + got.tail_bound,
                                              ref.discrepancy + ref.tail_bound)
+
+
+@st.composite
+def radial_pass_fields(draw):
+    """A field of ``monotone_profiles``, or the non-monotone N = 4 ring of
+    the jump_envelope benchmark, which the generic carving path takes."""
+    if draw(st.booleans()):
+        return nl.RadialProfileField(4, [0.0, 0.5, 1.0, 1.5, 2.0], [0.2, 0.7, 1.0, 0.4, 0.0])
+    return draw(monotone_profiles())
+
+
+_SPLINE3 = nl.RadialProfileField(3, [0.5 * k for k in range(5)],
+                                 [(1.0 - (k / 4.0) ** 2) ** 2 for k in range(5)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(field=radial_pass_fields(), p=st.floats(1.0, 3.0),
+       fracs=st.lists(st.floats(0.01, 0.95), min_size=0, max_size=4))
+@example(field=_SPLINE3, p=2.0, fracs=[0.4, 0.2, 0.1, 0.05])
+@example(field=_SPLINE3.amplify(0.05), p=3.0, fracs=[0.4, 0.1])  # an s_max per threshold
+@example(field=nl.GaussianField(3, 1.0, 0.05), p=3.0, fracs=[0.4, 0.2, 0.1])
+@example(field=nl.SmoothBumpField(4, 2.0), p=2.0, fracs=[0.3, 0.05])
+def test_one_radial_pass_equals_each_request_alone(field, p, fracs):
+    # the thresholds of one field, one of them at the sup (a 0), share one
+    # radial pass of _resolve with a smooth power-law request of the same
+    # field, kernel p and grid: every estimate keeps the bits of a pass of
+    # its request alone, in value, discrepancy and tail bound
+    engine = replace(nl.default_engine(1), radial=RadialSpec(n_r=8, n_s=10))
+    sup = field.sup_bound
+    envelopes = ([MonotoneEnvelope.threshold(f * sup, p) for f in fracs]
+                 + [MonotoneEnvelope.threshold(sup, p), MonotoneEnvelope.power_law(p + 1.0)])
+    routes = [functionals._pair_route(field, p, env, engine) for env in envelopes]
+    assert all(isinstance(r, RadialRequest) for r in routes)
+    with mock.patch.object(functionals, "radial_pair_integrate",
+                           wraps=functionals.radial_pair_integrate) as spy:
+        together = functionals._resolve(routes, engine.mc)
+    assert spy.call_count == 1
+    assert together[-2].value == 0.0 and together[-1].value > 0.0
+    for est, route in zip(together, routes):
+        (alone,) = radial_pair_integrate([route])
+        assert [x.hex() for x in (est.value, est.discrepancy, est.tail_bound)] == [
+            x.hex() for x in (alone.value, alone.discrepancy, alone.tail_bound)]
 
 
 def test_n3_radial_claims_cover_the_truth():
@@ -499,10 +543,10 @@ def test_n3_radial_claims_cover_the_truth():
             p = float(rng.choice([1.2, 1.5, 2.0, 3.0]))
             delta = math.exp(rng.uniform(math.log(0.005), math.log(0.5))) * prof.sup
             env = MonotoneEnvelope.threshold(delta, p)
-            truth = radial_pair_integrate(prof, p, env, RadialSpec(n_r=800), 3)
+            truth = radial_estimate(prof, p, env, RadialSpec(n_r=800), 3)
             gap = 0.5 * truth.discrepancy
             for spec in (RadialSpec(n_r=12, n_s=16), RadialSpec()):
-                est = radial_pair_integrate(prof, p, env, spec, 3)
+                est = radial_estimate(prof, p, env, spec, 3)
                 claim = est.discrepancy + est.tail_bound
                 case = (field.to_dict(), p, delta, spec.n_r)
                 assert gap <= 0.05 * claim, case

@@ -4,6 +4,7 @@ stderr calibration, tail soundness."""
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -17,27 +18,27 @@ from nlsob.errors import PreconditionError
 from nlsob.quadrature import (
     _RTOL,
     _XTOL,
-    _carving_grid,
+    _carving_grids,
     _crossing_roots,
     _decreasing_crossings,
     _graded_kernel,
+    _indicator_values,
     _kernel_rows_3d,
     _pcg64_states,
-    _radial_indicator_value,
     McSpec,
     MonotoneEnvelope,
     PairContext,
+    RadialRequest,
     RadialSpec,
     ball_volume,
     mc_pair_integrate_many,
     mc_volume_value,
-    radial_pair_integrate,
     sphere_surface,
     theta_reduced_kernel,
     volume_integrate,
 )
 
-from conftest import rel_err
+from conftest import radial_estimate, rel_err
 
 def explicit_indicator(delta, num):
     """num * 1{t > delta} from a function, which the radial engine reads at
@@ -220,16 +221,15 @@ class TestRadialEngine:
         prof = nl.GaussianField(3, 1.0).radial_profile()
         w = MonotoneEnvelope(fn=np.zeros_like, beta=2.0, name="zero", small_t_power=2.0,
                              zero_below=0.1, sup_value=0.01)
-        est = radial_pair_integrate(prof, 2.0, w, RadialSpec(r_max=30.0), 3)
+        est = radial_estimate(prof, 2.0, w, RadialSpec(r_max=30.0), 3)
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_discrepancy_covers_refinement(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
         w = explicit_indicator(0.1, 0.01)
         spec = RadialSpec(n_r=48, n_s=30, r_max=60.0)
-        est = radial_pair_integrate(prof, 2.0, w, spec, 3)
-        double = radial_pair_integrate(prof, 2.0, w,
-                                       replace(spec, n_r=96, n_s=36), 3)
+        est = radial_estimate(prof, 2.0, w, spec, 3)
+        double = radial_estimate(prof, 2.0, w, replace(spec, n_r=96, n_s=36), 3)
         assert abs(double.value - est.value) < est.discrepancy
 
     @staticmethod
@@ -255,10 +255,10 @@ class TestRadialEngine:
         from nlsob.functionals import lp_power_integral
         calls = self.watch_kernel(monkeypatch)
         field = nl.GaussianField(3, 1.0)
-        est = radial_pair_integrate(field.radial_profile(), 2.0,
-                                    MonotoneEnvelope.power_law(3.0),
-                                    RadialSpec(n_r=8, n_s=30, r_max=40.0), 3,
-                                    lp_power_integral(field, 3.0).value)
+        est = radial_estimate(field.radial_profile(), 2.0,
+                              MonotoneEnvelope.power_law(3.0),
+                              RadialSpec(n_r=8, n_s=30, r_max=40.0), 3,
+                              lp_power_integral(field, 3.0).value)
         assert calls and sum(c[1] for c in calls) == 0
         assert math.isfinite(est.value) and est.value > 0.0
         assert math.isfinite(est.discrepancy)
@@ -326,8 +326,8 @@ class TestRadialEngine:
     def test_dim_one_unsupported(self):
         prof = nl.GaussianField(3, 1.0).radial_profile()
         with pytest.raises(PreconditionError):
-            radial_pair_integrate(prof, 2.0, MonotoneEnvelope.power_law(3.0),
-                                  RadialSpec(r_max=4.0), 1, 1.0)
+            radial_estimate(prof, 2.0, MonotoneEnvelope.power_law(3.0),
+                            RadialSpec(r_max=4.0), 1, 1.0)
 
     def test_smooth_envelope_derives_its_s_range(self):
         # r_max 0 is derived for a smooth envelope too, from the integral of
@@ -337,14 +337,14 @@ class TestRadialEngine:
         field = nl.GaussianField(3, 1.0)
         env = MonotoneEnvelope.power_law(3.0)
         spec = RadialSpec(n_r=12, n_s=16)
-        est = radial_pair_integrate(field.radial_profile(), 2.0, env, spec, 3,
-                                    lp_power_integral(field, 3.0).value)
+        est = radial_estimate(field.radial_profile(), 2.0, env, spec, 3,
+                              lp_power_integral(field, 3.0).value)
         ref = nl.f_functional(field, env, 2.0, replace(nl.default_engine(1), radial=spec))
         assert [x.hex() for x in (est.value, est.discrepancy, est.tail_bound)] == [
             x.hex() for x in (ref.value, ref.discrepancy, ref.tail_bound)]
         assert est.value > 0.0 and est.tail_bound > 0.0
         with pytest.raises(PreconditionError, match="q_mass"):
-            radial_pair_integrate(field.radial_profile(), 2.0, env, spec, 3)
+            radial_estimate(field.radial_profile(), 2.0, env, spec, 3)
 
     def test_radial_bits(self):
         # bits of the N = 4 smooth-envelope rows of the jump_envelope
@@ -369,8 +369,8 @@ class TestRadialEngine:
         cases = [
             (smooth, ("0x1.e01a2df437eb3p+4", "0x1.bf387a2220000p-12", "0x1.1cebacef1fd75p-6")),
             (step, ("0x1.817c40a68f929p+3", "0x1.271dc9867a000p-9", "0x1.cef4cffae2bebp-16")),
-            (radial_pair_integrate(g3.radial_profile(), 2.0, explicit_indicator(0.1, 0.1 * 0.1),
-                                   spec, 3),
+            (radial_estimate(g3.radial_profile(), 2.0, explicit_indicator(0.1, 0.1 * 0.1),
+                             spec, 3),
              ("0x1.817c409fe7c71p+3", "0x1.18435831de000p-9", "0x1.cef4cffae2bebp-16"))]
         for est, bits in cases:
             assert est.method == "radial"
@@ -422,8 +422,8 @@ class TestMonotonePath:
         for delta in (0.2, 0.05):
             w = explicit_indicator(delta, delta * delta)
             spec = RadialSpec(r_max=40.0)
-            a = radial_pair_integrate(prof, 2.0, w, spec, dim)
-            b = radial_pair_integrate(generic, 2.0, w, spec, dim)
+            a = radial_estimate(prof, 2.0, w, spec, dim)
+            b = radial_estimate(generic, 2.0, w, spec, dim)
             assert a.value > 0.0
             assert abs(a.value - b.value) <= a.discrepancy + b.discrepancy
 
@@ -442,7 +442,9 @@ class TestMonotonePath:
             prof = field.radial_profile()
             assert prof.monotone_decreasing
             assert (prof.level_radius is None) == (name == "cubic")
-            assert (_carving_grid(prof, 0.1, 8.0)[0] is None) == (name != "cubic")
+            request = RadialRequest(prof, 2.0, MonotoneEnvelope.threshold(0.1),
+                                    RadialSpec(r_max=8.0), 3)
+            assert (_carving_grids(prof, [request])[0][0] is None) == (name != "cubic")
             with mock.patch.object(quad, "_crossing_roots", wraps=quad._crossing_roots) as spy:
                 est = nl.i_delta(field, nl.KernelSpec(0.1), engine)
             assert est.method == "radial" and est.value > 0.0
@@ -473,14 +475,14 @@ class TestMonotonePath:
 
         delta = 0.1
         spec = RadialSpec(n_r=12, n_s=16, r_max=self.S_MAX)
-        est = radial_pair_integrate(replace(prof, g=g), 2.0, MonotoneEnvelope.threshold(delta),
-                                    spec, 3)
+        est = radial_estimate(replace(prof, g=g), 2.0, MonotoneEnvelope.threshold(delta),
+                              spec, 3)
         assert est.value > 0.0 and all(len(shape) == 1 for shape in shapes)
         if name != "cubic":
             assert sum(shape[0] for shape in shapes) == 2 + 72 + 24
         shapes.clear()
-        ref = radial_pair_integrate(replace(prof, g=g), 2.0,
-                                    explicit_indicator(delta, delta * delta), spec, 3)
+        ref = radial_estimate(replace(prof, g=g), 2.0,
+                              explicit_indicator(delta, delta * delta), spec, 3)
         assert any(len(shape) == 2 for shape in shapes)
         assert rel_err(est.value, ref.value) <= 1.5e-9
 
@@ -496,12 +498,14 @@ class TestMonotonePath:
             return prof.g(s)
 
         for delta in (0.3, 0.05, 0.004):
-            xs, vals, _ = _carving_grid(prof, delta, self.S_MAX)
+            request = RadialRequest(prof, 2.0, MonotoneEnvelope.threshold(delta),
+                                    RadialSpec(r_max=self.S_MAX), 3)
+            xs, vals, _ = _carving_grids(prof, [request])[0]
             level = prof.g(np.linspace(0.01, 1.9, 40)) - delta
             level = level[vals[-1] < level]
             j = np.searchsorted(-vals, -level)
             calls[0] = 0
-            secant = _decreasing_crossings(g, prof.dg, level, xs, vals)
+            (secant,) = _decreasing_crossings(g, prof.dg, [(level, xs, vals)])
             n_secant, calls[0] = calls[0], 0
             _crossing_roots(g, prof.dg, level, xs[j - 1], xs[j])
             assert n_secant <= calls[0]
@@ -517,8 +521,10 @@ class TestMonotonePath:
         w = MonotoneEnvelope(fn=np.ones_like, beta=2.0, name="one", small_t_power=2.0,
                              zero_below=0.6, sup_value=1.0)
         spec = RadialSpec(n_r=4, n_s=6, r_max=0.9)
-        grid = _carving_grid(prof, 0.6, spec.r_max)
-        assert _radial_indicator_value(prof, 2.0, w, spec, 3, 6, grid) == 0.0
+        # r_max leaves no room for a tail bound here, so no RadialRequest
+        # is built: the path reads only the envelope and s_max of one
+        request = SimpleNamespace(envelope=w, s_max=spec.r_max)
+        assert _indicator_values(prof, 2.0, 3, [request], ((spec, 6),)) == [[0.0]]
 
 
 class TestStepRowsAtN3:
@@ -807,8 +813,8 @@ class TestMcEngine:
         # deterministic version of the same statement via the radial engine
         prof = g.radial_profile()
         w = explicit_indicator(delta, delta * delta)
-        ra = radial_pair_integrate(prof, 2.0, w, RadialSpec(r_max=30.0), 3)
-        rb = radial_pair_integrate(prof, 2.0, w, RadialSpec(r_max=60.0), 3)
+        ra = radial_estimate(prof, 2.0, w, RadialSpec(r_max=30.0), 3)
+        rb = radial_estimate(prof, 2.0, w, RadialSpec(r_max=60.0), 3)
         assert abs(rb.value - ra.value) <= ra.tail_bound + ra.discrepancy + rb.discrepancy
 
     def test_common_stream_ordering_transfers(self):
